@@ -17,9 +17,11 @@
 //    engine's edge shrinks to dispatch overhead; the corpus guards
 //    against the IR engine regressing the symbolic-heavy case.
 //
-// Each iteration runs the whole corpus through one long-lived engine, so
-// warm iterations exercise the lowering cache exactly like a KeepWarm
-// daemon session (ir.lower.hits counts them).
+// Each iteration of the core corpora runs the whole corpus through one
+// long-lived engine, so warm iterations exercise the lowering cache
+// exactly like a KeepWarm daemon session (ir.lower.hits counts them).
+// The mini-C axis instead builds a fresh solver and executor per
+// iteration (see runMiniCCorpus).
 //
 //===----------------------------------------------------------------------===//
 
@@ -196,38 +198,48 @@ int main(int argc) {
 }
 )";
 
+/// Each iteration is one fresh unit of work: its own term arena, solver,
+/// executor and body engine, so no solver or lowering state carries over
+/// and the time per iteration does not depend on how many iterations
+/// google-benchmark picks. Only parsing happens once, outside the loop.
+/// The counters are per iteration.
 void runMiniCCorpus(benchmark::State &State, const char *Src,
                     SymExecOptions::Engine Mode) {
   obs::MetricsRegistry Reg;
   c::CAstContext Ctx;
-  DiagnosticEngine Diags;
-  const c::CProgram *P = c::parseC(Src, Ctx, Diags);
-  smt::TermArena Terms;
+  DiagnosticEngine ParseDiags;
+  const c::CProgram *P = c::parseC(Src, Ctx, ParseDiags);
+  const c::CFuncDecl *F = P->findFunc("main");
   smt::SmtOptions SO;
   SO.Metrics = &Reg;
-  std::unique_ptr<smt::ISolver> Solver =
-      smt::createBackend("smtlite", Terms, SO);
-  c::CSymExecutor Exec(*P, Ctx, Diags, Terms, *Solver);
-  std::unique_ptr<c::CBodyEngine> Engine =
-      concolic::makeCBodyEngine(Exec, Mode, &Reg, nullptr);
-  if (Engine)
-    Exec.setBodyEngine(Engine.get());
-  const c::CFuncDecl *F = P->findFunc("main");
 
   size_t Paths = 0;
   for (auto _ : State) {
+    DiagnosticEngine Diags;
+    smt::TermArena Terms;
+    std::unique_ptr<smt::ISolver> Solver =
+        smt::createBackend("smtlite", Terms, SO);
+    c::CSymExecutor Exec(*P, Ctx, Diags, Terms, *Solver);
+    std::unique_ptr<c::CBodyEngine> Engine =
+        concolic::makeCBodyEngine(Exec, Mode, &Reg, nullptr);
+    if (Engine)
+      Exec.setBodyEngine(Engine.get());
     c::CSymResult R = Exec.runFunction(F);
     Paths += R.Paths.size();
     benchmark::DoNotOptimize(&R);
   }
 
+  auto PerIter = [](double V) {
+    return benchmark::Counter(V, benchmark::Counter::kAvgIterations);
+  };
   State.SetItemsProcessed((int64_t)State.iterations());
-  State.counters["paths"] = (double)Paths;
+  State.counters["paths"] = PerIter((double)Paths);
   State.counters["solver_queries"] =
-      (double)Reg.counterValue("solver.queries");
-  State.counters["lower_hits"] = (double)Reg.counterValue("ir.lower.hits");
+      PerIter((double)Reg.counterValue("solver.queries"));
+  State.counters["lower_misses"] =
+      PerIter((double)Reg.counterValue("ir.lower.misses"));
   State.counters["fallbacks"] =
-      (double)Reg.counterValue("exec.fallback.ast");
+      PerIter((double)Reg.counterValue("exec.fallback.ast"));
 }
 
 void BM_MiniCConcrete_Ast(benchmark::State &State) {

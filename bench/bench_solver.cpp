@@ -20,6 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <optional>
 #include <random>
 
 using namespace mix::smt;
@@ -117,9 +118,9 @@ void BM_Solver_DeepBranchProbes(benchmark::State &State) {
     std::vector<const Term *> Xs;
     for (unsigned I = 0; I != K; ++I)
       Xs.push_back(A.freshIntVar());
-    std::unique_ptr<AssertionStack> St;
+    std::optional<AssertionStack> St;
     if (Incremental)
-      St = S.openStack();
+      St.emplace(S);
     // DFS: probe both polarities of x_d > 0 at depth d, descend into the
     // feasible ones.
     std::function<void(unsigned, const Term *)> Walk =

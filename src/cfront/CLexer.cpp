@@ -8,6 +8,7 @@
 #include "cfront/CLexer.h"
 
 #include <cctype>
+#include <climits>
 #include <unordered_map>
 
 using namespace mix::c;
@@ -283,8 +284,18 @@ private:
   CTok lexNumber() {
     SourceLoc Start = loc();
     long long Value = 0;
-    while (!atEnd() && std::isdigit((unsigned char)peek()))
-      Value = Value * 10 + (advance() - '0');
+    bool Overflow = false;
+    while (!atEnd() && std::isdigit((unsigned char)peek())) {
+      int Digit = advance() - '0';
+      Overflow = Overflow || Value > (LLONG_MAX - Digit) / 10;
+      if (!Overflow)
+        Value = Value * 10 + Digit;
+    }
+    if (Overflow) {
+      Diags.error(Start, "integer literal out of range",
+                  mix::DiagID::LexError);
+      return make(CTokKind::Error, Start);
+    }
     CTok T = make(CTokKind::IntLit, Start);
     T.IntValue = Value;
     return T;

@@ -8,6 +8,7 @@
 #include "lang/Lexer.h"
 
 #include <cctype>
+#include <climits>
 #include <unordered_map>
 
 using namespace mix;
@@ -182,8 +183,17 @@ Token Lexer::lexIdentOrKeyword() {
 Token Lexer::lexNumber() {
   SourceLoc Start = loc();
   long long Value = 0;
-  while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-    Value = Value * 10 + (advance() - '0');
+  bool Overflow = false;
+  while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek()))) {
+    int Digit = advance() - '0';
+    Overflow = Overflow || Value > (LLONG_MAX - Digit) / 10;
+    if (!Overflow)
+      Value = Value * 10 + Digit;
+  }
+  if (Overflow) {
+    Diags.error(Start, "integer literal out of range", DiagID::LexError);
+    return makeToken(TokenKind::Error, Start);
+  }
   Token T = makeToken(TokenKind::IntLit, Start);
   T.IntValue = Value;
   return T;

@@ -18,11 +18,12 @@ using namespace mix::smt;
 namespace {
 
 /// Restricts \p Model to the variables that actually occur in \p T.
-/// Backends with persistent encoders (the native smtlite stack) report
-/// values for every variable they ever saw — including ones only popped
-/// frames mentioned. Dropping the spurious bindings restores the
-/// "unmentioned = unconstrained" reading, which is what makes cached
-/// models reusable against future deltas over fresh variables.
+/// A decision lowers every if-then-else integer term (CSym's memory
+/// model builds them) to a fresh "ite" variable, and the backend reports
+/// values for those too. Dropping them keeps witness models to the
+/// program's variables and restores the "unmentioned = unconstrained"
+/// reading, which is what makes cached models reusable against future
+/// deltas over fresh variables.
 void projectModel(const Term *T, SmtModel &Model) {
   std::unordered_set<const Term *> Seen;
   std::unordered_set<unsigned> IntVars, BoolVars;
@@ -49,12 +50,7 @@ void projectModel(const Term *T, SmtModel &Model) {
 
 AssertionStack::AssertionStack(ISolver &Backend) : Backend(Backend) {}
 
-AssertionStack::~AssertionStack() = default;
-
-void AssertionStack::push() {
-  Frames.push_back(Assertions.size());
-  onPush();
-}
+void AssertionStack::push() { Frames.push_back(Assertions.size()); }
 
 void AssertionStack::pop() {
   assert(!Frames.empty() && "pop() on an empty assertion stack");
@@ -80,7 +76,6 @@ void AssertionStack::pop() {
   }
   Assertions.resize(Start);
   Folded.resize(Start);
-  onPop();
 }
 
 void AssertionStack::assertTerm(const Term *T) {
@@ -89,15 +84,10 @@ void AssertionStack::assertTerm(const Term *T) {
       Folded.empty() ? Backend.arena().trueTerm() : Folded.back();
   Assertions.push_back(T);
   Folded.push_back(Backend.arena().andTerm(Prev, T));
-  onAssert(T);
 }
 
 const Term *AssertionStack::conjunction() const {
   return Folded.empty() ? Backend.arena().trueTerm() : Folded.back();
-}
-
-SolveResult AssertionStack::solveCurrent(SmtModel *ModelOut) {
-  return Backend.checkSat(conjunction(), ModelOut);
 }
 
 SolveResult AssertionStack::checkSat(SmtModel *ModelOut) {
@@ -172,10 +162,10 @@ SolveResult AssertionStack::checkSat(SmtModel *ModelOut) {
     return SolveResult::Sat;
   }
 
-  // Real backend decision.
+  // Real backend decision. The model is always captured, for reuse.
   auto Captured = std::make_shared<SmtModel>();
   ++Statistics.Queries;
-  SolveResult R = solveCurrent(Captured.get());
+  SolveResult R = Backend.checkSat(Fold, Captured.get());
   if (R == SolveResult::Sat) {
     projectModel(Fold, *Captured);
     LastVerdict = {Fold, SolveResult::Sat};

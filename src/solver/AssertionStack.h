@@ -7,14 +7,13 @@
 ///
 /// \file
 /// Incremental solving semantics for every backend: an SMT-LIB-style
-/// push/pop/assert/check-sat stack opened over an ISolver. Path
-/// exploration holds one of these and pushes branch deltas instead of
-/// re-solving whole path conditions — the "single biggest raw-speed
-/// lever" the ROADMAP names.
+/// push/pop/assert/check-sat stack constructed over an ISolver. Path
+/// exploration holds one of these (through PathSolver) and pushes branch
+/// deltas instead of re-solving whole path conditions.
 ///
-/// The base class is both the generic emulation (usable over any
-/// backend) and the caching layer that produces most of the query
-/// savings, independent of the backend's own incrementality:
+/// A check that reaches the backend is one fresh checkSat of the live
+/// conjunction, so its cost never depends on the stack's history. The
+/// savings come from three shortcuts in front of it:
 ///
 /// - **Verdict cache**: the asserted conjunction is folded in the
 ///   backend's hash-consed arena, so formula identity is pointer
@@ -29,9 +28,7 @@
 ///
 /// Answers produced by these three shortcuts never touch the backend and
 /// therefore never count as solver queries — that is exactly the drop
-/// the incremental-mode regression tests measure. Backends with native
-/// incremental state override solveCurrent()/onAssert()/onPush()/onPop()
-/// (see smtlite's per-frame clause tagging in SmtSolver.cpp).
+/// the incremental-mode regression tests measure.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +47,6 @@ namespace mix::smt {
 class AssertionStack {
 public:
   explicit AssertionStack(ISolver &Backend);
-  virtual ~AssertionStack();
 
   /// Opens a new frame. Assertions made after push() are retracted by the
   /// matching pop().
@@ -95,20 +91,6 @@ public:
     uint64_t UnsatPrefixCuts = 0; ///< answered by the unsat-prefix cut
   };
   const Stats &stats() const { return Statistics; }
-
-protected:
-  /// Decides the current conjunction with a real backend query. The
-  /// default re-solves conjunction() via Backend.checkSat; native stacks
-  /// override. \p ModelOut is always non-null (the caller captures models
-  /// for reuse) and must be filled on Sat.
-  virtual SolveResult solveCurrent(SmtModel *ModelOut);
-
-  /// Hooks for native stacks, called after the base bookkeeping.
-  virtual void onAssert(const Term *T) { (void)T; }
-  virtual void onPush() {}
-  virtual void onPop() {}
-
-  const std::vector<const Term *> &assertions() const { return Assertions; }
 
 private:
   ISolver &Backend;

@@ -7,7 +7,6 @@
 
 #include "solver/ISolver.h"
 
-#include "solver/AssertionStack.h"
 #include "solver/QueryHash.h"
 
 #include <algorithm>
@@ -38,10 +37,6 @@ SolveResult ISolver::checkSatDecided(const Term *Formula, SmtModel *ModelOut,
   return checkSat(Formula, ModelOut);
 }
 
-std::unique_ptr<AssertionStack> ISolver::openStack() {
-  return std::make_unique<AssertionStack>(*this);
-}
-
 std::vector<std::pair<std::string, std::string>>
 mix::smt::modelBindings(const TermArena &Arena, const SmtModel &Model) {
   std::vector<std::pair<std::string, std::string>> Out;
@@ -64,6 +59,11 @@ SolverBase::SolverBase(TermArena &Arena, SmtOptions Opts)
     CUnsat = Opts.Metrics->counter("solver.unsat");
     CUnknown = Opts.Metrics->counter("solver.unknown");
     HQueryUs = Opts.Metrics->histogram("solver.query_us");
+    Work.SatVars = Opts.Metrics->counter("solver.sat.vars");
+    Work.SatClauses = Opts.Metrics->counter("solver.sat.clauses");
+    Work.SatConflicts = Opts.Metrics->counter("solver.sat.conflicts");
+    Work.SatDecisions = Opts.Metrics->counter("solver.sat.decisions");
+    Work.TheoryChecks = Opts.Metrics->counter("solver.theory.checks");
   }
 }
 
@@ -72,15 +72,6 @@ void SolverBase::bumpVerdict(SolveResult R) {
    : R == SolveResult::Unsat ? CUnsat
                              : CUnknown)
       .inc();
-}
-
-void SolverBase::noteExternalQuery(SolveResult R, uint64_t DurUs) {
-  ++QueryCount;
-  CQueries.inc();
-  bumpVerdict(R);
-  HQueryUs.record(DurUs);
-  if (Opts.Telemetry)
-    Opts.Telemetry->addPhase(obs::Phase::Solver, DurUs);
 }
 
 SolveResult SolverBase::checkSat(const Term *Formula, SmtModel *ModelOut) {

@@ -18,11 +18,10 @@
 /// (possible path is explored, exhaustiveness is rejected, a warning is
 /// kept).
 ///
-/// Incrementality is exposed through \ref AssertionStack (see
-/// AssertionStack.h): openStack() returns a push/pop assertion stack over
-/// this backend so path exploration can assert branch deltas instead of
-/// re-solving whole path conditions. Backends without native incremental
-/// state inherit a generic emulation.
+/// Incrementality lives one level up, in \ref AssertionStack (see
+/// AssertionStack.h): a push/pop assertion stack constructed over any
+/// backend, so path exploration can assert branch deltas and have most
+/// checks answered from its caches instead of by a backend decision.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,8 +42,6 @@
 #include <vector>
 
 namespace mix::smt {
-
-class AssertionStack;
 
 /// Verdict of a satisfiability query.
 enum class SolveResult { Sat, Unsat, Unknown };
@@ -158,12 +155,6 @@ public:
   virtual SolveResult checkSatDecided(const Term *Formula, SmtModel *ModelOut,
                                       std::string &DecidedBy);
 
-  /// Opens an incremental assertion stack over this backend. The default
-  /// is the generic emulation (re-solve the asserted conjunction, with
-  /// verdict/model caching); backends with native incremental state
-  /// override it (smtlite's per-frame clause tagging).
-  virtual std::unique_ptr<AssertionStack> openStack();
-
   /// The term arena queries against this backend must be built in.
   virtual TermArena &arena() = 0;
 
@@ -210,13 +201,6 @@ public:
   const SmtOptions &options() const final { return Opts; }
   uint64_t queries() const final { return QueryCount; }
 
-  /// Books one decision made outside checkSat — a native incremental
-  /// stack solving its asserted conjunction in place — under the same
-  /// counters and histogram, so "solver.queries" means "backend
-  /// decisions" in both modes and incremental savings are directly
-  /// comparable.
-  void noteExternalQuery(SolveResult R, uint64_t DurUs);
-
 protected:
   /// The actual decision procedure.
   virtual SolveResult decide(const Term *Formula, SmtModel *ModelOut) = 0;
@@ -228,6 +212,16 @@ protected:
 
   TermArena &Arena;
   SmtOptions Opts;
+
+  /// Search work of backends with a SAT core, added once per decision:
+  /// "solver.sat.vars", "solver.sat.clauses" (problem plus learned),
+  /// "solver.sat.conflicts", "solver.sat.decisions" and
+  /// "solver.theory.checks". Deterministic, so two runs can be diffed.
+  /// Detached (free) unless Opts.Metrics was set.
+  struct WorkCounters {
+    obs::Counter SatVars, SatClauses, SatConflicts, SatDecisions,
+        TheoryChecks;
+  } Work;
 
 private:
   void bumpVerdict(SolveResult R);

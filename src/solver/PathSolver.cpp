@@ -13,7 +13,7 @@ PathSolver::PathSolver(ISolver &Backend, bool Incremental,
                        obs::MetricsRegistry *Metrics)
     : Backend(Backend) {
   if (Incremental)
-    Stack = Backend.openStack();
+    Stack = std::make_unique<AssertionStack>(Backend);
   if (Metrics) {
     CPush = Metrics->counter("solver.inc.push");
     CPop = Metrics->counter("solver.inc.pop");

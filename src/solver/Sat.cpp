@@ -222,7 +222,7 @@ void SatSolver::resetSearchState() {
   PropagateHead = 0;
 }
 
-SatResult SatSolver::solve(const std::vector<Lit> &Assumptions) {
+SatResult SatSolver::solve() {
   if (FoundEmptyClause)
     return SatResult::Unsat;
 
@@ -273,21 +273,6 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumptions) {
       ConflictsThisRestart = 0;
       ConflictBudget = ConflictBudget + ConflictBudget / 2;
       backtrackTo(0);
-      continue;
-    }
-
-    // (Re-)establish assumptions as the first decision levels; restarts
-    // and backjumps past them land here again. A vacuous level is pushed
-    // for assumptions already implied, keeping level indices aligned with
-    // the assumption order (the MiniSat convention).
-    if (TrailLimits.size() < Assumptions.size()) {
-      Lit A = Assumptions[TrailLimits.size()];
-      LBool V = litValue(A);
-      if (V == LBool::False)
-        return SatResult::Unsat; // conflicts with clauses or prior assumptions
-      TrailLimits.push_back((unsigned)Trail.size());
-      if (V == LBool::Undef)
-        enqueue(A, NoReason);
       continue;
     }
 

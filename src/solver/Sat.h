@@ -54,8 +54,11 @@ enum class LBool : uint8_t { False = 0, True = 1, Undef = 2 };
 enum class SatResult { Sat, Unsat, Interrupted };
 
 /// The CDCL solver. Usage: newVar() for each variable, addClause() for each
-/// clause, then solve(); repeat addClause()/solve() for incremental use
-/// (learned clauses are kept across calls).
+/// clause, then solve(); the SMT layer's theory loop repeats
+/// addClause()/solve() with blocking clauses (learned clauses are kept
+/// across calls). A Sat answer assigns every variable, so an instance
+/// should hold one query's clauses: the SMT layer builds a fresh one per
+/// decision.
 class SatSolver {
 public:
   /// Allocates a new variable and returns its index.
@@ -63,21 +66,15 @@ public:
 
   unsigned numVars() const { return (unsigned)Assigns.size(); }
 
+  /// Clauses in the database, problem and learned.
+  size_t numClauses() const { return Clauses.size(); }
+
   /// Adds a clause (a disjunction of literals). An empty clause makes the
   /// instance trivially unsatisfiable.
   void addClause(std::vector<Lit> Lits);
 
   /// Runs the CDCL search. Safe to call repeatedly after adding clauses.
-  SatResult solve() { return solve({}); }
-
-  /// Runs the CDCL search under \p Assumptions: each literal is decided
-  /// (in order) before any free decision, so an Unsat answer means
-  /// "unsatisfiable together with the assumptions" — the clause database
-  /// and learned clauses remain valid for later calls with different
-  /// assumptions. This is what gives the SMT layer retractable assertion
-  /// frames: guard each frame's clauses with an activation literal and
-  /// assume the literals of the live frames.
-  SatResult solve(const std::vector<Lit> &Assumptions);
+  SatResult solve();
 
   /// Installs a cooperative interrupt flag (null to clear): when the flag
   /// becomes true, the next main-loop iteration abandons the search and

@@ -9,10 +9,10 @@
 /// Encoding machinery shared by the solver backends: if-then-else
 /// lowering, linearization of integer terms, the Tseitin CNF encoder, and
 /// the atom-to-constraint translation. Formerly private to SmtSolver.cpp;
-/// hoisted so the dnf backend and the native smtlite assertion stack use
-/// the exact same translation (a prerequisite for meaningful differential
-/// testing — backends must disagree only through their decision
-/// procedures, never through divergent encodings).
+/// hoisted so the dnf backend uses the exact same translation as smtlite
+/// (a prerequisite for meaningful differential testing — backends must
+/// disagree only through their decision procedures, never through
+/// divergent encodings).
 ///
 /// Internal header: not part of the solver's public surface.
 ///
@@ -34,10 +34,9 @@ namespace mix::smt::detail {
 
 /// Rewrites away IteInt terms: each distinct if-then-else integer term is
 /// replaced by a fresh integer variable constrained by guarded defining
-/// equations. The rewrite is equisatisfiability-preserving. The cache and
-/// definition list persist across lower() calls, so an incremental stack
-/// can lower one asserted term at a time and encode only the definitions
-/// added since its last watermark.
+/// equations. The rewrite is equisatisfiability-preserving. One lowering
+/// serves one query: each distinct IteInt gets one variable however often
+/// the formula shares it.
 class IteLowering {
 public:
   explicit IteLowering(TermArena &Arena) : Arena(Arena) {}
@@ -170,9 +169,8 @@ inline LinSum linearize(const Term *T) {
 
 /// Tseitin encoder: maps boolean terms to SAT literals, emitting the
 /// defining clauses for composite connectives. Integer atoms are recorded
-/// so the theory loop can look them up per model. Caches persist across
-/// encode() calls, which is what makes the encoder reusable inside a
-/// persistent incremental stack.
+/// so the theory loop can look them up per model. The cache gives each
+/// shared subterm one literal.
 class TseitinEncoder {
 public:
   explicit TseitinEncoder(SatSolver &Sat) : Sat(Sat) {}

@@ -7,31 +7,24 @@
 
 #include "solver/SmtSolver.h"
 
-#include "solver/AssertionStack.h"
 #include "solver/SmtInternals.h"
 
 #include <cassert>
-#include <chrono>
 
 using namespace mix::smt;
 using namespace mix::smt::detail;
 
 namespace {
 
-/// The lazy DPLL(T) loop shared by the one-shot path and the native
-/// incremental stack: alternate CDCL SAT search (under \p Assumptions)
-/// with theory checks of the integer atoms each propositional model
-/// assigns, blocking theory-conflicting polarity combinations. Blocking
-/// clauses are theory-valid regardless of which assertion frames are
-/// live, so the incremental stack adds them unguarded and they survive
-/// pops.
+/// The lazy DPLL(T) loop: alternate CDCL SAT search with theory checks of
+/// the integer atoms each propositional model assigns, blocking
+/// theory-conflicting polarity combinations.
 SolveResult runTheoryLoop(SatSolver &Sat, TseitinEncoder &Encoder,
-                          const std::vector<Lit> &Assumptions,
                           const SmtOptions &Opts, SmtSolver::Stats &Stats,
                           SmtModel *ModelOut) {
   for (unsigned Iter = 0; Iter != Opts.MaxTheoryIterations; ++Iter) {
     ++Stats.SatCalls;
-    SatResult SR = Sat.solve(Assumptions);
+    SatResult SR = Sat.solve();
     if (SR == SatResult::Unsat)
       return SolveResult::Unsat;
     if (SR == SatResult::Interrupted)
@@ -122,78 +115,12 @@ SolveResult SmtSolver::decide(const Term *Formula, SmtModel *ModelOut) {
   Lit Root = Encoder.encode(F);
   Sat.addClause({Root});
 
-  return runTheoryLoop(Sat, Encoder, /*Assumptions=*/{}, Opts, Statistics,
-                       ModelOut);
-}
-
-namespace mix::smt {
-
-/// The native incremental stack over the smtlite engine: one persistent
-/// SAT solver + Tseitin encoder for the stack's whole lifetime. Every
-/// frame f gets an activation literal a_f; a frame's assertions are added
-/// as clauses (~a_f \/ encoded) and a check solves under the assumptions
-/// {a_f | f live}. pop() adds the unit clause ~a_f, which permanently
-/// satisfies (neutralizes) the frame's guarded clauses *and* every
-/// learned clause whose derivation used them (such clauses contain ~a_f).
-/// Ite-lowering definitions are unguarded: they define fresh variables
-/// and are valid independent of which frames are live. Re-pushed frames
-/// get fresh activation literals, so retirement is permanent per literal.
-class SmtLiteStack : public AssertionStack {
-public:
-  explicit SmtLiteStack(SmtSolver &Owner)
-      : AssertionStack(Owner), Owner(Owner), Lowering(Owner.arena()),
-        Encoder(Sat) {
-    Sat.setInterrupt(Owner.options().Cancel);
-    // Base-level activation literal: never retired (base assertions are
-    // permanent), but keeps every clause uniformly guarded.
-    ActLits.push_back(freshActivation());
-  }
-
-protected:
-  void onPush() override { ActLits.push_back(freshActivation()); }
-
-  void onPop() override {
-    Sat.addClause({~ActLits.back()});
-    ActLits.pop_back();
-  }
-
-  void onAssert(const Term *T) override {
-    const Term *F = Lowering.lower(T);
-    // Encode definitions introduced since the last assert, unguarded.
-    const auto &Defs = Lowering.definitions();
-    for (; DefsEncoded != Defs.size(); ++DefsEncoded)
-      Sat.addClause({Encoder.encode(Defs[DefsEncoded])});
-    Sat.addClause({~ActLits.back(), Encoder.encode(F)});
-  }
-
-  SolveResult solveCurrent(SmtModel *ModelOut) override {
-    auto T0 = std::chrono::steady_clock::now();
-    SolveResult R = runTheoryLoop(Sat, Encoder, ActLits, Owner.options(),
-                                  Owner.Statistics, ModelOut);
-    uint64_t DurUs =
-        (uint64_t)std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - T0)
-            .count();
-    ++Owner.Statistics.Queries;
-    // Book the decision under the owner's counters so "solver.queries"
-    // means "backend decisions" with and without incremental mode.
-    Owner.noteExternalQuery(R, DurUs);
-    return R;
-  }
-
-private:
-  Lit freshActivation() { return Lit(Sat.newVar(), /*Negated=*/false); }
-
-  SmtSolver &Owner;
-  SatSolver Sat;
-  detail::IteLowering Lowering;
-  detail::TseitinEncoder Encoder;
-  std::vector<Lit> ActLits; ///< base + one per open frame
-  size_t DefsEncoded = 0;   ///< watermark into Lowering.definitions()
-};
-
-} // namespace mix::smt
-
-std::unique_ptr<AssertionStack> SmtSolver::openStack() {
-  return std::make_unique<SmtLiteStack>(*this);
+  uint64_t ChecksBefore = Statistics.TheoryChecks;
+  SolveResult R = runTheoryLoop(Sat, Encoder, Opts, Statistics, ModelOut);
+  Work.SatVars.add(Sat.numVars());
+  Work.SatClauses.add(Sat.numClauses());
+  Work.SatConflicts.add(Sat.stats().Conflicts);
+  Work.SatDecisions.add(Sat.stats().Decisions);
+  Work.TheoryChecks.add(Statistics.TheoryChecks - ChecksBefore);
+  return R;
 }

@@ -18,14 +18,13 @@
 /// null-pointer encoding of Section 4.1) are lowered to fresh variables
 /// with guarded defining equations.
 ///
-/// openStack() returns a *native* incremental stack: one persistent SAT
-/// solver and Tseitin encoder, per-frame activation literals guarding
-/// each frame's clauses, solving under assumptions. pop() retires the
-/// frame's activation literal with a unit clause, which permanently
-/// neutralizes both the frame's clauses and any learned clauses derived
-/// from them — the "learned-clause invalidation" that makes retraction
-/// sound while keeping still-valid learned clauses and theory blocking
-/// clauses (which are globally valid) across branches.
+/// Every decision builds a fresh SAT instance from the formula alone, so
+/// its cost depends on the formula, not on how many decisions came
+/// before. Path exploration gets its incrementality one level up, from
+/// AssertionStack's verdict cache, unsat-prefix cut and model pool. A
+/// native stack (one persistent instance with per-frame activation
+/// literals) lost to this on the analysis benchmarks and was removed;
+/// DESIGN.md §14 has the numbers.
 ///
 /// The shared solver surface (SolveResult, SmtModel, SmtOptions,
 /// QueryCache, the convenience verdict helpers) lives in ISolver.h.
@@ -39,8 +38,6 @@
 
 namespace mix::smt {
 
-class SmtLiteStack;
-
 /// One-shot and reusable SMT queries over a TermArena.
 ///
 /// The solver object is stateless between queries apart from cumulative
@@ -52,11 +49,7 @@ public:
 
   const char *name() const override { return "smtlite"; }
 
-  /// Native incremental stack (activation-literal frame tagging over a
-  /// persistent SAT solver); see the file comment.
-  std::unique_ptr<AssertionStack> openStack() override;
-
-  /// Cumulative statistics across queries (including stack solves).
+  /// Cumulative statistics across queries.
   struct Stats {
     uint64_t Queries = 0;
     uint64_t SatCalls = 0;
@@ -69,7 +62,6 @@ protected:
   SolveResult decide(const Term *Formula, SmtModel *ModelOut) override;
 
 private:
-  friend class SmtLiteStack;
   Stats Statistics;
 };
 

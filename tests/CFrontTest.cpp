@@ -158,6 +158,18 @@ TEST_F(CFrontTest, ParseErrors) {
   EXPECT_EQ(parse("void f(void) MIX(wrong) { }"), nullptr);
 }
 
+TEST_F(CFrontTest, IntegerLiteralOutOfRangeIsAnError) {
+  // LLONG_MAX itself is representable; one more, or many more digits,
+  // must be a diagnostic rather than a wrapped value.
+  const CProgram *P = parse("int x = 9223372036854775807;");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  EXPECT_EQ(parse("int x = 9223372036854775808;"), nullptr);
+  EXPECT_EQ(parse("int f(void) { return 99999999999999999999; }"), nullptr);
+  EXPECT_NE(Diags.str().find("integer literal out of range"),
+            std::string::npos)
+      << Diags.str();
+}
+
 // --- sema -------------------------------------------------------------------
 
 TEST_F(CFrontTest, SemaTypesExpressions) {

@@ -67,6 +67,29 @@ TEST(LexerTest, IntegerLiteral) {
   EXPECT_EQ(T.IntValue, 12345);
 }
 
+TEST(LexerTest, IntegerLiteralAtLimit) {
+  DiagnosticEngine Diags;
+  Lexer Lex("9223372036854775807", Diags);
+  Token T = Lex.next();
+  EXPECT_EQ(T.Kind, TokenKind::IntLit);
+  EXPECT_EQ(T.IntValue, 9223372036854775807LL);
+  EXPECT_FALSE(Diags.hasErrors());
+}
+
+TEST(LexerTest, IntegerLiteralOutOfRangeReported) {
+  for (const char *Src : {"9223372036854775808", "99999999999999999999"}) {
+    SCOPED_TRACE(Src);
+    DiagnosticEngine Diags;
+    Lexer Lex(Src, Diags);
+    Token T = Lex.next();
+    EXPECT_EQ(T.Kind, TokenKind::Error);
+    EXPECT_TRUE(Diags.hasErrors());
+    // The whole literal is consumed: no digits are left for a second
+    // token.
+    EXPECT_EQ(Lex.next().Kind, TokenKind::Eof);
+  }
+}
+
 TEST(LexerTest, OperatorsAndPunctuation) {
   auto Kinds = lexAll("+ - = < <= ( ) ! := : ; ->");
   std::vector<TokenKind> Expected = {

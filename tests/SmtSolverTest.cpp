@@ -152,6 +152,39 @@ TEST_F(SmtTest, StatisticsAdvance) {
   EXPECT_GT(S.stats().SatCalls, 0u);
 }
 
+TEST(SmtWorkCountersTest, RepeatExactlyAcrossIdenticalRuns) {
+  // The solver.sat.* and solver.theory.checks counters measure work, so
+  // two identical query sequences on fresh solvers must book identical
+  // values. The first query needs theory conflicts and SAT conflicts to
+  // refute, so every counter moves.
+  auto Run = [] {
+    mix::obs::MetricsRegistry Reg;
+    SmtOptions Opts;
+    Opts.Metrics = &Reg;
+    TermArena A;
+    SmtSolver S(A, Opts);
+    const Term *X = A.freshIntVar("x");
+    const Term *Y = A.freshIntVar("y");
+    const Term *P = A.freshBoolVar("p");
+    EXPECT_EQ(S.checkSat(A.andList({A.orTerm(P, A.lt(X, Y)),
+                                    A.orTerm(A.notTerm(P), A.lt(Y, X)),
+                                    A.eqInt(X, Y), P})),
+              SolveResult::Unsat);
+    EXPECT_EQ(S.checkSat(A.lt(X, A.iteInt(P, Y, A.intConst(3)))),
+              SolveResult::Sat);
+    std::vector<uint64_t> Out;
+    for (const char *Name : {"solver.sat.vars", "solver.sat.clauses",
+                             "solver.sat.conflicts", "solver.sat.decisions",
+                             "solver.theory.checks"})
+      Out.push_back(Reg.counterValue(Name));
+    return Out;
+  };
+  std::vector<uint64_t> First = Run();
+  EXPECT_EQ(First, Run());
+  for (uint64_t V : First)
+    EXPECT_GT(V, 0u);
+}
+
 namespace {
 
 /// Brute-force evaluation of a term under small-domain assignments.

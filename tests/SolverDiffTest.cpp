@@ -218,14 +218,14 @@ TEST(SolverDiffTest, ModelsFromStacksSatisfyTheirConjunction) {
     SCOPED_TRACE("backend: " + Name);
     std::unique_ptr<ISolver> S = createBackend(Name, A, SmtOptions());
     ASSERT_NE(S, nullptr);
-    std::unique_ptr<AssertionStack> St = S->openStack();
+    AssertionStack St(*S);
     for (unsigned I = 0; I != 500; ++I) {
       std::mt19937 Rng(BaseSeed + I);
       const Term *F = genBool(A, V, Rng, 2);
-      St->push();
-      St->assertTerm(F);
+      St.push();
+      St.assertTerm(F);
       SmtModel M;
-      SolveResult R = St->checkSat(&M);
+      SolveResult R = St.checkSat(&M);
       SmtModel OracleModel;
       if (R == SolveResult::Unsat) {
         ASSERT_FALSE(oracleFindsModel(F, V, OracleModel))
@@ -234,7 +234,7 @@ TEST(SolverDiffTest, ModelsFromStacksSatisfyTheirConjunction) {
         ASSERT_TRUE(evalBool(F, M))
             << "formula " << I << " (base seed " << BaseSeed << ")";
       }
-      St->pop();
+      St.pop();
     }
   }
 }

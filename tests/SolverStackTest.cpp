@@ -8,9 +8,10 @@
 // re-solving whole path conditions), so it gets direct coverage here:
 // frame semantics (nested push/pop, pop-to-empty, re-assert after pop),
 // verdict correctness against from-scratch solving, and the query-saving
-// shortcut caches. Every test runs against every registered backend —
-// smtlite exercises the native activation-literal stack, dnf the generic
-// emulation — so the two implementations cannot drift apart.
+// shortcut caches. Every test runs against every registered backend
+// (smtlite and dnf), so a backend whose verdicts or models break the
+// stack's caches shows up here. One more test pins the per-decision
+// work of a long-lived stack: it must not grow with the stack's age.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,9 +35,8 @@ template <typename Fn> void forEachBackend(Fn Body) {
     TermArena A;
     std::unique_ptr<ISolver> S = createBackend(Name, A, SmtOptions());
     ASSERT_NE(S, nullptr);
-    std::unique_ptr<AssertionStack> Stack = S->openStack();
-    ASSERT_NE(Stack, nullptr);
-    Body(A, *S, *Stack);
+    AssertionStack Stack(*S);
+    Body(A, *S, Stack);
   }
 }
 
@@ -263,7 +263,7 @@ TEST(SolverStackTest, RandomBranchSequencesMatchFromScratch) {
     ASSERT_TRUE(Inc && Scratch);
     for (unsigned Seq = 0; Seq != 1000; ++Seq) {
       std::mt19937 Rng(BaseSeed + Seq);
-      std::unique_ptr<AssertionStack> St = Inc->openStack();
+      auto St = std::make_unique<AssertionStack>(*Inc);
       // Independent mirror of the live assertions, one vector per frame
       // (index 0 is the base level) — deliberately not derived from the
       // stack's own bookkeeping, so a lost or leaked assertion shows up
@@ -310,4 +310,59 @@ TEST(SolverStackTest, RandomBranchSequencesMatchFromScratch) {
       }
     }
   }
+}
+
+TEST(SolverStackTest, PerDecisionWorkStaysFlatOverALongLifetime) {
+  // 10k sibling-probe cycles through one smtlite stack: push, assert a
+  // delta over a fresh variable, checkSat, pop. Every probe's conjunction
+  // has the same shape, so a decision late in the stack's life must do
+  // the same SAT work as an early one. A backend that carried state
+  // across decisions (retired frames, dead variables) would show a
+  // growing solver.sat.vars per decision, and its latency would grow
+  // with it.
+  mix::obs::MetricsRegistry Reg;
+  SmtOptions Opts;
+  Opts.Metrics = &Reg;
+  TermArena A;
+  std::unique_ptr<ISolver> S = createBackend("smtlite", A, Opts);
+  ASSERT_NE(S, nullptr);
+  AssertionStack St(*S);
+  const Term *Y = A.freshIntVar("y");
+  St.assertTerm(A.le(A.intConst(0), Y)); // base level: y >= 0
+
+  struct Sample {
+    uint64_t Vars, Decisions;
+  };
+  auto Now = [&] {
+    return Sample{Reg.counterValue("solver.sat.vars"),
+                  Reg.counterValue("solver.queries")};
+  };
+  const unsigned Cycles = 10000, Window = 1000;
+  Sample Begin = Now(), FirstEnd{}, LastBegin{};
+  for (unsigned I = 0; I != Cycles; ++I) {
+    if (I == Window)
+      FirstEnd = Now();
+    if (I == Cycles - Window)
+      LastBegin = Now();
+    St.push();
+    // y < x_i is false under the default value x_i = 0, so no cached
+    // model answers the probe: each one is a real decision.
+    St.assertTerm(A.lt(Y, A.freshIntVar()));
+    ASSERT_EQ(St.checkSat(), SolveResult::Sat) << "cycle " << I;
+    St.pop();
+  }
+  Sample End = Now();
+
+  uint64_t FirstDecisions = FirstEnd.Decisions - Begin.Decisions;
+  uint64_t LastDecisions = End.Decisions - LastBegin.Decisions;
+  ASSERT_GE(End.Decisions - Begin.Decisions, Cycles * 9 / 10)
+      << "the shortcut caches answered the probes; nothing was measured";
+  ASSERT_GT(FirstDecisions, 0u);
+  ASSERT_GT(LastDecisions, 0u);
+  // Equal vars per decision, compared by cross-multiplying.
+  EXPECT_EQ((FirstEnd.Vars - Begin.Vars) * LastDecisions,
+            (End.Vars - LastBegin.Vars) * FirstDecisions)
+      << "first " << Window << " cycles: " << FirstEnd.Vars - Begin.Vars
+      << " vars over " << FirstDecisions << " decisions; last " << Window
+      << ": " << End.Vars - LastBegin.Vars << " over " << LastDecisions;
 }
