@@ -12,6 +12,9 @@
 //
 // The workload is the vsftpd-mini corpus plus filler modules; the
 // argument selects how many filler entry points carry MIX(symbolic).
+// A second axis grows the program instead: typed filler modules only, so
+// MIXY's typed-side bookkeeping (name lookup, region and edge building)
+// must stay linear in the number of functions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +25,8 @@
 #include "mixy/VsftpdMini.h"
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 using namespace mix::c;
 using mix::DiagnosticEngine;
@@ -92,6 +97,26 @@ void BM_Scaling_Threads(benchmark::State &State) {
   State.counters["hw_threads"] = std::thread::hardware_concurrency();
 }
 
+/// Program-size axis: the corpus plus N typed filler modules (three
+/// functions each), no filler blocks. Every iteration parses afresh and
+/// runs MIXY from filler_main; "funcs" counts the defined functions.
+void BM_Scaling_ProgramSize(benchmark::State &State) {
+  unsigned Modules = (unsigned)State.range(0);
+  std::string Source = corpus::vsftpdScaled(/*Annotated=*/true, Modules, 0);
+  size_t Funcs = 0;
+  for (auto _ : State) {
+    CAstContext Ctx;
+    DiagnosticEngine Diags;
+    const CProgram *P = parseC(Source, Ctx, Diags);
+    MixyAnalysis Analysis(*P, Ctx, Diags);
+    benchmark::DoNotOptimize(
+        Analysis.run(MixyAnalysis::StartMode::Typed, "filler_main"));
+    Funcs = std::count_if(P->funcs().begin(), P->funcs().end(),
+                          [](const CFuncDecl *F) { return F->isDefined(); });
+  }
+  State.counters["funcs"] = (double)Funcs;
+}
+
 } // namespace
 
 BENCHMARK(BM_Scaling_PureTyped)->Unit(benchmark::kMillisecond);
@@ -101,6 +126,11 @@ BENCHMARK(BM_Scaling_SymbolicBlocks)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Scaling_ProgramSize)
+    ->Arg(250)
+    ->Arg(500)
+    ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Scaling_Threads)
     ->Arg(1)

@@ -61,33 +61,44 @@ const char *mix::c::cBinaryOpSpelling(CBinaryOp Op) {
   return "?";
 }
 
+void CProgram::addStruct(const CStructDecl *S) {
+  Structs.push_back(S);
+  StructByName.emplace(S->name(), S);
+}
+
+void CProgram::addGlobal(const CGlobalDecl *G) {
+  Globals.push_back(G);
+  GlobalByName.emplace(G->name(), G);
+}
+
+void CProgram::addFunc(const CFuncDecl *F) {
+  Funcs.push_back(F);
+  auto [It, Fresh] = FuncByName.emplace(F->name(), F);
+  // The first definition replaces a prototype; nothing replaces a
+  // definition.
+  if (!Fresh && F->isDefined() && !It->second->isDefined())
+    It->second = F;
+}
+
+namespace {
+template <typename T>
+const T *lookup(const std::unordered_map<std::string, const T *> &Index,
+                const std::string &Name) {
+  auto It = Index.find(Name);
+  return It == Index.end() ? nullptr : It->second;
+}
+} // namespace
+
 const CStructDecl *CProgram::findStruct(const std::string &Name) const {
-  for (const CStructDecl *S : Structs)
-    if (S->name() == Name)
-      return S;
-  return nullptr;
+  return lookup(StructByName, Name);
 }
 
 const CGlobalDecl *CProgram::findGlobal(const std::string &Name) const {
-  for (const CGlobalDecl *G : Globals)
-    if (G->name() == Name)
-      return G;
-  return nullptr;
+  return lookup(GlobalByName, Name);
 }
 
 const CFuncDecl *CProgram::findFunc(const std::string &Name) const {
-  // Prefer the definition when a function is both forward-declared and
-  // defined (the usual C prototype-then-body pattern).
-  const CFuncDecl *Found = nullptr;
-  for (const CFuncDecl *F : Funcs) {
-    if (F->name() != Name)
-      continue;
-    if (F->isDefined())
-      return F;
-    if (!Found)
-      Found = F;
-  }
-  return Found;
+  return lookup(FuncByName, Name);
 }
 
 const CType *CAstContext::makeType(CTypeKind Kind, const CType *Inner,

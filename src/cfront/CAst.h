@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace mix::c {
@@ -438,16 +439,33 @@ private:
   const CExpr *Init;
 };
 
-/// A whole translation unit.
+/// A whole translation unit: the declarations in source order, plus a
+/// name index over them. The lists can only grow through add*(), which
+/// keeps the index in step, so every find*() is one hash lookup.
 class CProgram {
 public:
-  std::vector<const CStructDecl *> Structs;
-  std::vector<const CGlobalDecl *> Globals;
-  std::vector<const CFuncDecl *> Funcs;
+  const std::vector<const CStructDecl *> &structs() const { return Structs; }
+  const std::vector<const CGlobalDecl *> &globals() const { return Globals; }
+  const std::vector<const CFuncDecl *> &funcs() const { return Funcs; }
 
+  void addStruct(const CStructDecl *S);
+  void addGlobal(const CGlobalDecl *G);
+  void addFunc(const CFuncDecl *F);
+
+  /// The first struct, global, or function named \p Name, or null. For
+  /// functions the first definition wins over prototypes (the usual C
+  /// prototype-then-body pattern); without one, the first prototype.
   const CStructDecl *findStruct(const std::string &Name) const;
   const CGlobalDecl *findGlobal(const std::string &Name) const;
   const CFuncDecl *findFunc(const std::string &Name) const;
+
+private:
+  std::vector<const CStructDecl *> Structs;
+  std::vector<const CGlobalDecl *> Globals;
+  std::vector<const CFuncDecl *> Funcs;
+  std::unordered_map<std::string, const CStructDecl *> StructByName;
+  std::unordered_map<std::string, const CGlobalDecl *> GlobalByName;
+  std::unordered_map<std::string, const CFuncDecl *> FuncByName;
 };
 
 /// Owns every node of a mini-C parse.

@@ -103,7 +103,7 @@ private:
         // Forward reference: create an empty placeholder that a later
         // definition fills in (single-pass like CIL's merger).
         auto *Fresh = Ctx.make<CStructDecl>(tok().Loc, Name);
-        Program.Structs.push_back(Fresh);
+        Program.addStruct(Fresh);
         S = Fresh;
       }
       return Ctx.structType(S);
@@ -267,7 +267,7 @@ private:
       } else if (!expect(CTokKind::Semi)) {
         return false;
       }
-      Program.Funcs.push_back(Ctx.make<CFuncDecl>(
+      Program.addFunc(Ctx.make<CFuncDecl>(
           Loc, D.Name, D.Ty, std::move(Params), Annot, Body));
       return true;
     }
@@ -283,8 +283,7 @@ private:
     }
     if (!expect(CTokKind::Semi))
       return false;
-    Program.Globals.push_back(
-        Ctx.make<CGlobalDecl>(Loc, D.Name, D.Ty, Init));
+    Program.addGlobal(Ctx.make<CGlobalDecl>(Loc, D.Name, D.Ty, Init));
     return true;
   }
 
@@ -304,7 +303,7 @@ private:
       }
     } else {
       S = Ctx.make<CStructDecl>(Loc, Name);
-      Program.Structs.push_back(S);
+      Program.addStruct(S);
     }
     while (!tok().is(CTokKind::RBrace)) {
       const CType *Spec = parseDeclSpec(Program);

@@ -152,7 +152,7 @@ std::string mix::c::printStmt(const CStmt *S, unsigned Indent) {
 
 std::string mix::c::printProgram(const CProgram &Program) {
   std::string Out;
-  for (const CStructDecl *S : Program.Structs) {
+  for (const CStructDecl *S : Program.structs()) {
     if (S->fields().empty())
       continue; // forward references are re-created on demand
     Out += "struct " + S->name() + " {\n";
@@ -160,13 +160,13 @@ std::string mix::c::printProgram(const CProgram &Program) {
       Out += "  " + printDecl(F.Ty, F.Name) + ";\n";
     Out += "};\n";
   }
-  for (const CGlobalDecl *G : Program.Globals) {
+  for (const CGlobalDecl *G : Program.globals()) {
     Out += printDecl(G->type(), G->name());
     if (G->init())
       Out += " = " + printExpr(G->init());
     Out += ";\n";
   }
-  for (const CFuncDecl *F : Program.Funcs) {
+  for (const CFuncDecl *F : Program.funcs()) {
     Out += F->returnType()->str() + " " + F->name() + "(";
     if (F->params().empty()) {
       Out += "void";

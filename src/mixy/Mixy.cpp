@@ -170,7 +170,7 @@ MixyAnalysis::dependencyEdges(bool &SawIndirect) {
   // context.
   std::map<const CFuncDecl *, std::vector<const CFuncDecl *>> Deps;
   SawIndirect = false;
-  for (const CFuncDecl *F : Program.Funcs) {
+  for (const CFuncDecl *F : Program.funcs()) {
     if (!F->isDefined())
       continue;
     std::set<const CFuncDecl *> Callees;
@@ -178,15 +178,15 @@ MixyAnalysis::dependencyEdges(bool &SawIndirect) {
     Deps[F].assign(Callees.begin(), Callees.end());
   }
   if (SawIndirect) {
+    // Every function may reach every defined function. Route that through
+    // one hub node, the null key (F -> hub -> every defined function): the
+    // same reachability as all-to-all edges, in linear size.
     std::vector<const CFuncDecl *> All;
-    for (const auto &[F, D] : Deps) {
-      (void)D;
-      All.push_back(F);
-    }
     for (auto &[F, D] : Deps) {
-      (void)F;
-      D = All;
+      All.push_back(F);
+      D = {nullptr};
     }
+    Deps[nullptr] = std::move(All);
   } else {
     for (PointsToAnalysis::CellId Cell = 1; Cell <= PtrAnal.numCells();
          ++Cell) {
@@ -221,7 +221,7 @@ void MixyAnalysis::initPersist() {
   // Content hash per defined function, from the printed AST (stable
   // across runs; see persist/AstHash.h).
   std::map<const CFuncDecl *, uint64_t> Content;
-  for (const CFuncDecl *F : Program.Funcs)
+  for (const CFuncDecl *F : Program.funcs())
     if (F->isDefined())
       Content[F] = persist::functionContentHash(*F);
   uint64_t Env = persist::environmentHash(Program);
@@ -578,7 +578,7 @@ MixyAnalysis::typedRegionFrom(const CFuncDecl *Entry) {
     // Calls through function pointers: conservatively include every
     // defined, non-symbolic function whose address could be taken (the
     // paper uses CIL's pointer analysis to find the targets).
-    for (const CFuncDecl *F : Program.Funcs)
+    for (const CFuncDecl *F : Program.funcs())
       if (F->isDefined() && F->mixAnnot() != MixAnnot::Symbolic)
         Region.insert(F);
   }
@@ -613,7 +613,7 @@ MixyAnalysis::paramSeedsFromArgQuals(const CFuncDecl *Callee,
 std::map<std::string, NullSeed> MixyAnalysis::globalSeedsFromQuals() {
   Qual.solve();
   std::map<std::string, NullSeed> Seeds;
-  for (const CGlobalDecl *G : Program.Globals) {
+  for (const CGlobalDecl *G : Program.globals()) {
     if (!G->type()->isPointer())
       continue;
     const QualVec &Q = Qual.qualsOfVar(nullptr, G->name());
@@ -709,7 +709,7 @@ MixyAnalysis::translateResult(const CFuncDecl *F, const CSymResult &Result,
         Outcome.ParamPointeeMayBeNull[I] = true;
     }
 
-    for (const CGlobalDecl *G : Program.Globals) {
+    for (const CGlobalDecl *G : Program.globals()) {
       if (!G->type()->isPointer())
         continue;
       auto Cell =
@@ -872,7 +872,7 @@ void MixyAnalysis::restoreAliasing(const CFuncDecl *Callee) {
   for (const auto &P : Callee->params())
     if (P.Ty->isPointer())
       UnifyTargetsOf(PtrAnal.cellOfVar(Callee, P.Name));
-  for (const CGlobalDecl *G : Program.Globals)
+  for (const CGlobalDecl *G : Program.globals())
     if (G->type()->isPointer())
       UnifyTargetsOf(PtrAnal.cellOfVar(nullptr, G->name()));
 }
@@ -1039,7 +1039,7 @@ bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
                    Exec2.mayBeNull(State.Path, Args[I]);
     Key.Params.push_back(MayNull ? NullSeed::MayBeNull : NullSeed::Nonnull);
   }
-  for (const CGlobalDecl *G : Program.Globals) {
+  for (const CGlobalDecl *G : Program.globals()) {
     if (!G->type()->isPointer())
       continue;
     auto Cell = State.Store.get({Exec2.globalLoc(G->name()), ""});
@@ -1071,7 +1071,7 @@ bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
   // current qualifier solution.
   Exec2.havocStore(State);
   Qual.solve();
-  for (const CGlobalDecl *G : Program.Globals) {
+  for (const CGlobalDecl *G : Program.globals()) {
     if (!G->type()->isPointer())
       continue;
     const QualVec &Q = Qual.qualsOfVar(nullptr, G->name());
@@ -1359,7 +1359,7 @@ std::vector<std::pair<size_t, size_t>> MixyAnalysis::buildSiteGraph() {
     return Edges;
 
   std::set<std::string> PtrGlobals;
-  for (const CGlobalDecl *G : Program.Globals)
+  for (const CGlobalDecl *G : Program.globals())
     if (G->type()->isPointer())
       PtrGlobals.insert(G->name());
   bool AnyPtrGlobal = !PtrGlobals.empty();
@@ -1370,7 +1370,7 @@ std::vector<std::pair<size_t, size_t>> MixyAnalysis::buildSiteGraph() {
   // variables the unification can move qualifiers far from the site.
   bool AliasCoupling = false;
   if (Opts.RestoreAliasing && AnyPtrGlobal) {
-    for (const CGlobalDecl *G : Program.Globals) {
+    for (const CGlobalDecl *G : Program.globals()) {
       if (!G->type()->isPointer())
         continue;
       PointsToAnalysis::CellId Target =
@@ -1389,7 +1389,7 @@ std::vector<std::pair<size_t, size_t>> MixyAnalysis::buildSiteGraph() {
   std::set<const CFuncDecl *> Writers;
   for (const auto &[F, D] : Deps) {
     (void)D;
-    if (writesPointerGlobal(F->body(), PtrGlobals))
+    if (F && writesPointerGlobal(F->body(), PtrGlobals))
       Writers.insert(F);
   }
 

@@ -418,9 +418,11 @@ private:
   /// over-approximation is not required — the driver's validation sweep
   /// catches anything these edges miss.
   std::vector<std::pair<size_t, size_t>> buildSiteGraph();
-  /// Direct call-graph edges between defined functions (all-to-all when
-  /// an indirect call makes the callee set unknowable), shared by the
-  /// persistent-cache closure hashes and the site graph.
+  /// Direct call-graph edges between defined functions, shared by the
+  /// persistent-cache closure hashes and the site graph. When an indirect
+  /// call makes the callee set unknowable, every function's only edge
+  /// goes to a hub node, the null key, whose edges go to every defined
+  /// function: all-to-all reachability in linear size.
   std::map<const CFuncDecl *, std::vector<const CFuncDecl *>>
   dependencyEdges(bool &SawIndirect);
   /// May \p S store to any pointer-typed global in \p PtrGlobals? Any

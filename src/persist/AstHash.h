@@ -51,7 +51,11 @@ uint64_t environmentHash(const c::CProgram &P);
 /// Dependency-closure hashes: for every function F in \p Content, the
 /// digest of the sorted content hashes of all functions reachable from F
 /// over \p Deps (reflexively), combined with \p EnvHash. Cycles are fine
-/// (reachability, not recursion).
+/// (reachability, not recursion). Nodes outside \p Content (externs, or
+/// a hub node that stands for "every defined function") are traversed
+/// but contribute no hash. Computed over the SCC condensation of \p Deps
+/// with one reachability bitset per SCC, so the cost is linear in the
+/// edges plus one cone hash per SCC, not one graph walk per function.
 std::map<const c::CFuncDecl *, uint64_t> closureHashes(
     const std::map<const c::CFuncDecl *, uint64_t> &Content,
     const std::map<const c::CFuncDecl *, std::vector<const c::CFuncDecl *>>

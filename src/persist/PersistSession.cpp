@@ -99,7 +99,8 @@ std::optional<std::string> BlockSummaryStore::lookup(uint64_t Key) {
     CMisses.inc();
     return std::nullopt;
   }
-  std::string Out = It->second;
+  It->second.LastUse = Run;
+  std::string Out = It->second.Payload;
   Lock.unlock();
   CHits.inc();
   return Out;
@@ -108,7 +109,7 @@ std::optional<std::string> BlockSummaryStore::lookup(uint64_t Key) {
 void BlockSummaryStore::store(uint64_t Key, std::string Payload) {
   {
     std::lock_guard<std::mutex> Lock(M);
-    Map[Key] = std::move(Payload);
+    Map[Key] = {std::move(Payload), Run};
   }
   CStores.inc();
 }
@@ -123,13 +124,21 @@ void BlockSummaryStore::clear() {
   Map.clear();
 }
 
+void BlockSummaryStore::retireUnused(size_t Horizon) {
+  std::lock_guard<std::mutex> Lock(M);
+  std::erase_if(Map, [&](const auto &KV) {
+    return Run - KV.second.LastUse >= Horizon;
+  });
+  ++Run;
+}
+
 std::vector<std::string> BlockSummaryStore::encode() const {
   std::lock_guard<std::mutex> Lock(M);
   std::vector<std::string> Records;
   Records.reserve(Map.size());
-  for (const auto &[Key, Payload] : Map) {
+  for (const auto &[Key, E] : Map) {
     ByteWriter W;
-    W.u64(Key).str(Payload);
+    W.u64(Key).str(E.Payload);
     Records.push_back(W.take());
   }
   return Records;
@@ -145,7 +154,7 @@ bool BlockSummaryStore::decode(const std::vector<std::string> &Records) {
       Map.clear();
       return false;
     }
-    Map[Key] = std::move(Payload);
+    Map[Key] = {std::move(Payload), Run};
   }
   return true;
 }

@@ -91,6 +91,11 @@ private:
 /// The persistent block-summary store. Payloads are opaque byte strings:
 /// the analysis that owns the summaries (MIXY) encodes and decodes them,
 /// so this layer needs no knowledge of SymOutcome or diagnostics.
+///
+/// Retention: every entry remembers the last run that stored or replayed
+/// it. A warm in-memory session ends each run with retireUnused(), which
+/// bounds the store by what its recent runs used; a store that is saved
+/// to disk never calls it and keeps every entry.
 class BlockSummaryStore {
 public:
   explicit BlockSummaryStore(obs::MetricsRegistry *Metrics);
@@ -101,12 +106,22 @@ public:
   size_t size() const;
   void clear();
 
+  /// Ends one run: drops every summary that none of the last \p Horizon
+  /// runs (this one included) stored or replayed. A horizon of 0 drops
+  /// everything.
+  void retireUnused(size_t Horizon);
+
   std::vector<std::string> encode() const;
   bool decode(const std::vector<std::string> &Records);
 
 private:
+  struct Entry {
+    std::string Payload;
+    uint64_t LastUse; ///< the run that last stored or replayed it
+  };
   mutable std::mutex M;
-  std::unordered_map<uint64_t, std::string> Map;
+  std::unordered_map<uint64_t, Entry> Map;
+  uint64_t Run = 0; ///< runs ended by retireUnused()
   obs::Counter CHits, CMisses, CStores;
 };
 

@@ -101,7 +101,7 @@ void PointsToAnalysis::run() {
   // indirect-call constraints see address-taken functions discovered
   // later in program order.
   for (int Pass = 0; Pass != 2; ++Pass) {
-    for (const CGlobalDecl *G : Program.Globals) {
+    for (const CGlobalDecl *G : Program.globals()) {
       if (!G->init())
         continue;
       CScope Empty;
@@ -109,7 +109,7 @@ void PointsToAnalysis::run() {
       if (V != NoCell)
         unifyValues(cellOfVar(nullptr, G->name()), V);
     }
-    for (const CFuncDecl *F : Program.Funcs)
+    for (const CFuncDecl *F : Program.funcs())
       if (F->isDefined())
         analyzeFunction(F);
   }

@@ -176,7 +176,7 @@ void QualInference::unifyAliasClass(
 
 void QualInference::analyzeAll() {
   analyzeGlobals();
-  for (const CFuncDecl *F : Program.Funcs)
+  for (const CFuncDecl *F : Program.funcs())
     if (F->isDefined())
       analyzeFunction(F);
 }
@@ -186,7 +186,7 @@ void QualInference::analyzeGlobals() {
     return;
   GlobalsAnalyzed = true;
   CScope Empty;
-  for (const CGlobalDecl *G : Program.Globals) {
+  for (const CGlobalDecl *G : Program.globals()) {
     qualsOfVar(nullptr, G->name());
     if (G->init()) {
       QualVec Init = qualsOfExpr(G->init(), Empty);
@@ -300,7 +300,7 @@ QualVec QualInference::analyzeCall(const CCall *Call, const CScope &Scope) {
   QualVec Ret;
   if (CalleeTy && CalleeTy->isPointer())
     CalleeTy = CalleeTy->pointee();
-  for (const CFuncDecl *F : Program.Funcs) {
+  for (const CFuncDecl *F : Program.funcs()) {
     if (!CalleeTy || !CalleeTy->isFunc())
       break;
     if (F->params().size() != CalleeTy->params().size())

@@ -498,6 +498,13 @@ void AnalysisService::runMixy(const AnalysisRequest &Req,
                               Req.Entry);
       Resp.SymCacheStats = Analysis.symCacheStats().str();
       Resp.TypedCacheStats = Analysis.typedCacheStats().str();
+      // A warm in-memory session keeps only the summaries its last
+      // ResponseCacheCap runs used (at least this run's): edits leave
+      // dead summaries behind, which would otherwise pile up for the
+      // daemon's lifetime. The session lock is still held.
+      if (Session && Req.CacheDir.empty())
+        Session->blocks().retireUnused(
+            std::max<size_t>(Config.ResponseCacheCap, 1));
     }
   }
 

@@ -211,7 +211,10 @@ struct ServiceConfig {
   /// mode). Off, every request records into metrics() — what the CLIs
   /// need for --stats and --metrics.
   bool PerRequestMetrics = false;
-  /// serve() response-cache capacity (FIFO eviction); 0 disables caching.
+  /// How many recent requests the service remembers. serve() caches that
+  /// many responses (FIFO eviction; 0 disables caching), and a warm
+  /// in-memory session keeps only the block summaries that its last that
+  /// many MIXY runs (at least one) stored or replayed.
   size_t ResponseCacheCap = 128;
   /// Attach a RequestTelemetry context to every executed request: stable
   /// request ids, a phase breakdown in the response, per-phase and

@@ -32,33 +32,33 @@ protected:
 TEST_F(CFrontTest, EmptyProgram) {
   const CProgram *P = parse("");
   ASSERT_NE(P, nullptr);
-  EXPECT_TRUE(P->Funcs.empty());
+  EXPECT_TRUE(P->funcs().empty());
 }
 
 TEST_F(CFrontTest, GlobalVariables) {
   const CProgram *P = parse("int x; int *p; int y = 42; char *s;");
   ASSERT_NE(P, nullptr) << Diags.str();
-  ASSERT_EQ(P->Globals.size(), 4u);
-  EXPECT_EQ(P->Globals[0]->type()->str(), "int");
-  EXPECT_TRUE(P->Globals[1]->type()->isPointer());
-  ASSERT_NE(P->Globals[2]->init(), nullptr);
-  EXPECT_EQ(cast<CIntLit>(P->Globals[2]->init())->value(), 42);
+  ASSERT_EQ(P->globals().size(), 4u);
+  EXPECT_EQ(P->globals()[0]->type()->str(), "int");
+  EXPECT_TRUE(P->globals()[1]->type()->isPointer());
+  ASSERT_NE(P->globals()[2]->init(), nullptr);
+  EXPECT_EQ(cast<CIntLit>(P->globals()[2]->init())->value(), 42);
 }
 
 TEST_F(CFrontTest, QualifierAnnotations) {
   const CProgram *P = parse("int * nonnull p; int * null q; int *r;");
   ASSERT_NE(P, nullptr) << Diags.str();
-  EXPECT_EQ(P->Globals[0]->type()->qualifier(), QualAnnot::Nonnull);
-  EXPECT_EQ(P->Globals[1]->type()->qualifier(), QualAnnot::Null);
-  EXPECT_EQ(P->Globals[2]->type()->qualifier(), QualAnnot::None);
+  EXPECT_EQ(P->globals()[0]->type()->qualifier(), QualAnnot::Nonnull);
+  EXPECT_EQ(P->globals()[1]->type()->qualifier(), QualAnnot::Null);
+  EXPECT_EQ(P->globals()[2]->type()->qualifier(), QualAnnot::None);
 }
 
 TEST_F(CFrontTest, StructDefinitionAndUse) {
   const CProgram *P = parse("struct foo { int bar; struct foo *next; };\n"
                             "struct foo *head;");
   ASSERT_NE(P, nullptr) << Diags.str();
-  ASSERT_EQ(P->Structs.size(), 1u);
-  const CStructDecl *S = P->Structs[0];
+  ASSERT_EQ(P->structs().size(), 1u);
+  const CStructDecl *S = P->structs()[0];
   EXPECT_EQ(S->name(), "foo");
   ASSERT_EQ(S->fields().size(), 2u);
   EXPECT_TRUE(S->fields()[1].Ty->isPointer());
@@ -69,8 +69,8 @@ TEST_F(CFrontTest, StructDefinitionAndUse) {
 TEST_F(CFrontTest, FunctionDefinition) {
   const CProgram *P = parse("int add(int a, int b) { return a + b; }");
   ASSERT_NE(P, nullptr) << Diags.str();
-  ASSERT_EQ(P->Funcs.size(), 1u);
-  const CFuncDecl *F = P->Funcs[0];
+  ASSERT_EQ(P->funcs().size(), 1u);
+  const CFuncDecl *F = P->funcs()[0];
   EXPECT_EQ(F->name(), "add");
   EXPECT_TRUE(F->isDefined());
   ASSERT_EQ(F->params().size(), 2u);
@@ -84,18 +84,101 @@ TEST_F(CFrontTest, MixAnnotations) {
             "void g(void) MIX(symbolic) { }\n"
             "void h(void *nonnull p) MIX(typed);");
   ASSERT_NE(P, nullptr) << Diags.str();
-  EXPECT_EQ(P->Funcs[0]->mixAnnot(), MixAnnot::Typed);
-  EXPECT_EQ(P->Funcs[1]->mixAnnot(), MixAnnot::Symbolic);
-  EXPECT_EQ(P->Funcs[2]->mixAnnot(), MixAnnot::Typed);
-  EXPECT_FALSE(P->Funcs[2]->isDefined());
-  EXPECT_EQ(P->Funcs[2]->params()[0].Ty->qualifier(), QualAnnot::Nonnull);
+  EXPECT_EQ(P->funcs()[0]->mixAnnot(), MixAnnot::Typed);
+  EXPECT_EQ(P->funcs()[1]->mixAnnot(), MixAnnot::Symbolic);
+  EXPECT_EQ(P->funcs()[2]->mixAnnot(), MixAnnot::Typed);
+  EXPECT_FALSE(P->funcs()[2]->isDefined());
+  EXPECT_EQ(P->funcs()[2]->params()[0].Ty->qualifier(), QualAnnot::Nonnull);
+}
+
+// --- the name index ----------------------------------------------------------
+
+TEST_F(CFrontTest, FindFuncPrefersTheDefinition) {
+  // A prototype before the body, and one after it.
+  const CProgram *P = parse("int f(int x);\n"
+                            "int f(int x) { return x; }\n"
+                            "int g(int y) { return y; }\n"
+                            "int g(int y);\n");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  ASSERT_EQ(P->funcs().size(), 4u);
+  EXPECT_EQ(P->findFunc("f"), P->funcs()[1]);
+  EXPECT_EQ(P->findFunc("g"), P->funcs()[2]);
+  EXPECT_TRUE(P->findFunc("f")->isDefined());
+  EXPECT_TRUE(P->findFunc("g")->isDefined());
+}
+
+TEST_F(CFrontTest, FindFuncWithoutADefinitionReturnsTheFirstPrototype) {
+  const CProgram *P = parse("int h(int a);\nint h(int b);\n");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  ASSERT_EQ(P->funcs().size(), 2u);
+  EXPECT_EQ(P->findFunc("h"), P->funcs()[0]);
+  EXPECT_EQ(P->findFunc("h")->params()[0].Name, "a");
+}
+
+TEST_F(CFrontTest, GlobalsAndFunctionsDoNotHideEachOther) {
+  const CProgram *P = parse("int n;\n"
+                            "int n(void) { return 0; }\n"
+                            "int m(void) { return 1; }\n"
+                            "int *m;\n");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  EXPECT_EQ(P->findGlobal("n"), P->globals()[0]);
+  EXPECT_EQ(P->findFunc("n"), P->funcs()[0]);
+  EXPECT_EQ(P->findGlobal("m"), P->globals()[1]);
+  EXPECT_EQ(P->findFunc("m"), P->funcs()[1]);
+}
+
+TEST_F(CFrontTest, ForwardReferencedStructIsOneDecl) {
+  const CProgram *P = parse("struct node *head;\n"
+                            "struct node { int v; struct node *next; };\n");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  ASSERT_EQ(P->structs().size(), 1u);
+  const CStructDecl *S = P->findStruct("node");
+  EXPECT_EQ(S, P->structs()[0]);
+  EXPECT_EQ(S->fields().size(), 2u);
+  EXPECT_EQ(P->globals()[0]->type()->pointee()->structDecl(), S);
+  EXPECT_EQ(S->fields()[1].Ty->pointee()->structDecl(), S);
+}
+
+TEST_F(CFrontTest, UnknownNamesLookUpAsNull) {
+  const CProgram *P = parse("struct s { int a; };\nint g;\nvoid f(void) { }\n");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  EXPECT_EQ(P->findFunc("nope"), nullptr);
+  EXPECT_EQ(P->findGlobal("nope"), nullptr);
+  EXPECT_EQ(P->findStruct("nope"), nullptr);
+  // Each kind has its own namespace.
+  EXPECT_EQ(P->findFunc("g"), nullptr);
+  EXPECT_EQ(P->findGlobal("f"), nullptr);
+  EXPECT_EQ(P->findStruct("g"), nullptr);
+  EXPECT_EQ(P->findFunc("s"), nullptr);
+  EXPECT_EQ(parse("")->findFunc("main"), nullptr);
+}
+
+TEST_F(CFrontTest, EveryDeclIsFoundUnderItsOwnName) {
+  std::string Source;
+  for (int I = 0; I != 64; ++I) {
+    std::string N = std::to_string(I);
+    Source += "struct s" + N + " { int f; };\n";
+    Source += "struct s" + N + " *g" + N + ";\n";
+    Source += "int f" + N + "(int x) { return x + " + N + "; }\n";
+  }
+  const CProgram *P = parse(Source);
+  ASSERT_NE(P, nullptr) << Diags.str();
+  ASSERT_EQ(P->structs().size(), 64u);
+  ASSERT_EQ(P->globals().size(), 64u);
+  ASSERT_EQ(P->funcs().size(), 64u);
+  for (const CStructDecl *S : P->structs())
+    EXPECT_EQ(P->findStruct(S->name()), S);
+  for (const CGlobalDecl *G : P->globals())
+    EXPECT_EQ(P->findGlobal(G->name()), G);
+  for (const CFuncDecl *F : P->funcs())
+    EXPECT_EQ(P->findFunc(F->name()), F);
 }
 
 TEST_F(CFrontTest, FunctionPointerDeclarator) {
   const CProgram *P = parse("void (*s_exit_func)(void);");
   ASSERT_NE(P, nullptr) << Diags.str();
-  ASSERT_EQ(P->Globals.size(), 1u);
-  const CType *T = P->Globals[0]->type();
+  ASSERT_EQ(P->globals().size(), 1u);
+  const CType *T = P->globals()[0]->type();
   ASSERT_TRUE(T->isPointer());
   EXPECT_TRUE(T->pointee()->isFunc());
 }

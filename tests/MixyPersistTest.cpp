@@ -68,7 +68,8 @@ struct RunResult {
 
 RunResult runMixy(const std::string &Source, const std::string &Dir,
                   unsigned Jobs = 1, bool Explain = false,
-                  bool WarnDerefs = false) {
+                  bool WarnDerefs = false,
+                  const std::string &Entry = "main") {
   RunResult R;
   CAstContext Ctx;
   DiagnosticEngine Diags;
@@ -104,7 +105,7 @@ RunResult runMixy(const std::string &Source, const std::string &Dir,
   }
 
   MixyAnalysis Mixy(*P, Ctx, Diags, Opts);
-  R.Warnings = Mixy.run(MixyAnalysis::StartMode::Typed);
+  R.Warnings = Mixy.run(MixyAnalysis::StartMode::Typed, Entry);
   R.Diags = Diags.str();
   if (Explain)
     R.Explain = prov::renderExplainText(Diags);
@@ -413,6 +414,28 @@ int main(void) {
   EXPECT_EQ(Warm.FuncsChanged, 1u); // helper's content
   EXPECT_EQ(Warm.FuncsDirty, 3u);   // helper, middle, main
   EXPECT_EQ(Warm.BlockHits, 0u);    // middle's old summary must not match
+}
+
+//===----------------------------------------------------------------------===//
+// Persisted runs stay linear in the program size
+//===----------------------------------------------------------------------===//
+
+TEST(MixyPersistTest, LargeProgramWithAnIndirectCallStaysFast) {
+  // The corpus's call through s_exit_func may reach any function, so
+  // every closure hash covers the whole program. Hashing it with one
+  // graph walk per function is cubic: ~30 s per run at this size, past
+  // the 15 s ctest timeout this test carries.
+  TempDir D("large");
+  const std::string Source = corpus::vsftpdScaled(true, 400, 0);
+  RunResult Cold = runMixy(Source, D.Path, 1, false, false, "filler_main");
+  RunResult Warm = runMixy(Source, D.Path, 1, false, false, "filler_main");
+  EXPECT_EQ(Cold.FuncsTotal, 1213u);
+  EXPECT_GT(Cold.BlockStores, 0u);
+  // Not vacuous: the warm run really answers from the store, every time.
+  EXPECT_GT(Warm.BlockHits, 0u);
+  EXPECT_EQ(Warm.BlockMisses, 0u);
+  EXPECT_EQ(Warm.FuncsDirty, 0u);
+  EXPECT_EQ(Warm.Diags, Cold.Diags);
 }
 
 //===----------------------------------------------------------------------===//

@@ -4,19 +4,27 @@
 // Execution" (PLDI 2010).
 //
 // Covers src/persist/: the checksummed record-file container (round-trip
-// plus every corruption mode in the failure contract), the three stores,
-// and PersistSession's cold/warm/degraded lifecycle including concurrent
-// writers sharing a cache directory.
+// plus every corruption mode in the failure contract), the three stores
+// (including the block store's retention horizon), PersistSession's
+// cold/warm/degraded lifecycle including concurrent writers sharing a
+// cache directory, and the dependency-closure hashes against a
+// per-function graph walk.
 //
 //===----------------------------------------------------------------------===//
 
+#include "persist/AstHash.h"
 #include "persist/PersistSession.h"
 #include "persist/RecordFile.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -260,6 +268,72 @@ TEST(BlockSummaryStoreTest, OpaquePayloadRoundTrip) {
   EXPECT_TRUE(B2.lookup(9).has_value());
 }
 
+TEST(BlockSummaryStoreTest, RetireUnusedKeepsOnlyTheHorizon) {
+  BlockSummaryStore B(nullptr);
+  constexpr size_t Horizon = 3;
+  B.store(1, "one");
+  B.store(2, "two");
+  B.retireUnused(Horizon); // run 0 stored both
+  ASSERT_TRUE(B.lookup(1).has_value());
+  B.retireUnused(Horizon); // run 1 replayed 1
+  B.retireUnused(Horizon); // run 2
+  EXPECT_EQ(B.size(), 2u);
+  B.retireUnused(Horizon); // run 3: none of runs 1..3 used 2
+  EXPECT_EQ(B.size(), 1u);
+  EXPECT_FALSE(B.lookup(2).has_value());
+  B.retireUnused(Horizon); // run 4: none of runs 2..4 used 1
+  EXPECT_EQ(B.size(), 0u);
+  EXPECT_FALSE(B.lookup(1).has_value());
+}
+
+TEST(BlockSummaryStoreTest, RetireUnusedMatchesALastUseModel) {
+  // Random runs of stores and lookups against a model that records each
+  // key's last use: after every run the store holds exactly the keys used
+  // within the horizon, and a replayed summary keeps its payload.
+  for (size_t Horizon : {1u, 2u, 5u}) {
+    BlockSummaryStore B(nullptr);
+    std::map<uint64_t, uint64_t> LastUse; // key -> run
+    std::mt19937_64 Rng(Horizon);
+    for (uint64_t Run = 0; Run != 200; ++Run) {
+      for (int Op = 0; Op != 6; ++Op) {
+        uint64_t Key = Rng() % 24;
+        if (Rng() % 2) {
+          B.store(Key, "p" + std::to_string(Key));
+          LastUse[Key] = Run;
+        } else if (auto Hit = B.lookup(Key)) {
+          ASSERT_TRUE(LastUse.count(Key));
+          EXPECT_EQ(*Hit, "p" + std::to_string(Key));
+          LastUse[Key] = Run;
+        } else {
+          EXPECT_FALSE(LastUse.count(Key));
+        }
+      }
+      B.retireUnused(Horizon);
+      std::erase_if(LastUse,
+                    [&](const auto &KV) { return Run - KV.second >= Horizon; });
+      ASSERT_EQ(B.size(), LastUse.size()) << "run " << Run;
+    }
+  }
+}
+
+TEST(BlockSummaryStoreTest, ClearEmptiesTheStore) {
+  BlockSummaryStore B(nullptr);
+  B.store(1, "one");
+  B.store(2, "two");
+  B.retireUnused(2);
+  B.clear();
+  EXPECT_EQ(B.size(), 0u);
+  EXPECT_FALSE(B.lookup(1).has_value());
+  EXPECT_FALSE(B.lookup(2).has_value());
+  // A summary stored after clear() lives out the full horizon.
+  B.store(3, "three");
+  B.retireUnused(2);
+  B.retireUnused(2);
+  EXPECT_EQ(B.size(), 1u);
+  B.retireUnused(2);
+  EXPECT_EQ(B.size(), 0u);
+}
+
 TEST(ManifestTest, RoundTrip) {
   Manifest M;
   M.Funcs["f"] = {11, 21};
@@ -497,6 +571,132 @@ TEST(PersistSessionTest, MetricsCounters) {
   EXPECT_EQ(Reg.counterValue("persist.block.misses"), 1u);
   EXPECT_EQ(Reg.counterValue("persist.block.hits"), 1u);
   EXPECT_EQ(Reg.counterValue("persist.block.stores"), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// closureHashes
+//===----------------------------------------------------------------------===//
+
+using FuncHashes = std::map<const c::CFuncDecl *, uint64_t>;
+using DepGraph =
+    std::map<const c::CFuncDecl *, std::vector<const c::CFuncDecl *>>;
+
+/// The reference: one reflexive graph walk per function, hashing the
+/// sorted content hashes of everything it reaches.
+FuncHashes referenceClosureHashes(const FuncHashes &Content,
+                                  const DepGraph &Deps, uint64_t EnvHash) {
+  FuncHashes Out;
+  for (const auto &[F, Hash] : Content) {
+    (void)Hash;
+    std::vector<const c::CFuncDecl *> Work{F};
+    std::set<const c::CFuncDecl *> Seen{F};
+    std::vector<uint64_t> Cone;
+    while (!Work.empty()) {
+      const c::CFuncDecl *Cur = Work.back();
+      Work.pop_back();
+      auto It = Content.find(Cur);
+      if (It != Content.end())
+        Cone.push_back(It->second);
+      auto DepIt = Deps.find(Cur);
+      if (DepIt == Deps.end())
+        continue;
+      for (const c::CFuncDecl *Next : DepIt->second)
+        if (Seen.insert(Next).second)
+          Work.push_back(Next);
+    }
+    std::sort(Cone.begin(), Cone.end());
+    StableHasher H;
+    H.u64(EnvHash);
+    H.u32((uint32_t)Cone.size());
+    for (uint64_t C : Cone)
+      H.u64(C);
+    Out[F] = H.digest();
+  }
+  return Out;
+}
+
+/// Declarations to serve as graph nodes; closureHashes only compares
+/// their addresses.
+std::vector<std::unique_ptr<c::CFuncDecl>> makeFuncs(size_t N) {
+  std::vector<std::unique_ptr<c::CFuncDecl>> Out;
+  for (size_t I = 0; I != N; ++I)
+    Out.push_back(std::make_unique<c::CFuncDecl>(
+        SourceLoc(), "f" + std::to_string(I), nullptr,
+        std::vector<c::CFuncDecl::Param>(), c::MixAnnot::None, nullptr));
+  return Out;
+}
+
+TEST(ClosureHashTest, MatchesTheReferenceOnRandomGraphs) {
+  // Cycles, self-loops, edges to and from nodes outside Content, and
+  // duplicate content hashes all occur across the seeds.
+  for (uint64_t Seed = 1; Seed <= 1200; ++Seed) {
+    std::mt19937_64 Rng(Seed);
+    size_t N = 1 + Rng() % 40;
+    auto Funcs = makeFuncs(N);
+    FuncHashes Content;
+    for (const auto &F : Funcs)
+      if (Rng() % 5 != 0)
+        // A narrow range makes equal content hashes common.
+        Content[F.get()] = Rng() % (Seed % 3 == 0 ? 4 : 1000);
+    DepGraph Deps;
+    unsigned Density = 1 + Rng() % 4;
+    for (const auto &F : Funcs) {
+      if (Rng() % 6 == 0)
+        continue; // no out-edges at all
+      std::vector<const c::CFuncDecl *> &Out = Deps[F.get()];
+      for (size_t E = Rng() % (Density * 2 + 1); E; --E)
+        Out.push_back(Funcs[Rng() % N].get());
+    }
+    uint64_t Env = Rng();
+    ASSERT_EQ(closureHashes(Content, Deps, Env),
+              referenceClosureHashes(Content, Deps, Env))
+        << "seed " << Seed;
+  }
+}
+
+TEST(ClosureHashTest, HubNodeMatchesMaterializedAllToAll) {
+  // MIXY's indirect-call shape: each defined function's only edge goes to
+  // a hub (the null node), which reaches every defined function.
+  for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
+    std::mt19937_64 Rng(Seed);
+    auto Funcs = makeFuncs(1 + Rng() % 60);
+    FuncHashes Content;
+    std::vector<const c::CFuncDecl *> All;
+    for (const auto &F : Funcs) {
+      Content[F.get()] = Rng() % 50;
+      All.push_back(F.get());
+    }
+    DepGraph Hub, AllToAll;
+    for (const c::CFuncDecl *F : All) {
+      Hub[F] = {nullptr};
+      AllToAll[F] = All;
+    }
+    Hub[nullptr] = All;
+    FuncHashes Expected = referenceClosureHashes(Content, AllToAll, Seed);
+    EXPECT_EQ(closureHashes(Content, Hub, Seed), Expected) << "seed " << Seed;
+    EXPECT_EQ(closureHashes(Content, AllToAll, Seed), Expected)
+        << "seed " << Seed;
+    // Every function reaches everything, so all digests agree.
+    for (const auto &[F, Digest] : Expected)
+      EXPECT_EQ(Digest, Expected.begin()->second);
+  }
+}
+
+TEST(ClosureHashTest, GoldenDigests) {
+  // main -> a <-> b -> ext (outside Content), c alone. The digests are
+  // part of the on-disk cache contract: they must never change.
+  auto Funcs = makeFuncs(5);
+  const c::CFuncDecl *Main = Funcs[0].get(), *A = Funcs[1].get(),
+                     *B = Funcs[2].get(), *C = Funcs[3].get(),
+                     *Ext = Funcs[4].get();
+  FuncHashes Content{{Main, 0x1111}, {A, 0x2222}, {B, 0x3333}, {C, 0x4444}};
+  DepGraph Deps{{Main, {A}}, {A, {B}}, {B, {A, Ext}}};
+  FuncHashes Got = closureHashes(Content, Deps, 0xE0E0);
+  EXPECT_EQ(Got, referenceClosureHashes(Content, Deps, 0xE0E0));
+  EXPECT_EQ(Got.at(Main), 10417934387040653913ull);
+  EXPECT_EQ(Got.at(A), 17543152204296564521ull);
+  EXPECT_EQ(Got.at(B), 17543152204296564521ull);
+  EXPECT_EQ(Got.at(C), 15608717754037996898ull);
 }
 
 } // namespace

@@ -733,6 +733,78 @@ TEST(ServiceServeTest, WarmInMemorySessionServesBlockSummaries) {
   EXPECT_EQ(metricValue(WarmRun, "persist.block.misses"), 0u);
 }
 
+TEST(ServiceServeTest, WarmInMemorySessionForgetsSummariesPastTheHorizon) {
+  // The warm session keeps a summary only while one of its last
+  // ResponseCacheCap MIXY runs stored or replayed it. A has no indirect
+  // calls, so editing `other` leaves use's closure hash, and its block
+  // key, unchanged.
+  auto ProgramA = [](int Inc) {
+    return "int *g_p;\n"
+           "int other(int v) {\n"
+           "  return v + " +
+           std::to_string(Inc) +
+           ";\n"
+           "}\n"
+           "void use(void) MIX(symbolic) {\n"
+           "  int x;\n"
+           "  if (g_p != NULL) {\n"
+           "    x = *g_p;\n"
+           "  }\n"
+           "}\n"
+           "int main(void) {\n"
+           "  g_p = NULL;\n"
+           "  use();\n"
+           "  return other(1);\n"
+           "}\n";
+  };
+  auto Unrelated = [](int K) {
+    std::string N = std::to_string(K);
+    return "int f" + N + "(int v) MIX(symbolic) {\n"
+           "  if (v < " + N + ") { return 0; }\n"
+           "  return v;\n"
+           "}\n"
+           "int main(void) { return f" + N + "(" + N + "); }\n";
+  };
+  auto Request = [](const std::string &Source) {
+    service::AnalysisRequest Req;
+    Req.ToolKind = service::Tool::Mixy;
+    Req.Source = Source;
+    Req.HasSource = true;
+    return Req;
+  };
+
+  // With the default capacity the summary outlives three unrelated
+  // requests; with a capacity of 2 it does not.
+  for (size_t Cap : {size_t(128), size_t(2)}) {
+    SCOPED_TRACE("ResponseCacheCap " + std::to_string(Cap));
+    service::ServiceConfig SC = daemonConfig();
+    SC.ResponseCacheCap = Cap;
+    service::AnalysisService Svc(SC);
+
+    service::AnalysisResponse A = Svc.serve(Request(ProgramA(1)));
+    EXPECT_GT(metricValue(A, "persist.block.stores"), 0u);
+
+    service::AnalysisResponse A1 = Svc.serve(Request(ProgramA(2)));
+    EXPECT_FALSE(A1.FromCache);
+    EXPECT_GT(metricValue(A1, "persist.block.hits"), 0u);
+    EXPECT_EQ(metricValue(A1, "persist.block.misses"), 0u);
+
+    for (int K = 1; K <= 3; ++K)
+      EXPECT_FALSE(Svc.serve(Request(Unrelated(K))).FromCache);
+
+    service::AnalysisResponse A2 = Svc.serve(Request(ProgramA(3)));
+    EXPECT_FALSE(A2.FromCache);
+    EXPECT_EQ(A2.Payload, A.Payload);
+    if (Cap == 2) {
+      EXPECT_EQ(metricValue(A2, "persist.block.hits"), 0u);
+      EXPECT_GT(metricValue(A2, "persist.block.misses"), 0u);
+    } else {
+      EXPECT_GT(metricValue(A2, "persist.block.hits"), 0u);
+      EXPECT_EQ(metricValue(A2, "persist.block.misses"), 0u);
+    }
+  }
+}
+
 TEST(ServiceServeTest, MultiClientStressKeepsAccountingAndBytesExact) {
   // N threads x M requests over a handful of keys. Whatever mix of
   // executions, cache hits, and dedup coalescing the timing produces,
