@@ -51,10 +51,9 @@ std::string fixpointChain(unsigned N) {
 
 /// A depth-D def-use chain: step_i copies x_{i-1} into x_i, and main
 /// calls the steps deepest-first, so the taint planted by source() must
-/// travel the whole chain before sink()'s error becomes visible. Under a
-/// round barrier every round re-runs all D+2 sites while the taint
-/// advances one link per round (O(D^2) block runs); the dependency-aware
-/// worklist re-runs only the link whose input actually changed.
+/// travel the whole chain before sink()'s error becomes visible. The
+/// dependency-aware worklist re-runs only the link whose input actually
+/// changed.
 std::string deepCallChain(unsigned Depth) {
   std::string Out = "void sysutil_free(void * nonnull p_ptr) MIX(typed);\n";
   for (unsigned I = 0; I <= Depth; ++I)
@@ -75,12 +74,10 @@ std::string deepCallChain(unsigned Depth) {
   return Out;
 }
 
-/// Runs \p Source through the parallel fixpoint under the schedule the
-/// benchmark axis selects (0 = round barrier, 1 = worklist) and reports
-/// the block-run counters that distinguish the two.
+/// Runs \p Source through the parallel (worklist) fixpoint and reports
+/// its block-run counters.
 void runSchedule(benchmark::State &State, const std::string &Source,
                  unsigned MaxRounds = 0) {
-  bool Worklist = State.range(1) != 0;
   unsigned Warnings = 0, Iterations = 0, Reruns = 0;
   for (auto _ : State) {
     CAstContext Ctx;
@@ -90,8 +87,6 @@ void runSchedule(benchmark::State &State, const std::string &Source,
     Opts.Jobs = 4;
     if (MaxRounds)
       Opts.MaxFixpointIterations = MaxRounds;
-    Opts.ParallelSchedule = Worklist ? MixyOptions::Schedule::Worklist
-                                     : MixyOptions::Schedule::RoundBarrier;
     MixyAnalysis Analysis(*P, Ctx, Diags, Opts);
     Warnings = Analysis.run(MixyAnalysis::StartMode::Typed);
     Iterations = Analysis.stats().FixpointIterations;
@@ -102,18 +97,16 @@ void runSchedule(benchmark::State &State, const std::string &Source,
   State.counters["block_runs"] = Reruns;
 }
 
-/// The schedule axis on the original E6 chain: late taints, but no
-/// cross-block dependencies, so the two schedules should be close —
-/// this is the "worklist must not be slower" guard.
+/// The parallel fixpoint on the original E6 chain: late taints, but no
+/// cross-block dependencies.
 void BM_FixpointSchedule(benchmark::State &State) {
   runSchedule(State, fixpointChain((unsigned)State.range(0)));
 }
 
-/// The schedule axis on the deep call chain, where dependency-aware
-/// scheduling is expected to win outright. The taint needs ~depth rounds
-/// to cross the chain, so the rounds budget scales with depth — with the
-/// default cap the round barrier silently truncates (and reports zero
-/// warnings), which would make the timing comparison meaningless.
+/// The parallel fixpoint on the deep call chain. The taint may need
+/// ~depth rounds to cross the chain, so the rounds budget scales with
+/// depth — with the default cap a truncated fixpoint would report zero
+/// warnings, which would make the timing meaningless.
 void BM_DeepChainSchedule(benchmark::State &State) {
   unsigned Depth = (unsigned)State.range(0);
   runSchedule(State, deepCallChain(Depth), 2 * Depth + 8);
@@ -149,21 +142,16 @@ BENCHMARK(BM_Fixpoint)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_FixpointSchedule)
-    ->ArgNames({"n", "worklist"})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({16, 0})
-    ->Args({16, 1})
+    ->ArgName("n")
+    ->Arg(4)
+    ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_DeepChainSchedule)
-    ->ArgNames({"depth", "worklist"})
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({32, 0})
-    ->Args({32, 1})
+    ->ArgName("depth")
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
 MIX_BENCH_MAIN(fixpoint)

@@ -37,11 +37,6 @@ bool CSema::isLValue(const CExpr *E) {
 }
 
 const CFuncDecl *CSema::directCallee(const CCall *Call) const {
-  return directCallee(Call, Program);
-}
-
-const CFuncDecl *CSema::directCallee(const CCall *Call,
-                                     const CProgram &Program) {
   const CExpr *Callee = Call->callee();
   // Unwrap an explicit deref: (*f)(...) of a named function.
   if (const auto *U = dyn_cast<CUnary>(Callee))

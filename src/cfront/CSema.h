@@ -61,12 +61,6 @@ public:
   /// returns null for calls through function-pointer values.
   const CFuncDecl *directCallee(const CCall *Call) const;
 
-  /// Same, without a CSema instance: the resolution is purely syntactic
-  /// over \p Program (used by the mini-C lowering, which runs without
-  /// diagnostics or a typing context).
-  static const CFuncDecl *directCallee(const CCall *Call,
-                                       const CProgram &Program);
-
   const CProgram &program() const { return Program; }
   CAstContext &context() { return Ctx; }
 

@@ -719,7 +719,7 @@ CSymExecutor::inlineCall(const CFuncDecl *F,
   }
 
   std::vector<Flow> Out;
-  for (CSymState &S : runBody(F, std::move(State), Callee)) {
+  for (CSymState &S : execStmt(F->body(), std::move(State), Callee)) {
     CSymValue Ret;
     if (S.Returned)
       Ret = std::move(S.RetValue);
@@ -752,17 +752,6 @@ CSymExecutor::Flow CSymExecutor::externCall(const CCall *Call,
 }
 
 // === statements ==============================================================
-
-std::vector<CSymState> CSymExecutor::runBody(const CFuncDecl *F,
-                                             CSymState State,
-                                             const Frame &Frame) {
-  if (Engine) {
-    std::vector<CSymState> Out;
-    if (Engine->runBody(F, State, Frame.Depth, Out))
-      return Out;
-  }
-  return execStmt(F->body(), std::move(State), Frame);
-}
 
 std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
                                               const Frame &Frame) {
@@ -978,7 +967,7 @@ CSymExecutor::runFunction(const CFuncDecl *F,
     }
   }
 
-  for (CSymState &S : runBody(F, std::move(State), Top)) {
+  for (CSymState &S : execStmt(F->body(), std::move(State), Top)) {
     CSymResult::PathOut P;
     P.Path = S.Path;
     P.Returned = S.Returned;

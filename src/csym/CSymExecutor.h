@@ -82,26 +82,6 @@ public:
                                  CSymValue &RetOut) = 0;
 };
 
-/// A pluggable engine for function-body execution. The unified concolic
-/// core (src/concolic/CIrExecutor) implements this over lowered bytecode;
-/// CSymExecutor routes every body — the entry function's and each inlined
-/// callee's — through it, falling back to its own AST walker when the
-/// engine declines (body not lowerable). The engine drives the executor
-/// purely through its public adapter API below, so the two always agree
-/// on memory, diagnostics, and statistics.
-class CBodyEngine {
-public:
-  virtual ~CBodyEngine() = default;
-
-  /// Executes \p F's body from \p State at inline depth \p Depth,
-  /// appending the resulting paths to \p Out. Returns false — before any
-  /// side effect on \p Out, the executor, or \p State — to decline, in
-  /// which case the caller walks the AST with the untouched state. On
-  /// true, \p State has been consumed.
-  virtual bool runBody(const CFuncDecl *F, CSymState &State, unsigned Depth,
-                       std::vector<CSymState> &Out) = 0;
-};
-
 /// Tuning knobs.
 struct CSymOptions {
   unsigned LoopBound = 8;
@@ -169,10 +149,6 @@ public:
 
   void setTypedCallHook(TypedCallHook *Hook) { this->Hook = Hook; }
 
-  /// Installs (or clears) the body-execution engine. The executor keeps
-  /// walking the AST for bodies the engine declines.
-  void setBodyEngine(CBodyEngine *Engine) { this->Engine = Engine; }
-
   /// Executes \p F with symbolic arguments. \p ParamSeeds gives the
   /// nullability of pointer parameters and \p GlobalSeeds that of
   /// pointer-typed globals (both from the typed calling context,
@@ -238,15 +214,7 @@ public:
   };
   const Stats &stats() const { return Statistics; }
 
-  // --- adapter API -------------------------------------------------------
-  //
-  // The memory-model/diagnostics surface a CBodyEngine drives. This is
-  // the executor's role under the unified concolic core: the *state*
-  // layer (lazy-init store, pointer case analysis, feasibility checks,
-  // deduplicated warnings with witness provenance) while the engine owns
-  // instruction dispatch. The AST walker below is one client of this
-  // surface; the IR interpreter is the other.
-
+private:
   struct Frame {
     const CFuncDecl *Func = nullptr;
     unsigned Depth = 0;
@@ -323,37 +291,11 @@ public:
             const CSymState *State = nullptr,
             const smt::Term *WitnessCond = nullptr);
 
-  const CSymOptions &options() const { return Opts; }
-  CAstContext &context() { return Ctx; }
-  CSema &sema() { return Sema; }
-
-  /// execStmt's entry budget check: too many paths explored this run?
-  bool pathBudgetExceeded() const { return PathsThisRun > Opts.MaxPaths; }
-  /// Marks the current run's enumeration as non-exhaustive.
-  void noteIncomplete() { IncompleteThisRun = true; }
-  /// Counts a feasible branch outcome (both sides of a fork count).
-  void notePathExplored() {
-    ++PathsThisRun;
-    ++Statistics.PathsExplored;
-  }
-  /// Counts an infeasible branch outcome pruned by the solver.
-  void noteForkPruned() { ++Statistics.ForksPruned; }
-  /// Counts a null-dereference feasibility check.
-  void noteNullCheck() { ++Statistics.NullChecks; }
-
-private:
   // Statement execution: transforms one path into many.
   std::vector<CSymState> execStmt(const CStmt *S, CSymState State,
                                   const Frame &Frame);
   std::vector<CSymState> execWhile(const CWhileStmt *W, CSymState State,
                                    const Frame &Frame);
-
-  /// Executes \p F's body: through the installed engine when it accepts,
-  /// the AST walker otherwise. Both runFunction and inlineCall route
-  /// bodies through here, so mixed-mode runs (engine for lowerable
-  /// bodies, walker for the rest) compose per callee.
-  std::vector<CSymState> runBody(const CFuncDecl *F, CSymState State,
-                                 const Frame &Frame);
 
   // Expression evaluation (calls can fork).
   std::vector<Flow> evalExpr(const CExpr *E, CSymState State,
@@ -383,7 +325,6 @@ private:
   smt::PathSolver PathChecker;
   CSymOptions Opts;
   TypedCallHook *Hook = nullptr;
-  CBodyEngine *Engine = nullptr;
 
   struct ObjInfo {
     const CType *Ty;

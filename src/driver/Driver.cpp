@@ -90,23 +90,6 @@ void DriverContext::registerOptions(OptionParser &P) {
       "persist solver results (and, with --incremental, block summaries)\n"
       "under DIR and reuse them on later runs");
   P.value(
-      "--exec",
-      [this](const std::string &V) {
-        std::string Err;
-        if (!parseExecEngine(V, Exec, Err)) {
-          // The parser's generic "bad --exec value" line follows; this
-          // one names the choices (mirroring --solver).
-          std::cerr << Err << "\n";
-          return false;
-        }
-        return true;
-      },
-      "ast|ir",
-      "execution engine for symbolic code (default: ast): the AST walker,\n"
-      "or the compiled register IR with concolic shadow values; both\n"
-      "produce byte-identical diagnostics, so this changes throughput,\n"
-      "never findings");
-  P.value(
       "--solver",
       [this](const std::string &V) {
         std::string Err;
@@ -152,7 +135,6 @@ void DriverContext::applyCommonRequest(service::AnalysisRequest &Req) const {
   Req.Trace = !TraceFile.empty() || !ProfileFile.empty();
   Req.CacheDir = CacheDir;
   Req.Solver = Solver;
-  Req.ExecMode = Exec;
   Req.InputName = InputName;
 }
 

@@ -89,10 +89,6 @@ public:
   /// reads this the spec is known-constructible.
   const smt::SolverSpec &solverSpec() const { return Solver; }
 
-  /// The execution engine parsed from --exec (default: ast). Validated at
-  /// parse time like --solver, so the value is always constructible.
-  SymExecOptions::Engine execMode() const { return Exec; }
-
   /// The registry every analysis in the process reports into.
   obs::MetricsRegistry &metrics() { return Svc.metrics(); }
 
@@ -137,7 +133,6 @@ private:
   std::string CacheDir;
   std::string InputName;
   smt::SolverSpec Solver;
-  SymExecOptions::Engine Exec = SymExecOptions::Engine::Ast;
   bool Stats = false;
   bool Explain = false;
   OutputFormat Format = OutputFormat::Text;

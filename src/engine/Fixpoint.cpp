@@ -60,38 +60,6 @@ unsigned FixpointDriver::runSerial(const FixpointCallbacks &CB) {
   return Rounds;
 }
 
-unsigned FixpointDriver::runRoundBarrier(const FixpointCallbacks &CB) {
-  obs::PhaseTimer Timer(Cfg.Telemetry, obs::Phase::Fixpoint);
-  unsigned Rounds = 0;
-  std::vector<bool> Seen;
-  for (unsigned Iter = 0; Iter != Cfg.MaxRounds; ++Iter) {
-    obs::TraceSpan Span(Cfg.Trace, Cfg.RoundSpanName,
-                        Cfg.SpanCategory);
-    if (Cfg.Trace)
-      Span.setArgs("{\"round\": " + std::to_string(Iter) + "}");
-    if (CB.OnRoundBegin)
-      CB.OnRoundBegin(Iter);
-    size_t N = CB.NumSites();
-    if (Seen.size() < N)
-      Seen.resize(N, false);
-    std::vector<size_t> ChangedSites;
-    for (size_t I = 0; I != N; ++I)
-      if (CB.Refresh(I))
-        ChangedSites.push_back(I);
-    if (ChangedSites.empty())
-      break;
-    ++Rounds;
-    CRounds.inc();
-    for (size_t I : ChangedSites) {
-      if (Seen[I])
-        CReruns.inc();
-      Seen[I] = true;
-    }
-    CB.EvaluateWave(ChangedSites, Iter);
-  }
-  return Rounds;
-}
-
 unsigned FixpointDriver::runWorklist(const FixpointCallbacks &CB,
                                      rt::ThreadPool &Pool) {
   obs::PhaseTimer Timer(Cfg.Telemetry, obs::Phase::Fixpoint);
@@ -210,10 +178,10 @@ unsigned FixpointDriver::runWorklist(const FixpointCallbacks &CB,
   if (FirstError)
     std::rethrow_exception(FirstError);
 
-  // Validation sweep: plain round-barrier rounds on the coordinator
-  // thread. For a monotone constraint system this drives any residue —
+  // Validation sweep: plain Jacobi rounds on the coordinator thread. For
+  // a monotone constraint system this drives any residue —
   // under-approximated edges, sites appended after the partition — to
-  // the same least fixpoint the barrier schedule reaches.
+  // the same least fixpoint the serial schedule reaches.
   for (unsigned E = 0; E != Cfg.MaxRounds; ++E) {
     obs::TraceSpan Span(Cfg.Trace, Cfg.RoundSpanName,
                         Cfg.SpanCategory);

@@ -21,22 +21,20 @@
 ///   Edges()           static dependency edges i -> j: re-evaluating i may
 ///                     change j's context (worklist schedule only)
 ///
-/// Three schedules, all reaching the same least fixpoint of the same
+/// Two schedules, both reaching the same least fixpoint of the same
 /// monotone constraint system:
 ///
 ///  - Serial: Gauss-Seidel — refresh+evaluate one site at a time, each
 ///    evaluation seeing every earlier one's effects. Byte-identical to
 ///    the historical single-threaded loop.
-///  - Round barrier: Jacobi — refresh all sites against the same state,
-///    evaluate the changed ones as one parallel wave, apply at the
-///    barrier. The historical --jobs=N schedule.
 ///  - Worklist: dependency-aware — condense Edges() into SCCs, iterate
 ///    each SCC internally, and release an SCC's dependents the moment it
 ///    stabilizes, so independent chains pipeline through the pool instead
 ///    of waiting for the slowest member of every round. A final
-///    round-barrier validation sweep guarantees the least fixpoint even
-///    if Edges() under-approximated (and catches sites discovered after
-///    the SCC partition was built).
+///    validation sweep of Jacobi rounds (refresh all sites against the
+///    same state, evaluate the changed ones as one wave) guarantees the
+///    least fixpoint even if Edges() under-approximated (and catches
+///    sites discovered after the SCC partition was built).
 ///
 /// Wave tags are deterministic functions of the schedule structure, never
 /// of thread timing, so a domain that buffers diagnostics per tag and
@@ -65,8 +63,8 @@ class ThreadPool;
 namespace mix::engine {
 
 struct FixpointConfig {
-  /// Bound on rounds (serial/barrier) and on intra-SCC + validation
-  /// rounds (worklist).
+  /// Bound on rounds (serial) and on intra-SCC + validation rounds
+  /// (worklist).
   unsigned MaxRounds = 16;
   obs::TraceSink *Trace = nullptr;
   /// Span emitted per round; domains keep their historical names
@@ -99,9 +97,6 @@ public:
 
   /// Gauss-Seidel, one site at a time. Returns rounds with changes.
   unsigned runSerial(const FixpointCallbacks &CB);
-
-  /// Jacobi with a parallel wave per round. Returns rounds with changes.
-  unsigned runRoundBarrier(const FixpointCallbacks &CB);
 
   /// Dependency-aware SCC worklist over \p Pool. Returns evaluation
   /// waves (intra-SCC rounds plus validation rounds) with changes.

@@ -43,7 +43,7 @@ ConcolicSeed seedFromModel(const SymToSmt &Translator,
 
 } // namespace
 
-ConcolicExploreResult mix::exploreConcolic(ExecEngine &Exec,
+ConcolicExploreResult mix::exploreConcolic(SymExecutor &Exec,
                                            smt::ISolver &Solver,
                                            SymToSmt &Translator,
                                            const Expr *Body,

@@ -51,7 +51,7 @@ struct ConcolicExploreResult {
 /// Explores \p Body from \p Init under \p Env. \p Exec must be (or will
 /// be put) in Strategy::Concolic for the duration; its previous seed is
 /// restored afterwards, so nested explorations compose.
-ConcolicExploreResult exploreConcolic(ExecEngine &Exec,
+ConcolicExploreResult exploreConcolic(SymExecutor &Exec,
                                       smt::ISolver &Solver,
                                       SymToSmt &Translator, const Expr *Body,
                                       const SymEnv &Env, SymState Init,

@@ -7,7 +7,6 @@
 
 #include "mix/MixChecker.h"
 
-#include "concolic/IrExecutor.h"
 #include "mix/ConcolicDriver.h"
 #include "symexec/MemCheck.h"
 
@@ -22,7 +21,6 @@ static MixOptions normalizedOptions(MixOptions O) {
   O.Smt.Telemetry = O.Telemetry;
   O.Exec.Metrics = O.Metrics;
   O.Exec.Trace = O.Trace;
-  O.Exec.Telemetry = O.Telemetry;
   O.Exec.Prov = O.Prov;
   return O;
 }
@@ -32,15 +30,14 @@ MixChecker::MixChecker(TypeContext &Types, DiagnosticEngine &Diags,
     : Types(Types), Diags(Diags), Opts(normalizedOptions(OptsIn)), Syms(Types),
       Solver(smt::createSolver(Opts.Solver, Terms, Opts.Smt)),
       Translator(Syms, Terms), Checker(Types, Diags),
-      Executor(concolic::makeExecEngine(Syms, Diags,
-                                        executorOptionsFor(Opts))),
+      Executor(Syms, Diags, executorOptionsFor(Opts)),
       Solvers(Opts.Smt, Opts.Solver),
       Eng(engineConfig(Opts)) {
   Checker.setSymBlockOracle(this);
-  Executor->setTypedBlockOracle(this);
+  Executor.setTypedBlockOracle(this);
   assert(Solver && "unknown solver backend (validate the SolverSpec with "
                    "parseSolverBackend before constructing)");
-  Executor->setSolver(Solver.get(), &Translator);
+  Executor.setSolver(Solver.get(), &Translator);
   if (Opts.Metrics) {
     CSymBlocks = Opts.Metrics->counter("mix.sym_blocks_checked");
     CTypedBlocks = Opts.Metrics->counter("mix.typed_blocks_executed");
@@ -270,12 +267,12 @@ const Type *MixChecker::checkSymbolicCore(const Expr *Body,
     Init.Mem = Syms.freshBaseMemory();
     ConcolicOptions COpts;
     COpts.MaxRuns = Opts.MaxConcolicRuns;
-    ConcolicExploreResult CR = exploreConcolic(*Executor, *Solver, Translator,
+    ConcolicExploreResult CR = exploreConcolic(Executor, *Solver, Translator,
                                                Body, Env, Init, COpts);
     Result.Paths = std::move(CR.Paths);
     Result.ResourceLimitHit = CR.BudgetExhausted;
   } else {
-    Result = Executor->run(Body, Env);
+    Result = Executor.run(Body, Env);
   }
   Statistics.PathsExplored += (unsigned)Result.Paths.size();
   CPaths.add(Result.Paths.size());

@@ -90,7 +90,7 @@ struct MixOptions {
   obs::TraceSink *Trace = nullptr;
 
   /// Per-request telemetry context (see src/observe/Phase.h). Copied into
-  /// Smt and Exec like the sinks above; block boundaries and solver
+  /// Smt like the sinks above; block boundaries and solver
   /// queries attribute their wall time to the request's phase breakdown.
   /// Null — the default — costs one branch per site.
   obs::RequestTelemetry *Telemetry = nullptr;
@@ -219,9 +219,7 @@ private:
   std::unique_ptr<smt::ISolver> Solver;
   SymToSmt Translator;
   TypeChecker Checker;
-  /// The engine SymExecOptions::ExecMode selected (--exec=ast|ir): the
-  /// AST-walking SymExecutor or the compiled-IR concolic interpreter.
-  std::unique_ptr<ExecEngine> Executor;
+  SymExecutor Executor;
   MixStats Statistics;
 
   // Registry handles mirroring MixStats live (null/free without a

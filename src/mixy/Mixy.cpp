@@ -7,7 +7,6 @@
 
 #include "mixy/Mixy.h"
 
-#include "concolic/CIrExecutor.h"
 #include "engine/Fixpoint.h"
 #include "persist/AstHash.h"
 #include "persist/PersistSession.h"
@@ -31,26 +30,21 @@ thread_local void *ActiveTypedLog = nullptr;
 } // namespace
 
 /// Everything a pool worker owns privately: a leased solver instance
-/// (with its term arena), a diagnostics buffer merged at round barriers,
-/// a symbolic executor bound to all three, and a recursion stack.
+/// (with its term arena), a diagnostics buffer whose per-task slices are
+/// merged in wave-tag order, a symbolic executor bound to all three, and
+/// a recursion stack.
 struct MixyAnalysis::WorkerContext {
   MixyAnalysis *Owner;
   smt::SolverPool::Lease SolverLease;
   DiagnosticEngine Diags;
   CSymExecutor Exec;
-  std::unique_ptr<CBodyEngine> BodyEngine;
   Engine::BlockStack Stack;
-  size_t Merged = 0; ///< diagnostics already consumed by earlier barriers
 
   explicit WorkerContext(MixyAnalysis &A)
       : Owner(&A), SolverLease(A.Solvers.acquire()),
         Exec(A.Program, A.Ctx, Diags, SolverLease.terms(),
              SolverLease.solver(), A.Opts.Sym) {
     Exec.setTypedCallHook(&A);
-    BodyEngine = concolic::makeCBodyEngine(Exec, A.Opts.ExecMode,
-                                           A.Opts.Metrics, A.Opts.Telemetry);
-    if (BodyEngine)
-      Exec.setBodyEngine(BodyEngine.get());
   }
 };
 
@@ -90,9 +84,7 @@ uint64_t mix::c::mixyPersistFingerprint(const MixyOptions &Opts) {
   // Backend choice changes the DecidedBy provenance persisted inside
   // block summaries (verdicts themselves are backend-independent).
   // Sym.IncrementalSolver is deliberately excluded: it only changes how
-  // queries are batched, never a verdict or a diagnostic. ExecMode is
-  // excluded for the same reason: the IR engine is byte-identical to the
-  // AST walker, so --exec=ast and --exec=ir runs share a block store.
+  // queries are batched, never a verdict or a diagnostic.
   H.str(Opts.Solver.Backend);
   H.boolean(Opts.Solver.Portfolio);
   return H.digest();
@@ -122,10 +114,6 @@ MixyAnalysis::MixyAnalysis(const CProgram &Program, CAstContext &Ctx,
                    "parseSolverBackend before constructing)");
   Qual.setSymHook(this);
   Exec.setTypedCallHook(this);
-  BodyEngine = concolic::makeCBodyEngine(Exec, Opts.ExecMode, Opts.Metrics,
-                                         Opts.Telemetry);
-  if (BodyEngine)
-    Exec.setBodyEngine(BodyEngine.get());
 }
 
 MixyAnalysis::~MixyAnalysis() = default;
@@ -924,10 +912,10 @@ bool MixyAnalysis::handleSymbolicCall(QualInference &Inference,
     auto *W = static_cast<WorkerContext *>(ActiveWorkerCtx);
     if (!W || W->Owner != this) {
       // Main thread, during constraint generation: defer the block to the
-      // next round barrier. The fresh, unconstrained result qualifiers are
-      // exactly the paper's optimism ("we first optimistically assume it
-      // is nonnull", Section 4.1); the fixpoint loop evaluates the block
-      // and seeds the constraints it missed.
+      // fixpoint. The fresh, unconstrained result qualifiers are exactly
+      // the paper's optimism ("we first optimistically assume it is
+      // nonnull", Section 4.1); the fixpoint loop evaluates the block and
+      // seeds the constraints it missed.
       std::lock_guard<std::recursive_mutex> Lock(QualM);
       bumpStat(&MixyStats::SymbolicCallsFromTyped);
       RetQuals = freshQuals(Callee->returnType(),
@@ -1179,8 +1167,8 @@ unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
 bool MixyAnalysis::refreshSite(size_t I) {
   // The worklist schedule refreshes sites from pool workers; every touch
   // of the site table and the qualifier graph (the seed computations
-  // solve it) is serialized. Uncontended in the serial and round-barrier
-  // schedules, where only one thread refreshes.
+  // solve it) is serialized. Uncontended in the serial schedule, where
+  // only one thread refreshes.
   std::lock_guard<std::recursive_mutex> Lock(QualM);
   SymCallSite &Site = SymCallSites[I];
   BlockKey Key;
@@ -1195,16 +1183,15 @@ bool MixyAnalysis::refreshSite(size_t I) {
 }
 
 void MixyAnalysis::evaluateWave(const std::vector<size_t> &Sites,
-                                uint64_t Tag, bool Buffered) {
+                                uint64_t Tag) {
   // Distinct calling contexts of the wave, in site order (two sites with
   // the same context share one evaluation — and one diagnostics slice,
   // like one cache entry).
   std::vector<BlockKey> Keys;
   std::vector<std::pair<size_t, size_t>> Apply; // (site, key index)
   {
-    std::unique_lock<std::recursive_mutex> Lock(QualM, std::defer_lock);
-    if (Buffered)
-      Lock.lock(); // other SCCs' workers may be touching the site table
+    // Other SCCs' workers may be touching the site table.
+    std::lock_guard<std::recursive_mutex> Lock(QualM);
     for (size_t I : Sites) {
       const BlockKey &Key = SymCallSites[I].LastKey;
       size_t KeyIdx = 0;
@@ -1234,22 +1221,17 @@ void MixyAnalysis::evaluateWave(const std::vector<size_t> &Sites,
     ActiveWorkerCtx = Prev;
   });
 
-  if (Buffered) {
-    // Worklist: SCCs finish in timing-dependent order, so stash the
-    // slices under the deterministic wave tag; runTypedParallel merges
-    // them in tag order once the driver returns.
+  // SCCs finish in timing-dependent order, so stash the slices under the
+  // deterministic wave tag; runTypedParallel merges them in tag order
+  // once the driver returns.
+  {
     std::lock_guard<std::mutex> Lock(WaveM);
     WaveDiags.emplace(Tag, std::move(Slices));
-  } else {
-    // Round barrier: the wave IS the round; merge at the barrier.
-    mergeRoundDiagnostics(Slices);
   }
 
   // Apply summaries in site order.
   {
-    std::unique_lock<std::recursive_mutex> Lock(QualM, std::defer_lock);
-    if (Buffered)
-      Lock.lock();
+    std::lock_guard<std::recursive_mutex> Lock(QualM);
     for (const auto &[SiteIdx, KeyIdx] : Apply) {
       SymCallSite &Site = SymCallSites[SiteIdx];
       applySymOutcome(Outcomes[KeyIdx], Site.Call, Site.Callee,
@@ -1352,7 +1334,7 @@ std::vector<std::pair<size_t, size_t>> MixyAnalysis::buildSiteGraph() {
   // either. Precision is best-effort: the driver's validation sweep
   // reaches the least fixpoint even where these edges under-approximate,
   // and over-approximation only costs parallelism (an all-to-all graph
-  // collapses to one SCC, which behaves exactly like the round barrier).
+  // collapses to one SCC, iterated in plain Jacobi rounds).
   std::vector<std::pair<size_t, size_t>> Edges;
   size_t N = SymCallSites.size();
   if (N < 2)
@@ -1452,12 +1434,11 @@ unsigned MixyAnalysis::runTypedParallel(const CFuncDecl *EntryFunc) {
   for (const CFuncDecl *F : typedRegionFrom(EntryFunc))
     Qual.analyzeFunction(F);
 
-  // Parallel fixpoint via the engine driver. Worklist (default):
-  // condense the static site-dependency graph into SCCs, iterate each
-  // SCC to its own fixpoint on the pool, release dependents as soon as
-  // their inputs settle, then validate with plain rounds. Round barrier:
-  // the historical Jacobi schedule. The constraint system is monotone,
-  // so both reach the same least fixpoint as the serial loop.
+  // Parallel fixpoint via the engine driver's worklist: condense the
+  // static site-dependency graph into SCCs, iterate each SCC to its own
+  // fixpoint on the pool, release dependents as soon as their inputs
+  // settle, then validate with plain rounds. The constraint system is
+  // monotone, so this reaches the same least fixpoint as the serial loop.
   engine::FixpointConfig FC;
   FC.MaxRounds = Opts.MaxFixpointIterations;
   FC.Trace = Opts.Trace;
@@ -1467,28 +1448,22 @@ unsigned MixyAnalysis::runTypedParallel(const CFuncDecl *EntryFunc) {
   FC.Telemetry = Opts.Telemetry;
   engine::FixpointDriver Driver(FC);
 
-  bool Worklist = Opts.ParallelSchedule == MixyOptions::Schedule::Worklist;
   engine::FixpointCallbacks CB;
   CB.NumSites = [&] { return SymCallSites.size(); };
   CB.OnRoundBegin = [&](unsigned) { Qual.solve(); };
   CB.Refresh = [&](size_t I) { return refreshSite(I); };
   CB.EvaluateWave = [&](const std::vector<size_t> &Sites, uint64_t Tag) {
-    evaluateWave(Sites, Tag, Worklist);
+    evaluateWave(Sites, Tag);
   };
-
-  if (Worklist) {
-    CB.Edges = [&] { return buildSiteGraph(); };
-    Statistics.FixpointIterations += Driver.runWorklist(CB, *Pool);
-    // Merge the buffered diagnostic slices in wave-tag order — a pure
-    // function of the SCC structure, not of completion timing.
-    for (const auto &[Tag, Slices] : WaveDiags) {
-      (void)Tag;
-      mergeRoundDiagnostics(Slices);
-    }
-    WaveDiags.clear();
-  } else {
-    Statistics.FixpointIterations += Driver.runRoundBarrier(CB);
+  CB.Edges = [&] { return buildSiteGraph(); };
+  Statistics.FixpointIterations += Driver.runWorklist(CB, *Pool);
+  // Merge the buffered diagnostic slices in wave-tag order — a pure
+  // function of the SCC structure, not of completion timing.
+  for (const auto &[Tag, Slices] : WaveDiags) {
+    (void)Tag;
+    mergeRoundDiagnostics(Slices);
   }
+  WaveDiags.clear();
 
   Qual.solve();
   Qual.reportWarnings();

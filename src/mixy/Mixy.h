@@ -37,27 +37,25 @@
 /// boundaries — all a block exchanges with its caller is a calling
 /// context (the BlockKey) and a translated summary (the SymOutcome) — so
 /// their evaluations run concurrently on a work-stealing pool, scheduled
-/// by the engine fixpoint driver (src/engine/Fixpoint.h). The default
-/// schedule is the dependency-aware worklist: static dependency edges
-/// between frontier call sites (call graph reachability to pointer-global
+/// by the engine fixpoint driver (src/engine/Fixpoint.h). The schedule
+/// is the dependency-aware worklist: static dependency edges between
+/// frontier call sites (call graph reachability to pointer-global
 /// writers, pointer signatures, alias coupling) are condensed into SCCs,
 /// each SCC iterates to its own fixpoint, and an SCC's dependents start
 /// the moment it stabilizes — a block re-runs as soon as its inputs
 /// change instead of waiting for a whole-program round barrier. A final
 /// validation sweep (plain Jacobi rounds) guarantees the least fixpoint
-/// even where the static edges under-approximate. The historical
-/// round-barrier schedule remains selectable via
-/// MixyOptions::ParallelSchedule. Frontier calls met during constraint
-/// generation are *deferred* to the fixpoint instead of being analyzed
-/// inline; that is just more of the optimism the paper already requires a
-/// fixpoint for, and the qualifier constraint system is monotone, so both
-/// schedules converge to the same least solution as the serial
-/// Gauss-Seidel-style loop. Every worker owns its executor, solver, term
-/// arena, block stack, and diagnostic buffer; the shared qualifier graph
-/// is only touched under a lock (by nested symbolic-to-typed switches and
-/// summary application), and per-wave diagnostics are merged in
-/// deterministic wave-tag order. With Jobs <= 1 the original serial path
-/// runs unchanged.
+/// even where the static edges under-approximate. Frontier calls met
+/// during constraint generation are *deferred* to the fixpoint instead of
+/// being analyzed inline; that is just more of the optimism the paper
+/// already requires a fixpoint for, and the qualifier constraint system
+/// is monotone, so the worklist converges to the same least solution as
+/// the serial Gauss-Seidel-style loop. Every worker owns its executor,
+/// solver, term arena, block stack, and diagnostic buffer; the shared
+/// qualifier graph is only touched under a lock (by nested
+/// symbolic-to-typed switches and summary application), and per-wave
+/// diagnostics are merged in deterministic wave-tag order. With Jobs <= 1
+/// the original serial path runs unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,7 +68,6 @@
 #include "qual/QualInference.h"
 #include "runtime/ThreadPool.h"
 #include "solver/SolverPool.h"
-#include "symexec/SymExecutor.h"
 
 #include <map>
 #include <memory>
@@ -102,29 +99,12 @@ struct MixyOptions {
   unsigned MaxRecursionIterations = 8;
   /// Worker threads for block-level parallelism. 1 (the default) is the
   /// serial engine, byte-for-byte identical to the pre-parallel driver;
-  /// N > 1 evaluates independent symbolic blocks on N workers.
+  /// N > 1 evaluates independent symbolic blocks on N workers under the
+  /// dependency-aware worklist schedule.
   unsigned Jobs = 1;
-  /// Parallel fixpoint schedule (only meaningful with Jobs > 1). The
-  /// default worklist condenses static site-dependency edges into SCCs
-  /// and re-runs a block as soon as its inputs change; RoundBarrier is
-  /// the historical Jacobi schedule (evaluate every changed site, join,
-  /// apply, repeat). Both converge to the same least solution, so this
-  /// is a performance knob, not a semantic one — it is deliberately
-  /// excluded from mixyPersistFingerprint().
-  enum class Schedule { Worklist, RoundBarrier };
-  Schedule ParallelSchedule = Schedule::Worklist;
   CSymOptions Sym;
   QualOptions Qual;
   smt::SmtOptions Smt;
-  /// Which engine executes symbolic blocks (--exec=ast|ir, shared with
-  /// the core-language executor). Ir lowers each mini-C body once to the
-  /// flat bytecode (src/ir/CIr.h) and interprets it through the unified
-  /// concolic core (src/concolic/CIrExecutor); bodies the lowering cannot
-  /// model fall back to the AST walker per callee, counted in
-  /// exec.fallback.ast. Diagnostics are byte-identical between the two
-  /// engines, which is why this knob — like Jobs and IncrementalSolver —
-  /// is deliberately excluded from mixyPersistFingerprint().
-  SymExecOptions::Engine ExecMode = SymExecOptions::Engine::Ast;
   /// Which solver backend answers feasibility queries (and whether every
   /// instance races the full registered portfolio). Applies to the serial
   /// solver and every pooled worker instance alike.
@@ -395,8 +375,7 @@ private:
   /// Lazily builds the calling pool worker's private context.
   WorkerContext &workerContext();
   /// The typed-start driver for Jobs > 1. Seats the fixpoint on
-  /// engine::FixpointDriver — the dependency-aware worklist by default,
-  /// the historical round barrier via MixyOptions::ParallelSchedule.
+  /// engine::FixpointDriver's dependency-aware worklist.
   unsigned runTypedParallel(const CFuncDecl *EntryFunc);
   /// Builds the engine configuration (cache sharding, recursion budget,
   /// metrics prefixes) from the analysis options.
@@ -406,11 +385,9 @@ private:
   bool refreshSite(size_t I);
   /// Evaluates one wave of changed sites: distinct calling contexts run
   /// concurrently on the pool, then summaries are applied in site order.
-  /// Buffered (worklist) waves stash their diagnostic slices under Tag
-  /// for a post-fixpoint merge in tag order; unbuffered (round-barrier)
-  /// waves merge immediately at the barrier.
-  void evaluateWave(const std::vector<size_t> &Sites, uint64_t Tag,
-                    bool Buffered);
+  /// The wave's diagnostic slices are stashed under Tag for a
+  /// post-fixpoint merge in tag order.
+  void evaluateWave(const std::vector<size_t> &Sites, uint64_t Tag);
   /// Static dependency edges between frontier call sites for the
   /// worklist schedule: site I influences site J when I's summary can
   /// move J's calling context (pointer signature, reachable
@@ -448,9 +425,6 @@ private:
   PointsToAnalysis PtrAnal;
   QualInference Qual;
   CSymExecutor Exec;
-  /// The serial executor's body engine (--exec=ir; null for the AST
-  /// walker). Workers own theirs, bound to their own executor.
-  std::unique_ptr<CBodyEngine> BodyEngine;
 
   /// The shared mix engine: block caches, recursion stack discipline,
   /// and assumption iteration (Sections 4.3 / 4.4).

@@ -19,8 +19,6 @@ const char *mix::obs::phaseName(Phase P) {
     return "fixpoint";
   case Phase::BlockExec:
     return "block-exec";
-  case Phase::IrLower:
-    return "ir-lower";
   case Phase::Solver:
     return "solver";
   case Phase::Render:
@@ -39,8 +37,6 @@ const char *mix::obs::phaseSpanName(Phase P) {
     return "phase.fixpoint";
   case Phase::BlockExec:
     return "phase.block-exec";
-  case Phase::IrLower:
-    return "phase.ir-lower";
   case Phase::Solver:
     return "phase.solver";
   case Phase::Render:

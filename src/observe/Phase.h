@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Per-request telemetry: a fixed phase taxonomy (parse, typecheck,
-/// fixpoint, block-exec, ir-lower, solver, render), a RequestTelemetry
-/// context that accumulates per-phase wall time and optionally records a
+/// fixpoint, block-exec, solver, render), a RequestTelemetry context that
+/// accumulates per-phase wall time and optionally records a
 /// request-scoped span tree, and a PhaseTimer RAII guard that feeds it.
 ///
 /// The context follows the null-handle discipline from DESIGN.md section
@@ -44,12 +44,11 @@ enum class Phase : unsigned {
   Typecheck,
   Fixpoint,
   BlockExec,
-  IrLower,
   Solver,
   Render,
 };
 
-constexpr unsigned NumPhases = 7;
+constexpr unsigned NumPhases = 6;
 
 /// Stable lowercase name ("parse", "block-exec", ...) used in response
 /// JSON, --stats tables, and metric names (dots instead of dashes there).

@@ -138,7 +138,6 @@ uint64_t AnalysisService::requestKey(const AnalysisRequest &Req,
   // Jobs is deliberately excluded: results are jobs-invariant.
   H.boolean(Req.Symbolic).boolean(Req.AutoPlace).boolean(Req.PrintProgram);
   H.u8((uint8_t)Req.Strategy).u8((uint8_t)Req.Havoc);
-  H.u8((uint8_t)Req.ExecMode);
   H.boolean(Req.PreciseDeref).boolean(Req.AssumeComplete);
   H.u8((uint8_t)Req.Explore);
   H.u64(Req.Vars.size());
@@ -331,7 +330,6 @@ void AnalysisService::runMixCheck(const AnalysisRequest &Req,
   MixOptions Opts;
   Opts.Exec.Strat = Req.Strategy;
   Opts.Exec.Havoc = Req.Havoc;
-  Opts.Exec.ExecMode = Req.ExecMode;
   Opts.Exec.PreciseDeref = Req.PreciseDeref;
   if (Req.AssumeComplete)
     Opts.Exhaustive = MixOptions::Exhaustiveness::AssumeComplete;
@@ -441,10 +439,8 @@ void AnalysisService::runMixy(const AnalysisRequest &Req,
                   ? provenanceSink()
                   : nullptr;
   // Before the fingerprint: the backend choice and provenance attachment
-  // are part of the persisted-summary identity. ExecMode is not (the
-  // engines are byte-identical), but the analysis needs it either way.
+  // are part of the persisted-summary identity.
   Opts.Solver = Req.Solver;
-  Opts.ExecMode = Req.ExecMode;
 
   c::CAstContext Ctx;
 

@@ -106,12 +106,6 @@ struct AnalysisRequest {
   bool PrintProgram = false;
   SymExecOptions::Strategy Strategy = SymExecOptions::Strategy::Fork;
   SymExecOptions::HavocPolicy Havoc = SymExecOptions::HavocPolicy::FullMemory;
-  /// Which execution engine runs symbolic code (--exec=ast|ir).
-  /// Diagnostics are byte-identical between engines (enforced by
-  /// IrDiffTest); mixy's mini-C executor has no IR lowering yet, so for
-  /// Tool::Mixy the value is accepted and recorded but the AST engine
-  /// runs either way.
-  SymExecOptions::Engine ExecMode = SymExecOptions::Engine::Ast;
   bool PreciseDeref = false;
   bool AssumeComplete = false;
   MixOptions::Exploration Explore = MixOptions::Exploration::AllPaths;

@@ -96,8 +96,6 @@ std::string mix::service::encodeRequest(const AnalysisRequest &Req) {
     W.str("cache_dir", Req.CacheDir);
   if (Req.Incremental)
     W.boolean("incremental", true);
-  if (Req.ExecMode != SymExecOptions::Engine::Ast)
-    W.str("exec", "ir");
 
   // mixcheck knobs (wire values mirror the CLI flag values).
   if (Req.Symbolic)
@@ -404,9 +402,6 @@ bool mix::service::decodeRequest(const json::Value &V, AnalysisRequest &Out,
   D.boolean("trace", Out.Trace);
   D.str("cache_dir", Out.CacheDir);
   D.boolean("incremental", Out.Incremental);
-  D.keyword("exec",
-            {{"ast", [&] { Out.ExecMode = SymExecOptions::Engine::Ast; }},
-             {"ir", [&] { Out.ExecMode = SymExecOptions::Engine::Ir; }}});
 
   D.keyword("mode", {{"typed", [&] { Out.Symbolic = false; }},
                      {"symbolic", [&] { Out.Symbolic = true; }}});

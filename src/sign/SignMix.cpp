@@ -7,7 +7,6 @@
 
 #include "sign/SignMix.h"
 
-#include "concolic/IrExecutor.h"
 #include "symexec/MemCheck.h"
 
 using namespace mix;
@@ -17,11 +16,11 @@ SignMixChecker::SignMixChecker(TypeContext &PlainTypes,
     : PlainTypes(PlainTypes), Diags(Diags), Opts(Opts), STypes(PlainTypes),
       Syms(PlainTypes), Solver(Terms, Opts.Smt), Translator(Syms, Terms),
       Checker(STypes, Diags),
-      Executor(concolic::makeExecEngine(Syms, Diags, Opts.Exec)),
+      Executor(Syms, Diags, Opts.Exec),
       Eng(engineConfig(Opts)) {
   Checker.setSymBlockOracle(this);
-  Executor->setTypedBlockOracle(this);
-  Executor->setSolver(&Solver, &Translator);
+  Executor.setTypedBlockOracle(this);
+  Executor.setSolver(&Solver, &Translator);
 }
 
 SignMixChecker::Engine::Config
@@ -159,7 +158,7 @@ const SType *SignMixChecker::checkSymbolicCore(const Expr *Body,
   // run; nested runs (through re-entrant blocks) get their own frame.
   std::vector<const SymExpr *> SavedAxioms = std::move(RefinementAxioms);
   RefinementAxioms.clear();
-  SymExecResult Result = Executor->run(Body, Env, Init);
+  SymExecResult Result = Executor.run(Body, Env, Init);
   std::vector<const SymExpr *> Axioms = std::move(RefinementAxioms);
   RefinementAxioms = std::move(SavedAxioms);
 

@@ -131,8 +131,7 @@ private:
   smt::SmtSolver Solver;
   SymToSmt Translator;
   SignChecker Checker;
-  /// The engine SymExecOptions::ExecMode selected (--exec=ast|ir).
-  std::unique_ptr<ExecEngine> Executor;
+  SymExecutor Executor;
   MixStats Statistics;
 
   /// The sign result of the most recent typed-block check, consumed by

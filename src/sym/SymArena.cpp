@@ -7,8 +7,6 @@
 
 #include "sym/SymArena.h"
 
-#include <unordered_set>
-
 using namespace mix;
 
 const SymExpr *SymArena::make(SymKind Kind, const Type *Ty, long long Value,
@@ -273,116 +271,6 @@ void SymArena::collectClosuresInMemory(
       return;
     }
   }
-}
-
-namespace {
-/// Reachability marker for sweepSince. Traversal stops at pre-mark nodes:
-/// expressions are immutable and built bottom-up, so the new epoch can
-/// reference the old one but never the other way around.
-struct SweepMarker {
-  const SymArena &Arena;
-  const std::unordered_set<const SymExpr *> &EpochExprs;
-  const std::unordered_set<const MemNode *> &EpochMems;
-  std::unordered_set<const SymExpr *> LiveExprs;
-  std::unordered_set<const MemNode *> LiveMems;
-
-  void markExpr(const SymExpr *E) {
-    if (!E || !EpochExprs.count(E) || !LiveExprs.insert(E).second)
-      return;
-    if (E->kind() == SymKind::Closure) {
-      for (const auto &[Name, Captured] : Arena.closureEnv(E)) {
-        (void)Name;
-        markExpr(Captured);
-      }
-      return;
-    }
-    for (unsigned I = 0, N = E->numOperands(); I != N; ++I)
-      markExpr(E->operand(I));
-    if (E->kind() == SymKind::Select)
-      markMem(E->memory());
-  }
-
-  void markMem(const MemNode *M) {
-    if (!M || !EpochMems.count(M) || !LiveMems.insert(M).second)
-      return;
-    switch (M->kind()) {
-    case MemKind::Base:
-      return;
-    case MemKind::Update:
-    case MemKind::Alloc:
-      markExpr(M->address());
-      markExpr(M->value());
-      markMem(M->previous());
-      return;
-    case MemKind::Ite:
-      markExpr(M->guard());
-      markMem(M->thenMemory());
-      markMem(M->elseMemory());
-      return;
-    }
-  }
-};
-} // namespace
-
-size_t SymArena::sweepSince(Mark M,
-                            const std::vector<const SymExpr *> &ExprRoots,
-                            const std::vector<const MemNode *> &MemRoots,
-                            const std::function<void(const SymExpr *)>
-                                &OnFreeExpr) {
-  if (OwnedExprs.size() <= M.Exprs && OwnedMems.size() <= M.Mems)
-    return 0;
-
-  std::unordered_set<const SymExpr *> EpochExprs;
-  std::unordered_set<const MemNode *> EpochMems;
-  for (size_t I = M.Exprs; I < OwnedExprs.size(); ++I)
-    EpochExprs.insert(OwnedExprs[I].get());
-  for (size_t I = M.Mems; I < OwnedMems.size(); ++I)
-    EpochMems.insert(OwnedMems[I].get());
-
-  SweepMarker Marker{*this, EpochExprs, EpochMems, {}, {}};
-  for (const SymExpr *R : ExprRoots)
-    Marker.markExpr(R);
-  for (const MemNode *R : MemRoots)
-    Marker.markMem(R);
-  // Closures are pinned: their ids key block caches that outlive runs.
-  for (size_t I = M.Exprs; I < OwnedExprs.size(); ++I)
-    if (OwnedExprs[I]->kind() == SymKind::Closure)
-      Marker.markExpr(OwnedExprs[I].get());
-
-  // Phase 1: drop intern entries and notify, with every node still alive
-  // (intern keys hold pointers to other nodes, so no destruction may
-  // happen until all dead keys are gone).
-  size_t Freed = 0;
-  for (size_t I = M.Exprs; I < OwnedExprs.size(); ++I) {
-    const SymExpr *E = OwnedExprs[I].get();
-    if (Marker.LiveExprs.count(E))
-      continue;
-    if (OnFreeExpr)
-      OnFreeExpr(E);
-    InternedExprs.erase(ExprKey{E->Kind, E->Ty, E->Value, E->Ops, E->Mem});
-    ++Freed;
-  }
-  for (size_t I = M.Mems; I < OwnedMems.size(); ++I) {
-    const MemNode *N = OwnedMems[I].get();
-    if (Marker.LiveMems.count(N))
-      continue;
-    InternedMems.erase(
-        MemKey{N->Kind, N->Id, N->Prev, N->Addr, N->Val, N->Else});
-    ++Freed;
-  }
-
-  // Phase 2: compact the ownership vectors, destroying dead nodes.
-  size_t W = M.Exprs;
-  for (size_t I = M.Exprs; I < OwnedExprs.size(); ++I)
-    if (Marker.LiveExprs.count(OwnedExprs[I].get()))
-      OwnedExprs[W++] = std::move(OwnedExprs[I]);
-  OwnedExprs.resize(W);
-  W = M.Mems;
-  for (size_t I = M.Mems; I < OwnedMems.size(); ++I)
-    if (Marker.LiveMems.count(OwnedMems[I].get()))
-      OwnedMems[W++] = std::move(OwnedMems[I]);
-  OwnedMems.resize(W);
-  return Freed;
 }
 
 const MemNode *SymArena::iteMem(const SymExpr *G, const MemNode *Then,

@@ -127,34 +127,9 @@ public:
   /// The captured environment of closure \p E.
   const SymEnv &closureEnv(const SymExpr *E) const;
 
-  // --- Expression garbage collection ---------------------------------------
-
-  /// Number of owned expressions / memories (arena growth accounting for
-  /// the exec.terms.* metrics).
+  /// Number of owned expressions (arena growth accounting for the
+  /// exec.terms.built metric).
   size_t numExprs() const { return OwnedExprs.size(); }
-  size_t numMems() const { return OwnedMems.size(); }
-
-  /// An epoch boundary for sweepSince(): everything allocated after a
-  /// mark is a collection candidate.
-  struct Mark {
-    size_t Exprs = 0;
-    size_t Mems = 0;
-  };
-  Mark mark() const { return {OwnedExprs.size(), OwnedMems.size()}; }
-
-  /// Epoch mark-sweep over the arena: frees expressions and memories
-  /// created at or after \p M that are not reachable from \p ExprRoots /
-  /// \p MemRoots. Expressions are immutable and built bottom-up, so a
-  /// pre-mark node can never reference a post-mark one and the sweep
-  /// never has to look at the old epoch. Closure values are never freed
-  /// (their ids key block caches across runs), and variable/closure id
-  /// tables are never compacted. \p OnFreeExpr runs for every freed
-  /// expression *before* anything is destroyed, so callers can evict
-  /// translation caches keyed by expression identity. Returns the number
-  /// of nodes freed.
-  size_t sweepSince(Mark M, const std::vector<const SymExpr *> &ExprRoots,
-                    const std::vector<const MemNode *> &MemRoots,
-                    const std::function<void(const SymExpr *)> &OnFreeExpr);
 
 private:
   const SymExpr *make(SymKind Kind, const Type *Ty, long long Value,

@@ -53,11 +53,6 @@ public:
     return Cache;
   }
 
-  /// Forgets the translation of \p E. Called by the arena's expression
-  /// GC before an expression is freed, so a later allocation reusing the
-  /// address can never hit a stale cached term.
-  void evict(const SymExpr *E) { Cache.erase(E); }
-
 private:
   const smt::Term *translateUncached(const SymExpr *E);
   const smt::Term *varTerm(const SymExpr *E);

@@ -29,7 +29,6 @@
 
 #include "lang/Ast.h"
 #include "observe/Metrics.h"
-#include "observe/Phase.h"
 #include "observe/Trace.h"
 #include "provenance/Provenance.h"
 #include "support/Diagnostics.h"
@@ -193,52 +192,11 @@ struct SymExecOptions {
   obs::MetricsRegistry *Metrics = nullptr;
   obs::TraceSink *Trace = nullptr;
 
-  /// Per-request telemetry context (see src/observe/Phase.h). The IR
-  /// executor charges lowering time to the request's ir-lower phase.
-  /// Null — the default — costs one branch per site.
-  obs::RequestTelemetry *Telemetry = nullptr;
-
   /// Provenance recording (see src/provenance/). When attached, every
   /// state carries its branch trail (SymState::Trail) so diagnostics can
   /// print witness paths. Null — the default — records nothing.
   prov::ProvenanceSink *Prov = nullptr;
-
-  /// Which engine executes symbolic code (--exec=ast|ir). Ast is the
-  /// direct AST walker below; Ir lowers each root expression once to the
-  /// flat register bytecode (src/ir) and runs the concolic interpreter
-  /// (src/concolic) over it, carrying concrete shadow values so fully
-  /// concrete operations and branches never touch the arena or solver.
-  /// Diagnostics are byte-identical between the two engines.
-  enum class Engine { Ast, Ir };
-  Engine ExecMode = Engine::Ast;
-
-  /// (IR engine only) sweep symbolic expressions that became unreachable
-  /// during a top-level run from the SymArena when that run ends.
-  /// Automatically disabled under Strategy::Concolic, whose driver keeps
-  /// seed tables keyed by expression identity across runs.
-  bool ExprGC = true;
 };
-
-/// Parses an `--exec=` engine name; on failure fills \p Err with a
-/// message listing the choices (the CLI prints it and exits 2, mirroring
-/// `--solver=`).
-inline bool parseExecEngine(const std::string &Name,
-                            SymExecOptions::Engine &Out, std::string &Err) {
-  if (Name == "ast") {
-    Out = SymExecOptions::Engine::Ast;
-    return true;
-  }
-  if (Name == "ir") {
-    Out = SymExecOptions::Engine::Ir;
-    return true;
-  }
-  Err = "unknown execution engine '" + Name + "' (available: ast ir)";
-  return false;
-}
-
-inline const char *execEngineName(SymExecOptions::Engine E) {
-  return E == SymExecOptions::Engine::Ir ? "ir" : "ast";
-}
 
 /// Result of a full execution: every path outcome, in exploration order.
 struct SymExecResult {
@@ -256,40 +214,8 @@ struct SymExecResult {
   }
 };
 
-/// The execution-engine seam: both the AST-walking SymExecutor below and
-/// the compiled-IR interpreter (concolic::IrExecutor) implement this
-/// interface, and the mix layers (MixChecker, SignMix, ConcolicDriver)
-/// drive whichever engine SymExecOptions::ExecMode selected — with
-/// byte-identical diagnostics. Construct via concolic::makeExecEngine.
-class ExecEngine {
-public:
-  virtual ~ExecEngine() = default;
-
-  /// Installs the mix hook for typed blocks (may be null, in which case
-  /// typed blocks are errors — that is "symbolic execution alone").
-  virtual void setTypedBlockOracle(TypedBlockOracle *Oracle) = 0;
-
-  /// Attaches a solver for infeasible-path pruning (optional).
-  virtual void setSolver(smt::ISolver *Solver, SymToSmt *Translator) = 0;
-
-  /// Installs the concrete valuation for Strategy::Concolic (not owned;
-  /// must outlive the run).
-  virtual void setConcolicSeed(const ConcolicSeed *Seed) = 0;
-  virtual const ConcolicSeed *concolicSeed() const = 0;
-
-  /// Executes \p E under \p Env from \p Init, exploring all paths.
-  virtual SymExecResult run(const Expr *E, const SymEnv &Env,
-                            SymState Init) = 0;
-
-  /// Executes from the canonical initial state of the TSymBlock rule:
-  /// path condition `true` and a fresh arbitrary memory mu.
-  virtual SymExecResult run(const Expr *E, const SymEnv &Env) = 0;
-
-  virtual SymArena &arena() = 0;
-};
-
-/// The symbolic executor (the AST-walking engine).
-class SymExecutor : public ExecEngine {
+/// The symbolic executor.
+class SymExecutor {
 public:
   SymExecutor(SymArena &Arena, DiagnosticEngine &Diags,
               SymExecOptions Opts = SymExecOptions())
@@ -304,11 +230,12 @@ public:
     }
   }
 
-  void setTypedBlockOracle(TypedBlockOracle *Oracle) override {
-    TypedOracle = Oracle;
-  }
+  /// Installs the mix hook for typed blocks (may be null, in which case
+  /// typed blocks are errors — that is "symbolic execution alone").
+  void setTypedBlockOracle(TypedBlockOracle *Oracle) { TypedOracle = Oracle; }
 
-  void setSolver(smt::ISolver *Solver, SymToSmt *Translator) override {
+  /// Attaches a solver for infeasible-path pruning (optional).
+  void setSolver(smt::ISolver *Solver, SymToSmt *Translator) {
     this->Solver = Solver;
     this->Translator = Translator;
     PathChecker.reset();
@@ -317,17 +244,17 @@ public:
           *Solver, Opts.IncrementalSolver, Opts.Metrics);
   }
 
-  void setConcolicSeed(const ConcolicSeed *Seed) override {
-    this->Seed = Seed;
-  }
-  const ConcolicSeed *concolicSeed() const override { return Seed; }
+  /// Installs the concrete valuation for Strategy::Concolic (not owned;
+  /// must outlive the run).
+  void setConcolicSeed(const ConcolicSeed *Seed) { this->Seed = Seed; }
+  const ConcolicSeed *concolicSeed() const { return Seed; }
 
-  SymExecResult run(const Expr *E, const SymEnv &Env,
-                    SymState Init) override;
+  /// Executes \p E under \p Env from \p Init, exploring all paths.
+  SymExecResult run(const Expr *E, const SymEnv &Env, SymState Init);
 
-  SymExecResult run(const Expr *E, const SymEnv &Env) override;
-
-  SymArena &arena() override { return Arena; }
+  /// Executes from the canonical initial state of the TSymBlock rule:
+  /// path condition `true` and a fresh arbitrary memory mu.
+  SymExecResult run(const Expr *E, const SymEnv &Env);
 
 private:
   std::vector<PathResult> exec(const Expr *E, const SymEnv &Env, SymState S);

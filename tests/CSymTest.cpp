@@ -479,6 +479,22 @@ TEST_F(CSymTest, NegationAndNotOperators) {
   EXPECT_EQ(Last.Paths.size(), 2u);
 }
 
+TEST_F(CSymTest, NonLValueAssignmentTargetWarnsAndKillsThePath) {
+  // Sema rejects this program; the executor, run on the parsed AST
+  // directly, must still refuse the store loudly: one warning, and no
+  // path survives the statement.
+  EXPECT_EQ(runAndCountWarnings("int bad(int a) {\n"
+                                "  a + 1 = 2;\n"
+                                "  return a;\n"
+                                "}",
+                                "bad"),
+            1u);
+  EXPECT_TRUE(Last.Paths.empty());
+  EXPECT_NE(Diags.str().find("expression is not an lvalue"),
+            std::string::npos)
+      << Diags.str();
+}
+
 namespace {
 
 /// A deep branch ladder ending in a maybe-null dereference: the shape

@@ -465,7 +465,6 @@ TEST(PhaseTest, PhaseNamesStable) {
   EXPECT_STREQ(phaseName(Phase::Typecheck), "typecheck");
   EXPECT_STREQ(phaseName(Phase::Fixpoint), "fixpoint");
   EXPECT_STREQ(phaseName(Phase::BlockExec), "block-exec");
-  EXPECT_STREQ(phaseName(Phase::IrLower), "ir-lower");
   EXPECT_STREQ(phaseName(Phase::Solver), "solver");
   EXPECT_STREQ(phaseName(Phase::Render), "render");
   EXPECT_STREQ(phaseSpanName(Phase::Solver), "phase.solver");

@@ -27,10 +27,8 @@ namespace mix::testgen {
 /// expressions over a fixed Gamma, with analysis blocks sprinkled in.
 class ProgramGenerator {
 public:
-  ProgramGenerator(AstContext &Ctx, std::mt19937 &Rng, bool AllowBlocks,
-                   bool AllowRefs = true, bool AllowCalls = true)
-      : Ctx(Ctx), Rng(Rng), AllowBlocks(AllowBlocks), AllowRefs(AllowRefs),
-        AllowCalls(AllowCalls) {}
+  ProgramGenerator(AstContext &Ctx, std::mt19937 &Rng, bool AllowBlocks)
+      : Ctx(Ctx), Rng(Rng), AllowBlocks(AllowBlocks) {}
 
   /// Variables available to the generated program.
   struct Scope {
@@ -70,7 +68,7 @@ private:
     // Occasionally build and immediately apply a function literal; the
     // literal itself may get wrapped in an analysis block by maybeBlock,
     // exercising closure escape across boundaries.
-    if (AllowCalls && Rng() % 8 == 0) {
+    if (Rng() % 8 == 0) {
       std::string Param = freshName();
       Scope Inner = S;
       Inner.IntVars.push_back(Param);
@@ -97,8 +95,6 @@ private:
                                genInt(S, Depth - 1), genInt(Inner, Depth - 1));
     }
     case 4: {
-      if (!AllowRefs)
-        return genIntRaw(S, Depth - 1);
       // let r = ref <int> in <int with r in scope>
       std::string Name = freshName();
       Scope Inner = S;
@@ -163,8 +159,6 @@ private:
   AstContext &Ctx;
   std::mt19937 &Rng;
   bool AllowBlocks;
-  bool AllowRefs = true;
-  bool AllowCalls = true;
   bool UsedTypedBlock = false;
   unsigned Counter = 0;
 };

@@ -180,6 +180,21 @@ TEST(ProtocolTest, RequestDecodeIsStrict) {
   EXPECT_FALSE(Error.empty());
 }
 
+TEST(ProtocolTest, RequestWithExecKeyIsRejected) {
+  // There is no engine selector on the wire: a request carrying "exec"
+  // fails strict decoding like any other unknown field, while the
+  // protocol version stays 1 for every client that never sent it.
+  service::AnalysisRequest Out;
+  std::string Error;
+  EXPECT_FALSE(service::decodeRequest(
+      "{\"version\": 1, \"tool\": \"mixcheck\", \"exec\": \"ir\"}", Out,
+      Error));
+  EXPECT_EQ(Error, "unknown request field 'exec'");
+  EXPECT_TRUE(service::decodeRequest(
+      "{\"version\": 1, \"tool\": \"mixcheck\"}", Out, Error))
+      << Error;
+}
+
 TEST(ProtocolTest, UnicodeEscapesDecodeToUtf8) {
   json::Value V;
   std::string Error;
@@ -294,6 +309,17 @@ TEST(ProtocolTest, ResponseTelemetryFieldsGoldenRoundTrip) {
       "{\"version\": 1, \"exit\": 0, \"spans\": [{\"name\": \"x\"}]}", Out,
       Error));
   EXPECT_EQ(Error, "field 'spans' entries are malformed");
+}
+
+TEST(ProtocolTest, ResponseWithLoweringPhaseIsRejected) {
+  // "ir-lower" is not one of the phases, so a response naming it is
+  // rejected like any other unknown phase.
+  service::AnalysisResponse Out;
+  std::string Error;
+  EXPECT_FALSE(service::decodeResponse(
+      "{\"version\": 1, \"exit\": 0, \"phases\": {\"ir-lower\": 1}}", Out,
+      Error));
+  EXPECT_EQ(Error, "field 'phases' has unknown phase 'ir-lower'");
 }
 
 TEST(ProtocolTest, RpcIdEncoding) {

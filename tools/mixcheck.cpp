@@ -195,17 +195,14 @@ int main(int Argc, char **Argv) {
          << "\n"
          << "engine cache hits       : "
          << Reg.counterValue("engine.cache.mix.hits") << "\n"
-         // The execution engine's own counters (--exec=ast|ir): both
-         // engines report paths and solver-skipped concrete branches;
-         // terms built/GC'd expose the IR engine's lazy-expression win.
+         // The executor's own counters: paths run, branches decided
+         // without the solver, and symbolic terms built.
          << "exec paths run          : " << Reg.counterValue("exec.paths")
          << "\n"
          << "exec concrete branches  : "
          << Reg.counterValue("exec.branches.concrete") << "\n"
          << "exec terms built        : "
          << Reg.counterValue("exec.terms.built") << "\n"
-         << "exec terms collected    : "
-         << Reg.counterValue("exec.terms.gcd") << "\n"
          << driver::renderPhaseBreakdown(Resp);
   }
 

@@ -168,26 +168,17 @@ int main(int Argc, char **Argv) {
            << "recursions detected      : "
            << Reg.counterValue("mixy.recursions") << "\n"
            // The shared engine layer's view of the same run: blocks it
-           // scheduled, cache hits it served, and how the fixpoint was
-           // driven (dependency-aware worklist re-runs vs round-barrier
-           // rounds).
+           // scheduled, cache hits it served, and how the fixpoint driver
+           // got there (site re-evaluations and rounds, under the serial
+           // and the worklist schedule alike).
            << "engine blocks scheduled  : "
            << Reg.counterValue("engine.mixy.blocks") << "\n"
            << "engine cache hits        : "
            << Reg.counterValue("engine.cache.mixy.hits") << "\n"
-           << "worklist re-runs         : "
+           << "fixpoint re-runs         : "
            << Reg.counterValue("engine.worklist.reruns") << "\n"
-           << "round-barrier rounds     : "
+           << "fixpoint rounds          : "
            << Reg.counterValue("engine.fixpoint.rounds") << "\n";
-      // The IR engine's mini-C coverage: bodies lowered once (then served
-      // from the per-function cache) and bodies that fell back to the AST
-      // walker because the lowering declined them — the loud counterpart
-      // of what used to be a silent no-op.
-      if (Req.ExecMode == mix::SymExecOptions::Engine::Ir)
-        Info << "ir-engine bodies         : "
-             << Reg.counterValue("ir.lower.misses") << " lowered (+"
-             << Reg.counterValue("ir.lower.hits") << " cached), "
-             << Reg.counterValue("exec.fallback.ast") << " AST fallback(s)\n";
       if (Req.Jobs > 1)
         Info << "sym block cache          : " << Resp.SymCacheStats << "\n"
              << "typed block cache        : " << Resp.TypedCacheStats << "\n";

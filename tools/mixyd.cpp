@@ -368,8 +368,6 @@ private:
       AReq.Solver.Portfolio = Driver.solverSpec().Portfolio;
     if (!Params.has("trace"))
       AReq.Trace = Driver.traceSink() != nullptr;
-    if (!Params.has("exec"))
-      AReq.ExecMode = Driver.execMode();
 
     // Admission control: never more than --max-inflight analyses queued
     // or running; extra requests get a structured busy error immediately.
