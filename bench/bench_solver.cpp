@@ -174,27 +174,6 @@ void BM_Solver_BackendPathCondition(benchmark::State &State) {
   }
 }
 
-/// Portfolio racing overhead/benefit on the same chain: range(0) turns
-/// the portfolio on. Latency is the point — verdicts are identical by
-/// construction.
-void BM_Solver_Portfolio(benchmark::State &State) {
-  SolverSpec Spec;
-  Spec.Portfolio = State.range(0) != 0;
-  unsigned N = 16;
-  for (auto _ : State) {
-    TermArena A;
-    std::unique_ptr<ISolver> S = createSolver(Spec, A, SmtOptions());
-    std::vector<const Term *> Xs;
-    for (unsigned I = 0; I <= N; ++I)
-      Xs.push_back(A.freshIntVar());
-    const Term *Path = A.trueTerm();
-    for (unsigned I = 0; I != N; ++I)
-      Path = A.andTerm(Path, A.lt(Xs[I], Xs[I + 1]));
-    Path = A.andTerm(Path, A.le(A.intConst(0), Xs[0]));
-    benchmark::DoNotOptimize(S->checkSat(Path));
-  }
-}
-
 } // namespace
 
 BENCHMARK(BM_Solver_PathCondition)
@@ -225,10 +204,6 @@ BENCHMARK(BM_Solver_DeepBranchProbes)
     ->Args({8, 1})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Solver_BackendPathCondition)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Solver_Portfolio)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);

@@ -87,14 +87,12 @@ void CSymExecutor::warn(SourceLoc Loc, const std::string &Message,
     // must be byte-identical across --jobs and replay.
     W.PathCondition = smt::normalizedStr(Cond);
     smt::SmtModel Model;
-    std::string DecidedBy;
-    if (Solver.checkSatDecided(Cond, &Model, DecidedBy) ==
-        smt::SolveResult::Sat) {
+    if (Solver.checkSat(Cond, &Model) == smt::SolveResult::Sat) {
       for (auto &[Name, Value] : smt::modelBindings(Terms, Model))
         W.Model.push_back({Name, Value});
       W.ModelComplete = Model.Complete;
     }
-    W.DecidedBy = std::move(DecidedBy);
+    W.DecidedBy = Solver.name();
     Payload->Witness = std::move(W);
     Diags.attachProvenance(Idx, std::move(Payload));
     Opts.Prov->countWitness();

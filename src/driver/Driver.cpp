@@ -105,11 +105,6 @@ void DriverContext::registerOptions(OptionParser &P) {
       "solver backend to decide path conditions with (default: smtlite;\n"
       "every backend produces the same verdicts, so this changes latency\n"
       "and diagnostics' \"decided by\" attribution, never findings)");
-  P.flag("--solver-portfolio",
-         [this]() { Solver.Portfolio = true; },
-         "race every registered backend against the --solver choice per\n"
-         "query and take the first definitive answer; witness models still\n"
-         "come from the primary backend, so output stays byte-identical");
 }
 
 void mix::driver::registerCommonOptions(OptionParser &P, DriverContext &Driver,

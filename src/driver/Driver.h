@@ -9,8 +9,8 @@
 /// The CLI half of the shared driver layer. Both tools own a
 /// DriverContext; it registers the cross-cutting flags (--trace=FILE,
 /// --metrics=FILE, --format=text|json|sarif, --explain, --stats,
-/// --cache-dir, --solver, --solver-portfolio), owns the process's
-/// AnalysisService, and writes the requested artifacts at exit.
+/// --cache-dir, --solver), owns the process's AnalysisService, and
+/// writes the requested artifacts at exit.
 ///
 /// The analysis itself no longer lives here: since the service layer
 /// (src/service) became the one request path, the context's job is to
@@ -62,11 +62,11 @@ public:
   explicit DriverContext(service::ServiceConfig Config = {}) : Svc(Config) {}
 
   /// Registers --trace, --metrics, --format, --explain, --stats,
-  /// --cache-dir, --solver, and --solver-portfolio on \p P. The
-  /// CLI-output trio (--format, --explain, --stats) registers under the
-  /// option group "cli-output", so a front end with per-request output
-  /// (mixyd) can excludeGroup("cli-output") and still reuse this
-  /// registrar without inheriting flags that make no sense for it.
+  /// --cache-dir, and --solver on \p P. The CLI-output trio (--format,
+  /// --explain, --stats) registers under the option group "cli-output",
+  /// so a front end with per-request output (mixyd) can
+  /// excludeGroup("cli-output") and still reuse this registrar without
+  /// inheriting flags that make no sense for it.
   void registerOptions(OptionParser &P);
 
   /// The service this context runs requests against (CLI configuration:
@@ -83,10 +83,10 @@ public:
   /// goes to stderr.
   void emitPayload(const std::string &Payload);
 
-  /// The solver backend selection parsed from --solver / --solver-portfolio
-  /// (defaults: smtlite, portfolio off). --solver validates its value
-  /// against the registered backends at parse time, so by the time a tool
-  /// reads this the spec is known-constructible.
+  /// The solver backend selection parsed from --solver (default:
+  /// smtlite). --solver validates its value against the registered
+  /// backends at parse time, so by the time a tool reads this the spec is
+  /// known-constructible.
   const smt::SolverSpec &solverSpec() const { return Solver; }
 
   /// The registry every analysis in the process reports into.

@@ -10,6 +10,8 @@
 #include "mix/ConcolicDriver.h"
 #include "symexec/MemCheck.h"
 
+#include <algorithm>
+
 using namespace mix;
 
 /// Pushes the checker-level observability sinks down into the nested
@@ -28,10 +30,9 @@ static MixOptions normalizedOptions(MixOptions O) {
 MixChecker::MixChecker(TypeContext &Types, DiagnosticEngine &Diags,
                        MixOptions OptsIn)
     : Types(Types), Diags(Diags), Opts(normalizedOptions(OptsIn)), Syms(Types),
-      Solver(smt::createSolver(Opts.Solver, Terms, Opts.Smt)),
+      Solver(smt::createBackend(Opts.Solver.Backend, Terms, Opts.Smt)),
       Translator(Syms, Terms), Checker(Types, Diags),
       Executor(Syms, Diags, executorOptionsFor(Opts)),
-      Solvers(Opts.Smt, Opts.Solver),
       Eng(engineConfig(Opts)) {
   Checker.setSymBlockOracle(this);
   Executor.setTypedBlockOracle(this);
@@ -203,8 +204,8 @@ std::string MixChecker::describeWitness(const SymEnv &Env,
 }
 
 void MixChecker::reportPathError(const PathResult &P, SourceLoc BlockLoc,
-                                 const SymEnv &Env, const smt::SmtModel &Model,
-                                 const std::string &DecidedBy) {
+                                 const SymEnv &Env,
+                                 const smt::SmtModel &Model) {
   SourceLoc Loc = P.ErrorLoc.isValid() ? P.ErrorLoc : BlockLoc;
   size_t Idx = Diags.report(DiagKind::Error, Loc,
                             P.ErrorMessage + " [on path " +
@@ -217,7 +218,7 @@ void MixChecker::reportPathError(const PathResult &P, SourceLoc BlockLoc,
     W.PathCondition = P.State.Path->str();
     W.Model = witnessBindings(Env, Model);
     W.ModelComplete = Model.Complete;
-    W.DecidedBy = DecidedBy;
+    W.DecidedBy = Solver->name();
     Payload->Witness = std::move(W);
     Diags.attachProvenance(Idx, std::move(Payload));
     Opts.Prov->countWitness();
@@ -233,15 +234,19 @@ MixChecker::classifyFeasibility(const std::vector<PathResult> &Paths) {
   if (!Pool)
     Pool = std::make_unique<rt::ThreadPool>(Opts.Jobs, Opts.Trace, "mix");
   // The symbol arena is quiescent here (enumeration finished), so each
-  // worker may translate against it with a private term arena; solver
-  // verdicts are deterministic per formula, so the feasible/infeasible
-  // split matches what the shared solver would say.
-  Pool->parallelFor(Paths.size(), [&](size_t I) {
-    smt::SolverPool::Lease Lease = Solvers.acquire();
-    SymToSmt LocalTranslator(Syms, Lease.terms());
-    Feasible[I] =
-        Lease.solver().checkSat(LocalTranslator.translate(
-            Paths[I].State.Path)) != smt::SolveResult::Unsat;
+  // chunk of paths may translate against it with its own term arena and
+  // solver; solver verdicts are deterministic per formula, so the
+  // feasible/infeasible split matches what the shared solver would say.
+  size_t Chunks = std::min<size_t>(Opts.Jobs, Paths.size());
+  Pool->parallelFor(Chunks, [&](size_t C) {
+    smt::TermArena ChunkTerms;
+    std::unique_ptr<smt::ISolver> ChunkSolver =
+        smt::createBackend(Opts.Solver.Backend, ChunkTerms, Opts.Smt);
+    SymToSmt ChunkTranslator(Syms, ChunkTerms);
+    for (size_t I = C; I < Paths.size(); I += Chunks)
+      Feasible[I] =
+          ChunkSolver->checkSat(ChunkTranslator.translate(
+              Paths[I].State.Path)) != smt::SolveResult::Unsat;
   });
   return Feasible;
 }
@@ -291,7 +296,7 @@ const Type *MixChecker::checkSymbolicCore(const Expr *Body,
   std::vector<const PathResult *> Live;
   if (Opts.Jobs > 1 && Result.Paths.size() > 1) {
     // Paths are independent once enumerated: feasibility is checked
-    // concurrently (one pooled solver per worker), then the results are
+    // concurrently (one solver per chunk of paths), then the results are
     // reported at the join in path order. The witness model for a
     // feasible error path is re-derived on the shared solver so the
     // diagnostic text matches the serial classification exactly.
@@ -305,10 +310,8 @@ const Type *MixChecker::checkSymbolicCore(const Expr *Body,
       }
       if (P.IsError) {
         smt::SmtModel Model;
-        std::string DecidedBy;
-        Solver->checkSatDecided(Translator.translate(P.State.Path), &Model,
-                                DecidedBy);
-        reportPathError(P, Loc, Env, Model, DecidedBy);
+        Solver->checkSat(Translator.translate(P.State.Path), &Model);
+        reportPathError(P, Loc, Env, Model);
         return nullptr;
       }
       Live.push_back(&P);
@@ -316,9 +319,7 @@ const Type *MixChecker::checkSymbolicCore(const Expr *Body,
   } else {
     for (const PathResult &P : Result.Paths) {
       smt::SmtModel Model;
-      std::string DecidedBy;
-      if (Solver->checkSatDecided(Translator.translate(P.State.Path), &Model,
-                                  DecidedBy) ==
+      if (Solver->checkSat(Translator.translate(P.State.Path), &Model) ==
           smt::SolveResult::Unsat) {
         ++Statistics.InfeasiblePathsDiscarded;
         CInfeasible.inc();
@@ -327,7 +328,7 @@ const Type *MixChecker::checkSymbolicCore(const Expr *Body,
       if (P.IsError) {
         // A concrete witness makes the report actionable: values for the
         // block's inputs under which the failing path is taken.
-        reportPathError(P, Loc, Env, Model, DecidedBy);
+        reportPathError(P, Loc, Env, Model);
         return nullptr;
       }
       Live.push_back(&P);

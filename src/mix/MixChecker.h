@@ -31,7 +31,7 @@
 
 #include "engine/MixEngine.h"
 #include "runtime/ThreadPool.h"
-#include "solver/SolverPool.h"
+#include "solver/SolverFactory.h"
 #include "symexec/SymExecutor.h"
 #include "types/TypeChecker.h"
 
@@ -47,8 +47,8 @@ struct MixOptions {
   /// feasibility query per enumerated path is the solver-bound hot loop).
   /// 1 keeps the serial classification, byte-for-byte identical in
   /// diagnostics; N > 1 checks paths concurrently on a work-stealing
-  /// pool with one solver instance per worker, then reports at the join
-  /// in path order — same verdicts, same messages.
+  /// pool with one solver instance per chunk of paths, then reports at
+  /// the join in path order — same verdicts, same messages.
   unsigned Jobs = 1;
 
   /// Section 3.2: exhaustive() can be required (sound) or weakened to a
@@ -75,9 +75,8 @@ struct MixOptions {
 
   smt::SmtOptions Smt;
 
-  /// Which solver backend answers feasibility/exhaustiveness queries,
-  /// and whether each instance (the shared solver and every pooled
-  /// worker) races the full registered portfolio.
+  /// Which solver backend answers feasibility/exhaustiveness queries
+  /// (the shared solver and every per-chunk classification solver).
   smt::SolverSpec Solver;
 
   /// Observability sinks (see src/observe/). The checker copies these
@@ -198,16 +197,16 @@ private:
   /// Reports the SymExecError for failed path \p P (with its witness
   /// note) and, when provenance is on, attaches the witness-path payload.
   void reportPathError(const PathResult &P, SourceLoc BlockLoc,
-                       const SymEnv &Env, const smt::SmtModel &Model,
-                       const std::string &DecidedBy);
+                       const SymEnv &Env, const smt::SmtModel &Model);
 
   /// The executor configuration implied by \p Opts (adjusts the strategy
   /// for concolic exploration).
   static SymExecOptions executorOptionsFor(const MixOptions &Opts);
 
-  /// Feasibility of every path in \p Paths, computed concurrently when
-  /// Opts.Jobs > 1 (each worker leases a pooled solver and translates
-  /// against the quiescent symbol arena). Serial when Jobs <= 1.
+  /// Feasibility of every path in \p Paths, computed concurrently: the
+  /// paths are split into Opts.Jobs strided chunks, and each chunk builds
+  /// its own term arena and solver and translates against the quiescent
+  /// symbol arena.
   std::vector<char> classifyFeasibility(const std::vector<PathResult> &Paths);
 
   TypeContext &Types;
@@ -227,7 +226,6 @@ private:
   obs::Counter CSymBlocks, CTypedBlocks, CPaths, CInfeasible, CExhaustive;
 
   // Parallel classification (lazily built on first use).
-  smt::SolverPool Solvers;
   std::unique_ptr<rt::ThreadPool> Pool;
 
   // The shared engine layer: block caches plus the Section 4.4 block

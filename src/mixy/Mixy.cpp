@@ -29,30 +29,31 @@ thread_local void *ActiveWorkerCtx = nullptr;
 thread_local void *ActiveTypedLog = nullptr;
 } // namespace
 
-/// Everything a pool worker owns privately: a leased solver instance
-/// (with its term arena), a diagnostics buffer whose per-task slices are
-/// merged in wave-tag order, a symbolic executor bound to all three, and
-/// a recursion stack.
+/// Everything a pool worker owns privately for the whole analysis: a
+/// term arena and a solver over it, a diagnostics buffer whose per-task
+/// slices are merged in wave-tag order, a symbolic executor bound to all
+/// three, and a recursion stack.
 struct MixyAnalysis::WorkerContext {
   MixyAnalysis *Owner;
-  smt::SolverPool::Lease SolverLease;
+  smt::TermArena Terms;
+  std::unique_ptr<smt::ISolver> Solver;
   DiagnosticEngine Diags;
   CSymExecutor Exec;
   Engine::BlockStack Stack;
 
   explicit WorkerContext(MixyAnalysis &A)
-      : Owner(&A), SolverLease(A.Solvers.acquire()),
-        Exec(A.Program, A.Ctx, Diags, SolverLease.terms(),
-             SolverLease.solver(), A.Opts.Sym) {
+      : Owner(&A),
+        Solver(smt::createBackend(A.Opts.Solver.Backend, Terms, A.Opts.Smt)),
+        Exec(A.Program, A.Ctx, Diags, Terms, *Solver, A.Opts.Sym) {
     Exec.setTypedCallHook(&A);
   }
 };
 
 /// Pushes the analysis-level observability sinks down into the nested
-/// option structs so every solver (serial and pooled) reports into the
-/// same registry/trace, and attaches the persistent query store (if any)
-/// the same way — SolverPool copies Smt into every pooled instance, so
-/// one assignment covers the serial solver and all workers.
+/// option structs so every solver (serial and per-worker) reports into
+/// the same registry/trace, and attaches the persistent query store (if
+/// any) the same way — every solver is built from Smt, so one assignment
+/// covers the serial solver and all workers.
 static MixyOptions normalizedOptions(MixyOptions O) {
   O.Smt.Metrics = O.Metrics;
   O.Smt.Trace = O.Trace;
@@ -86,7 +87,8 @@ uint64_t mix::c::mixyPersistFingerprint(const MixyOptions &Opts) {
   // Sym.IncrementalSolver is deliberately excluded: it only changes how
   // queries are batched, never a verdict or a diagnostic.
   H.str(Opts.Solver.Backend);
-  H.boolean(Opts.Solver.Portfolio);
+  // Slot of a retired solver option; hashing its old value keeps caches warm.
+  H.boolean(false);
   return H.digest();
 }
 
@@ -106,10 +108,10 @@ MixyAnalysis::MixyAnalysis(const CProgram &Program, CAstContext &Ctx,
                            DiagnosticEngine &Diags, MixyOptions OptsIn)
     : Program(Program), Ctx(Ctx), Diags(Diags),
       Opts(normalizedOptions(std::move(OptsIn))),
-      Solver(smt::createSolver(Opts.Solver, Terms, Opts.Smt)),
+      Solver(smt::createBackend(Opts.Solver.Backend, Terms, Opts.Smt)),
       PtrAnal(Program, Ctx, Diags), Qual(Program, Ctx, Diags, Opts.Qual),
       Exec(Program, Ctx, Diags, Terms, *Solver, Opts.Sym),
-      Eng(engineConfig(Opts)), Solvers(Opts.Smt, Opts.Solver) {
+      Eng(engineConfig(Opts)) {
   assert(Solver && "unknown solver backend (validate the SolverSpec with "
                    "parseSolverBackend before constructing)");
   Qual.setSymHook(this);

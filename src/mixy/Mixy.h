@@ -67,7 +67,7 @@
 #include "ptranal/PointsTo.h"
 #include "qual/QualInference.h"
 #include "runtime/ThreadPool.h"
-#include "solver/SolverPool.h"
+#include "solver/SolverFactory.h"
 
 #include <map>
 #include <memory>
@@ -105,9 +105,8 @@ struct MixyOptions {
   CSymOptions Sym;
   QualOptions Qual;
   smt::SmtOptions Smt;
-  /// Which solver backend answers feasibility queries (and whether every
-  /// instance races the full registered portfolio). Applies to the serial
-  /// solver and every pooled worker instance alike.
+  /// Which solver backend answers feasibility queries. Applies to the
+  /// serial solver and every worker's solver alike.
   smt::SolverSpec Solver;
 
   /// Observability sinks (see src/observe/). The analysis copies these
@@ -444,7 +443,6 @@ private:
   // Parallel-engine state. QualM serializes every touch of the shared
   // qualifier graph (and shared diagnostics) from worker threads; it is
   // recursive because symbolic and typed blocks nest through the hooks.
-  smt::SolverPool Solvers;
   std::unique_ptr<rt::ThreadPool> Pool;
   std::vector<std::unique_ptr<WorkerContext>> WorkerSlots;
   std::recursive_mutex QualM;

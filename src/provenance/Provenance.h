@@ -65,9 +65,8 @@ struct WitnessPath {
   std::string PathCondition;       ///< Term::str() of the accumulated guard
   std::vector<ModelBinding> Model; ///< name-sorted satisfying assignment
   bool ModelComplete = false;      ///< solver proved every binding exact
-  /// Which solver backend decided the witness query ("smtlite", "dnf",
-  /// "portfolio" when no lane answered). Empty in payloads persisted
-  /// before the field existed.
+  /// Which solver backend decided the witness query ("smtlite", "dnf").
+  /// Empty in payloads persisted before the field existed.
   std::string DecidedBy;
 };
 

@@ -88,6 +88,11 @@ const char *severityName(DiagKind K) {
 bool AnalysisService::resolveInput(const AnalysisRequest &Req,
                                    std::string &SourceOut,
                                    std::string &Error) {
+  // The analyses build solvers from the spec unchecked, so an unknown
+  // backend must stop here, as a usage error.
+  smt::SolverSpec Spec;
+  if (!smt::parseSolverBackend(Req.Solver.Backend, Spec, Error))
+    return false;
   if (Req.HasSource) {
     SourceOut = Req.Source;
     return true;
@@ -132,7 +137,6 @@ uint64_t AnalysisService::requestKey(const AnalysisRequest &Req,
   H.boolean(Req.Explain);
   H.boolean(Req.Trace);
   H.str(Req.Solver.Backend);
-  H.boolean(Req.Solver.Portfolio);
   H.str(Req.CacheDir);
   H.boolean(Req.Incremental);
   // Jobs is deliberately excluded: results are jobs-invariant.

@@ -289,9 +289,11 @@ public:
   /// when there is nothing to save.
   bool save(std::string *Error = nullptr);
 
-  /// Resolves the request input to source text (inline > corpus > path).
-  /// Returns false with \p Error set ("unknown corpus 'x'", "cannot read
-  /// 'p'", "no input") — ErrorText shape, no tool prefix.
+  /// Checks the solver backend, then resolves the request input to
+  /// source text (inline > corpus > path). Returns false with \p Error
+  /// set ("unknown solver backend 'b' (available: ...)", "unknown corpus
+  /// 'x'", "cannot read 'p'", "no input") — ErrorText shape, no tool
+  /// prefix.
   static bool resolveInput(const AnalysisRequest &Req, std::string &SourceOut,
                            std::string &Error);
 

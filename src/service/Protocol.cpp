@@ -88,8 +88,6 @@ std::string mix::service::encodeRequest(const AnalysisRequest &Req) {
     W.num("jobs", Req.Jobs);
   if (Req.Solver.Backend != smt::SolverSpec().Backend)
     W.str("solver", Req.Solver.Backend);
-  if (Req.Solver.Portfolio)
-    W.boolean("solver_portfolio", true);
   if (Req.Trace)
     W.boolean("trace", true);
   if (!Req.CacheDir.empty())
@@ -398,7 +396,6 @@ bool mix::service::decodeRequest(const json::Value &V, AnalysisRequest &Out,
   D.boolean("explain", Out.Explain);
   D.num("jobs", Out.Jobs);
   D.str("solver", Out.Solver.Backend);
-  D.boolean("solver_portfolio", Out.Solver.Portfolio);
   D.boolean("trace", Out.Trace);
   D.str("cache_dir", Out.CacheDir);
   D.boolean("incremental", Out.Incremental);

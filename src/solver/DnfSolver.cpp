@@ -134,9 +134,6 @@ SolveResult DnfSolver::decide(const Term *Formula, SmtModel *ModelOut) {
 
   bool AnyUnknown = false;
   for (const Cube &C : Cubes) {
-    if (cancelled())
-      return SolveResult::Unknown;
-
     // Propositional consistency over boolean variables and constants.
     std::map<unsigned, bool> BoolAssign;
     bool Consistent = true;

@@ -18,9 +18,7 @@
 /// past small formulas) but *independence*: it shares only the
 /// term language, the atom translation, and the arithmetic core with
 /// smtlite, so the cross-backend differential harness (SolverDiffTest)
-/// exercises genuinely different decision paths. It also tends to win
-/// portfolio races on small, shallow queries — the common shape of branch
-/// feasibility checks — where Tseitin encoding overhead dominates.
+/// exercises genuinely different decision paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,10 +30,10 @@
 namespace mix::smt {
 
 /// DNF-expansion backend over the Fourier-Motzkin core.
-class DnfSolver : public SolverBase {
+class DnfSolver : public ISolver {
 public:
   explicit DnfSolver(TermArena &Arena, SmtOptions Opts = SmtOptions())
-      : SolverBase(Arena, Opts) {}
+      : ISolver(Arena, Opts) {}
 
   const char *name() const override { return "dnf"; }
 

@@ -29,14 +29,6 @@ const char *mix::smt::solveResultName(SolveResult R) {
 
 QueryCache::~QueryCache() = default;
 
-ISolver::~ISolver() = default;
-
-SolveResult ISolver::checkSatDecided(const Term *Formula, SmtModel *ModelOut,
-                                     std::string &DecidedBy) {
-  DecidedBy = name();
-  return checkSat(Formula, ModelOut);
-}
-
 std::vector<std::pair<std::string, std::string>>
 mix::smt::modelBindings(const TermArena &Arena, const SmtModel &Model) {
   std::vector<std::pair<std::string, std::string>> Out;
@@ -51,7 +43,7 @@ mix::smt::modelBindings(const TermArena &Arena, const SmtModel &Model) {
   return Out;
 }
 
-SolverBase::SolverBase(TermArena &Arena, SmtOptions Opts)
+ISolver::ISolver(TermArena &Arena, SmtOptions Opts)
     : Arena(Arena), Opts(Opts) {
   if (Opts.Metrics) {
     CQueries = Opts.Metrics->counter("solver.queries");
@@ -67,14 +59,16 @@ SolverBase::SolverBase(TermArena &Arena, SmtOptions Opts)
   }
 }
 
-void SolverBase::bumpVerdict(SolveResult R) {
+ISolver::~ISolver() = default;
+
+void ISolver::bumpVerdict(SolveResult R) {
   (R == SolveResult::Sat     ? CSat
    : R == SolveResult::Unsat ? CUnsat
                              : CUnknown)
       .inc();
 }
 
-SolveResult SolverBase::checkSat(const Term *Formula, SmtModel *ModelOut) {
+SolveResult ISolver::checkSat(const Term *Formula, SmtModel *ModelOut) {
   // Persistent memo (src/persist/): only verdicts are stored, so a model
   // request must run the real solver; Unknown is a resource-cap artifact
   // and is neither served nor recorded. A hit still counts as a query so

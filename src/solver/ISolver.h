@@ -9,8 +9,8 @@
 /// The backend-neutral solver interface the rest of the project talks to.
 /// The paper's prototype used STP behind a thin wrapper; this project now
 /// keeps the same shape: every satisfiability engine (the SMT-lite
-/// DPLL(T) core, the DNF/Fourier-Motzkin backend, the racing portfolio)
-/// implements ISolver, and clients select one through SolverFactory
+/// DPLL(T) core, the DNF/Fourier-Motzkin backend) implements ISolver's
+/// decision procedure, and clients select one through SolverFactory
 /// (`--solver=NAME` on the CLIs).
 ///
 /// Three-valued results: Unknown arises only from resource caps; every
@@ -34,7 +34,6 @@
 #include "solver/LinearArith.h"
 #include "solver/Term.h"
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -83,8 +82,8 @@ modelBindings(const TermArena &Arena, const SmtModel &Model);
 /// record a verdict. Implemented by src/persist/ over an on-disk store;
 /// solvers consult it only for model-free queries and never store Unknown
 /// (a resource-cap artifact, not a property of the formula).
-/// Implementations must be thread-safe: SolverPool copies one cache
-/// pointer into every pooled instance.
+/// Implementations must be thread-safe: every per-worker solver of a
+/// parallel analysis shares one cache pointer.
 class QueryCache {
 public:
   virtual ~QueryCache();
@@ -109,9 +108,9 @@ struct SmtOptions {
   /// "solver.unknown" counters and records its latency in the
   /// "solver.query_us" histogram; a trace sink additionally gets one
   /// "solver.query" span per query, tagged with the verdict. Null (the
-  /// default) keeps the hot path at a single branch. SolverPool copies
-  /// these into every pooled instance, so per-worker solvers aggregate
-  /// into the same registry.
+  /// default) keeps the hot path at a single branch. Per-worker solvers
+  /// are built from the same options, so they aggregate into the same
+  /// registry.
   obs::MetricsRegistry *Metrics = nullptr;
   obs::TraceSink *Trace = nullptr;
 
@@ -123,47 +122,36 @@ struct SmtOptions {
   /// Optional persistent query memo (see QueryCache above). Null — the
   /// default — keeps checkSat untouched.
   QueryCache *Cache = nullptr;
-
-  /// Cooperative cancellation: when non-null and set, the backend aborts
-  /// the in-flight query at its next safe point and returns Unknown. The
-  /// portfolio uses this to stop losing backends once a definitive
-  /// answer arrived.
-  const std::atomic<bool> *Cancel = nullptr;
 };
 
-/// The abstract solver backend. One instance serves one term arena;
-/// instances are not thread-safe (SolverPool hands out one per worker).
+/// A solver backend: the metrics/trace instrumentation and the
+/// persistent-cache protocol around a virtual decision procedure.
+/// SmtSolver (smtlite) and DnfSolver implement it. One instance serves
+/// one term arena; instances are not thread-safe (parallel analyses
+/// build one per worker).
 class ISolver {
 public:
+  ISolver(TermArena &Arena, SmtOptions Opts);
   virtual ~ISolver();
 
-  /// Stable backend name ("smtlite", "dnf", "portfolio", ...): the
-  /// SolverFactory registration key, the `--solver=` value, and the
-  /// provenance label for "which backend decided this witness".
+  /// Stable backend name ("smtlite", "dnf", ...): the SolverFactory
+  /// registration key, the `--solver=` value, and the provenance label
+  /// for "which backend decided this witness".
   virtual const char *name() const = 0;
 
   /// Is \p Formula (bool sort) satisfiable? When \p ModelOut is non-null
   /// and the answer is Sat, it receives a satisfying assignment.
-  virtual SolveResult checkSat(const Term *Formula,
-                               SmtModel *ModelOut = nullptr) = 0;
-
-  /// checkSat, additionally reporting which backend decided the verdict
-  /// in \p DecidedBy. For plain backends that is name(); the portfolio
-  /// reports the racing winner. Diagnostic provenance uses this so
-  /// --explain can attribute a witness (and in particular an Unknown kept
-  /// in the conservative direction) to the backend that produced it.
-  virtual SolveResult checkSatDecided(const Term *Formula, SmtModel *ModelOut,
-                                      std::string &DecidedBy);
+  SolveResult checkSat(const Term *Formula, SmtModel *ModelOut = nullptr);
 
   /// The term arena queries against this backend must be built in.
-  virtual TermArena &arena() = 0;
+  TermArena &arena() { return Arena; }
 
   /// The configuration this backend was constructed with.
-  virtual const SmtOptions &options() const = 0;
+  const SmtOptions &options() const { return Opts; }
 
   /// Number of queries actually decided by this backend (persistent
   /// cache hits excluded), cumulative over its lifetime.
-  virtual uint64_t queries() const = 0;
+  uint64_t queries() const { return QueryCount; }
 
   // --- Convenience verdict helpers (shared by every backend) -------------
 
@@ -187,28 +175,10 @@ public:
   bool isPossiblySat(const Term *Formula) {
     return checkSat(Formula) != SolveResult::Unsat;
   }
-};
-
-/// Shared backend scaffolding: the metrics/trace instrumentation and the
-/// persistent-cache protocol around a virtual decision procedure.
-/// SmtSolver (smtlite) and DnfSolver both sit on this.
-class SolverBase : public ISolver {
-public:
-  SolverBase(TermArena &Arena, SmtOptions Opts);
-
-  SolveResult checkSat(const Term *Formula, SmtModel *ModelOut = nullptr) final;
-  TermArena &arena() final { return Arena; }
-  const SmtOptions &options() const final { return Opts; }
-  uint64_t queries() const final { return QueryCount; }
 
 protected:
   /// The actual decision procedure.
   virtual SolveResult decide(const Term *Formula, SmtModel *ModelOut) = 0;
-
-  /// True when the cooperative cancellation flag is raised.
-  bool cancelled() const {
-    return Opts.Cancel && Opts.Cancel->load(std::memory_order_relaxed);
-  }
 
   TermArena &Arena;
   SmtOptions Opts;

@@ -239,9 +239,6 @@ SatResult SatSolver::solve() {
   uint64_t ConflictsThisRestart = 0;
 
   for (;;) {
-    if (InterruptFlag && InterruptFlag->load(std::memory_order_relaxed))
-      return SatResult::Interrupted;
-
     ClauseRef Conflict = propagate();
     if (Conflict != NoReason) {
       ++Statistics.Conflicts;

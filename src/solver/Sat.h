@@ -17,7 +17,6 @@
 #ifndef MIX_SOLVER_SAT_H
 #define MIX_SOLVER_SAT_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -49,9 +48,8 @@ private:
 /// Ternary truth value of a variable or literal during search.
 enum class LBool : uint8_t { False = 0, True = 1, Undef = 2 };
 
-/// Satisfiability verdict. Interrupted reports a search abandoned at the
-/// cooperative interrupt flag (see setInterrupt) — no verdict.
-enum class SatResult { Sat, Unsat, Interrupted };
+/// Satisfiability verdict.
+enum class SatResult { Sat, Unsat };
 
 /// The CDCL solver. Usage: newVar() for each variable, addClause() for each
 /// clause, then solve(); the SMT layer's theory loop repeats
@@ -75,12 +73,6 @@ public:
 
   /// Runs the CDCL search. Safe to call repeatedly after adding clauses.
   SatResult solve();
-
-  /// Installs a cooperative interrupt flag (null to clear): when the flag
-  /// becomes true, the next main-loop iteration abandons the search and
-  /// returns SatResult::Interrupted. Used by the portfolio to stop losing
-  /// backends.
-  void setInterrupt(const std::atomic<bool> *Flag) { InterruptFlag = Flag; }
 
   /// After solve() returns Sat: the model value of \p Var.
   bool modelValue(unsigned Var) const { return Model[Var]; }
@@ -140,7 +132,6 @@ private:
   std::vector<bool> Model;
   double ActivityInc = 1.0;
   bool FoundEmptyClause = false;
-  const std::atomic<bool> *InterruptFlag = nullptr;
   Stats Statistics;
 };
 

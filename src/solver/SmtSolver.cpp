@@ -27,8 +27,6 @@ SolveResult runTheoryLoop(SatSolver &Sat, TseitinEncoder &Encoder,
     SatResult SR = Sat.solve();
     if (SR == SatResult::Unsat)
       return SolveResult::Unsat;
-    if (SR == SatResult::Interrupted)
-      return SolveResult::Unknown;
 
     auto FillBools = [&] {
       if (!ModelOut)
@@ -110,7 +108,6 @@ SolveResult SmtSolver::decide(const Term *Formula, SmtModel *ModelOut) {
   }
 
   SatSolver Sat;
-  Sat.setInterrupt(Opts.Cancel);
   TseitinEncoder Encoder(Sat);
   Lit Root = Encoder.encode(F);
   Sat.addClause({Root});

@@ -42,10 +42,10 @@ namespace mix::smt {
 ///
 /// The solver object is stateless between queries apart from cumulative
 /// statistics, so a single instance can serve an entire analysis run.
-class SmtSolver : public SolverBase {
+class SmtSolver : public ISolver {
 public:
   explicit SmtSolver(TermArena &Arena, SmtOptions Opts = SmtOptions())
-      : SolverBase(Arena, Opts) {}
+      : ISolver(Arena, Opts) {}
 
   const char *name() const override { return "smtlite"; }
 

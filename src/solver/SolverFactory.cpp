@@ -8,10 +8,8 @@
 #include "solver/SolverFactory.h"
 
 #include "solver/DnfSolver.h"
-#include "solver/Portfolio.h"
 #include "solver/SmtSolver.h"
 
-#include <algorithm>
 #include <map>
 #include <mutex>
 
@@ -88,22 +86,4 @@ std::unique_ptr<ISolver> mix::smt::createBackend(const std::string &Name,
     Factory = It->second;
   }
   return Factory(Arena, Opts);
-}
-
-std::unique_ptr<ISolver> mix::smt::createSolver(const SolverSpec &Spec,
-                                                TermArena &Arena,
-                                                const SmtOptions &Opts) {
-  if (!Spec.Portfolio)
-    return createBackend(Spec.Backend, Arena, Opts);
-
-  // Primary first, then every other registered backend as a rival, in
-  // name order — deterministic lane numbering for the win metrics.
-  std::vector<std::string> All = registeredBackends();
-  if (std::find(All.begin(), All.end(), Spec.Backend) == All.end())
-    return nullptr; // unknown primary
-  std::vector<std::string> Names{Spec.Backend};
-  for (const std::string &Name : All)
-    if (Name != Spec.Backend)
-      Names.push_back(Name);
-  return std::make_unique<PortfolioSolver>(Arena, Opts, Names);
 }

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Name-keyed registry of solver backends and the SolverSpec the driver
-/// layer parses `--solver=` / `--solver-portfolio` into. The built-in
-/// backends ("smtlite", "dnf") self-register; tests may register extras.
+/// layer parses `--solver=` into. The built-in backends ("smtlite",
+/// "dnf") self-register; tests may register extras.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,13 +24,11 @@
 
 namespace mix::smt {
 
-/// Which backend to run, and whether to race the rest against it. The
-/// named backend is always the *primary*: witness models and diagnostics
-/// come from it deterministically, so portfolio mode changes latency but
-/// never output.
+/// Which backend to run. Every backend produces the same verdicts, so
+/// the choice changes latency and the "decided by" attribution, never
+/// findings.
 struct SolverSpec {
   std::string Backend = "smtlite";
-  bool Portfolio = false;
 };
 
 /// Validates and parses a `--solver=` value into \p Out. On failure
@@ -49,17 +47,11 @@ bool registerSolverBackend(
     std::function<std::unique_ptr<ISolver>(TermArena &, const SmtOptions &)>
         Factory);
 
-/// Creates the plain backend registered under \p Name over \p Arena.
-/// Returns null for an unknown name.
+/// Creates the backend registered under \p Name over \p Arena. Returns
+/// null for an unknown name.
 std::unique_ptr<ISolver> createBackend(const std::string &Name,
                                        TermArena &Arena,
                                        const SmtOptions &Opts);
-
-/// Creates the solver \p Spec describes: the named backend, wrapped in a
-/// racing portfolio (against every other registered backend) when
-/// Spec.Portfolio is set. Returns null for an unknown backend name.
-std::unique_ptr<ISolver> createSolver(const SolverSpec &Spec, TermArena &Arena,
-                                      const SmtOptions &Opts);
 
 } // namespace mix::smt
 

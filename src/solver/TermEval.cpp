@@ -1,4 +1,4 @@
-//===--- TermEval.cpp - Concrete term evaluation and cloning --------------===//
+//===--- TermEval.cpp - Concrete term evaluation --------------------------===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
@@ -63,103 +63,4 @@ bool mix::smt::evalBool(const Term *T, const SmtModel &Model) {
     assert(false && "evalBool() on an integer term");
     return false;
   }
-}
-
-namespace {
-
-// Ensures variable ids up to and including Id exist in Dst with the same
-// debug names Src gave them, then returns the variable term.
-const Term *cloneVar(const TermArena &Src, TermArena &Dst, Sort S,
-                     unsigned Id) {
-  if (S == Sort::Int) {
-    while (Dst.numIntVars() <= Id)
-      Dst.freshIntVar(Src.varName(Sort::Int, Dst.numIntVars()));
-    return Dst.intVar(Id);
-  }
-  while (Dst.numBoolVars() <= Id)
-    Dst.freshBoolVar(Src.varName(Sort::Bool, Dst.numBoolVars()));
-  return Dst.boolVar(Id);
-}
-
-} // namespace
-
-const Term *
-mix::smt::cloneTerm(const Term *T, const TermArena &Src, TermArena &Dst,
-                    std::unordered_map<const Term *, const Term *> &Memo) {
-  auto It = Memo.find(T);
-  if (It != Memo.end())
-    return It->second;
-
-  const Term *Out = nullptr;
-  switch (T->kind()) {
-  case TermKind::IntConst:
-    Out = Dst.intConst(T->value());
-    break;
-  case TermKind::BoolConst:
-    Out = Dst.boolConst(T->value() != 0);
-    break;
-  case TermKind::IntVar:
-  case TermKind::BoolVar: {
-    Sort S = T->kind() == TermKind::IntVar ? Sort::Int : Sort::Bool;
-    Out = cloneVar(Src, Dst, S, T->varId());
-    break;
-  }
-  case TermKind::Add:
-    Out = Dst.add(cloneTerm(T->operand(0), Src, Dst, Memo),
-                  cloneTerm(T->operand(1), Src, Dst, Memo));
-    break;
-  case TermKind::Sub:
-    Out = Dst.sub(cloneTerm(T->operand(0), Src, Dst, Memo),
-                  cloneTerm(T->operand(1), Src, Dst, Memo));
-    break;
-  case TermKind::Neg:
-    Out = Dst.neg(cloneTerm(T->operand(0), Src, Dst, Memo));
-    break;
-  case TermKind::MulConst:
-    Out = Dst.mulConst(T->value(), cloneTerm(T->operand(0), Src, Dst, Memo));
-    break;
-  case TermKind::IteInt:
-    Out = Dst.iteInt(cloneTerm(T->operand(0), Src, Dst, Memo),
-                     cloneTerm(T->operand(1), Src, Dst, Memo),
-                     cloneTerm(T->operand(2), Src, Dst, Memo));
-    break;
-  case TermKind::EqInt:
-    Out = Dst.eqInt(cloneTerm(T->operand(0), Src, Dst, Memo),
-                    cloneTerm(T->operand(1), Src, Dst, Memo));
-    break;
-  case TermKind::Lt:
-    Out = Dst.lt(cloneTerm(T->operand(0), Src, Dst, Memo),
-                 cloneTerm(T->operand(1), Src, Dst, Memo));
-    break;
-  case TermKind::Le:
-    Out = Dst.le(cloneTerm(T->operand(0), Src, Dst, Memo),
-                 cloneTerm(T->operand(1), Src, Dst, Memo));
-    break;
-  case TermKind::EqBool:
-    Out = Dst.eqBool(cloneTerm(T->operand(0), Src, Dst, Memo),
-                     cloneTerm(T->operand(1), Src, Dst, Memo));
-    break;
-  case TermKind::Not:
-    Out = Dst.notTerm(cloneTerm(T->operand(0), Src, Dst, Memo));
-    break;
-  case TermKind::And:
-    Out = Dst.andTerm(cloneTerm(T->operand(0), Src, Dst, Memo),
-                      cloneTerm(T->operand(1), Src, Dst, Memo));
-    break;
-  case TermKind::Or:
-    Out = Dst.orTerm(cloneTerm(T->operand(0), Src, Dst, Memo),
-                     cloneTerm(T->operand(1), Src, Dst, Memo));
-    break;
-  case TermKind::Implies:
-    Out = Dst.implies(cloneTerm(T->operand(0), Src, Dst, Memo),
-                      cloneTerm(T->operand(1), Src, Dst, Memo));
-    break;
-  case TermKind::IteBool:
-    Out = Dst.iteBool(cloneTerm(T->operand(0), Src, Dst, Memo),
-                      cloneTerm(T->operand(1), Src, Dst, Memo),
-                      cloneTerm(T->operand(2), Src, Dst, Memo));
-    break;
-  }
-  Memo[T] = Out;
-  return Out;
 }

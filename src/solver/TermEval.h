@@ -1,4 +1,4 @@
-//===--- TermEval.h - Concrete term evaluation and cloning ------*- C++ -*-===//
+//===--- TermEval.h - Concrete term evaluation ------------------*- C++ -*-===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
@@ -6,8 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Ground evaluation of terms under an SmtModel, and structure-preserving
-/// cloning of terms across arenas.
+/// Ground evaluation of terms under an SmtModel.
 ///
 /// Evaluation is total: variables the model does not bind take the
 /// canonical default (0 / false), matching the SmtModel contract that
@@ -17,10 +16,6 @@
 /// cached ancestor model instead of re-solving), and the brute-force
 /// enumerator oracle.
 ///
-/// Cloning preserves variable ids and debug names, so a model produced
-/// against a clone is directly meaningful against the original term. The
-/// portfolio uses it to hand each racing backend a private arena.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef MIX_SOLVER_TERMEVAL_H
@@ -29,8 +24,6 @@
 #include "solver/ISolver.h"
 #include "solver/Term.h"
 
-#include <unordered_map>
-
 namespace mix::smt {
 
 /// Evaluates an integer-sorted term under \p Model (unbound vars = 0).
@@ -38,14 +31,6 @@ long long evalInt(const Term *T, const SmtModel &Model);
 
 /// Evaluates a boolean-sorted term under \p Model (unbound vars = false).
 bool evalBool(const Term *T, const SmtModel &Model);
-
-/// Deep-copies \p T from \p Src into \p Dst, preserving variable ids and
-/// debug names (missing variables are allocated in \p Dst, in id order,
-/// until the id exists). \p Memo caches translations and may be reused
-/// across calls against the same (Src, Dst) pair — hash-consing on both
-/// sides makes repeated clones of a growing path condition cheap.
-const Term *cloneTerm(const Term *T, const TermArena &Src, TermArena &Dst,
-                      std::unordered_map<const Term *, const Term *> &Memo);
 
 } // namespace mix::smt
 

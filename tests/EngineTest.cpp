@@ -303,6 +303,8 @@ struct ChainSystem {
     FixpointCallbacks CB;
     CB.NumSites = [this] { return Ctx.size(); };
     CB.Refresh = [this](size_t I) {
+      // Another SCC's wave may be writing Val concurrently.
+      std::lock_guard<std::mutex> Lock(WavesM);
       int New = I == 0 ? Target : Val[I - 1];
       if (New == Ctx[I])
         return false;

@@ -66,7 +66,6 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
   Req.Explain = true;
   Req.Jobs = 4;
   Req.Solver.Backend = "dnf";
-  Req.Solver.Portfolio = true;
   Req.Trace = true;
   Req.CacheDir = "/tmp/mixcache";
   Req.Incremental = true;
@@ -84,8 +83,8 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
       "{\"version\": 1, \"tool\": \"mixcheck\", \"source\": \"1 + x\", "
       "\"input_name\": \"demo.mix\", \"format\": \"sarif\", "
       "\"explain\": true, \"jobs\": 4, \"solver\": \"dnf\", "
-      "\"solver_portfolio\": true, \"trace\": true, "
-      "\"cache_dir\": \"/tmp/mixcache\", \"incremental\": true, "
+      "\"trace\": true, \"cache_dir\": \"/tmp/mixcache\", "
+      "\"incremental\": true, "
       "\"mode\": \"symbolic\", \"auto_place\": true, "
       "\"print_program\": true, \"strategy\": \"defer\", "
       "\"havoc\": \"effects\", \"precise_deref\": true, "
@@ -102,7 +101,6 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
   EXPECT_EQ(Out.OutputFormat, service::Format::Sarif);
   EXPECT_EQ(Out.Jobs, 4u);
   EXPECT_EQ(Out.Solver.Backend, "dnf");
-  EXPECT_TRUE(Out.Solver.Portfolio);
   EXPECT_EQ(Out.Strategy, SymExecOptions::Strategy::Defer);
   EXPECT_EQ(Out.Havoc, SymExecOptions::HavocPolicy::WriteEffects);
   EXPECT_EQ(Out.Explore, MixOptions::Exploration::Concolic);
@@ -180,16 +178,22 @@ TEST(ProtocolTest, RequestDecodeIsStrict) {
   EXPECT_FALSE(Error.empty());
 }
 
-TEST(ProtocolTest, RequestWithExecKeyIsRejected) {
-  // There is no engine selector on the wire: a request carrying "exec"
-  // fails strict decoding like any other unknown field, while the
-  // protocol version stays 1 for every client that never sent it.
+TEST(ProtocolTest, RequestWithRetiredKeysIsRejected) {
+  // There is no engine selector and no solver racing on the wire: a
+  // request carrying "exec" or "solver_portfolio" fails strict decoding
+  // like any other unknown field, while the protocol version stays 1 for
+  // every client that never sent them.
   service::AnalysisRequest Out;
   std::string Error;
   EXPECT_FALSE(service::decodeRequest(
       "{\"version\": 1, \"tool\": \"mixcheck\", \"exec\": \"ir\"}", Out,
       Error));
   EXPECT_EQ(Error, "unknown request field 'exec'");
+  EXPECT_FALSE(service::decodeRequest(
+      "{\"version\": 1, \"tool\": \"mixcheck\", "
+      "\"solver_portfolio\": true}",
+      Out, Error));
+  EXPECT_EQ(Error, "unknown request field 'solver_portfolio'");
   EXPECT_TRUE(service::decodeRequest(
       "{\"version\": 1, \"tool\": \"mixcheck\"}", Out, Error))
       << Error;
@@ -586,11 +590,25 @@ TEST(ServiceTest, ResolveInputShapes) {
   EXPECT_FALSE(service::AnalysisService::resolveInput(Empty, Source, Error));
   EXPECT_EQ(Error, "no input");
 
+  // The analyses build the solver unchecked, so an unknown backend is
+  // caught here, before any input is read.
+  service::AnalysisRequest BadSolver;
+  BadSolver.Corpus = "case1";
+  BadSolver.Solver.Backend = "bogus";
+  EXPECT_FALSE(
+      service::AnalysisService::resolveInput(BadSolver, Source, Error));
+  EXPECT_EQ(Error, "unknown solver backend 'bogus' (available: dnf smtlite)");
+
   // Through run(): a resolution failure is the usage-error response shape.
   service::AnalysisService Svc;
   service::AnalysisResponse Resp = Svc.run(Unknown);
   EXPECT_EQ(Resp.Exit, 2);
   EXPECT_EQ(Resp.ErrorText, "unknown corpus 'case9'");
+  EXPECT_TRUE(Resp.Payload.empty());
+  Resp = Svc.run(BadSolver);
+  EXPECT_EQ(Resp.Exit, 2);
+  EXPECT_EQ(Resp.ErrorText,
+            "unknown solver backend 'bogus' (available: dnf smtlite)");
   EXPECT_TRUE(Resp.Payload.empty());
 }
 
@@ -655,13 +673,18 @@ TEST(ServiceServeTest, SecondIdenticalRequestAnswersFromCache) {
 
 TEST(ServiceServeTest, UsageErrorsAreNotCached) {
   service::AnalysisService Svc(daemonConfig());
-  service::AnalysisRequest Req;
-  Req.Corpus = "case9";
-  service::AnalysisResponse A = Svc.serve(Req);
-  service::AnalysisResponse B = Svc.serve(Req);
-  EXPECT_EQ(A.Exit, 2);
-  EXPECT_FALSE(A.FromCache);
-  EXPECT_FALSE(B.FromCache); // cheap to reproduce; no cache slot spent
+  service::AnalysisRequest UnknownCorpus;
+  UnknownCorpus.Corpus = "case9";
+  service::AnalysisRequest UnknownSolver;
+  UnknownSolver.Corpus = "case1";
+  UnknownSolver.Solver.Backend = "bogus";
+  for (const service::AnalysisRequest &Req : {UnknownCorpus, UnknownSolver}) {
+    service::AnalysisResponse A = Svc.serve(Req);
+    service::AnalysisResponse B = Svc.serve(Req);
+    EXPECT_EQ(A.Exit, 2);
+    EXPECT_FALSE(A.FromCache);
+    EXPECT_FALSE(B.FromCache); // cheap to reproduce; no cache slot spent
+  }
 }
 
 TEST(ServiceServeTest, FileChangedDropsCachedPathResponses) {

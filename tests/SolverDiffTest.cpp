@@ -4,11 +4,11 @@
 // Execution" (PLDI 2010).
 //
 // Property-based differential harness over the solver registry: random
-// Term formulas are decided by every registered backend (plus the racing
-// portfolio) and cross-checked against a brute-force small-domain
-// enumerator oracle. The oracle is one-directional — a satisfying
-// assignment it finds proves Sat over the unbounded integers, but an
-// exhausted small domain proves nothing — so the failure rules are:
+// Term formulas are decided by every registered backend and cross-checked
+// against a brute-force small-domain enumerator oracle. The oracle is
+// one-directional — a satisfying assignment it finds proves Sat over the
+// unbounded integers, but an exhausted small domain proves nothing — so
+// the failure rules are:
 //
 //   - backend Unsat + oracle found a model       -> hard fail
 //   - backend Sat with a Complete model that does
@@ -148,8 +148,7 @@ TEST(SolverDiffTest, BackendsAgreeWithOracleOn5kFormulas) {
   TermArena A;
   DiffVars V(A);
 
-  // Every registered backend, plus the portfolio wrapper over the
-  // default primary — it must be indistinguishable verdict-wise.
+  // Every registered backend; they must be indistinguishable verdict-wise.
   struct Lane {
     std::string Label;
     std::unique_ptr<ISolver> S;
@@ -159,10 +158,6 @@ TEST(SolverDiffTest, BackendsAgreeWithOracleOn5kFormulas) {
     Lanes.push_back({Name, createBackend(Name, A, SmtOptions())});
     ASSERT_NE(Lanes.back().S, nullptr) << Name;
   }
-  SolverSpec PortfolioSpec;
-  PortfolioSpec.Portfolio = true;
-  Lanes.push_back({"portfolio", createSolver(PortfolioSpec, A, SmtOptions())});
-  ASSERT_NE(Lanes.back().S, nullptr);
 
   unsigned OracleSat = 0, OracleExhausted = 0;
   for (unsigned I = 0; I != NumFormulas; ++I) {

@@ -11,6 +11,7 @@ Speaks newline-delimited JSON-RPC 2.0 to one daemon process and asserts:
   * "stream": true delivers per-diagnostic notifications before the result,
   * protocol errors (bad JSON, bad version, unknown field, unknown method)
     come back as the right structured JSON-RPC error codes,
+  * an unknown solver backend is a usage error (exit 2), not a crash,
   * executed responses carry request telemetry (request_id, total_us,
     phases) and cache hits carry a fresh id but no phase work,
   * status counters account for every request and expose request-latency
@@ -216,12 +217,24 @@ def main():
     assert "mix_service_request_us_sum" in om, om
     assert om.endswith("# EOF\n"), om[-100:]
 
-    # 10. Clean shutdown.
-    assert client.request(12, "shutdown")["result"]["ok"]
+    # 10. An unknown solver backend is a usage error naming the choices,
+    #     and the daemon stays up to serve the next request.
+    bad = client.request(
+        12, "analyze", analyze_params(corpus="case1", solver="bogus"))["result"]
+    assert bad["exit"] == 2, bad
+    assert bad.get("error_text") == \
+        "unknown solver backend 'bogus' (available: dnf smtlite)", bad
+    nxt = client.request(
+        13, "analyze", analyze_params(corpus="case1", input_name="@case1",
+                                      format="json"))["result"]
+    assert nxt["exit"] == 0, nxt
+
+    # 11. Clean shutdown.
+    assert client.request(14, "shutdown")["result"]["ok"]
     code = client.close()
     assert code == 0, f"daemon exited {code}"
 
-    # 11. Deadline mode: a request that finishes before --deadline-ms gets
+    # 12. Deadline mode: a request that finishes before --deadline-ms gets
     #     exactly one reply. The watcher sweeps at the deadline even when
     #     the worker already answered; it must retire the ticket silently,
     #     not append a second bogus timeout error for the same id.

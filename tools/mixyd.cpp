@@ -364,8 +364,6 @@ private:
       AReq.CacheDir = Driver.cacheDir();
     if (!Params.has("solver"))
       AReq.Solver.Backend = Driver.solverSpec().Backend;
-    if (!Params.has("solver_portfolio"))
-      AReq.Solver.Portfolio = Driver.solverSpec().Portfolio;
     if (!Params.has("trace"))
       AReq.Trace = Driver.traceSink() != nullptr;
 
