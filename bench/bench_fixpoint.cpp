@@ -16,6 +16,7 @@
 
 #include "cfront/CParser.h"
 #include "mixy/Mixy.h"
+#include "mixy/VsftpdMini.h"
 
 #include <benchmark/benchmark.h>
 
@@ -49,34 +50,9 @@ std::string fixpointChain(unsigned N) {
   return Out;
 }
 
-/// A depth-D def-use chain: step_i copies x_{i-1} into x_i, and main
-/// calls the steps deepest-first, so the taint planted by source() must
-/// travel the whole chain before sink()'s error becomes visible. The
-/// dependency-aware worklist re-runs only the link whose input actually
-/// changed.
-std::string deepCallChain(unsigned Depth) {
-  std::string Out = "void sysutil_free(void * nonnull p_ptr) MIX(typed);\n";
-  for (unsigned I = 0; I <= Depth; ++I)
-    Out += "int *x" + std::to_string(I) + ";\n";
-  for (unsigned I = 1; I <= Depth; ++I) {
-    std::string Idx = std::to_string(I);
-    Out += "void step" + Idx + "(void) MIX(symbolic) {\n"
-           "  x" + Idx + " = x" + std::to_string(I - 1) + ";\n}\n";
-  }
-  Out += "void sink(void) MIX(symbolic) {\n"
-         "  sysutil_free((void*)x" + std::to_string(Depth) + ");\n}\n"
-         "void source(void) MIX(symbolic) {\n"
-         "  x0 = NULL;\n}\n"
-         "int main(void) {\n  sink();\n";
-  for (unsigned I = Depth; I >= 1; --I)
-    Out += "  step" + std::to_string(I) + "();\n";
-  Out += "  source();\n  return 0;\n}\n";
-  return Out;
-}
-
-/// Runs \p Source through the parallel (worklist) fixpoint and reports
-/// its block-run counters.
-void runSchedule(benchmark::State &State, const std::string &Source,
+/// Runs \p Source through MIXY (with a \p MaxRounds fixpoint cap when
+/// nonzero) and reports its warnings and block-run counters.
+void runFixpoint(benchmark::State &State, const std::string &Source,
                  unsigned MaxRounds = 0) {
   unsigned Warnings = 0, Iterations = 0, Reruns = 0;
   for (auto _ : State) {
@@ -84,7 +60,6 @@ void runSchedule(benchmark::State &State, const std::string &Source,
     DiagnosticEngine Diags;
     const CProgram *P = parseC(Source, Ctx, Diags);
     MixyOptions Opts;
-    Opts.Jobs = 4;
     if (MaxRounds)
       Opts.MaxFixpointIterations = MaxRounds;
     MixyAnalysis Analysis(*P, Ctx, Diags, Opts);
@@ -97,38 +72,19 @@ void runSchedule(benchmark::State &State, const std::string &Source,
   State.counters["block_runs"] = Reruns;
 }
 
-/// The parallel fixpoint on the original E6 chain: late taints, but no
-/// cross-block dependencies.
-void BM_FixpointSchedule(benchmark::State &State) {
-  runSchedule(State, fixpointChain((unsigned)State.range(0)));
+/// The E6 chain: every use-block's error must be found despite the late
+/// constraints.
+void BM_Fixpoint(benchmark::State &State) {
+  runFixpoint(State, fixpointChain((unsigned)State.range(0)));
 }
 
-/// The parallel fixpoint on the deep call chain. The taint may need
-/// ~depth rounds to cross the chain, so the rounds budget scales with
-/// depth — with the default cap a truncated fixpoint would report zero
-/// warnings, which would make the timing meaningless.
+/// The deep call chain (corpus::deepCallChain). The taint needs
+/// depth + 1 rounds to cross the chain, so the rounds budget scales with
+/// depth: with the default cap the run would stop early and report only
+/// the MIX303 budget warning.
 void BM_DeepChainSchedule(benchmark::State &State) {
   unsigned Depth = (unsigned)State.range(0);
-  runSchedule(State, deepCallChain(Depth), 2 * Depth + 8);
-}
-
-void BM_Fixpoint(benchmark::State &State) {
-  unsigned N = (unsigned)State.range(0);
-  std::string Source = fixpointChain(N);
-  unsigned Warnings = 0, Iterations = 0, Reruns = 0;
-  for (auto _ : State) {
-    CAstContext Ctx;
-    DiagnosticEngine Diags;
-    const CProgram *P = parseC(Source, Ctx, Diags);
-    MixyAnalysis Analysis(*P, Ctx, Diags);
-    Warnings = Analysis.run(MixyAnalysis::StartMode::Typed);
-    Iterations = Analysis.stats().FixpointIterations;
-    Reruns = Analysis.stats().SymbolicBlockRuns;
-  }
-  // Every use-block's error must be found despite the late constraints.
-  State.counters["warnings"] = Warnings;
-  State.counters["fixpoint_iters"] = Iterations;
-  State.counters["block_runs"] = Reruns;
+  runFixpoint(State, corpus::deepCallChain(Depth), 2 * Depth + 8);
 }
 
 } // namespace
@@ -138,12 +94,6 @@ BENCHMARK(BM_Fixpoint)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_FixpointSchedule)
-    ->ArgName("n")
-    ->Arg(4)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 

@@ -71,32 +71,6 @@ void BM_Scaling_SymbolicBlocks(benchmark::State &State) {
   State.counters["block_runs"] = BlockRuns;
 }
 
-/// Threads axis: a fixed 8-symbolic-block workload analyzed with
-/// --jobs=N. On multi-core hardware the symbolic blocks of each fixpoint
-/// round run concurrently, so wall time should drop with N until the
-/// round's block count or the core count saturates; on a single hardware
-/// thread the parallel engine only measures its own overhead.
-void BM_Scaling_Threads(benchmark::State &State) {
-  unsigned Jobs = (unsigned)State.range(0);
-  std::string Source =
-      corpus::vsftpdScaled(/*Annotated=*/true, FillerModules, 8);
-  unsigned BlockRuns = 0;
-  for (auto _ : State) {
-    CAstContext Ctx;
-    DiagnosticEngine Diags;
-    const CProgram *P = parseC(Source, Ctx, Diags);
-    MixyOptions Opts;
-    Opts.Jobs = Jobs;
-    MixyAnalysis Analysis(*P, Ctx, Diags, Opts);
-    benchmark::DoNotOptimize(
-        Analysis.run(MixyAnalysis::StartMode::Typed, "filler_main"));
-    BlockRuns = Analysis.stats().SymbolicBlockRuns;
-  }
-  State.counters["jobs"] = Jobs;
-  State.counters["block_runs"] = BlockRuns;
-  State.counters["hw_threads"] = std::thread::hardware_concurrency();
-}
-
 /// Program-size axis: the corpus plus N typed filler modules (three
 /// functions each), no filler blocks. Every iteration parses afresh and
 /// runs MIXY from filler_main; "funcs" counts the defined functions.
@@ -132,12 +106,5 @@ BENCHMARK(BM_Scaling_ProgramSize)
     ->Arg(500)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Scaling_Threads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 MIX_BENCH_MAIN(scaling)

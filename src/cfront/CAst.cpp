@@ -107,27 +107,23 @@ const CType *CAstContext::makeType(CTypeKind Kind, const CType *Inner,
   auto Fresh = std::unique_ptr<const CType>(
       new CType(Kind, Inner, Qual, Struct, std::move(Params)));
   const CType *Ptr = Fresh.get();
-  std::lock_guard<std::mutex> Lock(OwnM);
   OwnedTypes.push_back(std::move(Fresh));
   return Ptr;
 }
 
 const CType *CAstContext::voidType() {
-  std::lock_guard<std::mutex> Lock(SingletonM);
   if (!VoidTy)
     VoidTy = makeType(CTypeKind::Void, nullptr, QualAnnot::None, nullptr, {});
   return VoidTy;
 }
 
 const CType *CAstContext::intType() {
-  std::lock_guard<std::mutex> Lock(SingletonM);
   if (!IntTy)
     IntTy = makeType(CTypeKind::Int, nullptr, QualAnnot::None, nullptr, {});
   return IntTy;
 }
 
 const CType *CAstContext::charType() {
-  std::lock_guard<std::mutex> Lock(SingletonM);
   if (!CharTy)
     CharTy = makeType(CTypeKind::Char, nullptr, QualAnnot::None, nullptr, {});
   return CharTy;

@@ -22,7 +22,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -485,7 +484,6 @@ public:
   template <typename T, typename... Args> T *make(Args &&...As) {
     auto Node = std::make_unique<T>(std::forward<Args>(As)...);
     T *Ptr = Node.get();
-    std::lock_guard<std::mutex> Lock(OwnM);
     Owned.push_back(
         OwnedPtr(Node.release(), [](void *P) { delete static_cast<T *>(P); }));
     return Ptr;
@@ -497,12 +495,6 @@ private:
                         std::vector<const CType *> Params);
 
   using OwnedPtr = std::unique_ptr<void, void (*)(void *)>;
-  /// Concurrent block analyses share the context and allocate types on
-  /// demand (e.g. for lazily initialized cells), so ownership vectors and
-  /// the singleton type slots are guarded. Pointers handed out stay
-  /// stable; only allocation takes the lock.
-  std::mutex OwnM;
-  std::mutex SingletonM;
   std::vector<OwnedPtr> Owned;
   std::vector<std::unique_ptr<const CType>> OwnedTypes;
   const CType *VoidTy = nullptr;

@@ -82,9 +82,9 @@ void CSymExecutor::warn(SourceLoc Loc, const std::string &Message,
     W.Steps = State->Trail;
     const Term *Cond = WitnessCond ? WitnessCond : State->Path;
     // Renumber variables in first-occurrence order: the raw arena indices
-    // depend on how many fresh terms this worker had already allocated,
-    // which varies with the parallel schedule, and the rendered condition
-    // must be byte-identical across --jobs and replay.
+    // depend on how many fresh terms the executor had already allocated,
+    // which varies with cache hits and replay, and the rendered condition
+    // must be byte-identical cold and warm.
     W.PathCondition = smt::normalizedStr(Cond);
     smt::SmtModel Model;
     if (Solver.checkSat(Cond, &Model) == smt::SolveResult::Sat) {

@@ -138,11 +138,12 @@ private:
   OutputFormat Format = OutputFormat::Text;
 };
 
-/// Registers the flags every tool shares in one place, so the CLIs
-/// cannot drift apart: the --jobs parser (stored into \p *Jobs, with
-/// \p JobsHelp as its tool-specific description) and DriverContext's
-/// cross-cutting set (--trace, --metrics, --format, --explain, --stats,
-/// --cache-dir).
+/// Registers the flags of the tools that run work on a pool (mixcheck,
+/// mixyd) in one place, so they cannot drift apart: the --jobs parser
+/// (stored into \p *Jobs, with \p JobsHelp as its tool-specific
+/// description) and DriverContext's cross-cutting set (--trace,
+/// --metrics, --format, --explain, --stats, --cache-dir). mixyc, whose
+/// analysis has no workers, registers only the cross-cutting set.
 void registerCommonOptions(OptionParser &P, DriverContext &Driver,
                            unsigned *Jobs, const std::string &JobsHelp);
 

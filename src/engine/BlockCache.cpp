@@ -15,12 +15,3 @@ std::string BlockCacheStats::str() const {
          " dropped=" + std::to_string(DroppedInserts) +
          " evictions=" + std::to_string(Evictions);
 }
-
-unsigned mix::engine::blockCacheShardsFor(unsigned Workers) {
-  if (Workers <= 1)
-    return 1;
-  unsigned N = 1;
-  while (N < Workers * 4 && N < 256)
-    N <<= 1;
-  return N;
-}

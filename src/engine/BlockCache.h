@@ -54,11 +54,6 @@ struct BlockCacheStats {
   std::string str() const;
 };
 
-/// Number of stripes that keeps contention negligible for \p Workers
-/// concurrent workers (a power of two comfortably above the worker
-/// count).
-unsigned blockCacheShardsFor(unsigned Workers);
-
 /// A mutex-striped map from block calling contexts to block summaries.
 ///
 /// \p Hash only selects the stripe; within a stripe, \p Key's operator<

@@ -38,8 +38,8 @@
 /// keeps the boundary translations, which are the interesting per-domain
 /// code, in the instantiations where the paper puts them.
 ///
-/// The dependency-aware fixpoint scheduler that drives block re-runs
-/// lives next door in engine/Fixpoint.h.
+/// The fixpoint driver that re-runs blocks lives next door in
+/// engine/Fixpoint.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -138,11 +138,9 @@ struct EngineCounters {
 /// The generic mix engine: block cache + block stack + assumption
 /// iteration, parameterized over an AnalysisDomain.
 ///
-/// Thread model: the caches are internally sharded and safe to share;
-/// the block stack is the *caller's* (passed per call), so parallel
-/// drivers hand each worker its own stack — recursion cannot span
-/// threads because a block's nested blocks run on the worker that runs
-/// the block.
+/// Thread model: one engine analyzes blocks on one thread. The block
+/// stack is the *caller's* (passed per call); the caches are striped
+/// internally, but every instantiation builds them with a single stripe.
 template <typename Domain> class MixEngine {
 public:
   using Key = typename Domain::Key;
@@ -167,8 +165,6 @@ public:
     bool EnableCache = true;
     /// Assumption-iteration bound (Section 4.4).
     unsigned MaxRecursionIterations = 8;
-    /// Cache stripes (see blockCacheShardsFor).
-    unsigned Shards = 1;
     obs::MetricsRegistry *Metrics = nullptr;
     /// Counter prefixes of the two caches. MIXY keeps its historical
     /// "mixy.cache.sym." / "mixy.cache.typed." names through these.
@@ -178,11 +174,11 @@ public:
 
   explicit MixEngine(Config C)
       : Cfg(std::move(C)),
-        SymCache(Cfg.Shards, 0, KeyHash(), Cfg.Metrics,
+        SymCache(1, 0, KeyHash(), Cfg.Metrics,
                  Cfg.SymCachePrefix.empty()
                      ? "engine.cache." + std::string(Domain::Name) + ".sym."
                      : Cfg.SymCachePrefix),
-        TypedCache(Cfg.Shards, 0, KeyHash(), Cfg.Metrics,
+        TypedCache(1, 0, KeyHash(), Cfg.Metrics,
                    Cfg.TypedCachePrefix.empty()
                        ? "engine.cache." + std::string(Domain::Name) +
                              ".typed."

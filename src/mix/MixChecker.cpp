@@ -50,7 +50,6 @@ MixChecker::MixChecker(TypeContext &Types, DiagnosticEngine &Diags,
 
 MixChecker::Engine::Config MixChecker::engineConfig(const MixOptions &O) {
   Engine::Config C;
-  C.Shards = engine::blockCacheShardsFor(O.Jobs);
   C.Metrics = O.Metrics;
   return C;
 }

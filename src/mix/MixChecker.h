@@ -163,7 +163,7 @@ private:
   };
   using Engine = engine::MixEngine<EngineDomain>;
 
-  /// The engine configuration implied by \p O (cache sharding, metrics).
+  /// The engine configuration implied by \p O (metrics).
   static Engine::Config engineConfig(const MixOptions &O);
 
   /// Renders Gamma as a stable cache-key signature ("x:int;y:bool;").

@@ -14,46 +14,13 @@
 #include "support/Hash.h"
 #include "support/StringExtras.h"
 
+#include <algorithm>
+
 using namespace mix::c;
 
-namespace {
-/// The WorkerContext of the pool task currently running on this thread,
-/// if any (type-erased so the private nested type stays private).
-thread_local void *ActiveWorkerCtx = nullptr;
-
-/// The typed-switch log of the innermost persistable symbolic block run
-/// on this thread (a std::vector<MixyAnalysis::TypedSwitch>*, type-erased
-/// like ActiveWorkerCtx). Null when the current run is not being
-/// recorded. computeSymOutcome saves and restores it around each block,
-/// so nested blocks log to their own summaries.
-thread_local void *ActiveTypedLog = nullptr;
-} // namespace
-
-/// Everything a pool worker owns privately for the whole analysis: a
-/// term arena and a solver over it, a diagnostics buffer whose per-task
-/// slices are merged in wave-tag order, a symbolic executor bound to all
-/// three, and a recursion stack.
-struct MixyAnalysis::WorkerContext {
-  MixyAnalysis *Owner;
-  smt::TermArena Terms;
-  std::unique_ptr<smt::ISolver> Solver;
-  DiagnosticEngine Diags;
-  CSymExecutor Exec;
-  Engine::BlockStack Stack;
-
-  explicit WorkerContext(MixyAnalysis &A)
-      : Owner(&A),
-        Solver(smt::createBackend(A.Opts.Solver.Backend, Terms, A.Opts.Smt)),
-        Exec(A.Program, A.Ctx, Diags, Terms, *Solver, A.Opts.Sym) {
-    Exec.setTypedCallHook(&A);
-  }
-};
-
 /// Pushes the analysis-level observability sinks down into the nested
-/// option structs so every solver (serial and per-worker) reports into
-/// the same registry/trace, and attaches the persistent query store (if
-/// any) the same way — every solver is built from Smt, so one assignment
-/// covers the serial solver and all workers.
+/// option structs so the solver reports into the same registry/trace,
+/// and attaches the persistent query store (if any) the same way.
 static MixyOptions normalizedOptions(MixyOptions O) {
   O.Smt.Metrics = O.Metrics;
   O.Smt.Trace = O.Trace;
@@ -96,7 +63,6 @@ MixyAnalysis::Engine::Config MixyAnalysis::engineConfig(const MixyOptions &O) {
   Engine::Config C;
   C.EnableCache = O.EnableCache;
   C.MaxRecursionIterations = O.MaxRecursionIterations;
-  C.Shards = blockCacheShardsFor(O.Jobs);
   C.Metrics = O.Metrics;
   // Historical counter names predate the shared engine; keep them.
   C.SymCachePrefix = "mixy.cache.sym.";
@@ -120,11 +86,6 @@ MixyAnalysis::MixyAnalysis(const CProgram &Program, CAstContext &Ctx,
 
 MixyAnalysis::~MixyAnalysis() = default;
 
-void MixyAnalysis::bumpStat(unsigned MixyStats::*Field) {
-  std::lock_guard<std::mutex> Lock(StatsM);
-  ++(Statistics.*Field);
-}
-
 void MixyAnalysis::publishStats() {
   obs::MetricsRegistry *M = Opts.Metrics;
   if (!M)
@@ -137,7 +98,6 @@ void MixyAnalysis::publishStats() {
     if (V > Cur)
       C.add(V - Cur);
   };
-  std::lock_guard<std::mutex> Lock(StatsM);
   Publish("mixy.sym_block_runs", Statistics.SymbolicBlockRuns);
   Publish("mixy.sym_cache_hits", Statistics.SymbolicCacheHits);
   Publish("mixy.typed_block_runs", Statistics.TypedBlockRuns);
@@ -148,10 +108,10 @@ void MixyAnalysis::publishStats() {
   Publish("mixy.recursions", Statistics.RecursionsDetected);
 }
 
-// === dependency edges (persist closures + worklist site graph) ===============
+// === dependency edges (persist closures) =====================================
 
 std::map<const CFuncDecl *, std::vector<const CFuncDecl *>>
-MixyAnalysis::dependencyEdges(bool &SawIndirect) {
+MixyAnalysis::dependencyEdges() {
   // A block's result depends on its callees (direct call graph; indirect
   // calls conservatively reach every defined function, mirroring
   // typedRegionFrom) and on its qualifier-alias neighbors:
@@ -159,7 +119,7 @@ MixyAnalysis::dependencyEdges(bool &SawIndirect) {
   // class, so an edit to one such function can shift another's calling
   // context.
   std::map<const CFuncDecl *, std::vector<const CFuncDecl *>> Deps;
-  SawIndirect = false;
+  bool SawIndirect = false;
   for (const CFuncDecl *F : Program.funcs()) {
     if (!F->isDefined())
       continue;
@@ -216,9 +176,7 @@ void MixyAnalysis::initPersist() {
       Content[F] = persist::functionContentHash(*F);
   uint64_t Env = persist::environmentHash(Program);
 
-  bool SawIndirect = false;
-  FuncClosure =
-      persist::closureHashes(Content, dependencyEdges(SawIndirect), Env);
+  FuncClosure = persist::closureHashes(Content, dependencyEdges(), Env);
 
   // Manifest bookkeeping: record this run's hashes and, in incremental
   // mode, diff against the previous run's to report how much of the
@@ -366,15 +324,14 @@ void MixyAnalysis::storeBlockSummary(
     uint64_t PKey, const SymOutcome &Outcome,
     const std::vector<Diagnostic> &Slice,
     const std::vector<TypedSwitch> &Switches) {
-  // Read-merge-write under a lock: a parallel run can evaluate the same
-  // calling context on two workers against different snapshots of the
-  // shared qualifier state, and each evaluation's outcome is a valid
+  // Read-merge-write: a run without the block cache can evaluate the
+  // same calling context twice against different states of the shared
+  // qualifier graph, and each evaluation's outcome is a valid
   // under-approximation of what the fixpoint ultimately applied. The
   // qualifier graph received the union of the seedings, so the summary a
   // warm run replays must be the union too — every fact here is a
   // monotone may-be-null bit, so merging is an OR and reaches the same
   // least fixpoint.
-  std::lock_guard<std::mutex> Lock(PersistStoreM);
   SymOutcome MergedOutcome = Outcome;
   std::vector<Diagnostic> MergedSlice = Slice;
   std::vector<TypedSwitch> MergedSwitches = Switches;
@@ -443,19 +400,14 @@ bool MixyAnalysis::switchesResolvable(
 }
 
 void MixyAnalysis::replayTypedSwitches(
-    const std::vector<TypedSwitch> &Switches, ExecContext C) {
+    const std::vector<TypedSwitch> &Switches) {
   for (const TypedSwitch &S : Switches) {
     BlockKey Key;
     Key.Symbolic = false;
     Key.F = Program.findFunc(S.Callee);
     Key.Params = S.Params;
     Key.Globals = S.Globals;
-    // Same serialization as a live sym-to-typed switch: the typed block
-    // runs against the shared qualifier graph.
-    std::unique_lock<std::recursive_mutex> Lock(QualM, std::defer_lock);
-    if (parallel())
-      Lock.lock();
-    computeTypedRet(Key, S.Loc, C);
+    computeTypedRet(Key, S.Loc);
   }
 }
 
@@ -545,7 +497,7 @@ void MixyAnalysis::collectCallees(const CStmt *S,
   }
 }
 
-std::set<const CFuncDecl *>
+std::vector<const CFuncDecl *>
 MixyAnalysis::typedRegionFrom(const CFuncDecl *Entry) {
   // BFS over the call graph, stopping at the MIX(symbolic) frontier.
   std::set<const CFuncDecl *> Region;
@@ -572,7 +524,15 @@ MixyAnalysis::typedRegionFrom(const CFuncDecl *Entry) {
       if (F->isDefined() && F->mixAnnot() != MixAnnot::Symbolic)
         Region.insert(F);
   }
-  return Region;
+  // Declaration order: every function has its own position in the one
+  // parsed file, so sorting by location reproduces Program.funcs() order
+  // without a pass over the whole program per typed block.
+  std::vector<const CFuncDecl *> Ordered(Region.begin(), Region.end());
+  std::sort(Ordered.begin(), Ordered.end(),
+            [](const CFuncDecl *A, const CFuncDecl *B) {
+              return A->loc() < B->loc();
+            });
+  return Ordered;
 }
 
 // === context computation (Sections 4.1 / 4.3) ================================
@@ -629,55 +589,10 @@ QualVec MixyAnalysis::freshQuals(const CType *Ty,
   return Out;
 }
 
-// === parallel-engine plumbing ================================================
-
-MixyAnalysis::WorkerContext &MixyAnalysis::workerContext() {
-  int W = Pool->currentWorker();
-  std::lock_guard<std::mutex> Lock(SlotsM);
-  std::unique_ptr<WorkerContext> &Slot = WorkerSlots[(size_t)W];
-  if (!Slot)
-    Slot = std::make_unique<WorkerContext>(*this);
-  return *Slot;
-}
-
-MixyAnalysis::ExecContext MixyAnalysis::currentContext() {
-  auto *W = static_cast<WorkerContext *>(ActiveWorkerCtx);
-  if (W && W->Owner == this)
-    return ExecContext{W->Exec, W->Diags, W->Stack};
-  return ExecContext{Exec, Diags, BlockStack};
-}
-
-void MixyAnalysis::mergeRoundDiagnostics(
-    const std::vector<std::vector<Diagnostic>> &Per) {
-  // Append in round-task order (deterministic: tasks are keyed by the
-  // round's distinct-context list, not by which worker ran them). Each
-  // worker executor already deduplicates its own warnings; the set below
-  // extends that across workers with the same location|message key.
-  for (const std::vector<Diagnostic> &Slice : Per) {
-    bool DropNotes = false;
-    for (const Diagnostic &D : Slice) {
-      if (D.Kind == DiagKind::Warning) {
-        std::string Key = D.Loc.str() + "|" + D.Message;
-        DropNotes = !MergedWarnings.insert(Key).second;
-        if (DropNotes)
-          continue;
-      } else if (D.Kind == DiagKind::Note && DropNotes) {
-        continue; // notes ride with the warning that owned them
-      } else {
-        DropNotes = false;
-      }
-      size_t Idx = Diags.report(D.Kind, D.Loc, D.Message, D.ID);
-      if (D.Prov)
-        Diags.attachProvenance(Idx, D.Prov);
-    }
-  }
-}
-
 // === symbolic blocks (typed -> symbolic -> typed) ===========================
 
 MixyAnalysis::SymOutcome
-MixyAnalysis::translateResult(const CFuncDecl *F, const CSymResult &Result,
-                              CSymExecutor &WithExec) {
+MixyAnalysis::translateResult(const CFuncDecl *F, const CSymResult &Result) {
   // "From Symbolic Values to Types": for each caller-visible pointer slot,
   // ask whether g and (s = 0) is satisfiable and record null if so.
   SymOutcome Outcome;
@@ -685,7 +600,7 @@ MixyAnalysis::translateResult(const CFuncDecl *F, const CSymResult &Result,
 
   for (const CSymResult::PathOut &P : Result.Paths) {
     if (P.Returned && F->returnType()->isPointer() && P.Ret.isPtr() &&
-        WithExec.mayBeNull(P.Path, P.Ret))
+        Exec.mayBeNull(P.Path, P.Ret))
       Outcome.RetMayBeNull = true;
 
     for (size_t I = 0; I != F->params().size(); ++I) {
@@ -695,16 +610,15 @@ MixyAnalysis::translateResult(const CFuncDecl *F, const CSymResult &Result,
       if (Pointee == NoLoc)
         continue;
       auto Cell = CSymExecutor::finalCell(P, Pointee, "");
-      if (Cell && Cell->isPtr() && WithExec.mayBeNull(P.Path, *Cell))
+      if (Cell && Cell->isPtr() && Exec.mayBeNull(P.Path, *Cell))
         Outcome.ParamPointeeMayBeNull[I] = true;
     }
 
     for (const CGlobalDecl *G : Program.globals()) {
       if (!G->type()->isPointer())
         continue;
-      auto Cell =
-          CSymExecutor::finalCell(P, WithExec.globalLoc(G->name()), "");
-      if (Cell && Cell->isPtr() && WithExec.mayBeNull(P.Path, *Cell))
+      auto Cell = CSymExecutor::finalCell(P, Exec.globalLoc(G->name()), "");
+      if (Cell && Cell->isPtr() && Exec.mayBeNull(P.Path, *Cell))
         Outcome.GlobalMayBeNull[G->name()] = true;
     }
   }
@@ -712,7 +626,7 @@ MixyAnalysis::translateResult(const CFuncDecl *F, const CSymResult &Result,
 }
 
 MixyAnalysis::SymOutcome
-MixyAnalysis::computeSymOutcome(const BlockKey &Key, ExecContext C) {
+MixyAnalysis::computeSymOutcome(const BlockKey &Key) {
   bool Persistable = PersistBlocks && FuncClosure.count(Key.F) != 0;
   uint64_t PKey = Persistable ? stableBlockKey(Key) : 0;
 
@@ -725,16 +639,12 @@ MixyAnalysis::computeSymOutcome(const BlockKey &Key, ExecContext C) {
   std::optional<obs::PhaseTimer> Timer;
   size_t DiagsBefore = 0;
   std::vector<TypedSwitch> SwitchLog;
-  void *PrevLog = nullptr;
+  std::vector<TypedSwitch> *PrevLog = nullptr;
 
   engine::RunHooks<SymOutcome> H;
-  H.OnCacheHit = [&](const SymOutcome &) {
-    bumpStat(&MixyStats::SymbolicCacheHits);
-  };
-  // Recursion cut-off (Section 4.4) — detected on this thread's stack;
-  // recursion cannot span threads, since a block's nested blocks run on
-  // the worker that runs the block.
-  H.OnRecursion = [&] { bumpStat(&MixyStats::RecursionsDetected); };
+  H.OnCacheHit = [&](const SymOutcome &) { ++Statistics.SymbolicCacheHits; };
+  // Recursion cut-off (Section 4.4), detected on the block stack.
+  H.OnRecursion = [&] { ++Statistics.RecursionsDetected; };
   // Persistent replay (src/persist/). The stable key embeds the
   // function's dependency-closure hash, so entries written before an
   // edit anywhere in this block's dependency cone can never match.
@@ -753,17 +663,16 @@ MixyAnalysis::computeSymOutcome(const BlockKey &Key, ExecContext C) {
           !switchesResolvable(Switches))
         return std::nullopt;
       // Replay the stored run's diagnostics through the executor's
-      // warning dedup, mirroring mergeRoundDiagnostics: a warning this
-      // context already saw is dropped along with its notes, so warm
-      // output matches cold output byte for byte. The slice replays
-      // first (it carries the cold emission order, including nested
-      // blocks' warnings); the typed switches after it re-seed the
-      // qualifier graph, and any diagnostics their nested replays
-      // surface deduplicate against the slice.
+      // warning dedup: a warning this run already saw is dropped along
+      // with its notes, so warm output matches cold output byte for
+      // byte. The slice replays first (it carries the cold emission
+      // order, including nested blocks' warnings); the typed switches
+      // after it re-seed the qualifier graph, and any diagnostics their
+      // nested replays surface deduplicate against the slice.
       bool DropNotes = false;
       for (const Diagnostic &D : Slice) {
         if (D.Kind == DiagKind::Warning) {
-          DropNotes = !C.Exec.tryMarkWarningEmitted(D.Loc, D.Message);
+          DropNotes = !Exec.tryMarkWarningEmitted(D.Loc, D.Message);
           if (DropNotes)
             continue;
         } else if (D.Kind == DiagKind::Note && DropNotes) {
@@ -771,18 +680,18 @@ MixyAnalysis::computeSymOutcome(const BlockKey &Key, ExecContext C) {
         } else {
           DropNotes = false;
         }
-        size_t Idx = C.Diags.report(D.Kind, D.Loc, D.Message, D.ID);
+        size_t Idx = Diags.report(D.Kind, D.Loc, D.Message, D.ID);
         // Re-attach the recorded explanation verbatim — including the
         // disposition the cold run stamped — so --explain output is
         // byte-identical cold vs. warm; only the replay counter tells
         // the runs apart.
         if (D.Prov) {
-          C.Diags.attachProvenance(Idx, D.Prov);
+          Diags.attachProvenance(Idx, D.Prov);
           if (Opts.Prov)
             Opts.Prov->countReplay();
         }
       }
-      replayTypedSwitches(Switches, C);
+      replayTypedSwitches(Switches);
       return Outcome;
     };
   H.Init = [&] {
@@ -795,16 +704,16 @@ MixyAnalysis::computeSymOutcome(const BlockKey &Key, ExecContext C) {
     Span.emplace(Opts.Trace, "mixy.block.sym", "mixy");
     if (Opts.Trace)
       Span->setArgs("{\"function\": \"" + jsonEscape(Key.F->name()) + "\"}");
-    DiagsBefore = C.Diags.size();
+    DiagsBefore = Diags.size();
     // Nested blocks save and restore the log slot so each run logs only
     // its own switches.
     PrevLog = ActiveTypedLog;
     ActiveTypedLog = Persistable ? &SwitchLog : nullptr;
   };
-  H.OnIteration = [&](unsigned) { bumpStat(&MixyStats::SymbolicBlockRuns); };
+  H.OnIteration = [&](unsigned) { ++Statistics.SymbolicBlockRuns; };
   H.Eval = [&] {
-    CSymResult Result = C.Exec.runFunction(Key.F, Key.Params, Key.Globals);
-    return translateResult(Key.F, Result, C.Exec);
+    return translateResult(Key.F,
+                           Exec.runFunction(Key.F, Key.Params, Key.Globals));
   };
   H.OnEvalEnd = [&](const SymOutcome &Outcome) {
     ActiveTypedLog = PrevLog;
@@ -812,15 +721,15 @@ MixyAnalysis::computeSymOutcome(const BlockKey &Key, ExecContext C) {
     if (Opts.Prov) {
       // Stamp every diagnostic this run emitted with the block stack that
       // was live while it ran (the engine has already popped this block,
-      // so C.Stack is the enclosing context). Nested block runs already
+      // so BlockStack is the enclosing context). Nested block runs already
       // stamped their own (deeper) stack and are left alone; notes
       // inherit their parent's context implicitly.
       std::vector<std::string> StackNames;
-      for (const Engine::StackEntry &E : C.Stack)
+      for (const Engine::StackEntry &E : BlockStack)
         StackNames.push_back(E.K.F->name() +
                              (E.Symbolic ? " [symbolic]" : " [typed]"));
       StackNames.push_back(Key.F->name() + " [symbolic]");
-      const std::vector<Diagnostic> &All = C.Diags.diagnostics();
+      const std::vector<Diagnostic> &All = Diags.diagnostics();
       for (size_t I = DiagsBefore; I != All.size(); ++I) {
         const Diagnostic &D = All[I];
         if (D.Kind == DiagKind::Note)
@@ -831,20 +740,20 @@ MixyAnalysis::computeSymOutcome(const BlockKey &Key, ExecContext C) {
             D.Prov ? *D.Prov : prov::DiagProvenance());
         P->Block.Stack = StackNames;
         P->Block.Disposition = prov::BlockDisposition::Fresh;
-        C.Diags.attachProvenance(I, std::move(P));
+        Diags.attachProvenance(I, std::move(P));
         Opts.Prov->countBlock();
       }
     }
 
     if (Persistable) {
-      const std::vector<Diagnostic> &All = C.Diags.diagnostics();
+      const std::vector<Diagnostic> &All = Diags.diagnostics();
       std::vector<Diagnostic> Slice(All.begin() + (long)DiagsBefore,
                                     All.end());
       storeBlockSummary(PKey, Outcome, Slice, SwitchLog);
     }
   };
 
-  return Eng.runSymbolic(Key, C.Stack, H);
+  return Eng.runSymbolic(Key, BlockStack, H);
 }
 
 void MixyAnalysis::restoreAliasing(const CFuncDecl *Callee) {
@@ -910,39 +819,7 @@ bool MixyAnalysis::handleSymbolicCall(QualInference &Inference,
     return false;
   (void)Inference;
 
-  if (parallel()) {
-    auto *W = static_cast<WorkerContext *>(ActiveWorkerCtx);
-    if (!W || W->Owner != this) {
-      // Main thread, during constraint generation: defer the block to the
-      // fixpoint. The fresh, unconstrained result qualifiers are exactly
-      // the paper's optimism ("we first optimistically assume it is
-      // nonnull", Section 4.1); the fixpoint loop evaluates the block and
-      // seeds the constraints it missed.
-      std::lock_guard<std::recursive_mutex> Lock(QualM);
-      bumpStat(&MixyStats::SymbolicCallsFromTyped);
-      RetQuals = freshQuals(Callee->returnType(),
-                            "symbolic call " + Callee->name(), Call->loc());
-      SymCallSites.push_back({Call, Callee, ArgQuals, RetQuals, BlockKey()});
-      return true;
-    }
-    // Worker thread: a typed block nested inside a symbolic block hit the
-    // symbolic frontier again. Run it synchronously on this worker's
-    // context; the caller (callTypedFunction) already holds QualM.
-    bumpStat(&MixyStats::SymbolicCallsFromTyped);
-    BlockKey Key;
-    Key.Symbolic = true;
-    Key.F = Callee;
-    Key.Params = paramSeedsFromArgQuals(Callee, ArgQuals);
-    Key.Globals = globalSeedsFromQuals();
-    RetQuals = freshQuals(Callee->returnType(),
-                          "symbolic call " + Callee->name(), Call->loc());
-    SymOutcome Outcome = computeSymOutcome(Key, currentContext());
-    applySymOutcome(Outcome, Call, Callee, ArgQuals, RetQuals);
-    SymCallSites.push_back({Call, Callee, ArgQuals, RetQuals, Key});
-    return true;
-  }
-
-  bumpStat(&MixyStats::SymbolicCallsFromTyped);
+  ++Statistics.SymbolicCallsFromTyped;
 
   BlockKey Key;
   Key.Symbolic = true;
@@ -953,7 +830,7 @@ bool MixyAnalysis::handleSymbolicCall(QualInference &Inference,
   RetQuals = freshQuals(Callee->returnType(),
                         "symbolic call " + Callee->name(), Call->loc());
 
-  SymOutcome Outcome = computeSymOutcome(Key, currentContext());
+  SymOutcome Outcome = computeSymOutcome(Key);
   applySymOutcome(Outcome, Call, Callee, ArgQuals, RetQuals);
 
   // Remember the site for the fixpoint loop (Section 4.1).
@@ -963,21 +840,20 @@ bool MixyAnalysis::handleSymbolicCall(QualInference &Inference,
 
 // === typed blocks (symbolic -> typed -> symbolic) ===========================
 
-bool MixyAnalysis::computeTypedRet(const BlockKey &Key, SourceLoc CallLoc,
-                                   ExecContext C) {
+bool MixyAnalysis::computeTypedRet(const BlockKey &Key, SourceLoc CallLoc) {
   std::optional<obs::TraceSpan> Span;
   std::optional<obs::PhaseTimer> Timer;
 
   engine::RunHooks<bool> H;
-  H.OnCacheHit = [&](const bool &) { bumpStat(&MixyStats::TypedCacheHits); };
-  H.OnRecursion = [&] { bumpStat(&MixyStats::RecursionsDetected); };
+  H.OnCacheHit = [&](const bool &) { ++Statistics.TypedCacheHits; };
+  H.OnRecursion = [&] { ++Statistics.RecursionsDetected; };
   H.OnEvalBegin = [&] {
     Timer.emplace(Opts.Telemetry, obs::Phase::BlockExec);
     Span.emplace(Opts.Trace, "mixy.block.typed", "mixy");
     if (Opts.Trace)
       Span->setArgs("{\"function\": \"" + jsonEscape(Key.F->name()) + "\"}");
   };
-  H.OnIteration = [&](unsigned) { bumpStat(&MixyStats::TypedBlockRuns); };
+  H.OnIteration = [&](unsigned) { ++Statistics.TypedBlockRuns; };
   H.Eval = [&] {
     // Run qualifier inference over the typed region rooted here; nested
     // MIX(symbolic) frontier calls re-enter handleSymbolicCall.
@@ -1008,7 +884,7 @@ bool MixyAnalysis::computeTypedRet(const BlockKey &Key, SourceLoc CallLoc,
     return !RQ.empty() && Qual.mayBeNull(RQ[0]);
   };
 
-  return Eng.runTyped(Key, C.Stack, H);
+  return Eng.runTyped(Key, BlockStack, H);
 }
 
 bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
@@ -1016,14 +892,13 @@ bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
                                      const CFuncDecl *Callee,
                                      const std::vector<CSymValue> &Args,
                                      CSymValue &RetOut) {
-  bumpStat(&MixyStats::TypedCallsFromSymbolic);
+  ++Statistics.TypedCallsFromSymbolic;
 
   BlockKey Key;
   Key.Symbolic = false;
   Key.F = Callee;
   // The calling context from symbolic values: solver queries per pointer
-  // argument and per pointer global present in the store. These touch
-  // only the calling executor's own state — no lock needed yet.
+  // argument and per pointer global present in the store.
   for (size_t I = 0; I != Callee->params().size(); ++I) {
     bool MayNull = I < Args.size() && Args[I].isPtr() &&
                    Exec2.mayBeNull(State.Path, Args[I]);
@@ -1043,17 +918,11 @@ bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
   // Record the switch for the enclosing block's persistent summary (null
   // slot when the run is not being recorded): a warm replay re-seeds the
   // same qualifier constraints this switch is about to.
-  if (auto *Log = static_cast<std::vector<TypedSwitch> *>(ActiveTypedLog))
-    Log->push_back({Callee->name(), Key.Params, Key.Globals, Call->loc()});
+  if (ActiveTypedLog)
+    ActiveTypedLog->push_back(
+        {Callee->name(), Key.Params, Key.Globals, Call->loc()});
 
-  // The typed block runs against the shared qualifier graph; in parallel
-  // mode every such touch is serialized (recursively — typed and symbolic
-  // blocks nest through the hooks).
-  std::unique_lock<std::recursive_mutex> Lock(QualM, std::defer_lock);
-  if (parallel())
-    Lock.lock();
-
-  bool RetMayBeNull = computeTypedRet(Key, Call->loc(), currentContext());
+  bool RetMayBeNull = computeTypedRet(Key, Call->loc());
 
   // Re-entering symbolic execution: memory is havocked ("symbolic blocks
   // are forced to start with a fresh memory when switching from typed
@@ -1071,9 +940,6 @@ bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
     State.Store.set({Exec2.globalLoc(G->name()), ""},
                     Exec2.seededPointer(G->type(), Seed, G->name()));
   }
-
-  if (Lock.owns_lock())
-    Lock.unlock();
 
   if (Callee->returnType()->isPointer())
     RetOut = Exec2.seededPointer(Callee->returnType(),
@@ -1103,8 +969,7 @@ unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
   if (Mode == StartMode::Symbolic ||
       EntryFunc->mixAnnot() == MixAnnot::Symbolic) {
     // Begin in symbolic mode: execute the entry function; typed frontier
-    // calls switch through callTypedFunction. A single symbolic block has
-    // no sibling blocks to farm out, so this path is always serial.
+    // calls switch through callTypedFunction.
     ++Statistics.SymbolicBlockRuns;
     {
       obs::PhaseTimer Timer(Opts.Telemetry, obs::Phase::BlockExec);
@@ -1121,9 +986,6 @@ unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
     return Diags.warningCount();
   }
 
-  if (parallel())
-    return runTypedParallel(EntryFunc);
-
   // Begin in typed mode: qualifier inference over the region reachable
   // from the entry, with symbolic frontier calls via handleSymbolicCall.
   Qual.analyzeGlobals();
@@ -1132,8 +994,8 @@ unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
 
   // Fixpoint (Section 4.1): re-run symbolic blocks whose calling context
   // changed as constraints accumulated, until nothing changes. The
-  // engine driver's serial schedule is the historical Gauss-Seidel loop:
-  // each site's evaluation sees every earlier one's effects.
+  // engine driver's Gauss-Seidel loop lets each site's evaluation see
+  // every earlier one's effects.
   engine::FixpointConfig FC;
   FC.MaxRounds = Opts.MaxFixpointIterations;
   FC.Trace = Opts.Trace;
@@ -1147,18 +1009,26 @@ unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
   CB.NumSites = [&] { return SymCallSites.size(); };
   CB.OnRoundBegin = [&](unsigned) { Qual.solve(); };
   CB.Refresh = [&](size_t I) { return refreshSite(I); };
-  CB.EvaluateWave = [&](const std::vector<size_t> &Sites, uint64_t) {
-    for (size_t I : Sites) {
-      // Copy the key before evaluating: a nested frontier call can grow
-      // SymCallSites and invalidate references into it.
-      BlockKey Key = SymCallSites[I].LastKey;
-      SymOutcome Outcome = computeSymOutcome(Key, currentContext());
-      SymCallSite &Site = SymCallSites[I];
-      applySymOutcome(Outcome, Site.Call, Site.Callee, Site.ArgQuals,
-                      Site.RetQuals);
-    }
+  CB.Evaluate = [&](size_t I) {
+    // Copy the key before evaluating: a nested frontier call can grow
+    // SymCallSites and invalidate references into it.
+    BlockKey Key = SymCallSites[I].LastKey;
+    SymOutcome Outcome = computeSymOutcome(Key);
+    SymCallSite &Site = SymCallSites[I];
+    applySymOutcome(Outcome, Site.Call, Site.Callee, Site.ArgQuals,
+                    Site.RetQuals);
   };
-  Statistics.FixpointIterations += Driver.runSerial(CB);
+  engine::FixpointResult Fix = Driver.run(CB);
+  Statistics.FixpointIterations += Fix.Rounds;
+  // A fixpoint cut off by the round cap can miss null flows that had not
+  // yet reached their sink, so a truncated run must not pass as clean.
+  if (!Fix.Converged)
+    Diags.warning(EntryFunc->loc(),
+                  "fixpoint budget exhausted: calling contexts still "
+                  "changed after " +
+                      std::to_string(Opts.MaxFixpointIterations) +
+                      " rounds, so warnings may be missing",
+                  DiagID::ExecBudget);
 
   Qual.solve();
   Qual.reportWarnings();
@@ -1167,308 +1037,14 @@ unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
 }
 
 bool MixyAnalysis::refreshSite(size_t I) {
-  // The worklist schedule refreshes sites from pool workers; every touch
-  // of the site table and the qualifier graph (the seed computations
-  // solve it) is serialized. Uncontended in the serial schedule, where
-  // only one thread refreshes.
-  std::lock_guard<std::recursive_mutex> Lock(QualM);
   SymCallSite &Site = SymCallSites[I];
   BlockKey Key;
   Key.Symbolic = true;
   Key.F = Site.Callee;
   Key.Params = paramSeedsFromArgQuals(Site.Callee, Site.ArgQuals);
   Key.Globals = globalSeedsFromQuals();
-  if (Site.LastKey.F && Key == Site.LastKey)
+  if (Key == Site.LastKey)
     return false;
   Site.LastKey = Key;
   return true;
-}
-
-void MixyAnalysis::evaluateWave(const std::vector<size_t> &Sites,
-                                uint64_t Tag) {
-  // Distinct calling contexts of the wave, in site order (two sites with
-  // the same context share one evaluation — and one diagnostics slice,
-  // like one cache entry).
-  std::vector<BlockKey> Keys;
-  std::vector<std::pair<size_t, size_t>> Apply; // (site, key index)
-  {
-    // Other SCCs' workers may be touching the site table.
-    std::lock_guard<std::recursive_mutex> Lock(QualM);
-    for (size_t I : Sites) {
-      const BlockKey &Key = SymCallSites[I].LastKey;
-      size_t KeyIdx = 0;
-      while (KeyIdx != Keys.size() && !(Keys[KeyIdx] == Key))
-        ++KeyIdx;
-      if (KeyIdx == Keys.size())
-        Keys.push_back(Key);
-      Apply.push_back({I, KeyIdx});
-    }
-  }
-
-  // Evaluate the wave. Results are carried out of the tasks directly
-  // (not via the cache, which may be disabled) and diagnostics are
-  // collected per task so their merge order is independent of worker
-  // scheduling.
-  std::vector<SymOutcome> Outcomes(Keys.size());
-  std::vector<std::vector<Diagnostic>> Slices(Keys.size());
-  Pool->parallelFor(Keys.size(), [&](size_t K) {
-    WorkerContext &W = workerContext();
-    void *Prev = ActiveWorkerCtx;
-    ActiveWorkerCtx = &W;
-    size_t Before = W.Diags.size();
-    Outcomes[K] =
-        computeSymOutcome(Keys[K], ExecContext{W.Exec, W.Diags, W.Stack});
-    const std::vector<Diagnostic> &All = W.Diags.diagnostics();
-    Slices[K].assign(All.begin() + (long)Before, All.end());
-    ActiveWorkerCtx = Prev;
-  });
-
-  // SCCs finish in timing-dependent order, so stash the slices under the
-  // deterministic wave tag; runTypedParallel merges them in tag order
-  // once the driver returns.
-  {
-    std::lock_guard<std::mutex> Lock(WaveM);
-    WaveDiags.emplace(Tag, std::move(Slices));
-  }
-
-  // Apply summaries in site order.
-  {
-    std::lock_guard<std::recursive_mutex> Lock(QualM);
-    for (const auto &[SiteIdx, KeyIdx] : Apply) {
-      SymCallSite &Site = SymCallSites[SiteIdx];
-      applySymOutcome(Outcomes[KeyIdx], Site.Call, Site.Callee,
-                      Site.ArgQuals, Site.RetQuals);
-    }
-  }
-}
-
-bool MixyAnalysis::writesPointerGlobal(
-    const CStmt *S, const std::set<std::string> &PtrGlobals) {
-  if (!S)
-    return false;
-  std::vector<const CExpr *> Exprs;
-  switch (S->kind()) {
-  case CStmtKind::Expr:
-    Exprs.push_back(cast<CExprStmt>(S)->expr());
-    break;
-  case CStmtKind::Decl:
-    if (cast<CDeclStmt>(S)->init())
-      Exprs.push_back(cast<CDeclStmt>(S)->init());
-    break;
-  case CStmtKind::If: {
-    const auto *I = cast<CIfStmt>(S);
-    Exprs.push_back(I->cond());
-    if (writesPointerGlobal(I->thenStmt(), PtrGlobals) ||
-        writesPointerGlobal(I->elseStmt(), PtrGlobals))
-      return true;
-    break;
-  }
-  case CStmtKind::While: {
-    const auto *W = cast<CWhileStmt>(S);
-    Exprs.push_back(W->cond());
-    if (writesPointerGlobal(W->body(), PtrGlobals))
-      return true;
-    break;
-  }
-  case CStmtKind::Return:
-    if (cast<CReturnStmt>(S)->value())
-      Exprs.push_back(cast<CReturnStmt>(S)->value());
-    break;
-  case CStmtKind::Block:
-    for (const CStmt *Sub : cast<CBlockStmt>(S)->stmts())
-      if (writesPointerGlobal(Sub, PtrGlobals))
-        return true;
-    break;
-  }
-
-  while (!Exprs.empty()) {
-    const CExpr *E = Exprs.back();
-    Exprs.pop_back();
-    switch (E->kind()) {
-    case CExprKind::Assign: {
-      const auto *A = cast<CAssign>(E);
-      const CExpr *Target = A->target();
-      if (Target->kind() == CExprKind::Ident) {
-        // Direct store to a named variable: a write only when the name
-        // is a pointer global (a shadowing local over-approximates).
-        if (PtrGlobals.count(cast<CIdent>(Target)->name()))
-          return true;
-      } else {
-        // Indirect store (*p = ..., p->f = ...): may hit anything.
-        return true;
-      }
-      Exprs.push_back(A->value());
-      break;
-    }
-    case CExprKind::Call: {
-      const auto *Call = cast<CCall>(E);
-      Exprs.push_back(Call->callee());
-      for (const CExpr *Arg : Call->args())
-        Exprs.push_back(Arg);
-      break;
-    }
-    case CExprKind::Unary:
-      Exprs.push_back(cast<CUnary>(E)->sub());
-      break;
-    case CExprKind::Binary:
-      Exprs.push_back(cast<CBinary>(E)->lhs());
-      Exprs.push_back(cast<CBinary>(E)->rhs());
-      break;
-    case CExprKind::Member:
-      Exprs.push_back(cast<CMember>(E)->base());
-      break;
-    case CExprKind::Cast:
-      Exprs.push_back(cast<CCast>(E)->sub());
-      break;
-    default:
-      break;
-    }
-  }
-  return false;
-}
-
-std::vector<std::pair<size_t, size_t>> MixyAnalysis::buildSiteGraph() {
-  // Called once from the coordinator before any worker starts, so the
-  // site table is stable. An edge i -> j means "re-evaluating site i may
-  // change site j's calling context". Contexts are built from two
-  // sources — the argument qualifiers at the site and the pointer
-  // globals' qualifiers — so i influences j when i's summary can move
-  // either. Precision is best-effort: the driver's validation sweep
-  // reaches the least fixpoint even where these edges under-approximate,
-  // and over-approximation only costs parallelism (an all-to-all graph
-  // collapses to one SCC, iterated in plain Jacobi rounds).
-  std::vector<std::pair<size_t, size_t>> Edges;
-  size_t N = SymCallSites.size();
-  if (N < 2)
-    return Edges;
-
-  std::set<std::string> PtrGlobals;
-  for (const CGlobalDecl *G : Program.globals())
-    if (G->type()->isPointer())
-      PtrGlobals.insert(G->name());
-  bool AnyPtrGlobal = !PtrGlobals.empty();
-
-  // Alias coupling (Section 4.2): applySymOutcome ends every summary
-  // application with restoreAliasing, which unifies the pointee classes
-  // of all pointer globals; when such a class holds two or more
-  // variables the unification can move qualifiers far from the site.
-  bool AliasCoupling = false;
-  if (Opts.RestoreAliasing && AnyPtrGlobal) {
-    for (const CGlobalDecl *G : Program.globals()) {
-      if (!G->type()->isPointer())
-        continue;
-      PointsToAnalysis::CellId Target =
-          PtrAnal.pointsTo(PtrAnal.cellOfVar(nullptr, G->name()));
-      if (Target != PointsToAnalysis::NoCell &&
-          PtrAnal.variablesInClass(Target).size() >= 2) {
-        AliasCoupling = true;
-        break;
-      }
-    }
-  }
-
-  bool SawIndirect = false;
-  std::map<const CFuncDecl *, std::vector<const CFuncDecl *>> Deps =
-      dependencyEdges(SawIndirect);
-  std::set<const CFuncDecl *> Writers;
-  for (const auto &[F, D] : Deps) {
-    (void)D;
-    if (F && writesPointerGlobal(F->body(), PtrGlobals))
-      Writers.insert(F);
-  }
-
-  // Does anything reachable from F (symbolically executed unmarked
-  // callees included) write a pointer global?
-  auto ClosureWrites = [&](const CFuncDecl *F) {
-    std::set<const CFuncDecl *> Visited;
-    std::vector<const CFuncDecl *> Work{F};
-    while (!Work.empty()) {
-      const CFuncDecl *Cur = Work.back();
-      Work.pop_back();
-      if (!Visited.insert(Cur).second)
-        continue;
-      if (Writers.count(Cur))
-        return true;
-      auto It = Deps.find(Cur);
-      if (It != Deps.end())
-        for (const CFuncDecl *Callee : It->second)
-          Work.push_back(Callee);
-    }
-    return false;
-  };
-
-  for (size_t I = 0; I != N; ++I) {
-    const CFuncDecl *Callee = SymCallSites[I].Callee;
-    // A pointer in the signature feeds summaries straight into the
-    // caller's qualifier graph (return quals / argument pointee quals),
-    // whose flow we do not track per-site: influence everything.
-    bool PtrSignature = Callee->returnType()->isPointer();
-    for (const auto &P : Callee->params())
-      PtrSignature = PtrSignature || P.Ty->isPointer();
-    // A global write anywhere in the block's call cone moves the global
-    // seeds, and every site's context includes every pointer global.
-    bool Influences =
-        PtrSignature || SawIndirect ||
-        (AnyPtrGlobal && (AliasCoupling || ClosureWrites(Callee)));
-    if (!Influences)
-      continue;
-    for (size_t J = 0; J != N; ++J)
-      if (J != I)
-        Edges.emplace_back(I, J);
-  }
-  return Edges;
-}
-
-unsigned MixyAnalysis::runTypedParallel(const CFuncDecl *EntryFunc) {
-  // Warm the lazily-built singleton types so workers mostly read the AST
-  // context instead of racing to create them.
-  Ctx.voidType();
-  Ctx.intType();
-  Ctx.charType();
-
-  Pool = std::make_unique<rt::ThreadPool>(Opts.Jobs, Opts.Trace, "mixy");
-  WorkerSlots.resize(Pool->workerCount());
-
-  // Constraint generation over the typed region. Frontier calls defer
-  // their blocks (handleSymbolicCall records the sites with an empty
-  // LastKey), so this phase is pure qualifier inference.
-  Qual.analyzeGlobals();
-  for (const CFuncDecl *F : typedRegionFrom(EntryFunc))
-    Qual.analyzeFunction(F);
-
-  // Parallel fixpoint via the engine driver's worklist: condense the
-  // static site-dependency graph into SCCs, iterate each SCC to its own
-  // fixpoint on the pool, release dependents as soon as their inputs
-  // settle, then validate with plain rounds. The constraint system is
-  // monotone, so this reaches the same least fixpoint as the serial loop.
-  engine::FixpointConfig FC;
-  FC.MaxRounds = Opts.MaxFixpointIterations;
-  FC.Trace = Opts.Trace;
-  FC.RoundSpanName = "mixy.round";
-  FC.SpanCategory = "mixy";
-  FC.Metrics = Opts.Metrics;
-  FC.Telemetry = Opts.Telemetry;
-  engine::FixpointDriver Driver(FC);
-
-  engine::FixpointCallbacks CB;
-  CB.NumSites = [&] { return SymCallSites.size(); };
-  CB.OnRoundBegin = [&](unsigned) { Qual.solve(); };
-  CB.Refresh = [&](size_t I) { return refreshSite(I); };
-  CB.EvaluateWave = [&](const std::vector<size_t> &Sites, uint64_t Tag) {
-    evaluateWave(Sites, Tag);
-  };
-  CB.Edges = [&] { return buildSiteGraph(); };
-  Statistics.FixpointIterations += Driver.runWorklist(CB, *Pool);
-  // Merge the buffered diagnostic slices in wave-tag order — a pure
-  // function of the SCC structure, not of completion timing.
-  for (const auto &[Tag, Slices] : WaveDiags) {
-    (void)Tag;
-    mergeRoundDiagnostics(Slices);
-  }
-  WaveDiags.clear();
-
-  Qual.solve();
-  Qual.reportWarnings();
-  publishStats();
-  return Diags.warningCount();
 }

@@ -24,7 +24,12 @@
 ///    whether g and (s = 0) is satisfiable and add null constraints.
 ///  - Optimism makes a fixpoint necessary: symbolic blocks re-run when
 ///    later-discovered constraints change their calling context
-///    (Section 4.1's two-symbolic-block example).
+///    (Section 4.1's two-symbolic-block example). The loop visits the
+///    frontier call sites in a fixed order, each evaluation seeing every
+///    earlier one's effects, for at most MaxFixpointIterations rounds; a
+///    run that reaches the cap with a context still changing says so
+///    with an ExecBudget (MIX303) warning instead of reporting a
+///    truncated result as clean.
 ///  - Aliasing is restored at symbolic-to-typed transitions using the
 ///    may-points-to pre-pass (Section 4.2).
 ///  - Block results are cached per compatible calling context
@@ -32,30 +37,6 @@
 ///    block stack and assumption iteration (Section 4.4) — both provided
 ///    by the shared engine layer (src/engine/MixEngine.h); MIXY is one of
 ///    its AnalysisDomain instantiations.
-///
-/// Parallelism (Jobs > 1): symbolic blocks are independent at their
-/// boundaries — all a block exchanges with its caller is a calling
-/// context (the BlockKey) and a translated summary (the SymOutcome) — so
-/// their evaluations run concurrently on a work-stealing pool, scheduled
-/// by the engine fixpoint driver (src/engine/Fixpoint.h). The schedule
-/// is the dependency-aware worklist: static dependency edges between
-/// frontier call sites (call graph reachability to pointer-global
-/// writers, pointer signatures, alias coupling) are condensed into SCCs,
-/// each SCC iterates to its own fixpoint, and an SCC's dependents start
-/// the moment it stabilizes — a block re-runs as soon as its inputs
-/// change instead of waiting for a whole-program round barrier. A final
-/// validation sweep (plain Jacobi rounds) guarantees the least fixpoint
-/// even where the static edges under-approximate. Frontier calls met
-/// during constraint generation are *deferred* to the fixpoint instead of
-/// being analyzed inline; that is just more of the optimism the paper
-/// already requires a fixpoint for, and the qualifier constraint system
-/// is monotone, so the worklist converges to the same least solution as
-/// the serial Gauss-Seidel-style loop. Every worker owns its executor,
-/// solver, term arena, block stack, and diagnostic buffer; the shared
-/// qualifier graph is only touched under a lock (by nested
-/// symbolic-to-typed switches and summary application), and per-wave
-/// diagnostics are merged in deterministic wave-tag order. With Jobs <= 1
-/// the original serial path runs unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,12 +47,10 @@
 #include "engine/MixEngine.h"
 #include "ptranal/PointsTo.h"
 #include "qual/QualInference.h"
-#include "runtime/ThreadPool.h"
 #include "solver/SolverFactory.h"
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -86,7 +65,6 @@ namespace mix::c {
 // these aliases keep the historical mix::c spellings working.
 using engine::BlockCache;
 using engine::BlockCacheStats;
-using engine::blockCacheShardsFor;
 
 /// Configuration of a MIXY run.
 struct MixyOptions {
@@ -97,22 +75,16 @@ struct MixyOptions {
   bool RestoreAliasing = true;
   unsigned MaxFixpointIterations = 16;
   unsigned MaxRecursionIterations = 8;
-  /// Worker threads for block-level parallelism. 1 (the default) is the
-  /// serial engine, byte-for-byte identical to the pre-parallel driver;
-  /// N > 1 evaluates independent symbolic blocks on N workers under the
-  /// dependency-aware worklist schedule.
-  unsigned Jobs = 1;
   CSymOptions Sym;
   QualOptions Qual;
   smt::SmtOptions Smt;
-  /// Which solver backend answers feasibility queries. Applies to the
-  /// serial solver and every worker's solver alike.
+  /// Which solver backend answers feasibility queries.
   smt::SolverSpec Solver;
 
   /// Observability sinks (see src/observe/). The analysis copies these
-  /// into Smt (solver counters/latency), the block caches
-  /// ("mixy.cache.sym.*" / "mixy.cache.typed.*" counters), and the
-  /// thread pool (per-worker task spans); the fixpoint driver adds
+  /// into Smt (solver counters/latency) and the block caches
+  /// ("mixy.cache.sym.*" / "mixy.cache.typed.*" counters); the fixpoint
+  /// driver adds
   /// "mixy.round" / "mixy.block.sym" / "mixy.block.typed" spans and
   /// publishes the MixyStats fields as "mixy.*" counters when the run
   /// finishes. Null (the default) disables all of it at one branch per
@@ -147,8 +119,7 @@ struct MixyOptions {
 /// Digest of every MixyOptions field that can change a persisted block
 /// summary or its diagnostics. Used as the block-store fingerprint: a
 /// cache written under different options loads as empty. Deliberately
-/// excludes Jobs (results are --jobs-invariant) and the caching knobs
-/// themselves.
+/// excludes the caching knobs themselves.
 uint64_t mixyPersistFingerprint(const MixyOptions &Opts);
 
 /// Statistics of a MIXY run.
@@ -193,9 +164,9 @@ public:
   CSymExecutor &executor() { return Exec; }
   PointsToAnalysis &pointsTo() { return PtrAnal; }
 
-  /// Counters of the sharded symbolic-block cache (Section 4.3).
+  /// Counters of the symbolic-block cache (Section 4.3).
   BlockCacheStats symCacheStats() const { return Eng.symCacheStats(); }
-  /// Counters of the sharded typed-block cache.
+  /// Counters of the typed-block cache.
   BlockCacheStats typedCacheStats() const { return Eng.typedCacheStats(); }
 
 private:
@@ -218,7 +189,7 @@ private:
     }
   };
 
-  /// Stripe selector for the sharded caches (only placement, never
+  /// Stripe selector for the block caches (only placement, never
   /// identity: shards compare keys with operator<).
   struct BlockKeyHash {
     size_t operator()(const BlockKey &K) const {
@@ -259,9 +230,8 @@ private:
     SourceLoc Loc;
   };
 
-  /// One frontier call site, remembered for the fixpoint loop. LastKey.F
-  /// is null until the site's block has been analyzed at least once (the
-  /// deferred state of the parallel engine).
+  /// One frontier call site, remembered for the fixpoint loop, with the
+  /// calling context its block was last analyzed under.
   struct SymCallSite {
     const CCall *Call;
     const CFuncDecl *Callee;
@@ -283,22 +253,11 @@ private:
   };
   using Engine = engine::MixEngine<EngineDomain>;
 
-  /// The per-thread slice of analysis state a block evaluation runs
-  /// against: an executor (with its solver and term arena behind it), the
-  /// diagnostics sink for that executor, and the recursion stack. The
-  /// serial engine binds these to the analysis-owned members; parallel
-  /// workers bind them to their own WorkerContext.
-  struct ExecContext {
-    CSymExecutor &Exec;
-    DiagnosticEngine &Diags;
-    Engine::BlockStack &Stack;
-  };
-
-  /// Everything one pool worker owns privately (defined in Mixy.cpp).
-  struct WorkerContext;
-
-  // Region handling.
-  std::set<const CFuncDecl *> typedRegionFrom(const CFuncDecl *Entry);
+  // Region handling. The region comes back in declaration order, which
+  // is the order its functions are analyzed in and so the order their
+  // frontier calls register fixpoint sites: a property of the program,
+  // never of heap addresses.
+  std::vector<const CFuncDecl *> typedRegionFrom(const CFuncDecl *Entry);
   void collectCallees(const CStmt *S, std::set<const CFuncDecl *> &Out,
                       bool &SawIndirect);
 
@@ -309,9 +268,8 @@ private:
   std::map<std::string, NullSeed> globalSeedsFromQuals();
 
   // Symbolic-block execution and translation.
-  SymOutcome computeSymOutcome(const BlockKey &Key, ExecContext C);
-  SymOutcome translateResult(const CFuncDecl *F, const CSymResult &Result,
-                             CSymExecutor &WithExec);
+  SymOutcome computeSymOutcome(const BlockKey &Key);
+  SymOutcome translateResult(const CFuncDecl *F, const CSymResult &Result);
   void applySymOutcome(const SymOutcome &Outcome, const CCall *Call,
                        const CFuncDecl *Callee,
                        const std::vector<QualVec> &ArgQuals,
@@ -321,7 +279,7 @@ private:
   // Typed-block execution (from the symbolic side). \p CallLoc anchors
   // the null-seed notes (the call site, or the persisted location when a
   // recorded switch is replayed).
-  bool computeTypedRet(const BlockKey &Key, SourceLoc CallLoc, ExecContext C);
+  bool computeTypedRet(const BlockKey &Key, SourceLoc CallLoc);
 
   // --- persistent cache / incremental engine (src/persist/) --------------
   /// Computes per-function content and dependency-closure hashes, primes
@@ -342,13 +300,13 @@ private:
                           std::vector<Diagnostic> &Slice,
                           std::vector<TypedSwitch> &Switches) const;
   /// Writes a block summary, merging with whatever is already stored
-  /// under \p PKey. A parallel cold run can evaluate the same calling
-  /// context more than once against different snapshots of the shared
-  /// qualifier state, and the outcomes differ; the qualifier graph saw
-  /// the *union* of those seedings, so the persisted summary must carry
-  /// the union too (the facts are monotone may-be-null bits, so the
-  /// merge is an OR). A last-write-wins store here loses warnings on
-  /// warm parallel replay.
+  /// under \p PKey. With the block cache off (--no-cache), a cold run
+  /// evaluates one calling context again each time a site re-runs under
+  /// it, and its nested typed blocks may see a richer qualifier graph the
+  /// second time, so the outcomes can differ; the qualifier graph saw the
+  /// *union* of those seedings, so the persisted summary must carry the
+  /// union too (the facts are monotone may-be-null bits, so the merge is
+  /// an OR). A last-write-wins store here loses warnings on warm replay.
   void storeBlockSummary(uint64_t PKey, const SymOutcome &Outcome,
                          const std::vector<Diagnostic> &Slice,
                          const std::vector<TypedSwitch> &Switches);
@@ -359,57 +317,25 @@ private:
   /// Re-runs the recorded typed switches of a persisted block through the
   /// regular typed-block path, restoring the qualifier-graph constraints
   /// the cold run seeded.
-  void replayTypedSwitches(const std::vector<TypedSwitch> &Switches,
-                           ExecContext C);
+  void replayTypedSwitches(const std::vector<TypedSwitch> &Switches);
 
   /// Fresh, unconstrained qualifier variables shaped like \p Ty.
   QualVec freshQuals(const CType *Ty, const std::string &Description,
                      SourceLoc Loc);
 
-  // --- parallel engine ---------------------------------------------------
-  bool parallel() const { return Opts.Jobs > 1; }
-  /// The calling thread's context: its WorkerContext when on a pool
-  /// worker of this analysis, the serial members otherwise.
-  ExecContext currentContext();
-  /// Lazily builds the calling pool worker's private context.
-  WorkerContext &workerContext();
-  /// The typed-start driver for Jobs > 1. Seats the fixpoint on
-  /// engine::FixpointDriver's dependency-aware worklist.
-  unsigned runTypedParallel(const CFuncDecl *EntryFunc);
-  /// Builds the engine configuration (cache sharding, recursion budget,
-  /// metrics prefixes) from the analysis options.
+  /// Builds the engine configuration (recursion budget, metrics
+  /// prefixes) from the analysis options.
   static Engine::Config engineConfig(const MixyOptions &O);
   /// Recomputes site I's calling context from the current qualifier
   /// solution. Returns true (and updates LastKey) when it changed.
   bool refreshSite(size_t I);
-  /// Evaluates one wave of changed sites: distinct calling contexts run
-  /// concurrently on the pool, then summaries are applied in site order.
-  /// The wave's diagnostic slices are stashed under Tag for a
-  /// post-fixpoint merge in tag order.
-  void evaluateWave(const std::vector<size_t> &Sites, uint64_t Tag);
-  /// Static dependency edges between frontier call sites for the
-  /// worklist schedule: site I influences site J when I's summary can
-  /// move J's calling context (pointer signature, reachable
-  /// pointer-global writer, alias coupling, or indirect calls). Sound
-  /// over-approximation is not required — the driver's validation sweep
-  /// catches anything these edges miss.
-  std::vector<std::pair<size_t, size_t>> buildSiteGraph();
-  /// Direct call-graph edges between defined functions, shared by the
-  /// persistent-cache closure hashes and the site graph. When an indirect
-  /// call makes the callee set unknowable, every function's only edge
-  /// goes to a hub node, the null key, whose edges go to every defined
-  /// function: all-to-all reachability in linear size.
+  /// Direct call-graph edges between defined functions, for the
+  /// persistent-cache closure hashes. When an indirect call makes the
+  /// callee set unknowable, every function's only edge goes to a hub
+  /// node, the null key, whose edges go to every defined function:
+  /// all-to-all reachability in linear size.
   std::map<const CFuncDecl *, std::vector<const CFuncDecl *>>
-  dependencyEdges(bool &SawIndirect);
-  /// May \p S store to any pointer-typed global in \p PtrGlobals? Any
-  /// indirect store counts conservatively.
-  bool writesPointerGlobal(const CStmt *S,
-                           const std::set<std::string> &PtrGlobals);
-  /// Appends a round's worker diagnostics to the shared engine in
-  /// deterministic order, deduplicating warnings across workers the same
-  /// way one executor deduplicates across runs.
-  void mergeRoundDiagnostics(const std::vector<std::vector<Diagnostic>> &Per);
-  void bumpStat(unsigned MixyStats::*Field);
+  dependencyEdges();
   /// Mirrors the final MixyStats into the metrics registry (no-op without
   /// one) so --stats / --metrics render from the same source.
   void publishStats();
@@ -429,36 +355,21 @@ private:
   /// and assumption iteration (Sections 4.3 / 4.4).
   Engine Eng;
 
-  /// The serial thread's recursion stack (workers own theirs).
+  /// The recursion stack (Section 4.4).
   Engine::BlockStack BlockStack;
 
   std::vector<SymCallSite> SymCallSites;
 
-  // Persistent-cache state (read-only after initPersist, so workers need
-  // no lock).
+  /// The typed-switch log of the innermost persistable symbolic block
+  /// run, or null when the current run is not being recorded.
+  /// computeSymOutcome saves and restores it around each block, so
+  /// nested blocks log to their own summaries.
+  std::vector<TypedSwitch> *ActiveTypedLog = nullptr;
+
+  // Persistent-cache state (read-only after initPersist).
   bool PersistReady = false;
   bool PersistBlocks = false;
   std::map<const CFuncDecl *, uint64_t> FuncClosure;
-
-  // Parallel-engine state. QualM serializes every touch of the shared
-  // qualifier graph (and shared diagnostics) from worker threads; it is
-  // recursive because symbolic and typed blocks nest through the hooks.
-  std::unique_ptr<rt::ThreadPool> Pool;
-  std::vector<std::unique_ptr<WorkerContext>> WorkerSlots;
-  std::recursive_mutex QualM;
-  std::mutex SlotsM;
-  std::mutex StatsM;
-  // Serializes storeBlockSummary's read-merge-write of a persisted block
-  // summary, so concurrent evaluations of one calling context can't lose
-  // each other's contributions.
-  std::mutex PersistStoreM;
-  std::set<std::string> MergedWarnings;
-
-  // Worklist-schedule diagnostic buffering: wave tag -> per-context
-  // diagnostic slices, merged in tag order after the driver returns so
-  // the merged stream is independent of SCC completion timing.
-  std::mutex WaveM;
-  std::map<uint64_t, std::vector<std::vector<Diagnostic>>> WaveDiags;
 
   MixyStats Statistics;
 };

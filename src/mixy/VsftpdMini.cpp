@@ -250,3 +250,23 @@ std::string mix::c::corpus::vsftpdScaled(bool Annotated, unsigned Modules,
   Out += "  return main();\n}\n";
   return Out;
 }
+
+std::string mix::c::corpus::deepCallChain(unsigned Depth) {
+  std::string Out = "void sysutil_free(void * nonnull p_ptr) MIX(typed);\n";
+  for (unsigned I = 0; I <= Depth; ++I)
+    Out += "int *x" + std::to_string(I) + ";\n";
+  for (unsigned I = 1; I <= Depth; ++I) {
+    std::string Idx = std::to_string(I);
+    Out += "void step" + Idx + "(void) MIX(symbolic) {\n"
+           "  x" + Idx + " = x" + std::to_string(I - 1) + ";\n}\n";
+  }
+  Out += "void sink(void) MIX(symbolic) {\n"
+         "  sysutil_free((void*)x" + std::to_string(Depth) + ");\n}\n"
+         "void source(void) MIX(symbolic) {\n"
+         "  x0 = NULL;\n}\n"
+         "int main(void) {\n  sink();\n";
+  for (unsigned I = Depth; I >= 1; --I)
+    Out += "  step" + std::to_string(I) + "();\n";
+  Out += "  source();\n  return 0;\n}\n";
+  return Out;
+}

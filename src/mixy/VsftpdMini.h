@@ -11,7 +11,8 @@
 /// (sockaddr_clear, str_next_dirent, dns_resolve/main, and
 /// sysutil_exit_BLOCK), plus a scalable filler generator that gives the
 /// qualifier inference a realistically sized constraint graph for the
-/// timing experiments (E5).
+/// timing experiments (E5), and a deep def-use chain for the fixpoint
+/// (E6).
 ///
 /// Each case has two variants: `Annotated = false` is the baseline —
 /// pure type qualifier inference with its false positive; `Annotated =
@@ -41,6 +42,14 @@ std::string vsftpdFull(bool Annotated);
 /// number of block switches (experiment E5).
 std::string vsftpdScaled(bool Annotated, unsigned Modules,
                          unsigned SymbolicBlocks);
+
+/// A depth-\p Depth def-use chain of symbolic blocks: step_i copies
+/// x_{i-1} into x_i, source() sets x0 to null, and sink() passes x_Depth
+/// to a nonnull parameter. main calls sink, then the steps deepest first,
+/// then source, so the fixpoint moves the null one link per round and
+/// needs Depth + 1 rounds that change something. The one true finding is
+/// the null reaching sink().
+std::string deepCallChain(unsigned Depth);
 
 } // namespace mix::c::corpus
 

@@ -27,7 +27,7 @@
 /// \ref ProvenanceSink pointer and a null pointer is the off switch, so
 /// an unexplained run costs one branch per site (bench_observe guards
 /// this). Payloads are immutable once attached (shared_ptr<const>), which
-/// makes sharing them across cache replays and parallel merges safe.
+/// makes sharing them across cache replays safe.
 ///
 //===----------------------------------------------------------------------===//
 

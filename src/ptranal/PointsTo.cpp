@@ -9,17 +9,15 @@
 
 using namespace mix::c;
 
-PointsToAnalysis::CellId PointsToAnalysis::freshCell(std::string Description) {
+PointsToAnalysis::CellId PointsToAnalysis::freshCell() {
   if (Parents.empty()) {
     // Slot 0 is NoCell.
     Parents.push_back(0);
     Targets.push_back(NoCell);
-    Descriptions.push_back("<none>");
   }
   CellId Id = (CellId)Parents.size();
   Parents.push_back(Id);
   Targets.push_back(NoCell);
-  Descriptions.push_back(std::move(Description));
   return Id;
 }
 
@@ -60,7 +58,7 @@ PointsToAnalysis::CellId PointsToAnalysis::targetOf(CellId Cell) {
   Cell = find(Cell);
   assert(Cell != NoCell && "targetOf(NoCell)");
   if (find(Targets[Cell]) == NoCell)
-    Targets[Cell] = freshCell("*" + Descriptions[Cell]);
+    Targets[Cell] = freshCell();
   return find(Targets[Cell]);
 }
 
@@ -78,9 +76,7 @@ PointsToAnalysis::cellOfVar(const CFuncDecl *Func, const std::string &Name) {
   auto It = VarCells.find(Key);
   if (It != VarCells.end())
     return find(It->second);
-  std::string Description =
-      Func ? Func->name() + "::" + Name : "global::" + Name;
-  CellId Id = freshCell(std::move(Description));
+  CellId Id = freshCell();
   VarCells[Key] = Id;
   return Id;
 }
@@ -92,7 +88,7 @@ PointsToAnalysis::FuncSig &PointsToAnalysis::signatureOf(const CFuncDecl *F) {
   FuncSig Sig;
   for (const auto &P : F->params())
     Sig.Params.push_back(cellOfVar(F, P.Name));
-  Sig.Ret = freshCell(F->name() + "::<return>");
+  Sig.Ret = freshCell();
   return FuncSigs.emplace(F, std::move(Sig)).first->second;
 }
 
@@ -203,8 +199,8 @@ void PointsToAnalysis::handleCall(const CCall *Call, const CScope &Scope,
     if (Id->name() == "malloc" && !Program.findFunc("malloc")) {
       auto It = MallocCells.find(Call);
       if (It == MallocCells.end()) {
-        CellId Heap = freshCell("heap@" + Call->loc().str());
-        CellId Value = freshCell("&heap@" + Call->loc().str());
+        CellId Heap = freshCell();
+        CellId Value = freshCell();
         unify(targetOf(Value), Heap);
         It = MallocCells.emplace(Call, Value).first;
       }
@@ -255,8 +251,8 @@ PointsToAnalysis::CellId PointsToAnalysis::eval(const CExpr *E,
     return NoCell; // no pointer content
   case CExprKind::StrLit: {
     if (StringCell == NoCell) {
-      StringCell = freshCell("&<strings>");
-      unify(targetOf(StringCell), freshCell("<strings>"));
+      StringCell = freshCell();
+      unify(targetOf(StringCell), freshCell());
     }
     return StringCell;
   }
@@ -268,10 +264,10 @@ PointsToAnalysis::CellId PointsToAnalysis::eval(const CExpr *E,
       if (const CFuncDecl *F = Program.findFunc(Id->name())) {
         auto It = FuncCells.find(F);
         if (It == FuncCells.end()) {
-          CellId FnCell = freshCell("<fn " + F->name() + ">");
+          CellId FnCell = freshCell();
           It = FuncCells.emplace(F, FnCell).first;
         }
-        CellId Value = freshCell("&" + F->name());
+        CellId Value = freshCell();
         unify(targetOf(Value), It->second);
         return Value;
       }
@@ -288,7 +284,7 @@ PointsToAnalysis::CellId PointsToAnalysis::eval(const CExpr *E,
       CellId Storage = cellOfLValue(U->sub(), Scope);
       if (Storage == NoCell)
         return NoCell;
-      CellId Value = freshCell("&" + Descriptions[find(Storage)]);
+      CellId Value = freshCell();
       unify(targetOf(Value), Storage);
       return Value;
     }
@@ -352,7 +348,7 @@ std::string PointsToAnalysis::describe(CellId Cell) {
     First = false;
   }
   if (First)
-    Out += Descriptions[Cell];
+    Out += "<cell " + std::to_string(Cell) + ">";
   Out += "}";
   return Out;
 }

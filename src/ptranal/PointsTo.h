@@ -63,8 +63,9 @@ public:
   CellId find(CellId Cell);
   bool mayAlias(CellId A, CellId B) { return find(A) == find(B); }
 
-  /// Human-readable description of a cell's equivalence class, e.g.
-  /// "{main::p, heap@3:10}". For diagnostics and tests.
+  /// Human-readable description of a cell's equivalence class: its named
+  /// variables, e.g. "{main::p, global::q}", or "{<cell 7>}" for a class
+  /// that holds none (heap, strings, pointees). For diagnostics and tests.
   std::string describe(CellId Cell);
 
   /// All named variables whose storage landed in \p Cell's class. MIXY
@@ -77,7 +78,7 @@ public:
   unsigned numCells() const { return (unsigned)Parents.size() - 1; }
 
 private:
-  CellId freshCell(std::string Description);
+  CellId freshCell();
   void unify(CellId A, CellId B);
   /// The assignment rule: merges the points-to targets of two value
   /// cells (creating them if absent), leaving the cells distinct.
@@ -106,7 +107,6 @@ private:
   // Union-find state. Index 0 is unused (NoCell).
   std::vector<CellId> Parents;
   std::vector<CellId> Targets; // pts: representative -> target cell
-  std::vector<std::string> Descriptions;
 
   std::map<std::pair<const CFuncDecl *, std::string>, CellId> VarCells;
   std::map<const CExpr *, CellId> MallocCells;

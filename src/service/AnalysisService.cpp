@@ -139,7 +139,8 @@ uint64_t AnalysisService::requestKey(const AnalysisRequest &Req,
   H.str(Req.Solver.Backend);
   H.str(Req.CacheDir);
   H.boolean(Req.Incremental);
-  // Jobs is deliberately excluded: results are jobs-invariant.
+  // Jobs is deliberately excluded: mixcheck's results are jobs-invariant,
+  // and MIXY ignores it.
   H.boolean(Req.Symbolic).boolean(Req.AutoPlace).boolean(Req.PrintProgram);
   H.u8((uint8_t)Req.Strategy).u8((uint8_t)Req.Havoc);
   H.boolean(Req.PreciseDeref).boolean(Req.AssumeComplete);
@@ -435,7 +436,6 @@ void AnalysisService::runMixy(const AnalysisRequest &Req,
     Opts.Qual.WarnAllDereferences = true;
     Opts.Sym.CheckDereferences = true;
   }
-  Opts.Jobs = Req.Jobs;
   Opts.Metrics = &Reg;
   Opts.Trace = Req.Trace ? (T && T->sink() ? T->sink() : &Sink) : nullptr;
   Opts.Telemetry = T;

@@ -90,6 +90,9 @@ struct AnalysisRequest {
 
   Format OutputFormat = Format::Text;
   bool Explain = false;
+  /// Worker threads for mixcheck's path classification and
+  /// auto-placement. MIXY has one engine and ignores it, as it ignores
+  /// Strategy.
   unsigned Jobs = 1;
   smt::SolverSpec Solver;
   /// Record a trace of this request into the service's trace sink.
@@ -156,7 +159,7 @@ struct AnalysisResponse {
   /// printExpr(program) + "\n" when PrintProgram, else empty.
   std::string PrintedProgram;
 
-  // mixy block-cache summaries (Jobs > 1 stats lines), else empty.
+  // mixy block-cache counters, else empty.
   std::string SymCacheStats;
   std::string TypedCacheStats;
 
@@ -272,8 +275,8 @@ public:
   /// The daemon entry point: answers identical requests from the response
   /// cache, coalesces identical in-flight requests onto one execution,
   /// otherwise runs. Identity is requestKey() — resolved source bytes
-  /// plus every semantic knob, excluding Jobs (results are
-  /// jobs-invariant by the PR-1 determinism contract).
+  /// plus every semantic knob, excluding Jobs (mixcheck's results are
+  /// jobs-invariant, and MIXY ignores it).
   AnalysisResponse serve(const AnalysisRequest &Req);
 
   /// A client reports that \p Path changed: cached responses that were

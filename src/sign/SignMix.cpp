@@ -26,7 +26,6 @@ SignMixChecker::SignMixChecker(TypeContext &PlainTypes,
 SignMixChecker::Engine::Config
 SignMixChecker::engineConfig(const MixOptions &O) {
   Engine::Config C;
-  C.Shards = engine::blockCacheShardsFor(O.Jobs);
   C.Metrics = O.Metrics;
   return C;
 }

@@ -58,7 +58,7 @@ enum class DiagID : uint16_t {
   // 3xx — path: symbolic execution and the mix rules.
   SymExecError = 301,      ///< type error on a feasible path
   PathsNotExhaustive = 302,
-  ExecBudget = 303,        ///< path/step budget exhausted
+  ExecBudget = 303,        ///< path/step or fixpoint-round budget exhausted
   NoFeasiblePath = 304,
   ResultTypeMismatch = 305,
   MemoryInconsistent = 306, ///< |- m ok failed
@@ -100,8 +100,8 @@ struct Diagnostic {
 
   /// Evidence for this diagnostic (witness path, qualifier flow chain,
   /// block context), or null when no provenance sink was attached. The
-  /// payload is immutable and shared: cache replays and parallel merges
-  /// re-attach the same object. Opaque to this layer — src/provenance
+  /// payload is immutable and shared: cache replays re-attach the same
+  /// object. Opaque to this layer — src/provenance
   /// defines the type and every renderer of it.
   std::shared_ptr<const prov::DiagProvenance> Prov;
 

@@ -181,8 +181,4 @@ TEST(BlockCacheStressTest, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(IntCache(3).shardCount(), 4u);
   EXPECT_EQ(IntCache(16).shardCount(), 16u);
   EXPECT_EQ(IntCache(17).shardCount(), 32u);
-  EXPECT_EQ(blockCacheShardsFor(0), 1u);
-  EXPECT_EQ(blockCacheShardsFor(1), 1u);
-  EXPECT_GE(blockCacheShardsFor(4), 16u);
-  EXPECT_LE(blockCacheShardsFor(1000), 256u);
 }

@@ -17,7 +17,6 @@
 #include "engine/Fixpoint.h"
 #include "engine/MixEngine.h"
 
-#include "runtime/ThreadPool.h"
 #include "support/Hash.h"
 
 #include <gtest/gtest.h>
@@ -291,10 +290,12 @@ TEST(MixEngineTest, EvalBeginEndBracketTheRunOutsideTheStack) {
 
 namespace {
 
-/// A synthetic monotone constraint system: site i's context is the value
-/// of its input site (site 0 reads an external target), and evaluating a
-/// site copies its context into its value. The least fixpoint sets every
-/// value on a chain to the target.
+/// A synthetic monotone constraint system shaped like MIXY's deep call
+/// chain: site i's context is the value of site i+1 (the last site reads
+/// an external target), and evaluating a site copies its context into
+/// its value. The driver visits sites in index order, so the target
+/// moves one link per round: N sites need exactly N rounds that change
+/// something. The least fixpoint sets every value to the target.
 struct ChainSystem {
   explicit ChainSystem(size_t N, int Target) : Target(Target), Ctx(N, -1),
                                                Val(N, 0) {}
@@ -303,150 +304,59 @@ struct ChainSystem {
     FixpointCallbacks CB;
     CB.NumSites = [this] { return Ctx.size(); };
     CB.Refresh = [this](size_t I) {
-      // Another SCC's wave may be writing Val concurrently.
-      std::lock_guard<std::mutex> Lock(WavesM);
-      int New = I == 0 ? Target : Val[I - 1];
+      int New = I + 1 == Ctx.size() ? Target : Val[I + 1];
       if (New == Ctx[I])
         return false;
       Ctx[I] = New;
       return true;
     };
-    CB.EvaluateWave = [this](const std::vector<size_t> &Sites, uint64_t Tag) {
-      std::lock_guard<std::mutex> Lock(WavesM);
-      Waves.emplace_back(Tag, Sites);
-      for (size_t I : Sites)
-        Val[I] = Ctx[I];
-    };
-    CB.Edges = [this] {
-      std::vector<std::pair<size_t, size_t>> E;
-      for (size_t I = 1; I != Ctx.size(); ++I)
-        E.emplace_back(I - 1, I);
-      return E;
-    };
+    CB.Evaluate = [this](size_t I) { Val[I] = Ctx[I]; };
     return CB;
   }
 
   int Target;
   std::vector<int> Ctx, Val;
-  std::mutex WavesM;
-  std::vector<std::pair<uint64_t, std::vector<size_t>>> Waves;
 };
 
 } // namespace
 
 TEST(FixpointDriverTest, AllSchedulesReachTheSameFixpoint) {
-  auto Expect = [](ChainSystem &S) {
-    for (int V : S.Val)
-      EXPECT_EQ(V, 7);
-  };
-  {
-    ChainSystem S(6, 7);
-    FixpointDriver D((FixpointConfig()));
-    EXPECT_GT(D.runSerial(S.callbacks()), 0u);
-    Expect(S);
-  }
-  {
-    ChainSystem S(6, 7);
-    FixpointDriver D((FixpointConfig()));
-    mix::rt::ThreadPool Pool(4);
-    EXPECT_GT(D.runWorklist(S.callbacks(), Pool), 0u);
-    Expect(S);
-  }
-}
-
-TEST(FixpointDriverTest, WorklistPipelinesAChainInOnePassPerSite) {
-  // On a chain whose edges are exact, the worklist evaluates each site
-  // exactly once (SCCs release in dependency order), where plain Jacobi
-  // rounds would need a full round per chain link.
-  ChainSystem S(8, 3);
-  FixpointConfig C;
-  obs::MetricsRegistry Metrics;
-  C.Metrics = &Metrics;
-  FixpointDriver D(C);
-  mix::rt::ThreadPool Pool(4);
-  D.runWorklist(S.callbacks(), Pool);
-  for (int V : S.Val)
-    EXPECT_EQ(V, 3);
-  size_t Evaluations = 0;
-  for (auto &[Tag, Sites] : S.Waves)
-    Evaluations += Sites.size();
-  EXPECT_EQ(Evaluations, 8u);
-  EXPECT_EQ(Metrics.counterValue("engine.worklist.reruns"), 0u);
-}
-
-TEST(FixpointDriverTest, WorklistWaveTagsAreRunToRunDeterministic) {
-  auto Run = [] {
-    ChainSystem S(8, 3);
-    FixpointDriver D((FixpointConfig()));
-    mix::rt::ThreadPool Pool(4);
-    D.runWorklist(S.callbacks(), Pool);
-    std::sort(S.Waves.begin(), S.Waves.end());
-    return S.Waves;
-  };
-  auto A = Run();
-  for (int I = 0; I != 5; ++I)
-    EXPECT_EQ(Run(), A);
-}
-
-TEST(FixpointDriverTest, WorklistIteratesCyclesToTheirFixpoint) {
-  // Two mutually dependent sites (one SCC): site 0 raises its value
-  // toward 5 from site 1's, site 1 copies site 0's. The SCC must iterate
-  // internally until both stabilize at 5.
-  struct {
-    std::vector<int> Ctx{-1, -1}, Val{0, 0};
-  } S;
-  FixpointCallbacks CB;
-  CB.NumSites = [] { return (size_t)2; };
-  CB.Refresh = [&](size_t I) {
-    int New = I == 0 ? std::min(S.Val[1] + 1, 5) : S.Val[0];
-    if (New == S.Ctx[I])
-      return false;
-    S.Ctx[I] = New;
-    return true;
-  };
-  CB.EvaluateWave = [&](const std::vector<size_t> &Sites, uint64_t) {
-    for (size_t I : Sites)
-      S.Val[I] = S.Ctx[I];
-  };
-  CB.Edges = [] {
-    return std::vector<std::pair<size_t, size_t>>{{0, 1}, {1, 0}};
-  };
+  ChainSystem S(6, 7);
   obs::MetricsRegistry Metrics;
   FixpointConfig C;
   C.Metrics = &Metrics;
   FixpointDriver D(C);
-  mix::rt::ThreadPool Pool(2);
-  D.runWorklist(CB, Pool);
-  EXPECT_EQ(S.Val[0], 5);
-  EXPECT_EQ(S.Val[1], 5);
-  EXPECT_GT(Metrics.counterValue("engine.worklist.reruns"), 0u);
-  EXPECT_GT(Metrics.counterValue("engine.fixpoint.rounds"), 0u);
-}
-
-TEST(FixpointDriverTest, WorklistValidationSweepCoversMissingEdges) {
-  // Deliberately under-approximated edges (none at all): the SCC phase
-  // runs every site independently, and the validation sweep must still
-  // drive the chain to its least fixpoint.
-  ChainSystem S(5, 9);
-  FixpointCallbacks CB = S.callbacks();
-  CB.Edges = nullptr;
-  FixpointDriver D((FixpointConfig()));
-  mix::rt::ThreadPool Pool(4);
-  D.runWorklist(CB, Pool);
+  FixpointResult R = D.run(S.callbacks());
+  EXPECT_EQ(R.Rounds, 6u);
+  EXPECT_TRUE(R.Converged);
   for (int V : S.Val)
-    EXPECT_EQ(V, 9);
+    EXPECT_EQ(V, 7);
+  EXPECT_EQ(Metrics.counterValue("engine.fixpoint.rounds"), 6u);
+  // Each round after the first re-evaluates one site: the one the target
+  // just reached.
+  EXPECT_EQ(Metrics.counterValue("engine.worklist.reruns"), 5u);
 }
 
-TEST(FixpointDriverTest, WorklistPropagatesTaskExceptions) {
-  FixpointCallbacks CB;
-  CB.NumSites = [] { return (size_t)2; };
-  CB.Refresh = [](size_t) { return true; };
-  CB.EvaluateWave = [](const std::vector<size_t> &, uint64_t) {
-    throw std::runtime_error("boom");
-  };
-  FixpointDriver D((FixpointConfig()));
-  mix::rt::ThreadPool Pool(2);
-  EXPECT_THROW(D.runWorklist(CB, Pool), std::runtime_error);
+TEST(FixpointDriverTest, RoundCapCutIsReported) {
+  // Six sites need six rounds. A cap of five stops one link short, and
+  // the refresh-only pass after the last round sees a context still
+  // changing; a cap of exactly six converges in its last round, which
+  // the same pass confirms.
+  ChainSystem Short(6, 7);
+  FixpointConfig C;
+  C.MaxRounds = 5;
+  FixpointResult Cut = FixpointDriver(C).run(Short.callbacks());
+  EXPECT_EQ(Cut.Rounds, 5u);
+  EXPECT_FALSE(Cut.Converged);
+  EXPECT_NE(Short.Val[0], 7);
+
+  ChainSystem Exact(6, 7);
+  C.MaxRounds = 6;
+  FixpointResult Done = FixpointDriver(C).run(Exact.callbacks());
+  EXPECT_EQ(Done.Rounds, 6u);
+  EXPECT_TRUE(Done.Converged);
+  for (int V : Exact.Val)
+    EXPECT_EQ(V, 7);
 }
 
 TEST(FixpointDriverTest, SerialPicksUpSitesAppendedMidRound) {
@@ -454,7 +364,6 @@ TEST(FixpointDriverTest, SerialPicksUpSitesAppendedMidRound) {
   // hitting a new frontier call) must see it analyzed before the driver
   // declares a fixpoint.
   std::vector<int> Ctx(1, -1), Val(1, 0);
-  bool Appended = false;
   FixpointCallbacks CB;
   CB.NumSites = [&] { return Ctx.size(); };
   CB.Refresh = [&](size_t I) {
@@ -464,18 +373,15 @@ TEST(FixpointDriverTest, SerialPicksUpSitesAppendedMidRound) {
     Ctx[I] = New;
     return true;
   };
-  CB.EvaluateWave = [&](const std::vector<size_t> &Sites, uint64_t) {
-    for (size_t I : Sites) {
-      Val[I] = Ctx[I];
-      if (I == 0 && !Appended) {
-        Appended = true;
-        Ctx.push_back(-1);
-        Val.push_back(0);
-      }
+  CB.Evaluate = [&](size_t I) {
+    Val[I] = Ctx[I];
+    if (I == 0 && Ctx.size() == 1) {
+      Ctx.push_back(-1);
+      Val.push_back(0);
     }
   };
   FixpointDriver D((FixpointConfig()));
-  D.runSerial(CB);
+  EXPECT_TRUE(D.run(CB).Converged);
   ASSERT_EQ(Val.size(), 2u);
   EXPECT_EQ(Val[1], 1);
 }

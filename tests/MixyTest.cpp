@@ -5,7 +5,9 @@
 //
 // These tests reproduce Section 4.5: for each vsftpd case study, pure
 // type qualifier inference reports a false positive that the annotated
-// MIXY run eliminates.
+// MIXY run eliminates. They also pin down the fixpoint (Section 4.1):
+// one answer and one amount of work per program, and a run cut off by
+// the round cap says so.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace mix::c;
+using mix::DiagID;
 using mix::DiagnosticEngine;
 
 namespace {
@@ -51,10 +56,22 @@ protected:
     if (StatsOut)
       *StatsOut = Mixy.stats();
     LastDiags = Diags.str();
+    LastIds.clear();
+    for (const mix::Diagnostic &D : Diags.diagnostics())
+      LastIds.push_back(D.ID);
     return W;
   }
 
+  /// How many of the last run's diagnostics carry \p ID.
+  unsigned lastCount(DiagID ID) const {
+    unsigned N = 0;
+    for (DiagID Seen : LastIds)
+      N += Seen == ID;
+    return N;
+  }
+
   std::string LastDiags;
+  std::vector<DiagID> LastIds;
 };
 
 } // namespace
@@ -218,6 +235,79 @@ int main(void) {
   MixyStats Stats;
   EXPECT_GE(mixyWarnings(Source, MixyOptions(), &Stats), 1u);
   EXPECT_GE(Stats.FixpointIterations, 1u);
+}
+
+TEST_F(MixyTest, RepeatedRunsDoTheSameWork) {
+  // One answer per program, and one amount of work: the typed region is
+  // analyzed in declaration order, so frontier call sites register (and
+  // the fixpoint visits them) in an order fixed by the program, never by
+  // heap addresses. Fresh analyses in one process, where the allocator
+  // hands out different addresses each time, must agree on every
+  // counter and on the diagnostics in emission order.
+  const std::string Source = corpus::vsftpdScaled(true, 24, 8);
+  auto Run = [&](std::string &Rendered) {
+    CAstContext Ctx;
+    DiagnosticEngine Diags;
+    const CProgram *P = parseC(Source, Ctx, Diags);
+    EXPECT_NE(P, nullptr) << Diags.str();
+    MixyAnalysis Mixy(*P, Ctx, Diags);
+    Mixy.run(MixyAnalysis::StartMode::Typed, "filler_main");
+    Rendered = Diags.str();
+    const MixyStats &S = Mixy.stats();
+    return std::vector<unsigned>{
+        S.SymbolicBlockRuns,      S.SymbolicCacheHits,
+        S.TypedBlockRuns,         S.TypedCacheHits,
+        S.SymbolicCallsFromTyped, S.TypedCallsFromSymbolic,
+        S.FixpointIterations,     S.RecursionsDetected};
+  };
+  std::string FirstDiags;
+  std::vector<unsigned> First = Run(FirstDiags);
+  EXPECT_GT(First[0], 8u); // every filler block ran
+  for (int I = 1; I != 20; ++I) {
+    std::string Diags;
+    EXPECT_EQ(Run(Diags), First) << "run " << I;
+    EXPECT_EQ(Diags, FirstDiags) << "run " << I;
+  }
+}
+
+// --- the fixpoint's round cap -----------------------------------------------
+
+TEST_F(MixyTest, DeepChainThatConvergesGetsNoBudgetWarning) {
+  // Depth 15 changes some context in all 16 allowed rounds, yet its last
+  // round reaches the fixpoint: the refresh pass after it sees nothing
+  // change. Depth 16 under a raised cap converges with rounds to spare.
+  // Either way only the one true warning is reported.
+  struct Case {
+    unsigned Depth, MaxRounds, Rounds;
+  };
+  for (Case C : {Case{15, 16, 16}, Case{16, 40, 17}}) {
+    SCOPED_TRACE("depth " + std::to_string(C.Depth));
+    MixyOptions Opts;
+    Opts.MaxFixpointIterations = C.MaxRounds;
+    MixyStats Stats;
+    EXPECT_EQ(mixyWarnings(corpus::deepCallChain(C.Depth), Opts, &Stats), 1u)
+        << LastDiags;
+    EXPECT_EQ(Stats.FixpointIterations, C.Rounds);
+    EXPECT_EQ(lastCount(DiagID::NullWarning), 1u) << LastDiags;
+    EXPECT_EQ(lastCount(DiagID::ExecBudget), 0u) << LastDiags;
+  }
+}
+
+TEST_F(MixyTest, DeepChainCutByTheRoundCapWarns) {
+  // Depths 16 and 32 need more than 16 rounds. The null has not reached
+  // sink() when the cap hits, so the run cannot report it; it reports
+  // the cut instead (MIX303), so the program never passes as clean.
+  for (unsigned Depth : {16u, 32u}) {
+    SCOPED_TRACE("depth " + std::to_string(Depth));
+    MixyStats Stats;
+    EXPECT_EQ(
+        mixyWarnings(corpus::deepCallChain(Depth), MixyOptions(), &Stats), 1u)
+        << LastDiags;
+    EXPECT_EQ(Stats.FixpointIterations, 16u);
+    EXPECT_EQ(lastCount(DiagID::ExecBudget), 1u) << LastDiags;
+    EXPECT_NE(LastDiags.find("fixpoint budget exhausted"), std::string::npos)
+        << LastDiags;
+  }
 }
 
 TEST_F(MixyTest, TrueErrorsAreStillReported) {

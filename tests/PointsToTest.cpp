@@ -169,9 +169,14 @@ TEST_F(PointsToTest, VariablesInClassReporting) {
 }
 
 TEST_F(PointsToTest, DescribeIsReadable) {
-  const CProgram *P = analyze("int x; int *p;\n"
-                              "void f(void) { p = &x; }");
+  const CProgram *P = analyze("int x; int *p; int *q;\n"
+                              "void f(void) { p = &x; q = malloc(4); }");
   ASSERT_NE(P, nullptr);
   std::string D = Analysis->describe(Analysis->cellOfVar(nullptr, "x"));
-  EXPECT_NE(D.find("x"), std::string::npos);
+  EXPECT_EQ(D, "{global::x}");
+  // A class without named variables (here the heap cell q points to)
+  // gets a short fixed name, whatever chain of pointers reaches it.
+  auto Heap = Analysis->pointsTo(Analysis->cellOfVar(nullptr, "q"));
+  EXPECT_EQ(Analysis->describe(Heap),
+            "{<cell " + std::to_string(Heap) + ">}");
 }

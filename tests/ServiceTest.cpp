@@ -20,6 +20,7 @@
 #include "driver/OptionParser.h"
 #include "lang/Parser.h"
 #include "mixy/Mixy.h"
+#include "mixy/VsftpdMini.h"
 #include "provenance/Sarif.h"
 #include "qual/QualInference.h"
 #include "support/Json.h"
@@ -915,14 +916,17 @@ TEST(ServiceServeTest, ConcurrentIdenticalRequestsCoalesce) {
   bool Coalesced = false;
   for (int Attempt = 0; Attempt != 25 && !Coalesced; ++Attempt) {
     service::AnalysisRequest Req;
-    Req.ToolKind = service::Tool::Mixy;
-    Req.Corpus = "case1";
+    Req.ToolKind = service::Tool::MixCheck;
+    Req.Source = "{s if b then 1 else 2 s}";
+    Req.HasSource = true;
+    Req.Vars.emplace_back("b", "bool");
     Req.InputName = "volley-" + std::to_string(Attempt); // fresh key
-    // Jobs > 1 makes the executing thread block on the pool's condition
-    // variable mid-request; on a single-core host that yields the CPU to
-    // the other volley threads while the request is still in flight,
-    // which is the window the dedup path needs. (Jobs is excluded from
-    // the request key, so this does not perturb the key.)
+    // The block has two paths, and Jobs > 1 classifies them on a pool:
+    // the executing thread blocks on the pool's condition variable
+    // mid-request; on a single-core host that yields the CPU to the
+    // other volley threads while the request is still in flight, which
+    // is the window the dedup path needs. (Jobs is excluded from the
+    // request key, so this does not perturb the key.)
     Req.Jobs = 2;
     uint64_t Before = Svc.metrics().counterValue("service.dedup.hits");
 
@@ -953,6 +957,33 @@ TEST(ServiceServeTest, ConcurrentIdenticalRequestsCoalesce) {
     Coalesced = Svc.metrics().counterValue("service.dedup.hits") > Before;
   }
   EXPECT_TRUE(Coalesced) << "no volley coalesced in 25 attempts";
+}
+
+TEST(ServiceServeTest, MixyAnswerIgnoresJobsAndOrder) {
+  // The request key leaves out jobs, so serve() answers a repeat from
+  // whichever request computed first. That is only sound if MIXY's answer
+  // does not depend on jobs: serve the depth-16 chain (which runs out of
+  // fixpoint rounds) with jobs 4 then 1, and 1 then 4, each order on a
+  // fresh service; all four payloads must agree.
+  service::AnalysisRequest Req;
+  Req.ToolKind = service::Tool::Mixy;
+  Req.Source = c::corpus::deepCallChain(16);
+  Req.HasSource = true;
+  Req.OutputFormat = service::Format::Json;
+  std::vector<std::string> Payloads;
+  for (std::pair<unsigned, unsigned> Order : {std::pair{4u, 1u}, {1u, 4u}}) {
+    service::AnalysisService Svc(daemonConfig());
+    for (unsigned Jobs : {Order.first, Order.second}) {
+      Req.Jobs = Jobs;
+      service::AnalysisResponse Resp = Svc.serve(Req);
+      EXPECT_EQ(Resp.Exit, 1);
+      EXPECT_EQ(Resp.Warnings, 1u);
+      Payloads.push_back(Resp.Payload);
+    }
+  }
+  for (const std::string &P : Payloads)
+    EXPECT_EQ(P, Payloads[0]);
+  EXPECT_NE(Payloads[0].find("MIX303"), std::string::npos) << Payloads[0];
 }
 
 //===----------------------------------------------------------------------===//

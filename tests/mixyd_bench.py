@@ -107,9 +107,12 @@ def bench_warm_daemon(daemon):
 
 
 def bench_dedup(daemon, burst=8):
-    # jobs > 1 makes the executing engine block on its pool, widening the
+    # A two-path mixcheck block with jobs > 1 classifies its paths on a
+    # pool, so the executing thread blocks mid-request, widening the
     # in-flight window so the burst exercises dedup even on one core.
-    params = {"version": 1, "tool": "mixy", "corpus": "vsftpd",
+    params = {"version": 1, "tool": "mixcheck",
+              "source": "{s if b then 1 else 2 s}",
+              "vars": [{"name": "b", "type": "bool"}],
               "input_name": "bench-dedup", "format": "json", "jobs": 2}
     threads = [threading.Thread(target=daemon.call, args=("analyze", params))
                for _ in range(burst)]

@@ -89,10 +89,7 @@ int main(int Argc, char **Argv) {
               "disable aliasing restoration (Section 4.2)");
   Parser.flag("--warn-derefs", &Req.WarnDerefs,
               "treat every dereference as a nonnull requirement");
-  driver::registerCommonOptions(
-      Parser, Driver, &Req.Jobs,
-      "analyze symbolic blocks on N worker threads\n"
-      "(default 1 = serial; 0 = one per hardware thread)");
+  Driver.registerOptions(Parser);
   Parser.flag("--incremental", &Req.Incremental,
               "with --cache-dir: reuse per-block summaries across runs,\n"
               "re-analyzing only functions whose code or dependencies "
@@ -169,8 +166,7 @@ int main(int Argc, char **Argv) {
            << Reg.counterValue("mixy.recursions") << "\n"
            // The shared engine layer's view of the same run: blocks it
            // scheduled, cache hits it served, and how the fixpoint driver
-           // got there (site re-evaluations and rounds, under the serial
-           // and the worklist schedule alike).
+           // got there (site re-evaluations and rounds).
            << "engine blocks scheduled  : "
            << Reg.counterValue("engine.mixy.blocks") << "\n"
            << "engine cache hits        : "
@@ -179,9 +175,6 @@ int main(int Argc, char **Argv) {
            << Reg.counterValue("engine.worklist.reruns") << "\n"
            << "fixpoint rounds          : "
            << Reg.counterValue("engine.fixpoint.rounds") << "\n";
-      if (Req.Jobs > 1)
-        Info << "sym block cache          : " << Resp.SymCacheStats << "\n"
-             << "typed block cache        : " << Resp.TypedCacheStats << "\n";
     }
     Info << driver::renderPhaseBreakdown(Resp);
   }

@@ -562,8 +562,8 @@ int main(int Argc, char **Argv) {
   driver::registerCommonOptions(
       Parser, Driver, &Workers,
       "serve analyze requests on N pool workers (default: one per\n"
-      "hardware thread); each request's own \"jobs\" field still "
-      "controls\nits engine parallelism");
+      "hardware thread); a mixcheck request's own \"jobs\" field still\n"
+      "sets its path-classification workers, and MIXY ignores it");
   Parser.flag("--help", &Help, "this text");
 
   if (!Parser.parse(Argc, Argv))
