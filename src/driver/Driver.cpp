@@ -107,13 +107,6 @@ void DriverContext::registerOptions(OptionParser &P) {
       "and diagnostics' \"decided by\" attribution, never findings)");
 }
 
-void mix::driver::registerCommonOptions(OptionParser &P, DriverContext &Driver,
-                                        unsigned *Jobs,
-                                        const std::string &JobsHelp) {
-  P.jobs(Jobs, JobsHelp);
-  Driver.registerOptions(P);
-}
-
 void DriverContext::applyCommonRequest(service::AnalysisRequest &Req) const {
   switch (Format) {
   case OutputFormat::Text:

@@ -31,7 +31,7 @@
 ///    JSON document, so machine consumers can pipe it straight into a
 ///    JSON parser; human-oriented extras (--stats) move to stderr.
 ///    Machine formats emit diagnostics sorted by (location, id) so the
-///    document is byte-identical across --jobs.
+///    document does not depend on the order they were reported in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -137,15 +137,6 @@ private:
   bool Explain = false;
   OutputFormat Format = OutputFormat::Text;
 };
-
-/// Registers the flags of the tools that run work on a pool (mixcheck,
-/// mixyd) in one place, so they cannot drift apart: the --jobs parser
-/// (stored into \p *Jobs, with \p JobsHelp as its tool-specific
-/// description) and DriverContext's cross-cutting set (--trace,
-/// --metrics, --format, --explain, --stats, --cache-dir). mixyc, whose
-/// analysis has no workers, registers only the cross-cutting set.
-void registerCommonOptions(OptionParser &P, DriverContext &Driver,
-                           unsigned *Jobs, const std::string &JobsHelp);
 
 /// Writes \p Content to \p Path. Returns false after printing
 /// "<tool>: cannot write '...'" to stderr.

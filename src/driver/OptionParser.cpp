@@ -11,6 +11,7 @@
 #include "support/StringExtras.h"
 
 #include <algorithm>
+#include <charconv>
 #include <iostream>
 #include <sstream>
 
@@ -71,9 +72,8 @@ void OptionParser::jobs(unsigned *Jobs, const std::string &Help) {
   value(
       "--jobs",
       [Jobs](const std::string &V) {
-        if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos)
+        if (!parseUnsigned(V, *Jobs))
           return false;
-        *Jobs = (unsigned)std::stoul(V);
         if (*Jobs == 0)
           *Jobs = rt::ThreadPool::hardwareWorkers();
         return true;
@@ -82,6 +82,15 @@ void OptionParser::jobs(unsigned *Jobs, const std::string &Help) {
       Help.empty() ? "analyze with N worker threads (0 = one per hardware "
                      "thread; default 1)"
                    : Help);
+}
+
+bool OptionParser::parseUnsigned(const std::string &Text, unsigned &Out) {
+  // from_chars takes no sign or whitespace for an unsigned target and
+  // reports overflow instead of throwing; the end check rejects trailing
+  // non-digits.
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Err] = std::from_chars(Text.data(), End, Out);
+  return Err == std::errc() && Ptr == End;
 }
 
 std::string OptionParser::renderHelp() const {

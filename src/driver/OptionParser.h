@@ -74,6 +74,13 @@ public:
   /// per hardware thread, result stored into \p *Jobs.
   void jobs(unsigned *Jobs, const std::string &Help = std::string());
 
+  /// The one parser behind every numeric flag: true, with \p Out set,
+  /// when \p Text is all digits and at most UINT_MAX; false, with \p Out
+  /// untouched, otherwise. An oversized value is a usage error, never an
+  /// exception or a silent wrap-around. Each flag applies its own rule
+  /// for 0.
+  static bool parseUnsigned(const std::string &Text, unsigned &Out);
+
   /// Option groups let one registrar serve several front ends: wrap a
   /// set of registrations in beginGroup("name")/endGroup(), and a front
   /// end that has no use for them (the daemon has no --format — output

@@ -26,7 +26,6 @@
 ///
 ///   struct Domain {
 ///     using Key = ...;          // block + calling context; == and <
-///     using KeyHash = ...;      // stripe selector for the caches
 ///     using SymOutcome = ...;   // symbolic-block summary; ==
 ///     using TypedOutcome = ...; // typed-block summary; ==
 ///     static constexpr const char *Name = "...";  // metrics namespace
@@ -48,7 +47,6 @@
 
 #include "engine/BlockCache.h"
 #include "observe/Metrics.h"
-#include "support/Hash.h"
 
 #include <functional>
 #include <optional>
@@ -73,13 +71,6 @@ struct NodeContextKey {
   bool operator<(const NodeContextKey &O) const {
     return std::tie(Node, Sig) < std::tie(O.Node, O.Sig);
   }
-
-  struct Hash {
-    size_t operator()(const NodeContextKey &K) const {
-      return hashCombine(std::hash<const void *>()(K.Node),
-                         std::hash<std::string>()(K.Sig));
-    }
-  };
 };
 
 /// The per-run callbacks a domain supplies to MixEngine::runSymbolic /
@@ -139,12 +130,10 @@ struct EngineCounters {
 /// iteration, parameterized over an AnalysisDomain.
 ///
 /// Thread model: one engine analyzes blocks on one thread. The block
-/// stack is the *caller's* (passed per call); the caches are striped
-/// internally, but every instantiation builds them with a single stripe.
+/// stack is the *caller's* (passed per call).
 template <typename Domain> class MixEngine {
 public:
   using Key = typename Domain::Key;
-  using KeyHash = typename Domain::KeyHash;
   using SymOutcome = typename Domain::SymOutcome;
   using TypedOutcome = typename Domain::TypedOutcome;
 
@@ -174,11 +163,11 @@ public:
 
   explicit MixEngine(Config C)
       : Cfg(std::move(C)),
-        SymCache(1, 0, KeyHash(), Cfg.Metrics,
+        SymCache(Cfg.Metrics,
                  Cfg.SymCachePrefix.empty()
                      ? "engine.cache." + std::string(Domain::Name) + ".sym."
                      : Cfg.SymCachePrefix),
-        TypedCache(1, 0, KeyHash(), Cfg.Metrics,
+        TypedCache(Cfg.Metrics,
                    Cfg.TypedCachePrefix.empty()
                        ? "engine.cache." + std::string(Domain::Name) +
                              ".typed."
@@ -218,7 +207,7 @@ public:
 private:
   template <typename V>
   V runImpl(const Key &K, BlockStack &Stack, const RunHooks<V> &H,
-            BlockCache<Key, V, KeyHash> &Cache, V StackEntry::*Slot,
+            BlockCache<Key, V> &Cache, V StackEntry::*Slot,
             bool Symbolic) {
     if (Cfg.EnableCache) {
       if (auto Cached = Cache.lookup(K)) {
@@ -287,8 +276,8 @@ private:
   }
 
   Config Cfg;
-  BlockCache<Key, SymOutcome, KeyHash> SymCache;
-  BlockCache<Key, TypedOutcome, KeyHash> TypedCache;
+  BlockCache<Key, SymOutcome> SymCache;
+  BlockCache<Key, TypedOutcome> TypedCache;
   EngineCounters Counters;
 };
 

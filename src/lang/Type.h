@@ -98,9 +98,10 @@ public:
 private:
   const Type *make(TypeKind Kind, const Type *Arg0, const Type *Arg1);
 
-  /// Interning mutates the maps below, and parallel block analyses share
-  /// one context, so lookups are serialized. Interned pointers stay
-  /// stable forever; only the intern step itself needs the lock.
+  /// Interning mutates the maps below, so lookups are serialized: the
+  /// lock keeps a context safe to share between threads, though each
+  /// analysis request builds its own. Interned pointers stay stable
+  /// forever; only the intern step itself needs the lock.
   std::mutex InternM;
   std::vector<std::unique_ptr<Type>> Owned;
   std::map<std::pair<const Type *, const Type *>, const Type *> RefTypes;

@@ -7,10 +7,6 @@
 
 #include "mix/AutoPlacement.h"
 
-#include "runtime/ThreadPool.h"
-
-#include <memory>
-
 using namespace mix;
 
 namespace {
@@ -188,7 +184,6 @@ mix::autoPlaceSymbolicBlocks(AstContext &Ctx, const Expr *Program,
 
   const Expr *Current = Program;
   SourceLoc LastErrLoc;
-  std::unique_ptr<rt::ThreadPool> Pool;
 
   for (unsigned Iter = 0; Iter != Opts.MaxRefinements; ++Iter) {
     SourceLoc ErrLoc;
@@ -213,51 +208,17 @@ mix::autoPlaceSymbolicBlocks(AstContext &Ctx, const Expr *Program,
     // elsewhere (a multi-error program: the next iteration attacks the
     // next error). Preferring the innermost helpful wrap keeps symbolic
     // regions small, the cheap end of the paper's trade-off.
-    std::vector<const Expr *> Candidates;
+    const Expr *Progress = nullptr;
     for (const Expr *Candidate : Chain) {
       if (const auto *B = dyn_cast<BlockExpr>(Candidate))
         if (B->blockKind() == BlockKind::Symbolic)
           continue; // wrapping a symbolic block again cannot help
-      Candidates.push_back(Candidate);
-    }
-
-    const Expr *Progress = nullptr;
-    if (Opts.Jobs > 1 && Candidates.size() > 1) {
-      // Clone every candidate serially (the AST context is shared), then
-      // check them concurrently — each check builds its own checker and
-      // diagnostics engine, so candidates don't interact. The scan below
-      // still commits the innermost helpful wrap, so the refinement
-      // sequence is the same as the serial loop's.
-      std::vector<const Expr *> Wrapped(Candidates.size());
-      for (size_t I = 0; I != Candidates.size(); ++I)
-        Wrapped[I] = cloneWrapping(Ctx, Current, Candidates[I]);
-      MixOptions CandOpts = Opts.Mix;
-      CandOpts.Jobs = 1; // candidates are the unit of parallelism here
-      std::vector<char> Helps(Candidates.size(), 0);
-      if (!Pool)
-        Pool = std::make_unique<rt::ThreadPool>(Opts.Jobs);
-      Pool->parallelFor(Candidates.size(), [&](size_t I) {
-        SourceLoc NewErrLoc;
-        const Type *WT =
-            checkSilently(Ctx, Wrapped[I], Gamma, CandOpts, NewErrLoc);
-        Helps[I] = WT || (NewErrLoc.isValid() && !(NewErrLoc == ErrLoc));
-      });
-      for (size_t I = 0; I != Candidates.size(); ++I) {
-        if (Helps[I]) {
-          Progress = Wrapped[I];
-          break;
-        }
-      }
-    } else {
-      for (const Expr *Candidate : Candidates) {
-        const Expr *Wrapped = cloneWrapping(Ctx, Current, Candidate);
-        SourceLoc NewErrLoc;
-        const Type *WT =
-            checkSilently(Ctx, Wrapped, Gamma, Opts.Mix, NewErrLoc);
-        if (WT || (NewErrLoc.isValid() && !(NewErrLoc == ErrLoc))) {
-          Progress = Wrapped;
-          break;
-        }
+      const Expr *Wrapped = cloneWrapping(Ctx, Current, Candidate);
+      SourceLoc NewErrLoc;
+      const Type *WT = checkSilently(Ctx, Wrapped, Gamma, Opts.Mix, NewErrLoc);
+      if (WT || (NewErrLoc.isValid() && !(NewErrLoc == ErrLoc))) {
+        Progress = Wrapped;
+        break;
       }
     }
 

@@ -46,13 +46,6 @@ struct AutoPlacementResult {
 struct AutoPlacementOptions {
   MixOptions Mix;
   unsigned MaxRefinements = 8;
-  /// Worker threads for evaluating wrap candidates. Each refinement step
-  /// tries the ancestor chain of the error location; the candidate checks
-  /// are independent (private checker and diagnostics per candidate) and
-  /// run concurrently, but cloning stays serial (the AST context is
-  /// shared) and the committed wrap is still the innermost helpful one,
-  /// so the refinement sequence matches the serial loop exactly.
-  unsigned Jobs = 1;
 };
 
 /// Runs the abstraction-refinement loop on \p Program under \p Gamma.

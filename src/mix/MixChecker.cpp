@@ -10,8 +10,6 @@
 #include "mix/ConcolicDriver.h"
 #include "symexec/MemCheck.h"
 
-#include <algorithm>
-
 using namespace mix;
 
 /// Pushes the checker-level observability sinks down into the nested
@@ -227,29 +225,6 @@ void MixChecker::reportPathError(const PathResult &P, SourceLoc BlockLoc,
     Diags.note(Loc, "for example, when " + Witness, DiagID::WitnessNote);
 }
 
-std::vector<char>
-MixChecker::classifyFeasibility(const std::vector<PathResult> &Paths) {
-  std::vector<char> Feasible(Paths.size(), 1);
-  if (!Pool)
-    Pool = std::make_unique<rt::ThreadPool>(Opts.Jobs, Opts.Trace, "mix");
-  // The symbol arena is quiescent here (enumeration finished), so each
-  // chunk of paths may translate against it with its own term arena and
-  // solver; solver verdicts are deterministic per formula, so the
-  // feasible/infeasible split matches what the shared solver would say.
-  size_t Chunks = std::min<size_t>(Opts.Jobs, Paths.size());
-  Pool->parallelFor(Chunks, [&](size_t C) {
-    smt::TermArena ChunkTerms;
-    std::unique_ptr<smt::ISolver> ChunkSolver =
-        smt::createBackend(Opts.Solver.Backend, ChunkTerms, Opts.Smt);
-    SymToSmt ChunkTranslator(Syms, ChunkTerms);
-    for (size_t I = C; I < Paths.size(); I += Chunks)
-      Feasible[I] =
-          ChunkSolver->checkSat(ChunkTranslator.translate(
-              Paths[I].State.Path)) != smt::SolveResult::Unsat;
-  });
-  return Feasible;
-}
-
 const Type *MixChecker::checkSymbolicCore(const Expr *Body,
                                           const TypeEnv &Gamma,
                                           SourceLoc Loc) {
@@ -293,45 +268,21 @@ const Type *MixChecker::checkSymbolicCore(const Expr *Body,
   // discarded ("eventually, when symbolic execution completes, we will
   // check the path condition and discard the path if it is infeasible").
   std::vector<const PathResult *> Live;
-  if (Opts.Jobs > 1 && Result.Paths.size() > 1) {
-    // Paths are independent once enumerated: feasibility is checked
-    // concurrently (one solver per chunk of paths), then the results are
-    // reported at the join in path order. The witness model for a
-    // feasible error path is re-derived on the shared solver so the
-    // diagnostic text matches the serial classification exactly.
-    std::vector<char> Feasible = classifyFeasibility(Result.Paths);
-    for (size_t I = 0; I != Result.Paths.size(); ++I) {
-      const PathResult &P = Result.Paths[I];
-      if (!Feasible[I]) {
-        ++Statistics.InfeasiblePathsDiscarded;
-        CInfeasible.inc();
-        continue;
-      }
-      if (P.IsError) {
-        smt::SmtModel Model;
-        Solver->checkSat(Translator.translate(P.State.Path), &Model);
-        reportPathError(P, Loc, Env, Model);
-        return nullptr;
-      }
-      Live.push_back(&P);
+  for (const PathResult &P : Result.Paths) {
+    smt::SmtModel Model;
+    if (Solver->checkSat(Translator.translate(P.State.Path), &Model) ==
+        smt::SolveResult::Unsat) {
+      ++Statistics.InfeasiblePathsDiscarded;
+      CInfeasible.inc();
+      continue;
     }
-  } else {
-    for (const PathResult &P : Result.Paths) {
-      smt::SmtModel Model;
-      if (Solver->checkSat(Translator.translate(P.State.Path), &Model) ==
-          smt::SolveResult::Unsat) {
-        ++Statistics.InfeasiblePathsDiscarded;
-        CInfeasible.inc();
-        continue;
-      }
-      if (P.IsError) {
-        // A concrete witness makes the report actionable: values for the
-        // block's inputs under which the failing path is taken.
-        reportPathError(P, Loc, Env, Model);
-        return nullptr;
-      }
-      Live.push_back(&P);
+    if (P.IsError) {
+      // A concrete witness makes the report actionable: values for the
+      // block's inputs under which the failing path is taken.
+      reportPathError(P, Loc, Env, Model);
+      return nullptr;
     }
+    Live.push_back(&P);
   }
 
   if (Live.empty()) {

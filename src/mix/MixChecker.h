@@ -30,7 +30,6 @@
 #define MIX_MIX_MIXCHECKER_H
 
 #include "engine/MixEngine.h"
-#include "runtime/ThreadPool.h"
 #include "solver/SolverFactory.h"
 #include "symexec/SymExecutor.h"
 #include "types/TypeChecker.h"
@@ -42,14 +41,6 @@ namespace mix {
 /// Configuration of the mixed analysis.
 struct MixOptions {
   SymExecOptions Exec;
-
-  /// Worker threads for classifying a symbolic block's paths (the
-  /// feasibility query per enumerated path is the solver-bound hot loop).
-  /// 1 keeps the serial classification, byte-for-byte identical in
-  /// diagnostics; N > 1 checks paths concurrently on a work-stealing
-  /// pool with one solver instance per chunk of paths, then reports at
-  /// the join in path order — same verdicts, same messages.
-  unsigned Jobs = 1;
 
   /// Section 3.2: exhaustive() can be required (sound) or weakened to a
   /// "good enough check" (the unsound-but-useful mode of typical symbolic
@@ -75,8 +66,7 @@ struct MixOptions {
 
   smt::SmtOptions Smt;
 
-  /// Which solver backend answers feasibility/exhaustiveness queries
-  /// (the shared solver and every per-chunk classification solver).
+  /// Which solver backend answers feasibility/exhaustiveness queries.
   smt::SolverSpec Solver;
 
   /// Observability sinks (see src/observe/). The checker copies these
@@ -156,7 +146,6 @@ private:
   /// the analysis failed and diagnostics were reported).
   struct EngineDomain {
     using Key = engine::NodeContextKey;
-    using KeyHash = engine::NodeContextKey::Hash;
     using SymOutcome = const Type *;
     using TypedOutcome = const Type *;
     static constexpr const char *Name = "mix";
@@ -203,12 +192,6 @@ private:
   /// for concolic exploration).
   static SymExecOptions executorOptionsFor(const MixOptions &Opts);
 
-  /// Feasibility of every path in \p Paths, computed concurrently: the
-  /// paths are split into Opts.Jobs strided chunks, and each chunk builds
-  /// its own term arena and solver and translates against the quiescent
-  /// symbol arena.
-  std::vector<char> classifyFeasibility(const std::vector<PathResult> &Paths);
-
   TypeContext &Types;
   DiagnosticEngine &Diags;
   MixOptions Opts;
@@ -225,12 +208,9 @@ private:
   // registry).
   obs::Counter CSymBlocks, CTypedBlocks, CPaths, CInfeasible, CExhaustive;
 
-  // Parallel classification (lazily built on first use).
-  std::unique_ptr<rt::ThreadPool> Pool;
-
   // The shared engine layer: block caches plus the Section 4.4 block
-  // stack. Block analysis is serial per checker instance (Jobs only
-  // parallelizes path classification), so one stack suffices.
+  // stack. Block analysis is serial per checker instance, so one stack
+  // suffices.
   Engine Eng;
   Engine::BlockStack BlockStack;
 };

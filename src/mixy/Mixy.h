@@ -189,20 +189,6 @@ private:
     }
   };
 
-  /// Stripe selector for the block caches (only placement, never
-  /// identity: shards compare keys with operator<).
-  struct BlockKeyHash {
-    size_t operator()(const BlockKey &K) const {
-      size_t H = hashCombine(std::hash<const void *>()(K.F), K.Symbolic);
-      for (NullSeed S : K.Params)
-        H = hashCombine(H, (size_t)S);
-      for (const auto &[Name, Seed] : K.Globals)
-        H = hashCombine(hashCombine(H, std::hash<std::string>()(Name)),
-                        (size_t)Seed);
-      return H;
-    }
-  };
-
   /// The caller-visible summary of one symbolic block run ("we cache the
   /// translated types", Section 4.3).
   struct SymOutcome {
@@ -246,7 +232,6 @@ private:
   /// the key/outcome types and the evaluation hooks.
   struct EngineDomain {
     using Key = BlockKey;
-    using KeyHash = BlockKeyHash;
     using SymOutcome = MixyAnalysis::SymOutcome;
     using TypedOutcome = bool;
     static constexpr const char *Name = "mixy";

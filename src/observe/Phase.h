@@ -59,9 +59,9 @@ const char *phaseSpanName(Phase P);
 
 /// Per-request telemetry context. One is created per AnalysisService
 /// request when request telemetry is enabled; engine code only sees it as
-/// an optional pointer. Accumulation is relaxed-atomic so parallel
-/// fixpoint workers can add phase time concurrently; reads are exact at a
-/// barrier (request end), like the metrics registry.
+/// an optional pointer. Accumulation is relaxed-atomic, so the context is
+/// safe to share between threads; reads are exact at a barrier (request
+/// end), like the metrics registry.
 class RequestTelemetry {
 public:
   RequestTelemetry() = default;

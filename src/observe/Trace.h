@@ -78,7 +78,7 @@ public:
   void complete(const char *Name, const char *Cat, uint64_t StartUs,
                 uint64_t DurUs, const std::string &ArgsJson = std::string());
 
-  /// Names the calling thread's timeline lane ("mixy worker 3").
+  /// Names the calling thread's timeline lane ("mixyd worker 3").
   void nameCurrentThread(const std::string &Name);
 
   /// Number of events recorded so far (spans + instants + metadata).

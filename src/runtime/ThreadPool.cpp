@@ -1,4 +1,4 @@
-//===--- ThreadPool.cpp - Work-stealing task pool ---------------------------===//
+//===--- ThreadPool.cpp - FIFO worker pool ----------------------------------===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
@@ -7,24 +7,14 @@
 
 #include "runtime/ThreadPool.h"
 
+#include <algorithm>
+
 using namespace mix::rt;
-
-namespace {
-
-/// Which pool (if any) the current thread works for, and its index.
-/// Thread-local so nested submission and future-helping can find the
-/// caller's own deque without a registry lookup.
-thread_local const ThreadPool *CurrentPool = nullptr;
-thread_local int CurrentWorkerIndex = -1;
-
-} // namespace
 
 ThreadPool::ThreadPool(unsigned WorkerCount, obs::TraceSink *TraceSink,
                        const char *Name)
     : Trace(TraceSink), PoolName(Name) {
-  Queues.reserve(WorkerCount);
-  for (unsigned I = 0; I != WorkerCount; ++I)
-    Queues.push_back(std::make_unique<WorkerQueue>());
+  WorkerCount = std::max(WorkerCount, 1u);
   Workers.reserve(WorkerCount);
   for (unsigned I = 0; I != WorkerCount; ++I)
     Workers.emplace_back([this, I] { workerLoop(I); });
@@ -32,136 +22,40 @@ ThreadPool::ThreadPool(unsigned WorkerCount, obs::TraceSink *TraceSink,
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> Lock(SleepM);
+    std::lock_guard<std::mutex> Lock(M);
     Stopping = true;
   }
-  SleepCv.notify_all();
+  Cv.notify_all();
   for (std::thread &W : Workers)
     W.join();
 }
 
-int ThreadPool::currentWorker() const {
-  return CurrentPool == this ? CurrentWorkerIndex : -1;
-}
-
-void ThreadPool::enqueue(Task T) {
-  int Self = currentWorker();
-  unsigned Target;
-  if (Self >= 0) {
-    Target = (unsigned)Self; // nested submission: stay local, run LIFO
-  } else {
-    std::lock_guard<std::mutex> Lock(SleepM);
-    Target = NextQueue;
-    NextQueue = (NextQueue + 1) % (unsigned)Queues.size();
-  }
+std::future<void> ThreadPool::submit(std::function<void()> Fn) {
+  std::packaged_task<void()> Task(std::move(Fn));
+  std::future<void> Result = Task.get_future();
   {
-    std::lock_guard<std::mutex> Lock(Queues[Target]->M);
-    Queues[Target]->Tasks.push_back(std::move(T));
+    std::lock_guard<std::mutex> Lock(M);
+    Queue.push_back(std::move(Task));
   }
-  // Serialize with the sleepers' check-then-wait: a worker holds SleepM
-  // from its empty re-scan until wait(), so acquiring it here means the
-  // notify below cannot fall between a scan that missed this task and
-  // the corresponding wait.
-  {
-    std::lock_guard<std::mutex> Lock(SleepM);
-  }
-  SleepCv.notify_one();
-}
-
-bool ThreadPool::popTask(Task &Out) {
-  int Self = currentWorker();
-  // Own deque first, newest task first (locality for nested submits).
-  if (Self >= 0) {
-    WorkerQueue &Q = *Queues[Self];
-    std::lock_guard<std::mutex> Lock(Q.M);
-    if (!Q.Tasks.empty()) {
-      Out = std::move(Q.Tasks.back());
-      Q.Tasks.pop_back();
-      return true;
-    }
-  }
-  // Steal oldest-first from the others, starting after our own slot so
-  // thieves spread out instead of all hammering queue 0.
-  size_t N = Queues.size();
-  size_t Start = Self >= 0 ? (size_t)(Self + 1) : 0;
-  for (size_t K = 0; K != N; ++K) {
-    WorkerQueue &Q = *Queues[(Start + K) % N];
-    std::lock_guard<std::mutex> Lock(Q.M);
-    if (!Q.Tasks.empty()) {
-      Out = std::move(Q.Tasks.front());
-      Q.Tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::runTask(Task &T) {
-  obs::TraceSpan Span(Trace, "pool.task", "pool");
-  T();
-}
-
-bool ThreadPool::runOneTask() {
-  Task T;
-  if (!popTask(T))
-    return false;
-  runTask(T);
-  return true;
+  Cv.notify_one();
+  return Result;
 }
 
 void ThreadPool::workerLoop(unsigned Index) {
-  CurrentPool = this;
-  CurrentWorkerIndex = (int)Index;
   if (Trace)
     Trace->nameCurrentThread(std::string(PoolName) + " worker " +
                              std::to_string(Index));
   for (;;) {
-    Task T;
-    if (popTask(T)) {
-      runTask(T);
-      continue;
+    std::packaged_task<void()> Task;
+    {
+      std::unique_lock<std::mutex> Lock(M);
+      Cv.wait(Lock, [this] { return Stopping || !Queue.empty(); });
+      if (Queue.empty())
+        return; // stopping, and nothing is left to run
+      Task = std::move(Queue.front());
+      Queue.pop_front();
     }
-    std::unique_lock<std::mutex> Lock(SleepM);
-    if (Stopping)
-      break;
-    // Re-check under the lock: a submit may have raced our empty scan.
-    bool AnyWork = false;
-    for (auto &Q : Queues) {
-      std::lock_guard<std::mutex> QLock(Q->M);
-      if (!Q->Tasks.empty()) {
-        AnyWork = true;
-        break;
-      }
-    }
-    if (AnyWork)
-      continue;
-    SleepCv.wait(Lock);
+    obs::TraceSpan Span(Trace, "pool.task", "pool");
+    Task();
   }
-  CurrentPool = nullptr;
-  CurrentWorkerIndex = -1;
-}
-
-void ThreadPool::parallelFor(size_t N, const std::function<void(size_t)> &Body) {
-  if (N == 0)
-    return;
-  if (Workers.empty()) {
-    for (size_t I = 0; I != N; ++I)
-      Body(I);
-    return;
-  }
-  std::vector<TaskFuture<void>> Futures;
-  Futures.reserve(N);
-  for (size_t I = 0; I != N; ++I)
-    Futures.push_back(submit([&Body, I] { Body(I); }));
-  std::exception_ptr First;
-  for (TaskFuture<void> &F : Futures) {
-    try {
-      F.get();
-    } catch (...) {
-      if (!First)
-        First = std::current_exception();
-    }
-  }
-  if (First)
-    std::rethrow_exception(First);
 }

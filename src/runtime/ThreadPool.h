@@ -1,4 +1,4 @@
-//===--- ThreadPool.h - Work-stealing task pool -----------------*- C++ -*-===//
+//===--- ThreadPool.h - FIFO worker pool ------------------------*- C++ -*-===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
@@ -6,23 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool for block-level parallelism. The
-/// paper's analyses decompose into blocks that are independent at their
-/// boundaries (typed regions exchange only calling contexts and block
-/// summaries with symbolic blocks), so sibling blocks can be analyzed by
-/// concurrent workers and joined at a barrier.
-///
-/// Design:
-///  - one deque per worker; a task submitted from a worker goes to that
-///    worker's own deque (LIFO for locality), tasks submitted from
-///    outside go round-robin; idle workers steal FIFO from the others;
-///  - futures propagate exceptions and, when awaited from a worker
-///    thread, *help* by draining pending tasks instead of blocking, so
-///    nested submission (a task awaiting its own subtasks) cannot
-///    deadlock the pool;
-///  - a pool with 0 workers degenerates to inline execution on the
-///    calling thread — the serial path, byte-for-byte identical to not
-///    having a pool at all.
+/// A fixed set of worker threads serving one FIFO task queue. mixyd runs
+/// each analyze request as one task on it; the analysis itself stays on
+/// the worker that picked the request up (DESIGN.md section 9).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,109 +19,17 @@
 
 #include <condition_variable>
 #include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
+#include <future>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace mix::rt {
 
-class ThreadPool;
-
-namespace detail {
-
-/// Shared state between a TaskFuture and the task that fulfills it.
-template <typename T> struct FutureState {
-  std::mutex M;
-  std::condition_variable Cv;
-  bool Ready = false;
-  std::exception_ptr Error;
-  // Default-constructed slot; assigned exactly once before Ready.
-  alignas(T) unsigned char Storage[sizeof(T)];
-  bool HasValue = false;
-
-  ~FutureState() {
-    if (HasValue)
-      reinterpret_cast<T *>(Storage)->~T();
-  }
-
-  void setValue(T Value) {
-    std::lock_guard<std::mutex> Lock(M);
-    ::new (Storage) T(std::move(Value));
-    HasValue = true;
-    Ready = true;
-    Cv.notify_all();
-  }
-  void setError(std::exception_ptr E) {
-    std::lock_guard<std::mutex> Lock(M);
-    Error = std::move(E);
-    Ready = true;
-    Cv.notify_all();
-  }
-};
-
-template <> struct FutureState<void> {
-  std::mutex M;
-  std::condition_variable Cv;
-  bool Ready = false;
-  std::exception_ptr Error;
-
-  void setValue() {
-    std::lock_guard<std::mutex> Lock(M);
-    Ready = true;
-    Cv.notify_all();
-  }
-  void setError(std::exception_ptr E) {
-    std::lock_guard<std::mutex> Lock(M);
-    Error = std::move(E);
-    Ready = true;
-    Cv.notify_all();
-  }
-};
-
-} // namespace detail
-
-/// Handle to the eventual result of a submitted task. get() blocks (or
-/// helps run queued tasks when called on a pool worker) and rethrows any
-/// exception the task threw.
-template <typename T> class TaskFuture {
-public:
-  TaskFuture() = default;
-
-  /// True when a result or exception is available.
-  bool ready() const {
-    if (!State)
-      return true;
-    std::lock_guard<std::mutex> Lock(State->M);
-    return State->Ready;
-  }
-
-  /// Blocks until the task completes; rethrows its exception. On a pool
-  /// worker thread, runs queued tasks while waiting.
-  T get();
-
-  bool valid() const { return State != nullptr; }
-
-private:
-  friend class ThreadPool;
-  TaskFuture(std::shared_ptr<detail::FutureState<T>> State, ThreadPool *Pool)
-      : State(std::move(State)), Pool(Pool) {}
-
-  std::shared_ptr<detail::FutureState<T>> State;
-  ThreadPool *Pool = nullptr;
-};
-
-/// The pool. Construction spawns the workers; destruction joins them
-/// after draining nothing (outstanding futures must be awaited first by
-/// the owner — the analyses join at round barriers).
 class ThreadPool {
 public:
-  /// \p Workers threads are spawned. 0 means inline execution: submit()
-  /// runs the task immediately on the calling thread.
+  /// Spawns \p Workers threads (at least one).
   ///
   /// With a trace sink attached, each worker names its timeline lane
   /// ("<name> worker N") and every executed task is recorded as a
@@ -143,6 +37,8 @@ public:
   /// branch per task.
   explicit ThreadPool(unsigned Workers, obs::TraceSink *Trace = nullptr,
                       const char *Name = "pool");
+
+  /// Runs every task still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
@@ -156,105 +52,24 @@ public:
     return N == 0 ? 1 : N;
   }
 
-  /// Index of the calling pool worker (0-based), or -1 when the caller is
-  /// not one of this pool's workers.
-  int currentWorker() const;
-
-  /// Submits \p Fn; returns a future for its result. Exceptions thrown by
-  /// \p Fn surface from TaskFuture::get().
-  template <typename Fn, typename R = std::invoke_result_t<Fn>>
-  TaskFuture<R> submit(Fn Fn_) {
-    auto State = std::make_shared<detail::FutureState<R>>();
-    if (Workers.empty()) {
-      runInline<R>(*State, std::move(Fn_));
-      return TaskFuture<R>(std::move(State), this);
-    }
-    enqueue([State, Body = std::move(Fn_)]() mutable {
-      runInline<R>(*State, std::move(Body));
-    });
-    return TaskFuture<R>(std::move(State), this);
-  }
-
-  /// Applies \p Body to every index in [0, N) using the pool, blocking
-  /// until all are done. Exceptions from any index are rethrown (one of
-  /// them) after all indices finished or were abandoned by their thrower.
-  void parallelFor(size_t N, const std::function<void(size_t)> &Body);
-
-  /// Runs one queued task if any is available; returns false when the
-  /// queues were all empty. Used by futures to help while waiting.
-  bool runOneTask();
+  /// Queues \p Task behind every task submitted before it. The future
+  /// becomes ready once the task has run, and get() rethrows anything
+  /// it threw.
+  std::future<void> submit(std::function<void()> Task);
 
 private:
-  template <typename R, typename Fn>
-  static void runInline(detail::FutureState<R> &State, Fn Fn_) {
-    try {
-      if constexpr (std::is_void_v<R>) {
-        Fn_();
-        State.setValue();
-      } else {
-        State.setValue(Fn_());
-      }
-    } catch (...) {
-      State.setError(std::current_exception());
-    }
-  }
-
-  using Task = std::function<void()>;
-
-  /// One worker's deque. The owner pushes/pops at the back (LIFO);
-  /// thieves take from the front (FIFO) — the classic Chase-Lev shape,
-  /// with a mutex instead of a lock-free deque (queue operations are
-  /// vastly cheaper than the solver-bound tasks they carry).
-  struct WorkerQueue {
-    std::mutex M;
-    std::deque<Task> Tasks;
-  };
-
-  void enqueue(Task T);
-  bool popTask(Task &Out);
   void workerLoop(unsigned Index);
-  void runTask(Task &T);
 
-  obs::TraceSink *Trace = nullptr;
-  const char *PoolName = "pool";
-  std::vector<std::unique_ptr<WorkerQueue>> Queues;
-  std::vector<std::thread> Workers;
+  obs::TraceSink *Trace;
+  const char *PoolName;
 
-  std::mutex SleepM;
-  std::condition_variable SleepCv;
+  std::mutex M;
+  std::condition_variable Cv;
+  std::deque<std::packaged_task<void()>> Queue;
   bool Stopping = false;
-  unsigned NextQueue = 0; ///< round-robin target for external submits
 
-  template <typename T> friend class TaskFuture;
+  std::vector<std::thread> Workers;
 };
-
-template <typename T> T TaskFuture<T>::get() {
-  if (!State) {
-    if constexpr (std::is_void_v<T>)
-      return;
-    else
-      return T();
-  }
-  // Help run tasks while the result is pending (only meaningful on a
-  // worker thread, but harmless — and deadlock-free — anywhere).
-  if (Pool && Pool->currentWorker() >= 0) {
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> Lock(State->M);
-        if (State->Ready)
-          break;
-      }
-      if (!Pool->runOneTask())
-        std::this_thread::yield();
-    }
-  }
-  std::unique_lock<std::mutex> Lock(State->M);
-  State->Cv.wait(Lock, [&] { return State->Ready; });
-  if (State->Error)
-    std::rethrow_exception(State->Error);
-  if constexpr (!std::is_void_v<T>)
-    return std::move(*reinterpret_cast<T *>(State->Storage));
-}
 
 } // namespace mix::rt
 

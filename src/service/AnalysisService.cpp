@@ -139,8 +139,6 @@ uint64_t AnalysisService::requestKey(const AnalysisRequest &Req,
   H.str(Req.Solver.Backend);
   H.str(Req.CacheDir);
   H.boolean(Req.Incremental);
-  // Jobs is deliberately excluded: mixcheck's results are jobs-invariant,
-  // and MIXY ignores it.
   H.boolean(Req.Symbolic).boolean(Req.AutoPlace).boolean(Req.PrintProgram);
   H.u8((uint8_t)Req.Strategy).u8((uint8_t)Req.Havoc);
   H.boolean(Req.PreciseDeref).boolean(Req.AssumeComplete);
@@ -339,7 +337,6 @@ void AnalysisService::runMixCheck(const AnalysisRequest &Req,
   if (Req.AssumeComplete)
     Opts.Exhaustive = MixOptions::Exhaustiveness::AssumeComplete;
   Opts.Explore = Req.Explore;
-  Opts.Jobs = Req.Jobs;
   Opts.Metrics = &Reg;
   // A traced request with telemetry records into its own sink; the events
   // fold back into the global trace at request end (shared epoch).
@@ -397,7 +394,6 @@ void AnalysisService::runMixCheck(const AnalysisRequest &Req,
     if (Req.AutoPlace) {
       AutoPlacementOptions APOpts;
       APOpts.Mix = Opts;
-      APOpts.Jobs = Opts.Jobs;
       AutoPlacementResult R =
           autoPlaceSymbolicBlocks(Ctx, Program, Gamma, Diags, APOpts);
       ResultType = R.ResultType;

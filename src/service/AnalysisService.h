@@ -90,10 +90,6 @@ struct AnalysisRequest {
 
   Format OutputFormat = Format::Text;
   bool Explain = false;
-  /// Worker threads for mixcheck's path classification and
-  /// auto-placement. MIXY has one engine and ignores it, as it ignores
-  /// Strategy.
-  unsigned Jobs = 1;
   smt::SolverSpec Solver;
   /// Record a trace of this request into the service's trace sink.
   bool Trace = false;
@@ -275,8 +271,7 @@ public:
   /// The daemon entry point: answers identical requests from the response
   /// cache, coalesces identical in-flight requests onto one execution,
   /// otherwise runs. Identity is requestKey() — resolved source bytes
-  /// plus every semantic knob, excluding Jobs (mixcheck's results are
-  /// jobs-invariant, and MIXY ignores it).
+  /// plus every semantic knob.
   AnalysisResponse serve(const AnalysisRequest &Req);
 
   /// A client reports that \p Path changed: cached responses that were
@@ -303,7 +298,7 @@ public:
   /// The dependency-closure identity serve() dedups and caches by:
   /// a stable digest of the resolved source bytes and every
   /// output-affecting request field (format, explain, knobs, solver,
-  /// cache configuration) — excluding Jobs.
+  /// cache configuration).
   uint64_t requestKey(const AnalysisRequest &Req,
                       const std::string &Source) const;
 

@@ -11,6 +11,7 @@
 #include "support/StringExtras.h"
 
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <initializer_list>
 #include <limits>
@@ -84,8 +85,6 @@ std::string mix::service::encodeRequest(const AnalysisRequest &Req) {
     W.str("format", formatName(Req.OutputFormat));
   if (Req.Explain)
     W.boolean("explain", true);
-  if (Req.Jobs != 1)
-    W.num("jobs", Req.Jobs);
   if (Req.Solver.Backend != smt::SolverSpec().Backend)
     W.str("solver", Req.Solver.Backend);
   if (Req.Trace)
@@ -245,6 +244,19 @@ std::string mix::service::encodeResponse(const AnalysisResponse &Resp) {
 
 namespace {
 
+/// Stores \p F into \p Out when it is a non-negative integer that IntT
+/// can represent; false otherwise. 2^digits is exactly representable as a
+/// double, so the bound also rejects values the double-to-IntT cast could
+/// not represent (that conversion would be undefined behavior, not
+/// saturation).
+template <typename IntT> bool toInteger(const json::Value &F, IntT &Out) {
+  if (!F.isNumber() || F.Num != std::floor(F.Num) || F.Num < 0 ||
+      F.Num >= std::ldexp(1.0, std::numeric_limits<IntT>::digits))
+    return false;
+  Out = (IntT)F.Num;
+  return true;
+}
+
 /// Strict field walk: every member must name a known field of the right
 /// type; the first violation aborts with an error naming the field.
 class Decoder {
@@ -271,14 +283,7 @@ public:
 
   template <typename IntT> bool num(const char *Name, IntT &Out) {
     return field(Name, [&](const json::Value &F) {
-      // 2^digits is exactly representable as a double, so this bound also
-      // rejects values the double-to-IntT cast could not represent (that
-      // conversion would be undefined behavior, not saturation).
-      if (!F.isNumber() || F.Num != std::floor(F.Num) || F.Num < 0 ||
-          F.Num >= std::ldexp(1.0, std::numeric_limits<IntT>::digits))
-        return fail(Name, "a non-negative integer");
-      Out = (IntT)F.Num;
-      return true;
+      return toInteger(F, Out) || fail(Name, "a non-negative integer");
     });
   }
 
@@ -350,7 +355,7 @@ bool checkVersion(const json::Value &V, std::string &Error) {
     return false;
   }
   const json::Value &Ver = V["version"];
-  if (!Ver.isNumber() || (int)Ver.Num != ProtocolVersion) {
+  if (!Ver.isNumber() || Ver.Num != ProtocolVersion) {
     Error = "unsupported protocol version (this build speaks version " +
             std::to_string(ProtocolVersion) + ")";
     return false;
@@ -394,7 +399,6 @@ bool mix::service::decodeRequest(const json::Value &V, AnalysisRequest &Out,
                        {"json", [&] { Out.OutputFormat = Format::Json; }},
                        {"sarif", [&] { Out.OutputFormat = Format::Sarif; }}});
   D.boolean("explain", Out.Explain);
-  D.num("jobs", Out.Jobs);
   D.str("solver", Out.Solver.Backend);
   D.boolean("trace", Out.Trace);
   D.str("cache_dir", Out.CacheDir);
@@ -489,17 +493,15 @@ bool mix::service::decodeResponse(const json::Value &V, AnalysisResponse &Out,
     }
     for (size_t I = 0; I != F.size(); ++I) {
       const json::Value &E = F[I];
+      DiagnosticSummary S;
       if (!E.isObject() || !E["id"].isString() || !E["severity"].isString() ||
-          !E["line"].isNumber() || !E["column"].isNumber() ||
+          !toInteger(E["line"], S.Line) || !toInteger(E["column"], S.Column) ||
           !E["message"].isString()) {
         Error = "field 'diagnostics' entries are malformed";
         return false;
       }
-      DiagnosticSummary S;
       S.Id = E["id"].Str;
       S.Severity = E["severity"].Str;
-      S.Line = (unsigned)E["line"].Num;
-      S.Column = (unsigned)E["column"].Num;
       S.Message = E["message"].Str;
       Out.Diagnostics.push_back(std::move(S));
     }
@@ -512,11 +514,12 @@ bool mix::service::decodeResponse(const json::Value &V, AnalysisResponse &Out,
       return false;
     }
     for (const auto &[Name, MV] : F.Fields) {
-      if (!MV.isNumber()) {
+      uint64_t N;
+      if (!toInteger(MV, N)) {
         Error = "field 'metrics' values must be numbers";
         return false;
       }
-      Out.Metrics.emplace_back(Name, (uint64_t)MV.Num);
+      Out.Metrics.emplace_back(Name, N);
     }
     return true;
   });
@@ -537,11 +540,10 @@ bool mix::service::decodeResponse(const json::Value &V, AnalysisResponse &Out,
         Error = "field 'phases' has unknown phase '" + Name + "'";
         return false;
       }
-      if (!PV.isNumber() || PV.Num != std::floor(PV.Num) || PV.Num < 0) {
+      if (!toInteger(PV, Out.PhaseUs[I])) {
         Error = "field 'phases' values must be non-negative integers";
         return false;
       }
-      Out.PhaseUs[I] = (uint64_t)PV.Num;
     }
     return true;
   });
@@ -553,15 +555,16 @@ bool mix::service::decodeResponse(const json::Value &V, AnalysisResponse &Out,
     }
     for (size_t I = 0; I != F.size(); ++I) {
       const json::Value &E = F[I];
+      obs::TraceEvent Ev;
       if (!E.isObject() || !E["name"].isString() || !E["cat"].isString() ||
-          !E["ts"].isNumber()) {
+          !toInteger(E["ts"], Ev.Ts) ||
+          (E.has("dur") && !toInteger(E["dur"], Ev.Dur)) ||
+          (E.has("tid") && !toInteger(E["tid"], Ev.Tid))) {
         Error = "field 'spans' entries are malformed";
         return false;
       }
-      obs::TraceEvent Ev;
       Ev.Name = E["name"].Str;
       Ev.Cat = E["cat"].Str;
-      Ev.Ts = (uint64_t)E["ts"].Num;
       if (E.has("ph")) {
         const json::Value &P = E["ph"];
         if (!P.isString() || P.Str.size() != 1 ||
@@ -570,20 +573,6 @@ bool mix::service::decodeResponse(const json::Value &V, AnalysisResponse &Out,
           return false;
         }
         Ev.Ph = (obs::TracePhase)P.Str[0];
-      }
-      if (E.has("dur")) {
-        if (!E["dur"].isNumber()) {
-          Error = "field 'spans' entries are malformed";
-          return false;
-        }
-        Ev.Dur = (uint64_t)E["dur"].Num;
-      }
-      if (E.has("tid")) {
-        if (!E["tid"].isNumber()) {
-          Error = "field 'spans' entries are malformed";
-          return false;
-        }
-        Ev.Tid = (unsigned)E["tid"].Num;
       }
       Out.Spans.push_back(std::move(Ev));
     }
@@ -610,10 +599,14 @@ std::string mix::service::encodeRpcId(const json::Value &Id) {
   if (Id.isString())
     return "\"" + jsonEscape(Id.Str) + "\"";
   if (Id.isNumber()) {
-    // Ids are integral in practice; render without a trailing ".000000".
-    if (Id.Num == std::floor(Id.Num))
+    // Ids are integral in practice; render those a double holds exactly
+    // without a trailing ".000000". Any other number echoes in a form that
+    // parses back to the same double, so the client can match the reply.
+    if (Id.Num == std::floor(Id.Num) && std::fabs(Id.Num) <= 0x1p53)
       return std::to_string((long long)Id.Num);
-    return std::to_string(Id.Num);
+    char Buf[32];
+    std::snprintf(Buf, sizeof Buf, "%.17g", Id.Num);
+    return Buf;
   }
   return "null";
 }

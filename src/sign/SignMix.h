@@ -90,7 +90,6 @@ private:
   /// diagnostics).
   struct EngineDomain {
     using Key = engine::NodeContextKey;
-    using KeyHash = engine::NodeContextKey::Hash;
     using SymOutcome = const SType *;
     using TypedOutcome = const SType *;
     static constexpr const char *Name = "sign";

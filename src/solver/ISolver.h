@@ -82,8 +82,8 @@ modelBindings(const TermArena &Arena, const SmtModel &Model);
 /// record a verdict. Implemented by src/persist/ over an on-disk store;
 /// solvers consult it only for model-free queries and never store Unknown
 /// (a resource-cap artifact, not a property of the formula).
-/// Implementations must be thread-safe: every per-worker solver of a
-/// parallel analysis shares one cache pointer.
+/// Implementations must be thread-safe: the solvers of concurrent daemon
+/// requests that share a persist session share its cache.
 class QueryCache {
 public:
   virtual ~QueryCache();

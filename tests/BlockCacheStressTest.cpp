@@ -3,11 +3,10 @@
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
 //
-// The Section-4.3 block cache is sharded and mutex-striped so concurrent
-// block analyses can share it. These tests hammer it from 8 threads and
-// check the contract: no lost inserts, first-insert-wins under races with
-// every loser counted, exact hit/miss accounting, and bounded shards
-// evicting FIFO without corrupting the map. Run them under
+// The Section-4.3 block cache keeps one map under one mutex. These tests
+// hammer it from 8 threads and check the contract: no lost inserts,
+// first-insert-wins under races with every loser counted, exact hit/miss
+// accounting, and clear() racing inserts safely. Run them under
 // ThreadSanitizer in CI.
 //
 //===----------------------------------------------------------------------===//
@@ -39,7 +38,7 @@ void runOnThreads(unsigned N, const std::function<void(unsigned)> &Body) {
 } // namespace
 
 TEST(BlockCacheStressTest, DisjointInsertsAreNeverLost) {
-  BlockCache<int, int> Cache(32);
+  BlockCache<int, int> Cache;
   constexpr int PerThread = 2000;
   runOnThreads(Threads, [&](unsigned T) {
     for (int I = 0; I != PerThread; ++I) {
@@ -51,7 +50,6 @@ TEST(BlockCacheStressTest, DisjointInsertsAreNeverLost) {
   BlockCacheStats S = Cache.stats();
   EXPECT_EQ(S.Inserts, (uint64_t)Threads * PerThread);
   EXPECT_EQ(S.DroppedInserts, 0u);
-  EXPECT_EQ(S.Evictions, 0u);
   // Every entry is present with the value its inserter wrote.
   for (int Key = 0; Key != (int)Threads * PerThread; ++Key) {
     auto V = Cache.lookup(Key);
@@ -61,7 +59,7 @@ TEST(BlockCacheStressTest, DisjointInsertsAreNeverLost) {
 }
 
 TEST(BlockCacheStressTest, RacingInsertsFirstWinsAndLosersAreCounted) {
-  BlockCache<int, int> Cache(16);
+  BlockCache<int, int> Cache;
   constexpr int Keys = 500;
   std::atomic<uint64_t> Wins{0};
   runOnThreads(Threads, [&](unsigned T) {
@@ -88,7 +86,7 @@ TEST(BlockCacheStressTest, RacingInsertsFirstWinsAndLosersAreCounted) {
 }
 
 TEST(BlockCacheStressTest, HitAndMissCountsAreExact) {
-  BlockCache<int, std::string> Cache(8);
+  BlockCache<int, std::string> Cache;
   constexpr int Keys = 256;
   for (int Key = 0; Key != Keys; ++Key)
     Cache.insert(Key, "v" + std::to_string(Key));
@@ -115,7 +113,7 @@ TEST(BlockCacheStressTest, HitAndMissCountsAreExact) {
 }
 
 TEST(BlockCacheStressTest, MixedReadersAndWritersStayConsistent) {
-  BlockCache<int, int> Cache(64);
+  BlockCache<int, int> Cache;
   constexpr int Keys = 4096;
   runOnThreads(Threads, [&](unsigned T) {
     // Writers insert even keys, readers poll the whole range; whatever a
@@ -137,28 +135,8 @@ TEST(BlockCacheStressTest, MixedReadersAndWritersStayConsistent) {
   EXPECT_EQ(Cache.size(), (size_t)Keys / 2);
 }
 
-TEST(BlockCacheStressTest, BoundedShardsEvictWithoutCorruption) {
-  constexpr size_t MaxPerShard = 8;
-  BlockCache<int, int> Cache(4, MaxPerShard);
-  constexpr int Keys = 10000;
-  runOnThreads(Threads, [&](unsigned T) {
-    for (int I = 0; I != Keys; ++I) {
-      int Key = (int)T * Keys + I;
-      Cache.insert(Key, Key);
-      auto V = Cache.lookup(Key % (Keys / 2)); // mix in reads
-      if (V.has_value()) {
-        ASSERT_EQ(*V, Key % (Keys / 2));
-      }
-    }
-  });
-  EXPECT_LE(Cache.size(), (size_t)Cache.shardCount() * MaxPerShard);
-  BlockCacheStats S = Cache.stats();
-  EXPECT_EQ(S.Inserts, (uint64_t)Threads * Keys);
-  EXPECT_EQ(S.Evictions, S.Inserts - Cache.size());
-}
-
 TEST(BlockCacheStressTest, ClearUnderContentionIsSafe) {
-  BlockCache<int, int> Cache(16);
+  BlockCache<int, int> Cache;
   runOnThreads(Threads, [&](unsigned T) {
     for (int I = 0; I != 3000; ++I) {
       Cache.insert(I, I);
@@ -173,12 +151,4 @@ TEST(BlockCacheStressTest, ClearUnderContentionIsSafe) {
   // No assertion on size (clear races the inserts); the run itself — and
   // TSan on it — is the test.
   (void)Cache.stats();
-}
-
-TEST(BlockCacheStressTest, ShardCountRoundsUpToPowerOfTwo) {
-  using IntCache = BlockCache<int, int>;
-  EXPECT_EQ(IntCache(1).shardCount(), 1u);
-  EXPECT_EQ(IntCache(3).shardCount(), 4u);
-  EXPECT_EQ(IntCache(16).shardCount(), 16u);
-  EXPECT_EQ(IntCache(17).shardCount(), 32u);
 }

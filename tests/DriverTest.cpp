@@ -136,11 +136,16 @@ TEST(OptionParserTest, JobsParsing) {
   EXPECT_EQ(Jobs0, rt::ThreadPool::hardwareWorkers());
   EXPECT_GE(Jobs0, 1u);
 
-  // Non-numeric values are usage errors.
-  driver::OptionParser PBad("tool");
-  unsigned JobsBad = 1;
-  PBad.jobs(&JobsBad);
-  EXPECT_FALSE(parseArgs(PBad, {"--jobs=many"}));
+  // Non-numeric values and values past UINT_MAX are usage errors, never
+  // an exception or a wrap-around.
+  for (const char *Bad :
+       {"--jobs=many", "--jobs=4294967296", "--jobs=99999999999999999999"}) {
+    driver::OptionParser PBad("tool");
+    unsigned JobsBad = 1;
+    PBad.jobs(&JobsBad);
+    EXPECT_FALSE(parseArgs(PBad, {Bad})) << Bad;
+    EXPECT_EQ(JobsBad, 1u) << Bad;
+  }
 }
 
 TEST(OptionParserTest, ExitCodeContract) {

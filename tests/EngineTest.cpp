@@ -17,8 +17,6 @@
 #include "engine/Fixpoint.h"
 #include "engine/MixEngine.h"
 
-#include "support/Hash.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,12 +45,6 @@ struct TestDomain {
     }
     bool operator<(const Key &O) const {
       return std::tie(Node, Sig) < std::tie(O.Node, O.Sig);
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
-      return mix::hashCombine(std::hash<const void *>()(K.Node),
-                              std::hash<std::string>()(K.Sig));
     }
   };
   using SymOutcome = int;

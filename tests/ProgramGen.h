@@ -3,8 +3,7 @@
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
 //
-// Shared by SoundnessTest (Theorem 1 property testing) and
-// ParallelDeterminismTest (serial-vs-parallel agreement): a type-directed
+// Used by SoundnessTest (Theorem 1 property testing): a type-directed
 // random generator of core-language expressions over a fixed Gamma, with
 // typed/symbolic analysis blocks sprinkled in, plus a conforming concrete
 // environment builder for the standard scope.

@@ -20,7 +20,6 @@
 #include "driver/OptionParser.h"
 #include "lang/Parser.h"
 #include "mixy/Mixy.h"
-#include "mixy/VsftpdMini.h"
 #include "provenance/Sarif.h"
 #include "qual/QualInference.h"
 #include "support/Json.h"
@@ -65,7 +64,6 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
   Req.InputName = "demo.mix";
   Req.OutputFormat = service::Format::Sarif;
   Req.Explain = true;
-  Req.Jobs = 4;
   Req.Solver.Backend = "dnf";
   Req.Trace = true;
   Req.CacheDir = "/tmp/mixcache";
@@ -83,7 +81,7 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
   const std::string Golden =
       "{\"version\": 1, \"tool\": \"mixcheck\", \"source\": \"1 + x\", "
       "\"input_name\": \"demo.mix\", \"format\": \"sarif\", "
-      "\"explain\": true, \"jobs\": 4, \"solver\": \"dnf\", "
+      "\"explain\": true, \"solver\": \"dnf\", "
       "\"trace\": true, \"cache_dir\": \"/tmp/mixcache\", "
       "\"incremental\": true, "
       "\"mode\": \"symbolic\", \"auto_place\": true, "
@@ -100,7 +98,6 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
   EXPECT_TRUE(Out.HasSource);
   EXPECT_EQ(Out.Source, "1 + x");
   EXPECT_EQ(Out.OutputFormat, service::Format::Sarif);
-  EXPECT_EQ(Out.Jobs, 4u);
   EXPECT_EQ(Out.Solver.Backend, "dnf");
   EXPECT_EQ(Out.Strategy, SymExecOptions::Strategy::Defer);
   EXPECT_EQ(Out.Havoc, SymExecOptions::HavocPolicy::WriteEffects);
@@ -160,15 +157,16 @@ TEST(ProtocolTest, RequestDecodeIsStrict) {
       "{\"version\": 1, \"tool\": \"mixy\", \"format\": \"yaml\"}", Out, Error));
   EXPECT_EQ(Error, "field 'format' must be one of text|json|sarif");
 
-  EXPECT_FALSE(service::decodeRequest(
-      "{\"version\": 1, \"tool\": \"mixy\", \"jobs\": -1}", Out, Error));
-  EXPECT_EQ(Error, "field 'jobs' must be a non-negative integer");
-
-  // An integral double beyond the target type's range must be rejected,
-  // not cast (the out-of-range conversion is undefined behavior).
-  EXPECT_FALSE(service::decodeRequest(
-      "{\"version\": 1, \"tool\": \"mixy\", \"jobs\": 1e30}", Out, Error));
-  EXPECT_EQ(Error, "field 'jobs' must be a non-negative integer");
+  // A version beyond int's range is compared as a double, not cast (the
+  // out-of-range conversion is undefined behavior).
+  for (const char *Ver : {"1e30", "-1e30"}) {
+    EXPECT_FALSE(service::decodeRequest(
+        std::string("{\"version\": ") + Ver + ", \"tool\": \"mixy\"}", Out,
+        Error))
+        << Ver;
+    EXPECT_EQ(Error,
+              "unsupported protocol version (this build speaks version 1)");
+  }
 
   EXPECT_FALSE(service::decodeRequest(
       "{\"version\": 1, \"tool\": \"mixy\", \"entry\": \"\"}", Out, Error));
@@ -180,10 +178,11 @@ TEST(ProtocolTest, RequestDecodeIsStrict) {
 }
 
 TEST(ProtocolTest, RequestWithRetiredKeysIsRejected) {
-  // There is no engine selector and no solver racing on the wire: a
-  // request carrying "exec" or "solver_portfolio" fails strict decoding
-  // like any other unknown field, while the protocol version stays 1 for
-  // every client that never sent them.
+  // There is no engine selector, no solver racing and no per-request
+  // worker count on the wire: a request carrying "exec",
+  // "solver_portfolio" or "jobs" fails strict decoding like any other
+  // unknown field, while the protocol version stays 1 for every client
+  // that never sent them.
   service::AnalysisRequest Out;
   std::string Error;
   EXPECT_FALSE(service::decodeRequest(
@@ -195,6 +194,9 @@ TEST(ProtocolTest, RequestWithRetiredKeysIsRejected) {
       "\"solver_portfolio\": true}",
       Out, Error));
   EXPECT_EQ(Error, "unknown request field 'solver_portfolio'");
+  EXPECT_FALSE(service::decodeRequest(
+      "{\"version\": 1, \"tool\": \"mixcheck\", \"jobs\": 4}", Out, Error));
+  EXPECT_EQ(Error, "unknown request field 'jobs'");
   EXPECT_TRUE(service::decodeRequest(
       "{\"version\": 1, \"tool\": \"mixcheck\"}", Out, Error))
       << Error;
@@ -261,6 +263,14 @@ TEST(ProtocolTest, ResponseGoldenRoundTrip) {
   EXPECT_FALSE(service::decodeResponse(
       "{\"version\": 1, \"exit\": 0, \"bogus\": 1}", Out, Error));
   EXPECT_EQ(Error, "unknown response field 'bogus'");
+
+  // A line number past unsigned's range is malformed, not cast.
+  EXPECT_FALSE(service::decodeResponse(
+      "{\"version\": 1, \"exit\": 1, \"diagnostics\": [{\"id\": \"MIX401\", "
+      "\"severity\": \"warning\", \"line\": 1e30, \"column\": 7, "
+      "\"message\": \"m\"}]}",
+      Out, Error));
+  EXPECT_EQ(Error, "field 'diagnostics' entries are malformed");
 }
 
 TEST(ProtocolTest, ResponseTelemetryFieldsGoldenRoundTrip) {
@@ -314,6 +324,16 @@ TEST(ProtocolTest, ResponseTelemetryFieldsGoldenRoundTrip) {
       "{\"version\": 1, \"exit\": 0, \"spans\": [{\"name\": \"x\"}]}", Out,
       Error));
   EXPECT_EQ(Error, "field 'spans' entries are malformed");
+
+  // Integral doubles beyond uint64_t's range are rejected, not cast (the
+  // out-of-range conversion is undefined behavior).
+  EXPECT_FALSE(service::decodeResponse(
+      "{\"version\": 1, \"exit\": 0, \"total_us\": 1e30}", Out, Error));
+  EXPECT_EQ(Error, "field 'total_us' must be a non-negative integer");
+  EXPECT_FALSE(service::decodeResponse(
+      "{\"version\": 1, \"exit\": 0, \"phases\": {\"parse\": 1e30}}", Out,
+      Error));
+  EXPECT_EQ(Error, "field 'phases' values must be non-negative integers");
 }
 
 TEST(ProtocolTest, ResponseWithLoweringPhaseIsRejected) {
@@ -332,6 +352,15 @@ TEST(ProtocolTest, RpcIdEncoding) {
   Id.K = json::Value::Kind::Number;
   Id.Num = 7;
   EXPECT_EQ(service::encodeRpcId(Id), "7");
+
+  // An id a long long cannot hold echoes as the same number, not as a
+  // wrapped-around integer the client could not match.
+  Id.Num = 1e30;
+  std::string Echoed = service::encodeRpcId(Id);
+  json::Value Parsed;
+  ASSERT_TRUE(json::parseDocument(Echoed, Parsed)) << Echoed;
+  EXPECT_TRUE(Parsed.isNumber()) << Echoed;
+  EXPECT_EQ(Parsed.Num, 1e30) << Echoed;
 
   Id.K = json::Value::Kind::String;
   Id.Str = "req-\"1\"";
@@ -613,17 +642,11 @@ TEST(ServiceTest, ResolveInputShapes) {
   EXPECT_TRUE(Resp.Payload.empty());
 }
 
-TEST(ServiceTest, RequestKeyExcludesJobsOnly) {
+TEST(ServiceTest, RequestKeySeparatesOutputAffectingKnobs) {
   service::AnalysisService Svc;
   service::AnalysisRequest Req;
   Req.Corpus = "case1";
 
-  service::AnalysisRequest MoreJobs = Req;
-  MoreJobs.Jobs = 8;
-  // Results are jobs-invariant, so the identity must coalesce them...
-  EXPECT_EQ(Svc.requestKey(Req, "src"), Svc.requestKey(MoreJobs, "src"));
-
-  // ...but any output-affecting knob separates the keys.
   service::AnalysisRequest Json = Req;
   Json.OutputFormat = service::Format::Json;
   EXPECT_NE(Svc.requestKey(Req, "src"), Svc.requestKey(Json, "src"));
@@ -915,19 +938,20 @@ TEST(ServiceServeTest, ConcurrentIdenticalRequestsCoalesce) {
   const unsigned Threads = 6;
   bool Coalesced = false;
   for (int Attempt = 0; Attempt != 25 && !Coalesced; ++Attempt) {
+    // Six independent branches give the block 64 paths, each classified
+    // by a solver query, so one execution takes milliseconds. On a
+    // single-core host the scheduler preempts the executing thread in
+    // that time, and the other volley threads land while the request is
+    // still in flight, which is the window the dedup path needs.
     service::AnalysisRequest Req;
     Req.ToolKind = service::Tool::MixCheck;
-    Req.Source = "{s if b then 1 else 2 s}";
+    Req.Source = "{s (if a then 1 else 2) + (if b then 1 else 2) + "
+                 "(if c then 1 else 2) + (if d then 1 else 2) + "
+                 "(if e then 1 else 2) + (if f then 1 else 2) s}";
     Req.HasSource = true;
-    Req.Vars.emplace_back("b", "bool");
+    for (const char *V : {"a", "b", "c", "d", "e", "f"})
+      Req.Vars.emplace_back(V, "bool");
     Req.InputName = "volley-" + std::to_string(Attempt); // fresh key
-    // The block has two paths, and Jobs > 1 classifies them on a pool:
-    // the executing thread blocks on the pool's condition variable
-    // mid-request; on a single-core host that yields the CPU to the
-    // other volley threads while the request is still in flight, which
-    // is the window the dedup path needs. (Jobs is excluded from the
-    // request key, so this does not perturb the key.)
-    Req.Jobs = 2;
     uint64_t Before = Svc.metrics().counterValue("service.dedup.hits");
 
     std::atomic<unsigned> Ready{0};
@@ -957,33 +981,6 @@ TEST(ServiceServeTest, ConcurrentIdenticalRequestsCoalesce) {
     Coalesced = Svc.metrics().counterValue("service.dedup.hits") > Before;
   }
   EXPECT_TRUE(Coalesced) << "no volley coalesced in 25 attempts";
-}
-
-TEST(ServiceServeTest, MixyAnswerIgnoresJobsAndOrder) {
-  // The request key leaves out jobs, so serve() answers a repeat from
-  // whichever request computed first. That is only sound if MIXY's answer
-  // does not depend on jobs: serve the depth-16 chain (which runs out of
-  // fixpoint rounds) with jobs 4 then 1, and 1 then 4, each order on a
-  // fresh service; all four payloads must agree.
-  service::AnalysisRequest Req;
-  Req.ToolKind = service::Tool::Mixy;
-  Req.Source = c::corpus::deepCallChain(16);
-  Req.HasSource = true;
-  Req.OutputFormat = service::Format::Json;
-  std::vector<std::string> Payloads;
-  for (std::pair<unsigned, unsigned> Order : {std::pair{4u, 1u}, {1u, 4u}}) {
-    service::AnalysisService Svc(daemonConfig());
-    for (unsigned Jobs : {Order.first, Order.second}) {
-      Req.Jobs = Jobs;
-      service::AnalysisResponse Resp = Svc.serve(Req);
-      EXPECT_EQ(Resp.Exit, 1);
-      EXPECT_EQ(Resp.Warnings, 1u);
-      Payloads.push_back(Resp.Payload);
-    }
-  }
-  for (const std::string &P : Payloads)
-    EXPECT_EQ(P, Payloads[0]);
-  EXPECT_NE(Payloads[0].find("MIX303"), std::string::npos) << Payloads[0];
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,13 +1,12 @@
-//===--- ThreadPoolTest.cpp - Tests for the work-stealing pool ------------===//
+//===--- ThreadPoolTest.cpp - Tests for the FIFO worker pool --------------===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
 //
-// The pool underpins block-level parallelism in both analyses, so these
-// tests pin its contract: submit/join round trips, exception propagation
-// through futures, nested submission without deadlock (futures help run
-// tasks while waiting), the degenerate 0- and 1-worker configurations,
-// and parallelFor's barrier semantics.
+// The pool serves mixyd's analyze requests, so these tests pin its
+// contract: submit/join round trips, exception propagation through
+// futures, FIFO order on one worker, the destructor running every queued
+// task, and many tasks over many workers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,139 +23,60 @@ using namespace mix::rt;
 
 TEST(ThreadPoolTest, SubmitAndJoinReturnsValues) {
   ThreadPool Pool(4);
-  std::vector<TaskFuture<int>> Futures;
+  std::vector<int> Results(100, -1);
+  std::vector<std::future<void>> Futures;
   for (int I = 0; I != 100; ++I)
-    Futures.push_back(Pool.submit([I] { return I * I; }));
-  for (int I = 0; I != 100; ++I)
-    EXPECT_EQ(Futures[(size_t)I].get(), I * I);
+    Futures.push_back(
+        Pool.submit([&Results, I] { Results[(size_t)I] = I * I; }));
+  for (int I = 0; I != 100; ++I) {
+    Futures[(size_t)I].get();
+    EXPECT_EQ(Results[(size_t)I], I * I);
+  }
 }
 
 TEST(ThreadPoolTest, VoidTasksComplete) {
-  ThreadPool Pool(2);
   std::atomic<int> Count{0};
-  std::vector<TaskFuture<void>> Futures;
-  for (int I = 0; I != 64; ++I)
-    Futures.push_back(Pool.submit([&Count] { ++Count; }));
-  for (auto &F : Futures)
-    F.get();
+  {
+    ThreadPool Pool(2);
+    for (int I = 0; I != 64; ++I)
+      Pool.submit([&Count] { ++Count; });
+    // No future is awaited: the destructor runs every queued task before
+    // it joins the workers.
+  }
   EXPECT_EQ(Count.load(), 64);
 }
 
 TEST(ThreadPoolTest, ExceptionsPropagateThroughGet) {
   ThreadPool Pool(2);
-  TaskFuture<int> Bad = Pool.submit(
-      []() -> int { throw std::runtime_error("task failed"); });
+  std::future<void> Bad =
+      Pool.submit([] { throw std::runtime_error("task failed"); });
   EXPECT_THROW(Bad.get(), std::runtime_error);
   // The pool survives a throwing task.
-  EXPECT_EQ(Pool.submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPoolTest, NestedSubmissionDoesNotDeadlock) {
-  // A task that awaits its own subtasks: with blocking waits this
-  // deadlocks a 1-worker pool; the future's help-while-waiting loop must
-  // drain the subtasks instead.
-  ThreadPool Pool(1);
-  TaskFuture<int> Outer = Pool.submit([&Pool] {
-    TaskFuture<int> A = Pool.submit([] { return 20; });
-    TaskFuture<int> B = Pool.submit([] { return 22; });
-    return A.get() + B.get();
-  });
-  EXPECT_EQ(Outer.get(), 42);
-}
-
-TEST(ThreadPoolTest, DeeplyNestedSubmission) {
-  ThreadPool Pool(2);
-  // Recursive fork-join: sum(1..N) via binary splitting.
-  std::function<int(int, int)> Sum = [&](int Lo, int Hi) -> int {
-    if (Hi - Lo <= 4) {
-      int S = 0;
-      for (int I = Lo; I != Hi; ++I)
-        S += I;
-      return S;
-    }
-    int Mid = Lo + (Hi - Lo) / 2;
-    TaskFuture<int> Left = Pool.submit([&, Lo, Mid] { return Sum(Lo, Mid); });
-    int Right = Sum(Mid, Hi);
-    return Left.get() + Right;
-  };
-  EXPECT_EQ(Sum(1, 101), 5050);
-}
-
-TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
-  ThreadPool Pool(0);
-  EXPECT_EQ(Pool.workerCount(), 0u);
-  // submit() must execute on the calling thread, immediately.
-  std::thread::id Caller = std::this_thread::get_id();
-  TaskFuture<std::thread::id> F =
-      Pool.submit([] { return std::this_thread::get_id(); });
-  EXPECT_TRUE(F.ready());
-  EXPECT_EQ(F.get(), Caller);
-  EXPECT_THROW(
-      Pool.submit([]() -> int { throw std::logic_error("inline"); }).get(),
-      std::logic_error);
+  int Seven = 0;
+  Pool.submit([&Seven] { Seven = 7; }).get();
+  EXPECT_EQ(Seven, 7);
 }
 
 TEST(ThreadPoolTest, OneWorkerIsSerial) {
   ThreadPool Pool(1);
   EXPECT_EQ(Pool.workerCount(), 1u);
-  // All tasks run on the single worker thread, never concurrently: an
-  // unsynchronized counter stays exact.
-  int Plain = 0;
-  std::vector<TaskFuture<void>> Futures;
+  // All tasks run on the single worker thread, never concurrently and in
+  // submission order: an unsynchronized vector records 0, 1, ..., 199.
+  std::vector<int> Order;
+  std::vector<std::future<void>> Futures;
   for (int I = 0; I != 200; ++I)
-    Futures.push_back(Pool.submit([&Plain] { ++Plain; }));
+    Futures.push_back(Pool.submit([&Order, I] { Order.push_back(I); }));
   for (auto &F : Futures)
     F.get();
-  EXPECT_EQ(Plain, 200);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool Pool(4);
-  std::vector<std::atomic<int>> Seen(257);
-  Pool.parallelFor(Seen.size(), [&](size_t I) { ++Seen[I]; });
-  for (size_t I = 0; I != Seen.size(); ++I)
-    EXPECT_EQ(Seen[I].load(), 1) << "index " << I;
-}
-
-TEST(ThreadPoolTest, ParallelForPropagatesAnException) {
-  ThreadPool Pool(3);
-  EXPECT_THROW(Pool.parallelFor(32,
-                                [&](size_t I) {
-                                  if (I == 17)
-                                    throw std::runtime_error("index 17");
-                                }),
-               std::runtime_error);
-}
-
-TEST(ThreadPoolTest, ParallelForZeroAndOneItems) {
-  ThreadPool Pool(2);
-  int Ran = 0;
-  Pool.parallelFor(0, [&](size_t) { ++Ran; });
-  EXPECT_EQ(Ran, 0);
-  Pool.parallelFor(1, [&](size_t I) {
-    EXPECT_EQ(I, 0u);
-    ++Ran;
-  });
-  EXPECT_EQ(Ran, 1);
-}
-
-TEST(ThreadPoolTest, CurrentWorkerIdentifiesPoolThreads) {
-  ThreadPool Pool(3);
-  EXPECT_EQ(Pool.currentWorker(), -1); // the test thread is not a worker
-  std::vector<TaskFuture<int>> Futures;
-  for (int I = 0; I != 24; ++I)
-    Futures.push_back(Pool.submit([&Pool] { return Pool.currentWorker(); }));
-  for (auto &F : Futures) {
-    int W = F.get();
-    EXPECT_GE(W, 0);
-    EXPECT_LT(W, 3);
-  }
+  std::vector<int> Expected(200);
+  std::iota(Expected.begin(), Expected.end(), 0);
+  EXPECT_EQ(Order, Expected);
 }
 
 TEST(ThreadPoolTest, ManyTasksAcrossManyWorkersSum) {
   ThreadPool Pool(8);
   std::atomic<long long> Total{0};
-  std::vector<TaskFuture<void>> Futures;
+  std::vector<std::future<void>> Futures;
   for (long long I = 1; I <= 1000; ++I)
     Futures.push_back(Pool.submit([&Total, I] { Total += I; }));
   for (auto &F : Futures)

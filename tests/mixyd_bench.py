@@ -107,13 +107,15 @@ def bench_warm_daemon(daemon):
 
 
 def bench_dedup(daemon, burst=8):
-    # A two-path mixcheck block with jobs > 1 classifies its paths on a
-    # pool, so the executing thread blocks mid-request, widening the
-    # in-flight window so the burst exercises dedup even on one core.
+    # Six independent branches give the block 64 paths, each classified by
+    # a solver query, so one execution takes milliseconds: a wide enough
+    # in-flight window that the burst exercises dedup even on one core.
+    names = "abcdef"
     params = {"version": 1, "tool": "mixcheck",
-              "source": "{s if b then 1 else 2 s}",
-              "vars": [{"name": "b", "type": "bool"}],
-              "input_name": "bench-dedup", "format": "json", "jobs": 2}
+              "source": "{s " + " + ".join(
+                  "(if %s then 1 else 2)" % n for n in names) + " s}",
+              "vars": [{"name": n, "type": "bool"} for n in names],
+              "input_name": "bench-dedup", "format": "json"}
     threads = [threading.Thread(target=daemon.call, args=("analyze", params))
                for _ in range(burst)]
     before = daemon.call("status")["result"]

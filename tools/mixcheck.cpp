@@ -120,11 +120,7 @@ int main(int Argc, char **Argv) {
       "may be repeated");
   Parser.flag("--print-program", &Req.PrintProgram,
               "echo the (possibly auto-annotated) program");
-  driver::registerCommonOptions(
-      Parser, Driver, &Req.Jobs,
-      "check a block's paths (and auto-place candidates) on N\n"
-      "worker threads (default 1 = serial; 0 = one per hardware "
-      "thread)");
+  Driver.registerOptions(Parser);
   Parser.flag("--help", &Help, "this text");
 
   if (!Parser.parse(Argc, Argv))

@@ -47,6 +47,7 @@
 #include <condition_variable>
 #include <csignal>
 #include <deque>
+#include <future>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -226,7 +227,7 @@ public:
   /// Joins in-flight work and the deadline watcher. Call before saving
   /// sessions so no worker is still writing into them.
   void finish() {
-    drainFutures(/*All=*/true);
+    drainFutures();
     Deadlines.stop();
   }
 
@@ -421,10 +422,11 @@ private:
   /// Outstanding futures must be awaited before the pool dies; completed
   /// ones are reaped opportunistically so the deque stays bounded by the
   /// admission cap.
-  void trackFuture(rt::TaskFuture<void> Future) {
+  void trackFuture(std::future<void> Future) {
     std::lock_guard<std::mutex> Lock(FuturesMu);
     for (size_t I = 0; I < Futures.size();) {
-      if (Futures[I].ready()) {
+      if (Futures[I].wait_for(std::chrono::seconds(0)) ==
+          std::future_status::ready) {
         Futures[I] = std::move(Futures.back());
         Futures.pop_back();
       } else {
@@ -434,15 +436,14 @@ private:
     Futures.push_back(std::move(Future));
   }
 
-  void drainFutures(bool All) {
-    std::vector<rt::TaskFuture<void>> Local;
+  void drainFutures() {
+    std::vector<std::future<void>> Local;
     {
       std::lock_guard<std::mutex> Lock(FuturesMu);
       Local.swap(Futures);
     }
     for (auto &F : Local)
-      if (All || F.ready())
-        F.get();
+      F.get();
   }
 
   driver::DriverContext &Driver;
@@ -455,7 +456,7 @@ private:
   std::atomic<bool> Stop{false};
   std::function<void()> StopFn;
   std::mutex FuturesMu;
-  std::vector<rt::TaskFuture<void>> Futures;
+  std::vector<std::future<void>> Futures;
 };
 
 /// Reads newline-delimited messages from \p Fd until EOF, daemon stop, or
@@ -520,20 +521,15 @@ int main(int Argc, char **Argv) {
   Parser.value(
       "--max-inflight",
       [&](const std::string &V) {
-        if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos)
-          return false;
-        MaxInflight = (unsigned)std::stoul(V);
-        return MaxInflight != 0;
+        return driver::OptionParser::parseUnsigned(V, MaxInflight) &&
+               MaxInflight != 0;
       },
       "N", "admit at most N concurrent analyze requests; extras get a\n"
            "structured \"server busy\" error (default 8)");
   Parser.value(
       "--deadline-ms",
       [&](const std::string &V) {
-        if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos)
-          return false;
-        DeadlineMs = (unsigned)std::stoul(V);
-        return true;
+        return driver::OptionParser::parseUnsigned(V, DeadlineMs);
       },
       "T", "answer analyze requests that run longer than T ms with a\n"
            "structured timeout error (default 0 = no deadline)");
@@ -553,17 +549,14 @@ int main(int Argc, char **Argv) {
   Parser.value(
       "--metrics-interval-ms",
       [&](const std::string &V) {
-        if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos)
-          return false;
-        MetricsIntervalMs = (unsigned)std::stoul(V);
-        return MetricsIntervalMs != 0;
+        return driver::OptionParser::parseUnsigned(V, MetricsIntervalMs) &&
+               MetricsIntervalMs != 0;
       },
       "T", "rewrite --metrics-file every T ms (default 5000)");
-  driver::registerCommonOptions(
-      Parser, Driver, &Workers,
-      "serve analyze requests on N pool workers (default: one per\n"
-      "hardware thread); a mixcheck request's own \"jobs\" field still\n"
-      "sets its path-classification workers, and MIXY ignores it");
+  Parser.jobs(&Workers,
+              "serve analyze requests on N pool workers (default: one per\n"
+              "hardware thread)");
+  Driver.registerOptions(Parser);
   Parser.flag("--help", &Help, "this text");
 
   if (!Parser.parse(Argc, Argv))
