@@ -10,6 +10,15 @@
 using namespace mix::c;
 using mix::smt::Term;
 
+/// A one-element vector that takes \p X by move. A braced return such as
+/// `return {{std::move(State), V}};` goes through an initializer_list,
+/// whose const elements can only be copied.
+template <typename T> static std::vector<T> one(T &&X) {
+  std::vector<T> Out;
+  Out.push_back(std::move(X));
+  return Out;
+}
+
 CSymExecutor::CSymExecutor(const CProgram &Program, CAstContext &Ctx,
                            DiagnosticEngine &Diags, smt::TermArena &Terms,
                            smt::ISolver &Solver, CSymOptions Opts)
@@ -97,19 +106,6 @@ void CSymExecutor::warn(SourceLoc Loc, const std::string &Message,
     Diags.attachProvenance(Idx, std::move(Payload));
     Opts.Prov->countWitness();
   }
-}
-
-CScope CSymExecutor::scopeOf(const CSymState &State,
-                             const Frame &Frame) const {
-  CScope Scope;
-  Scope.Func = Frame.Func;
-  Scope.Locals = State.LocalTypes;
-  return Scope;
-}
-
-const CType *CSymExecutor::typeOf(const CExpr *E, const CSymState &State,
-                                  const Frame &Frame) {
-  return Sema.typeOf(E, scopeOf(State, Frame));
 }
 
 CSymValue CSymExecutor::seededPointer(const CType *PtrTy, NullSeed Seed,
@@ -221,7 +217,7 @@ CSymExecutor::resolveLValue(const CExpr *E, CSymState State,
       warn(E->loc(), "unknown variable '" + Id->name() + "'");
       return {};
     }
-    return {{std::move(State), {{Terms.trueTerm(), Loc, ""}}}};
+    return one(LResolved{std::move(State), {{Terms.trueTerm(), Loc, ""}}});
   }
   case CExprKind::Unary: {
     const auto *U = cast<CUnary>(E);
@@ -313,26 +309,26 @@ std::vector<CSymExecutor::Flow>
 CSymExecutor::evalExpr(const CExpr *E, CSymState State, const Frame &Frame) {
   switch (E->kind()) {
   case CExprKind::IntLit:
-    return {{std::move(State),
-             CSymValue::scalar(
-                 Terms.intConst(cast<CIntLit>(E)->value()))}};
+    return one(Flow{std::move(State),
+                    CSymValue::scalar(
+                        Terms.intConst(cast<CIntLit>(E)->value()))});
   case CExprKind::SizeOf:
     // A nonzero size constant; the exact value is immaterial here.
-    return {{std::move(State), CSymValue::scalar(Terms.intConst(8))}};
+    return one(Flow{std::move(State), CSymValue::scalar(Terms.intConst(8))});
   case CExprKind::StrLit: {
     LocId Obj = newObject(Ctx.charType(), "<string>");
-    return {{std::move(State),
-             CSymValue::pointerTo(Terms, PtrTarget::object(Obj))}};
+    return one(Flow{std::move(State),
+                    CSymValue::pointerTo(Terms, PtrTarget::object(Obj))});
   }
   case CExprKind::NullLit:
-    return {{std::move(State), CSymValue::nullPointer(Terms)}};
+    return one(Flow{std::move(State), CSymValue::nullPointer(Terms)});
   case CExprKind::Ident: {
     const auto *Id = cast<CIdent>(E);
     if (!State.Locals.count(Id->name()) &&
         !Program.findGlobal(Id->name()))
       if (const CFuncDecl *F = Program.findFunc(Id->name()))
-        return {{std::move(State),
-                 CSymValue::pointerTo(Terms, PtrTarget::function(F))}};
+        return one(Flow{std::move(State),
+                        CSymValue::pointerTo(Terms, PtrTarget::function(F))});
     std::vector<Flow> Out;
     for (LResolved &R : resolveLValue(E, std::move(State), Frame)) {
       if (R.Cells.empty())
@@ -432,7 +428,7 @@ CSymExecutor::evalExpr(const CExpr *E, CSymState State, const Frame &Frame) {
     const auto *B = cast<CBinary>(E);
     std::vector<Flow> Out;
     for (Flow &L : evalExpr(B->lhs(), std::move(State), Frame)) {
-      for (Flow &R : evalExpr(B->rhs(), L.State, Frame)) {
+      for (Flow &R : evalExpr(B->rhs(), std::move(L.State), Frame)) {
         CSymValue V = evalBinaryValues(B->op(), L.Value, R.Value);
         Out.push_back({std::move(R.State), std::move(V)});
       }
@@ -480,8 +476,8 @@ CSymExecutor::evalExpr(const CExpr *E, CSymState State, const Frame &Frame) {
           if (Pointee->isVoid())
             Pointee = Ctx.intType();
           LocId Obj = newObject(Pointee, "malloc@" + E->loc().str());
-          return {{std::move(State),
-                   CSymValue::pointerTo(Terms, PtrTarget::object(Obj))}};
+          return one(Flow{std::move(State),
+                          CSymValue::pointerTo(Terms, PtrTarget::object(Obj))});
         }
     return evalExpr(C->sub(), std::move(State), Frame);
   }
@@ -571,8 +567,8 @@ CSymExecutor::evalCall(const CCall *Call, CSymState State,
   if (const auto *Id = dyn_cast<CIdent>(Call->callee()))
     if (Id->name() == "malloc" && !Program.findFunc("malloc")) {
       LocId Obj = newObject(Ctx.intType(), "malloc@" + Call->loc().str());
-      return {{std::move(State),
-               CSymValue::pointerTo(Terms, PtrTarget::object(Obj))}};
+      return one(Flow{std::move(State),
+                      CSymValue::pointerTo(Terms, PtrTarget::object(Obj))});
     }
 
   // Evaluate the arguments left to right, threading states.
@@ -607,7 +603,10 @@ CSymExecutor::evalCall(const CCall *Call, CSymState State,
       for (const PtrCase &C : F.Value.cases()) {
         if (!feasibleWith(F.State, C.Guard))
           continue;
-        CSymState Branch = F.State;
+        // A data object is not callable, so its branch would go unused.
+        if (C.Target.K == PtrTarget::Kind::Object)
+          continue;
+        CSymState Branch = fork(F.State);
         extendPath(Branch, C.Guard);
         switch (C.Target.K) {
         case PtrTarget::Kind::Function:
@@ -624,16 +623,14 @@ CSymExecutor::evalCall(const CCall *Call, CSymState State,
                "call through unknown function pointer cannot be "
                "executed symbolically; consider MIX(typed)",
                &Branch);
-          Flow Conservative = externCall(Call, nullptr, Args,
-                                         std::move(Branch));
-          Out.push_back(std::move(Conservative));
+          Out.push_back(externCall(nullptr, std::move(Branch)));
           break;
         }
         case PtrTarget::Kind::Null:
           warn(Call->loc(), "possible call through null function pointer",
                &Branch);
           break;
-        case PtrTarget::Kind::Object:
+        case PtrTarget::Kind::Object: // skipped above
           break;
         }
       }
@@ -650,7 +647,6 @@ void CSymExecutor::dispatchCall(const CCall *Call, const CFuncDecl *Callee,
                                 std::vector<Flow> &Out) {
   // MIXY's frontier: MIX(typed) functions are modeled by the type system.
   if (Hook && Callee->mixAnnot() == MixAnnot::Typed) {
-    ++Statistics.TypedCalls;
     CSymValue Ret;
     if (Hook->callTypedFunction(*this, State, Call, Callee, Args, Ret)) {
       Out.push_back({std::move(State), std::move(Ret)});
@@ -682,7 +678,7 @@ void CSymExecutor::dispatchCall(const CCall *Call, const CFuncDecl *Callee,
   if (!Callee->isDefined() || Frame.Depth >= Opts.MaxCallDepth) {
     if (Callee->isDefined())
       IncompleteThisRun = true; // depth budget truncated the inlining
-    Out.push_back(externCall(Call, Callee, Args, std::move(State)));
+    Out.push_back(externCall(Callee, std::move(State)));
     return;
   }
 
@@ -698,10 +694,7 @@ CSymExecutor::inlineCall(const CFuncDecl *F,
                          unsigned Depth) {
   // Save the caller's local bindings; the callee gets fresh ones.
   std::map<std::string, LocId> CallerLocals = std::move(State.Locals);
-  std::map<std::string, const CType *> CallerTypes =
-      std::move(State.LocalTypes);
   State.Locals.clear();
-  State.LocalTypes.clear();
 
   Frame Callee;
   Callee.Func = F;
@@ -711,13 +704,13 @@ CSymExecutor::inlineCall(const CFuncDecl *F,
     const auto &P = F->params()[I];
     LocId Loc = newObject(P.Ty, F->name() + "::" + P.Name);
     State.Locals[P.Name] = Loc;
-    State.LocalTypes[P.Name] = P.Ty;
     if (I < Args.size())
       State.Store.set({Loc, ""}, Args[I]);
   }
 
+  std::vector<CSymState> Paths = execStmt(F->body(), std::move(State), Callee);
   std::vector<Flow> Out;
-  for (CSymState &S : execStmt(F->body(), std::move(State), Callee)) {
+  for (CSymState &S : Paths) {
     CSymValue Ret;
     if (S.Returned)
       Ret = std::move(S.RetValue);
@@ -727,16 +720,17 @@ CSymExecutor::inlineCall(const CFuncDecl *F,
       Ret = CSymValue::scalar(Terms.intConst(0));
     S.Returned = false;
     S.RetValue = CSymValue();
-    S.Locals = CallerLocals;
-    S.LocalTypes = CallerTypes;
+    // The last path takes the caller's bindings; only the others copy.
+    if (&S == &Paths.back())
+      S.Locals = std::move(CallerLocals);
+    else
+      S.Locals = CallerLocals;
     Out.push_back({std::move(S), std::move(Ret)});
   }
   return Out;
 }
 
-CSymExecutor::Flow CSymExecutor::externCall(const CCall *Call,
-                                            const CFuncDecl *Callee,
-                                            const std::vector<CSymValue> &,
+CSymExecutor::Flow CSymExecutor::externCall(const CFuncDecl *Callee,
                                             CSymState State) {
   // Conservative model of an unknown body: no memory effects, a fresh
   // result shaped by the declared return type and its annotations.
@@ -745,7 +739,6 @@ CSymExecutor::Flow CSymExecutor::externCall(const CCall *Call,
   CSymValue Ret = RetTy && RetTy->isPointer()
                       ? lazyInit(RetTy, Name)
                       : CSymValue::scalar(Terms.freshIntVar(Name));
-  (void)Call;
   return {std::move(State), std::move(Ret)};
 }
 
@@ -754,10 +747,10 @@ CSymExecutor::Flow CSymExecutor::externCall(const CCall *Call,
 std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
                                               const Frame &Frame) {
   if (State.Returned)
-    return {std::move(State)};
+    return one(std::move(State));
   if (PathsThisRun > Opts.MaxPaths) {
     IncompleteThisRun = true;
-    return {std::move(State)};
+    return one(std::move(State));
   }
 
   switch (S->kind()) {
@@ -772,9 +765,8 @@ std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
     const auto *D = cast<CDeclStmt>(S);
     LocId Loc = newObject(D->type(), Frame.Func->name() + "::" + D->name());
     State.Locals[D->name()] = Loc;
-    State.LocalTypes[D->name()] = D->type();
     if (!D->init())
-      return {std::move(State)};
+      return one(std::move(State));
     std::vector<CSymState> Out;
     for (Flow &F : evalExpr(D->init(), std::move(State), Frame)) {
       F.State.Store.set({Loc, ""}, F.Value);
@@ -791,7 +783,7 @@ std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
       if (feasibleWith(F.State, Cond)) {
         ++PathsThisRun;
         ++Statistics.PathsExplored;
-        CSymState Then = F.State;
+        CSymState Then = fork(F.State);
         extendPath(Then, Cond);
         if (Opts.Prov)
           Then.Trail.push_back({I->cond()->loc(), "condition true"});
@@ -829,7 +821,7 @@ std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
     if (!R->value()) {
       State.Returned = true;
       State.RetValue = CSymValue::scalar(Terms.intConst(0));
-      return {std::move(State)};
+      return one(std::move(State));
     }
     std::vector<CSymState> Out;
     for (Flow &F : evalExpr(R->value(), std::move(State), Frame)) {
@@ -852,7 +844,7 @@ std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
     return Active;
   }
   }
-  return {std::move(State)};
+  return one(std::move(State));
 }
 
 std::vector<CSymState> CSymExecutor::execWhile(const CWhileStmt *W,
@@ -877,7 +869,7 @@ std::vector<CSymState> CSymExecutor::execWhile(const CWhileStmt *W,
         const Term *Cond = truthTerm(F.Value);
         const Term *NotCond = Terms.notTerm(Cond);
         if (feasibleWith(F.State, NotCond)) {
-          CSymState Exit = F.State;
+          CSymState Exit = fork(F.State);
           extendPath(Exit, NotCond);
           if (Opts.Prov)
             Exit.Trail.push_back({W->cond()->loc(), "loop exit"});
@@ -936,8 +928,6 @@ CSymExecutor::runFunction(const CFuncDecl *F,
     const auto &P = F->params()[I];
     LocId Loc = newObject(P.Ty, F->name() + "::" + P.Name);
     State.Locals[P.Name] = Loc;
-    State.LocalTypes[P.Name] = P.Ty;
-    Result.ParamLocs.push_back(Loc);
 
     if (P.Ty->isPointer()) {
       NullSeed Seed;

@@ -46,7 +46,20 @@ class CSymExecutor;
 
 /// One execution path's mutable state. Locals live here (not in a shared
 /// frame) because declarations inside branches allocate per path.
+///
+/// A path owns its state, and every flow that does not split the path
+/// moves it along. The type is move-only: fork() is the one way to copy a
+/// state, and the executor calls it only where a branch splits the path
+/// (an `if`'s then-branch, a loop's exit path, an indirect call's
+/// targets), so the compiler rejects any other copy.
 struct CSymState {
+  CSymState() = default;
+  CSymState(CSymState &&) = default;
+  CSymState &operator=(CSymState &&) = default;
+
+  /// A copy of this state for the other side of a branch.
+  CSymState fork() const { return CSymState(*this); }
+
   const smt::Term *Path = nullptr;
   /// The same condition as \ref Path, kept as a chain of branch deltas so
   /// the executor's PathSolver can sync its assertion stack by diffing
@@ -57,13 +70,16 @@ struct CSymState {
   smt::PathCondition PC;
   CStore Store;
   std::map<std::string, LocId> Locals;
-  std::map<std::string, const CType *> LocalTypes;
   bool Returned = false;
   CSymValue RetValue;
   /// With provenance recording on (CSymOptions::Prov): the branch
   /// decisions that produced this path, in execution order. Always empty
-  /// when recording is off, so state copies stay cheap.
+  /// when recording is off, so forks stay cheap.
   std::vector<prov::WitnessStep> Trail;
+
+private:
+  CSymState(const CSymState &) = default;
+  CSymState &operator=(const CSymState &) = delete;
 };
 
 /// MIXY's hook for calls to MIX(typed) functions met during symbolic
@@ -125,8 +141,6 @@ struct CSymResult {
   /// The memory object each pointer parameter was seeded to reference
   /// (NoLoc for non-pointer parameters).
   std::vector<LocId> ParamPointeeLocs;
-  /// The storage object of each parameter, by position.
-  std::vector<LocId> ParamLocs;
   /// The solver term each scalar parameter was seeded with (null for
   /// pointer parameters). Differential tests use these to evaluate path
   /// conditions under concrete inputs.
@@ -207,10 +221,11 @@ public:
   /// Cumulative statistics.
   struct Stats {
     unsigned PathsExplored = 0;
+    /// States copied at a branch that splits the path (see fork()).
+    unsigned Forks = 0;
     unsigned ForksPruned = 0;
     unsigned NullChecks = 0;
     unsigned CallsInlined = 0;
-    unsigned TypedCalls = 0;
   };
   const Stats &stats() const { return Statistics; }
 
@@ -244,9 +259,9 @@ private:
   void dispatchCall(const CCall *Call, const CFuncDecl *Callee,
                     const std::vector<CSymValue> &Args, CSymState State,
                     const Frame &Frame, std::vector<Flow> &Out);
-  /// Conservative model of a call that cannot be inlined.
-  Flow externCall(const CCall *Call, const CFuncDecl *Callee,
-                  const std::vector<CSymValue> &Args, CSymState State);
+  /// Conservative model of a call that cannot be inlined (\p Callee is
+  /// null for an unknown function pointer).
+  Flow externCall(const CFuncDecl *Callee, CSymState State);
 
   /// Applies \p Op to already-evaluated operand values.
   CSymValue evalBinaryValues(CBinaryOp Op, const CSymValue &L,
@@ -275,6 +290,11 @@ private:
   /// branch condition being tested) asserted in a temporary frame, so the
   /// synced path prefix is reused across probes on the same state.
   bool feasibleWith(const CSymState &State, const smt::Term *Extra);
+  /// Copies \p State for the other side of a branch, counting the fork.
+  CSymState fork(const CSymState &State) {
+    ++Statistics.Forks;
+    return State.fork();
+  }
   /// Conjoins \p Cond onto both representations of the state's path
   /// condition, keeping the Path/PC invariant.
   void extendPath(CSymState &State, const smt::Term *Cond) {
@@ -311,10 +331,6 @@ private:
   /// (continuing execution assumes the dereference did not trap).
   std::vector<LResolved> resolveLValue(const CExpr *E, CSymState State,
                                        const Frame &Frame);
-
-  const CType *typeOf(const CExpr *E, const CSymState &State,
-                      const Frame &Frame);
-  CScope scopeOf(const CSymState &State, const Frame &Frame) const;
 
   const CProgram &Program;
   CAstContext &Ctx;

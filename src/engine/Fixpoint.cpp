@@ -16,6 +16,7 @@ FixpointDriver::FixpointDriver(FixpointConfig C) : Cfg(std::move(C)) {
   if (Cfg.Metrics) {
     CRounds = Cfg.Metrics->counter("engine.fixpoint.rounds");
     CReruns = Cfg.Metrics->counter("engine.worklist.reruns");
+    CCut = Cfg.Metrics->counter("engine.fixpoint.cut");
   }
 }
 
@@ -60,5 +61,7 @@ FixpointResult FixpointDriver::run(const FixpointCallbacks &CB) {
   size_t N = CB.NumSites();
   for (size_t I = 0; I != N && Result.Converged; ++I)
     Result.Converged = !CB.Refresh(I);
+  if (!Result.Converged)
+    CCut.inc();
   return Result;
 }

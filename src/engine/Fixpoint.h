@@ -76,6 +76,7 @@ struct FixpointResult {
 /// Counter names (registry-backed; inert without a registry):
 ///   engine.fixpoint.rounds    rounds that evaluated at least 1 site
 ///   engine.worklist.reruns    site evaluations beyond each site's first
+///   engine.fixpoint.cut       runs the round cap cut off (not Converged)
 class FixpointDriver {
 public:
   explicit FixpointDriver(FixpointConfig C);
@@ -87,6 +88,7 @@ private:
   FixpointConfig Cfg;
   obs::Counter CRounds;
   obs::Counter CReruns;
+  obs::Counter CCut;
 };
 
 } // namespace mix::engine

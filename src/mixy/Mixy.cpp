@@ -56,6 +56,10 @@ uint64_t mix::c::mixyPersistFingerprint(const MixyOptions &Opts) {
   H.str(Opts.Solver.Backend);
   // Slot of a retired solver option; hashing its old value keeps caches warm.
   H.boolean(false);
+  // Summary revision, bumped when the same options give a summary new
+  // diagnostics. 1: a block run cut short by its loop, path or call-depth
+  // bound carries a MIX303 warning, which older summaries lack.
+  H.u32(1);
   return H.digest();
 }
 
@@ -106,6 +110,23 @@ void MixyAnalysis::publishStats() {
   Publish("mixy.switch.sym_to_typed", Statistics.TypedCallsFromSymbolic);
   Publish("mixy.fixpoint_rounds", Statistics.FixpointIterations);
   Publish("mixy.recursions", Statistics.RecursionsDetected);
+  const CSymExecutor::Stats &X = Exec.stats();
+  Publish("csym.paths", X.PathsExplored);
+  Publish("csym.forks", X.Forks);
+  Publish("csym.forks_pruned", X.ForksPruned);
+  Publish("csym.null_checks", X.NullChecks);
+  Publish("csym.calls_inlined", X.CallsInlined);
+}
+
+void MixyAnalysis::warnIfTruncated(const CFuncDecl *F,
+                                   const CSymResult &Result) {
+  if (!Result.Incomplete)
+    return;
+  std::string Message = "symbolic execution of '" + F->name() +
+                        "' was cut short by its loop, path or call-depth "
+                        "bound, so warnings may be missing";
+  if (Exec.tryMarkWarningEmitted(F->loc(), Message))
+    Diags.warning(F->loc(), Message, DiagID::ExecBudget);
 }
 
 // === dependency edges (persist closures) =====================================
@@ -712,8 +733,11 @@ MixyAnalysis::computeSymOutcome(const BlockKey &Key) {
   };
   H.OnIteration = [&](unsigned) { ++Statistics.SymbolicBlockRuns; };
   H.Eval = [&] {
-    return translateResult(Key.F,
-                           Exec.runFunction(Key.F, Key.Params, Key.Globals));
+    // The truncation warning is emitted here, inside the run, so it joins
+    // the persisted diagnostic slice and a warm replay reports it too.
+    CSymResult Result = Exec.runFunction(Key.F, Key.Params, Key.Globals);
+    warnIfTruncated(Key.F, Result);
+    return translateResult(Key.F, Result);
   };
   H.OnEvalEnd = [&](const SymOutcome &Outcome) {
     ActiveTypedLog = PrevLog;
@@ -977,8 +1001,7 @@ unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
       if (Opts.Trace)
         Span.setArgs("{\"function\": \"" + jsonEscape(EntryFunc->name()) +
                      "\"}");
-      CSymResult Result = Exec.runFunction(EntryFunc);
-      (void)Result;
+      warnIfTruncated(EntryFunc, Exec.runFunction(EntryFunc));
     }
     Qual.solve();
     Qual.reportWarnings();

@@ -29,7 +29,8 @@
 ///    earlier one's effects, for at most MaxFixpointIterations rounds; a
 ///    run that reaches the cap with a context still changing says so
 ///    with an ExecBudget (MIX303) warning instead of reporting a
-///    truncated result as clean.
+///    truncated result as clean. So does a symbolic block run that the
+///    executor's loop, path or call-depth bound cut short.
 ///  - Aliasing is restored at symbolic-to-typed transitions using the
 ///    may-points-to pre-pass (Section 4.2).
 ///  - Block results are cached per compatible calling context
@@ -321,9 +322,14 @@ private:
   /// all-to-all reachability in linear size.
   std::map<const CFuncDecl *, std::vector<const CFuncDecl *>>
   dependencyEdges();
-  /// Mirrors the final MixyStats into the metrics registry (no-op without
-  /// one) so --stats / --metrics render from the same source.
+  /// Mirrors the final MixyStats and the executor's work counters into
+  /// the metrics registry (no-op without one) so --stats / --metrics
+  /// render from the same source.
   void publishStats();
+  /// Emits one MIX303 warning at \p F when its run was cut short by the
+  /// loop bound, the path budget or the call depth: a truncated block
+  /// must not pass as clean.
+  void warnIfTruncated(const CFuncDecl *F, const CSymResult &Result);
 
   const CProgram &Program;
   CAstContext &Ctx;

@@ -270,3 +270,19 @@ std::string mix::c::corpus::deepCallChain(unsigned Depth) {
   Out += "  source();\n  return 0;\n}\n";
   return Out;
 }
+
+std::string mix::c::corpus::countedLoopBlock(unsigned Trips) {
+  std::string N = std::to_string(Trips);
+  return "void sysutil_free(void * nonnull p_ptr) MIX(typed);\n"
+         "int *g;\n"
+         "void blk(int n) MIX(symbolic) {\n"
+         "  int i;\n  i = 0;\n"
+         "  while (i < " + N + ") { i = i + 1; }\n"
+         "  if (i == " + N + ") { g = NULL; }\n"
+         "}\n"
+         "int main(void) {\n"
+         "  blk(1);\n"
+         "  sysutil_free((void*)g);\n"
+         "  return 0;\n"
+         "}\n";
+}

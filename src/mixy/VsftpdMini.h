@@ -51,6 +51,14 @@ std::string vsftpdScaled(bool Annotated, unsigned Modules,
 /// the null reaching sink().
 std::string deepCallChain(unsigned Depth);
 
+/// A symbolic block blk() whose loop counts to \p Trips and then sets the
+/// global g to null; main passes g to a nonnull parameter after the call.
+/// With fewer trips than the executor's loop bound (8) the loop exits and
+/// the null is found. From the bound on, the run is cut short before the
+/// null, so the finding is missed and only the truncation warning can
+/// report it.
+std::string countedLoopBlock(unsigned Trips);
+
 } // namespace mix::c::corpus
 
 #endif // MIX_MIXY_VSFTPDMINI_H

@@ -11,8 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace mix::c;
 using mix::DiagnosticEngine;
+
+// A path's state moves along every flow that does not split the path;
+// fork() is its only copy, so an accidental copy does not compile.
+static_assert(!std::is_copy_constructible_v<CSymState>);
+static_assert(!std::is_copy_assignable_v<CSymState>);
 
 namespace {
 
@@ -348,6 +355,38 @@ TEST_F(CSymTest, WithoutHookTypedFunctionsAreInlined) {
 TEST_F(CSymTest, StatisticsAccumulate) {
   runAndCountWarnings("int f(int c) { if (c) return 1; return 0; }", "f");
   EXPECT_GT(Exec->stats().PathsExplored, 0u);
+
+  // The symbolic filler's five-if cascade: each if splits every path that
+  // reaches it, so 1 + 2 + 4 + 8 + 16 = 31 forks give 32 paths, and each
+  // fork's two sides count as explored paths (2 + 4 + ... + 32 = 62).
+  runAndCountWarnings(
+      "int f(int a, int b, int c, int d, int e) {\n"
+      "  int acc;\n  acc = 0;\n"
+      "  if (a > 0) { acc = acc + 1; } else { acc = acc - 1; }\n"
+      "  if (b > a) { acc = acc + 2; } else { acc = acc - 2; }\n"
+      "  if (c > b) { acc = acc + 3; } else { acc = acc - 3; }\n"
+      "  if (d > c) { acc = acc + 4; } else { acc = acc - 4; }\n"
+      "  if (e > d) { acc = acc + 5; } else { acc = acc - 5; }\n"
+      "  return acc;\n"
+      "}",
+      "f");
+  EXPECT_EQ(Last.Paths.size(), 32u);
+  EXPECT_EQ(Exec->stats().Forks, 31u);
+  EXPECT_EQ(Exec->stats().PathsExplored, 62u);
+  EXPECT_EQ(Exec->stats().ForksPruned, 0u);
+
+  // Straight-line code never forks: reads and writes through a pointer
+  // and an inlined call all move the one state along.
+  EXPECT_EQ(runAndCountWarnings("int inc(int v) { return v + 1; }\n"
+                                "int f(int * nonnull p) {\n"
+                                "  int x;\n  x = *p;\n  *p = x + 1;\n"
+                                "  x = inc(x);\n  return x + *p;\n"
+                                "}",
+                                "f"),
+            0u);
+  EXPECT_EQ(Last.Paths.size(), 1u);
+  EXPECT_EQ(Exec->stats().CallsInlined, 1u);
+  EXPECT_EQ(Exec->stats().Forks, 0u);
 }
 
 // === deeper memory-model coverage ============================================

@@ -333,22 +333,28 @@ TEST(FixpointDriverTest, RoundCapCutIsReported) {
   // Six sites need six rounds. A cap of five stops one link short, and
   // the refresh-only pass after the last round sees a context still
   // changing; a cap of exactly six converges in its last round, which
-  // the same pass confirms.
+  // the same pass confirms. Only the cut run counts engine.fixpoint.cut.
   ChainSystem Short(6, 7);
+  obs::MetricsRegistry CutMetrics;
   FixpointConfig C;
   C.MaxRounds = 5;
+  C.Metrics = &CutMetrics;
   FixpointResult Cut = FixpointDriver(C).run(Short.callbacks());
   EXPECT_EQ(Cut.Rounds, 5u);
   EXPECT_FALSE(Cut.Converged);
   EXPECT_NE(Short.Val[0], 7);
+  EXPECT_EQ(CutMetrics.counterValue("engine.fixpoint.cut"), 1u);
 
   ChainSystem Exact(6, 7);
+  obs::MetricsRegistry DoneMetrics;
   C.MaxRounds = 6;
+  C.Metrics = &DoneMetrics;
   FixpointResult Done = FixpointDriver(C).run(Exact.callbacks());
   EXPECT_EQ(Done.Rounds, 6u);
   EXPECT_TRUE(Done.Converged);
   for (int V : Exact.Val)
     EXPECT_EQ(V, 7);
+  EXPECT_EQ(DoneMetrics.counterValue("engine.fixpoint.cut"), 0u);
 }
 
 TEST(FixpointDriverTest, SerialPicksUpSitesAppendedMidRound) {

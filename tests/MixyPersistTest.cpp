@@ -155,21 +155,33 @@ TEST(MixyPersistTest, WarmRunIsByteIdenticalAndHitsTheBlockStore) {
 }
 
 TEST(MixyPersistTest, RoundCapWarningIsIdenticalColdAndWarm) {
-  // The depth-16 chain runs out of fixpoint rounds. The MIX303 warning
-  // comes from the fixpoint, not from a block run, so it is not
-  // persisted; a warm run replays every block summary, walks the same
-  // rounds, and must hit the cap the same way.
-  TempDir D("round_cap");
-  const std::string Source = corpus::deepCallChain(16);
-  RunResult Cold = runMixy(Source, D.Path);
-  RunResult Warm = runMixy(Source, D.Path);
-  EXPECT_EQ(Cold.Warnings, 1u) << Cold.Diags;
-  EXPECT_NE(Cold.Diags.find("fixpoint budget exhausted"), std::string::npos)
-      << Cold.Diags;
-  EXPECT_EQ(Warm.Diags, Cold.Diags);
-  EXPECT_EQ(Warm.Warnings, Cold.Warnings);
-  EXPECT_GT(Warm.BlockHits, 0u);
-  EXPECT_EQ(Warm.BlockMisses, 0u);
+  // Two MIX303 sources. The depth-16 chain runs out of fixpoint rounds;
+  // that warning comes from the fixpoint, not from a block run, so it is
+  // not persisted: a warm run replays every block summary, walks the
+  // same rounds, and must hit the cap the same way. The counted loop's
+  // block run is cut short by the loop bound; that warning is emitted
+  // inside the run, so it is persisted and a warm run replays it.
+  struct Case {
+    const char *Name;
+    std::string Source;
+    const char *Warning;
+  };
+  for (const Case &C :
+       {Case{"round_cap", corpus::deepCallChain(16),
+             "fixpoint budget exhausted"},
+        Case{"loop_cut", corpus::countedLoopBlock(20), "was cut short"}}) {
+    SCOPED_TRACE(C.Name);
+    TempDir D(C.Name);
+    RunResult Cold = runMixy(C.Source, D.Path);
+    RunResult Warm = runMixy(C.Source, D.Path);
+    EXPECT_EQ(Cold.Warnings, 1u) << Cold.Diags;
+    EXPECT_NE(Cold.Diags.find(C.Warning), std::string::npos) << Cold.Diags;
+    EXPECT_EQ(Warm.Diags, Cold.Diags);
+    EXPECT_EQ(Warm.Warnings, Cold.Warnings);
+    EXPECT_GT(Warm.BlockHits, 0u);
+    EXPECT_EQ(Warm.BlockMisses, 0u);
+    EXPECT_EQ(Warm.SymBlockRuns, 0u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -250,19 +250,28 @@ TEST_F(MixyTest, RepeatedRunsDoTheSameWork) {
     DiagnosticEngine Diags;
     const CProgram *P = parseC(Source, Ctx, Diags);
     EXPECT_NE(P, nullptr) << Diags.str();
-    MixyAnalysis Mixy(*P, Ctx, Diags);
+    mix::obs::MetricsRegistry Reg;
+    MixyOptions Opts;
+    Opts.Metrics = &Reg;
+    MixyAnalysis Mixy(*P, Ctx, Diags, Opts);
     Mixy.run(MixyAnalysis::StartMode::Typed, "filler_main");
     Rendered = Diags.str();
     const MixyStats &S = Mixy.stats();
-    return std::vector<unsigned>{
+    std::vector<uint64_t> Work{
         S.SymbolicBlockRuns,      S.SymbolicCacheHits,
         S.TypedBlockRuns,         S.TypedCacheHits,
         S.SymbolicCallsFromTyped, S.TypedCallsFromSymbolic,
         S.FixpointIterations,     S.RecursionsDetected};
+    // The executor's work, as published to the registry.
+    for (const char *Name : {"csym.paths", "csym.forks", "csym.forks_pruned",
+                             "csym.null_checks", "csym.calls_inlined"})
+      Work.push_back(Reg.counterValue(Name));
+    return Work;
   };
   std::string FirstDiags;
-  std::vector<unsigned> First = Run(FirstDiags);
+  std::vector<uint64_t> First = Run(FirstDiags);
   EXPECT_GT(First[0], 8u); // every filler block ran
+  EXPECT_GT(First[9], 8u * 31); // csym.forks: 31 per block's if-cascade
   for (int I = 1; I != 20; ++I) {
     std::string Diags;
     EXPECT_EQ(Run(Diags), First) << "run " << I;
@@ -308,6 +317,39 @@ TEST_F(MixyTest, DeepChainCutByTheRoundCapWarns) {
     EXPECT_NE(LastDiags.find("fixpoint budget exhausted"), std::string::npos)
         << LastDiags;
   }
+}
+
+// --- block runs cut short by the executor's bounds ---------------------------
+
+TEST_F(MixyTest, TruncatedBlockRunWarns) {
+  // blk's loop counts to 20, past the executor's loop bound of 8, so the
+  // run is cut short before g becomes null and the null reaching
+  // sysutil_free is missed. The cut itself is reported (MIX303), once,
+  // so the program does not pass as clean.
+  EXPECT_EQ(mixyWarnings(corpus::countedLoopBlock(20)), 1u) << LastDiags;
+  EXPECT_EQ(lastCount(DiagID::ExecBudget), 1u) << LastDiags;
+  EXPECT_EQ(lastCount(DiagID::NullWarning), 0u) << LastDiags;
+  EXPECT_NE(LastDiags.find("'blk' was cut short"), std::string::npos)
+      << LastDiags;
+
+  // Counting to 5 stays within the bound: the complete run finds the
+  // null, and there is no cut to report.
+  EXPECT_EQ(mixyWarnings(corpus::countedLoopBlock(5)), 1u) << LastDiags;
+  EXPECT_EQ(lastCount(DiagID::NullWarning), 1u) << LastDiags;
+  EXPECT_EQ(lastCount(DiagID::ExecBudget), 0u) << LastDiags;
+}
+
+TEST_F(MixyTest, TruncatedSymbolicEntryRunWarns) {
+  // The --start=symbolic entry run reports its own cut the same way.
+  CAstContext Ctx;
+  DiagnosticEngine Diags;
+  const CProgram *P = parseC(corpus::countedLoopBlock(20), Ctx, Diags);
+  ASSERT_NE(P, nullptr) << Diags.str();
+  MixyAnalysis Mixy(*P, Ctx, Diags);
+  EXPECT_EQ(Mixy.run(MixyAnalysis::StartMode::Symbolic, "blk"), 1u)
+      << Diags.str();
+  ASSERT_EQ(Diags.diagnostics().size(), 1u) << Diags.str();
+  EXPECT_EQ(Diags.diagnostics()[0].ID, DiagID::ExecBudget);
 }
 
 TEST_F(MixyTest, TrueErrorsAreStillReported) {

@@ -157,6 +157,10 @@ int main(int Argc, char **Argv) {
            << "symbolic block runs      : "
            << Reg.counterValue("mixy.sym_block_runs") << " (+"
            << Reg.counterValue("mixy.sym_cache_hits") << " cached)\n"
+           << "symbolic paths           : "
+           << Reg.counterValue("csym.paths") << "\n"
+           << "symbolic forks           : "
+           << Reg.counterValue("csym.forks") << "\n"
            << "typed block runs         : "
            << Reg.counterValue("mixy.typed_block_runs") << " (+"
            << Reg.counterValue("mixy.typed_cache_hits") << " cached)\n"
@@ -174,7 +178,9 @@ int main(int Argc, char **Argv) {
            << "fixpoint re-runs         : "
            << Reg.counterValue("engine.worklist.reruns") << "\n"
            << "fixpoint rounds          : "
-           << Reg.counterValue("engine.fixpoint.rounds") << "\n";
+           << Reg.counterValue("engine.fixpoint.rounds") << "\n"
+           << "fixpoint cut by cap      : "
+           << Reg.counterValue("engine.fixpoint.cut") << "\n";
     }
     Info << driver::renderPhaseBreakdown(Resp);
   }
