@@ -12,15 +12,14 @@
 
 #include "BenchReport.h"
 
-#include "solver/AssertionStack.h"
 #include "solver/Sat.h"
 #include "solver/SmtSolver.h"
 #include "solver/SolverFactory.h"
+#include "solver/TermEval.h"
 
 #include <benchmark/benchmark.h>
 
 #include <functional>
-#include <optional>
 #include <random>
 
 using namespace mix::smt;
@@ -105,12 +104,14 @@ void BM_Solver_IntegerTightening(benchmark::State &State) {
 
 /// The deep-branch exploration pattern path executors generate: DFS over
 /// a K-deep branch ladder with a then/else feasibility probe at every
-/// node. range(1) selects from-scratch conjunctions (0) or the
-/// incremental assertion stack (1) — the axis the incremental-mode
-/// regression test pins with query counters, measured here in time.
+/// node. range(1) selects from-scratch conjunctions (0) or the witness
+/// rule (1): each path keeps a model of its condition, a probe that model
+/// satisfies needs no query, and a queried probe's model becomes the
+/// witness of the path it opens. That is CSymExecutor's rule, whose
+/// query count the executor tests pin; here it is measured in time.
 void BM_Solver_DeepBranchProbes(benchmark::State &State) {
   unsigned K = (unsigned)State.range(0);
-  bool Incremental = State.range(1) != 0;
+  bool UseWitness = State.range(1) != 0;
   uint64_t Queries = 0;
   for (auto _ : State) {
     TermArena A;
@@ -118,34 +119,29 @@ void BM_Solver_DeepBranchProbes(benchmark::State &State) {
     std::vector<const Term *> Xs;
     for (unsigned I = 0; I != K; ++I)
       Xs.push_back(A.freshIntVar());
-    std::optional<AssertionStack> St;
-    if (Incremental)
-      St.emplace(S);
     // DFS: probe both polarities of x_d > 0 at depth d, descend into the
-    // feasible ones.
-    std::function<void(unsigned, const Term *)> Walk =
-        [&](unsigned Depth, const Term *Path) {
+    // feasible ones. Witness is a complete model of Path, or null.
+    std::function<void(unsigned, const Term *, const SmtModel *)> Walk =
+        [&](unsigned Depth, const Term *Path, const SmtModel *Witness) {
           if (Depth == K)
             return;
           const Term *Cond = A.lt(A.intConst(0), Xs[Depth]);
           for (const Term *Delta : {Cond, A.notTerm(Cond)}) {
-            bool Feasible;
-            if (Incremental) {
-              St->push();
-              St->assertTerm(Delta);
-              Feasible = St->checkSat() != SolveResult::Unsat;
-              if (Feasible)
-                Walk(Depth + 1, A.andTerm(Path, Delta));
-              St->pop();
-            } else {
-              const Term *Whole = A.andTerm(Path, Delta);
-              Feasible = S.checkSat(Whole) != SolveResult::Unsat;
-              if (Feasible)
-                Walk(Depth + 1, Whole);
+            const Term *Whole = A.andTerm(Path, Delta);
+            if (Witness && evalBool(Delta, *Witness)) {
+              Walk(Depth + 1, Whole, Witness);
+              continue;
             }
+            SmtModel M;
+            SolveResult R = S.checkSat(Whole, UseWitness ? &M : nullptr);
+            if (R == SolveResult::Unsat)
+              continue;
+            bool Keep = UseWitness && R == SolveResult::Sat && M.Complete;
+            Walk(Depth + 1, Whole, Keep ? &M : nullptr);
           }
         };
-    Walk(0, A.trueTerm());
+    SmtModel Empty; // satisfies `true`
+    Walk(0, A.trueTerm(), UseWitness ? &Empty : nullptr);
     Queries = S.queries();
   }
   State.counters["backend_queries"] = (double)Queries;

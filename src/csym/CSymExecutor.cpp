@@ -7,6 +7,8 @@
 
 #include "csym/CSymExecutor.h"
 
+#include "solver/TermEval.h"
+
 using namespace mix::c;
 using mix::smt::Term;
 
@@ -23,10 +25,12 @@ CSymExecutor::CSymExecutor(const CProgram &Program, CAstContext &Ctx,
                            DiagnosticEngine &Diags, smt::TermArena &Terms,
                            smt::ISolver &Solver, CSymOptions Opts)
     : Program(Program), Ctx(Ctx), Sema(Program, Ctx, Diags), Diags(Diags),
-      Terms(Terms), Solver(Solver),
-      PathChecker(Solver, Opts.IncrementalSolver, Solver.options().Metrics),
-      Opts(Opts) {
+      Terms(Terms), Solver(Solver), Opts(Opts) {
   Objects.push_back({nullptr, "<none>"}); // slot 0 = NoLoc
+  if (obs::MetricsRegistry *M = Solver.options().Metrics) {
+    CWitnessAnswers = M->counter("solver.inc.model_reuse");
+    CBackendProbes = M->counter("solver.inc.queries");
+  }
 }
 
 LocId CSymExecutor::newObject(const CType *Ty, std::string Name) {
@@ -63,19 +67,33 @@ const CType *CSymExecutor::cellType(LocId Loc,
   return Ty;
 }
 
-bool CSymExecutor::feasible(const CSymState &State) {
-  if (State.Path->kind() == smt::TermKind::BoolConst)
-    return State.Path->value() != 0;
-  return PathChecker.checkPath(State.PC, State.Path) !=
-         smt::SolveResult::Unsat;
-}
-
-bool CSymExecutor::feasibleWith(const CSymState &State, const Term *Extra) {
+bool CSymExecutor::feasibleWith(const CSymState &State, const Term *Extra,
+                                SharedModel *WitnessOut) {
   const Term *Whole = Terms.andTerm(State.Path, Extra);
-  if (Whole->kind() == smt::TermKind::BoolConst)
+  if (Whole->kind() == smt::TermKind::BoolConst) {
+    if (WitnessOut)
+      *WitnessOut = State.Witness;
     return Whole->value() != 0;
-  return PathChecker.checkPathWith(State.PC, State.Path, Extra) !=
-         smt::SolveResult::Unsat;
+  }
+  // The witness satisfies Path; if it satisfies Extra too, it is a model
+  // of the extension. Only the backend answers Unsat, so a wrong witness
+  // could only keep a path, never drop one.
+  if (State.Witness && smt::evalBool(Extra, *State.Witness)) {
+    CWitnessAnswers.inc();
+    if (WitnessOut)
+      *WitnessOut = State.Witness;
+    return true;
+  }
+  CBackendProbes.inc();
+  smt::SmtModel Model;
+  smt::SolveResult R = Solver.checkSat(Whole, &Model);
+  if (WitnessOut) {
+    if (R == smt::SolveResult::Sat && Model.Complete)
+      *WitnessOut = std::make_shared<const smt::SmtModel>(std::move(Model));
+    else
+      WitnessOut->reset();
+  }
+  return R != smt::SolveResult::Unsat;
 }
 
 void CSymExecutor::warn(SourceLoc Loc, const std::string &Message,
@@ -239,11 +257,10 @@ CSymExecutor::resolveLValue(const CExpr *E, CSymState State,
                Terms.andTerm(F.State.Path, NullG));
       }
       // Continue under the assumption the dereference survived.
+      if (!assume(F.State, F.Value.nonNullGuard(Terms)))
+        continue; // definitely null: this path dies here
       LResolved R;
       R.State = std::move(F.State);
-      extendPath(R.State, F.Value.nonNullGuard(Terms));
-      if (!feasible(R.State))
-        continue; // definitely null: this path dies here
       for (const PtrCase &C : F.Value.cases()) {
         if (C.Target.K != PtrTarget::Kind::Object)
           continue;
@@ -279,11 +296,10 @@ CSymExecutor::resolveLValue(const CExpr *E, CSymState State,
           warn(E->loc(), "possible null dereference", &F.State,
                Terms.andTerm(F.State.Path, NullG));
       }
+      if (!assume(F.State, F.Value.nonNullGuard(Terms)))
+        continue;
       LResolved R;
       R.State = std::move(F.State);
-      extendPath(R.State, F.Value.nonNullGuard(Terms));
-      if (!feasible(R.State))
-        continue;
       for (const PtrCase &C : F.Value.cases()) {
         if (C.Target.K != PtrTarget::Kind::Object)
           continue;
@@ -369,10 +385,9 @@ CSymExecutor::evalExpr(const CExpr *E, CSymState State, const Frame &Frame) {
             warn(E->loc(), "possible null dereference", &F.State,
                  Terms.andTerm(F.State.Path, NullG));
         }
-        CSymState S = std::move(F.State);
-        extendPath(S, F.Value.nonNullGuard(Terms));
-        if (!feasible(S))
+        if (!assume(F.State, F.Value.nonNullGuard(Terms)))
           continue;
+        CSymState S = std::move(F.State);
         CSymValue Acc;
         bool First = true;
         for (const PtrCase &C : F.Value.cases()) {
@@ -601,13 +616,14 @@ CSymExecutor::evalCall(const CCall *Call, CSymState State,
       }
       bool AnyTarget = false;
       for (const PtrCase &C : F.Value.cases()) {
-        if (!feasibleWith(F.State, C.Guard))
+        SharedModel W;
+        if (!feasibleWith(F.State, C.Guard, &W))
           continue;
         // A data object is not callable, so its branch would go unused.
         if (C.Target.K == PtrTarget::Kind::Object)
           continue;
         CSymState Branch = fork(F.State);
-        extendPath(Branch, C.Guard);
+        extendPath(Branch, C.Guard, std::move(W));
         switch (C.Target.K) {
         case PtrTarget::Kind::Function:
           AnyTarget = true;
@@ -780,11 +796,12 @@ std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
     for (Flow &F : evalExpr(I->cond(), std::move(State), Frame)) {
       const Term *Cond = truthTerm(F.Value);
 
-      if (feasibleWith(F.State, Cond)) {
+      SharedModel ThenW;
+      if (feasibleWith(F.State, Cond, &ThenW)) {
         ++PathsThisRun;
         ++Statistics.PathsExplored;
         CSymState Then = fork(F.State);
-        extendPath(Then, Cond);
+        extendPath(Then, Cond, std::move(ThenW));
         if (Opts.Prov)
           Then.Trail.push_back({I->cond()->loc(), "condition true"});
         for (CSymState &R : execStmt(I->thenStmt(), std::move(Then), Frame))
@@ -793,12 +810,10 @@ std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
         ++Statistics.ForksPruned;
       }
 
-      const Term *NotCond = Terms.notTerm(Cond);
-      if (feasibleWith(F.State, NotCond)) {
+      if (assume(F.State, Terms.notTerm(Cond))) {
         ++PathsThisRun;
         ++Statistics.PathsExplored;
         CSymState Else = std::move(F.State);
-        extendPath(Else, NotCond);
         if (Opts.Prov)
           Else.Trail.push_back({I->cond()->loc(), "condition false"});
         if (I->elseStmt()) {
@@ -868,16 +883,16 @@ std::vector<CSymState> CSymExecutor::execWhile(const CWhileStmt *W,
       for (Flow &F : evalExpr(W->cond(), std::move(A), Frame)) {
         const Term *Cond = truthTerm(F.Value);
         const Term *NotCond = Terms.notTerm(Cond);
-        if (feasibleWith(F.State, NotCond)) {
+        SharedModel ExitW;
+        if (feasibleWith(F.State, NotCond, &ExitW)) {
           CSymState Exit = fork(F.State);
-          extendPath(Exit, NotCond);
+          extendPath(Exit, NotCond, std::move(ExitW));
           if (Opts.Prov)
             Exit.Trail.push_back({W->cond()->loc(), "loop exit"});
           Exited.push_back(std::move(Exit));
         }
-        if (feasibleWith(F.State, Cond)) {
+        if (assume(F.State, Cond)) {
           CSymState Loop = std::move(F.State);
-          extendPath(Loop, Cond);
           if (Opts.Prov)
             Loop.Trail.push_back({W->cond()->loc(), "loop iteration"});
           for (CSymState &R : execStmt(W->body(), std::move(Loop), Frame))
@@ -910,6 +925,8 @@ CSymExecutor::runFunction(const CFuncDecl *F,
   CSymResult Result;
   CSymState State;
   State.Path = Terms.trueTerm();
+  // The empty model satisfies `true`.
+  State.Witness = std::make_shared<const smt::SmtModel>();
 
   // Seed pointer-typed globals from the typed calling context.
   for (const auto &[Name, Seed] : GlobalSeeds) {
@@ -972,8 +989,10 @@ CSymExecutor::runFunction(const CFuncDecl *F,
 bool CSymExecutor::mayBeNull(const Term *Path, const CSymValue &Value) {
   if (!Value.isPtr())
     return false;
-  const Term *NullG = Value.nullGuard(Terms);
-  return !Solver.isDefinitelyUnsat(Terms.andTerm(Path, NullG));
+  const Term *Query = Terms.andTerm(Path, Value.nullGuard(Terms));
+  if (Query->kind() == smt::TermKind::BoolConst)
+    return Query->value() != 0;
+  return !Solver.isDefinitelyUnsat(Query);
 }
 
 std::optional<CSymValue>

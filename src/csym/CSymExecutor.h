@@ -15,7 +15,9 @@
 ///  - pointers from the calling context start as (alpha ? loc : 0) when
 ///    their qualifiers allow null, or as a definite fresh location when
 ///    nonnull (Section 4.1, "From Types to Symbolic Values");
-///  - conditionals fork, with solver-pruned infeasible branches;
+///  - conditionals fork, with solver-pruned infeasible branches; each
+///    path carries a witness model of its path condition, so a fork asks
+///    the solver only about the side that model does not satisfy;
 ///  - loops unroll up to a bound (paths beyond it are marked incomplete);
 ///  - dereferences and calls to nonnull-annotated parameters raise
 ///    null-dereference warnings when the solver finds the null case
@@ -32,9 +34,10 @@
 #include "cfront/CSema.h"
 #include "csym/CSymValue.h"
 #include "provenance/Provenance.h"
-#include "solver/PathSolver.h"
+#include "solver/ISolver.h"
 #include "support/Diagnostics.h"
 
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -43,6 +46,10 @@
 namespace mix::c {
 
 class CSymExecutor;
+
+/// A solver model, shared by the paths that fork from the state holding
+/// it.
+using SharedModel = std::shared_ptr<const smt::SmtModel>;
 
 /// One execution path's mutable state. Locals live here (not in a shared
 /// frame) because declarations inside branches allocate per path.
@@ -61,13 +68,10 @@ struct CSymState {
   CSymState fork() const { return CSymState(*this); }
 
   const smt::Term *Path = nullptr;
-  /// The same condition as \ref Path, kept as a chain of branch deltas so
-  /// the executor's PathSolver can sync its assertion stack by diffing
-  /// against a sibling path instead of re-solving from scratch. Invariant:
-  /// PC.folded(Terms) == Path whenever Path was only ever extended through
-  /// the executor's own branch sites (PathSolver falls back to a direct
-  /// query if a hook breaks this).
-  smt::PathCondition PC;
+  /// A complete model of \ref Path, or null when none is known (a probe
+  /// answered Unknown, or its model was incomplete). Invariant: when
+  /// non-null, the witness satisfies Path. Forks share it.
+  SharedModel Witness;
   CStore Store;
   std::map<std::string, LocId> Locals;
   bool Returned = false;
@@ -109,11 +113,6 @@ struct CSymOptions {
   bool CheckNonnullArguments = true;
   /// Warn on dereferences whose null case is feasible.
   bool CheckDereferences = true;
-  /// Route feasibility checks through an incremental AssertionStack that
-  /// pushes/pops branch deltas between sibling paths (the tentpole's
-  /// per-path stacks). Off = every check is a from-scratch checkSat; the
-  /// verdicts and diagnostics are identical either way.
-  bool IncrementalSolver = true;
 
   /// Provenance recording (see src/provenance/). When attached, states
   /// carry branch trails and every warning emitted with a state in hand
@@ -283,23 +282,36 @@ private:
   /// Coerces a value to an int-sorted scalar term.
   const smt::Term *intTerm(const CSymValue &V);
 
-  /// Is the state's path condition satisfiable? Uses the incremental
-  /// stack when enabled (state chains share prefixes with siblings).
-  bool feasible(const CSymState &State);
-  /// Is Path ∧ Extra satisfiable? \p Extra is a probe (a null guard, a
-  /// branch condition being tested) asserted in a temporary frame, so the
-  /// synced path prefix is reused across probes on the same state.
-  bool feasibleWith(const CSymState &State, const smt::Term *Extra);
+  /// Is Path ∧ Extra satisfiable (or not known to be unsatisfiable)?
+  /// \p Extra is a probe: a null guard, or a branch condition being
+  /// tested. The witness rule: when the state's witness satisfies Extra
+  /// the answer is yes with no backend call; otherwise one backend
+  /// decision of Path ∧ Extra. \p WitnessOut, when given, receives a
+  /// model of Path ∧ Extra for the extended path (null when none is
+  /// known).
+  bool feasibleWith(const CSymState &State, const smt::Term *Extra,
+                    SharedModel *WitnessOut = nullptr);
   /// Copies \p State for the other side of a branch, counting the fork.
   CSymState fork(const CSymState &State) {
     ++Statistics.Forks;
     return State.fork();
   }
-  /// Conjoins \p Cond onto both representations of the state's path
-  /// condition, keeping the Path/PC invariant.
-  void extendPath(CSymState &State, const smt::Term *Cond) {
+  /// Conjoins \p Cond onto the state's path condition. \p Witness is
+  /// the model feasibleWith() gave for that extension.
+  void extendPath(CSymState &State, const smt::Term *Cond,
+                  SharedModel Witness) {
     State.Path = Terms.andTerm(State.Path, Cond);
-    State.PC = State.PC.extend(Terms, Cond);
+    State.Witness = std::move(Witness);
+  }
+  /// Conjoins \p Cond onto the state's path condition when that is
+  /// feasible; returns false, leaving the state as it was, when Path ∧
+  /// Cond is unsatisfiable.
+  bool assume(CSymState &State, const smt::Term *Cond) {
+    SharedModel Witness;
+    if (!feasibleWith(State, Cond, &Witness))
+      return false;
+    extendPath(State, Cond, std::move(Witness));
+    return true;
   }
 
   /// Reports a (deduplicated) warning. When \p State is given and
@@ -338,7 +350,6 @@ private:
   DiagnosticEngine &Diags;
   smt::TermArena &Terms;
   smt::ISolver &Solver;
-  smt::PathSolver PathChecker;
   CSymOptions Opts;
   TypedCallHook *Hook = nullptr;
 
@@ -354,6 +365,10 @@ private:
   bool IncompleteThisRun = false;
   unsigned PathsThisRun = 0;
   Stats Statistics;
+  /// Probes answered by a path's witness ("solver.inc.model_reuse") and
+  /// by a backend decision ("solver.inc.queries"); detached unless the
+  /// solver's options carry a metrics registry.
+  obs::Counter CWitnessAnswers, CBackendProbes;
 };
 
 } // namespace mix::c

@@ -51,8 +51,6 @@ uint64_t mix::c::mixyPersistFingerprint(const MixyOptions &Opts) {
   H.boolean(Opts.Prov != nullptr);
   // Backend choice changes the DecidedBy provenance persisted inside
   // block summaries (verdicts themselves are backend-independent).
-  // Sym.IncrementalSolver is deliberately excluded: it only changes how
-  // queries are batched, never a verdict or a diagnostic.
   H.str(Opts.Solver.Backend);
   // Slot of a retired solver option; hashing its old value keeps caches warm.
   H.boolean(false);

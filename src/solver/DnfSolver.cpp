@@ -16,16 +16,6 @@ using namespace mix::smt::detail;
 
 namespace {
 
-/// A literal of the propositional skeleton: an atom (EqInt/Lt/Le or
-/// BoolVar) with a polarity.
-struct CubeLit {
-  const Term *Atom;
-  bool Positive;
-};
-
-/// A conjunction of skeleton literals.
-using Cube = std::vector<CubeLit>;
-
 bool expandDnf(const Term *T, bool Negated, unsigned MaxCubes,
                std::vector<Cube> &Out);
 
@@ -134,55 +124,10 @@ SolveResult DnfSolver::decide(const Term *Formula, SmtModel *ModelOut) {
 
   bool AnyUnknown = false;
   for (const Cube &C : Cubes) {
-    // Propositional consistency over boolean variables and constants.
-    std::map<unsigned, bool> BoolAssign;
-    bool Consistent = true;
-    std::vector<LinConstraint> Constraints;
-    for (const CubeLit &L : C) {
-      switch (L.Atom->kind()) {
-      case TermKind::BoolVar: {
-        auto [It, Inserted] = BoolAssign.try_emplace(L.Atom->varId(),
-                                                     L.Positive);
-        if (!Inserted && It->second != L.Positive)
-          Consistent = false;
-        break;
-      }
-      case TermKind::EqInt:
-      case TermKind::Lt:
-      case TermKind::Le:
-        Constraints.push_back(atomToConstraint(L.Atom, L.Positive));
-        break;
-      default:
-        assert(false && "unexpected cube literal");
-        break;
-      }
-      if (!Consistent)
-        break;
-    }
-    if (!Consistent)
-      continue;
-
-    if (Constraints.empty()) {
-      if (ModelOut) {
-        *ModelOut = SmtModel();
-        for (const auto &[Var, Value] : BoolAssign)
-          ModelOut->Bools[Var] = Value;
-      }
-      return SolveResult::Sat;
-    }
-
-    LiaResult R = checkLinearConjunction(Constraints, Opts.Lia);
-    if (R.Verdict == LiaVerdict::Sat) {
-      if (ModelOut) {
-        *ModelOut = SmtModel();
-        ModelOut->Ints = R.Model;
-        ModelOut->Complete = R.HasModel;
-        for (const auto &[Var, Value] : BoolAssign)
-          ModelOut->Bools[Var] = Value;
-      }
-      return SolveResult::Sat;
-    }
-    if (R.Verdict == LiaVerdict::Unknown)
+    SolveResult R = decideCube(C, Opts.Lia, ModelOut);
+    if (R == SolveResult::Sat)
+      return R;
+    if (R == SolveResult::Unknown)
       AnyUnknown = true;
     // Unsat cube: try the next one.
   }

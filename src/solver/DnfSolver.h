@@ -16,9 +16,11 @@
 ///
 /// The point of a second backend is not speed (enumeration loses to CDCL
 /// past small formulas) but *independence*: it shares only the
-/// term language, the atom translation, and the arithmetic core with
-/// smtlite, so the cross-backend differential harness (SolverDiffTest)
-/// exercises genuinely different decision paths.
+/// term language, the atom translation, and the per-cube arithmetic
+/// check (decideCube, which smtlite runs on a formula that is one
+/// conjunction of literals) with smtlite, so the cross-backend
+/// differential harness (SolverDiffTest) exercises genuinely different
+/// decision paths; its brute-force oracle shares none of them.
 ///
 //===----------------------------------------------------------------------===//
 

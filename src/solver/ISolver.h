@@ -18,10 +18,10 @@
 /// (possible path is explored, exhaustiveness is rejected, a warning is
 /// kept).
 ///
-/// Incrementality lives one level up, in \ref AssertionStack (see
-/// AssertionStack.h): a push/pop assertion stack constructed over any
-/// backend, so path exploration can assert branch deltas and have most
-/// checks answered from its caches instead of by a backend decision.
+/// Every checkSat is a fresh decision of the whole formula. Path
+/// exploration avoids decisions one level up: the mini-C executor keeps a
+/// witness model per path and evaluates each branch condition under it
+/// (TermEval.h) before asking a backend.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,12 +7,12 @@
 ///
 /// \file
 /// Encoding machinery shared by the solver backends: if-then-else
-/// lowering, linearization of integer terms, the Tseitin CNF encoder, and
-/// the atom-to-constraint translation. Formerly private to SmtSolver.cpp;
-/// hoisted so the dnf backend uses the exact same translation as smtlite
-/// (a prerequisite for meaningful differential testing — backends must
-/// disagree only through their decision procedures, never through
-/// divergent encodings).
+/// lowering, linearization of integer terms, the Tseitin CNF encoder, the
+/// atom-to-constraint translation, and the direct check of a conjunction
+/// of literals. Formerly private to SmtSolver.cpp; hoisted so the dnf
+/// backend uses the exact same translation as smtlite (a prerequisite for
+/// meaningful differential testing — backends must disagree only through
+/// their decision procedures, never through divergent encodings).
 ///
 /// Internal header: not part of the solver's public surface.
 ///
@@ -21,6 +21,7 @@
 #ifndef MIX_SOLVER_SMTINTERNALS_H
 #define MIX_SOLVER_SMTINTERNALS_H
 
+#include "solver/ISolver.h"
 #include "solver/LinearArith.h"
 #include "solver/Sat.h"
 #include "solver/Term.h"
@@ -341,6 +342,65 @@ inline LinConstraint atomToConstraint(const Term *Atom, bool Positive) {
     assert(false && "not an integer atom");
     return C;
   }
+}
+
+/// A literal of a conjunction: an atom (EqInt/Lt/Le or BoolVar) with a
+/// polarity.
+struct CubeLit {
+  const Term *Atom;
+  bool Positive;
+};
+
+/// A conjunction of literals.
+using Cube = std::vector<CubeLit>;
+
+/// Decides the conjunction \p C without a SAT search: its boolean
+/// literals must agree with each other, and its integer literals,
+/// translated in order, make one Fourier-Motzkin check. On Sat,
+/// \p ModelOut (when given) receives the boolean assignment and the
+/// theory's integer model. The dnf backend runs this once per cube;
+/// smtlite runs it on a formula that is one conjunction of literals.
+inline SolveResult decideCube(const Cube &C, const LiaOptions &Opts,
+                              SmtModel *ModelOut) {
+  std::map<unsigned, bool> BoolAssign;
+  std::vector<LinConstraint> Constraints;
+  for (const CubeLit &L : C) {
+    switch (L.Atom->kind()) {
+    case TermKind::BoolVar: {
+      auto [It, Inserted] = BoolAssign.try_emplace(L.Atom->varId(),
+                                                   L.Positive);
+      if (!Inserted && It->second != L.Positive)
+        return SolveResult::Unsat;
+      break;
+    }
+    case TermKind::EqInt:
+    case TermKind::Lt:
+    case TermKind::Le:
+      Constraints.push_back(atomToConstraint(L.Atom, L.Positive));
+      break;
+    default:
+      assert(false && "unexpected cube literal");
+      break;
+    }
+  }
+
+  LiaResult R;
+  if (!Constraints.empty()) {
+    R = checkLinearConjunction(Constraints, Opts);
+    if (R.Verdict == LiaVerdict::Unsat)
+      return SolveResult::Unsat;
+    if (R.Verdict == LiaVerdict::Unknown)
+      return SolveResult::Unknown;
+  }
+  if (ModelOut) {
+    *ModelOut = SmtModel();
+    if (!Constraints.empty()) {
+      ModelOut->Ints = std::move(R.Model);
+      ModelOut->Complete = R.HasModel;
+    }
+    ModelOut->Bools = std::move(BoolAssign);
+  }
+  return SolveResult::Sat;
 }
 
 } // namespace mix::smt::detail

@@ -89,11 +89,80 @@ SolveResult runTheoryLoop(SatSolver &Sat, TseitinEncoder &Encoder,
   return SolveResult::Unknown;
 }
 
+/// True when the integer term \p T contains no if-then-else.
+bool iteFree(const Term *T) {
+  if (T->kind() == TermKind::IteInt)
+    return false;
+  for (unsigned I = 0, E = T->numOperands(); I != E; ++I)
+    if (!iteFree(T->operand(I)))
+      return false;
+  return true;
+}
+
+/// Appends the literals of \p T (under \p Positive) to \p Out when \p T
+/// is a conjunction of literals over ITE-free atoms; returns false for any
+/// other shape. The literals come left to right with each atom once, the
+/// order and deduplication of the Tseitin encoder's theory atoms, so the
+/// Fourier-Motzkin check sees the constraint list the DPLL(T) loop would
+/// build. An atom met with both polarities sets \p Conflict.
+bool collectLiterals(const Term *T, bool Positive, Cube &Out,
+                     bool &Conflict) {
+  switch (T->kind()) {
+  case TermKind::And:
+    return Positive && collectLiterals(T->operand(0), true, Out, Conflict) &&
+           collectLiterals(T->operand(1), true, Out, Conflict);
+  case TermKind::Not:
+    return collectLiterals(T->operand(0), !Positive, Out, Conflict);
+  case TermKind::EqInt:
+  case TermKind::Lt:
+  case TermKind::Le:
+    if (!iteFree(T->operand(0)) || !iteFree(T->operand(1)))
+      return false;
+    [[fallthrough]];
+  case TermKind::BoolVar:
+    for (const CubeLit &L : Out)
+      if (L.Atom == T) {
+        Conflict |= L.Positive != Positive;
+        return true;
+      }
+    Out.push_back({T, Positive});
+    return true;
+  default:
+    return false;
+  }
+}
+
 } // namespace
 
 SolveResult SmtSolver::decide(const Term *Formula, SmtModel *ModelOut) {
   ++Statistics.Queries;
   assert(Formula->isBool() && "checkSat() requires a boolean formula");
+
+  if (Formula->kind() == TermKind::BoolConst) {
+    if (ModelOut)
+      *ModelOut = SmtModel();
+    return Formula->value() ? SolveResult::Sat : SolveResult::Unsat;
+  }
+
+  // A conjunction of literals has exactly one propositional model, so the
+  // loop below would make exactly one theory check: make it directly,
+  // with no lowering, encoding or SAT search. Path conditions have this
+  // shape; exhaustiveness checks (disjunctions) take the loop.
+  Cube Lits;
+  bool Conflict = false;
+  if (collectLiterals(Formula, true, Lits, Conflict)) {
+    if (Opts.MaxTheoryIterations == 0)
+      return SolveResult::Unknown;
+    if (Conflict)
+      return SolveResult::Unsat;
+    for (const CubeLit &L : Lits)
+      if (L.Atom->kind() != TermKind::BoolVar) {
+        ++Statistics.TheoryChecks;
+        Work.TheoryChecks.inc();
+        break;
+      }
+    return decideCube(Lits, Opts.Lia, ModelOut);
+  }
 
   // Lower if-then-else integer terms and conjoin their definitions.
   IteLowering Lowering(Arena);

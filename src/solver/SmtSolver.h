@@ -18,13 +18,18 @@
 /// null-pointer encoding of Section 4.1) are lowered to fresh variables
 /// with guarded defining equations.
 ///
+/// A formula that is a conjunction of literals over ITE-free atoms (a
+/// path condition) has exactly one propositional model, so it skips the
+/// loop: its atoms, deduplicated in first-occurrence order, go straight
+/// to one Fourier-Motzkin check. The choice is made from the formula's
+/// shape alone; the verdict and model are the ones the loop would give.
+///
 /// Every decision builds a fresh SAT instance from the formula alone, so
 /// its cost depends on the formula, not on how many decisions came
-/// before. Path exploration gets its incrementality one level up, from
-/// AssertionStack's verdict cache, unsat-prefix cut and model pool. A
-/// native stack (one persistent instance with per-frame activation
-/// literals) lost to this on the analysis benchmarks and was removed;
-/// DESIGN.md §14 has the numbers.
+/// before. Path exploration saves decisions one level up: each path of
+/// the mini-C executor carries a witness model of its path condition
+/// and asks the backend only about the branch side that model does not
+/// satisfy. DESIGN.md §14 has the numbers.
 ///
 /// The shared solver surface (SolveResult, SmtModel, SmtOptions,
 /// QueryCache, the convenience verdict helpers) lives in ISolver.h.

@@ -12,8 +12,8 @@
 /// canonical default (0 / false), matching the SmtModel contract that
 /// unmentioned variables are unconstrained. This is the foundation of
 /// three features: model validation in the differential-testing harness,
-/// model reuse in AssertionStack (evaluate new branch deltas under a
-/// cached ancestor model instead of re-solving), and the brute-force
+/// the mini-C executor's witness rule (evaluate a branch condition under
+/// the path's witness model instead of re-solving), and the brute-force
 /// enumerator oracle.
 ///
 //===----------------------------------------------------------------------===//

@@ -64,15 +64,6 @@ std::vector<PathResult> SymExecutor::andThen(std::vector<PathResult> Outcomes,
   return Results;
 }
 
-bool SymExecutor::pruned(const SymState &S) {
-  if (!Opts.PruneInfeasible || !Solver || !Translator)
-    return false;
-  if (S.Path->isConst())
-    return !S.Path->boolValue();
-  return PathChecker->checkPath(S.PC, Translator->translate(S.Path)) ==
-         smt::SolveResult::Unsat;
-}
-
 bool SymExecutor::derefMemoryOk(const SymState &S, const SymExpr *Addr) {
   MemCheckResult Check = checkMemoryOk(S.Mem);
   if (Check.Ok)
@@ -100,10 +91,10 @@ bool SymExecutor::derefMemoryOk(const SymState &S, const SymExpr *Addr) {
     // path condition.
     if (!Solver || !Translator)
       return false;
+    const smt::Term *Path = Translator->translate(S.Path);
     const smt::Term *Eq = Translator->terms().eqInt(
         Translator->translate(Addr), Translator->translate(BadAddr));
-    if (PathChecker->checkPathWith(S.PC, Translator->translate(S.Path), Eq) !=
-        smt::SolveResult::Unsat)
+    if (!Solver->isDefinitelyUnsat(Translator->terms().andTerm(Path, Eq)))
       return false;
   }
   return true;
@@ -381,7 +372,7 @@ std::vector<PathResult> SymExecutor::execIfConcolic(const IfExpr *I,
   bool TakeThen = concreteTruth(Guard);
   const SymExpr *Signed = TakeThen ? Guard : Arena.notG(Guard);
   SymState Next = std::move(S);
-  extendPath(Next, Signed);
+  Next.Path = Arena.andG(Next.Path, Signed);
   Next.Decisions.push_back(Signed);
   if (Opts.Prov)
     Next.Trail.push_back({I->cond()->loc(),
@@ -426,24 +417,18 @@ std::vector<PathResult> SymExecutor::execIf(const IfExpr *I, const SymEnv &Env,
         }
 
         SymState ThenState = S1;
-        extendPath(ThenState, G);
+        ThenState.Path = Arena.andG(ThenState.Path, G);
         if (Opts.Prov)
           ThenState.Trail.push_back({I->cond()->loc(), "condition true"});
-        if (!pruned(ThenState)) {
-          auto Then = exec(I->thenExpr(), Env, ThenState);
-          for (PathResult &R : Then)
-            Results.push_back(std::move(R));
-        }
+        for (PathResult &R : exec(I->thenExpr(), Env, ThenState))
+          Results.push_back(std::move(R));
 
         SymState ElseState = S1;
-        extendPath(ElseState, Arena.notG(G));
+        ElseState.Path = Arena.andG(ElseState.Path, Arena.notG(G));
         if (Opts.Prov)
           ElseState.Trail.push_back({I->cond()->loc(), "condition false"});
-        if (!pruned(ElseState)) {
-          auto Else = exec(I->elseExpr(), Env, ElseState);
-          for (PathResult &R : Else)
-            Results.push_back(std::move(R));
-        }
+        for (PathResult &R : exec(I->elseExpr(), Env, ElseState))
+          Results.push_back(std::move(R));
         return Results;
       });
 }
@@ -472,9 +457,9 @@ std::vector<PathResult> SymExecutor::execIfDefer(const IfExpr *I,
           Opts.Trace->instant("sym.defer", "sym");
 
         SymState ThenState = S1;
-        extendPath(ThenState, G);
+        ThenState.Path = Arena.andG(ThenState.Path, G);
         SymState ElseState = S1;
-        extendPath(ElseState, Arena.notG(G));
+        ElseState.Path = Arena.andG(ElseState.Path, Arena.notG(G));
         if (Opts.Prov) {
           ThenState.Trail.push_back(
               {I->cond()->loc(), "condition true (deferred)"});
@@ -515,12 +500,6 @@ std::vector<PathResult> SymExecutor::execIfDefer(const IfExpr *I,
             SymState Merged;
             Merged.Path = Arena.ite(G, T.State.Path, F.State.Path);
             Merged.Mem = Arena.iteMem(G, T.State.Mem, F.State.Mem);
-            // The merged condition is rebuilt as an ite, not a
-            // conjunction extension; restart the delta chain from it so
-            // later branch deltas still diff incrementally.
-            if (Translator)
-              Merged.PC = smt::PathCondition().extend(
-                  Translator->terms(), Translator->translate(Merged.Path));
             if (Opts.Prov) {
               Merged.Trail = S1.Trail;
               Merged.Trail.push_back(
@@ -607,7 +586,7 @@ std::vector<PathResult> SymExecutor::execTypedBlock(const BlockExpr *B,
   if (const SymExpr *Guard =
           TypedOracle->refineTypedBlockResult(B, Result, Arena)) {
     assert(Guard->type()->isBool() && "refinement guard must be boolean");
-    extendPath(S1, Guard);
+    S1.Path = Arena.andG(S1.Path, Guard);
   }
   return {PathResult::success(S1, Result)};
 }

@@ -34,7 +34,7 @@
 #include "support/Diagnostics.h"
 #include "sym/SymArena.h"
 #include "sym/SymToSmt.h"
-#include "solver/PathSolver.h"
+#include "solver/ISolver.h"
 
 #include <optional>
 #include <string>
@@ -46,13 +46,6 @@ namespace mix {
 struct SymState {
   const SymExpr *Path = nullptr; ///< g — the path condition (bool-typed).
   const MemNode *Mem = nullptr;  ///< m — the symbolic memory.
-  /// The path condition as a chain of *translated* (smt::Term) branch
-  /// deltas, mirroring Path guard-for-guard. Lets the executor's
-  /// PathSolver sync its incremental assertion stack by diffing against
-  /// sibling paths. Empty until a solver+translator are attached; a
-  /// deferred-merge path (whose condition is rebuilt as an ite) restarts
-  /// the chain from the merged condition.
-  smt::PathCondition PC;
   /// In concolic mode: the signed branch guards taken, in order (the
   /// decision list DART negates to reach new paths). Empty otherwise.
   std::vector<const SymExpr *> Decisions;
@@ -155,11 +148,6 @@ struct SymExecOptions {
   /// Upper bound on executor steps (AST-node visits across all paths).
   unsigned MaxSteps = 1u << 22;
 
-  /// When a solver is attached, drop forked branches whose path condition
-  /// is definitely unsatisfiable (the EXE/KLEE optimization the paper
-  /// describes; soundness is unaffected because only Unsat paths go).
-  bool PruneInfeasible = false;
-
   /// What SETypBlock does to memory (Section 3.2). FullMemory is the
   /// paper's rule: a completely fresh mu'. WriteEffects is the refinement
   /// the paper sketches ("find the effect of e and limit applying this
@@ -177,12 +165,6 @@ struct SymExecOptions {
   /// U"; with PreciseDeref the executor does exactly that (allocation
   /// addresses are distinct by construction; other pairs ask the solver).
   bool PreciseDeref = false;
-
-  /// Route pruning/deref feasibility checks through an incremental
-  /// AssertionStack (push/pop branch deltas between sibling paths)
-  /// instead of from-scratch solving. Purely a query-count/latency knob:
-  /// verdicts are identical either way.
-  bool IncrementalSolver = true;
 
   /// Observability sinks (see src/observe/). With a registry attached the
   /// executor maintains "sym.forks", "sym.defers", and "sym.havocs"
@@ -234,14 +216,10 @@ public:
   /// typed blocks are errors — that is "symbolic execution alone").
   void setTypedBlockOracle(TypedBlockOracle *Oracle) { TypedOracle = Oracle; }
 
-  /// Attaches a solver for infeasible-path pruning (optional).
+  /// Attaches a solver for PreciseDeref's disequality checks (optional).
   void setSolver(smt::ISolver *Solver, SymToSmt *Translator) {
     this->Solver = Solver;
     this->Translator = Translator;
-    PathChecker.reset();
-    if (Solver)
-      PathChecker = std::make_unique<smt::PathSolver>(
-          *Solver, Opts.IncrementalSolver, Opts.Metrics);
   }
 
   /// Installs the concrete valuation for Strategy::Concolic (not owned;
@@ -284,23 +262,10 @@ private:
   template <typename Fn>
   std::vector<PathResult> andThen(std::vector<PathResult> Outcomes, Fn Next);
 
-  /// True when the path condition of \p S is definitely unsatisfiable and
-  /// pruning is enabled.
-  bool pruned(const SymState &S);
-
   /// SEDeref's memory premise: |- m ok, or — with PreciseDeref — ok up to
   /// inconsistent writes whose addresses are provably distinct from
   /// \p Addr under the path condition.
   bool derefMemoryOk(const SymState &S, const SymExpr *Addr);
-
-  /// Conjoins \p Guard onto the state's path condition, mirroring the
-  /// translated delta into the state's PathCondition chain so the
-  /// incremental solver can diff sibling paths.
-  void extendPath(SymState &S, const SymExpr *Guard) {
-    S.Path = Arena.andG(S.Path, Guard);
-    if (Translator)
-      S.PC = S.PC.extend(Translator->terms(), Translator->translate(Guard));
-  }
 
   bool budgetExceeded() const {
     return Steps > Opts.MaxSteps || LivePaths > Opts.MaxPaths;
@@ -312,7 +277,6 @@ private:
   TypedBlockOracle *TypedOracle = nullptr;
   smt::ISolver *Solver = nullptr;
   SymToSmt *Translator = nullptr;
-  std::unique_ptr<smt::PathSolver> PathChecker;
   const ConcolicSeed *Seed = nullptr;
 
   unsigned Steps = 0;

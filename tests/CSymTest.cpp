@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <set>
 #include <type_traits>
 
 using namespace mix::c;
@@ -534,12 +537,30 @@ TEST_F(CSymTest, NonLValueAssignmentTargetWarnsAndKillsThePath) {
       << Diags.str();
 }
 
+TEST_F(CSymTest, MayBeNullAnswersConstantGuardsWithoutTheSolver) {
+  runAndCountWarnings("int f(void) { return 0; }", "f");
+  const CType *IntPtr = Ctx.pointerType(Ctx.intType());
+
+  // A definite pointer's null guard is the constant false, so the
+  // question needs no backend decision.
+  uint64_t Before = Solver.queries();
+  LocId Obj = Exec->newObject(Ctx.intType(), "obj");
+  EXPECT_FALSE(Exec->mayBeNull(Terms.trueTerm(),
+                               CSymValue::pointerTo(Terms,
+                                                    PtrTarget::object(Obj))));
+  EXPECT_EQ(Solver.queries(), Before);
+
+  // A pointer seeded as may-be-null still may be null.
+  CSymValue Maybe = Exec->seededPointer(IntPtr, NullSeed::MayBeNull, "p");
+  EXPECT_TRUE(Exec->mayBeNull(Terms.trueTerm(), Maybe));
+  EXPECT_EQ(Solver.queries(), Before + 1);
+}
+
 namespace {
 
-/// A deep branch ladder ending in a maybe-null dereference: the shape
-/// the incremental assertion stack is built for. Every `if` forks, and
-/// each fork's feasibility probes share a long path prefix with its
-/// siblings.
+/// A deep branch ladder ending in a maybe-null dereference. Every `if`
+/// forks over a fresh parameter, so each fork node's two probes share
+/// the whole path prefix.
 constexpr const char *DeepBranchProgram =
     "int f(int *p, int a, int b, int c, int d, int e) {\n"
     "  int s = 0;\n"
@@ -552,46 +573,143 @@ constexpr const char *DeepBranchProgram =
     "  return s;\n"
     "}";
 
-/// Runs DeepBranchProgram with the given incremental-solver setting on a
-/// fresh arena/solver and reports the backend query count plus the
-/// rendered diagnostics.
-void runDeepBranch(bool Incremental, uint64_t &Queries, std::string &Diag,
-                   unsigned &Warnings) {
-  CAstContext Ctx;
-  DiagnosticEngine Diags;
-  mix::smt::TermArena Terms;
-  mix::smt::SmtSolver Solver{Terms};
-  const CProgram *P = parseC(DeepBranchProgram, Ctx, Diags);
-  ASSERT_NE(P, nullptr) << Diags.str();
-  CSymOptions Opts;
-  Opts.IncrementalSolver = Incremental;
-  CSymExecutor Exec(*P, Ctx, Diags, Terms, Solver, Opts);
-  CSymResult R = Exec.runFunction(P->findFunc("f"));
-  Queries = Solver.queries();
-  Diag = Diags.str();
-  Warnings = R.WarningCount;
+} // namespace
+
+TEST_F(CSymTest, WitnessRuleMakesOneQueryPerForkNode) {
+  // Each path's witness model satisfies one side of every fork, so only
+  // the other side reaches the backend: one query for each of the
+  // ladder's 1 + 2 + 4 + 8 + 16 = 31 fork nodes, plus one for the
+  // dereference's nonnull side on the all-positive path (its witness
+  // leaves p null). The concrete `s > 30` test needs no query: one side
+  // folds to false and the other is the path itself, which the witness
+  // satisfies. A from-scratch query per probe makes 96.
+  EXPECT_EQ(runAndCountWarnings(DeepBranchProgram, "f"), 1u);
+  EXPECT_EQ(Solver.queries(), 32u);
+  EXPECT_EQ(Last.Paths.size(), 32u);
+  EXPECT_EQ(Diags.str(), "8:24: warning: possible null dereference\n");
 }
+
+namespace {
+
+/// A random ladder of 4-6 `if`s over int parameters a..d, comparing a
+/// parameter with a small constant or with another parameter. Branch i
+/// adds 2^i on its then-side only, so each path returns the mask of the
+/// then-sides it took. The conditions repeat variables often enough
+/// that many masks are contradictory.
+struct Ladder {
+  struct Cond {
+    unsigned Lhs;
+    int Rhs; ///< a parameter index, or -1 - K for the constant K
+    char Op; ///< '<', '>', '=' (==), '!' (!=), 'l' (<=) or 'g' (>=)
+  };
+  std::vector<Cond> Conds;
+
+  static Ladder random(std::mt19937 &Rng) {
+    Ladder L;
+    unsigned Depth = 4 + Rng() % 3;
+    for (unsigned I = 0; I != Depth; ++I) {
+      Cond C;
+      C.Lhs = Rng() % 4;
+      C.Rhs = Rng() % 2 ? (int)(Rng() % 4) : -1 - (int)(Rng() % 5);
+      C.Op = "<>=!lg"[Rng() % 6];
+      L.Conds.push_back(C);
+    }
+    return L;
+  }
+
+  std::string source() const {
+    static const char *Names[] = {"a", "b", "c", "d"};
+    static const std::map<char, const char *> Ops = {
+        {'<', "<"}, {'>', ">"}, {'=', "=="}, {'!', "!="}, {'l', "<="},
+        {'g', ">="}};
+    std::string Out = "int f(int a, int b, int c, int d) {\n  int s = 0;\n";
+    for (size_t I = 0; I != Conds.size(); ++I) {
+      const Cond &C = Conds[I];
+      std::string Rhs = C.Rhs >= 0 ? Names[C.Rhs] : std::to_string(-1 - C.Rhs);
+      Out += "  if (" + std::string(Names[C.Lhs]) + " " + Ops.at(C.Op) + " " +
+             Rhs + ") { s = s + " + std::to_string(1u << I) + "; }\n";
+    }
+    return Out + "  return s;\n}\n";
+  }
+
+  /// Condition \p I over the variables \p Vars, built from scratch.
+  const mix::smt::Term *cond(mix::smt::TermArena &A,
+                             const std::vector<const mix::smt::Term *> &Vars,
+                             size_t I) const {
+    const Cond &C = Conds[I];
+    const mix::smt::Term *L = Vars[C.Lhs];
+    const mix::smt::Term *R =
+        C.Rhs >= 0 ? Vars[C.Rhs] : A.intConst(-1 - C.Rhs);
+    switch (C.Op) {
+    case '<':
+      return A.lt(L, R);
+    case '>':
+      return A.lt(R, L);
+    case '=':
+      return A.eqInt(L, R);
+    case '!':
+      return A.notTerm(A.eqInt(L, R));
+    case 'l':
+      return A.le(L, R);
+    default:
+      return A.le(R, L);
+    }
+  }
+};
 
 } // namespace
 
-TEST(CSymIncrementalTest, FewerQueriesAndIdenticalDiagnostics) {
-  uint64_t ScratchQueries = 0, IncQueries = 0;
-  std::string ScratchDiag, IncDiag;
-  unsigned ScratchWarnings = 0, IncWarnings = 0;
-  runDeepBranch(false, ScratchQueries, ScratchDiag, ScratchWarnings);
-  runDeepBranch(true, IncQueries, IncDiag, IncWarnings);
+TEST(CSymWitnessTest, SurvivingPathsAreExactlyTheSatisfiableBranchCombinations) {
+  // The witness rule may skip a backend query only when a model proves
+  // the branch side satisfiable, so the paths the executor keeps must be
+  // exactly the branch combinations a fresh solver finds satisfiable
+  // from scratch: no feasible combination lost, no infeasible one kept.
+  const unsigned BaseSeed = 0xc5e1f00d;
+  unsigned Pruned = 0, Kept = 0;
+  for (unsigned Seed = 0; Seed != 200; ++Seed) {
+    std::mt19937 Rng(BaseSeed + Seed);
+    Ladder L = Ladder::random(Rng);
+    SCOPED_TRACE("ladder " + std::to_string(Seed) + ":\n" + L.source());
 
-  // The warning (the *p on the all-positive path) and its rendering must
-  // be byte-identical: incremental solving is a query-batching strategy,
-  // never a verdict change.
-  EXPECT_EQ(ScratchWarnings, 1u);
-  EXPECT_EQ(IncWarnings, ScratchWarnings);
-  EXPECT_EQ(IncDiag, ScratchDiag);
+    CAstContext Ctx;
+    DiagnosticEngine Diags;
+    mix::smt::TermArena Terms;
+    mix::smt::SmtSolver Solver{Terms};
+    const CProgram *P = parseC(L.source(), Ctx, Diags);
+    ASSERT_NE(P, nullptr) << Diags.str();
+    CSymExecutor Exec(*P, Ctx, Diags, Terms, Solver);
+    CSymResult R = Exec.runFunction(P->findFunc("f"));
+    ASSERT_FALSE(R.Incomplete);
+    std::set<long long> Taken;
+    for (const CSymResult::PathOut &Out : R.Paths) {
+      ASSERT_TRUE(Out.Returned);
+      const mix::smt::Term *Ret = Out.Ret.scalarTerm();
+      ASSERT_EQ(Ret->kind(), mix::smt::TermKind::IntConst);
+      EXPECT_TRUE(Taken.insert(Ret->value()).second)
+          << "two paths took branch mask " << Ret->value();
+    }
 
-  // The point of the assertion stack: prefix sharing, model reuse, and
-  // the unsat-prefix cut must cut the number of queries that actually
-  // reach the backend on a deep branch ladder.
-  EXPECT_GT(ScratchQueries, 0u);
-  EXPECT_LT(IncQueries, ScratchQueries)
-      << "incremental mode issued as many backend queries as from-scratch";
+    std::set<long long> Satisfiable;
+    size_t Depth = L.Conds.size();
+    for (long long Mask = 0; Mask != (1LL << Depth); ++Mask) {
+      mix::smt::TermArena A;
+      mix::smt::SmtSolver Fresh{A};
+      std::vector<const mix::smt::Term *> Vars;
+      for (int V = 0; V != 4; ++V)
+        Vars.push_back(A.freshIntVar());
+      const mix::smt::Term *Whole = A.trueTerm();
+      for (size_t I = 0; I != Depth; ++I) {
+        const mix::smt::Term *C = L.cond(A, Vars, I);
+        Whole = A.andTerm(Whole, (Mask >> I) & 1 ? C : A.notTerm(C));
+      }
+      if (Fresh.checkSat(Whole) != mix::smt::SolveResult::Unsat)
+        Satisfiable.insert(Mask);
+    }
+    EXPECT_EQ(Taken, Satisfiable);
+    Kept += (unsigned)Satisfiable.size();
+    Pruned += (unsigned)((1u << Depth) - Satisfiable.size());
+  }
+  // The generator must exercise both verdicts heavily.
+  EXPECT_GT(Pruned, 1000u);
+  EXPECT_GT(Kept, 1000u);
 }

@@ -262,9 +262,10 @@ TEST_F(MixyTest, RepeatedRunsDoTheSameWork) {
         S.TypedBlockRuns,         S.TypedCacheHits,
         S.SymbolicCallsFromTyped, S.TypedCallsFromSymbolic,
         S.FixpointIterations,     S.RecursionsDetected};
-    // The executor's work, as published to the registry.
-    for (const char *Name : {"csym.paths", "csym.forks", "csym.forks_pruned",
-                             "csym.null_checks", "csym.calls_inlined"})
+    // The executor's and the solver's work, as published to the registry.
+    for (const char *Name :
+         {"csym.paths", "csym.forks", "csym.forks_pruned", "csym.null_checks",
+          "csym.calls_inlined", "solver.queries"})
       Work.push_back(Reg.counterValue(Name));
     return Work;
   };
@@ -272,6 +273,7 @@ TEST_F(MixyTest, RepeatedRunsDoTheSameWork) {
   std::vector<uint64_t> First = Run(FirstDiags);
   EXPECT_GT(First[0], 8u); // every filler block ran
   EXPECT_GT(First[9], 8u * 31); // csym.forks: 31 per block's if-cascade
+  EXPECT_GT(First[13], 0u);     // solver.queries
   for (int I = 1; I != 20; ++I) {
     std::string Diags;
     EXPECT_EQ(Run(Diags), First) << "run " << I;

@@ -145,11 +145,22 @@ TEST_F(SmtTest, BoolEquality) {
 }
 
 TEST_F(SmtTest, StatisticsAdvance) {
+  // A conjunction of literals (here, one literal) has one propositional
+  // model, so it is decided by one theory check and no SAT search.
   const Term *X = A.freshIntVar("x");
-  uint64_t Before = S.stats().Queries;
-  S.checkSat(A.lt(X, A.intConst(0)));
-  EXPECT_EQ(S.stats().Queries, Before + 1);
-  EXPECT_GT(S.stats().SatCalls, 0u);
+  const Term *Y = A.freshIntVar("y");
+  SmtSolver::Stats Before = S.stats();
+  EXPECT_EQ(S.checkSat(A.lt(X, A.intConst(0))), SolveResult::Sat);
+  EXPECT_EQ(S.stats().Queries, Before.Queries + 1);
+  EXPECT_EQ(S.stats().SatCalls, Before.SatCalls);
+  EXPECT_EQ(S.stats().TheoryChecks, Before.TheoryChecks + 1);
+
+  // A disjunction takes the DPLL(T) loop.
+  Before = S.stats();
+  EXPECT_EQ(S.checkSat(A.orTerm(A.lt(X, A.intConst(0)), A.lt(Y, X))),
+            SolveResult::Sat);
+  EXPECT_EQ(S.stats().Queries, Before.Queries + 1);
+  EXPECT_GT(S.stats().SatCalls, Before.SatCalls);
 }
 
 TEST(SmtWorkCountersTest, RepeatExactlyAcrossIdenticalRuns) {

@@ -24,7 +24,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "solver/AssertionStack.h"
+#include "solver/SmtSolver.h"
 #include "solver/SolverFactory.h"
 #include "solver/TermEval.h"
 
@@ -203,33 +203,106 @@ TEST(SolverDiffTest, BackendsAgreeWithOracleOn5kFormulas) {
   EXPECT_GT(OracleExhausted, NumFormulas / 100);
 }
 
-TEST(SolverDiffTest, ModelsFromStacksSatisfyTheirConjunction) {
-  // The same differential property through the AssertionStack surface:
-  // assert the formula in a frame, checkSat, validate the model.
-  const unsigned BaseSeed = 0x57acd1ff;
-  TermArena A;
-  DiffVars V(A);
-  for (const std::string &Name : registeredBackends()) {
-    SCOPED_TRACE("backend: " + Name);
-    std::unique_ptr<ISolver> S = createBackend(Name, A, SmtOptions());
-    ASSERT_NE(S, nullptr);
-    AssertionStack St(*S);
-    for (unsigned I = 0; I != 500; ++I) {
-      std::mt19937 Rng(BaseSeed + I);
-      const Term *F = genBool(A, V, Rng, 2);
-      St.push();
-      St.assertTerm(F);
-      SmtModel M;
-      SolveResult R = St.checkSat(&M);
-      SmtModel OracleModel;
-      if (R == SolveResult::Unsat) {
-        ASSERT_FALSE(oracleFindsModel(F, V, OracleModel))
-            << "formula " << I << " (base seed " << BaseSeed << ")";
-      } else if (R == SolveResult::Sat && M.Complete) {
-        ASSERT_TRUE(evalBool(F, M))
-            << "formula " << I << " (base seed " << BaseSeed << ")";
-      }
-      St.pop();
+namespace {
+
+/// A random conjunction of literals in path-condition shape: literals
+/// folded left onto `true`, one per branch. Literals are drawn from a
+/// small pool of ITE-free atoms (comparisons of the integers with each
+/// other and with constants, the booleans), so atoms repeat, and are
+/// negated at random, so contradictory pairs of bool and int literals
+/// are common.
+const Term *genLiteralConjunction(TermArena &A, const DiffVars &V,
+                                  std::mt19937 &Rng) {
+  auto IntOf = [&]() -> const Term * {
+    switch (Rng() % 3) {
+    case 0:
+      return V.Ints[Rng() % V.Ints.size()];
+    case 1:
+      return A.intConst((long long)(Rng() % 7) - 3);
+    default:
+      return A.add(V.Ints[Rng() % V.Ints.size()],
+                   A.intConst((long long)(Rng() % 5) - 2));
+    }
+  };
+  std::vector<const Term *> Pool;
+  for (unsigned I = 0; I != 4; ++I) {
+    switch (Rng() % 4) {
+    case 0:
+      Pool.push_back(A.lt(IntOf(), IntOf()));
+      break;
+    case 1:
+      Pool.push_back(A.le(IntOf(), IntOf()));
+      break;
+    case 2:
+      Pool.push_back(A.eqInt(IntOf(), IntOf()));
+      break;
+    default:
+      Pool.push_back(V.Bools[Rng() % V.Bools.size()]);
+      break;
     }
   }
+  const Term *Path = A.trueTerm();
+  for (unsigned I = 0, N = 1 + Rng() % 6; I != N; ++I) {
+    const Term *Atom = Pool[Rng() % Pool.size()];
+    Path = A.andTerm(Path, Rng() % 2 ? Atom : A.notTerm(Atom));
+  }
+  return Path;
+}
+
+} // namespace
+
+TEST(SolverDiffTest, LiteralConjunctionsAgreeAcrossBackendsAndOracle) {
+  // Path conditions are conjunctions of literals, which smtlite decides
+  // with one direct theory check instead of its DPLL(T) loop. The
+  // family below cross-checks that check against the dnf backend and
+  // the brute-force oracle under the same rules as the random-formula
+  // family, and validates every complete model.
+  const unsigned BaseSeed = 0xc0de11a5;
+  const unsigned NumFormulas = 3000;
+
+  TermArena A;
+  DiffVars V(A);
+  std::vector<std::unique_ptr<ISolver>> Lanes;
+  for (const std::string &Name : registeredBackends()) {
+    Lanes.push_back(createBackend(Name, A, SmtOptions()));
+    ASSERT_NE(Lanes.back(), nullptr) << Name;
+  }
+  SmtSolver Direct(A);
+
+  unsigned Sat = 0, Unsat = 0;
+  for (unsigned I = 0; I != NumFormulas; ++I) {
+    std::mt19937 Rng(BaseSeed + I);
+    const Term *F = genLiteralConjunction(A, V, Rng);
+    std::string Ctx = "conjunction " + std::to_string(I) + " (base seed " +
+                      std::to_string(BaseSeed) + "): " + F->str();
+
+    SmtModel OracleModel;
+    bool OracleSatisfiable = oracleFindsModel(F, V, OracleModel);
+
+    SolveResult First = SolveResult::Unknown;
+    for (std::unique_ptr<ISolver> &S : Lanes) {
+      SmtModel M;
+      SolveResult R = S->checkSat(F, &M);
+      ASSERT_NE(R, SolveResult::Unknown) << Ctx << ": " << S->name();
+      if (R == SolveResult::Unsat)
+        ASSERT_FALSE(OracleSatisfiable)
+            << Ctx << ": " << S->name()
+            << " says Unsat but the oracle holds a concrete model";
+      else if (M.Complete)
+        ASSERT_TRUE(evalBool(F, M))
+            << Ctx << ": " << S->name()
+            << " returned a model that does not satisfy the formula";
+      if (First == SolveResult::Unknown)
+        First = R;
+      ASSERT_EQ(R, First) << Ctx << ": " << S->name() << " disagrees";
+    }
+    (First == SolveResult::Sat ? Sat : Unsat)++;
+
+    // The family must reach the direct check: no SAT search.
+    uint64_t SatCallsBefore = Direct.stats().SatCalls;
+    EXPECT_EQ(Direct.checkSat(F), First) << Ctx;
+    ASSERT_EQ(Direct.stats().SatCalls, SatCallsBefore) << Ctx;
+  }
+  EXPECT_GT(Sat, NumFormulas / 5);
+  EXPECT_GT(Unsat, NumFormulas / 5);
 }
