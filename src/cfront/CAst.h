@@ -20,7 +20,7 @@
 #include "cfront/CType.h"
 #include "support/SourceLoc.h"
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -28,8 +28,19 @@
 
 namespace mix::c {
 
+class CBinder;
 class CExpr;
+class CFuncDecl;
+class CGlobalDecl;
 class CStmt;
+
+/// A variable as the analyses key it: local slot \c Slot of \c Func, or,
+/// when \c Func is null, global slot \c Slot of the program (see
+/// CProgram::globalSlots()).
+struct CVarRef {
+  const CFuncDecl *Func = nullptr;
+  unsigned Slot = 0;
+};
 
 /// The paper's function-level analysis annotations (Section 4: "blocks can
 /// only be introduced around whole function bodies").
@@ -126,17 +137,66 @@ public:
   }
 };
 
+/// What an identifier denotes, as parseC's binder resolved it.
+enum class CNameKind : uint8_t {
+  Unresolved, ///< Declared nowhere; it has a global slot of its own.
+  Local,      ///< A parameter or local of the enclosing function.
+  Global,     ///< A global variable.
+  Function,   ///< A function, used as a callee or as a value.
+};
+
 class CIdent : public CExpr {
 public:
   CIdent(SourceLoc Loc, std::string Name)
-      : CExpr(CExprKind::Ident, Loc), Name(std::move(Name)) {}
+      : CExpr(CExprKind::Ident, Loc), Index(0), BindKind(0), NamesFunc(0),
+        Name(std::move(Name)) {}
   const std::string &name() const { return Name; }
+
+  /// The binding. Precedence: a visible local, then a global, then a
+  /// function; DESIGN.md "Names are resolved once" has the scope rules.
+  CNameKind nameKind() const { return (CNameKind)BindKind; }
+  /// Local: the slot of the enclosing function.
+  unsigned localSlot() const {
+    assert(nameKind() == CNameKind::Local);
+    return Index;
+  }
+  /// Local: the type of the declaration visible here.
+  const CType *localType() const {
+    assert(nameKind() == CNameKind::Local);
+    return static_cast<const CType *>(Decl);
+  }
+  /// Global: the first global of this name.
+  const CGlobalDecl *global() const {
+    assert(nameKind() == CNameKind::Global);
+    return static_cast<const CGlobalDecl *>(Decl);
+  }
+  /// Function: what CProgram::findFunc returns for this name.
+  const CFuncDecl *func() const {
+    assert(nameKind() == CNameKind::Function);
+    return static_cast<const CFuncDecl *>(Decl);
+  }
+  /// Unresolved: the name's own global slot.
+  unsigned unresolvedSlot() const {
+    assert(nameKind() == CNameKind::Unresolved);
+    return Index;
+  }
+  /// Whether some function has this name, even when a local or a global
+  /// of the same name is what the identifier binds.
+  bool namesFunction() const { return NamesFunc; }
+
   static bool classof(const CExpr *E) {
     return E->kind() == CExprKind::Ident;
   }
 
 private:
+  friend class CBinder;
+
+  // Declared first so the bit-fields fill the base's last word.
+  unsigned Index : 29;
+  unsigned BindKind : 2;
+  unsigned NamesFunc : 1;
   std::string Name;
+  const void *Decl = nullptr; ///< localType(), global() or func()
 };
 
 class CUnary : public CExpr {
@@ -290,11 +350,16 @@ public:
       : CStmt(CStmtKind::Decl, Loc), Name(std::move(Name)), Ty(Ty),
         Init(Init) {}
   const std::string &name() const { return Name; }
+  /// The enclosing function's slot for this name (set by the binder).
+  unsigned slot() const { return Slot; }
   const CType *type() const { return Ty; }
   const CExpr *init() const { return Init; } ///< May be null.
   static bool classof(const CStmt *S) { return S->kind() == CStmtKind::Decl; }
 
 private:
+  friend class CBinder;
+
+  unsigned Slot = 0;
   std::string Name;
   const CType *Ty;
   const CExpr *Init;
@@ -390,12 +455,15 @@ private:
   std::vector<Field> Fields;
 };
 
-/// A function declaration or definition.
+/// A function declaration or definition. Every declaration, prototypes
+/// included, has its own index and its own local slots: one per distinct
+/// parameter or local name, parameters first.
 class CFuncDecl {
 public:
   struct Param {
     std::string Name;
     const CType *Ty;
+    unsigned Slot = 0; ///< Its local slot (set by the binder).
   };
 
   CFuncDecl(SourceLoc Loc, std::string Name, const CType *Ret,
@@ -411,13 +479,33 @@ public:
   const CStmt *body() const { return Body; } ///< Null for externs.
   bool isDefined() const { return Body != nullptr; }
 
+  // --- set by the binder -------------------------------------------------
+
+  /// Position in CProgram::funcs().
+  unsigned index() const { return Index; }
+  /// The global slot of the function's name.
+  unsigned nameSlot() const { return NameSlot; }
+  /// Local slots, numbered program-wide from firstSlot() on.
+  unsigned firstSlot() const { return FirstSlot; }
+  unsigned numSlots() const { return (unsigned)SlotNames.size(); }
+  /// The name of local slot \p Slot (owned by its first declaration).
+  const std::string &slotName(unsigned Slot) const {
+    return *SlotNames[Slot];
+  }
+
 private:
+  friend class CBinder;
+
   SourceLoc Loc;
   std::string Name;
   const CType *Ret;
   std::vector<Param> Params;
   MixAnnot Annot;
   const CStmt *Body;
+  unsigned Index = 0;
+  unsigned NameSlot = 0;
+  unsigned FirstSlot = 0;
+  std::vector<const std::string *> SlotNames;
 };
 
 /// A global variable.
@@ -430,12 +518,18 @@ public:
   const std::string &name() const { return Name; }
   const CType *type() const { return Ty; }
   const CExpr *init() const { return Init; } ///< May be null.
+  /// Its global slot (set by the binder); a repeated declaration of a
+  /// name shares its first declaration's slot.
+  unsigned slot() const { return Slot; }
 
 private:
+  friend class CBinder;
+
   SourceLoc Loc;
   std::string Name;
   const CType *Ty;
   const CExpr *Init;
+  unsigned Slot = 0;
 };
 
 /// A whole translation unit: the declarations in source order, plus a
@@ -446,6 +540,20 @@ public:
   const std::vector<const CStructDecl *> &structs() const { return Structs; }
   const std::vector<const CGlobalDecl *> &globals() const { return Globals; }
   const std::vector<const CFuncDecl *> &funcs() const { return Funcs; }
+
+  /// One global-level name, with the global that owns it, if any.
+  struct GlobalSlot {
+    const std::string *Name;
+    const CGlobalDecl *Global; ///< The first global of that name, or null.
+  };
+  /// The global slots, set by the binder: one per distinct name at global
+  /// level. Globals come first in declaration order, then the names of
+  /// functions that no global shares, then identifiers that resolve to
+  /// nothing, in order of first use.
+  const std::vector<GlobalSlot> &globalSlots() const { return GlobalSlots; }
+  /// The local slots of all functions together (see
+  /// CFuncDecl::firstSlot()).
+  unsigned numLocalSlots() const { return NumLocalSlots; }
 
   void addStruct(const CStructDecl *S);
   void addGlobal(const CGlobalDecl *G);
@@ -459,9 +567,13 @@ public:
   const CFuncDecl *findFunc(const std::string &Name) const;
 
 private:
+  friend class CBinder;
+
   std::vector<const CStructDecl *> Structs;
   std::vector<const CGlobalDecl *> Globals;
   std::vector<const CFuncDecl *> Funcs;
+  std::vector<GlobalSlot> GlobalSlots;
+  unsigned NumLocalSlots = 0;
   std::unordered_map<std::string, const CStructDecl *> StructByName;
   std::unordered_map<std::string, const CGlobalDecl *> GlobalByName;
   std::unordered_map<std::string, const CFuncDecl *> FuncByName;

@@ -7,6 +7,8 @@
 
 #include "cfront/CParser.h"
 
+#include "cfront/CBind.h"
+
 using namespace mix::c;
 using mix::SourceLoc;
 
@@ -26,7 +28,7 @@ public:
     Toks = lexC(Source, Diags);
   }
 
-  const CProgram *parseProgram() {
+  CProgram *parseProgram() {
     auto *Program = Ctx.make<CProgram>();
     while (!tok().is(CTokKind::Eof)) {
       if (tok().is(CTokKind::Error))
@@ -685,8 +687,9 @@ private:
 const CProgram *mix::c::parseC(std::string_view Source, CAstContext &Ctx,
                                mix::DiagnosticEngine &Diags) {
   ParserImpl P(Source, Ctx, Diags);
-  const CProgram *Program = P.parseProgram();
+  CProgram *Program = P.parseProgram();
   if (Diags.hasErrors())
     return nullptr;
+  CBinder::bind(*Program);
   return Program;
 }

@@ -26,8 +26,8 @@
 
 namespace mix::c {
 
-/// Parses a mini-C translation unit. Returns null (with diagnostics) on
-/// failure.
+/// Parses a mini-C translation unit and binds its names (see CBind.h).
+/// Returns null (with diagnostics) on failure.
 const CProgram *parseC(std::string_view Source, CAstContext &Ctx,
                        DiagnosticEngine &Diags);
 

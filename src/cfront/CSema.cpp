@@ -9,21 +9,6 @@
 
 using namespace mix::c;
 
-const CType *CSema::typeOfName(const std::string &Name, const CScope &Scope) {
-  auto It = Scope.Locals.find(Name);
-  if (It != Scope.Locals.end())
-    return It->second;
-  if (const CGlobalDecl *G = Program.findGlobal(Name))
-    return G->type();
-  if (const CFuncDecl *F = Program.findFunc(Name)) {
-    std::vector<const CType *> Params;
-    for (const auto &P : F->params())
-      Params.push_back(P.Ty);
-    return Ctx.funcType(F->returnType(), std::move(Params));
-  }
-  return nullptr;
-}
-
 bool CSema::isLValue(const CExpr *E) {
   switch (E->kind()) {
   case CExprKind::Ident:
@@ -43,12 +28,20 @@ const CFuncDecl *CSema::directCallee(const CCall *Call) const {
     if (U->op() == CUnaryOp::Deref)
       Callee = U->sub();
   const auto *Id = dyn_cast<CIdent>(Callee);
-  if (!Id)
+  if (!Id || !Id->namesFunction())
     return nullptr;
+  if (Id->nameKind() == CNameKind::Function)
+    return Id->func();
+  // A variable shadows the function's name.
   return Program.findFunc(Id->name());
 }
 
-const CType *CSema::typeOf(const CExpr *E, const CScope &Scope) {
+bool CSema::callsBuiltinMalloc(const CCall *Call) {
+  const auto *Id = dyn_cast<CIdent>(Call->callee());
+  return Id && !Id->namesFunction() && Id->name() == "malloc";
+}
+
+const CType *CSema::typeOf(const CExpr *E) {
   switch (E->kind()) {
   case CExprKind::IntLit:
   case CExprKind::SizeOf:
@@ -62,14 +55,26 @@ const CType *CSema::typeOf(const CExpr *E, const CScope &Scope) {
     return Ctx.pointerType(Ctx.voidType(), QualAnnot::Null);
   case CExprKind::Ident: {
     const auto *Id = cast<CIdent>(E);
-    if (const CType *T = typeOfName(Id->name(), Scope))
-      return T;
+    switch (Id->nameKind()) {
+    case CNameKind::Local:
+      return Id->localType();
+    case CNameKind::Global:
+      return Id->global()->type();
+    case CNameKind::Function: {
+      std::vector<const CType *> Params;
+      for (const auto &P : Id->func()->params())
+        Params.push_back(P.Ty);
+      return Ctx.funcType(Id->func()->returnType(), std::move(Params));
+    }
+    case CNameKind::Unresolved:
+      break;
+    }
     return fail(E->loc(), "use of undeclared identifier '" + Id->name() +
                               "'");
   }
   case CExprKind::Unary: {
     const auto *U = cast<CUnary>(E);
-    const CType *Sub = typeOf(U->sub(), Scope);
+    const CType *Sub = typeOf(U->sub());
     if (!Sub)
       return nullptr;
     switch (U->op()) {
@@ -92,8 +97,8 @@ const CType *CSema::typeOf(const CExpr *E, const CScope &Scope) {
   }
   case CExprKind::Binary: {
     const auto *B = cast<CBinary>(E);
-    const CType *L = typeOf(B->lhs(), Scope);
-    const CType *R = typeOf(B->rhs(), Scope);
+    const CType *L = typeOf(B->lhs());
+    const CType *R = typeOf(B->rhs());
     if (!L || !R)
       return nullptr;
     switch (B->op()) {
@@ -113,8 +118,8 @@ const CType *CSema::typeOf(const CExpr *E, const CScope &Scope) {
     const auto *A = cast<CAssign>(E);
     if (!isLValue(A->target()))
       return fail(E->loc(), "assignment target is not an lvalue");
-    const CType *T = typeOf(A->target(), Scope);
-    const CType *V = typeOf(A->value(), Scope);
+    const CType *T = typeOf(A->target());
+    const CType *V = typeOf(A->value());
     if (!T || !V)
       return nullptr;
     return T;
@@ -122,14 +127,13 @@ const CType *CSema::typeOf(const CExpr *E, const CScope &Scope) {
   case CExprKind::Call: {
     const auto *Call = cast<CCall>(E);
     // malloc is a builtin returning void *.
-    if (const auto *Id = dyn_cast<CIdent>(Call->callee()))
-      if (Id->name() == "malloc" && !Program.findFunc("malloc")) {
-        for (const CExpr *Arg : Call->args())
-          if (!typeOf(Arg, Scope))
-            return nullptr;
-        return Ctx.pointerType(Ctx.voidType());
-      }
-    const CType *CalleeTy = typeOf(Call->callee(), Scope);
+    if (callsBuiltinMalloc(Call)) {
+      for (const CExpr *Arg : Call->args())
+        if (!typeOf(Arg))
+          return nullptr;
+      return Ctx.pointerType(Ctx.voidType());
+    }
+    const CType *CalleeTy = typeOf(Call->callee());
     if (!CalleeTy)
       return nullptr;
     if (CalleeTy->isPointer() && CalleeTy->pointee()->isFunc())
@@ -138,13 +142,13 @@ const CType *CSema::typeOf(const CExpr *E, const CScope &Scope) {
       return fail(E->loc(), "called object is not a function: " +
                                 CalleeTy->str());
     for (const CExpr *Arg : Call->args())
-      if (!typeOf(Arg, Scope))
+      if (!typeOf(Arg))
         return nullptr;
     return CalleeTy->result();
   }
   case CExprKind::Member: {
     const auto *M = cast<CMember>(E);
-    const CType *Base = typeOf(M->base(), Scope);
+    const CType *Base = typeOf(M->base());
     if (!Base)
       return nullptr;
     const CType *StructTy = Base;
@@ -165,7 +169,7 @@ const CType *CSema::typeOf(const CExpr *E, const CScope &Scope) {
   }
   case CExprKind::Cast: {
     const auto *C = cast<CCast>(E);
-    if (!typeOf(C->sub(), Scope))
+    if (!typeOf(C->sub()))
       return nullptr;
     return C->target();
   }

@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lightweight semantic analysis for mini-C: resolves names against a
-/// scope (locals, parameters, globals, functions) and computes the static
-/// type of expressions. All downstream analyses — qualifier inference,
-/// the pointer analysis, and the C symbolic executor — share this.
+/// Lightweight semantic analysis for mini-C: computes the static type of
+/// expressions from the names parseC's binder resolved (see CBind.h).
+/// The qualifier inference, the pointer analysis, and the C symbolic
+/// executor share it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,24 +19,7 @@
 #include "cfront/CAst.h"
 #include "support/Diagnostics.h"
 
-#include <map>
-
 namespace mix::c {
-
-/// A lexical scope within a function body.
-struct CScope {
-  const CFuncDecl *Func = nullptr;
-  std::map<std::string, const CType *> Locals;
-
-  /// Builds the scope of a function entry: parameters only.
-  static CScope forFunction(const CFuncDecl *F) {
-    CScope S;
-    S.Func = F;
-    for (const auto &P : F->params())
-      S.Locals[P.Name] = P.Ty;
-    return S;
-  }
-};
 
 /// Expression typing over a program.
 class CSema {
@@ -44,13 +27,10 @@ public:
   CSema(const CProgram &Program, CAstContext &Ctx, DiagnosticEngine &Diags)
       : Program(Program), Ctx(Ctx), Diags(Diags) {}
 
-  /// The type of name \p Name in \p Scope, or null. Resolution order:
-  /// locals/params, globals, functions (as function-typed).
-  const CType *typeOfName(const std::string &Name, const CScope &Scope);
-
-  /// The static type of \p E in \p Scope; null (with a diagnostic) if the
-  /// expression is ill-formed.
-  const CType *typeOf(const CExpr *E, const CScope &Scope);
+  /// The static type of \p E; null (with a diagnostic) if the expression
+  /// is ill-formed. A local has the type of the declaration visible where
+  /// it is used, a function name its function type.
+  const CType *typeOf(const CExpr *E);
 
   /// True for expressions that denote storage (can be assigned / have
   /// their address taken).
@@ -58,8 +38,14 @@ public:
 
   /// Resolves the callee of \p Call to a named function when it is a
   /// direct call (possibly through an explicit `(*f)` of a known name);
-  /// returns null for calls through function-pointer values.
+  /// returns null for calls through function-pointer values. Goes by the
+  /// name, as findFunc does: a local or global that shadows a function
+  /// still calls the function.
   const CFuncDecl *directCallee(const CCall *Call) const;
+
+  /// True for a call of `malloc` when the program declares no function of
+  /// that name: the builtin allocator.
+  static bool callsBuiltinMalloc(const CCall *Call);
 
   const CProgram &program() const { return Program; }
   CAstContext &context() { return Ctx; }

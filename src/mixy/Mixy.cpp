@@ -15,6 +15,7 @@
 #include "support/StringExtras.h"
 
 #include <algorithm>
+#include <set>
 
 using namespace mix::c;
 
@@ -114,6 +115,10 @@ void MixyAnalysis::publishStats() {
   Publish("csym.forks_pruned", X.ForksPruned);
   Publish("csym.null_checks", X.NullChecks);
   Publish("csym.calls_inlined", X.CallsInlined);
+  Publish("ptranal.cells", PtrAnal.numCells());
+  Publish("ptranal.unions", PtrAnal.numUnions());
+  Publish("qual.variables", Qual.graph().numNodes());
+  Publish("qual.flow_edges", Qual.graph().numEdges());
 }
 
 void MixyAnalysis::warnIfTruncated(const CFuncDecl *F,
@@ -137,36 +142,38 @@ MixyAnalysis::dependencyEdges() {
   // restoreAliasing unifies qualifiers of variables sharing a points-to
   // class, so an edit to one such function can shift another's calling
   // context.
+  summarizeCalls();
   std::map<const CFuncDecl *, std::vector<const CFuncDecl *>> Deps;
+  std::vector<const CFuncDecl *> Defined;
   bool SawIndirect = false;
   for (const CFuncDecl *F : Program.funcs()) {
     if (!F->isDefined())
       continue;
-    std::set<const CFuncDecl *> Callees;
-    collectCallees(F->body(), Callees, SawIndirect);
-    Deps[F].assign(Callees.begin(), Callees.end());
+    const CallSummary &S = Calls[F->index()];
+    Deps[F] = S.Callees;
+    Defined.push_back(F);
+    SawIndirect = SawIndirect || S.Indirect;
   }
   if (SawIndirect) {
     // Every function may reach every defined function. Route that through
     // one hub node, the null key (F -> hub -> every defined function): the
     // same reachability as all-to-all edges, in linear size.
-    std::vector<const CFuncDecl *> All;
-    for (auto &[F, D] : Deps) {
-      All.push_back(F);
-      D = {nullptr};
-    }
-    Deps[nullptr] = std::move(All);
+    for (const CFuncDecl *F : Defined)
+      Deps[F] = {nullptr};
+    Deps[nullptr] = std::move(Defined);
   } else {
+    std::vector<const CFuncDecl *> Owners;
     for (PointsToAnalysis::CellId Cell = 1; Cell <= PtrAnal.numCells();
          ++Cell) {
       if (PtrAnal.find(Cell) != Cell)
         continue;
-      std::set<const CFuncDecl *> Owners;
-      for (const auto &[Func, Name] : PtrAnal.variablesInClass(Cell)) {
-        (void)Name;
-        if (Func && Func->isDefined())
-          Owners.insert(Func);
-      }
+      // A class lists each function's locals together, functions in
+      // declaration order.
+      Owners.clear();
+      for (CVarRef V : PtrAnal.variablesInClass(Cell))
+        if (V.Func && V.Func->isDefined() &&
+            (Owners.empty() || Owners.back() != V.Func))
+          Owners.push_back(V.Func);
       if (Owners.size() < 2)
         continue;
       for (const CFuncDecl *A : Owners)
@@ -432,9 +439,30 @@ void MixyAnalysis::replayTypedSwitches(
 
 // === region collection =======================================================
 
-void MixyAnalysis::collectCallees(const CStmt *S,
-                                  std::set<const CFuncDecl *> &Out,
-                                  bool &SawIndirect) {
+void MixyAnalysis::summarizeCalls() {
+  if (CallsSummarized)
+    return;
+  CallsSummarized = true;
+  CSema Sema(Program, Ctx, Diags);
+  Calls.resize(Program.funcs().size());
+  for (const CFuncDecl *F : Program.funcs()) {
+    if (!F->isDefined())
+      continue;
+    CallSummary &S = Calls[F->index()];
+    collectCallees(F->body(), Sema, S);
+    std::sort(S.Callees.begin(), S.Callees.end(),
+              [](const CFuncDecl *A, const CFuncDecl *B) {
+                return A->index() < B->index();
+              });
+    S.Callees.erase(std::unique(S.Callees.begin(), S.Callees.end()),
+                    S.Callees.end());
+    if (F->mixAnnot() != MixAnnot::Symbolic)
+      TypedFuncs.push_back(F);
+  }
+}
+
+void MixyAnalysis::collectCallees(const CStmt *S, const CSema &Sema,
+                                  CallSummary &Out) {
   if (!S)
     return;
   // Walk statements; inspect expressions for calls and address-taken
@@ -451,14 +479,14 @@ void MixyAnalysis::collectCallees(const CStmt *S,
   case CStmtKind::If: {
     const auto *I = cast<CIfStmt>(S);
     Exprs.push_back(I->cond());
-    collectCallees(I->thenStmt(), Out, SawIndirect);
-    collectCallees(I->elseStmt(), Out, SawIndirect);
+    collectCallees(I->thenStmt(), Sema, Out);
+    collectCallees(I->elseStmt(), Sema, Out);
     break;
   }
   case CStmtKind::While: {
     const auto *W = cast<CWhileStmt>(S);
     Exprs.push_back(W->cond());
-    collectCallees(W->body(), Out, SawIndirect);
+    collectCallees(W->body(), Sema, Out);
     break;
   }
   case CStmtKind::Return:
@@ -467,11 +495,10 @@ void MixyAnalysis::collectCallees(const CStmt *S,
     break;
   case CStmtKind::Block:
     for (const CStmt *Sub : cast<CBlockStmt>(S)->stmts())
-      collectCallees(Sub, Out, SawIndirect);
+      collectCallees(Sub, Sema, Out);
     break;
   }
 
-  CSema Sema(Program, Ctx, Diags);
   while (!Exprs.empty()) {
     const CExpr *E = Exprs.back();
     Exprs.pop_back();
@@ -479,9 +506,9 @@ void MixyAnalysis::collectCallees(const CStmt *S,
     case CExprKind::Call: {
       const auto *Call = cast<CCall>(E);
       if (const CFuncDecl *F = Sema.directCallee(Call))
-        Out.insert(F);
+        Out.Callees.push_back(F);
       else {
-        SawIndirect = true;
+        Out.Indirect = true;
         Exprs.push_back(Call->callee());
       }
       for (const CExpr *Arg : Call->args())
@@ -506,9 +533,10 @@ void MixyAnalysis::collectCallees(const CStmt *S,
       Exprs.push_back(cast<CCast>(E)->sub());
       break;
     case CExprKind::Ident:
-      // A function name outside call position: address taken.
-      if (Program.findFunc(cast<CIdent>(E)->name()))
-        SawIndirect = true;
+      // A function name outside call position: address taken (by name,
+      // even where a variable shadows the function).
+      if (cast<CIdent>(E)->namesFunction())
+        Out.Indirect = true;
       break;
     default:
       break;
@@ -518,40 +546,32 @@ void MixyAnalysis::collectCallees(const CStmt *S,
 
 std::vector<const CFuncDecl *>
 MixyAnalysis::typedRegionFrom(const CFuncDecl *Entry) {
+  summarizeCalls();
   // BFS over the call graph, stopping at the MIX(symbolic) frontier.
-  std::set<const CFuncDecl *> Region;
-  std::vector<const CFuncDecl *> Work;
-  bool SawIndirect = false;
-  Work.push_back(Entry);
+  std::vector<bool> Seen(Program.funcs().size());
+  std::vector<const CFuncDecl *> Region;
+  std::vector<const CFuncDecl *> Work{Entry};
   while (!Work.empty()) {
     const CFuncDecl *F = Work.back();
     Work.pop_back();
-    if (!F->isDefined() || F->mixAnnot() == MixAnnot::Symbolic)
+    if (!F->isDefined() || F->mixAnnot() == MixAnnot::Symbolic ||
+        Seen[F->index()])
       continue;
-    if (!Region.insert(F).second)
-      continue;
-    std::set<const CFuncDecl *> Callees;
-    collectCallees(F->body(), Callees, SawIndirect);
-    for (const CFuncDecl *Callee : Callees)
-      Work.push_back(Callee);
-  }
-  if (SawIndirect) {
+    Seen[F->index()] = true;
+    const CallSummary &S = Calls[F->index()];
     // Calls through function pointers: conservatively include every
     // defined, non-symbolic function whose address could be taken (the
     // paper uses CIL's pointer analysis to find the targets).
-    for (const CFuncDecl *F : Program.funcs())
-      if (F->isDefined() && F->mixAnnot() != MixAnnot::Symbolic)
-        Region.insert(F);
+    if (S.Indirect)
+      return TypedFuncs;
+    Region.push_back(F);
+    Work.insert(Work.end(), S.Callees.begin(), S.Callees.end());
   }
-  // Declaration order: every function has its own position in the one
-  // parsed file, so sorting by location reproduces Program.funcs() order
-  // without a pass over the whole program per typed block.
-  std::vector<const CFuncDecl *> Ordered(Region.begin(), Region.end());
-  std::sort(Ordered.begin(), Ordered.end(),
+  std::sort(Region.begin(), Region.end(),
             [](const CFuncDecl *A, const CFuncDecl *B) {
-              return A->loc() < B->loc();
+              return A->index() < B->index();
             });
-  return Ordered;
+  return Region;
 }
 
 // === context computation (Sections 4.1 / 4.3) ================================
@@ -585,7 +605,7 @@ std::map<std::string, NullSeed> MixyAnalysis::globalSeedsFromQuals() {
   for (const CGlobalDecl *G : Program.globals()) {
     if (!G->type()->isPointer())
       continue;
-    const QualVec &Q = Qual.qualsOfVar(nullptr, G->name());
+    const QualVec &Q = Qual.qualsOfGlobal(G);
     bool MayNull = !Q.empty() && Qual.mayBeNull(Q[0]);
     Seeds[G->name()] = MayNull ? NullSeed::MayBeNull : NullSeed::Nonnull;
   }
@@ -792,10 +812,10 @@ void MixyAnalysis::restoreAliasing(const CFuncDecl *Callee) {
   };
   for (const auto &P : Callee->params())
     if (P.Ty->isPointer())
-      UnifyTargetsOf(PtrAnal.cellOfVar(Callee, P.Name));
+      UnifyTargetsOf(PtrAnal.cellOfLocal(Callee, P.Slot));
   for (const CGlobalDecl *G : Program.globals())
     if (G->type()->isPointer())
-      UnifyTargetsOf(PtrAnal.cellOfVar(nullptr, G->name()));
+      UnifyTargetsOf(PtrAnal.cellOfGlobal(G));
 }
 
 void MixyAnalysis::applySymOutcome(const SymOutcome &Outcome,
@@ -820,9 +840,11 @@ void MixyAnalysis::applySymOutcome(const SymOutcome &Outcome,
                     Call->loc(), prov::FlowEdgeKind::MixBoundary);
   }
   for (const auto &[Name, MayNull] : Outcome.GlobalMayBeNull) {
-    if (!MayNull)
+    // Summaries name their globals, so they survive across runs.
+    const CGlobalDecl *G = Program.findGlobal(Name);
+    if (!MayNull || !G)
       continue;
-    const QualVec &Q = Qual.qualsOfVar(nullptr, Name);
+    const QualVec &Q = Qual.qualsOfGlobal(G);
     if (!Q.empty())
       Qual.seedNull(Q[0],
                     "after " + Callee->name() + ", global " + Name +
@@ -893,9 +915,10 @@ bool MixyAnalysis::computeTypedRet(const BlockKey &Key, SourceLoc CallLoc) {
                       prov::FlowEdgeKind::MixBoundary);
     }
     for (const auto &[Name, Seed] : Key.Globals) {
-      if (Seed != NullSeed::MayBeNull)
+      const CGlobalDecl *G = Program.findGlobal(Name);
+      if (Seed != NullSeed::MayBeNull || !G)
         continue;
-      const QualVec &GQ = Qual.qualsOfVar(nullptr, Name);
+      const QualVec &GQ = Qual.qualsOfGlobal(G);
       if (!GQ.empty())
         Qual.seedNull(GQ[0], "global may be null at symbolic call", CallLoc,
                       prov::FlowEdgeKind::MixBoundary);
@@ -955,7 +978,7 @@ bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
   for (const CGlobalDecl *G : Program.globals()) {
     if (!G->type()->isPointer())
       continue;
-    const QualVec &Q = Qual.qualsOfVar(nullptr, G->name());
+    const QualVec &Q = Qual.qualsOfGlobal(G);
     NullSeed Seed = (!Q.empty() && Qual.mayBeNull(Q[0]))
                         ? NullSeed::MayBeNull
                         : NullSeed::Nonnull;

@@ -52,7 +52,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -239,13 +238,22 @@ private:
   };
   using Engine = engine::MixEngine<EngineDomain>;
 
+  /// What one function's body calls: its direct callees in declaration
+  /// order, and whether it calls through a pointer or names a function
+  /// outside a call (either way, any function may be a callee).
+  struct CallSummary {
+    std::vector<const CFuncDecl *> Callees;
+    bool Indirect = false;
+  };
+
   // Region handling. The region comes back in declaration order, which
   // is the order its functions are analyzed in and so the order their
   // frontier calls register fixpoint sites: a property of the program,
   // never of heap addresses.
   std::vector<const CFuncDecl *> typedRegionFrom(const CFuncDecl *Entry);
-  void collectCallees(const CStmt *S, std::set<const CFuncDecl *> &Out,
-                      bool &SawIndirect);
+  /// Summarizes the calls of every defined function, once per analysis.
+  void summarizeCalls();
+  void collectCallees(const CStmt *S, const CSema &Sema, CallSummary &Out);
 
   // Context computation (Section 4.1 / 4.3).
   std::vector<NullSeed>
@@ -350,6 +358,13 @@ private:
   Engine::BlockStack BlockStack;
 
   std::vector<SymCallSite> SymCallSites;
+
+  /// Call summaries by CFuncDecl::index(), and every defined, non-symbolic
+  /// function in declaration order: the typed region once an indirect
+  /// call is reachable. Filled by summarizeCalls().
+  std::vector<CallSummary> Calls;
+  std::vector<const CFuncDecl *> TypedFuncs;
+  bool CallsSummarized = false;
 
   /// The typed-switch log of the innermost persistable symbolic block
   /// run, or null when the current run is not being recorded.

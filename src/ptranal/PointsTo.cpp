@@ -7,14 +7,21 @@
 
 #include "ptranal/PointsTo.h"
 
+#include <algorithm>
+
 using namespace mix::c;
 
+PointsToAnalysis::PointsToAnalysis(const CProgram &Program, CAstContext &Ctx,
+                                   DiagnosticEngine &Diags)
+    : Program(Program), Sema(Program, Ctx, Diags),
+      // Slot 0 is NoCell.
+      Parents(1, NoCell), Targets(1, NoCell),
+      GlobalCells(Program.globalSlots().size(), NoCell),
+      LocalCells(Program.numLocalSlots(), NoCell),
+      FuncCells(Program.funcs().size(), NoCell),
+      RetCells(Program.funcs().size(), NoCell) {}
+
 PointsToAnalysis::CellId PointsToAnalysis::freshCell() {
-  if (Parents.empty()) {
-    // Slot 0 is NoCell.
-    Parents.push_back(0);
-    Targets.push_back(NoCell);
-  }
   CellId Id = (CellId)Parents.size();
   Parents.push_back(Id);
   Targets.push_back(NoCell);
@@ -39,6 +46,7 @@ void PointsToAnalysis::unify(CellId A, CellId B) {
   // Union by making A the representative; then merge targets, which may
   // cascade (the hallmark of Steensgaard's algorithm).
   Parents[B] = A;
+  ++Unions;
   CellId TA = find(Targets[A]);
   CellId TB = find(Targets[B]);
   if (TA == NoCell)
@@ -70,26 +78,36 @@ void PointsToAnalysis::unifyValues(CellId A, CellId B) {
   unify(targetOf(A), targetOf(B));
 }
 
-PointsToAnalysis::CellId
-PointsToAnalysis::cellOfVar(const CFuncDecl *Func, const std::string &Name) {
-  auto Key = std::make_pair(Func, Name);
-  auto It = VarCells.find(Key);
-  if (It != VarCells.end())
-    return find(It->second);
-  CellId Id = freshCell();
-  VarCells[Key] = Id;
-  return Id;
+PointsToAnalysis::CellId PointsToAnalysis::globalCell(unsigned Slot) {
+  CellId &Cell = GlobalCells[Slot];
+  if (Cell == NoCell)
+    Cell = freshCell();
+  return find(Cell);
 }
 
-PointsToAnalysis::FuncSig &PointsToAnalysis::signatureOf(const CFuncDecl *F) {
-  auto It = FuncSigs.find(F);
-  if (It != FuncSigs.end())
-    return It->second;
-  FuncSig Sig;
-  for (const auto &P : F->params())
-    Sig.Params.push_back(cellOfVar(F, P.Name));
-  Sig.Ret = freshCell();
-  return FuncSigs.emplace(F, std::move(Sig)).first->second;
+PointsToAnalysis::CellId PointsToAnalysis::localCell(const CFuncDecl *Func,
+                                                     unsigned Slot) {
+  CellId &Cell = LocalCells[Func->firstSlot() + Slot];
+  if (Cell == NoCell)
+    Cell = freshCell();
+  return find(Cell);
+}
+
+PointsToAnalysis::CellId PointsToAnalysis::signatureOf(const CFuncDecl *F) {
+  CellId &Ret = RetCells[F->index()];
+  if (Ret == NoCell) {
+    for (const auto &P : F->params())
+      localCell(F, P.Slot);
+    Ret = freshCell();
+  }
+  return Ret;
+}
+
+void PointsToAnalysis::bindArgs(const CFuncDecl *F,
+                                const std::vector<CellId> &ArgCells) {
+  signatureOf(F);
+  for (size_t I = 0; I != ArgCells.size() && I != F->params().size(); ++I)
+    unifyValues(localCell(F, F->params()[I].Slot), ArgCells[I]);
 }
 
 void PointsToAnalysis::run() {
@@ -100,83 +118,87 @@ void PointsToAnalysis::run() {
     for (const CGlobalDecl *G : Program.globals()) {
       if (!G->init())
         continue;
-      CScope Empty;
-      CellId V = eval(G->init(), Empty);
+      CellId V = eval(G->init(), nullptr);
       if (V != NoCell)
-        unifyValues(cellOfVar(nullptr, G->name()), V);
+        unifyValues(globalCell(G->slot()), V);
     }
     for (const CFuncDecl *F : Program.funcs())
       if (F->isDefined())
         analyzeFunction(F);
   }
+  indexClasses();
 }
 
 void PointsToAnalysis::analyzeFunction(const CFuncDecl *F) {
   signatureOf(F);
-  CScope Scope = CScope::forFunction(F);
-  analyzeStmt(F->body(), Scope);
+  analyzeStmt(F->body(), F);
 }
 
-void PointsToAnalysis::analyzeStmt(const CStmt *S, CScope &Scope) {
+void PointsToAnalysis::analyzeStmt(const CStmt *S, const CFuncDecl *Func) {
   switch (S->kind()) {
   case CStmtKind::Expr:
-    eval(cast<CExprStmt>(S)->expr(), Scope);
+    eval(cast<CExprStmt>(S)->expr(), Func);
     return;
   case CStmtKind::Decl: {
     const auto *D = cast<CDeclStmt>(S);
-    Scope.Locals[D->name()] = D->type();
-    CellId Var = cellOfVar(Scope.Func, D->name());
+    CellId Var = localCell(Func, D->slot());
     if (D->init()) {
-      CellId V = eval(D->init(), Scope);
+      CellId V = eval(D->init(), Func);
       unifyValues(Var, V);
     }
     return;
   }
   case CStmtKind::If: {
     const auto *I = cast<CIfStmt>(S);
-    eval(I->cond(), Scope);
-    CScope ThenScope = Scope;
-    analyzeStmt(I->thenStmt(), ThenScope);
-    if (I->elseStmt()) {
-      CScope ElseScope = Scope;
-      analyzeStmt(I->elseStmt(), ElseScope);
-    }
+    eval(I->cond(), Func);
+    analyzeStmt(I->thenStmt(), Func);
+    if (I->elseStmt())
+      analyzeStmt(I->elseStmt(), Func);
     return;
   }
   case CStmtKind::While: {
     const auto *W = cast<CWhileStmt>(S);
-    eval(W->cond(), Scope);
-    CScope BodyScope = Scope;
-    analyzeStmt(W->body(), BodyScope);
+    eval(W->cond(), Func);
+    analyzeStmt(W->body(), Func);
     return;
   }
   case CStmtKind::Return: {
     const auto *R = cast<CReturnStmt>(S);
     if (R->value()) {
-      CellId V = eval(R->value(), Scope);
-      unifyValues(signatureOf(Scope.Func).Ret, V);
+      CellId V = eval(R->value(), Func);
+      unifyValues(signatureOf(Func), V);
     }
     return;
   }
   case CStmtKind::Block:
     for (const CStmt *Sub : cast<CBlockStmt>(S)->stmts())
-      analyzeStmt(Sub, Scope);
+      analyzeStmt(Sub, Func);
     return;
   }
 }
 
 PointsToAnalysis::CellId
-PointsToAnalysis::cellOfLValue(const CExpr *E, const CScope &Scope) {
+PointsToAnalysis::cellOfLValue(const CExpr *E, const CFuncDecl *Func) {
   switch (E->kind()) {
-  case CExprKind::Ident:
-    return cellOfVar(Scope.Func && Scope.Locals.count(cast<CIdent>(E)->name())
-                         ? Scope.Func
-                         : nullptr,
-                     cast<CIdent>(E)->name());
+  case CExprKind::Ident: {
+    // As storage, a function's name is a global-level name like any other.
+    const auto *Id = cast<CIdent>(E);
+    switch (Id->nameKind()) {
+    case CNameKind::Local:
+      return localCell(Func, Id->localSlot());
+    case CNameKind::Global:
+      return globalCell(Id->global()->slot());
+    case CNameKind::Function:
+      return globalCell(Id->func()->nameSlot());
+    case CNameKind::Unresolved:
+      return globalCell(Id->unresolvedSlot());
+    }
+    return NoCell;
+  }
   case CExprKind::Unary: {
     const auto *U = cast<CUnary>(E);
     if (U->op() == CUnaryOp::Deref)
-      return targetOf(eval(U->sub(), Scope));
+      return targetOf(eval(U->sub(), Func));
     return NoCell;
   }
   case CExprKind::Member: {
@@ -184,66 +206,65 @@ PointsToAnalysis::cellOfLValue(const CExpr *E, const CScope &Scope) {
     // Field-insensitive: a member shares its aggregate's cell; an arrow
     // dereferences the base pointer first.
     if (M->isArrow())
-      return targetOf(eval(M->base(), Scope));
-    return cellOfLValue(M->base(), Scope);
+      return targetOf(eval(M->base(), Func));
+    return cellOfLValue(M->base(), Func);
   }
   default:
     return NoCell;
   }
 }
 
-void PointsToAnalysis::handleCall(const CCall *Call, const CScope &Scope,
-                                  CellId &RetOut) {
+PointsToAnalysis::CellId PointsToAnalysis::handleCall(const CCall *Call,
+                                                      const CFuncDecl *Func) {
   // malloc: one heap cell per syntactic site.
-  if (const auto *Id = dyn_cast<CIdent>(Call->callee()))
-    if (Id->name() == "malloc" && !Program.findFunc("malloc")) {
-      auto It = MallocCells.find(Call);
-      if (It == MallocCells.end()) {
-        CellId Heap = freshCell();
-        CellId Value = freshCell();
-        unify(targetOf(Value), Heap);
-        It = MallocCells.emplace(Call, Value).first;
-      }
-      for (const CExpr *Arg : Call->args())
-        eval(Arg, Scope);
-      RetOut = It->second;
-      return;
+  if (CSema::callsBuiltinMalloc(Call)) {
+    auto It = MallocCells.find(Call);
+    if (It == MallocCells.end()) {
+      CellId Heap = freshCell();
+      CellId Value = freshCell();
+      unify(targetOf(Value), Heap);
+      It = MallocCells.emplace(Call, Value).first;
     }
+    for (const CExpr *Arg : Call->args())
+      eval(Arg, Func);
+    return It->second;
+  }
 
   std::vector<CellId> ArgCells;
   for (const CExpr *Arg : Call->args())
-    ArgCells.push_back(eval(Arg, Scope));
+    ArgCells.push_back(eval(Arg, Func));
 
   if (const CFuncDecl *F = Sema.directCallee(Call)) {
-    FuncSig &Sig = signatureOf(F);
-    for (size_t I = 0; I != ArgCells.size() && I != Sig.Params.size(); ++I)
-      unifyValues(Sig.Params[I], ArgCells[I]);
-    RetOut = find(Sig.Ret);
-    return;
+    bindArgs(F, ArgCells);
+    return find(signatureOf(F));
   }
 
   // Indirect call: bind arguments to the parameters of every function
-  // whose cell the callee expression may denote. Depending on syntax the
+  // whose cell the callee expression may denote, and merge every such
+  // function's result into the call's value. Depending on syntax the
   // callee evaluates either to the function cell itself ((*fp)(...)) or
   // to a pointer holding it (fp(...)), so match at both levels.
-  CellId CalleeValue = eval(Call->callee(), Scope);
+  CellId CalleeValue = eval(Call->callee(), Func);
   if (CalleeValue == NoCell)
-    return;
+    return NoCell;
   CellId Direct = find(CalleeValue);
   CellId Indirect = pointsTo(CalleeValue);
-  for (auto &[F, Cell] : FuncCells) {
-    CellId FnCell = find(Cell);
-    if (FnCell != Direct && FnCell != Indirect)
+  CellId Ret = NoCell;
+  for (const CFuncDecl *F : Program.funcs()) {
+    CellId FnCell = find(FuncCells[F->index()]);
+    if (FnCell == NoCell || (FnCell != Direct && FnCell != Indirect))
       continue;
-    FuncSig &Sig = signatureOf(F);
-    for (size_t I = 0; I != ArgCells.size() && I != Sig.Params.size(); ++I)
-      unifyValues(Sig.Params[I], ArgCells[I]);
-    RetOut = find(Sig.Ret);
+    bindArgs(F, ArgCells);
+    if (Ret == NoCell)
+      Ret = find(signatureOf(F));
+    else
+      unifyValues(Ret, signatureOf(F));
   }
+  return Ret;
 }
 
 PointsToAnalysis::CellId PointsToAnalysis::eval(const CExpr *E,
-                                                const CScope &Scope) {
+                                                const CFuncDecl *Func) {
   switch (E->kind()) {
   case CExprKind::IntLit:
   case CExprKind::SizeOf:
@@ -258,30 +279,23 @@ PointsToAnalysis::CellId PointsToAnalysis::eval(const CExpr *E,
   }
   case CExprKind::Ident: {
     const auto *Id = cast<CIdent>(E);
+    if (Id->nameKind() != CNameKind::Function)
+      return cellOfLValue(E, Func);
     // A function name used as a value denotes its address.
-    if (!Scope.Locals.count(Id->name()) &&
-        !Program.findGlobal(Id->name())) {
-      if (const CFuncDecl *F = Program.findFunc(Id->name())) {
-        auto It = FuncCells.find(F);
-        if (It == FuncCells.end()) {
-          CellId FnCell = freshCell();
-          It = FuncCells.emplace(F, FnCell).first;
-        }
-        CellId Value = freshCell();
-        unify(targetOf(Value), It->second);
-        return Value;
-      }
-    }
-    return cellOfVar(Scope.Locals.count(Id->name()) ? Scope.Func : nullptr,
-                     Id->name());
+    CellId &FnCell = FuncCells[Id->func()->index()];
+    if (FnCell == NoCell)
+      FnCell = freshCell();
+    CellId Value = freshCell();
+    unify(targetOf(Value), FnCell);
+    return Value;
   }
   case CExprKind::Unary: {
     const auto *U = cast<CUnary>(E);
     switch (U->op()) {
     case CUnaryOp::Deref:
-      return targetOf(eval(U->sub(), Scope));
+      return targetOf(eval(U->sub(), Func));
     case CUnaryOp::AddrOf: {
-      CellId Storage = cellOfLValue(U->sub(), Scope);
+      CellId Storage = cellOfLValue(U->sub(), Func);
       if (Storage == NoCell)
         return NoCell;
       CellId Value = freshCell();
@@ -290,15 +304,15 @@ PointsToAnalysis::CellId PointsToAnalysis::eval(const CExpr *E,
     }
     case CUnaryOp::Not:
     case CUnaryOp::Neg:
-      eval(U->sub(), Scope);
+      eval(U->sub(), Func);
       return NoCell;
     }
     return NoCell;
   }
   case CExprKind::Binary: {
     const auto *B = cast<CBinary>(E);
-    CellId L = eval(B->lhs(), Scope);
-    CellId R = eval(B->rhs(), Scope);
+    CellId L = eval(B->lhs(), Func);
+    CellId R = eval(B->rhs(), Func);
     // Pointer arithmetic keeps pointing into the same object.
     if (B->op() == CBinaryOp::Add || B->op() == CBinaryOp::Sub) {
       if (L != NoCell)
@@ -309,27 +323,67 @@ PointsToAnalysis::CellId PointsToAnalysis::eval(const CExpr *E,
   }
   case CExprKind::Assign: {
     const auto *A = cast<CAssign>(E);
-    CellId Target = cellOfLValue(A->target(), Scope);
-    CellId Value = eval(A->value(), Scope);
+    CellId Target = cellOfLValue(A->target(), Func);
+    CellId Value = eval(A->value(), Func);
     unifyValues(Target, Value);
     return Target;
   }
-  case CExprKind::Call: {
-    CellId Ret = NoCell;
-    handleCall(cast<CCall>(E), Scope, Ret);
-    return Ret;
-  }
+  case CExprKind::Call:
+    return handleCall(cast<CCall>(E), Func);
   case CExprKind::Member:
-    return cellOfLValue(E, Scope);
+    return cellOfLValue(E, Func);
   case CExprKind::Cast:
-    return eval(cast<CCast>(E)->sub(), Scope);
+    return eval(cast<CCast>(E)->sub(), Func);
   }
   return NoCell;
 }
 
-PointsToAnalysis::CellId PointsToAnalysis::valueCell(const CExpr *E,
-                                                     const CScope &Scope) {
-  return find(eval(E, Scope));
+void PointsToAnalysis::indexClasses() {
+  // The canonical order: global-level names by name, then each function's
+  // locals, functions in declaration order and names in byte order.
+  const auto &Slots = Program.globalSlots();
+  std::vector<CVarRef> Order;
+  for (unsigned S = 0; S != GlobalCells.size(); ++S)
+    if (GlobalCells[S] != NoCell)
+      Order.push_back({nullptr, S});
+  std::sort(Order.begin(), Order.end(), [&](CVarRef A, CVarRef B) {
+    return *Slots[A.Slot].Name < *Slots[B.Slot].Name;
+  });
+  for (const CFuncDecl *F : Program.funcs()) {
+    size_t Begin = Order.size();
+    for (unsigned S = 0; S != F->numSlots(); ++S)
+      if (LocalCells[F->firstSlot() + S] != NoCell)
+        Order.push_back({F, S});
+    std::sort(Order.begin() + (long)Begin, Order.end(),
+              [&](CVarRef A, CVarRef B) {
+                return F->slotName(A.Slot) < F->slotName(B.Slot);
+              });
+  }
+
+  // Bucket by representative; a stable pass keeps each class in order.
+  std::vector<CellId> Reps;
+  Reps.reserve(Order.size());
+  ClassStart.assign(Parents.size() + 1, 0);
+  for (CVarRef V : Order) {
+    CellId Cell = V.Func ? LocalCells[V.Func->firstSlot() + V.Slot]
+                         : GlobalCells[V.Slot];
+    Reps.push_back(find(Cell));
+    ++ClassStart[Reps.back() + 1];
+  }
+  for (size_t C = 1; C != ClassStart.size(); ++C)
+    ClassStart[C] += ClassStart[C - 1];
+  ClassMembers.resize(Order.size());
+  std::vector<unsigned> Next(ClassStart.begin(), ClassStart.end() - 1);
+  for (size_t I = 0; I != Order.size(); ++I)
+    ClassMembers[Next[Reps[I]]++] = Order[I];
+}
+
+std::span<const CVarRef> PointsToAnalysis::variablesInClass(CellId Cell) {
+  Cell = find(Cell);
+  if (Cell == NoCell || Cell + 1 >= ClassStart.size())
+    return {};
+  return {ClassMembers.data() + ClassStart[Cell],
+          ClassMembers.data() + ClassStart[Cell + 1]};
 }
 
 std::string PointsToAnalysis::describe(CellId Cell) {
@@ -337,28 +391,14 @@ std::string PointsToAnalysis::describe(CellId Cell) {
   if (Cell == NoCell)
     return "{}";
   std::string Out = "{";
-  bool First = true;
-  for (const auto &[Key, Id] : VarCells) {
-    if (find(Id) != Cell)
-      continue;
-    if (!First)
+  for (CVarRef V : variablesInClass(Cell)) {
+    if (Out.size() != 1)
       Out += ", ";
-    Out += Key.first ? Key.first->name() + "::" + Key.second
-                     : "global::" + Key.second;
-    First = false;
+    Out += V.Func ? V.Func->name() + "::" + V.Func->slotName(V.Slot)
+                  : "global::" + *Program.globalSlots()[V.Slot].Name;
   }
-  if (First)
+  if (Out.size() == 1)
     Out += "<cell " + std::to_string(Cell) + ">";
   Out += "}";
-  return Out;
-}
-
-std::vector<std::pair<const CFuncDecl *, std::string>>
-PointsToAnalysis::variablesInClass(CellId Cell) {
-  Cell = find(Cell);
-  std::vector<std::pair<const CFuncDecl *, std::string>> Out;
-  for (const auto &[Key, Id] : VarCells)
-    if (find(Id) == Cell)
-      Out.push_back(Key);
   return Out;
 }

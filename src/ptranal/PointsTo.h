@@ -25,12 +25,15 @@
 #include "cfront/CSema.h"
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace mix::c {
 
-/// Whole-program may-points-to facts.
+/// Whole-program may-points-to facts. Variables are addressed by the
+/// slots parseC's binder gave them (see CBind.h): the tables are vectors
+/// over the global slots, the local slots and the function indices.
 class PointsToAnalysis {
 public:
   /// Cell handles; 0 is the invalid cell.
@@ -38,22 +41,21 @@ public:
   static constexpr CellId NoCell = 0;
 
   PointsToAnalysis(const CProgram &Program, CAstContext &Ctx,
-                   DiagnosticEngine &Diags)
-      : Program(Program), Sema(Program, Ctx, Diags) {}
+                   DiagnosticEngine &Diags);
 
-  /// Generates and solves constraints for the whole program.
+  /// Generates and solves constraints for the whole program, then indexes
+  /// the variables of every class. Later lookups create no cells.
   void run();
 
-  /// The storage cell of variable \p Name (pass the enclosing function for
-  /// locals/params, null for globals).
-  CellId cellOfVar(const CFuncDecl *Func, const std::string &Name);
-
-  /// The storage cell an lvalue expression denotes.
-  CellId cellOfLValue(const CExpr *E, const CScope &Scope);
-
-  /// The abstract cell describing the *value* of a pointer expression:
-  /// its points-to target is what the pointer may reference.
-  CellId valueCell(const CExpr *E, const CScope &Scope);
+  /// The storage cell of global \p G, or NoCell if the program never
+  /// gave it one.
+  CellId cellOfGlobal(const CGlobalDecl *G) {
+    return find(GlobalCells[G->slot()]);
+  }
+  /// The storage cell of local slot \p Slot of \p Func, or NoCell.
+  CellId cellOfLocal(const CFuncDecl *Func, unsigned Slot) {
+    return find(LocalCells[Func->firstSlot() + Slot]);
+  }
 
   /// The (representative of the) points-to target of \p Cell, or NoCell.
   CellId pointsTo(CellId Cell);
@@ -64,18 +66,22 @@ public:
   bool mayAlias(CellId A, CellId B) { return find(A) == find(B); }
 
   /// Human-readable description of a cell's equivalence class: its named
-  /// variables, e.g. "{main::p, global::q}", or "{<cell 7>}" for a class
+  /// variables, e.g. "{global::q, main::p}", or "{<cell 7>}" for a class
   /// that holds none (heap, strings, pointees). For diagnostics and tests.
   std::string describe(CellId Cell);
 
-  /// All named variables whose storage landed in \p Cell's class. MIXY
-  /// uses this to restore aliasing relationships when transitioning from
-  /// symbolic to typed blocks (Section 4.2).
-  std::vector<std::pair<const CFuncDecl *, std::string>>
-  variablesInClass(CellId Cell);
+  /// All named variables whose storage landed in \p Cell's class, after
+  /// run(): global-level names first, by name, then each function's
+  /// locals, functions in declaration order and names in byte order. The
+  /// span views the index run() builds. MIXY uses this to restore
+  /// aliasing relationships when transitioning from symbolic to typed
+  /// blocks (Section 4.2).
+  std::span<const CVarRef> variablesInClass(CellId Cell);
 
   /// Number of cells allocated (an imprecision metric for benches).
   unsigned numCells() const { return (unsigned)Parents.size() - 1; }
+  /// Number of unions of two distinct classes.
+  unsigned numUnions() const { return Unions; }
 
 private:
   CellId freshCell();
@@ -87,19 +93,26 @@ private:
   /// needed.
   CellId targetOf(CellId Cell);
 
-  void analyzeFunction(const CFuncDecl *F);
-  void analyzeStmt(const CStmt *S, CScope &Scope);
-  /// Constraint-generating evaluation; returns the value cell of \p E.
-  CellId eval(const CExpr *E, const CScope &Scope);
-  void handleCall(const CCall *Call, const CScope &Scope, CellId &RetOut);
+  /// The storage cell of a global slot or a local slot, created on first
+  /// use.
+  CellId globalCell(unsigned Slot);
+  CellId localCell(const CFuncDecl *Func, unsigned Slot);
+  /// The return cell of \p F, creating its parameter and return cells
+  /// on first use. Used for both direct and function-pointer calls.
+  CellId signatureOf(const CFuncDecl *F);
+  /// Binds argument values to the parameters of \p F.
+  void bindArgs(const CFuncDecl *F, const std::vector<CellId> &ArgCells);
 
-  /// Per-function signature cells, used for both direct and
-  /// function-pointer calls.
-  struct FuncSig {
-    std::vector<CellId> Params;
-    CellId Ret = NoCell;
-  };
-  FuncSig &signatureOf(const CFuncDecl *F);
+  void analyzeFunction(const CFuncDecl *F);
+  void analyzeStmt(const CStmt *S, const CFuncDecl *Func);
+  /// Constraint-generating evaluation inside \p Func (null for a global
+  /// initializer); returns the value cell of \p E.
+  CellId eval(const CExpr *E, const CFuncDecl *Func);
+  /// The storage cell an lvalue expression denotes.
+  CellId cellOfLValue(const CExpr *E, const CFuncDecl *Func);
+  CellId handleCall(const CCall *Call, const CFuncDecl *Func);
+  /// Builds the class index variablesInClass() reads.
+  void indexClasses();
 
   const CProgram &Program;
   CSema Sema;
@@ -107,12 +120,19 @@ private:
   // Union-find state. Index 0 is unused (NoCell).
   std::vector<CellId> Parents;
   std::vector<CellId> Targets; // pts: representative -> target cell
+  unsigned Unions = 0;
 
-  std::map<std::pair<const CFuncDecl *, std::string>, CellId> VarCells;
+  std::vector<CellId> GlobalCells; // by global slot
+  std::vector<CellId> LocalCells;  // by CFuncDecl::firstSlot() + slot
+  std::vector<CellId> FuncCells;   // by CFuncDecl::index(): the function
+  std::vector<CellId> RetCells;    // by CFuncDecl::index(): its result
   std::map<const CExpr *, CellId> MallocCells;
-  std::map<const CFuncDecl *, CellId> FuncCells;
-  std::map<const CFuncDecl *, FuncSig> FuncSigs;
   CellId StringCell = NoCell;
+
+  /// The class index: the members of class C are
+  /// ClassMembers[ClassStart[C] .. ClassStart[C + 1]).
+  std::vector<unsigned> ClassStart;
+  std::vector<CVarRef> ClassMembers;
 };
 
 } // namespace mix::c

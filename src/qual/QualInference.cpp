@@ -9,6 +9,12 @@
 
 using namespace mix::c;
 
+QualInference::QualInference(const CProgram &Program, CAstContext &Ctx,
+                             DiagnosticEngine &Diags, QualOptions Opts)
+    : Program(Program), Sema(Program, Ctx, Diags), Diags(Diags), Opts(Opts),
+      GlobalVars(Program.globalSlots().size()),
+      LocalVars(Program.numLocalSlots()), FuncInfo(Program.funcs().size()) {}
+
 unsigned QualInference::qualDepth(const CType *Ty) {
   unsigned Depth = 0;
   while (Ty->isPointer()) {
@@ -65,37 +71,44 @@ void QualInference::flowInto(const QualVec &From, const QualVec &To) {
   }
 }
 
-const QualVec &QualInference::qualsOfVar(const CFuncDecl *Func,
-                                         const std::string &Name) {
-  auto Key = std::make_pair(Func, Name);
-  auto It = VarQuals.find(Key);
-  if (It != VarQuals.end())
-    return It->second;
+const QualVec &QualInference::qualsOfVar(CVarRef Var) {
+  Memo &Entry = Var.Func ? LocalVars[Var.Func->firstSlot() + Var.Slot]
+                         : GlobalVars[Var.Slot];
+  if (Entry.Made)
+    return Entry.Quals;
+  Entry.Made = true;
 
   const CType *Ty = nullptr;
   SourceLoc Loc;
   std::string Description;
-  if (Func) {
-    for (const auto &P : Func->params())
-      if (P.Name == Name) {
+  if (Var.Func) {
+    // Parameters and locals are registered eagerly by analyzeFunction;
+    // reaching here means alias restoration asked about a function that
+    // inference has not analyzed. A parameter takes its declared type;
+    // any other local takes the type of a global of the same name, if
+    // there is one, else gets no variables, and its declaration keeps
+    // whatever it got here.
+    const std::string &Name = Var.Func->slotName(Var.Slot);
+    for (const auto &P : Var.Func->params())
+      if (P.Slot == Var.Slot) {
         Ty = P.Ty;
-        Loc = Func->loc();
+        Loc = Var.Func->loc();
       }
-    Description = Func->name() + "::" + Name;
+    Description = Var.Func->name() + "::" + Name;
+    if (!Ty)
+      if (const CGlobalDecl *G = Program.findGlobal(Name)) {
+        Ty = G->type();
+        Loc = G->loc();
+        Description = Name;
+      }
+  } else if (const CGlobalDecl *G = Program.globalSlots()[Var.Slot].Global) {
+    Ty = G->type();
+    Loc = G->loc();
+    Description = G->name();
   }
-  if (!Ty) {
-    if (const CGlobalDecl *G = Program.findGlobal(Name)) {
-      Ty = G->type();
-      Loc = G->loc();
-      Description = Name;
-    }
-  }
-  // Locals are registered eagerly by analyzeStmt; reaching here with an
-  // unknown name means the caller asked before analysis or the name is a
-  // local not yet seen — create placeholder variables from no type.
-  QualVec Quals =
-      Ty ? makeQualsForType(Ty, Description, Loc) : QualVec();
-  return VarQuals.emplace(Key, std::move(Quals)).first->second;
+  if (Ty)
+    Entry.Quals = makeQualsForType(Ty, Description, Loc);
+  return Entry.Quals;
 }
 
 const QualVec &QualInference::qualsOfField(const CStructDecl *Struct,
@@ -113,36 +126,41 @@ const QualVec &QualInference::qualsOfField(const CStructDecl *Struct,
 }
 
 const QualVec &QualInference::qualsOfReturn(const CFuncDecl *F) {
-  auto It = ReturnQuals.find(F);
-  if (It != ReturnQuals.end())
-    return It->second;
-  QualVec Quals = makeQualsForType(F->returnType(),
-                                   "return of " + F->name(), F->loc());
-  return ReturnQuals.emplace(F, std::move(Quals)).first->second;
+  Memo &Entry = FuncInfo[F->index()].Return;
+  if (!Entry.Made) {
+    Entry.Made = true;
+    Entry.Quals = makeQualsForType(F->returnType(), "return of " + F->name(),
+                                   F->loc());
+  }
+  return Entry.Quals;
 }
 
 const QualVec &QualInference::qualsOfParam(const CFuncDecl *F,
                                            unsigned Index) {
-  auto Key = std::make_pair(F, Index);
-  auto It = ParamQuals.find(Key);
-  if (It != ParamQuals.end())
-    return It->second;
   assert(Index < F->params().size() && "parameter index out of range");
+  std::vector<Memo> &Params = FuncInfo[F->index()].Params;
+  if (Params.empty())
+    Params.resize(F->params().size());
+  Memo &Entry = Params[Index];
+  if (Entry.Made)
+    return Entry.Quals;
+  Entry.Made = true;
   const auto &P = F->params()[Index];
-  QualVec Quals = makeQualsForType(
+  Entry.Quals = makeQualsForType(
       P.Ty, "param " + P.Name + " of " + F->name(), F->loc());
   // Parameters are storage too: unify with the variable slot so body
   // references see the same qualifiers.
-  auto VarKey = std::make_pair(F, P.Name);
-  auto VarIt = VarQuals.find(VarKey);
-  if (VarIt == VarQuals.end())
-    VarQuals.emplace(VarKey, Quals);
-  else
-    for (size_t I = 0; I < Quals.size() && I < VarIt->second.size(); ++I) {
-      Graph.addFlow(Quals[I], VarIt->second[I]);
-      Graph.addFlow(VarIt->second[I], Quals[I]);
+  Memo &Var = LocalVars[F->firstSlot() + P.Slot];
+  if (!Var.Made) {
+    Var.Made = true;
+    Var.Quals = Entry.Quals;
+  } else {
+    for (size_t I = 0; I < Entry.Quals.size() && I < Var.Quals.size(); ++I) {
+      Graph.addFlow(Entry.Quals[I], Var.Quals[I]);
+      Graph.addFlow(Var.Quals[I], Entry.Quals[I]);
     }
-  return ParamQuals.emplace(Key, std::move(Quals)).first->second;
+  }
+  return Entry.Quals;
 }
 
 void QualInference::seedNull(QualGraph::Node N, const std::string &Reason,
@@ -152,15 +170,14 @@ void QualInference::seedNull(QualGraph::Node N, const std::string &Reason,
   Graph.addFlow(Source, N, {Kind, Loc});
 }
 
-void QualInference::unifyAliasClass(
-    const std::vector<std::pair<const CFuncDecl *, std::string>> &Vars,
-    SourceLoc Loc) {
+void QualInference::unifyAliasClass(std::span<const CVarRef> Vars,
+                                    SourceLoc Loc) {
   // "We add constraints to require that all may-aliased expressions have
   // the same type" (Section 4.2): bidirectional flows pairwise through
   // the first member.
   const QualVec *First = nullptr;
-  for (const auto &[Func, Name] : Vars) {
-    const QualVec &Q = qualsOfVar(Func, Name);
+  for (CVarRef Var : Vars) {
+    const QualVec &Q = qualsOfVar(Var);
     if (Q.empty())
       continue;
     if (!First) {
@@ -185,46 +202,43 @@ void QualInference::analyzeGlobals() {
   if (GlobalsAnalyzed)
     return;
   GlobalsAnalyzed = true;
-  CScope Empty;
   for (const CGlobalDecl *G : Program.globals()) {
-    qualsOfVar(nullptr, G->name());
+    qualsOfGlobal(G);
     if (G->init()) {
-      QualVec Init = qualsOfExpr(G->init(), Empty);
-      flowInto(Init, qualsOfVar(nullptr, G->name()));
+      QualVec Init = qualsOfExpr(G->init(), nullptr);
+      flowInto(Init, qualsOfGlobal(G));
     }
   }
 }
 
 void QualInference::analyzeFunction(const CFuncDecl *F) {
-  if (!F->isDefined() || AnalyzedFuncs.count(F))
+  if (!F->isDefined() || FuncInfo[F->index()].Analyzed)
     return;
-  AnalyzedFuncs.insert(F);
+  FuncInfo[F->index()].Analyzed = true;
   // Materialize parameter and return qualifiers.
   for (unsigned I = 0; I != F->params().size(); ++I)
     qualsOfParam(F, I);
   qualsOfReturn(F);
-  CScope Scope = CScope::forFunction(F);
-  analyzeStmt(F->body(), Scope);
+  analyzeStmt(F->body(), F);
 }
 
-void QualInference::analyzeStmt(const CStmt *S, CScope &Scope) {
+void QualInference::analyzeStmt(const CStmt *S, const CFuncDecl *Func) {
   switch (S->kind()) {
   case CStmtKind::Expr:
-    qualsOfExpr(cast<CExprStmt>(S)->expr(), Scope);
+    qualsOfExpr(cast<CExprStmt>(S)->expr(), Func);
     return;
   case CStmtKind::Decl: {
     const auto *D = cast<CDeclStmt>(S);
-    Scope.Locals[D->name()] = D->type();
     // Register the local's qualifiers from its declared type.
-    auto Key = std::make_pair(Scope.Func, D->name());
-    if (!VarQuals.count(Key))
-      VarQuals.emplace(Key,
-                       makeQualsForType(D->type(),
-                                        Scope.Func->name() + "::" + D->name(),
-                                        D->loc()));
+    Memo &Var = LocalVars[Func->firstSlot() + D->slot()];
+    if (!Var.Made) {
+      Var.Made = true;
+      Var.Quals = makeQualsForType(D->type(), Func->name() + "::" + D->name(),
+                                   D->loc());
+    }
     if (D->init()) {
-      QualVec Init = qualsOfExpr(D->init(), Scope);
-      flowInto(Init, VarQuals[Key]);
+      QualVec Init = qualsOfExpr(D->init(), Func);
+      flowInto(Init, Var.Quals);
     }
     return;
   }
@@ -232,51 +246,46 @@ void QualInference::analyzeStmt(const CStmt *S, CScope &Scope) {
     // Flow-insensitive and path-insensitive: both branches contribute,
     // the condition constrains nothing.
     const auto *I = cast<CIfStmt>(S);
-    qualsOfExpr(I->cond(), Scope);
-    CScope ThenScope = Scope;
-    analyzeStmt(I->thenStmt(), ThenScope);
-    if (I->elseStmt()) {
-      CScope ElseScope = Scope;
-      analyzeStmt(I->elseStmt(), ElseScope);
-    }
+    qualsOfExpr(I->cond(), Func);
+    analyzeStmt(I->thenStmt(), Func);
+    if (I->elseStmt())
+      analyzeStmt(I->elseStmt(), Func);
     return;
   }
   case CStmtKind::While: {
     const auto *W = cast<CWhileStmt>(S);
-    qualsOfExpr(W->cond(), Scope);
-    CScope BodyScope = Scope;
-    analyzeStmt(W->body(), BodyScope);
+    qualsOfExpr(W->cond(), Func);
+    analyzeStmt(W->body(), Func);
     return;
   }
   case CStmtKind::Return: {
     const auto *R = cast<CReturnStmt>(S);
     if (R->value()) {
-      QualVec V = qualsOfExpr(R->value(), Scope);
-      flowInto(V, qualsOfReturn(Scope.Func));
+      QualVec V = qualsOfExpr(R->value(), Func);
+      flowInto(V, qualsOfReturn(Func));
     }
     return;
   }
   case CStmtKind::Block:
     for (const CStmt *Sub : cast<CBlockStmt>(S)->stmts())
-      analyzeStmt(Sub, Scope);
+      analyzeStmt(Sub, Func);
     return;
   }
 }
 
-QualVec QualInference::analyzeCall(const CCall *Call, const CScope &Scope) {
+QualVec QualInference::analyzeCall(const CCall *Call, const CFuncDecl *Func) {
   // malloc returns a fresh non-null pointer.
-  if (const auto *Id = dyn_cast<CIdent>(Call->callee()))
-    if (Id->name() == "malloc" && !Program.findFunc("malloc")) {
-      for (const CExpr *Arg : Call->args())
-        qualsOfExpr(Arg, Scope);
-      QualVec Out;
-      Out.push_back(Graph.newNode("malloc result", Call->loc()));
-      return Out;
-    }
+  if (CSema::callsBuiltinMalloc(Call)) {
+    for (const CExpr *Arg : Call->args())
+      qualsOfExpr(Arg, Func);
+    QualVec Out;
+    Out.push_back(Graph.newNode("malloc result", Call->loc()));
+    return Out;
+  }
 
   std::vector<QualVec> ArgQuals;
   for (const CExpr *Arg : Call->args())
-    ArgQuals.push_back(qualsOfExpr(Arg, Scope));
+    ArgQuals.push_back(qualsOfExpr(Arg, Func));
 
   const CFuncDecl *Callee = Sema.directCallee(Call);
   if (Callee) {
@@ -296,7 +305,7 @@ QualVec QualInference::analyzeCall(const CCall *Call, const CScope &Scope) {
   // Indirect call: conservatively bind against every function whose
   // signature is compatible (the monomorphic approximation CilQual
   // makes with CIL's call-graph).
-  const CType *CalleeTy = Sema.typeOf(Call->callee(), Scope);
+  const CType *CalleeTy = Sema.typeOf(Call->callee());
   QualVec Ret;
   if (CalleeTy && CalleeTy->isPointer())
     CalleeTy = CalleeTy->pointee();
@@ -318,7 +327,7 @@ QualVec QualInference::analyzeCall(const CCall *Call, const CScope &Scope) {
   return Ret;
 }
 
-QualVec QualInference::qualsOfExpr(const CExpr *E, const CScope &Scope) {
+QualVec QualInference::qualsOfExpr(const CExpr *E, const CFuncDecl *Func) {
   switch (E->kind()) {
   case CExprKind::IntLit:
   case CExprKind::SizeOf:
@@ -337,21 +346,25 @@ QualVec QualInference::qualsOfExpr(const CExpr *E, const CScope &Scope) {
   }
   case CExprKind::Ident: {
     const auto *Id = cast<CIdent>(E);
-    if (Scope.Locals.count(Id->name()))
-      return qualsOfVar(Scope.Func, Id->name());
-    if (Program.findGlobal(Id->name()))
-      return qualsOfVar(nullptr, Id->name());
-    if (Program.findFunc(Id->name())) {
+    switch (Id->nameKind()) {
+    case CNameKind::Local:
+      return qualsOfVar({Func, Id->localSlot()});
+    case CNameKind::Global:
+      return qualsOfGlobal(Id->global());
+    case CNameKind::Function: {
       // A function name used as a value: a non-null function pointer.
       QualVec Out;
       Out.push_back(Graph.newNode("&" + Id->name(), E->loc()));
       return Out;
     }
+    case CNameKind::Unresolved:
+      return {};
+    }
     return {};
   }
   case CExprKind::Unary: {
     const auto *U = cast<CUnary>(E);
-    QualVec Sub = qualsOfExpr(U->sub(), Scope);
+    QualVec Sub = qualsOfExpr(U->sub(), Func);
     switch (U->op()) {
     case CUnaryOp::Deref: {
       if (Opts.WarnAllDereferences && !Sub.empty()) {
@@ -378,8 +391,8 @@ QualVec QualInference::qualsOfExpr(const CExpr *E, const CScope &Scope) {
   }
   case CExprKind::Binary: {
     const auto *B = cast<CBinary>(E);
-    QualVec L = qualsOfExpr(B->lhs(), Scope);
-    QualVec R = qualsOfExpr(B->rhs(), Scope);
+    QualVec L = qualsOfExpr(B->lhs(), Func);
+    QualVec R = qualsOfExpr(B->rhs(), Func);
     if (B->op() == CBinaryOp::Add || B->op() == CBinaryOp::Sub) {
       // Pointer arithmetic preserves the pointer's qualifiers.
       if (!L.empty())
@@ -392,23 +405,23 @@ QualVec QualInference::qualsOfExpr(const CExpr *E, const CScope &Scope) {
   }
   case CExprKind::Assign: {
     const auto *A = cast<CAssign>(E);
-    QualVec Target = qualsOfExpr(A->target(), Scope);
-    QualVec Value = qualsOfExpr(A->value(), Scope);
+    QualVec Target = qualsOfExpr(A->target(), Func);
+    QualVec Value = qualsOfExpr(A->value(), Func);
     flowInto(Value, Target);
     return Target;
   }
   case CExprKind::Call:
-    return analyzeCall(cast<CCall>(E), Scope);
+    return analyzeCall(cast<CCall>(E), Func);
   case CExprKind::Member: {
     const auto *M = cast<CMember>(E);
-    QualVec Base = qualsOfExpr(M->base(), Scope);
+    QualVec Base = qualsOfExpr(M->base(), Func);
     if (M->isArrow() && Opts.WarnAllDereferences && !Base.empty()) {
       QualGraph::Node Bound = Graph.newNode("dereference", E->loc());
       Graph.markNonnullBound(Bound);
       Graph.addFlow(Base[0], Bound);
     }
     // Resolve the struct type to find the field's qualifier slot.
-    const CType *BaseTy = Sema.typeOf(M->base(), Scope);
+    const CType *BaseTy = Sema.typeOf(M->base());
     if (!BaseTy)
       return {};
     const CType *StructTy = M->isArrow() ? BaseTy->pointee() : BaseTy;
@@ -418,7 +431,7 @@ QualVec QualInference::qualsOfExpr(const CExpr *E, const CScope &Scope) {
   }
   case CExprKind::Cast: {
     // Casts pass qualifiers through (the (T*)malloc(...) idiom).
-    return qualsOfExpr(cast<CCast>(E)->sub(), Scope);
+    return qualsOfExpr(cast<CCast>(E)->sub(), Func);
   }
   }
   return {};

@@ -33,7 +33,7 @@
 #include "qual/QualGraph.h"
 
 #include <map>
-#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,13 +75,13 @@ struct QualOptions {
 
 /// The inference engine. Constraint generation is incremental: MIXY calls
 /// analyzeFunction for each function in a typed region and solve()
-/// whenever it needs qualifier answers.
+/// whenever it needs qualifier answers. Variables are addressed by the
+/// slots parseC's binder gave them (see CBind.h), so every table is a
+/// vector sized once, and the references the accessors return stay valid.
 class QualInference {
 public:
   QualInference(const CProgram &Program, CAstContext &Ctx,
-                DiagnosticEngine &Diags, QualOptions Opts = QualOptions())
-      : Program(Program), Sema(Program, Ctx, Diags), Diags(Diags),
-        Opts(Opts) {}
+                DiagnosticEngine &Diags, QualOptions Opts = QualOptions());
 
   void setSymHook(QualSymHook *Hook) { this->Hook = Hook; }
 
@@ -107,17 +107,23 @@ public:
 
   // --- qualifier variables (for MIXY's translations, Section 4.1) -------
 
-  /// Qualifier variables of variable \p Name (function-local or global).
-  const QualVec &qualsOfVar(const CFuncDecl *Func, const std::string &Name);
+  /// Qualifier variables of a variable: a local slot or a global slot.
+  /// A global slot that holds no global (a function's name, an unresolved
+  /// identifier) has none.
+  const QualVec &qualsOfVar(CVarRef Var);
+  const QualVec &qualsOfGlobal(const CGlobalDecl *G) {
+    return qualsOfVar({nullptr, G->slot()});
+  }
   /// Qualifier variables of field \p Field of \p Struct.
   const QualVec &qualsOfField(const CStructDecl *Struct,
                               const std::string &Field);
   const QualVec &qualsOfReturn(const CFuncDecl *F);
   const QualVec &qualsOfParam(const CFuncDecl *F, unsigned Index);
 
-  /// Qualifier variables of an arbitrary expression in a scope (generates
+  /// Qualifier variables of an arbitrary expression in the body of
+  /// \p Func, or in a global initializer when \p Func is null (generates
   /// any constraints the expression implies).
-  QualVec qualsOfExpr(const CExpr *E, const CScope &Scope);
+  QualVec qualsOfExpr(const CExpr *E, const CFuncDecl *Func);
 
   /// After solve(): may a null value reach this qualifier variable?
   bool mayBeNull(QualGraph::Node N) const { return Graph.mayBeNull(N); }
@@ -138,9 +144,8 @@ public:
   /// points-to analysis places in one equivalence class flow into each
   /// other (Section 4.2, symbolic-to-typed transition). \p Loc is the
   /// program point that triggered the restoration (tags the alias edges).
-  void unifyAliasClass(
-      const std::vector<std::pair<const CFuncDecl *, std::string>> &Vars,
-      SourceLoc Loc = SourceLoc());
+  void unifyAliasClass(std::span<const CVarRef> Vars,
+                       SourceLoc Loc = SourceLoc());
 
   QualGraph &graph() { return Graph; }
   CSema &sema() { return Sema; }
@@ -158,8 +163,20 @@ private:
   /// nodes where depths differ.
   void flowInto(const QualVec &From, const QualVec &To);
 
-  void analyzeStmt(const CStmt *S, CScope &Scope);
-  QualVec analyzeCall(const CCall *Call, const CScope &Scope);
+  void analyzeStmt(const CStmt *S, const CFuncDecl *Func);
+  QualVec analyzeCall(const CCall *Call, const CFuncDecl *Func);
+
+  /// One table entry, made on first use and kept for the analysis.
+  struct Memo {
+    QualVec Quals;
+    bool Made = false;
+  };
+  /// What inference keeps per function.
+  struct FuncTables {
+    Memo Return;
+    std::vector<Memo> Params; ///< Sized to the parameter count on first use.
+    bool Analyzed = false;
+  };
 
   const CProgram &Program;
   CSema Sema;
@@ -168,11 +185,10 @@ private:
   QualGraph Graph;
   QualSymHook *Hook = nullptr;
 
-  std::map<std::pair<const CFuncDecl *, std::string>, QualVec> VarQuals;
+  std::vector<Memo> GlobalVars;      // by global slot
+  std::vector<Memo> LocalVars;       // by CFuncDecl::firstSlot() + slot
+  std::vector<FuncTables> FuncInfo;  // by CFuncDecl::index()
   std::map<std::pair<const CStructDecl *, std::string>, QualVec> FieldQuals;
-  std::map<const CFuncDecl *, QualVec> ReturnQuals;
-  std::map<std::pair<const CFuncDecl *, unsigned>, QualVec> ParamQuals;
-  std::set<const CFuncDecl *> AnalyzedFuncs;
   bool GlobalsAnalyzed = false;
 };
 

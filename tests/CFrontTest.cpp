@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 using namespace mix::c;
 using mix::DiagnosticEngine;
 
@@ -259,39 +261,259 @@ TEST_F(CFrontTest, SemaTypesExpressions) {
   const CProgram *P = parse(
       "struct foo { int bar; struct foo *next; };\n"
       "struct foo *g;\n"
-      "int f(struct foo *x, int n) { return 0; }");
+      "int f(struct foo *x, int n) { x->bar; g->next; *x; &n; nope; "
+      "return 0; }");
   ASSERT_NE(P, nullptr) << Diags.str();
   CSema Sema(*P, Ctx, Diags);
-  CScope Scope = CScope::forFunction(P->findFunc("f"));
+  const auto &Body = cast<CBlockStmt>(P->findFunc("f")->body())->stmts();
 
-  auto TypeOfSrc = [&](const CExpr *E) {
-    const CType *T = Sema.typeOf(E, Scope);
+  auto TypeOfStmt = [&](size_t I) -> std::string {
+    const CType *T = Sema.typeOf(cast<CExprStmt>(Body[I])->expr());
     return T ? T->str() : "<error>";
   };
+  EXPECT_EQ(TypeOfStmt(0), "int");          // x->bar
+  EXPECT_EQ(TypeOfStmt(1), "struct foo *"); // g->next
+  EXPECT_EQ(TypeOfStmt(2), "struct foo");   // *x
+  EXPECT_EQ(TypeOfStmt(3), "int *");        // &n
+  EXPECT_EQ(TypeOfStmt(4), "<error>");      // nope
+}
 
-  const CExpr *XBar = Ctx.make<CMember>(mix::SourceLoc(),
-                                        Ctx.make<CIdent>(mix::SourceLoc(),
-                                                         "x"),
-                                        "bar", /*IsArrow=*/true);
-  EXPECT_EQ(TypeOfSrc(XBar), "int");
+// --- name binding -----------------------------------------------------------
 
-  const CExpr *GNext = Ctx.make<CMember>(
-      mix::SourceLoc(), Ctx.make<CIdent>(mix::SourceLoc(), "g"), "next",
-      true);
-  EXPECT_EQ(TypeOfSrc(GNext), "struct foo *");
+namespace {
 
-  const CExpr *DerefX = Ctx.make<CUnary>(
-      mix::SourceLoc(), CUnaryOp::Deref,
-      Ctx.make<CIdent>(mix::SourceLoc(), "x"));
-  EXPECT_EQ(TypeOfSrc(DerefX), "struct foo");
+/// The identifiers of \p F's body, in source order.
+std::vector<const CIdent *> identsOf(const CFuncDecl *F) {
+  std::vector<const CIdent *> Out;
+  std::function<void(const CExpr *)> Expr = [&](const CExpr *E) {
+    switch (E->kind()) {
+    case CExprKind::Ident:
+      Out.push_back(cast<CIdent>(E));
+      return;
+    case CExprKind::Unary:
+      return Expr(cast<CUnary>(E)->sub());
+    case CExprKind::Binary:
+      Expr(cast<CBinary>(E)->lhs());
+      return Expr(cast<CBinary>(E)->rhs());
+    case CExprKind::Assign:
+      Expr(cast<CAssign>(E)->target());
+      return Expr(cast<CAssign>(E)->value());
+    case CExprKind::Call:
+      Expr(cast<CCall>(E)->callee());
+      for (const CExpr *Arg : cast<CCall>(E)->args())
+        Expr(Arg);
+      return;
+    case CExprKind::Member:
+      return Expr(cast<CMember>(E)->base());
+    case CExprKind::Cast:
+      return Expr(cast<CCast>(E)->sub());
+    default:
+      return;
+    }
+  };
+  std::function<void(const CStmt *)> Stmt = [&](const CStmt *S) {
+    switch (S->kind()) {
+    case CStmtKind::Expr:
+      return Expr(cast<CExprStmt>(S)->expr());
+    case CStmtKind::Decl:
+      if (cast<CDeclStmt>(S)->init())
+        Expr(cast<CDeclStmt>(S)->init());
+      return;
+    case CStmtKind::If:
+      Expr(cast<CIfStmt>(S)->cond());
+      Stmt(cast<CIfStmt>(S)->thenStmt());
+      if (cast<CIfStmt>(S)->elseStmt())
+        Stmt(cast<CIfStmt>(S)->elseStmt());
+      return;
+    case CStmtKind::While:
+      Expr(cast<CWhileStmt>(S)->cond());
+      return Stmt(cast<CWhileStmt>(S)->body());
+    case CStmtKind::Return:
+      if (cast<CReturnStmt>(S)->value())
+        Expr(cast<CReturnStmt>(S)->value());
+      return;
+    case CStmtKind::Block:
+      for (const CStmt *Sub : cast<CBlockStmt>(S)->stmts())
+        Stmt(Sub);
+      return;
+    }
+  };
+  Stmt(F->body());
+  return Out;
+}
 
-  const CExpr *AddrN = Ctx.make<CUnary>(
-      mix::SourceLoc(), CUnaryOp::AddrOf,
-      Ctx.make<CIdent>(mix::SourceLoc(), "n"));
-  EXPECT_EQ(TypeOfSrc(AddrN), "int *");
+/// "local <slot> <type>", "global <name>", "function <name>" or
+/// "unresolved <name>".
+std::string binding(const CIdent *Id) {
+  switch (Id->nameKind()) {
+  case CNameKind::Local:
+    return "local " + std::to_string(Id->localSlot()) + " " +
+           Id->localType()->str();
+  case CNameKind::Global:
+    return "global " + Id->global()->name();
+  case CNameKind::Function:
+    return "function " + Id->func()->name();
+  case CNameKind::Unresolved:
+    return "unresolved " + Id->name();
+  }
+  return "?";
+}
 
-  const CExpr *Bad = Ctx.make<CIdent>(mix::SourceLoc(), "nope");
-  EXPECT_EQ(TypeOfSrc(Bad), "<error>");
+std::vector<std::string> bindingsOf(const CFuncDecl *F) {
+  std::vector<std::string> Out;
+  for (const CIdent *Id : identsOf(F))
+    Out.push_back(Id->name() + ": " + binding(Id));
+  return Out;
+}
+
+using Strings = std::vector<std::string>;
+
+} // namespace
+
+TEST_F(CFrontTest, BinderLocalShadowsGlobal) {
+  const CProgram *P = parse("int *g;\n"
+                            "void f(int *p) { int *g = p; g; }\n"
+                            "void h(void) { g; }\n");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  EXPECT_EQ(bindingsOf(P->findFunc("f")),
+            (Strings{"p: local 0 int *", "g: local 1 int *"}));
+  EXPECT_EQ(bindingsOf(P->findFunc("h")), (Strings{"g: global g"}));
+}
+
+TEST_F(CFrontTest, BinderUseBeforeTheLocalDeclarationBindsTheGlobal) {
+  const CProgram *P = parse("int *g;\n"
+                            "int *g;\n"
+                            "void f(void) { g; char *g; g; }\n");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  std::vector<const CIdent *> Ids = identsOf(P->findFunc("f"));
+  ASSERT_EQ(Ids.size(), 2u);
+  ASSERT_EQ(Ids[0]->nameKind(), CNameKind::Global);
+  EXPECT_EQ(Ids[0]->global(), P->globals()[0]); // the first declaration
+  EXPECT_EQ(binding(Ids[1]), "local 0 char *");
+}
+
+TEST_F(CFrontTest, BinderBranchDeclarationsEndWithTheBranch) {
+  // `if` and `while` bodies see a copy of the scope; a plain block shares
+  // its parent's.
+  const CProgram *P = parse("int *x; int *y; int *z;\n"
+                            "void f(int c) {\n"
+                            "  if (c) { int *x; x; } else { y; } x;\n"
+                            "  while (c) { int *y; y; } y;\n"
+                            "  { int *z; z; } z;\n"
+                            "}\n");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  EXPECT_EQ(bindingsOf(P->findFunc("f")),
+            (Strings{"c: local 0 int", "x: local 1 int *", "y: global y",
+                     "x: global x", "c: local 0 int", "y: local 2 int *",
+                     "y: global y", "z: local 3 int *", "z: local 3 int *"}));
+}
+
+TEST_F(CFrontTest, BinderRedeclarationSharesOneSlot) {
+  const CProgram *P =
+      parse("void f(int *a) { int *b; a; char *a; int *b; a; b; }\n");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  const CFuncDecl *F = P->findFunc("f");
+  ASSERT_EQ(F->numSlots(), 2u);
+  EXPECT_EQ(F->slotName(0), "a");
+  EXPECT_EQ(F->slotName(1), "b");
+  EXPECT_EQ(F->params()[0].Slot, 0u);
+  const auto &Body = cast<CBlockStmt>(F->body())->stmts();
+  EXPECT_EQ(cast<CDeclStmt>(Body[0])->slot(), 1u);
+  EXPECT_EQ(cast<CDeclStmt>(Body[2])->slot(), 0u);
+  EXPECT_EQ(cast<CDeclStmt>(Body[3])->slot(), 1u);
+  // Each use sees the type of the declaration visible there.
+  EXPECT_EQ(bindingsOf(F), (Strings{"a: local 0 int *", "a: local 0 char *",
+                                    "b: local 1 int *"}));
+}
+
+TEST_F(CFrontTest, BinderInitializerSeesItsOwnDeclaration) {
+  const CProgram *P = parse("int *p;\nvoid f(void) { int *p = p; }\n");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  EXPECT_EQ(bindingsOf(P->findFunc("f")), (Strings{"p: local 0 int *"}));
+}
+
+TEST_F(CFrontTest, BinderUnknownNameStaysUnresolved) {
+  const CProgram *P = parse("int g;\n"
+                            "void f(void) { nope; other; nope; g; }\n"
+                            "void h(void) { nope; }\n");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  std::vector<const CIdent *> Ids = identsOf(P->findFunc("f"));
+  ASSERT_EQ(Ids.size(), 4u);
+  EXPECT_EQ(binding(Ids[0]), "unresolved nope");
+  EXPECT_FALSE(Ids[0]->namesFunction());
+  // One global slot per unresolved name, shared by all its uses.
+  EXPECT_EQ(Ids[0]->unresolvedSlot(), Ids[2]->unresolvedSlot());
+  EXPECT_EQ(Ids[0]->unresolvedSlot(),
+            identsOf(P->findFunc("h"))[0]->unresolvedSlot());
+  EXPECT_NE(Ids[0]->unresolvedSlot(), Ids[1]->unresolvedSlot());
+  const CProgram::GlobalSlot &Slot = P->globalSlots()[Ids[0]->unresolvedSlot()];
+  EXPECT_EQ(*Slot.Name, "nope");
+  EXPECT_EQ(Slot.Global, nullptr);
+  EXPECT_EQ(binding(Ids[3]), "global g");
+}
+
+TEST_F(CFrontTest, BinderFunctionNameUsedAsValueBindsTheFunction) {
+  const CProgram *P = parse("void target(void);\n"
+                            "void target(void) { }\n"
+                            "void (*fp)(void);\n"
+                            "void f(void) { fp = target; target(); }\n"
+                            "void g(void) { void (*target)(void); target(); }\n");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  std::vector<const CIdent *> Ids = identsOf(P->findFunc("f"));
+  ASSERT_EQ(Ids.size(), 3u);
+  EXPECT_EQ(binding(Ids[0]), "global fp");
+  ASSERT_EQ(Ids[1]->nameKind(), CNameKind::Function);
+  EXPECT_EQ(Ids[1]->func(), P->findFunc("target")); // the definition
+  EXPECT_EQ(Ids[2]->func(), P->findFunc("target"));
+  EXPECT_FALSE(Ids[0]->namesFunction());
+  EXPECT_TRUE(Ids[1]->namesFunction());
+
+  // A local that shadows the function binds the local, but a call still
+  // goes to the function of that name.
+  std::vector<const CIdent *> Shadowed = identsOf(P->findFunc("g"));
+  ASSERT_EQ(Shadowed.size(), 1u);
+  EXPECT_EQ(Shadowed[0]->nameKind(), CNameKind::Local);
+  EXPECT_TRUE(Shadowed[0]->namesFunction());
+  CSema Sema(*P, Ctx, Diags);
+  const auto *Call = cast<CCall>(cast<CExprStmt>(
+      cast<CBlockStmt>(P->findFunc("g")->body())->stmts()[1])->expr());
+  EXPECT_EQ(Sema.directCallee(Call), P->findFunc("target"));
+}
+
+TEST_F(CFrontTest, BinderIndicesAreDenseAndInDeclarationOrder) {
+  const CProgram *P = parse("int a;\n"
+                            "void f(int x);\n"
+                            "int b;\n"
+                            "int *a;\n"
+                            "void g(int y, int z) { int w; }\n"
+                            "void f(int x) { int v; u; }\n");
+  ASSERT_NE(P, nullptr) << Diags.str();
+  ASSERT_EQ(P->funcs().size(), 3u);
+  for (unsigned I = 0; I != 3; ++I)
+    EXPECT_EQ(P->funcs()[I]->index(), I);
+  // Globals first (a repeated declaration shares its slot), then the
+  // function names, then unresolved identifiers.
+  EXPECT_EQ(P->globals()[0]->slot(), 0u);
+  EXPECT_EQ(P->globals()[1]->slot(), 1u);
+  EXPECT_EQ(P->globals()[2]->slot(), 0u);
+  Strings Names;
+  for (const CProgram::GlobalSlot &S : P->globalSlots())
+    Names.push_back(*S.Name);
+  EXPECT_EQ(Names, (Strings{"a", "b", "f", "g", "u"}));
+  EXPECT_EQ(P->globalSlots()[0].Global, P->globals()[0]);
+  EXPECT_EQ(P->funcs()[0]->nameSlot(), 2u);
+  EXPECT_EQ(P->funcs()[2]->nameSlot(), 2u);
+  EXPECT_EQ(P->funcs()[1]->nameSlot(), 3u);
+  // Local slots: parameters first, numbered program-wide in declaration
+  // order; a prototype has slots for its parameters.
+  EXPECT_EQ(P->funcs()[0]->firstSlot(), 0u);
+  EXPECT_EQ(P->funcs()[0]->numSlots(), 1u);
+  EXPECT_EQ(P->funcs()[1]->firstSlot(), 1u);
+  EXPECT_EQ(P->funcs()[1]->numSlots(), 3u);
+  EXPECT_EQ(P->funcs()[1]->slotName(2), "w");
+  EXPECT_EQ(P->funcs()[2]->firstSlot(), 4u);
+  EXPECT_EQ(P->funcs()[2]->numSlots(), 2u);
+  EXPECT_EQ(P->numLocalSlots(), 6u);
 }
 
 // --- pretty printer -----------------------------------------------------------

@@ -154,6 +154,17 @@ TEST(MixyPersistTest, WarmRunIsByteIdenticalAndHitsTheBlockStore) {
   EXPECT_EQ(Warm.FuncsDirty, 0u);
 }
 
+TEST(MixyPersistTest, ProgramWithoutFunctionsRunsIncrementally) {
+  // No function means no points-to cell: the dependency edges must still
+  // be computed over an empty cell range.
+  TempDir D("nofuncs");
+  RunResult R = runMixy("int x;\nint *p;\n", D.Path);
+  EXPECT_NE(R.Diags.find("entry function 'main' not found"),
+            std::string::npos)
+      << R.Diags;
+  EXPECT_EQ(R.FuncsTotal, 0u);
+}
+
 TEST(MixyPersistTest, RoundCapWarningIsIdenticalColdAndWarm) {
   // Two MIX303 sources. The depth-16 chain runs out of fixpoint rounds;
   // that warning comes from the fixpoint, not from a block run, so it is

@@ -262,10 +262,12 @@ TEST_F(MixyTest, RepeatedRunsDoTheSameWork) {
         S.TypedBlockRuns,         S.TypedCacheHits,
         S.SymbolicCallsFromTyped, S.TypedCallsFromSymbolic,
         S.FixpointIterations,     S.RecursionsDetected};
-    // The executor's and the solver's work, as published to the registry.
+    // The executor's, the solver's, the points-to analysis's and the
+    // qualifier graph's work, as published to the registry.
     for (const char *Name :
          {"csym.paths", "csym.forks", "csym.forks_pruned", "csym.null_checks",
-          "csym.calls_inlined", "solver.queries"})
+          "csym.calls_inlined", "solver.queries", "ptranal.cells",
+          "ptranal.unions", "qual.variables", "qual.flow_edges"})
       Work.push_back(Reg.counterValue(Name));
     return Work;
   };
@@ -274,6 +276,8 @@ TEST_F(MixyTest, RepeatedRunsDoTheSameWork) {
   EXPECT_GT(First[0], 8u); // every filler block ran
   EXPECT_GT(First[9], 8u * 31); // csym.forks: 31 per block's if-cascade
   EXPECT_GT(First[13], 0u);     // solver.queries
+  for (size_t I = 14; I != 18; ++I)
+    EXPECT_GT(First[I], 0u); // points-to and qualifier work
   for (int I = 1; I != 20; ++I) {
     std::string Diags;
     EXPECT_EQ(Run(Diags), First) << "run " << I;

@@ -18,7 +18,7 @@ namespace {
 class PointsToTest : public ::testing::Test {
 protected:
   const CProgram *analyze(std::string_view Source) {
-    const CProgram *P = parseC(Source, Ctx, Diags);
+    P = parseC(Source, Ctx, Diags);
     EXPECT_NE(P, nullptr) << Diags.str();
     if (!P)
       return nullptr;
@@ -27,8 +27,32 @@ protected:
     return P;
   }
 
+  /// The storage cell of global \p Name.
+  PointsToAnalysis::CellId global(const std::string &Name) {
+    return Analysis->cellOfGlobal(P->findGlobal(Name));
+  }
+  /// The storage cell of local \p Name of function \p Func.
+  PointsToAnalysis::CellId local(const std::string &Func,
+                                 const std::string &Name) {
+    const CFuncDecl *F = P->findFunc(Func);
+    for (unsigned S = 0; S != F->numSlots(); ++S)
+      if (F->slotName(S) == Name)
+        return Analysis->cellOfLocal(F, S);
+    ADD_FAILURE() << Func << " has no local " << Name;
+    return PointsToAnalysis::NoCell;
+  }
+  /// The variables of \p Cell's class, as describe() names them.
+  std::vector<std::string> members(PointsToAnalysis::CellId Cell) {
+    std::vector<std::string> Out;
+    for (CVarRef V : Analysis->variablesInClass(Cell))
+      Out.push_back(V.Func ? V.Func->name() + "::" + V.Func->slotName(V.Slot)
+                           : "global::" + *P->globalSlots()[V.Slot].Name);
+    return Out;
+  }
+
   CAstContext Ctx;
   DiagnosticEngine Diags;
+  const CProgram *P = nullptr;
   std::unique_ptr<PointsToAnalysis> Analysis;
 };
 
@@ -38,8 +62,8 @@ TEST_F(PointsToTest, AddressOfUnifiesTarget) {
   const CProgram *P = analyze("int x; int *p;\n"
                               "void f(void) { p = &x; }");
   ASSERT_NE(P, nullptr);
-  auto PCell = Analysis->cellOfVar(nullptr, "p");
-  auto XCell = Analysis->cellOfVar(nullptr, "x");
+  auto PCell = global("p");
+  auto XCell = global("x");
   EXPECT_EQ(Analysis->pointsTo(PCell), Analysis->find(XCell));
 }
 
@@ -47,20 +71,20 @@ TEST_F(PointsToTest, AssignmentUnifiesPointers) {
   const CProgram *P = analyze("int x; int *p; int *q;\n"
                               "void f(void) { p = &x; q = p; }");
   ASSERT_NE(P, nullptr);
-  auto PCell = Analysis->cellOfVar(nullptr, "p");
-  auto QCell = Analysis->cellOfVar(nullptr, "q");
+  auto PCell = global("p");
+  auto QCell = global("q");
   // Steensgaard unifies the two pointers' targets.
   EXPECT_EQ(Analysis->pointsTo(PCell), Analysis->pointsTo(QCell));
   EXPECT_TRUE(Analysis->mayAlias(Analysis->pointsTo(PCell),
-                                 Analysis->cellOfVar(nullptr, "x")));
+                                 global("x")));
 }
 
 TEST_F(PointsToTest, UnrelatedPointersStaySeparate) {
   const CProgram *P = analyze("int x; int y; int *p; int *q;\n"
                               "void f(void) { p = &x; q = &y; }");
   ASSERT_NE(P, nullptr);
-  auto PT = Analysis->pointsTo(Analysis->cellOfVar(nullptr, "p"));
-  auto QT = Analysis->pointsTo(Analysis->cellOfVar(nullptr, "q"));
+  auto PT = Analysis->pointsTo(global("p"));
+  auto QT = Analysis->pointsTo(global("q"));
   EXPECT_NE(PT, QT);
   EXPECT_FALSE(Analysis->mayAlias(PT, QT));
 }
@@ -70,8 +94,8 @@ TEST_F(PointsToTest, SteensgaardConflatesAfterJoin) {
   const CProgram *P = analyze("int x; int y; int *p;\n"
                               "void f(void) { p = &x; p = &y; }");
   ASSERT_NE(P, nullptr);
-  EXPECT_TRUE(Analysis->mayAlias(Analysis->cellOfVar(nullptr, "x"),
-                                 Analysis->cellOfVar(nullptr, "y")));
+  EXPECT_TRUE(Analysis->mayAlias(global("x"),
+                                 global("y")));
 }
 
 TEST_F(PointsToTest, MallocSitesAreDistinct) {
@@ -82,9 +106,8 @@ TEST_F(PointsToTest, MallocSitesAreDistinct) {
       "  struct foo *q = (struct foo*) malloc(sizeof(struct foo));\n"
       "}");
   ASSERT_NE(P, nullptr);
-  const CFuncDecl *F = P->findFunc("f");
-  auto PT = Analysis->pointsTo(Analysis->cellOfVar(F, "p"));
-  auto QT = Analysis->pointsTo(Analysis->cellOfVar(F, "q"));
+  auto PT = Analysis->pointsTo(local("f", "p"));
+  auto QT = Analysis->pointsTo(local("f", "q"));
   ASSERT_NE(PT, PointsToAnalysis::NoCell);
   ASSERT_NE(QT, PointsToAnalysis::NoCell);
   EXPECT_NE(PT, QT);
@@ -95,9 +118,8 @@ TEST_F(PointsToTest, CallBindsArgumentsToParameters) {
                               "int *id(int *a) { return a; }\n"
                               "void f(void) { int *r = id(&x); }");
   ASSERT_NE(P, nullptr);
-  const CFuncDecl *F = P->findFunc("f");
-  auto RT = Analysis->pointsTo(Analysis->cellOfVar(F, "r"));
-  EXPECT_EQ(RT, Analysis->find(Analysis->cellOfVar(nullptr, "x")));
+  auto RT = Analysis->pointsTo(local("f", "r"));
+  EXPECT_EQ(RT, Analysis->find(global("x")));
 }
 
 TEST_F(PointsToTest, ContextInsensitivityConflatesCallSites) {
@@ -109,8 +131,8 @@ TEST_F(PointsToTest, ContextInsensitivityConflatesCallSites) {
                               "void f(void) { int *r = id(&x); "
                               "int *s = id(&y); }");
   ASSERT_NE(P, nullptr);
-  EXPECT_TRUE(Analysis->mayAlias(Analysis->cellOfVar(nullptr, "x"),
-                                 Analysis->cellOfVar(nullptr, "y")));
+  EXPECT_TRUE(Analysis->mayAlias(global("x"),
+                                 global("y")));
 }
 
 TEST_F(PointsToTest, DerefAssignment) {
@@ -118,8 +140,8 @@ TEST_F(PointsToTest, DerefAssignment) {
                               "void f(void) { pp = &p; *pp = &x; }");
   ASSERT_NE(P, nullptr);
   // *pp and p share a cell, so p now points to x.
-  EXPECT_EQ(Analysis->pointsTo(Analysis->cellOfVar(nullptr, "p")),
-            Analysis->find(Analysis->cellOfVar(nullptr, "x")));
+  EXPECT_EQ(Analysis->pointsTo(global("p")),
+            Analysis->find(global("x")));
 }
 
 TEST_F(PointsToTest, StructFieldsAreFieldInsensitive) {
@@ -129,9 +151,9 @@ TEST_F(PointsToTest, StructFieldsAreFieldInsensitive) {
       "void f(void) { g.a = &x; }");
   ASSERT_NE(P, nullptr);
   // Field-insensitive: the struct is one cell; both fields alias.
-  auto GCell = Analysis->cellOfVar(nullptr, "g");
+  auto GCell = global("g");
   EXPECT_EQ(Analysis->pointsTo(GCell),
-            Analysis->find(Analysis->cellOfVar(nullptr, "x")));
+            Analysis->find(global("x")));
 }
 
 TEST_F(PointsToTest, FunctionPointerCall) {
@@ -142,9 +164,8 @@ TEST_F(PointsToTest, FunctionPointerCall) {
       "void f(void) { fp = target; (*fp)(&x); }");
   ASSERT_NE(P, nullptr);
   // The indirect call binds &x to target's parameter.
-  const CFuncDecl *Target = P->findFunc("target");
-  auto ParamTarget = Analysis->pointsTo(Analysis->cellOfVar(Target, "p"));
-  EXPECT_EQ(ParamTarget, Analysis->find(Analysis->cellOfVar(nullptr, "x")));
+  auto ParamTarget = Analysis->pointsTo(local("target", "p"));
+  EXPECT_EQ(ParamTarget, Analysis->find(global("x")));
 }
 
 TEST_F(PointsToTest, VariablesInClassReporting) {
@@ -153,30 +174,64 @@ TEST_F(PointsToTest, VariablesInClassReporting) {
   ASSERT_NE(P, nullptr);
   // p and q remain distinct storage, but their shared target class holds
   // both possible pointees.
-  EXPECT_NE(Analysis->find(Analysis->cellOfVar(nullptr, "p")),
-            Analysis->find(Analysis->cellOfVar(nullptr, "q")));
-  auto Members = Analysis->variablesInClass(
-      Analysis->pointsTo(Analysis->cellOfVar(nullptr, "q")));
-  bool SawX = false, SawY = false;
-  for (const auto &[Func, Name] : Members) {
-    if (Name == "x")
-      SawX = true;
-    if (Name == "y")
-      SawY = true;
-  }
-  EXPECT_TRUE(SawX);
-  EXPECT_TRUE(SawY);
+  EXPECT_NE(Analysis->find(global("p")),
+            Analysis->find(global("q")));
+  EXPECT_EQ(members(Analysis->pointsTo(global("q"))),
+            (std::vector<std::string>{"global::x", "global::y"}));
+}
+
+TEST_F(PointsToTest, VariablesInClassIsInDeclarationOrder) {
+  // Global-level names first, by name; then each function's locals,
+  // functions in declaration order and names in byte order.
+  const CProgram *P = analyze("int zeta; int alpha; int *p;\n"
+                              "void second(void) { int y; int b; p = &y; "
+                              "p = &b; }\n"
+                              "void first(void) { int x; p = &x; }\n"
+                              "void init(void) { p = &zeta; p = &alpha; }");
+  ASSERT_NE(P, nullptr);
+  auto Target = Analysis->pointsTo(global("p"));
+  std::vector<std::string> Expected{"global::alpha", "global::zeta",
+                                    "second::b", "second::y", "first::x"};
+  EXPECT_EQ(members(Target), Expected);
+  EXPECT_EQ(Analysis->describe(Target),
+            "{global::alpha, global::zeta, second::b, second::y, first::x}");
+}
+
+TEST_F(PointsToTest, IndirectCallReturnsEveryTargetsValue) {
+  // fp may hold f or g, so r may point wherever either returns.
+  const CProgram *P = analyze("int ga; int gb; int *a; int *b; int *r;\n"
+                              "int *f(void) { return a; }\n"
+                              "int *g(void) { return b; }\n"
+                              "int *(*fp)(void);\n"
+                              "void main(void) { a = &ga; b = &gb; fp = f; "
+                              "fp = g; r = fp(); }");
+  ASSERT_NE(P, nullptr);
+  auto Target = Analysis->pointsTo(global("r"));
+  EXPECT_EQ(Target, Analysis->find(global("ga")));
+  EXPECT_EQ(Target, Analysis->find(global("gb")));
+  EXPECT_EQ(members(Target),
+            (std::vector<std::string>{"global::ga", "global::gb"}));
+}
+
+TEST_F(PointsToTest, ProgramWithoutFunctionsHasNoCells) {
+  // Nothing makes a cell here; the count must read zero, not wrap.
+  const CProgram *P = analyze("int x; int *p;");
+  ASSERT_NE(P, nullptr);
+  EXPECT_EQ(Analysis->numCells(), 0u);
+  EXPECT_EQ(global("p"), PointsToAnalysis::NoCell);
+  EXPECT_TRUE(Analysis->variablesInClass(PointsToAnalysis::NoCell).empty());
+  EXPECT_EQ(Analysis->describe(PointsToAnalysis::NoCell), "{}");
 }
 
 TEST_F(PointsToTest, DescribeIsReadable) {
   const CProgram *P = analyze("int x; int *p; int *q;\n"
                               "void f(void) { p = &x; q = malloc(4); }");
   ASSERT_NE(P, nullptr);
-  std::string D = Analysis->describe(Analysis->cellOfVar(nullptr, "x"));
+  std::string D = Analysis->describe(global("x"));
   EXPECT_EQ(D, "{global::x}");
   // A class without named variables (here the heap cell q points to)
   // gets a short fixed name, whatever chain of pointers reaches it.
-  auto Heap = Analysis->pointsTo(Analysis->cellOfVar(nullptr, "q"));
+  auto Heap = Analysis->pointsTo(global("q"));
   EXPECT_EQ(Analysis->describe(Heap),
             "{<cell " + std::to_string(Heap) + ">}");
 }

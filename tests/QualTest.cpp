@@ -203,9 +203,9 @@ TEST_F(QualTest, MayBeNullQuery) {
   QualInference Inf(*P, Ctx, Diags);
   Inf.analyzeAll();
   Inf.solve();
-  ASSERT_FALSE(Inf.qualsOfVar(nullptr, "a").empty());
-  EXPECT_TRUE(Inf.mayBeNull(Inf.qualsOfVar(nullptr, "a")[0]));
-  EXPECT_FALSE(Inf.mayBeNull(Inf.qualsOfVar(nullptr, "b")[0]));
+  ASSERT_FALSE(Inf.qualsOfGlobal(P->findGlobal("a")).empty());
+  EXPECT_TRUE(Inf.mayBeNull(Inf.qualsOfGlobal(P->findGlobal("a"))[0]));
+  EXPECT_FALSE(Inf.mayBeNull(Inf.qualsOfGlobal(P->findGlobal("b"))[0]));
 }
 
 TEST_F(QualTest, SeedNullInjectsTaint) {
@@ -220,7 +220,7 @@ TEST_F(QualTest, SeedNullInjectsTaint) {
   Inf.analyzeAll();
   Inf.solve();
   EXPECT_EQ(Inf.violationCount(), 0u);
-  Inf.seedNull(Inf.qualsOfVar(nullptr, "x")[0], "symbolic result",
+  Inf.seedNull(Inf.qualsOfGlobal(P->findGlobal("x"))[0], "symbolic result",
                mix::SourceLoc());
   Inf.solve();
   EXPECT_EQ(Inf.violationCount(), 1u);
@@ -239,7 +239,9 @@ TEST_F(QualTest, AliasClassUnification) {
   Inf.analyzeAll();
   Inf.solve();
   EXPECT_EQ(Inf.violationCount(), 0u);
-  Inf.unifyAliasClass({{nullptr, "p"}, {nullptr, "q"}});
+  CVarRef Class[] = {{nullptr, P->findGlobal("p")->slot()},
+                     {nullptr, P->findGlobal("q")->slot()}};
+  Inf.unifyAliasClass(Class);
   Inf.solve();
   EXPECT_EQ(Inf.violationCount(), 1u);
 }
