@@ -14,7 +14,8 @@
 // argument selects how many filler entry points carry MIX(symbolic).
 // A second axis grows the program instead: typed filler modules only, so
 // MIXY's typed-side bookkeeping (name lookup, region and edge building)
-// must stay linear in the number of functions.
+// must stay linear in the number of functions. A third times the front
+// end alone on that axis: lexing, parsing and binding into a fresh arena.
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,6 +92,23 @@ void BM_Scaling_ProgramSize(benchmark::State &State) {
   State.counters["funcs"] = (double)Funcs;
 }
 
+/// The front end alone: parseC over the corpus plus N typed filler
+/// modules into a fresh context, torn down each iteration. Reports source
+/// bytes per second and the arena bytes one parse leaves.
+void BM_Scaling_Parse(benchmark::State &State) {
+  unsigned Modules = (unsigned)State.range(0);
+  std::string Source = corpus::vsftpdScaled(/*Annotated=*/true, Modules, 0);
+  size_t AstBytes = 0;
+  for (auto _ : State) {
+    CAstContext Ctx;
+    DiagnosticEngine Diags;
+    benchmark::DoNotOptimize(parseC(Source, Ctx, Diags));
+    AstBytes = Ctx.numBytes();
+  }
+  State.SetBytesProcessed((int64_t)State.iterations() * (int64_t)Source.size());
+  State.counters["ast_bytes"] = (double)AstBytes;
+}
+
 } // namespace
 
 BENCHMARK(BM_Scaling_PureTyped)->Unit(benchmark::kMillisecond);
@@ -105,6 +123,11 @@ BENCHMARK(BM_Scaling_ProgramSize)
     ->Arg(250)
     ->Arg(500)
     ->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Scaling_Parse)
+    ->Arg(250)
+    ->Arg(1000)
+    ->Arg(4000)
     ->Unit(benchmark::kMillisecond);
 
 MIX_BENCH_MAIN(scaling)

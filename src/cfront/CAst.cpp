@@ -101,14 +101,29 @@ const CFuncDecl *CProgram::findFunc(const std::string &Name) const {
   return lookup(FuncByName, Name);
 }
 
+CAstContext::~CAstContext() {
+  for (Cleanup *C = Cleanups; C; C = C->Next)
+    C->Destroy(C + 1);
+}
+
+void *CAstContext::allocateInNewBlock(size_t Size) {
+  // A new block starts at operator new's alignment, which suits every
+  // object make() accepts.
+  size_t BlockSize = std::max(NextBlockSize, Size);
+  NextBlockSize = std::min(NextBlockSize * 2, MaxBlockSize);
+  Blocks.emplace_back(new char[BlockSize]);
+  char *Out = Blocks.back().get();
+  Cur = Out + Size;
+  End = Out + BlockSize;
+  Bytes += Size;
+  return Out;
+}
+
 const CType *CAstContext::makeType(CTypeKind Kind, const CType *Inner,
                                    QualAnnot Qual, const CStructDecl *Struct,
-                                   std::vector<const CType *> Params) {
-  auto Fresh = std::unique_ptr<const CType>(
-      new CType(Kind, Inner, Qual, Struct, std::move(Params)));
-  const CType *Ptr = Fresh.get();
-  OwnedTypes.push_back(std::move(Fresh));
-  return Ptr;
+                                   std::span<const CType *const> Params) {
+  static_assert(std::is_trivially_destructible_v<CType>);
+  return make<CType>(Kind, Inner, Qual, Struct, Params);
 }
 
 const CType *CAstContext::voidType() {
@@ -138,7 +153,7 @@ const CType *CAstContext::structType(const CStructDecl *Decl) {
 }
 
 const CType *CAstContext::funcType(const CType *Result,
-                                   std::vector<const CType *> Params) {
+                                   std::span<const CType *const> Params) {
   return makeType(CTypeKind::Func, Result, QualAnnot::None, nullptr,
-                  std::move(Params));
+                  copyArray(Params));
 }

@@ -20,9 +20,14 @@
 #include "cfront/CType.h"
 #include "support/SourceLoc.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -248,15 +253,17 @@ private:
 
 class CCall : public CExpr {
 public:
-  CCall(SourceLoc Loc, const CExpr *Callee, std::vector<const CExpr *> Args)
-      : CExpr(CExprKind::Call, Loc), Callee(Callee), Args(std::move(Args)) {}
+  /// \p Args lives in the node's CAstContext.
+  CCall(SourceLoc Loc, const CExpr *Callee,
+        std::span<const CExpr *const> Args)
+      : CExpr(CExprKind::Call, Loc), Callee(Callee), Args(Args) {}
   const CExpr *callee() const { return Callee; }
-  const std::vector<const CExpr *> &args() const { return Args; }
+  std::span<const CExpr *const> args() const { return Args; }
   static bool classof(const CExpr *E) { return E->kind() == CExprKind::Call; }
 
 private:
   const CExpr *Callee;
-  std::vector<const CExpr *> Args;
+  std::span<const CExpr *const> Args;
 };
 
 /// Member access `base.field` or `base->field`.
@@ -411,15 +418,16 @@ private:
 
 class CBlockStmt : public CStmt {
 public:
-  CBlockStmt(SourceLoc Loc, std::vector<const CStmt *> Stmts)
-      : CStmt(CStmtKind::Block, Loc), Stmts(std::move(Stmts)) {}
-  const std::vector<const CStmt *> &stmts() const { return Stmts; }
+  /// \p Stmts lives in the node's CAstContext.
+  CBlockStmt(SourceLoc Loc, std::span<const CStmt *const> Stmts)
+      : CStmt(CStmtKind::Block, Loc), Stmts(Stmts) {}
+  std::span<const CStmt *const> stmts() const { return Stmts; }
   static bool classof(const CStmt *S) {
     return S->kind() == CStmtKind::Block;
   }
 
 private:
-  std::vector<const CStmt *> Stmts;
+  std::span<const CStmt *const> Stmts;
 };
 
 // === Declarations ============================================================
@@ -487,11 +495,14 @@ public:
   unsigned nameSlot() const { return NameSlot; }
   /// Local slots, numbered program-wide from firstSlot() on.
   unsigned firstSlot() const { return FirstSlot; }
-  unsigned numSlots() const { return (unsigned)SlotNames.size(); }
+  unsigned numSlots() const { return (unsigned)Slots.size(); }
   /// The name of local slot \p Slot (owned by its first declaration).
   const std::string &slotName(unsigned Slot) const {
-    return *SlotNames[Slot];
+    return *Slots[Slot].Name;
   }
+  /// The first declaration of local slot \p Slot: a local's, or null
+  /// when a parameter declares it.
+  const CDeclStmt *slotDecl(unsigned Slot) const { return Slots[Slot].Decl; }
 
 private:
   friend class CBinder;
@@ -505,7 +516,11 @@ private:
   unsigned Index = 0;
   unsigned NameSlot = 0;
   unsigned FirstSlot = 0;
-  std::vector<const std::string *> SlotNames;
+  struct LocalSlot {
+    const std::string *Name;
+    const CDeclStmt *Decl; ///< Null for a parameter's slot.
+  };
+  std::vector<LocalSlot> Slots;
 };
 
 /// A global variable.
@@ -579,9 +594,19 @@ private:
   std::unordered_map<std::string, const CFuncDecl *> FuncByName;
 };
 
-/// Owns every node of a mini-C parse.
+/// Owns every node and type of a mini-C parse, and the types the analyses
+/// derive from them later. Nodes are bump-allocated from one arena that
+/// grows in blocks and is freed whole when the context dies. Before that,
+/// the nodes that own heap memory (a name, or a declaration's lists) are
+/// destroyed, newest first. DESIGN.md "The front end allocates per parse"
+/// has the layout and the measured cost.
 class CAstContext {
 public:
+  CAstContext() = default;
+  CAstContext(const CAstContext &) = delete;
+  CAstContext &operator=(const CAstContext &) = delete;
+  ~CAstContext();
+
   // Types.
   const CType *voidType();
   const CType *intType();
@@ -589,26 +614,79 @@ public:
   const CType *pointerType(const CType *Pointee,
                            QualAnnot Qual = QualAnnot::None);
   const CType *structType(const CStructDecl *Decl);
+  /// Copies \p Params into the arena.
   const CType *funcType(const CType *Result,
-                        std::vector<const CType *> Params);
+                        std::span<const CType *const> Params);
+
+  /// Copies \p Items into the arena: the child lists of nodes.
+  template <typename T>
+  std::span<const T> copyArray(std::span<const T> Items) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    auto *Out = static_cast<T *>(allocate(Items.size_bytes(), alignof(T)));
+    std::copy(Items.begin(), Items.end(), Out);
+    return {Out, Items.size()};
+  }
 
   // Nodes.
   template <typename T, typename... Args> T *make(Args &&...As) {
-    auto Node = std::make_unique<T>(std::forward<Args>(As)...);
-    T *Ptr = Node.get();
-    Owned.push_back(
-        OwnedPtr(Node.release(), [](void *P) { delete static_cast<T *>(P); }));
-    return Ptr;
+    static_assert(alignof(T) <= alignof(std::max_align_t));
+    T *Node;
+    if constexpr (std::is_trivially_destructible_v<T>) {
+      Node = ::new (allocate(sizeof(T), alignof(T)))
+          T(std::forward<Args>(As)...);
+    } else {
+      // The object sits right after its cleanup record, which is linked
+      // only once the constructor has returned.
+      static_assert(alignof(T) <= alignof(Cleanup));
+      auto *C = static_cast<Cleanup *>(
+          allocate(sizeof(Cleanup) + sizeof(T), alignof(Cleanup)));
+      Node = ::new (static_cast<void *>(C + 1)) T(std::forward<Args>(As)...);
+      C->Next = Cleanups;
+      C->Destroy = [](void *P) { static_cast<T *>(P)->~T(); };
+      Cleanups = C;
+    }
+    ++Nodes;
+    return Node;
   }
 
+  /// Nodes made so far, declarations and types included.
+  size_t numNodes() const { return Nodes; }
+  /// Arena bytes handed out so far, cleanup records and alignment
+  /// included (heap memory the objects own is not).
+  size_t numBytes() const { return Bytes; }
+
 private:
+  struct Cleanup {
+    Cleanup *Next;
+    void (*Destroy)(void *Object);
+  };
+
+  void *allocate(size_t Size, size_t Align) {
+    size_t Pad = -reinterpret_cast<uintptr_t>(Cur) & (Align - 1);
+    if (Size + Pad > size_t(End - Cur))
+      return allocateInNewBlock(Size);
+    char *Out = Cur + Pad;
+    Cur = Out + Size;
+    Bytes += Pad + Size;
+    return Out;
+  }
+  void *allocateInNewBlock(size_t Size);
   const CType *makeType(CTypeKind Kind, const CType *Inner, QualAnnot Qual,
                         const CStructDecl *Struct,
-                        std::vector<const CType *> Params);
+                        std::span<const CType *const> Params);
 
-  using OwnedPtr = std::unique_ptr<void, void (*)(void *)>;
-  std::vector<OwnedPtr> Owned;
-  std::vector<std::unique_ptr<const CType>> OwnedTypes;
+  /// Blocks double from a size that suits a one-function program up to
+  /// a cap, so small parses stay small and large ones make few blocks.
+  static constexpr size_t FirstBlockSize = 4096;
+  static constexpr size_t MaxBlockSize = size_t(1) << 20;
+
+  std::vector<std::unique_ptr<char[]>> Blocks;
+  char *Cur = nullptr;
+  char *End = nullptr;
+  size_t NextBlockSize = FirstBlockSize;
+  Cleanup *Cleanups = nullptr; ///< Newest first.
+  size_t Nodes = 0;
+  size_t Bytes = 0;
   const CType *VoidTy = nullptr;
   const CType *IntTy = nullptr;
   const CType *CharTy = nullptr;

@@ -28,10 +28,11 @@ unsigned CBinder::newGlobalSlot(const std::string &Name,
   return (unsigned)Program.GlobalSlots.size() - 1;
 }
 
-unsigned CBinder::localSlot(NameInfo &Info, const std::string &Name) {
+unsigned CBinder::localSlot(NameInfo &Info, const std::string &Name,
+                            const CDeclStmt *Decl) {
   if (Info.LocalSlot == NoSlot) {
     Info.LocalSlot = (unsigned)Slotted.size();
-    Slotted.push_back({&Info, &Name});
+    Slotted.push_back({&Info, {&Name, Decl}});
   }
   return Info.LocalSlot;
 }
@@ -68,14 +69,14 @@ void CBinder::bindFunction(CFuncDecl &F) {
   F.FirstSlot = Program.NumLocalSlots;
   for (CFuncDecl::Param &P : F.Params) {
     NameInfo &Info = info(P.Name);
-    P.Slot = localSlot(Info, P.Name);
+    P.Slot = localSlot(Info, P.Name, nullptr);
     Info.LocalTy = P.Ty;
   }
   if (F.Body)
     bindStmt(F.Body);
-  F.SlotNames.reserve(Slotted.size());
-  for (auto [Info, Name] : Slotted) {
-    F.SlotNames.push_back(Name);
+  F.Slots.reserve(Slotted.size());
+  for (auto [Info, Slot] : Slotted) {
+    F.Slots.push_back(Slot);
     Info->LocalSlot = NoSlot;
     Info->LocalTy = nullptr;
   }
@@ -101,7 +102,7 @@ void CBinder::bindStmt(const CStmt *S) {
   case CStmtKind::Decl: {
     const auto *D = cast<CDeclStmt>(S);
     NameInfo &Info = info(D->name());
-    mut(D).Slot = localSlot(Info, D->name());
+    mut(D).Slot = localSlot(Info, D->name(), D);
     Undo.push_back({&Info, Info.LocalTy});
     Info.LocalTy = D->type();
     if (D->init())

@@ -56,7 +56,10 @@ private:
   void run();
   NameInfo &info(const std::string &Name);
   unsigned newGlobalSlot(const std::string &Name, const CGlobalDecl *G);
-  unsigned localSlot(NameInfo &Info, const std::string &Name);
+  /// The slot of a local \p Name declared by \p Decl (null for a
+  /// parameter), made on its first declaration.
+  unsigned localSlot(NameInfo &Info, const std::string &Name,
+                     const CDeclStmt *Decl);
   void bindFunction(CFuncDecl &F);
   void bindStmt(const CStmt *S);
   /// Binds an `if` or `while` body, then undoes its declarations.
@@ -66,9 +69,9 @@ private:
 
   CProgram &Program;
   std::unordered_map<std::string_view, NameInfo> Names;
-  /// The function being bound: its slots' names in slot order, and the
+  /// The function being bound: its slots in slot order, and the
   /// visible-type changes its open `if`/`while` bodies must undo.
-  std::vector<std::pair<NameInfo *, const std::string *>> Slotted;
+  std::vector<std::pair<NameInfo *, CFuncDecl::LocalSlot>> Slotted;
   std::vector<std::pair<NameInfo *, const CType *>> Undo;
 };
 

@@ -10,6 +10,10 @@
 /// and `symbolic` are contextual keywords matching the paper's surface
 /// syntax for qualifier and analysis annotations.
 ///
+/// Tokens own nothing: each one views its spelling in the source buffer,
+/// so lexing allocates only the token vector, and a token copies as four
+/// words (DESIGN.md "The front end allocates per parse").
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MIX_CFRONT_CLEXER_H
@@ -17,13 +21,14 @@
 
 #include "support/Diagnostics.h"
 
-#include <string>
+#include <cstdint>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace mix::c {
 
-enum class CTokKind {
+enum class CTokKind : uint8_t {
   Eof,
   Error,
   Ident,
@@ -72,16 +77,26 @@ enum class CTokKind {
 
 const char *cTokKindName(CTokKind Kind);
 
+/// One token. \c Text views the source buffer lexC read, which must
+/// outlive the token.
 struct CTok {
   CTokKind Kind = CTokKind::Eof;
   SourceLoc Loc;
-  std::string Text; ///< Identifier or string-literal contents.
-  long long IntValue = 0;
+  /// The spelling of a name, keyword or integer literal, or a string
+  /// literal's contents as written: a backslash escapes the character
+  /// after it, and the parser drops it. Empty for punctuation, Eof and
+  /// Error.
+  std::string_view Text;
 
   bool is(CTokKind K) const { return Kind == K; }
+  /// An integer literal's value; lexC has checked that it fits.
+  long long intValue() const;
 };
+static_assert(std::is_trivially_copyable_v<CTok>);
 
-/// Lexes a whole buffer up front (the parser wants cheap lookahead).
+/// Lexes a whole buffer up front (the parser wants cheap lookahead), so
+/// every lexical diagnostic precedes the parser's. The last token is Eof,
+/// or Error after the first lexical error.
 std::vector<CTok> lexC(std::string_view Source, DiagnosticEngine &Diags);
 
 } // namespace mix::c

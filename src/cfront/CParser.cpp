@@ -14,9 +14,22 @@ using mix::SourceLoc;
 
 namespace {
 
+/// A string literal's value from its contents as written: a backslash
+/// takes the character after it literally.
+std::string unescape(std::string_view Contents) {
+  std::string Value;
+  Value.reserve(Contents.size());
+  for (size_t I = 0; I != Contents.size(); ++I) {
+    if (Contents[I] == '\\' && I + 1 != Contents.size())
+      ++I;
+    Value += Contents[I];
+  }
+  return Value;
+}
+
 /// One parsed declarator: a name and the fully-built type.
 struct Declarator {
-  std::string Name;
+  std::string_view Name; ///< Views the source.
   const CType *Ty = nullptr;
 };
 
@@ -66,6 +79,15 @@ private:
     return false;
   }
 
+  /// Moves the entries of \p Stack from \p Mark on into the arena.
+  template <typename T>
+  std::span<const T> popList(std::vector<T> &Stack, size_t Mark) {
+    std::span<const T> List =
+        Ctx.copyArray<T>(std::span<const T>(Stack).subspan(Mark));
+    Stack.resize(Mark);
+    return List;
+  }
+
   bool startsType() const {
     switch (tok().Kind) {
     case CTokKind::KwVoid:
@@ -98,7 +120,7 @@ private:
         error("expected struct name");
         return nullptr;
       }
-      std::string Name = tok().Text;
+      std::string Name(tok().Text);
       consume();
       const CStructDecl *S = Program.findStruct(Name);
       if (!S) {
@@ -215,7 +237,7 @@ private:
       Declarator D;
       if (!parseDeclarator(Program, Spec, D))
         return false;
-      Out.push_back({D.Name, D.Ty});
+      Out.push_back({std::string(D.Name), D.Ty});
       if (tok().is(CTokKind::Comma)) {
         consume();
         continue;
@@ -270,7 +292,7 @@ private:
         return false;
       }
       Program.addFunc(Ctx.make<CFuncDecl>(
-          Loc, D.Name, D.Ty, std::move(Params), Annot, Body));
+          Loc, std::string(D.Name), D.Ty, std::move(Params), Annot, Body));
       return true;
     }
 
@@ -285,13 +307,14 @@ private:
     }
     if (!expect(CTokKind::Semi))
       return false;
-    Program.addGlobal(Ctx.make<CGlobalDecl>(Loc, D.Name, D.Ty, Init));
+    Program.addGlobal(
+        Ctx.make<CGlobalDecl>(Loc, std::string(D.Name), D.Ty, Init));
     return true;
   }
 
   bool parseStructDef(CProgram &Program) {
     consume(); // struct
-    std::string Name = tok().Text;
+    std::string Name(tok().Text);
     SourceLoc Loc = tok().Loc;
     consume(); // name
     consume(); // {
@@ -316,7 +339,7 @@ private:
         return false;
       if (!expect(CTokKind::Semi))
         return false;
-      S->addField(D.Name, D.Ty);
+      S->addField(std::string(D.Name), D.Ty);
     }
     consume(); // }
     return expect(CTokKind::Semi);
@@ -328,7 +351,7 @@ private:
     SourceLoc Loc = tok().Loc;
     if (!expect(CTokKind::LBrace))
       return nullptr;
-    std::vector<const CStmt *> Stmts;
+    size_t Mark = StmtStack.size();
     while (!tok().is(CTokKind::RBrace)) {
       if (tok().is(CTokKind::Eof) || tok().is(CTokKind::Error)) {
         error("unterminated block");
@@ -337,10 +360,10 @@ private:
       const CStmt *S = parseStmt(Program);
       if (!S)
         return nullptr;
-      Stmts.push_back(S);
+      StmtStack.push_back(S);
     }
     consume(); // }
-    return Ctx.make<CBlockStmt>(Loc, std::move(Stmts));
+    return Ctx.make<CBlockStmt>(Loc, popList(StmtStack, Mark));
   }
 
   const CStmt *parseStmt(CProgram &Program) {
@@ -348,7 +371,7 @@ private:
     switch (tok().Kind) {
     case CTokKind::Semi:
       consume();
-      return Ctx.make<CBlockStmt>(Loc, std::vector<const CStmt *>());
+      return Ctx.make<CBlockStmt>(Loc, std::span<const CStmt *const>());
     case CTokKind::LBrace:
       return parseBlock(Program);
     case CTokKind::KwIf: {
@@ -415,7 +438,7 @@ private:
       }
       if (!expect(CTokKind::Semi))
         return nullptr;
-      return Ctx.make<CDeclStmt>(Loc, D.Name, D.Ty, Init);
+      return Ctx.make<CDeclStmt>(Loc, std::string(D.Name), D.Ty, Init);
     }
 
     // Expression statement.
@@ -611,20 +634,20 @@ private:
           error("expected field name");
           return nullptr;
         }
-        std::string Field = tok().Text;
+        std::string Field(tok().Text);
         consume();
         E = Ctx.make<CMember>(Loc, E, std::move(Field), IsArrow);
         continue;
       }
       if (tok().is(CTokKind::LParen)) {
         consume();
-        std::vector<const CExpr *> Args;
+        size_t Mark = ExprStack.size();
         if (!tok().is(CTokKind::RParen)) {
           for (;;) {
             const CExpr *Arg = parseExpr(Program);
             if (!Arg)
               return nullptr;
-            Args.push_back(Arg);
+            ExprStack.push_back(Arg);
             if (tok().is(CTokKind::Comma)) {
               consume();
               continue;
@@ -634,7 +657,7 @@ private:
         }
         if (!expect(CTokKind::RParen))
           return nullptr;
-        E = Ctx.make<CCall>(Loc, E, std::move(Args));
+        E = Ctx.make<CCall>(Loc, E, popList(ExprStack, Mark));
         continue;
       }
       return E;
@@ -645,12 +668,12 @@ private:
     SourceLoc Loc = tok().Loc;
     switch (tok().Kind) {
     case CTokKind::IntLit: {
-      long long V = tok().IntValue;
+      long long V = tok().intValue();
       consume();
       return Ctx.make<CIntLit>(Loc, V);
     }
     case CTokKind::StrLit: {
-      std::string S = tok().Text;
+      std::string S = unescape(tok().Text);
       consume();
       return Ctx.make<CStrLit>(Loc, std::move(S));
     }
@@ -658,7 +681,7 @@ private:
       consume();
       return Ctx.make<CNullLit>(Loc);
     case CTokKind::Ident: {
-      std::string Name = tok().Text;
+      std::string Name(tok().Text);
       consume();
       return Ctx.make<CIdent>(Loc, std::move(Name));
     }
@@ -680,6 +703,12 @@ private:
   mix::DiagnosticEngine &Diags;
   std::vector<CTok> Toks;
   size_t Pos = 0;
+  /// The statements of the open blocks and the arguments of the open
+  /// calls, innermost last, until each list is complete and copied into
+  /// the arena. The first error ends the parse, so a list it leaves
+  /// behind is never read.
+  std::vector<const CStmt *> StmtStack;
+  std::vector<const CExpr *> ExprStack;
 };
 
 } // namespace

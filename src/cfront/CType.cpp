@@ -41,10 +41,10 @@ std::string CType::str() const {
     return "struct " + Struct->name();
   case CTypeKind::Func: {
     std::string Out = result()->str() + " (";
-    for (size_t I = 0; I != Params.size(); ++I) {
+    for (size_t I = 0; I != NumParams; ++I) {
       if (I != 0)
         Out += ", ";
-      Out += Params[I]->str();
+      Out += ParamData[I]->str();
     }
     Out += ")";
     return Out;

@@ -22,14 +22,14 @@
 #define MIX_CFRONT_CTYPE_H
 
 #include <cassert>
-#include <memory>
+#include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace mix::c {
 
 /// Source-level qualifier annotation on a pointer level.
-enum class QualAnnot {
+enum class QualAnnot : uint8_t {
   None,    ///< Unannotated — inference assigns a fresh qualifier variable.
   Null,    ///< `null` — may be the null pointer.
   Nonnull, ///< `nonnull` — must not be the null pointer.
@@ -40,7 +40,7 @@ const char *qualAnnotName(QualAnnot Q);
 class CStructDecl;
 
 /// Kinds of mini-C types.
-enum class CTypeKind {
+enum class CTypeKind : uint8_t {
   Void,
   Int,
   Char,
@@ -49,7 +49,8 @@ enum class CTypeKind {
   Func,
 };
 
-/// A mini-C type tree. Owned by CAstContext.
+/// A mini-C type tree. Owned by CAstContext, which also holds a function
+/// type's parameter list, so a CType owns nothing.
 class CType {
 public:
   CTypeKind kind() const { return Kind; }
@@ -84,9 +85,9 @@ public:
     assert(isFunc() && "result() on non-function");
     return Inner;
   }
-  const std::vector<const CType *> &params() const {
+  std::span<const CType *const> params() const {
     assert(isFunc() && "params() on non-function");
-    return Params;
+    return {ParamData, NumParams};
   }
 
   /// Renders the type, e.g. "struct foo * nonnull".
@@ -95,15 +96,16 @@ public:
 private:
   friend class CAstContext;
   CType(CTypeKind Kind, const CType *Inner, QualAnnot Qual,
-        const CStructDecl *Struct, std::vector<const CType *> Params)
-      : Kind(Kind), Inner(Inner), Qual(Qual), Struct(Struct),
-        Params(std::move(Params)) {}
+        const CStructDecl *Struct, std::span<const CType *const> Params)
+      : Kind(Kind), Qual(Qual), NumParams((uint32_t)Params.size()),
+        Inner(Inner), Struct(Struct), ParamData(Params.data()) {}
 
   CTypeKind Kind;
-  const CType *Inner;
   QualAnnot Qual;
+  uint32_t NumParams;
+  const CType *Inner;
   const CStructDecl *Struct;
-  std::vector<const CType *> Params;
+  const CType *const *ParamData;
 };
 
 /// Structural type compatibility, ignoring qualifier annotations. This is

@@ -84,23 +84,22 @@ const QualVec &QualInference::qualsOfVar(CVarRef Var) {
   if (Var.Func) {
     // Parameters and locals are registered eagerly by analyzeFunction;
     // reaching here means alias restoration asked about a function that
-    // inference has not analyzed. A parameter takes its declared type;
-    // any other local takes the type of a global of the same name, if
-    // there is one, else gets no variables, and its declaration keeps
-    // whatever it got here.
-    const std::string &Name = Var.Func->slotName(Var.Slot);
-    for (const auto &P : Var.Func->params())
-      if (P.Slot == Var.Slot) {
-        Ty = P.Ty;
-        Loc = Var.Func->loc();
-      }
-    Description = Var.Func->name() + "::" + Name;
-    if (!Ty)
-      if (const CGlobalDecl *G = Program.findGlobal(Name)) {
-        Ty = G->type();
-        Loc = G->loc();
-        Description = Name;
-      }
+    // inference has not analyzed. Make what that analysis would: a
+    // local's variables from its slot's first declaration, as
+    // analyzeStmt does (its declaration then finds them made), and a
+    // parameter's from its declared type (analyzeFunction then unifies
+    // them with the parameter's own).
+    if (const CDeclStmt *D = Var.Func->slotDecl(Var.Slot)) {
+      Ty = D->type();
+      Loc = D->loc();
+    } else {
+      for (const auto &P : Var.Func->params())
+        if (P.Slot == Var.Slot) {
+          Ty = P.Ty;
+          Loc = Var.Func->loc();
+        }
+    }
+    Description = Var.Func->name() + "::" + Var.Func->slotName(Var.Slot);
   } else if (const CGlobalDecl *G = Program.globalSlots()[Var.Slot].Global) {
     Ty = G->type();
     Loc = G->loc();

@@ -468,6 +468,9 @@ void AnalysisService::runMixy(const AnalysisRequest &Req,
     obs::PhaseTimer Parse(T, obs::Phase::Parse);
     Program = c::parseC(Source, Ctx, Diags);
   }
+  // The parse's size, before the analyses derive types of their own.
+  Reg.counter("cfront.ast_nodes").add(Ctx.numNodes());
+  Reg.counter("cfront.ast_bytes").add(Ctx.numBytes());
   if (!Program) {
     Resp.Warnings = Diags.warningCount();
     return finish(2);

@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <string>
+#include <vector>
 
 using namespace mix::c;
 using mix::DiagnosticEngine;
@@ -253,6 +256,126 @@ TEST_F(CFrontTest, IntegerLiteralOutOfRangeIsAnError) {
   EXPECT_NE(Diags.str().find("integer literal out of range"),
             std::string::npos)
       << Diags.str();
+}
+
+// --- lexer ------------------------------------------------------------------
+
+namespace {
+
+/// The kinds and spellings of \p Toks, one "kind text" entry each.
+std::vector<std::string> describe(const std::vector<CTok> &Toks) {
+  std::vector<std::string> Out;
+  for (const CTok &T : Toks)
+    Out.push_back(std::string(cTokKindName(T.Kind)) + " " +
+                  std::string(T.Text));
+  return Out;
+}
+
+} // namespace
+
+TEST_F(CFrontTest, StringLiteralEscapesReachTheParser) {
+  // The token views the literal as written; the parser's value drops each
+  // escaping backslash, and the printer puts it back.
+  const std::string Source = R"(char *s(void) { return "a\"b\\c"; })";
+  std::vector<CTok> Toks = lexC(Source, Diags);
+  auto Str = std::find_if(Toks.begin(), Toks.end(), [](const CTok &T) {
+    return T.is(CTokKind::StrLit);
+  });
+  ASSERT_NE(Str, Toks.end());
+  EXPECT_EQ(Str->Text, R"(a\"b\\c)");
+  EXPECT_EQ(Str->Loc.str(), "1:24");
+
+  const CProgram *P = parse(Source);
+  ASSERT_NE(P, nullptr) << Diags.str();
+  const auto *Ret = cast<CReturnStmt>(
+      cast<CBlockStmt>(P->funcs()[0]->body())->stmts()[0]);
+  EXPECT_EQ(cast<CStrLit>(Ret->value())->value(), "a\"b\\c");
+  std::string Printed = printProgram(*P);
+  EXPECT_NE(Printed.find(R"(return "a\"b\\c";)"), std::string::npos)
+      << Printed;
+  const CProgram *Again = parse(Printed);
+  ASSERT_NE(Again, nullptr) << Diags.str();
+  EXPECT_EQ(printProgram(*Again), Printed);
+}
+
+TEST_F(CFrontTest, LongIdentifiersAreViewedWhole) {
+  // Longer than a short-string buffer holds, so the nodes that copy the
+  // name own heap memory; the token only views it.
+  const std::string Long = "a_global_named_past_fifteen_bytes";
+  const std::string Source =
+      "int *" + Long + ";\nint *f(void) { return " + Long + "; }";
+  std::vector<CTok> Toks = lexC(Source, Diags);
+  ASSERT_GE(Toks.size(), 3u);
+  EXPECT_EQ(Toks[2].Text, Long);
+  EXPECT_EQ(Toks[2].Text.data(), Source.data() + 5);
+
+  const CProgram *P = parse(Source);
+  ASSERT_NE(P, nullptr) << Diags.str();
+  EXPECT_EQ(P->globals()[0]->name(), Long);
+  const auto *Ret = cast<CReturnStmt>(
+      cast<CBlockStmt>(P->funcs()[0]->body())->stmts()[0]);
+  const auto *Id = cast<CIdent>(Ret->value());
+  EXPECT_EQ(Id->name(), Long);
+  EXPECT_EQ(Id->nameKind(), CNameKind::Global);
+  EXPECT_EQ(Id->global(), P->globals()[0]);
+}
+
+TEST_F(CFrontTest, KeywordPrefixesLexAsIdentifiers) {
+  std::vector<CTok> Toks =
+      lexC("ifx int_ NULLp nonnull_q MIXy if int NULL nonnull MIX", Diags);
+  EXPECT_EQ(describe(Toks),
+            (std::vector<std::string>{
+                "identifier ifx", "identifier int_", "identifier NULLp",
+                "identifier nonnull_q", "identifier MIXy", "'if' if",
+                "'int' int", "'NULL' NULL", "'nonnull' nonnull", "'MIX' MIX",
+                "end of input "}));
+  EXPECT_FALSE(Diags.hasErrors());
+}
+
+TEST_F(CFrontTest, PositionsCountFromTheLineAfterComments) {
+  // Columns count bytes from the start of the line; a comment's newlines
+  // count like any other.
+  std::vector<CTok> Toks = lexC("int a; // note\n"
+                                "  int b;\n"
+                                "/* one\n"
+                                " two */ int c; /* x */ int d;\r\n"
+                                "\tint e; // end",
+                                Diags);
+  std::vector<std::string> Where;
+  for (const CTok &T : Toks)
+    Where.push_back(T.Loc.str());
+  EXPECT_EQ(Where, (std::vector<std::string>{
+                       "1:1", "1:5", "1:6",            // int a ;
+                       "2:3", "2:7", "2:8",            // int b ;
+                       "4:9", "4:13", "4:14",          // int c ;
+                       "4:24", "4:28", "4:29",         // int d ;
+                       "5:2", "5:6", "5:7", "5:15"})); // int e ; <eof>
+  EXPECT_FALSE(Diags.hasErrors());
+}
+
+TEST_F(CFrontTest, LexDiagnosticsKeepTheirTextPositionAndOrder) {
+  // The whole buffer is lexed before parsing starts, so a lexical error
+  // comes first, then the parser's complaint about the Error token.
+  struct Case {
+    const char *Source;
+    const char *Expected;
+  };
+  const Case Cases[] = {
+      {"int x; /* never\n closed", "1:8: error: unterminated comment\n"},
+      {"int x;\nchar *s(void) { return \"abc\n; }",
+       "2:24: error: unterminated string literal\n"
+       "2:24: error: expected expression, found invalid token\n"},
+      {"int x;\n  int y @ 3;",
+       "2:9: error: unexpected character '@'\n"
+       "2:9: error: expected ';', found invalid token\n"},
+      {"int f(void) {\n  return 99999999999999999999; }",
+       "2:10: error: integer literal out of range\n"
+       "2:10: error: expected expression, found invalid token\n"},
+  };
+  for (const Case &C : Cases) {
+    EXPECT_EQ(parse(C.Source), nullptr) << C.Source;
+    EXPECT_EQ(Diags.str(), C.Expected) << C.Source;
+  }
 }
 
 // --- sema -------------------------------------------------------------------
@@ -593,4 +716,81 @@ TEST_F(CFrontTest, SemaDirectCallee) {
       cast<CCall>(cast<CExprStmt>(Body->stmts()[1])->expr());
   EXPECT_EQ(Sema.directCallee(Call1), P->findFunc("target"));
   EXPECT_EQ(Sema.directCallee(Call2), nullptr); // through a pointer
+}
+
+// --- the arena ----------------------------------------------------------------
+
+namespace {
+
+/// Appends its id to a log when destroyed.
+struct DestroyProbe {
+  DestroyProbe(std::vector<int> *Log, int Id) : Log(Log), Id(Id) {}
+  ~DestroyProbe() { Log->push_back(Id); }
+  std::vector<int> *Log;
+  int Id;
+};
+
+} // namespace
+
+TEST_F(CFrontTest, ContextDestroysObjectsNewestFirst) {
+  std::vector<int> Log;
+  {
+    CAstContext Local;
+    Local.make<DestroyProbe>(&Log, 1);
+    Local.make<CIntLit>(mix::SourceLoc(1, 1), 7); // nothing to destroy
+    Local.make<DestroyProbe>(&Log, 2);
+    Local.make<DestroyProbe>(&Log, 3);
+    EXPECT_EQ(Local.numNodes(), 4u);
+    EXPECT_TRUE(Log.empty());
+  }
+  EXPECT_EQ(Log, (std::vector<int>{3, 2, 1}));
+}
+
+TEST_F(CFrontTest, ContextFreesNodesThatOwnHeapMemory) {
+  // Names past the short-string buffer, a string literal, struct fields
+  // and parameter lists all own heap memory; the context must free it
+  // when it dies (LeakSanitizer checks this in the ASan job). Two parses
+  // in one process, and two into one context, give the same program and
+  // the same arena size.
+  const std::string Source =
+      "struct a_struct_with_a_long_name {\n"
+      "  int a_field_with_a_long_name;\n"
+      "  struct a_struct_with_a_long_name *next_node_in_the_list;\n"
+      "};\n"
+      "void (*a_function_pointer_global)(int, char *);\n"
+      "char *a_function_with_a_long_name(int a_parameter_with_a_long_name,\n"
+      "                                  int b) {\n"
+      "  char *a_local_with_a_long_name = \"a string literal past fifteen\";\n"
+      "  struct a_struct_with_a_long_name *node;\n"
+      "  node->a_field_with_a_long_name = a_parameter_with_a_long_name + b;\n"
+      "  a_function_with_a_long_name(b, a_parameter_with_a_long_name);\n"
+      "  return a_local_with_a_long_name;\n"
+      "}\n";
+  std::string FirstPrinted;
+  size_t FirstNodes = 0, FirstBytes = 0;
+  for (int Round = 0; Round != 2; ++Round) {
+    CAstContext Local;
+    DiagnosticEngine LocalDiags;
+    const CProgram *P = parseC(Source, Local, LocalDiags);
+    ASSERT_NE(P, nullptr) << LocalDiags.str();
+    size_t Nodes = Local.numNodes(), Bytes = Local.numBytes();
+    EXPECT_GT(Bytes, Source.size());
+    const CProgram *Second = parseC(Source, Local, LocalDiags);
+    ASSERT_NE(Second, nullptr) << LocalDiags.str();
+    // The second parse shares the context's void, int and char types.
+    EXPECT_EQ(Local.numNodes(), 2 * Nodes - 3);
+    EXPECT_EQ(printProgram(*Second), printProgram(*P));
+    if (Round == 0) {
+      FirstPrinted = printProgram(*P);
+      FirstNodes = Nodes;
+      FirstBytes = Bytes;
+      continue;
+    }
+    EXPECT_EQ(printProgram(*P), FirstPrinted);
+    EXPECT_EQ(Nodes, FirstNodes);
+    EXPECT_EQ(Bytes, FirstBytes);
+  }
+  EXPECT_NE(FirstPrinted.find("a string literal past fifteen"),
+            std::string::npos)
+      << FirstPrinted;
 }

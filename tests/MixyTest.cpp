@@ -156,6 +156,31 @@ TEST_F(MixyTest, StatsReflectBlockSwitching) {
   EXPECT_GE(Stats.TypedCallsFromSymbolic, 1u); // sysutil_free etc.
 }
 
+TEST_F(MixyTest, AliasRestoredLocalKeepsItsNullFlow) {
+  // Alias restoration after touch's block asks for the qualifiers of
+  // later3's local `solo` before inference has analyzed later3. They
+  // must be the ones its declaration makes, so the NULL assigned to it
+  // still reaches sink3's nonnull parameter, exactly as without alias
+  // restoration.
+  const std::string Source =
+      "int a;\n"
+      "int *p;\n"
+      "int **gpp;\n"
+      "void sink3(int * nonnull s) MIX(typed);\n"
+      "void touch(int **pp) MIX(symbolic) { *pp = NULL; }\n"
+      "void first(void) { touch(&p); }\n"
+      "void later3(void) { int *solo; gpp = &solo; solo = NULL; "
+      "sink3(solo); }\n"
+      "int main(void) { p = &a; first(); later3(); return 0; }\n";
+  const std::string Flow = "NULL -> later3::solo -> param s of sink3";
+  MixyOptions NoAlias;
+  NoAlias.RestoreAliasing = false;
+  EXPECT_EQ(mixyWarnings(Source, NoAlias), 1u) << LastDiags;
+  EXPECT_NE(LastDiags.find(Flow), std::string::npos) << LastDiags;
+  EXPECT_EQ(mixyWarnings(Source), 1u) << LastDiags;
+  EXPECT_NE(LastDiags.find(Flow), std::string::npos) << LastDiags;
+}
+
 // --- caching (Section 4.3) ----------------------------------------------------
 
 TEST_F(MixyTest, CacheHitsOnRepeatedCompatibleContexts) {

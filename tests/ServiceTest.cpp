@@ -20,6 +20,7 @@
 #include "driver/OptionParser.h"
 #include "lang/Parser.h"
 #include "mixy/Mixy.h"
+#include "mixy/VsftpdMini.h"
 #include "provenance/Sarif.h"
 #include "qual/QualInference.h"
 #include "support/Json.h"
@@ -693,6 +694,49 @@ TEST(ServiceServeTest, SecondIdenticalRequestAnswersFromCache) {
 
   EXPECT_EQ(Svc.metrics().counterValue("service.requests"), 1u);
   EXPECT_EQ(Svc.metrics().counterValue("service.cache.hits"), 1u);
+}
+
+TEST(ServiceServeTest, RepeatedRequestsDoTheSameWork) {
+  // serve()'s side of MixyTest.RepeatedRunsDoTheSameWork: with every
+  // cache off (no response cache, no warm session to replay block
+  // summaries, no in-run block cache), each identical request runs the
+  // whole analysis again in one long-lived process, where the allocator
+  // hands out different addresses each time. Each must answer the same
+  // bytes after the same work.
+  service::ServiceConfig SC;
+  SC.PerRequestMetrics = true;
+  SC.ResponseCacheCap = 0;
+  service::AnalysisService Svc(SC);
+  service::AnalysisRequest Req;
+  Req.ToolKind = service::Tool::Mixy;
+  Req.Source = c::corpus::vsftpdScaled(true, 24, 8);
+  Req.HasSource = true;
+  Req.Entry = "filler_main";
+  Req.NoCache = true;
+  auto Work = [](const service::AnalysisResponse &Resp) {
+    std::map<std::string, uint64_t> Out;
+    for (const auto &[Name, Value] : Resp.Metrics)
+      for (const char *Prefix : {"csym.", "solver.queries", "ptranal.",
+                                 "qual.", "mixy.sym_block_runs",
+                                 "mixy.typed_block_runs", "cfront."})
+        if (Name.rfind(Prefix, 0) == 0)
+          Out[Name] = Value;
+    return Out;
+  };
+  service::AnalysisResponse First = Svc.serve(Req);
+  ASSERT_FALSE(First.FromCache);
+  std::map<std::string, uint64_t> FirstWork = Work(First);
+  for (const char *Name :
+       {"csym.paths", "csym.forks", "solver.queries", "ptranal.cells",
+        "qual.variables", "qual.flow_edges", "mixy.sym_block_runs",
+        "mixy.typed_block_runs", "cfront.ast_nodes", "cfront.ast_bytes"})
+    EXPECT_GT(FirstWork[Name], 0u) << Name;
+  for (int I = 1; I != 20; ++I) {
+    service::AnalysisResponse Resp = Svc.serve(Req);
+    EXPECT_FALSE(Resp.FromCache) << "request " << I;
+    EXPECT_EQ(Resp.Payload, First.Payload) << "request " << I;
+    EXPECT_EQ(Work(Resp), FirstWork) << "request " << I;
+  }
 }
 
 TEST(ServiceServeTest, UsageErrorsAreNotCached) {
