@@ -27,6 +27,7 @@
 #include <new>
 #include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -450,7 +451,7 @@ public:
     Fields.push_back({std::move(FieldName), Ty});
   }
   /// Returns the field with \p FieldName, or null.
-  const Field *findField(const std::string &FieldName) const {
+  const Field *findField(std::string_view FieldName) const {
     for (const Field &F : Fields)
       if (F.Name == FieldName)
         return &F;

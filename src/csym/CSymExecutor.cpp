@@ -12,21 +12,21 @@
 using namespace mix::c;
 using mix::smt::Term;
 
-/// A one-element vector that takes \p X by move. A braced return such as
+/// A one-element list that takes \p X by move. A braced return such as
 /// `return {{std::move(State), V}};` goes through an initializer_list,
 /// whose const elements can only be copied.
-template <typename T> static std::vector<T> one(T &&X) {
-  std::vector<T> Out;
-  Out.push_back(std::move(X));
-  return Out;
+template <typename T> static SmallList<T> one(T &&X) {
+  return SmallList<T>(std::move(X));
 }
 
 CSymExecutor::CSymExecutor(const CProgram &Program, CAstContext &Ctx,
                            DiagnosticEngine &Diags, smt::TermArena &Terms,
                            smt::ISolver &Solver, CSymOptions Opts)
     : Program(Program), Ctx(Ctx), Sema(Program, Ctx, Diags), Diags(Diags),
-      Terms(Terms), Solver(Solver), Opts(Opts) {
-  Objects.push_back({nullptr, "<none>"}); // slot 0 = NoLoc
+      Terms(Terms), Solver(Solver), Opts(Opts),
+      GlobalLocs(Program.globalSlots().size(), NoLoc),
+      True(Terms.trueTerm()), NullPtr(CSymValue::nullPointer(Cases, Terms)) {
+  Objects.push_back({nullptr, nullptr, 0, "<none>"}); // slot 0 = NoLoc
   if (obs::MetricsRegistry *M = Solver.options().Metrics) {
     CWitnessAnswers = M->counter("solver.inc.model_reuse");
     CBackendProbes = M->counter("solver.inc.queries");
@@ -34,37 +34,40 @@ CSymExecutor::CSymExecutor(const CProgram &Program, CAstContext &Ctx,
 }
 
 LocId CSymExecutor::newObject(const CType *Ty, std::string Name) {
-  Objects.push_back({Ty, std::move(Name)});
+  Objects.push_back({Ty, nullptr, 0, std::move(Name)});
   return (LocId)(Objects.size() - 1);
 }
 
-LocId CSymExecutor::globalLoc(const std::string &Name) {
-  auto It = GlobalLocs.find(Name);
-  if (It != GlobalLocs.end())
-    return It->second;
-  const CGlobalDecl *G = Program.findGlobal(Name);
-  assert(G && "globalLoc() for unknown global");
-  LocId Loc = newObject(G->type(), Name);
-  GlobalLocs[Name] = Loc;
+LocId CSymExecutor::newLocal(const CFuncDecl *F, unsigned Slot,
+                             const CType *Ty) {
+  Objects.push_back({Ty, F, Slot, {}});
+  return (LocId)(Objects.size() - 1);
+}
+
+std::string CSymExecutor::objectName(LocId Loc) const {
+  const ObjInfo &O = Objects[Loc];
+  return O.Func ? O.Func->name() + "::" + O.Func->slotName(O.Slot) : O.Name;
+}
+
+LocId CSymExecutor::globalLoc(const CGlobalDecl *G) {
+  LocId &Loc = GlobalLocs[G->slot()];
+  if (Loc == NoLoc) {
+    // Every declaration of the name shares the first one's object.
+    const CGlobalDecl *First = Program.globalSlots()[G->slot()].Global;
+    Loc = newObject(First->type(), First->name());
+  }
   return Loc;
 }
 
-const CType *CSymExecutor::cellType(LocId Loc,
-                                    const std::string &Field) const {
-  const CType *Ty = Objects[Loc].Ty;
-  std::string Rest = Field;
-  while (Ty && !Rest.empty()) {
-    size_t Dot = Rest.find('.');
-    std::string Head = Rest.substr(0, Dot);
-    Rest = Dot == std::string::npos ? "" : Rest.substr(Dot + 1);
-    if (!Ty->isStruct())
-      return nullptr;
-    const CStructDecl::Field *F = Ty->structDecl()->findField(Head);
-    if (!F)
-      return nullptr;
-    Ty = F->Ty;
-  }
-  return Ty;
+const CType *CSymExecutor::cellType(LocId Loc, FieldId Field) const {
+  if (Field == WholeObject)
+    return Objects[Loc].Ty;
+  const CType *Ty = cellType(Loc, Fields.parent(Field));
+  if (!Ty || !Ty->isStruct())
+    return nullptr;
+  const CStructDecl::Field *F =
+      Ty->structDecl()->findField(Fields.lastName(Field));
+  return F ? F->Ty : nullptr;
 }
 
 bool CSymExecutor::feasibleWith(const CSymState &State, const Term *Extra,
@@ -131,17 +134,18 @@ CSymValue CSymExecutor::seededPointer(const CType *PtrTy, NullSeed Seed,
   assert(PtrTy->isPointer() && "seededPointer() needs a pointer type");
   const CType *Pointee = PtrTy->pointee();
   if (Pointee->isFunc())
-    return CSymValue::pointerTo(Terms, PtrTarget::unknownFn());
+    return pointerTo(PtrTarget::unknownFn());
   // void* pointees become int cells (the paper's executor is untyped at
   // this level; ours needs some object type).
   if (Pointee->isVoid())
     Pointee = Ctx.intType();
   LocId Obj = newObject(Pointee, Name + "->");
   if (Seed == NullSeed::Nonnull)
-    return CSymValue::pointerTo(Terms, PtrTarget::object(Obj));
+    return pointerTo(PtrTarget::object(Obj));
   // (alpha ? loc : 0) — Section 4.1.
   const Term *Alpha = Terms.freshBoolVar(Name + "_nonnull");
-  return CSymValue::pointer({{Alpha, PtrTarget::object(Obj)},
+  return CSymValue::pointer(Cases,
+                            {{Alpha, PtrTarget::object(Obj)},
                              {Terms.notTerm(Alpha), PtrTarget::null()}});
 }
 
@@ -160,40 +164,35 @@ CSymValue CSymExecutor::lazyInit(const CType *Ty, const std::string &Name) {
   return CSymValue::scalar(Terms.freshIntVar(Name));
 }
 
-CSymValue CSymExecutor::readCell(CSymState &State, LocId Loc,
-                                 const std::string &Field) {
-  CellKey Key{Loc, Field};
-  if (const CSymValue *V = State.Store.get(Key))
+CSymValue CSymExecutor::readCell(CSymState &State, CellKey Cell) {
+  if (const CSymValue *V = State.Store.get(Cell))
     return *V;
-  std::string Name = Objects[Loc].Name;
-  if (!Field.empty())
-    Name += "." + Field;
-  CSymValue Init = lazyInit(cellType(Loc, Field), Name);
-  State.Store.set(Key, Init);
+  std::string Name = objectName(Cell.Loc);
+  if (Cell.Field != WholeObject)
+    Name += "." + Fields.spelling(Cell.Field);
+  CSymValue Init = lazyInit(cellType(Cell.Loc, Cell.Field), Name);
+  State.Store.set(Cell, Init);
   return Init;
 }
 
-void CSymExecutor::writeCells(CSymState &State,
-                              const std::vector<LVal> &Cells,
+void CSymExecutor::writeCells(CSymState &State, const SmallList<LVal> &Cells,
                               const CSymValue &Value) {
-  for (const LVal &Cell : Cells) {
-    CellKey Key{Cell.Loc, Cell.Field};
-    if (Cell.Guard->kind() == smt::TermKind::BoolConst &&
-        Cell.Guard->value()) {
+  for (const LVal &L : Cells) {
+    if (L.Guard->kind() == smt::TermKind::BoolConst && L.Guard->value()) {
       // Strong update.
-      State.Store.set(Key, Value);
+      State.Store.set(L.Cell, Value);
       continue;
     }
     // Morris's general axiom of assignment: conditional update of every
     // possibly-aliased cell.
-    CSymValue Old = readCell(State, Cell.Loc, Cell.Field);
+    CSymValue Old = readCell(State, L.Cell);
     if (Old.kind() != Value.kind()) {
       // Type confusion through a wild pointer; overwrite outright under
       // the guard by preferring the new value.
-      State.Store.set(Key, Value);
+      State.Store.set(L.Cell, Value);
       continue;
     }
-    State.Store.set(Key, CSymValue::ite(Terms, Cell.Guard, Value, Old));
+    State.Store.set(L.Cell, CSymValue::ite(Terms, Cases, L.Guard, Value, Old));
   }
 }
 
@@ -219,53 +218,64 @@ const Term *CSymExecutor::intTerm(const CSymValue &V) {
 
 // === lvalue resolution ======================================================
 
-std::vector<CSymExecutor::LResolved>
-CSymExecutor::resolveLValue(const CExpr *E, CSymState State,
-                            const Frame &Frame) {
+LocId CSymExecutor::varLoc(const CIdent *Id, const CSymState &State,
+                           const Frame &Frame) {
+  switch (Id->nameKind()) {
+  case CNameKind::Local:
+    return State.Locals[Frame.Base + Id->localSlot()];
+  case CNameKind::Global:
+    return globalLoc(Id->global());
+  case CNameKind::Function:
+  case CNameKind::Unresolved:
+    break;
+  }
+  return NoLoc;
+}
+
+bool CSymExecutor::derefSurvives(SourceLoc Loc, CSymState &State,
+                                 const CSymValue &Ptr) {
+  // Null-dereference check (the executor "reports an error if 0 is ever
+  // dereferenced").
+  if (Opts.CheckDereferences) {
+    ++Statistics.NullChecks;
+    const Term *NullG = Ptr.nullGuard(Terms);
+    if (feasibleWith(State, NullG))
+      warn(Loc, "possible null dereference", &State,
+           Terms.andTerm(State.Path, NullG));
+  }
+  // Continue under the assumption the dereference survived.
+  return assume(State, Ptr.nonNullGuard(Terms));
+}
+
+CSymExecutor::LResolveds CSymExecutor::resolveLValue(const CExpr *E,
+                                                     CSymState State,
+                                                     const Frame &Frame) {
   switch (E->kind()) {
   case CExprKind::Ident: {
     const auto *Id = cast<CIdent>(E);
-    LocId Loc = NoLoc;
-    auto It = State.Locals.find(Id->name());
-    if (It != State.Locals.end())
-      Loc = It->second;
-    else if (Program.findGlobal(Id->name()))
-      Loc = globalLoc(Id->name());
+    LocId Loc = varLoc(Id, State, Frame);
     if (Loc == NoLoc) {
       warn(E->loc(), "unknown variable '" + Id->name() + "'");
       return {};
     }
-    return one(LResolved{std::move(State), {{Terms.trueTerm(), Loc, ""}}});
+    return one(LResolved{std::move(State), one(LVal{True, {Loc}})});
   }
   case CExprKind::Unary: {
     const auto *U = cast<CUnary>(E);
     if (U->op() != CUnaryOp::Deref)
       break;
-    std::vector<LResolved> Out;
+    LResolveds Out;
     for (Flow &F : evalExpr(U->sub(), std::move(State), Frame)) {
       if (!F.Value.isPtr()) {
         warn(E->loc(), "dereference of a non-pointer value");
         continue;
       }
-      // Null-dereference check (the executor "reports an error if 0 is
-      // ever dereferenced").
-      if (Opts.CheckDereferences) {
-        ++Statistics.NullChecks;
-        const Term *NullG = F.Value.nullGuard(Terms);
-        if (feasibleWith(F.State, NullG))
-          warn(E->loc(), "possible null dereference", &F.State,
-               Terms.andTerm(F.State.Path, NullG));
-      }
-      // Continue under the assumption the dereference survived.
-      if (!assume(F.State, F.Value.nonNullGuard(Terms)))
+      if (!derefSurvives(E->loc(), F.State, F.Value))
         continue; // definitely null: this path dies here
-      LResolved R;
-      R.State = std::move(F.State);
-      for (const PtrCase &C : F.Value.cases()) {
-        if (C.Target.K != PtrTarget::Kind::Object)
-          continue;
-        R.Cells.push_back({C.Guard, C.Target.Loc, C.Target.Field});
-      }
+      LResolved R{std::move(F.State), {}};
+      for (const PtrCase &C : F.Value.cases())
+        if (C.Target.K == PtrTarget::Kind::Object)
+          R.Cells.push_back({C.Guard, {C.Target.Loc, C.Target.Field}});
       Out.push_back(std::move(R));
     }
     return Out;
@@ -274,40 +284,27 @@ CSymExecutor::resolveLValue(const CExpr *E, CSymState State,
     const auto *M = cast<CMember>(E);
     if (!M->isArrow()) {
       // base.field: extend the base cells' field paths.
-      std::vector<LResolved> Out = resolveLValue(M->base(), std::move(State),
-                                                 Frame);
+      LResolveds Out = resolveLValue(M->base(), std::move(State), Frame);
       for (LResolved &R : Out)
-        for (LVal &Cell : R.Cells)
-          Cell.Field = Cell.Field.empty() ? M->field()
-                                          : Cell.Field + "." + M->field();
+        for (LVal &L : R.Cells)
+          L.Cell.Field = Fields.child(L.Cell.Field, M->field());
       return Out;
     }
     // base->field: like *base, then select the field.
-    std::vector<LResolved> Out;
+    LResolveds Out;
     for (Flow &F : evalExpr(M->base(), std::move(State), Frame)) {
       if (!F.Value.isPtr()) {
         warn(E->loc(), "'->' on a non-pointer value");
         continue;
       }
-      if (Opts.CheckDereferences) {
-        ++Statistics.NullChecks;
-        const Term *NullG = F.Value.nullGuard(Terms);
-        if (feasibleWith(F.State, NullG))
-          warn(E->loc(), "possible null dereference", &F.State,
-               Terms.andTerm(F.State.Path, NullG));
-      }
-      if (!assume(F.State, F.Value.nonNullGuard(Terms)))
+      if (!derefSurvives(E->loc(), F.State, F.Value))
         continue;
-      LResolved R;
-      R.State = std::move(F.State);
-      for (const PtrCase &C : F.Value.cases()) {
-        if (C.Target.K != PtrTarget::Kind::Object)
-          continue;
-        std::string Field = C.Target.Field.empty()
-                                ? M->field()
-                                : C.Target.Field + "." + M->field();
-        R.Cells.push_back({C.Guard, C.Target.Loc, Field});
-      }
+      LResolved R{std::move(F.State), {}};
+      for (const PtrCase &C : F.Value.cases())
+        if (C.Target.K == PtrTarget::Kind::Object)
+          R.Cells.push_back(
+              {C.Guard,
+               {C.Target.Loc, Fields.child(C.Target.Field, M->field())}});
       Out.push_back(std::move(R));
     }
     return Out;
@@ -321,8 +318,8 @@ CSymExecutor::resolveLValue(const CExpr *E, CSymState State,
 
 // === expressions =============================================================
 
-std::vector<CSymExecutor::Flow>
-CSymExecutor::evalExpr(const CExpr *E, CSymState State, const Frame &Frame) {
+CSymExecutor::Flows CSymExecutor::evalExpr(const CExpr *E, CSymState State,
+                                           const Frame &Frame) {
   switch (E->kind()) {
   case CExprKind::IntLit:
     return one(Flow{std::move(State),
@@ -333,32 +330,28 @@ CSymExecutor::evalExpr(const CExpr *E, CSymState State, const Frame &Frame) {
     return one(Flow{std::move(State), CSymValue::scalar(Terms.intConst(8))});
   case CExprKind::StrLit: {
     LocId Obj = newObject(Ctx.charType(), "<string>");
-    return one(Flow{std::move(State),
-                    CSymValue::pointerTo(Terms, PtrTarget::object(Obj))});
+    return one(Flow{std::move(State), pointerTo(PtrTarget::object(Obj))});
   }
   case CExprKind::NullLit:
-    return one(Flow{std::move(State), CSymValue::nullPointer(Terms)});
+    return one(Flow{std::move(State), NullPtr});
   case CExprKind::Ident: {
     const auto *Id = cast<CIdent>(E);
-    if (!State.Locals.count(Id->name()) &&
-        !Program.findGlobal(Id->name()))
-      if (const CFuncDecl *F = Program.findFunc(Id->name()))
-        return one(Flow{std::move(State),
-                        CSymValue::pointerTo(Terms, PtrTarget::function(F))});
-    std::vector<Flow> Out;
-    for (LResolved &R : resolveLValue(E, std::move(State), Frame)) {
-      if (R.Cells.empty())
-        continue;
-      CSymValue V = readCell(R.State, R.Cells[0].Loc, R.Cells[0].Field);
-      Out.push_back({std::move(R.State), std::move(V)});
+    if (Id->nameKind() == CNameKind::Function)
+      return one(Flow{std::move(State),
+                      pointerTo(PtrTarget::function(Id->func()))});
+    LocId Loc = varLoc(Id, State, Frame);
+    if (Loc == NoLoc) {
+      warn(E->loc(), "unknown variable '" + Id->name() + "'");
+      return {};
     }
-    return Out;
+    CSymValue V = readCell(State, {Loc});
+    return one(Flow{std::move(State), V});
   }
   case CExprKind::Unary: {
     const auto *U = cast<CUnary>(E);
     switch (U->op()) {
     case CUnaryOp::Deref: {
-      std::vector<Flow> Out;
+      Flows Out;
       for (Flow &F : evalExpr(U->sub(), std::move(State), Frame)) {
         // Functions decay: *f is f for function-pointer values.
         if (F.Value.isPtr()) {
@@ -378,51 +371,45 @@ CSymExecutor::evalExpr(const CExpr *E, CSymState State, const Frame &Frame) {
         }
         // Reading through a data pointer: null check, then merge the
         // possible cells' contents.
-        if (Opts.CheckDereferences) {
-          ++Statistics.NullChecks;
-          const Term *NullG = F.Value.nullGuard(Terms);
-          if (feasibleWith(F.State, NullG))
-            warn(E->loc(), "possible null dereference", &F.State,
-                 Terms.andTerm(F.State.Path, NullG));
-        }
-        if (!assume(F.State, F.Value.nonNullGuard(Terms)))
+        if (!derefSurvives(E->loc(), F.State, F.Value))
           continue;
-        CSymState S = std::move(F.State);
         CSymValue Acc;
         bool First = true;
         for (const PtrCase &C : F.Value.cases()) {
           if (C.Target.K != PtrTarget::Kind::Object)
             continue;
-          CSymValue Next = readCell(S, C.Target.Loc, C.Target.Field);
+          CSymValue Next = readCell(F.State, {C.Target.Loc, C.Target.Field});
           if (First) {
-            Acc = std::move(Next);
+            Acc = Next;
             First = false;
           } else if (Next.kind() == Acc.kind()) {
-            Acc = CSymValue::ite(Terms, C.Guard, Next, Acc);
+            Acc = CSymValue::ite(Terms, Cases, C.Guard, Next, Acc);
           }
         }
         if (First)
           continue; // no object target: nothing to read
-        Out.push_back({std::move(S), std::move(Acc)});
+        Out.push_back({std::move(F.State), Acc});
       }
       return Out;
     }
     case CUnaryOp::AddrOf: {
-      std::vector<Flow> Out;
+      Flows Out;
       for (LResolved &R :
            resolveLValue(U->sub(), std::move(State), Frame)) {
-        std::vector<PtrCase> Cases;
-        for (const LVal &Cell : R.Cells)
-          Cases.push_back(
-              {Cell.Guard, PtrTarget::object(Cell.Loc, Cell.Field)});
-        if (Cases.empty())
+        if (R.Cells.empty())
           continue;
-        Out.push_back({std::move(R.State), CSymValue::pointer(Cases)});
+        PtrCase *Targets = Cases.allocate(R.Cells.size());
+        for (size_t I = 0; I != R.Cells.size(); ++I)
+          Targets[I] = {R.Cells[I].Guard,
+                        PtrTarget::object(R.Cells[I].Cell.Loc,
+                                          R.Cells[I].Cell.Field)};
+        Out.push_back({std::move(R.State),
+                       CSymValue::pointer({Targets, R.Cells.size()})});
       }
       return Out;
     }
     case CUnaryOp::Not: {
-      std::vector<Flow> Out;
+      Flows Out;
       for (Flow &F : evalExpr(U->sub(), std::move(State), Frame)) {
         const Term *B = Terms.notTerm(truthTerm(F.Value));
         Out.push_back({std::move(F.State), CSymValue::scalar(B)});
@@ -430,7 +417,7 @@ CSymExecutor::evalExpr(const CExpr *E, CSymState State, const Frame &Frame) {
       return Out;
     }
     case CUnaryOp::Neg: {
-      std::vector<Flow> Out;
+      Flows Out;
       for (Flow &F : evalExpr(U->sub(), std::move(State), Frame))
         Out.push_back({std::move(F.State),
                        CSymValue::scalar(Terms.neg(intTerm(F.Value)))});
@@ -441,23 +428,23 @@ CSymExecutor::evalExpr(const CExpr *E, CSymState State, const Frame &Frame) {
   }
   case CExprKind::Binary: {
     const auto *B = cast<CBinary>(E);
-    std::vector<Flow> Out;
+    Flows Out;
     for (Flow &L : evalExpr(B->lhs(), std::move(State), Frame)) {
       for (Flow &R : evalExpr(B->rhs(), std::move(L.State), Frame)) {
         CSymValue V = evalBinaryValues(B->op(), L.Value, R.Value);
-        Out.push_back({std::move(R.State), std::move(V)});
+        Out.push_back({std::move(R.State), V});
       }
     }
     return Out;
   }
   case CExprKind::Assign: {
     const auto *A = cast<CAssign>(E);
-    std::vector<Flow> Out;
+    Flows Out;
     for (LResolved &R :
          resolveLValue(A->target(), std::move(State), Frame)) {
       for (Flow &V : evalExpr(A->value(), std::move(R.State), Frame)) {
         writeCells(V.State, R.Cells, V.Value);
-        Out.push_back({std::move(V.State), V.Value});
+        Out.push_back(std::move(V));
       }
     }
     return Out;
@@ -465,18 +452,17 @@ CSymExecutor::evalExpr(const CExpr *E, CSymState State, const Frame &Frame) {
   case CExprKind::Call:
     return evalCall(cast<CCall>(E), std::move(State), Frame);
   case CExprKind::Member: {
-    std::vector<Flow> Out;
+    Flows Out;
     for (LResolved &R : resolveLValue(E, std::move(State), Frame)) {
       if (R.Cells.empty())
         continue;
-      CSymValue Acc = readCell(R.State, R.Cells[0].Loc, R.Cells[0].Field);
+      CSymValue Acc = readCell(R.State, R.Cells[0].Cell);
       for (size_t I = 1; I != R.Cells.size(); ++I) {
-        CSymValue Next =
-            readCell(R.State, R.Cells[I].Loc, R.Cells[I].Field);
+        CSymValue Next = readCell(R.State, R.Cells[I].Cell);
         if (Next.kind() == Acc.kind())
-          Acc = CSymValue::ite(Terms, R.Cells[I].Guard, Next, Acc);
+          Acc = CSymValue::ite(Terms, Cases, R.Cells[I].Guard, Next, Acc);
       }
-      Out.push_back({std::move(R.State), std::move(Acc)});
+      Out.push_back({std::move(R.State), Acc});
     }
     return Out;
   }
@@ -484,16 +470,13 @@ CSymExecutor::evalExpr(const CExpr *E, CSymState State, const Frame &Frame) {
     const auto *C = cast<CCast>(E);
     // (T*)malloc(...): allocate an object of the cast's pointee type.
     if (const auto *Call = dyn_cast<CCall>(C->sub()))
-      if (const auto *Id = dyn_cast<CIdent>(Call->callee()))
-        if (Id->name() == "malloc" && !Program.findFunc("malloc") &&
-            C->target()->isPointer()) {
-          const CType *Pointee = C->target()->pointee();
-          if (Pointee->isVoid())
-            Pointee = Ctx.intType();
-          LocId Obj = newObject(Pointee, "malloc@" + E->loc().str());
-          return one(Flow{std::move(State),
-                          CSymValue::pointerTo(Terms, PtrTarget::object(Obj))});
-        }
+      if (CSema::callsBuiltinMalloc(Call) && C->target()->isPointer()) {
+        const CType *Pointee = C->target()->pointee();
+        if (Pointee->isVoid())
+          Pointee = Ctx.intType();
+        LocId Obj = newObject(Pointee, "malloc@" + E->loc().str());
+        return one(Flow{std::move(State), pointerTo(PtrTarget::object(Obj))});
+      }
     return evalExpr(C->sub(), std::move(State), Frame);
   }
   }
@@ -575,41 +558,53 @@ const Term *CSymExecutor::pointerEqGuard(const CSymValue &L,
 
 // === calls ===================================================================
 
-std::vector<CSymExecutor::Flow>
-CSymExecutor::evalCall(const CCall *Call, CSymState State,
-                       const Frame &Frame) {
+CSymExecutor::Flows CSymExecutor::evalCall(const CCall *Call, CSymState State,
+                                           const Frame &Frame) {
   // Bare malloc (no cast): an int-typed object.
-  if (const auto *Id = dyn_cast<CIdent>(Call->callee()))
-    if (Id->name() == "malloc" && !Program.findFunc("malloc")) {
-      LocId Obj = newObject(Ctx.intType(), "malloc@" + Call->loc().str());
-      return one(Flow{std::move(State),
-                      CSymValue::pointerTo(Terms, PtrTarget::object(Obj))});
-    }
+  if (CSema::callsBuiltinMalloc(Call)) {
+    LocId Obj = newObject(Ctx.intType(), "malloc@" + Call->loc().str());
+    return one(Flow{std::move(State), pointerTo(PtrTarget::object(Obj))});
+  }
 
-  // Evaluate the arguments left to right, threading states.
-  std::vector<std::pair<CSymState, std::vector<CSymValue>>> ArgStates;
-  ArgStates.emplace_back(std::move(State), std::vector<CSymValue>());
+  // Evaluate the arguments left to right, threading states. A path that
+  // does not fork keeps one argument vector, reserved once.
+  struct ArgState {
+    CSymState State;
+    std::vector<CSymValue> Args;
+  };
+  SmallList<ArgState> ArgStates = one(ArgState{std::move(State), {}});
+  ArgStates[0].Args.reserve(Call->args().size());
   for (const CExpr *Arg : Call->args()) {
-    std::vector<std::pair<CSymState, std::vector<CSymValue>>> Next;
-    for (auto &[S, Vals] : ArgStates)
-      for (Flow &F : evalExpr(Arg, std::move(S), Frame)) {
-        std::vector<CSymValue> Extended = Vals;
-        Extended.push_back(F.Value);
-        Next.emplace_back(std::move(F.State), std::move(Extended));
+    SmallList<ArgState> Next;
+    for (ArgState &AS : ArgStates) {
+      Flows Fs = evalExpr(Arg, std::move(AS.State), Frame);
+      size_t Left = Fs.size();
+      for (Flow &F : Fs) {
+        ArgState Extended{std::move(F.State), {}};
+        // Only the last flow may take the vector; the others copy it.
+        if (--Left == 0) {
+          Extended.Args = std::move(AS.Args);
+        } else {
+          Extended.Args.reserve(Call->args().size());
+          Extended.Args = AS.Args;
+        }
+        Extended.Args.push_back(F.Value);
+        Next.push_back(std::move(Extended));
       }
+    }
     ArgStates = std::move(Next);
   }
 
-  std::vector<Flow> Out;
+  Flows Out;
   const CFuncDecl *Direct = Sema.directCallee(Call);
 
-  for (auto &[S, Args] : ArgStates) {
+  for (ArgState &AS : ArgStates) {
     if (Direct) {
-      dispatchCall(Call, Direct, Args, std::move(S), Frame, Out);
+      dispatchCall(Call, Direct, AS.Args, std::move(AS.State), Frame, Out);
       continue;
     }
     // Indirect call: evaluate the callee pointer and fork per target.
-    for (Flow &F : evalExpr(Call->callee(), std::move(S), Frame)) {
+    for (Flow &F : evalExpr(Call->callee(), std::move(AS.State), Frame)) {
       if (!F.Value.isPtr()) {
         warn(Call->loc(), "call through a non-pointer value");
         continue;
@@ -627,7 +622,7 @@ CSymExecutor::evalCall(const CCall *Call, CSymState State,
         switch (C.Target.K) {
         case PtrTarget::Kind::Function:
           AnyTarget = true;
-          dispatchCall(Call, C.Target.Fn, Args, std::move(Branch), Frame,
+          dispatchCall(Call, C.Target.Fn, AS.Args, std::move(Branch), Frame,
                        Out);
           break;
         case PtrTarget::Kind::UnknownFn: {
@@ -660,12 +655,12 @@ CSymExecutor::evalCall(const CCall *Call, CSymState State,
 void CSymExecutor::dispatchCall(const CCall *Call, const CFuncDecl *Callee,
                                 const std::vector<CSymValue> &Args,
                                 CSymState State, const Frame &Frame,
-                                std::vector<Flow> &Out) {
+                                Flows &Out) {
   // MIXY's frontier: MIX(typed) functions are modeled by the type system.
   if (Hook && Callee->mixAnnot() == MixAnnot::Typed) {
     CSymValue Ret;
     if (Hook->callTypedFunction(*this, State, Call, Callee, Args, Ret)) {
-      Out.push_back({std::move(State), std::move(Ret)});
+      Out.push_back({std::move(State), Ret});
       return;
     }
   }
@@ -704,44 +699,39 @@ void CSymExecutor::dispatchCall(const CCall *Call, const CFuncDecl *Callee,
     Out.push_back(std::move(F));
 }
 
-std::vector<CSymExecutor::Flow>
+CSymExecutor::Flows
 CSymExecutor::inlineCall(const CFuncDecl *F,
                          const std::vector<CSymValue> &Args, CSymState State,
                          unsigned Depth) {
-  // Save the caller's local bindings; the callee gets fresh ones.
-  std::map<std::string, LocId> CallerLocals = std::move(State.Locals);
-  State.Locals.clear();
-
+  // The callee's frame goes on top of the caller's locals and comes off
+  // every path that returns.
   Frame Callee;
   Callee.Func = F;
   Callee.Depth = Depth;
+  Callee.Base = (unsigned)State.Locals.size();
+  State.Locals.resize(Callee.Base + F->numSlots(), NoLoc);
 
   for (size_t I = 0; I != F->params().size(); ++I) {
     const auto &P = F->params()[I];
-    LocId Loc = newObject(P.Ty, F->name() + "::" + P.Name);
-    State.Locals[P.Name] = Loc;
+    LocId Loc = newLocal(F, P.Slot, P.Ty);
+    State.Locals[Callee.Base + P.Slot] = Loc;
     if (I < Args.size())
-      State.Store.set({Loc, ""}, Args[I]);
+      State.Store.set({Loc}, Args[I]);
   }
 
-  std::vector<CSymState> Paths = execStmt(F->body(), std::move(State), Callee);
-  std::vector<Flow> Out;
-  for (CSymState &S : Paths) {
+  Flows Out;
+  for (CSymState &S : execStmt(F->body(), std::move(State), Callee)) {
     CSymValue Ret;
     if (S.Returned)
-      Ret = std::move(S.RetValue);
+      Ret = S.RetValue;
     else if (F->returnType()->isPointer())
-      Ret = CSymValue::nullPointer(Terms);
+      Ret = NullPtr;
     else
       Ret = CSymValue::scalar(Terms.intConst(0));
     S.Returned = false;
     S.RetValue = CSymValue();
-    // The last path takes the caller's bindings; only the others copy.
-    if (&S == &Paths.back())
-      S.Locals = std::move(CallerLocals);
-    else
-      S.Locals = CallerLocals;
-    Out.push_back({std::move(S), std::move(Ret)});
+    S.Locals.resize(Callee.Base);
+    Out.push_back({std::move(S), Ret});
   }
   return Out;
 }
@@ -755,13 +745,13 @@ CSymExecutor::Flow CSymExecutor::externCall(const CFuncDecl *Callee,
   CSymValue Ret = RetTy && RetTy->isPointer()
                       ? lazyInit(RetTy, Name)
                       : CSymValue::scalar(Terms.freshIntVar(Name));
-  return {std::move(State), std::move(Ret)};
+  return {std::move(State), Ret};
 }
 
 // === statements ==============================================================
 
-std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
-                                              const Frame &Frame) {
+CSymExecutor::Paths CSymExecutor::execStmt(const CStmt *S, CSymState State,
+                                           const Frame &Frame) {
   if (State.Returned)
     return one(std::move(State));
   if (PathsThisRun > Opts.MaxPaths) {
@@ -771,7 +761,7 @@ std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
 
   switch (S->kind()) {
   case CStmtKind::Expr: {
-    std::vector<CSymState> Out;
+    Paths Out;
     for (Flow &F : evalExpr(cast<CExprStmt>(S)->expr(), std::move(State),
                             Frame))
       Out.push_back(std::move(F.State));
@@ -779,20 +769,20 @@ std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
   }
   case CStmtKind::Decl: {
     const auto *D = cast<CDeclStmt>(S);
-    LocId Loc = newObject(D->type(), Frame.Func->name() + "::" + D->name());
-    State.Locals[D->name()] = Loc;
+    LocId Loc = newLocal(Frame.Func, D->slot(), D->type());
+    State.Locals[Frame.Base + D->slot()] = Loc;
     if (!D->init())
       return one(std::move(State));
-    std::vector<CSymState> Out;
+    Paths Out;
     for (Flow &F : evalExpr(D->init(), std::move(State), Frame)) {
-      F.State.Store.set({Loc, ""}, F.Value);
+      F.State.Store.set({Loc}, F.Value);
       Out.push_back(std::move(F.State));
     }
     return Out;
   }
   case CStmtKind::If: {
     const auto *I = cast<CIfStmt>(S);
-    std::vector<CSymState> Out;
+    Paths Out;
     for (Flow &F : evalExpr(I->cond(), std::move(State), Frame)) {
       const Term *Cond = truthTerm(F.Value);
 
@@ -804,8 +794,7 @@ std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
         extendPath(Then, Cond, std::move(ThenW));
         if (Opts.Prov)
           Then.Trail.push_back({I->cond()->loc(), "condition true"});
-        for (CSymState &R : execStmt(I->thenStmt(), std::move(Then), Frame))
-          Out.push_back(std::move(R));
+        execScoped(I->thenStmt(), std::move(Then), Frame, Out);
       } else {
         ++Statistics.ForksPruned;
       }
@@ -816,13 +805,10 @@ std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
         CSymState Else = std::move(F.State);
         if (Opts.Prov)
           Else.Trail.push_back({I->cond()->loc(), "condition false"});
-        if (I->elseStmt()) {
-          for (CSymState &R :
-               execStmt(I->elseStmt(), std::move(Else), Frame))
-            Out.push_back(std::move(R));
-        } else {
+        if (I->elseStmt())
+          execScoped(I->elseStmt(), std::move(Else), Frame, Out);
+        else
           Out.push_back(std::move(Else));
-        }
       } else {
         ++Statistics.ForksPruned;
       }
@@ -838,23 +824,24 @@ std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
       State.RetValue = CSymValue::scalar(Terms.intConst(0));
       return one(std::move(State));
     }
-    std::vector<CSymState> Out;
+    Paths Out;
     for (Flow &F : evalExpr(R->value(), std::move(State), Frame)) {
       F.State.Returned = true;
-      F.State.RetValue = std::move(F.Value);
+      F.State.RetValue = F.Value;
       Out.push_back(std::move(F.State));
     }
     return Out;
   }
   case CStmtKind::Block: {
-    std::vector<CSymState> Active;
-    Active.push_back(std::move(State));
+    // Statement by statement over every live path; the two lists swap
+    // roles, so a block allocates at most twice however long it is.
+    Paths Active = one(std::move(State)), Next;
     for (const CStmt *Sub : cast<CBlockStmt>(S)->stmts()) {
-      std::vector<CSymState> Next;
+      Next.clear();
       for (CSymState &A : Active)
         for (CSymState &R : execStmt(Sub, std::move(A), Frame))
           Next.push_back(std::move(R));
-      Active = std::move(Next);
+      std::swap(Active, Next);
     }
     return Active;
   }
@@ -862,19 +849,34 @@ std::vector<CSymState> CSymExecutor::execStmt(const CStmt *S, CSymState State,
   return one(std::move(State));
 }
 
-std::vector<CSymState> CSymExecutor::execWhile(const CWhileStmt *W,
-                                               CSymState State,
-                                               const Frame &Frame) {
+void CSymExecutor::execScoped(const CStmt *Body, CSymState State,
+                              const Frame &Frame, Paths &Out) {
+  // Within one frame only declarations change the locals, so putting the
+  // entry values back ends exactly the body's declarations. A shared
+  // slot (one name declared again inside) gets its outer object back.
+  size_t Mark = SavedLocals.size();
+  auto Begin = State.Locals.begin() + Frame.Base;
+  SavedLocals.insert(SavedLocals.end(), Begin,
+                     Begin + Frame.Func->numSlots());
+  for (CSymState &R : execStmt(Body, std::move(State), Frame)) {
+    std::copy(SavedLocals.begin() + Mark, SavedLocals.end(),
+              R.Locals.begin() + Frame.Base);
+    Out.push_back(std::move(R));
+  }
+  SavedLocals.resize(Mark);
+}
+
+CSymExecutor::Paths CSymExecutor::execWhile(const CWhileStmt *W,
+                                            CSymState State,
+                                            const Frame &Frame) {
   // Bounded unrolling: each round forks on the condition; paths that are
   // still looping after the bound are kept (without the exit constraint)
   // and the run is flagged incomplete.
-  std::vector<CSymState> Active;
-  Active.push_back(std::move(State));
-  std::vector<CSymState> Exited;
+  Paths Active = one(std::move(State)), NextActive, Exited;
 
   for (unsigned Round = 0; Round != Opts.LoopBound && !Active.empty();
        ++Round) {
-    std::vector<CSymState> NextActive;
+    NextActive.clear();
     for (CSymState &A : Active) {
       if (A.Returned) {
         Exited.push_back(std::move(A));
@@ -895,12 +897,11 @@ std::vector<CSymState> CSymExecutor::execWhile(const CWhileStmt *W,
           CSymState Loop = std::move(F.State);
           if (Opts.Prov)
             Loop.Trail.push_back({W->cond()->loc(), "loop iteration"});
-          for (CSymState &R : execStmt(W->body(), std::move(Loop), Frame))
-            NextActive.push_back(std::move(R));
+          execScoped(W->body(), std::move(Loop), Frame, NextActive);
         }
       }
     }
-    Active = std::move(NextActive);
+    std::swap(Active, NextActive);
   }
 
   if (!Active.empty()) {
@@ -924,7 +925,7 @@ CSymExecutor::runFunction(const CFuncDecl *F,
 
   CSymResult Result;
   CSymState State;
-  State.Path = Terms.trueTerm();
+  State.Path = True;
   // The empty model satisfies `true`.
   State.Witness = std::make_shared<const smt::SmtModel>();
 
@@ -933,18 +934,19 @@ CSymExecutor::runFunction(const CFuncDecl *F,
     const CGlobalDecl *G = Program.findGlobal(Name);
     if (!G || !G->type()->isPointer())
       continue;
-    State.Store.set({globalLoc(Name), ""},
-                    seededPointer(G->type(), Seed, Name));
+    State.Store.set({globalLoc(G)}, seededPointer(G->type(), Seed, Name));
   }
 
   Frame Top;
   Top.Func = F;
   Top.Depth = 0;
+  Top.Base = 0;
+  State.Locals.assign(F->numSlots(), NoLoc);
 
   for (size_t I = 0; I != F->params().size(); ++I) {
     const auto &P = F->params()[I];
-    LocId Loc = newObject(P.Ty, F->name() + "::" + P.Name);
-    State.Locals[P.Name] = Loc;
+    LocId Loc = newLocal(F, P.Slot, P.Ty);
+    State.Locals[P.Slot] = Loc;
 
     if (P.Ty->isPointer()) {
       NullSeed Seed;
@@ -962,13 +964,13 @@ CSymExecutor::runFunction(const CFuncDecl *F,
           Pointee = C.Target.Loc;
       Result.ParamPointeeLocs.push_back(Pointee);
       Result.ParamTerms.push_back(nullptr);
-      State.Store.set({Loc, ""}, std::move(V));
+      State.Store.set({Loc}, V);
     } else {
       Result.ParamPointeeLocs.push_back(NoLoc);
       const smt::Term *ParamTerm =
           Terms.freshIntVar(F->name() + "::" + P.Name);
       Result.ParamTerms.push_back(ParamTerm);
-      State.Store.set({Loc, ""}, CSymValue::scalar(ParamTerm));
+      State.Store.set({Loc}, CSymValue::scalar(ParamTerm));
     }
   }
 
@@ -977,7 +979,7 @@ CSymExecutor::runFunction(const CFuncDecl *F,
     P.Path = S.Path;
     P.Returned = S.Returned;
     if (S.Returned)
-      P.Ret = std::move(S.RetValue);
+      P.Ret = S.RetValue;
     P.Store = std::move(S.Store);
     Result.Paths.push_back(std::move(P));
   }
@@ -997,7 +999,7 @@ bool CSymExecutor::mayBeNull(const Term *Path, const CSymValue &Value) {
 
 std::optional<CSymValue>
 CSymExecutor::finalCell(const CSymResult::PathOut &P, LocId Loc,
-                        const std::string &Field) {
+                        FieldId Field) {
   const CSymValue *V = P.Store.get({Loc, Field});
   if (!V)
     return std::nullopt;

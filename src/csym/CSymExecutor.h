@@ -37,6 +37,7 @@
 #include "solver/ISolver.h"
 #include "support/Diagnostics.h"
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -51,14 +52,17 @@ class CSymExecutor;
 /// it.
 using SharedModel = std::shared_ptr<const smt::SmtModel>;
 
-/// One execution path's mutable state. Locals live here (not in a shared
-/// frame) because declarations inside branches allocate per path.
+/// One execution path's mutable state (DESIGN.md "Flat path state").
 ///
-/// A path owns its state, and every flow that does not split the path
-/// moves it along. The type is move-only: fork() is the one way to copy a
-/// state, and the executor calls it only where a branch splits the path
-/// (an `if`'s then-branch, a loop's exit path, an indirect call's
-/// targets), so the compiler rejects any other copy.
+/// Locals are one vector of object ids with a frame per active call: the
+/// binder's local slots of the function being executed, from the frame's
+/// base on (CSymExecutor::Frame). A path owns its state, and every flow
+/// that does not split the path moves it along. The type is move-only:
+/// fork() is the one way to copy a state, and the executor calls it only
+/// where a branch splits the path (an `if`'s then-branch, a loop's exit
+/// path, an indirect call's targets), so the compiler rejects any other
+/// copy. A fork copies two flat arrays (the store and the locals); values
+/// are handles and the witness is shared.
 struct CSymState {
   CSymState() = default;
   CSymState(CSymState &&) = default;
@@ -73,7 +77,7 @@ struct CSymState {
   /// non-null, the witness satisfies Path. Forks share it.
   SharedModel Witness;
   CStore Store;
-  std::map<std::string, LocId> Locals;
+  std::vector<LocId> Locals;
   bool Returned = false;
   CSymValue RetValue;
   /// With provenance recording on (CSymOptions::Prov): the branch
@@ -82,8 +86,63 @@ struct CSymState {
   std::vector<prov::WitnessStep> Trail;
 
 private:
-  CSymState(const CSymState &) = default;
+  CSymState(const CSymState &O)
+      : Path(O.Path), Witness(O.Witness), Store(O.Store), Returned(O.Returned),
+        RetValue(O.RetValue), Trail(O.Trail) {
+    Locals.reserve(O.Locals.capacity());
+    Locals.assign(O.Locals.begin(), O.Locals.end());
+  }
   CSymState &operator=(const CSymState &) = delete;
+};
+
+/// A list with room for one element inline, so a flow that neither forks
+/// nor kills its path hands on its one successor without touching the
+/// heap. Order is insertion order.
+template <typename T> class SmallList {
+public:
+  SmallList() = default;
+  explicit SmallList(T &&X) { One.emplace(std::move(X)); }
+  /// A moved-from list is empty.
+  SmallList(SmallList &&O) noexcept
+      : One(std::move(O.One)), Many(std::move(O.Many)) {
+    O.clear();
+  }
+  SmallList &operator=(SmallList &&O) noexcept {
+    One = std::move(O.One);
+    Many = std::move(O.Many);
+    O.clear();
+    return *this;
+  }
+
+  void push_back(T &&X) {
+    if (!One && Many.empty()) {
+      One.emplace(std::move(X));
+      return;
+    }
+    if (One) {
+      Many.reserve(2);
+      Many.push_back(std::move(*One));
+      One.reset();
+    }
+    Many.push_back(std::move(X));
+  }
+  /// Empties the list; a spilled list keeps its heap room.
+  void clear() {
+    One.reset();
+    Many.clear();
+  }
+  bool empty() const { return !One && Many.empty(); }
+  size_t size() const { return One ? 1 : Many.size(); }
+  T *begin() { return One ? &*One : Many.data(); }
+  T *end() { return One ? &*One + 1 : Many.data() + Many.size(); }
+  const T *begin() const { return One ? &*One : Many.data(); }
+  const T *end() const { return One ? &*One + 1 : Many.data() + Many.size(); }
+  T &operator[](size_t I) { return begin()[I]; }
+
+private:
+  /// Engaged only while the list holds exactly one element.
+  std::optional<T> One;
+  std::vector<T> Many;
 };
 
 /// MIXY's hook for calls to MIX(typed) functions met during symbolic
@@ -173,9 +232,9 @@ public:
 
   // --- queries used by MIXY's symbolic-to-typed translation -------------
 
-  /// The storage object of global \p Name (created on demand; stable
-  /// across paths and runs).
-  LocId globalLoc(const std::string &Name);
+  /// The storage object of global \p G, shared by every declaration of
+  /// its name (created on demand; stable across paths and runs).
+  LocId globalLoc(const CGlobalDecl *G);
 
   /// Is `value == null` feasible under \p Path? ("we ask whether
   /// g and (s = 0) is satisfiable", Section 4.1.)
@@ -183,12 +242,12 @@ public:
 
   /// Reads a cell from a result path's final store *without* lazily
   /// initializing (returns nullopt when never touched).
-  static std::optional<CSymValue> finalCell(const CSymResult::PathOut &P,
-                                            LocId Loc,
-                                            const std::string &Field);
+  static std::optional<CSymValue>
+  finalCell(const CSymResult::PathOut &P, LocId Loc,
+            FieldId Field = WholeObject);
 
   /// Declared type of a cell (object type or struct field type).
-  const CType *cellType(LocId Loc, const std::string &Field) const;
+  const CType *cellType(LocId Loc, FieldId Field) const;
 
   /// Allocates a fresh object of type \p Ty (exposed for the hook).
   LocId newObject(const CType *Ty, std::string Name);
@@ -202,6 +261,15 @@ public:
   /// Seed: nonnull -> fresh object; may-be-null -> (alpha ? obj : null).
   CSymValue seededPointer(const CType *PtrTy, NullSeed Seed,
                           const std::string &Name);
+
+  /// The field paths of this executor's cells and pointer targets.
+  FieldPaths &fieldPaths() { return Fields; }
+  /// The storage of this executor's pointer values.
+  PtrCaseArena &ptrCases() { return Cases; }
+  /// A definite single-target pointer, in this executor's storage.
+  CSymValue pointerTo(PtrTarget Target) {
+    return CSymValue::pointerTo(Cases, Terms, Target);
+  }
 
   smt::TermArena &terms() { return Terms; }
   smt::ISolver &solver() { return Solver; }
@@ -229,9 +297,12 @@ public:
   const Stats &stats() const { return Statistics; }
 
 private:
+  /// An active call: the function whose body runs, its inlining depth,
+  /// and where its local slots start in CSymState::Locals.
   struct Frame {
     const CFuncDecl *Func = nullptr;
     unsigned Depth = 0;
+    unsigned Base = 0;
   };
 
   /// A state paired with the value an expression produced on that path.
@@ -243,21 +314,24 @@ private:
   /// A guarded storage designator (the result of lvalue resolution).
   struct LVal {
     const smt::Term *Guard;
-    LocId Loc;
-    std::string Field;
+    CellKey Cell;
   };
 
   /// A state paired with the cells an lvalue resolved to on that path.
   struct LResolved {
     CSymState State;
-    std::vector<LVal> Cells;
+    SmallList<LVal> Cells;
   };
+
+  using Paths = SmallList<CSymState>;
+  using Flows = SmallList<Flow>;
+  using LResolveds = SmallList<LResolved>;
 
   /// Dispatches a call with evaluated arguments to a known callee: typed
   /// hook, nonnull-argument checks, extern modelling, or inlining.
   void dispatchCall(const CCall *Call, const CFuncDecl *Callee,
                     const std::vector<CSymValue> &Args, CSymState State,
-                    const Frame &Frame, std::vector<Flow> &Out);
+                    const Frame &Frame, Flows &Out);
   /// Conservative model of a call that cannot be inlined (\p Callee is
   /// null for an unknown function pointer).
   Flow externCall(const CFuncDecl *Callee, CSymState State);
@@ -268,10 +342,18 @@ private:
   /// The guard under which two pointer(ish) values are equal.
   const smt::Term *pointerEqGuard(const CSymValue &L, const CSymValue &R);
 
+  /// The object an identifier denotes on this path: a local of the frame,
+  /// or a global; NoLoc for a function or an unresolved name.
+  LocId varLoc(const CIdent *Id, const CSymState &State, const Frame &Frame);
+  /// A fresh object for local slot \p Slot of \p F, named on demand.
+  LocId newLocal(const CFuncDecl *F, unsigned Slot, const CType *Ty);
+  /// The debug name of an object, which names its cells' fresh values.
+  std::string objectName(LocId Loc) const;
+
   /// Reads a cell, lazily initializing it.
-  CSymValue readCell(CSymState &State, LocId Loc, const std::string &Field);
+  CSymValue readCell(CSymState &State, CellKey Cell);
   /// Writes through guarded cells (Morris's general axiom of assignment).
-  void writeCells(CSymState &State, const std::vector<LVal> &Cells,
+  void writeCells(CSymState &State, const SmallList<LVal> &Cells,
                   const CSymValue &Value);
 
   /// Builds the lazy initial value for a cell of type \p Ty.
@@ -324,25 +406,28 @@ private:
             const smt::Term *WitnessCond = nullptr);
 
   // Statement execution: transforms one path into many.
-  std::vector<CSymState> execStmt(const CStmt *S, CSymState State,
-                                  const Frame &Frame);
-  std::vector<CSymState> execWhile(const CWhileStmt *W, CSymState State,
-                                   const Frame &Frame);
+  Paths execStmt(const CStmt *S, CSymState State, const Frame &Frame);
+  Paths execWhile(const CWhileStmt *W, CSymState State, const Frame &Frame);
+  /// Runs an `if` branch or a `while` body and appends its paths to \p
+  /// Out. The body's declarations end with it, as the binder's scopes do:
+  /// every path leaving it gets back the frame's locals it entered with.
+  void execScoped(const CStmt *Body, CSymState State, const Frame &Frame,
+                  Paths &Out);
 
   // Expression evaluation (calls can fork).
-  std::vector<Flow> evalExpr(const CExpr *E, CSymState State,
-                             const Frame &Frame);
-  std::vector<Flow> evalCall(const CCall *Call, CSymState State,
-                             const Frame &Frame);
-  std::vector<Flow> inlineCall(const CFuncDecl *F,
-                               const std::vector<CSymValue> &Args,
-                               CSymState State, unsigned Depth);
+  Flows evalExpr(const CExpr *E, CSymState State, const Frame &Frame);
+  Flows evalCall(const CCall *Call, CSymState State, const Frame &Frame);
+  Flows inlineCall(const CFuncDecl *F, const std::vector<CSymValue> &Args,
+                   CSymState State, unsigned Depth);
 
   /// Resolves an lvalue to guarded cells, warning about feasible null
   /// dereferences along the way and refining the path condition
   /// (continuing execution assumes the dereference did not trap).
-  std::vector<LResolved> resolveLValue(const CExpr *E, CSymState State,
-                                       const Frame &Frame);
+  LResolveds resolveLValue(const CExpr *E, CSymState State,
+                           const Frame &Frame);
+  /// The null check of a dereference of \p Ptr, then the assumption that
+  /// it survived; false when the path dies there (definitely null).
+  bool derefSurvives(SourceLoc Loc, CSymState &State, const CSymValue &Ptr);
 
   const CProgram &Program;
   CAstContext &Ctx;
@@ -353,12 +438,23 @@ private:
   CSymOptions Opts;
   TypedCallHook *Hook = nullptr;
 
+  /// An object's type and name. A local's or parameter's name is built
+  /// only when asked for: "Func::slot name".
   struct ObjInfo {
     const CType *Ty;
-    std::string Name;
+    const CFuncDecl *Func = nullptr;
+    unsigned Slot = 0;
+    std::string Name; ///< When Func is null.
   };
   std::vector<ObjInfo> Objects; // index 0 unused (NoLoc)
-  std::map<std::string, LocId> GlobalLocs;
+  /// The object of each global slot, NoLoc until first use.
+  std::vector<LocId> GlobalLocs;
+  FieldPaths Fields;
+  PtrCaseArena Cases;
+  const smt::Term *True;
+  CSymValue NullPtr;
+  /// The locals that enclosing execScoped() calls restore, as a stack.
+  std::vector<LocId> SavedLocals;
 
   std::set<std::string> EmittedWarnings;
   unsigned WarningsThisRun = 0;

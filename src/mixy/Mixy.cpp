@@ -648,7 +648,7 @@ MixyAnalysis::translateResult(const CFuncDecl *F, const CSymResult &Result) {
                           : NoLoc;
       if (Pointee == NoLoc)
         continue;
-      auto Cell = CSymExecutor::finalCell(P, Pointee, "");
+      auto Cell = CSymExecutor::finalCell(P, Pointee);
       if (Cell && Cell->isPtr() && Exec.mayBeNull(P.Path, *Cell))
         Outcome.ParamPointeeMayBeNull[I] = true;
     }
@@ -656,7 +656,7 @@ MixyAnalysis::translateResult(const CFuncDecl *F, const CSymResult &Result) {
     for (const CGlobalDecl *G : Program.globals()) {
       if (!G->type()->isPointer())
         continue;
-      auto Cell = CSymExecutor::finalCell(P, Exec.globalLoc(G->name()), "");
+      auto Cell = CSymExecutor::finalCell(P, Exec.globalLoc(G));
       if (Cell && Cell->isPtr() && Exec.mayBeNull(P.Path, *Cell))
         Outcome.GlobalMayBeNull[G->name()] = true;
     }
@@ -952,7 +952,7 @@ bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
   for (const CGlobalDecl *G : Program.globals()) {
     if (!G->type()->isPointer())
       continue;
-    auto Cell = State.Store.get({Exec2.globalLoc(G->name()), ""});
+    auto Cell = State.Store.get({Exec2.globalLoc(G)});
     if (!Cell || !Cell->isPtr())
       continue;
     Key.Globals[G->name()] = Exec2.mayBeNull(State.Path, *Cell)
@@ -982,7 +982,7 @@ bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
     NullSeed Seed = (!Q.empty() && Qual.mayBeNull(Q[0]))
                         ? NullSeed::MayBeNull
                         : NullSeed::Nonnull;
-    State.Store.set({Exec2.globalLoc(G->name()), ""},
+    State.Store.set({Exec2.globalLoc(G)},
                     Exec2.seededPointer(G->type(), Seed, G->name()));
   }
 

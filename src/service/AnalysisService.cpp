@@ -449,8 +449,14 @@ void AnalysisService::runMixy(const AnalysisRequest &Req,
   // sessions always keep summaries — that is their whole point.
   bool Incremental = Req.CacheDir.empty() ? true : Req.Incremental;
   std::unique_lock<std::mutex> SessionLock;
-  std::shared_ptr<persist::PersistSession> Session = openSession(
-      Req, Incremental, c::mixyPersistFingerprint(Opts), Diags, SessionLock);
+  std::shared_ptr<persist::PersistSession> Session;
+  // CLI parity: `mixyc --no-cache` without --cache-dir has no session, so
+  // such a request opens none on a warm daemon either. The warm session
+  // would replay block summaries, its own run's included, and the request
+  // would do less work than the same one in mixyc.
+  if (!Req.NoCache || !Req.CacheDir.empty())
+    Session = openSession(Req, Incremental, c::mixyPersistFingerprint(Opts),
+                          Diags, SessionLock);
   Opts.Persist = Session.get();
 
   auto finish = [&](int Exit) {

@@ -248,7 +248,7 @@ TEST_F(CSymTest, WritesThroughPointerParameters) {
   ASSERT_EQ(Last.Paths.size(), 2u);
   bool FoundNullWrite = false;
   for (const auto &P : Last.Paths) {
-    auto Cell = CSymExecutor::finalCell(P, Last.ParamPointeeLocs[0], "");
+    auto Cell = CSymExecutor::finalCell(P, Last.ParamPointeeLocs[0]);
     if (!Cell || !Cell->isPtr())
       continue;
     if (!Exec->mayBeNull(P.Path, *Cell))
@@ -256,6 +256,33 @@ TEST_F(CSymTest, WritesThroughPointerParameters) {
     FoundNullWrite = true;
   }
   EXPECT_TRUE(FoundNullWrite);
+}
+
+TEST_F(CSymTest, BranchAndLoopDeclarationsEndWithTheirBodies) {
+  // Every body declares another x in the outer x's slot. Leaving an `if`
+  // branch or a `while` body gives the slot its outer object back, as the
+  // binder's scopes end there; a plain block shares its parent's scope,
+  // so its x stays. Every path returns 1 + 5.
+  EXPECT_EQ(runAndCountWarnings("int f(int c) {\n"
+                                "  int x;\n"
+                                "  int y;\n"
+                                "  x = 1;\n"
+                                "  if (c > 0) { int x; x = 2; }\n"
+                                "  else { int x; x = 3; }\n"
+                                "  while (c > 5) { int x; x = 4; c = c - 1; }\n"
+                                "  y = x;\n"
+                                "  { int x; x = 5; }\n"
+                                "  return y + x;\n"
+                                "}",
+                                "f"),
+            0u);
+  ASSERT_FALSE(Last.Paths.empty());
+  for (const auto &P : Last.Paths) {
+    ASSERT_TRUE(P.Returned);
+    ASSERT_TRUE(P.Ret.isScalar());
+    EXPECT_EQ(P.Ret.scalarTerm()->kind(), mix::smt::TermKind::IntConst);
+    EXPECT_EQ(P.Ret.scalarTerm()->value(), 6);
+  }
 }
 
 TEST_F(CSymTest, UnknownFunctionPointerWarns) {
@@ -276,8 +303,8 @@ TEST_F(CSymTest, KnownFunctionPointerCallExecutes) {
                                 "f"),
             0u);
   ASSERT_EQ(Last.Paths.size(), 1u);
-  auto Cell = CSymExecutor::finalCell(Last.Paths[0], Exec->globalLoc("v"),
-                                      "");
+  auto Cell = CSymExecutor::finalCell(
+      Last.Paths[0], Exec->globalLoc(Exec->program().findGlobal("v")));
   ASSERT_TRUE(Cell.has_value());
   ASSERT_TRUE(Cell->isScalar());
   EXPECT_EQ(Cell->scalarTerm()->value(), 7);
@@ -546,8 +573,7 @@ TEST_F(CSymTest, MayBeNullAnswersConstantGuardsWithoutTheSolver) {
   uint64_t Before = Solver.queries();
   LocId Obj = Exec->newObject(Ctx.intType(), "obj");
   EXPECT_FALSE(Exec->mayBeNull(Terms.trueTerm(),
-                               CSymValue::pointerTo(Terms,
-                                                    PtrTarget::object(Obj))));
+                               Exec->pointerTo(PtrTarget::object(Obj))));
   EXPECT_EQ(Solver.queries(), Before);
 
   // A pointer seeded as may-be-null still may be null.

@@ -383,6 +383,51 @@ TEST_F(MixyTest, TruncatedSymbolicEntryRunWarns) {
   EXPECT_EQ(Diags.diagnostics()[0].ID, DiagID::ExecBudget);
 }
 
+// --- Block scope inside symbolic blocks ------------------------------------
+
+TEST_F(MixyTest, BranchDeclarationEndsWithTheBranch) {
+  // The branch's `int *g` ends with the branch (the binder's scope rule),
+  // so sink gets the global g, which main set to null, not &x.
+  const char *Source = R"(
+int *g;
+void sink(int * nonnull p) MIX(typed);
+void f(int c) MIX(symbolic) {
+  int x;
+  x = 0;
+  if (1) { int *g; g = &x; }
+  sink(g);
+}
+int main(void) { g = NULL; f(1); return 0; }
+)";
+  EXPECT_EQ(mixyWarnings(Source), 1u) << LastDiags;
+  EXPECT_NE(
+      LastDiags.find("null value may reach nonnull position 'param p of sink'"),
+      std::string::npos)
+      << LastDiags;
+}
+
+TEST_F(MixyTest, BranchRedeclarationGivesTheOuterLocalBack) {
+  // Both p's share one local slot. Leaving the branch gives the slot its
+  // outer object back, which holds null, so sink gets null, not &x.
+  const char *Source = R"(
+void sink(int * nonnull p) MIX(typed);
+void f(int c) MIX(symbolic) {
+  int x;
+  int *p;
+  x = 0;
+  p = NULL;
+  if (1) { int *p; p = &x; }
+  sink(p);
+}
+int main(void) { f(1); return 0; }
+)";
+  EXPECT_EQ(mixyWarnings(Source), 1u) << LastDiags;
+  EXPECT_NE(
+      LastDiags.find("null value may reach nonnull position 'param p of sink'"),
+      std::string::npos)
+      << LastDiags;
+}
+
 TEST_F(MixyTest, TrueErrorsAreStillReported) {
   // Soundness direction: MIXY removes false positives, not true ones.
   const char *Source = R"(

@@ -35,14 +35,13 @@ struct Measured {
   }
 };
 
-/// One cold MIXY request over the corpus plus \p Modules typed filler
-/// modules, entered through filler_main so the whole program is analyzed
-/// (e2ebench's mixy-typed-large at 1,000 modules).
-Measured typedFiller(unsigned Modules) {
+/// One cold MIXY request over \p Source from filler_main, so the whole
+/// program is analyzed, as mixyc and mixyd run it.
+Measured coldRequest(std::string Source) {
   service::AnalysisService Svc;
   service::AnalysisRequest Req;
   Req.ToolKind = service::Tool::Mixy;
-  Req.Source = c::corpus::vsftpdScaled(/*Annotated=*/true, Modules, 0);
+  Req.Source = std::move(Source);
   Req.HasSource = true;
   Req.Entry = "filler_main";
   service::AnalysisResponse Resp = Svc.run(Req);
@@ -52,6 +51,19 @@ Measured typedFiller(unsigned Modules) {
   for (const auto &[Name, Value] : Resp.Metrics)
     Out.Counters[Name] = Value;
   return Out;
+}
+
+/// The corpus plus \p Modules typed filler modules (e2ebench's
+/// mixy-typed-large at 1,000 modules).
+Measured typedFiller(unsigned Modules) {
+  return coldRequest(
+      c::corpus::vsftpdScaled(/*Annotated=*/true, Modules, 0));
+}
+
+/// The corpus plus 64 filler modules, \p Symbolic of them MIX(symbolic).
+Measured symbolicFiller(unsigned Symbolic) {
+  return coldRequest(
+      c::corpus::vsftpdScaled(/*Annotated=*/true, 64, Symbolic));
 }
 
 } // namespace
@@ -76,4 +88,21 @@ TEST(ScalingGateTest, TypedSideGrowsLinearlyWithFillerModules) {
   for (const Measured *R : {&Small, &Large})
     EXPECT_LE(R->counter("cfront.ast_bytes"), 12 * R->SourceBytes)
         << R->SourceBytes << " source bytes";
+}
+
+TEST(ScalingGateTest, SymbolicSideGrowsLinearlyWithBlocks) {
+  Measured Small = symbolicFiller(8);
+  Measured Large = symbolicFiller(32);
+  // Symbolic block runs, the executor's forks and paths, and backend
+  // decisions. Each grows 2.85-3.97x today (13 -> 37, 638 -> 2,534,
+  // 1,021 -> 4,045 and 654 -> 2,550): the corpus's own blocks are a
+  // fixed part of both programs.
+  for (const char *Name : {"mixy.sym_block_runs", "csym.forks", "csym.paths",
+                           "solver.queries"}) {
+    SCOPED_TRACE(Name);
+    uint64_t S = Small.counter(Name), L = Large.counter(Name);
+    ASSERT_GT(S, 0u);
+    EXPECT_GT(L, S);
+    EXPECT_LE((double)L / (double)S, 4.5) << S << " -> " << L;
+  }
 }

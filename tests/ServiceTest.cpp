@@ -698,44 +698,53 @@ TEST(ServiceServeTest, SecondIdenticalRequestAnswersFromCache) {
 
 TEST(ServiceServeTest, RepeatedRequestsDoTheSameWork) {
   // serve()'s side of MixyTest.RepeatedRunsDoTheSameWork: with every
-  // cache off (no response cache, no warm session to replay block
-  // summaries, no in-run block cache), each identical request runs the
-  // whole analysis again in one long-lived process, where the allocator
-  // hands out different addresses each time. Each must answer the same
-  // bytes after the same work.
-  service::ServiceConfig SC;
-  SC.PerRequestMetrics = true;
-  SC.ResponseCacheCap = 0;
-  service::AnalysisService Svc(SC);
-  service::AnalysisRequest Req;
-  Req.ToolKind = service::Tool::Mixy;
-  Req.Source = c::corpus::vsftpdScaled(true, 24, 8);
-  Req.HasSource = true;
-  Req.Entry = "filler_main";
-  Req.NoCache = true;
-  auto Work = [](const service::AnalysisResponse &Resp) {
-    std::map<std::string, uint64_t> Out;
-    for (const auto &[Name, Value] : Resp.Metrics)
-      for (const char *Prefix : {"csym.", "solver.queries", "ptranal.",
-                                 "qual.", "mixy.sym_block_runs",
-                                 "mixy.typed_block_runs", "cfront."})
-        if (Name.rfind(Prefix, 0) == 0)
-          Out[Name] = Value;
-    return Out;
-  };
-  service::AnalysisResponse First = Svc.serve(Req);
-  ASSERT_FALSE(First.FromCache);
-  std::map<std::string, uint64_t> FirstWork = Work(First);
-  for (const char *Name :
-       {"csym.paths", "csym.forks", "solver.queries", "ptranal.cells",
-        "qual.variables", "qual.flow_edges", "mixy.sym_block_runs",
-        "mixy.typed_block_runs", "cfront.ast_nodes", "cfront.ast_bytes"})
-    EXPECT_GT(FirstWork[Name], 0u) << Name;
-  for (int I = 1; I != 20; ++I) {
-    service::AnalysisResponse Resp = Svc.serve(Req);
-    EXPECT_FALSE(Resp.FromCache) << "request " << I;
-    EXPECT_EQ(Resp.Payload, First.Payload) << "request " << I;
-    EXPECT_EQ(Work(Resp), FirstWork) << "request " << I;
+  // cache off (no response cache, no in-run block cache, and no session
+  // to replay block summaries from, even on a warm daemon), each
+  // identical request runs the whole analysis again in one long-lived
+  // process, where the allocator hands out different addresses each
+  // time. Each must answer the same bytes after the same work, which is
+  // what `mixyc --no-cache --stats` reports for the program: 14 symbolic
+  // and 134 typed block runs.
+  service::ServiceConfig Plain;
+  Plain.PerRequestMetrics = true;
+  Plain.ResponseCacheCap = 0;
+  service::ServiceConfig Warm = daemonConfig();
+  Warm.ResponseCacheCap = 0;
+  for (const service::ServiceConfig &SC : {Plain, Warm}) {
+    SCOPED_TRACE(SC.KeepWarm ? "warm daemon" : "no warm sessions");
+    service::AnalysisService Svc(SC);
+    service::AnalysisRequest Req;
+    Req.ToolKind = service::Tool::Mixy;
+    Req.Source = c::corpus::vsftpdScaled(true, 24, 8);
+    Req.HasSource = true;
+    Req.Entry = "filler_main";
+    Req.NoCache = true;
+    auto Work = [](const service::AnalysisResponse &Resp) {
+      std::map<std::string, uint64_t> Out;
+      for (const auto &[Name, Value] : Resp.Metrics)
+        for (const char *Prefix : {"csym.", "solver.queries", "ptranal.",
+                                   "qual.", "mixy.sym_block_runs",
+                                   "mixy.typed_block_runs", "cfront."})
+          if (Name.rfind(Prefix, 0) == 0)
+            Out[Name] = Value;
+      return Out;
+    };
+    service::AnalysisResponse First = Svc.serve(Req);
+    ASSERT_FALSE(First.FromCache);
+    std::map<std::string, uint64_t> FirstWork = Work(First);
+    for (const char *Name :
+         {"csym.paths", "csym.forks", "solver.queries", "ptranal.cells",
+          "qual.variables", "qual.flow_edges", "mixy.sym_block_runs",
+          "mixy.typed_block_runs", "cfront.ast_nodes", "cfront.ast_bytes"})
+      EXPECT_GT(FirstWork[Name], 0u) << Name;
+    EXPECT_EQ(FirstWork["mixy.sym_block_runs"], 14u);
+    EXPECT_EQ(FirstWork["mixy.typed_block_runs"], 134u);
+    for (int I = 1; I != 20; ++I) {
+      service::AnalysisResponse Resp = Svc.serve(Req);
+      EXPECT_FALSE(Resp.FromCache) << "request " << I;
+      EXPECT_EQ(Resp.Payload, First.Payload) << "request " << I;
+      EXPECT_EQ(Work(Resp), FirstWork) << "request " << I;
+    }
   }
 }
 
