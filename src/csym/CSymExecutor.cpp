@@ -9,6 +9,8 @@
 
 #include "solver/TermEval.h"
 
+#include <utility>
+
 using namespace mix::c;
 using mix::smt::Term;
 
@@ -919,9 +921,13 @@ CSymExecutor::runFunction(const CFuncDecl *F,
                           const std::vector<NullSeed> &ParamSeeds,
                           const std::map<std::string, NullSeed> &GlobalSeeds) {
   assert(F->isDefined() && "runFunction() on an extern declaration");
-  WarningsThisRun = 0;
-  IncompleteThisRun = false;
-  PathsThisRun = 0;
+  // MIXY re-enters this executor when a typed call inside a symbolic block
+  // reaches another symbolic function. The nested run gets its own path
+  // budget and reports only its own cut and warnings; the outer run's
+  // resume when it returns.
+  unsigned OuterWarnings = std::exchange(WarningsThisRun, 0);
+  bool OuterIncomplete = std::exchange(IncompleteThisRun, false);
+  unsigned OuterPaths = std::exchange(PathsThisRun, 0);
 
   CSymResult Result;
   CSymState State;
@@ -985,6 +991,9 @@ CSymExecutor::runFunction(const CFuncDecl *F,
   }
   Result.Incomplete = IncompleteThisRun;
   Result.WarningCount = WarningsThisRun;
+  WarningsThisRun = OuterWarnings;
+  IncompleteThisRun = OuterIncomplete;
+  PathsThisRun = OuterPaths;
   return Result;
 }
 

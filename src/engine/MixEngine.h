@@ -13,7 +13,8 @@
 /// (src/mix/), MIXY-for-C (src/mixy/), and the sign mix (src/sign/) all
 /// run block analyses through the same machinery:
 ///
-///  - the per-context block cache (Section 4.3) for both block sides,
+///  - the per-context block cache (Section 4.3) for both block sides:
+///    one ordered map per side, which only the engine's thread reaches,
 ///  - the block stack with recursion cut-off and assumption iteration
 ///    (Section 4.4): a re-entered block returns the current assumption,
 ///    and the enclosing evaluation re-runs with the actual result as the
@@ -45,10 +46,12 @@
 #ifndef MIX_ENGINE_MIXENGINE_H
 #define MIX_ENGINE_MIXENGINE_H
 
-#include "engine/BlockCache.h"
 #include "observe/Metrics.h"
 
+#include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -70,6 +73,20 @@ struct NodeContextKey {
   }
   bool operator<(const NodeContextKey &O) const {
     return std::tie(Node, Sig) < std::tie(O.Node, O.Sig);
+  }
+};
+
+/// Counter snapshot of one block cache.
+struct BlockCacheStats {
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
+  uint64_t Inserts = 0;
+
+  /// "hits=3 misses=5 inserts=5"-style rendering.
+  std::string str() const {
+    return "hits=" + std::to_string(Hits) +
+           " misses=" + std::to_string(Misses) +
+           " inserts=" + std::to_string(Inserts);
   }
 };
 
@@ -129,8 +146,8 @@ struct EngineCounters {
 /// The generic mix engine: block cache + block stack + assumption
 /// iteration, parameterized over an AnalysisDomain.
 ///
-/// Thread model: one engine analyzes blocks on one thread. The block
-/// stack is the *caller's* (passed per call).
+/// Thread model: one engine analyzes blocks on one thread, so its caches
+/// take no lock. The block stack is the *caller's* (passed per call).
 template <typename Domain> class MixEngine {
 public:
   using Key = typename Domain::Key;
@@ -155,25 +172,27 @@ public:
     /// Assumption-iteration bound (Section 4.4).
     unsigned MaxRecursionIterations = 8;
     obs::MetricsRegistry *Metrics = nullptr;
-    /// Counter prefixes of the two caches. MIXY keeps its historical
-    /// "mixy.cache.sym." / "mixy.cache.typed." names through these.
+    /// Counter prefixes of the two caches ("<prefix>hits", "misses",
+    /// "inserts"). MIXY keeps its historical "mixy.cache.sym." /
+    /// "mixy.cache.typed." names through these.
     std::string SymCachePrefix;
     std::string TypedCachePrefix;
   };
 
-  explicit MixEngine(Config C)
-      : Cfg(std::move(C)),
-        SymCache(Cfg.Metrics,
-                 Cfg.SymCachePrefix.empty()
-                     ? "engine.cache." + std::string(Domain::Name) + ".sym."
-                     : Cfg.SymCachePrefix),
-        TypedCache(Cfg.Metrics,
-                   Cfg.TypedCachePrefix.empty()
-                       ? "engine.cache." + std::string(Domain::Name) +
-                             ".typed."
-                       : Cfg.TypedCachePrefix) {
+  explicit MixEngine(Config C) : Cfg(std::move(C)) {
+    // The cache counters are what *CacheStats() read, so without a
+    // registry they count into a private one.
+    if (!Cfg.Metrics)
+      OwnedMetrics = std::make_unique<obs::MetricsRegistry>();
+    obs::MetricsRegistry &Reg = Cfg.Metrics ? *Cfg.Metrics : *OwnedMetrics;
+    std::string D(Domain::Name);
+    SymCache.attach(Reg, Cfg.SymCachePrefix.empty()
+                             ? "engine.cache." + D + ".sym."
+                             : Cfg.SymCachePrefix);
+    TypedCache.attach(Reg, Cfg.TypedCachePrefix.empty()
+                               ? "engine.cache." + D + ".typed."
+                               : Cfg.TypedCachePrefix);
     if (Cfg.Metrics) {
-      std::string D(Domain::Name);
       Counters.Blocks = Cfg.Metrics->counter("engine." + D + ".blocks");
       Counters.Recursions =
           Cfg.Metrics->counter("engine." + D + ".recursions");
@@ -197,25 +216,41 @@ public:
 
   BlockCacheStats symCacheStats() const { return SymCache.stats(); }
   BlockCacheStats typedCacheStats() const { return TypedCache.stats(); }
-  const EngineCounters &counters() const { return Counters; }
-
-  void clearCaches() {
-    SymCache.clear();
-    TypedCache.clear();
-  }
 
 private:
+  /// One side's Section 4.3 cache: block summaries per calling context,
+  /// ordered by Key's operator<. The first insert of a key wins.
+  template <typename V> struct Cache {
+    std::map<Key, V> Map;
+    obs::Counter Hits, Misses, Inserts;
+
+    void attach(obs::MetricsRegistry &Reg, const std::string &Prefix) {
+      Hits = Reg.counter(Prefix + "hits");
+      Misses = Reg.counter(Prefix + "misses");
+      Inserts = Reg.counter(Prefix + "inserts");
+    }
+    void insert(const Key &K, const V &Value) {
+      if (Map.emplace(K, Value).second)
+        Inserts.inc();
+    }
+    BlockCacheStats stats() const {
+      return {Hits.value(), Misses.value(), Inserts.value()};
+    }
+  };
+
   template <typename V>
   V runImpl(const Key &K, BlockStack &Stack, const RunHooks<V> &H,
-            BlockCache<Key, V> &Cache, V StackEntry::*Slot,
-            bool Symbolic) {
+            Cache<V> &C, V StackEntry::*Slot, bool Symbolic) {
     if (Cfg.EnableCache) {
-      if (auto Cached = Cache.lookup(K)) {
+      auto It = C.Map.find(K);
+      if (It != C.Map.end()) {
+        C.Hits.inc();
         Counters.CacheHits.inc();
         if (H.OnCacheHit)
-          H.OnCacheHit(*Cached);
-        return *Cached;
+          H.OnCacheHit(It->second);
+        return It->second;
       }
+      C.Misses.inc();
     }
 
     // Recursion detection (Section 4.4): the same block with a
@@ -238,7 +273,7 @@ private:
     if (H.Replay) {
       if (std::optional<V> Replayed = H.Replay()) {
         if (Cfg.EnableCache && (!H.ShouldCache || H.ShouldCache(*Replayed)))
-          Cache.insert(K, *Replayed);
+          C.insert(K, *Replayed);
         return *Replayed;
       }
     }
@@ -271,13 +306,15 @@ private:
       H.OnEvalEnd(Out);
 
     if (Cfg.EnableCache && (!H.ShouldCache || H.ShouldCache(Out)))
-      Cache.insert(K, Out);
+      C.insert(K, Out);
     return Out;
   }
 
   Config Cfg;
-  BlockCache<Key, SymOutcome> SymCache;
-  BlockCache<Key, TypedOutcome> TypedCache;
+  /// The cache counters' registry when Config::Metrics is null.
+  std::unique_ptr<obs::MetricsRegistry> OwnedMetrics;
+  Cache<SymOutcome> SymCache;
+  Cache<TypedOutcome> TypedCache;
   EngineCounters Counters;
 };
 

@@ -43,7 +43,6 @@ const Type *TypeContext::make(TypeKind Kind, const Type *Arg0,
 }
 
 const Type *TypeContext::refType(const Type *Pointee) {
-  std::lock_guard<std::mutex> Lock(InternM);
   auto Key = std::make_pair(Pointee, nullptr);
   auto It = RefTypes.find(Key);
   if (It != RefTypes.end())
@@ -54,7 +53,6 @@ const Type *TypeContext::refType(const Type *Pointee) {
 }
 
 const Type *TypeContext::funType(const Type *Param, const Type *Result) {
-  std::lock_guard<std::mutex> Lock(InternM);
   auto Key = std::make_pair(Param, Result);
   auto It = FunTypes.find(Key);
   if (It != FunTypes.end())

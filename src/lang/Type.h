@@ -23,7 +23,6 @@
 #include <cassert>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -98,11 +97,9 @@ public:
 private:
   const Type *make(TypeKind Kind, const Type *Arg0, const Type *Arg1);
 
-  /// Interning mutates the maps below, so lookups are serialized: the
-  /// lock keeps a context safe to share between threads, though each
-  /// analysis request builds its own. Interned pointers stay stable
-  /// forever; only the intern step itself needs the lock.
-  std::mutex InternM;
+  /// Interning mutates the maps below without a lock: each analysis
+  /// request builds its own context and uses it on its own thread.
+  /// Interned pointers stay stable for the context's lifetime.
   std::vector<std::unique_ptr<Type>> Owned;
   std::map<std::pair<const Type *, const Type *>, const Type *> RefTypes;
   std::map<std::pair<const Type *, const Type *>, const Type *> FunTypes;

@@ -62,8 +62,7 @@ class PersistSession;
 namespace mix::c {
 
 // The block cache lives in the shared engine layer now (src/engine/);
-// these aliases keep the historical mix::c spellings working.
-using engine::BlockCache;
+// this alias keeps the historical mix::c spelling working.
 using engine::BlockCacheStats;
 
 /// Configuration of a MIXY run.

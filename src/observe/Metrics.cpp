@@ -1,4 +1,4 @@
-//===--- Metrics.cpp - Sharded counters and histograms ----------------------===//
+//===--- Metrics.cpp - Counters and histograms ------------------------------===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
@@ -15,26 +15,14 @@
 
 using namespace mix::obs;
 
-unsigned mix::obs::threadSlot() {
-  static std::atomic<unsigned> Next{0};
-  thread_local unsigned Slot = Next.fetch_add(1, std::memory_order_relaxed);
-  return Slot;
-}
-
-HistogramSnapshot Histogram::snapshot() const {
+HistogramSnapshot detail::HistogramData::snapshot() const {
   HistogramSnapshot Out;
-  if (!Data)
-    return Out;
-  uint64_t Min = UINT64_MAX;
-  for (const detail::HistogramSlot &S : Data->Slots) {
-    Out.Count += S.Count.load(std::memory_order_relaxed);
-    Out.Sum += S.Sum.load(std::memory_order_relaxed);
-    Min = std::min(Min, S.Min.load(std::memory_order_relaxed));
-    Out.Max = std::max(Out.Max, S.Max.load(std::memory_order_relaxed));
-    for (unsigned B = 0; B != detail::HistogramBuckets; ++B)
-      Out.Buckets[B] += S.Buckets[B].load(std::memory_order_relaxed);
-  }
-  Out.Min = Out.Count == 0 ? 0 : Min;
+  Out.Count = Count.load(std::memory_order_relaxed);
+  Out.Sum = Sum.load(std::memory_order_relaxed);
+  Out.Min = Out.Count == 0 ? 0 : Min.load(std::memory_order_relaxed);
+  Out.Max = Max.load(std::memory_order_relaxed);
+  for (unsigned B = 0; B != HistogramBuckets; ++B)
+    Out.Buckets[B] = Buckets[B].load(std::memory_order_relaxed);
   return Out;
 }
 
@@ -65,78 +53,79 @@ double HistogramSnapshot::quantile(double Q) const {
   return (double)Max;
 }
 
-static unsigned roundPow2(unsigned N) {
-  unsigned P = 1;
-  while (P < N && P < 1024)
-    P <<= 1;
-  return P;
-}
-
-MetricsRegistry::MetricsRegistry(unsigned ShardsHint)
-    : Shards(roundPow2(ShardsHint == 0 ? 32 : ShardsHint)) {}
-
 Counter MetricsRegistry::counter(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(M);
-  std::unique_ptr<detail::CounterData> &Slot = Counters[Name];
-  if (!Slot)
-    Slot = std::make_unique<detail::CounterData>(Shards);
-  return Counter(Slot.get());
+  return Counter(&Counters.try_emplace(Name, 0).first->second);
 }
 
 Histogram MetricsRegistry::histogram(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(M);
-  std::unique_ptr<detail::HistogramData> &Slot = Histograms[Name];
-  if (!Slot)
-    Slot = std::make_unique<detail::HistogramData>(Shards);
-  return Histogram(Slot.get());
+  return Histogram(&Histograms.try_emplace(Name).first->second);
 }
 
 uint64_t MetricsRegistry::counterValue(const std::string &Name) const {
   std::lock_guard<std::mutex> Lock(M);
   auto It = Counters.find(Name);
-  return It == Counters.end() ? 0 : It->second->total();
+  return It == Counters.end() ? 0
+                              : It->second.load(std::memory_order_relaxed);
 }
 
 HistogramSnapshot
 MetricsRegistry::histogramSnapshot(const std::string &Name) const {
-  detail::HistogramData *Data = nullptr;
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    auto It = Histograms.find(Name);
-    if (It != Histograms.end())
-      Data = It->second.get();
-  }
-  Histogram H;
-  H.Data = Data;
-  return H.snapshot();
+  std::lock_guard<std::mutex> Lock(M);
+  auto It = Histograms.find(Name);
+  return It == Histograms.end() ? HistogramSnapshot() : It->second.snapshot();
 }
 
-std::vector<std::pair<std::string, uint64_t>> MetricsRegistry::counters() const {
+std::vector<std::pair<std::string, uint64_t>>
+MetricsRegistry::counters(std::string_view Prefix) const {
   std::lock_guard<std::mutex> Lock(M);
   std::vector<std::pair<std::string, uint64_t>> Out;
-  Out.reserve(Counters.size());
-  for (const auto &[Name, Data] : Counters)
-    Out.emplace_back(Name, Data->total());
+  for (auto It = Counters.lower_bound(std::string(Prefix));
+       It != Counters.end() && startsWith(It->first, Prefix); ++It)
+    Out.emplace_back(It->first, It->second.load(std::memory_order_relaxed));
   return Out;
 }
 
-MetricsSnapshot MetricsRegistry::snapshot() const {
+MetricsSnapshot MetricsRegistry::snapshot(std::string_view Prefix) const {
   MetricsSnapshot Out;
-  for (const auto &[Name, Value] : counters())
+  for (const auto &[Name, Value] : counters(Prefix))
     Out.Counters.emplace(Name, Value);
   return Out;
 }
 
 std::vector<std::pair<std::string, uint64_t>>
-MetricsRegistry::deltaSince(const MetricsSnapshot &Since) const {
+MetricsRegistry::deltaSince(const MetricsSnapshot &Since,
+                            std::string_view Prefix) const {
   std::vector<std::pair<std::string, uint64_t>> Out;
-  for (const auto &[Name, Now] : counters()) {
+  for (const auto &[Name, Now] : counters(Prefix)) {
     auto It = Since.Counters.find(Name);
     uint64_t Then = It == Since.Counters.end() ? 0 : It->second;
     if (Now > Then)
       Out.emplace_back(Name, Now - Then);
   }
   return Out;
+}
+
+void MetricsRegistry::absorb(const MetricsRegistry &From,
+                             std::string_view SkipPrefix) {
+  for (const auto &[Name, Value] : From.counters())
+    if (!startsWith(Name, SkipPrefix))
+      counter(Name).add(Value);
+  for (const std::string &Name : From.histogramNames()) {
+    if (startsWith(Name, SkipPrefix))
+      continue;
+    HistogramSnapshot S = From.histogramSnapshot(Name);
+    detail::HistogramData &D = *histogram(Name).Data;
+    for (unsigned B = 0; B != detail::HistogramBuckets; ++B)
+      D.Buckets[B].fetch_add(S.Buckets[B], std::memory_order_relaxed);
+    D.Count.fetch_add(S.Count, std::memory_order_relaxed);
+    D.Sum.fetch_add(S.Sum, std::memory_order_relaxed);
+    if (S.Count) {
+      D.lowerMin(S.Min);
+      D.raiseMax(S.Max);
+    }
+  }
 }
 
 std::vector<std::string> MetricsRegistry::histogramNames() const {

@@ -1,4 +1,4 @@
-//===--- Metrics.h - Sharded counters and histograms ------------*- C++ -*-===//
+//===--- Metrics.h - Counters and histograms --------------------*- C++ -*-===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
@@ -14,17 +14,17 @@
 ///  - Handles, not names, on the hot path. Code resolves a Counter or
 ///    Histogram handle once at setup time (registry lookups intern the
 ///    name under a mutex) and then increments through the handle.
-///  - Per-worker sharding. Each metric owns a power-of-two array of
-///    cache-line-sized slots; a thread increments the slot selected by
-///    its stable threadSlot() with a relaxed atomic add, so concurrent
-///    workers touch disjoint cache lines and never contend.
+///  - One atomic per value. A counter is one relaxed atomic and a
+///    histogram one set of bucket, count, sum, min and max atomics, held
+///    in the registry's map node; a handle is a plain pointer to it.
+///    Atomics, because mixyd's workers and its --metrics-file flusher
+///    share the service registry.
 ///  - Null handles are free. A default-constructed handle carries a null
-///    slot pointer and every record operation is a single branch on it —
+///    pointer and every record operation is a single branch on it —
 ///    instrumented code paths cost nothing when no registry is attached
 ///    (bench_observe guards this).
-///  - Reads (renderText / renderJSON / counterValue) sum the slots; call
-///    them at a barrier for exact totals, which is when the CLIs render
-///    --stats / --metrics.
+///  - Reads (renderText / renderJSON / counterValue) are exact at a
+///    barrier, which is when the CLIs render --stats / --metrics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,54 +35,43 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mix::obs {
 
-/// A small, stable per-thread index used to pick a metric shard (and to
-/// tag trace events with a thread id). Assigned on first use, process
-/// wide, and never reused; the main thread typically gets 0.
-unsigned threadSlot();
+struct HistogramSnapshot;
 
 namespace detail {
-
-/// One cache line holding one shard of a counter.
-struct alignas(64) CounterSlot {
-  std::atomic<uint64_t> Value{0};
-};
-
-struct CounterData {
-  std::vector<CounterSlot> Slots;
-  unsigned Mask = 0;
-  explicit CounterData(unsigned NumSlots) : Slots(NumSlots), Mask(NumSlots - 1) {}
-  uint64_t total() const {
-    uint64_t N = 0;
-    for (const CounterSlot &S : Slots)
-      N += S.Value.load(std::memory_order_relaxed);
-    return N;
-  }
-};
 
 /// Histograms bucket by floor(log2(value)) — enough resolution to tell
 /// microsecond solver queries from millisecond block analyses.
 constexpr unsigned HistogramBuckets = 40;
 
-struct alignas(64) HistogramSlot {
+struct HistogramData {
   std::array<std::atomic<uint64_t>, HistogramBuckets> Buckets{};
   std::atomic<uint64_t> Count{0};
   std::atomic<uint64_t> Sum{0};
   std::atomic<uint64_t> Min{UINT64_MAX};
   std::atomic<uint64_t> Max{0};
-};
 
-struct HistogramData {
-  std::vector<HistogramSlot> Slots;
-  unsigned Mask = 0;
-  explicit HistogramData(unsigned NumSlots)
-      : Slots(NumSlots), Mask(NumSlots - 1) {}
+  HistogramSnapshot snapshot() const;
+
+  /// Min/max races only lose against a strictly better value.
+  void lowerMin(uint64_t Value) {
+    uint64_t Cur = Min.load(std::memory_order_relaxed);
+    while (Value < Cur &&
+           !Min.compare_exchange_weak(Cur, Value, std::memory_order_relaxed))
+      ;
+  }
+  void raiseMax(uint64_t Value) {
+    uint64_t Cur = Max.load(std::memory_order_relaxed);
+    while (Value > Cur &&
+           !Max.compare_exchange_weak(Cur, Value, std::memory_order_relaxed))
+      ;
+  }
 };
 
 } // namespace detail
@@ -97,21 +86,22 @@ public:
 
   void add(uint64_t N) {
     if (Data)
-      Data->Slots[threadSlot() & Data->Mask].Value.fetch_add(
-          N, std::memory_order_relaxed);
+      Data->fetch_add(N, std::memory_order_relaxed);
   }
   void inc() { add(1); }
 
-  /// Sum over shards (exact at a barrier).
-  uint64_t value() const { return Data ? Data->total() : 0; }
+  /// The current total (exact at a barrier).
+  uint64_t value() const {
+    return Data ? Data->load(std::memory_order_relaxed) : 0;
+  }
 
 private:
   friend class MetricsRegistry;
-  explicit Counter(detail::CounterData *Data) : Data(Data) {}
-  detail::CounterData *Data = nullptr;
+  explicit Counter(std::atomic<uint64_t> *Data) : Data(Data) {}
+  std::atomic<uint64_t> *Data = nullptr;
 };
 
-/// Point-in-time view of one histogram, summed over shards.
+/// Point-in-time view of one histogram.
 struct HistogramSnapshot {
   uint64_t Count = 0;
   uint64_t Sum = 0;
@@ -137,22 +127,16 @@ public:
   void record(uint64_t Value) {
     if (!Data)
       return;
-    detail::HistogramSlot &S = Data->Slots[threadSlot() & Data->Mask];
-    S.Buckets[bucketOf(Value)].fetch_add(1, std::memory_order_relaxed);
-    S.Count.fetch_add(1, std::memory_order_relaxed);
-    S.Sum.fetch_add(Value, std::memory_order_relaxed);
-    // Min/max races only lose against a strictly better value.
-    uint64_t Cur = S.Min.load(std::memory_order_relaxed);
-    while (Value < Cur &&
-           !S.Min.compare_exchange_weak(Cur, Value, std::memory_order_relaxed))
-      ;
-    Cur = S.Max.load(std::memory_order_relaxed);
-    while (Value > Cur &&
-           !S.Max.compare_exchange_weak(Cur, Value, std::memory_order_relaxed))
-      ;
+    Data->Buckets[bucketOf(Value)].fetch_add(1, std::memory_order_relaxed);
+    Data->Count.fetch_add(1, std::memory_order_relaxed);
+    Data->Sum.fetch_add(Value, std::memory_order_relaxed);
+    Data->lowerMin(Value);
+    Data->raiseMax(Value);
   }
 
-  HistogramSnapshot snapshot() const;
+  HistogramSnapshot snapshot() const {
+    return Data ? Data->snapshot() : HistogramSnapshot();
+  }
 
   /// Bucket index: floor(log2(Value)) clamped to the bucket range; 0 maps
   /// to bucket 0.
@@ -180,16 +164,12 @@ struct MetricsSnapshot {
   std::map<std::string, uint64_t> Counters;
 };
 
-/// The registry: interns metric names to sharded storage and renders the
+/// The registry: interns metric names to their storage and renders the
 /// whole set as text or JSON. Registration is mutex-guarded (cold path);
-/// recording goes through the handles above (lock-free).
+/// recording goes through the handles above (lock-free). Map nodes never
+/// move, so a handle stays valid for the registry's lifetime.
 class MetricsRegistry {
 public:
-  /// \p ShardsHint is rounded up to a power of two; it should comfortably
-  /// exceed the worker count. The default suits any --jobs value this
-  /// project uses.
-  explicit MetricsRegistry(unsigned ShardsHint = 32);
-
   /// Returns the (interned) counter named \p Name; repeated calls with
   /// the same name share storage.
   Counter counter(const std::string &Name);
@@ -197,24 +177,34 @@ public:
   /// Returns the (interned) histogram named \p Name.
   Histogram histogram(const std::string &Name);
 
-  /// Sum of the named counter, or 0 when it was never registered.
+  /// Value of the named counter, or 0 when it was never registered.
   uint64_t counterValue(const std::string &Name) const;
 
   /// Snapshot of the named histogram (all-zero when never registered).
   HistogramSnapshot histogramSnapshot(const std::string &Name) const;
 
-  /// All counters, name-sorted, with their current sums.
-  std::vector<std::pair<std::string, uint64_t>> counters() const;
-
-  /// Current counter sums, for later use with deltaSince(). Exact when
-  /// taken at a barrier (no concurrent recording), like every other read.
-  MetricsSnapshot snapshot() const;
-
-  /// Name-sorted (name, now - then) pairs for every counter that grew
-  /// since \p Since was taken; counters absent from the snapshot count
-  /// from zero, zero deltas are dropped.
+  /// The counters whose names start with \p Prefix (all by default),
+  /// name-sorted, with their current values.
   std::vector<std::pair<std::string, uint64_t>>
-  deltaSince(const MetricsSnapshot &Since) const;
+  counters(std::string_view Prefix = {}) const;
+
+  /// Current values of the counters starting with \p Prefix, for later
+  /// use with deltaSince(). Exact when taken at a barrier (no concurrent
+  /// recording), like every other read.
+  MetricsSnapshot snapshot(std::string_view Prefix = {}) const;
+
+  /// Name-sorted (name, now - then) pairs for every counter starting
+  /// with \p Prefix that grew since \p Since was taken; counters absent
+  /// from the snapshot count from zero, zero deltas are dropped.
+  std::vector<std::pair<std::string, uint64_t>>
+  deltaSince(const MetricsSnapshot &Since,
+             std::string_view Prefix = {}) const;
+
+  /// Adds every counter and histogram of \p From whose name does not
+  /// start with \p SkipPrefix into the same-named metric here,
+  /// registering it when new. The service folds a request's private
+  /// registry into its own this way.
+  void absorb(const MetricsRegistry &From, std::string_view SkipPrefix);
 
   /// All histogram names, sorted.
   std::vector<std::string> histogramNames() const;
@@ -234,10 +224,9 @@ public:
   std::string renderOpenMetrics() const;
 
 private:
-  unsigned Shards;
   mutable std::mutex M;
-  std::map<std::string, std::unique_ptr<detail::CounterData>> Counters;
-  std::map<std::string, std::unique_ptr<detail::HistogramData>> Histograms;
+  std::map<std::string, std::atomic<uint64_t>> Counters;
+  std::map<std::string, detail::HistogramData> Histograms;
 };
 
 } // namespace mix::obs

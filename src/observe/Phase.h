@@ -13,8 +13,8 @@
 ///
 /// The context follows the null-handle discipline from DESIGN.md section
 /// 10: every instrumentation site takes a RequestTelemetry pointer, and a
-/// null pointer reduces the timer to one predictable branch — no clock
-/// reads, no atomics (bench_observe guards this).
+/// null pointer reduces the timer to one predictable branch and no clock
+/// reads (bench_observe guards this).
 ///
 /// Phase attribution is inclusive (see DESIGN.md section 17): the
 /// typecheck phase contains fixpoint, which contains block-exec, which
@@ -29,7 +29,6 @@
 #include "observe/Trace.h"
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -59,9 +58,9 @@ const char *phaseSpanName(Phase P);
 
 /// Per-request telemetry context. One is created per AnalysisService
 /// request when request telemetry is enabled; engine code only sees it as
-/// an optional pointer. Accumulation is relaxed-atomic, so the context is
-/// safe to share between threads; reads are exact at a barrier (request
-/// end), like the metrics registry.
+/// an optional pointer. The request's thread is the only one that reaches
+/// it (the solver and the PhaseTimers that add to it run there), so the
+/// phase totals are plain integers.
 class RequestTelemetry {
 public:
   RequestTelemetry() = default;
@@ -71,13 +70,9 @@ public:
   /// Stable request id ("r-17"), assigned by the service.
   std::string Id;
 
-  void addPhase(Phase P, uint64_t Us) {
-    PhaseUs[(unsigned)P].fetch_add(Us, std::memory_order_relaxed);
-  }
+  void addPhase(Phase P, uint64_t Us) { PhaseUs[(unsigned)P] += Us; }
 
-  uint64_t phaseUs(Phase P) const {
-    return PhaseUs[(unsigned)P].load(std::memory_order_relaxed);
-  }
+  uint64_t phaseUs(Phase P) const { return PhaseUs[(unsigned)P]; }
 
   /// Turns on the request-scoped span tree. \p SharedEpoch should be the
   /// process-global sink's epoch() so imported events keep their
@@ -91,7 +86,7 @@ public:
   TraceSink *sink() { return Spans ? &*Spans : nullptr; }
 
 private:
-  std::array<std::atomic<uint64_t>, NumPhases> PhaseUs{};
+  std::array<uint64_t, NumPhases> PhaseUs{};
   std::optional<TraceSink> Spans;
 };
 

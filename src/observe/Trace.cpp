@@ -7,19 +7,23 @@
 
 #include "observe/Trace.h"
 
-#include "observe/Metrics.h"
 #include "support/StringExtras.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 
 using namespace mix::obs;
 
-TraceSink::TraceSink()
-    : Epoch(std::chrono::steady_clock::now()), Shards(NumShards) {}
+unsigned mix::obs::threadSlot() {
+  static std::atomic<unsigned> Next{0};
+  thread_local unsigned Slot = Next.fetch_add(1, std::memory_order_relaxed);
+  return Slot;
+}
 
-TraceSink::TraceSink(EpochTime SharedEpoch)
-    : Epoch(SharedEpoch), Shards(NumShards) {}
+TraceSink::TraceSink() : Epoch(std::chrono::steady_clock::now()) {}
+
+TraceSink::TraceSink(EpochTime SharedEpoch) : Epoch(SharedEpoch) {}
 
 uint64_t TraceSink::nowUs() const {
   return (uint64_t)std::chrono::duration_cast<std::chrono::microseconds>(
@@ -28,10 +32,9 @@ uint64_t TraceSink::nowUs() const {
 }
 
 void TraceSink::record(TraceEvent E) {
-  unsigned Slot = threadSlot() % NumShards;
   E.Tid = threadSlot();
-  std::lock_guard<std::mutex> Lock(Shards[Slot].M);
-  Shards[Slot].Events.push_back(std::move(E));
+  std::lock_guard<std::mutex> Lock(M);
+  Events.push_back(std::move(E));
 }
 
 void TraceSink::instant(const char *Name, const char *Cat,
@@ -67,21 +70,18 @@ void TraceSink::nameCurrentThread(const std::string &Name) {
 }
 
 size_t TraceSink::eventCount() const {
-  size_t N = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(const_cast<std::mutex &>(S.M));
-    N += S.Events.size();
-  }
-  return N;
+  std::lock_guard<std::mutex> Lock(M);
+  return Events.size();
 }
 
 std::vector<TraceEvent> TraceSink::snapshotEvents() const {
-  // Snapshot every shard, then order by (ts, tid, name) so the result
-  // is deterministic for a given multiset of events.
+  // Order by (ts, tid, name) so the result is deterministic for a given
+  // multiset of events; the stable sort keeps each thread's ties in
+  // record order.
   std::vector<TraceEvent> All;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(const_cast<std::mutex &>(S.M));
-    All.insert(All.end(), S.Events.begin(), S.Events.end());
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    All = Events;
   }
   std::stable_sort(All.begin(), All.end(),
                    [](const TraceEvent &A, const TraceEvent &B) {
@@ -94,11 +94,9 @@ std::vector<TraceEvent> TraceSink::snapshotEvents() const {
   return All;
 }
 
-void TraceSink::import(const std::vector<TraceEvent> &Events) {
-  unsigned Slot = threadSlot() % NumShards;
-  std::lock_guard<std::mutex> Lock(Shards[Slot].M);
-  Shards[Slot].Events.insert(Shards[Slot].Events.end(), Events.begin(),
-                             Events.end());
+void TraceSink::import(const std::vector<TraceEvent> &Imported) {
+  std::lock_guard<std::mutex> Lock(M);
+  Events.insert(Events.end(), Imported.begin(), Imported.end());
 }
 
 std::string TraceSink::renderJSON() const {

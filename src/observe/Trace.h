@@ -11,10 +11,11 @@
 /// metadata, and renders them as Chrome trace format JSON — loadable in
 /// chrome://tracing or https://ui.perfetto.dev.
 ///
-/// Recording is sharded by thread: each event goes to a slot picked by
-/// threadSlot(), guarded by a per-slot mutex that only same-slot threads
-/// ever contend on. Events carry a tid (the recording thread's slot), so
-/// a ThreadPool run renders one timeline lane per worker.
+/// Recording appends to one event vector under one mutex: the CLIs trace
+/// one thread, each request's sink is written by the thread serving it,
+/// and only the service's sink sees mixyd's workers. Events carry a tid
+/// (the recording thread's threadSlot()), so a ThreadPool run renders one
+/// timeline lane per worker.
 ///
 /// Like metrics handles, a null sink pointer is the off switch: TraceSpan
 /// and every record helper branch on the pointer and do nothing else, so
@@ -32,6 +33,11 @@
 #include <vector>
 
 namespace mix::obs {
+
+/// A small, stable per-thread index, used as a trace event's tid.
+/// Assigned on first use, process wide, and never reused; the main
+/// thread typically gets 0.
+unsigned threadSlot();
 
 /// Chrome trace event phases. 'X' = complete (span), 'i' = instant,
 /// 'M' = metadata (thread names).
@@ -104,18 +110,11 @@ public:
   std::string renderSpeedscope(const std::string &Name = "mix") const;
 
 private:
-  /// One thread-slot's buffer. The mutex is uncontended unless two
-  /// threads share a slot (more threads than shards).
-  struct alignas(64) Shard {
-    std::mutex M;
-    std::vector<TraceEvent> Events;
-  };
-
   void record(TraceEvent E);
 
   std::chrono::steady_clock::time_point Epoch;
-  static constexpr unsigned NumShards = 64;
-  std::vector<Shard> Shards;
+  mutable std::mutex M;
+  std::vector<TraceEvent> Events; ///< in record order
 };
 
 /// RAII span: records a complete event covering its lifetime. Null sink

@@ -539,12 +539,15 @@ AnalysisResponse AnalysisService::execute(const AnalysisRequest &Req,
   // Metrics isolation: in daemon mode each request records into a private
   // registry so its deltas are exact under concurrency; the shared
   // persist stores still count into the service registry, so their
-  // per-request share is recovered as a snapshot delta (exact when
-  // requests are sequential). In CLI mode everything lands in the one
-  // registry --stats reads.
+  // per-request share is recovered as a snapshot delta of the persist.*
+  // counters (exact when requests are sequential). The private registry
+  // is then added into the service registry, except persist.*, so the
+  // daemon's exposition shows the engines' work too. In CLI mode
+  // everything lands in the one registry --stats reads.
   obs::MetricsRegistry Local;
   obs::MetricsRegistry &Reg = Config.PerRequestMetrics ? Local : Registry;
-  obs::MetricsSnapshot Before = Registry.snapshot();
+  std::string_view Shared = Config.PerRequestMetrics ? "persist." : "";
+  obs::MetricsSnapshot Before = Registry.snapshot(Shared);
 
   DiagnosticEngine Diags;
   if (Req.ToolKind == Tool::MixCheck)
@@ -556,10 +559,10 @@ AnalysisResponse AnalysisService::execute(const AnalysisRequest &Req,
     for (const auto &[Name, Value] : Local.counters())
       if (Value)
         Resp.Metrics.emplace_back(Name, Value);
-    for (auto &[Name, Delta] : Registry.deltaSince(Before))
-      if (Name.rfind("persist.", 0) == 0)
-        Resp.Metrics.emplace_back(Name, Delta);
+    for (auto &[Name, Delta] : Registry.deltaSince(Before, Shared))
+      Resp.Metrics.emplace_back(Name, Delta);
     std::sort(Resp.Metrics.begin(), Resp.Metrics.end());
+    Registry.absorb(Local, Shared);
   } else {
     Resp.Metrics = Registry.deltaSince(Before);
   }

@@ -108,9 +108,7 @@ struct SmtOptions {
   /// "solver.unknown" counters and records its latency in the
   /// "solver.query_us" histogram; a trace sink additionally gets one
   /// "solver.query" span per query, tagged with the verdict. Null (the
-  /// default) keeps the hot path at a single branch. Per-worker solvers
-  /// are built from the same options, so they aggregate into the same
-  /// registry.
+  /// default) keeps the hot path at a single branch.
   obs::MetricsRegistry *Metrics = nullptr;
   obs::TraceSink *Trace = nullptr;
 
@@ -127,8 +125,7 @@ struct SmtOptions {
 /// A solver backend: the metrics/trace instrumentation and the
 /// persistent-cache protocol around a virtual decision procedure.
 /// SmtSolver (smtlite) and DnfSolver implement it. One instance serves
-/// one term arena; instances are not thread-safe (parallel analyses
-/// build one per worker).
+/// one term arena on one thread; each analysis builds its own.
 class ISolver {
 public:
   ISolver(TermArena &Arena, SmtOptions Opts);

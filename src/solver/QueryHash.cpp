@@ -20,8 +20,8 @@ uint64_t mix::smt::canonicalQueryHash(const Term *Formula) {
   // it with a visited set is both linear and canonical.
   //
   // Pass 1: renumber variables by first occurrence in left-to-right
-  // preorder. Raw ids are allocation-ordered (and per-worker under
-  // --jobs), so they must never reach the digest.
+  // preorder. Raw ids are allocation-ordered, so they must never reach
+  // the digest.
   std::unordered_map<const Term *, uint32_t> VarNorm;
   {
     std::unordered_map<const Term *, bool> Seen;

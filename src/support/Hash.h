@@ -16,10 +16,10 @@
 ///    address-dependent (pointers, iteration order of unordered
 ///    containers, std::hash) may ever feed it.
 ///
-///  - hashCombine / avalanche64: in-process table and shard mixing.
-///    These may change freely between builds; they are never persisted.
+///  - hashCombine / avalanche64: in-process hash-table mixing. These may
+///    change freely between builds; they are never persisted.
 ///    avalanche64 is the splitmix64 finalizer — every input bit affects
-///    every output bit, so taking the low bits for stripe selection is
+///    every output bit, so taking the low bits for bucket selection is
 ///    safe even for clustered inputs.
 ///
 //===----------------------------------------------------------------------===//

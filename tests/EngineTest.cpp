@@ -90,10 +90,15 @@ TEST(MixEngineTest, CacheHitSkipsEvaluation) {
   EXPECT_EQ(Metrics.counterValue("engine.test.blocks"), 1u);
   EXPECT_EQ(Metrics.counterValue("engine.cache.test.hits"), 1u);
   EXPECT_EQ(E.symCacheStats().Inserts, 1u);
+  // The first lookup found nothing: one miss, and the hit is the second.
+  EXPECT_EQ(E.symCacheStats().Misses, 1u);
+  EXPECT_EQ(E.symCacheStats().Hits, 1u);
 
   // A different typing context is a different block analysis.
   EXPECT_EQ(E.runSymbolic(Key{&NodeA, "x:bool"}, Stack, H), 42);
   EXPECT_EQ(Evals, 2);
+  EXPECT_EQ(E.symCacheStats().Misses, 2u);
+  EXPECT_EQ(E.symCacheStats().Hits, 1u);
 }
 
 TEST(MixEngineTest, SymAndTypedCachesAreIndependent) {

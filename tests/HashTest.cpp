@@ -72,7 +72,7 @@ TEST(Avalanche64Test, DistinctAndDeterministic) {
   EXPECT_EQ(Out.size(), 1000u); // splitmix64 finalizer is a bijection
   EXPECT_EQ(avalanche64(12345), avalanche64(12345));
   // Sequential inputs must not map to sequential outputs (the whole
-  // point: shard selection uses the low bits).
+  // point: hash-table bucket selection uses the low bits).
   EXPECT_NE(avalanche64(1) + 1, avalanche64(2));
 }
 

@@ -383,6 +383,23 @@ TEST_F(MixyTest, TruncatedSymbolicEntryRunWarns) {
   EXPECT_EQ(Diags.diagnostics()[0].ID, DiagID::ExecBudget);
 }
 
+TEST_F(MixyTest, NestedSymbolicRunKeepsTheOuterRunsCut) {
+  // blk's loop is cut by the loop bound. Its call t(1) is a typed block
+  // that calls the symbolic s, a second run on the same executor. That
+  // nested run has its own budget and does not clear blk's cut, so blk
+  // still reports it, once.
+  const char *Source = R"(int s(int a) MIX(symbolic) { return a; }
+int t(int a) MIX(typed) { return s(a); }
+void blk(void) MIX(symbolic) { int i; i = 0; while (i < 20) { i = i + 1; } t(1); }
+int main(void) { blk(); return 0; }
+)";
+  EXPECT_EQ(mixyWarnings(Source), 1u) << LastDiags;
+  EXPECT_EQ(lastCount(DiagID::ExecBudget), 1u) << LastDiags;
+  EXPECT_NE(LastDiags.find("3:9"), std::string::npos) << LastDiags;
+  EXPECT_NE(LastDiags.find("'blk' was cut short"), std::string::npos)
+      << LastDiags;
+}
+
 // --- Block scope inside symbolic blocks ------------------------------------
 
 TEST_F(MixyTest, BranchDeclarationEndsWithTheBranch) {

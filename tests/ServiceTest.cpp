@@ -1036,6 +1036,88 @@ TEST(ServiceServeTest, ConcurrentIdenticalRequestsCoalesce) {
   EXPECT_TRUE(Coalesced) << "no volley coalesced in 25 attempts";
 }
 
+/// A small MIXY program whose symbolic block makes solver queries; \p K
+/// makes each source distinct, so no two requests share a key.
+service::AnalysisRequest symbolicRequest(unsigned K) {
+  service::AnalysisRequest Req;
+  Req.ToolKind = service::Tool::Mixy;
+  Req.HasSource = true;
+  Req.Source = "int *g;\n"
+               "void sysutil_free(void * nonnull p_ptr) MIX(typed);\n"
+               "void blk(int n) MIX(symbolic) {\n"
+               "  if (n < " + std::to_string(K) + ") { g = NULL; }\n"
+               "  if (n == " + std::to_string(K + 2) + ") { g = NULL; }\n"
+               "}\n"
+               "int main(void) { blk(1); sysutil_free((void*)g); return 0; }\n";
+  return Req;
+}
+
+TEST(ServiceServeTest, EngineCountersReachTheServiceRegistry) {
+  // Each daemon request records into a private registry; afterwards its
+  // counters and histograms are added into the service registry, so the
+  // metrics RPC and --metrics-file see the engines' work. Each response
+  // still carries only its own request's counters.
+  service::ServiceConfig SC = daemonConfig();
+  SC.ResponseCacheCap = 0;
+  service::AnalysisService Svc(SC);
+  std::vector<service::AnalysisResponse> Resps;
+  for (unsigned K = 1; K != 4; ++K) {
+    Resps.push_back(Svc.serve(symbolicRequest(K)));
+    ASSERT_FALSE(Resps.back().FromCache);
+  }
+
+  const obs::MetricsRegistry &Reg = Svc.metrics();
+  uint64_t Queries = 0;
+  for (const service::AnalysisResponse &R : Resps)
+    Queries += metricValue(R, "solver.queries");
+  EXPECT_GT(Queries, 0u);
+  EXPECT_EQ(Reg.counterValue("solver.queries"), Queries);
+  EXPECT_GT(Reg.histogramSnapshot("solver.query_us").Count, 0u);
+  // Every engine counter in the registry is exactly the responses' sum,
+  // so no request's counters were counted twice or leaked into another.
+  for (const auto &[Name, Value] : Reg.counters()) {
+    if (Name.rfind("persist.", 0) == 0 || Name.rfind("service.", 0) == 0)
+      continue;
+    uint64_t Sum = 0;
+    for (const service::AnalysisResponse &R : Resps)
+      Sum += metricValue(R, Name);
+    EXPECT_EQ(Value, Sum) << Name;
+  }
+}
+
+TEST(ServiceServeTest, ConcurrentServeKeepsServiceTotalsExact) {
+  // 4 threads serve 5 distinct requests each on one service: nothing is
+  // cached or coalesced, so all 20 execute, and the shared registry's
+  // atomics must add up exactly.
+  service::ServiceConfig SC = daemonConfig();
+  SC.ResponseCacheCap = 0;
+  SC.RequestTelemetry = true;
+  service::AnalysisService Svc(SC);
+  const unsigned Threads = 4, PerThread = 5;
+  std::vector<std::vector<service::AnalysisResponse>> Resps(Threads);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T != Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (unsigned I = 0; I != PerThread; ++I)
+        Resps[T].push_back(Svc.serve(symbolicRequest(1 + T * PerThread + I)));
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+
+  const obs::MetricsRegistry &Reg = Svc.metrics();
+  EXPECT_EQ(Reg.counterValue("service.requests"), Threads * PerThread);
+  EXPECT_EQ(Reg.histogramSnapshot("service.request.us").Count,
+            Threads * PerThread);
+  uint64_t Queries = 0;
+  for (const auto &PerThreadResps : Resps)
+    for (const service::AnalysisResponse &R : PerThreadResps) {
+      EXPECT_FALSE(R.FromCache || R.Deduped);
+      Queries += metricValue(R, "solver.queries");
+    }
+  EXPECT_GT(Queries, 0u);
+  EXPECT_EQ(Reg.counterValue("solver.queries"), Queries);
+}
+
 //===----------------------------------------------------------------------===//
 // serve(): per-request telemetry (request ids, phase attribution, spans)
 //===----------------------------------------------------------------------===//

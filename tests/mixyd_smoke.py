@@ -16,7 +16,8 @@ Speaks newline-delimited JSON-RPC 2.0 to one daemon process and asserts:
     phases) and cache hits carry a fresh id but no phase work,
   * status counters account for every request and expose request-latency
     quantiles plus the slow-request log,
-  * the metrics method returns OpenMetrics text, and shutdown exits 0.
+  * the metrics method returns OpenMetrics text that carries the
+    analyses' engine counters (solver, csym), and shutdown exits 0.
 
 Responses are matched by JSON-RPC id, never by arrival order: analyses run
 on a worker pool, so the daemon may legally answer out of order.
@@ -216,6 +217,12 @@ def main():
     assert "mix_service_request_us_count 4" in om, om
     assert "mix_service_request_us_sum" in om, om
     assert om.endswith("# EOF\n"), om[-100:]
+    # Each request records into a private registry that is then added
+    # into the daemon's, so the exposition shows the analyses' work too.
+    for series in ("mix_solver_queries_total", "mix_csym_paths_total"):
+        line = next((l for l in om.splitlines()
+                     if l.startswith(series + " ")), None)
+        assert line and int(line.split()[1]) > 0, (series, om[:400])
 
     # 10. An unknown solver backend is a usage error naming the choices,
     #     and the daemon stays up to serve the next request.

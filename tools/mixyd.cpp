@@ -574,9 +574,9 @@ int main(int Argc, char **Argv) {
   installSignalHandlers();
 
   // The --metrics-file flusher: one background thread rewriting the file
-  // every interval, woken early at shutdown for the final flush. Reads
-  // sum the sharded slots, so an off-barrier flush is approximate in the
-  // same way any scrape of a live process is.
+  // every interval, woken early at shutdown for the final flush. It reads
+  // the metrics' atomics while workers add to them, so an off-barrier
+  // flush is approximate in the same way any scrape of a live process is.
   std::mutex FlushMu;
   std::condition_variable FlushCv;
   bool FlushStop = false;
