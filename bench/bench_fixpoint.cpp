@@ -50,19 +50,15 @@ std::string fixpointChain(unsigned N) {
   return Out;
 }
 
-/// Runs \p Source through MIXY (with a \p MaxRounds fixpoint cap when
-/// nonzero) and reports its warnings and block-run counters.
-void runFixpoint(benchmark::State &State, const std::string &Source,
-                 unsigned MaxRounds = 0) {
+/// Runs \p Source through MIXY and reports its warnings and block-run
+/// counters.
+void runFixpoint(benchmark::State &State, const std::string &Source) {
   unsigned Warnings = 0, Iterations = 0, Reruns = 0;
   for (auto _ : State) {
     CAstContext Ctx;
     DiagnosticEngine Diags;
     const CProgram *P = parseC(Source, Ctx, Diags);
-    MixyOptions Opts;
-    if (MaxRounds)
-      Opts.MaxFixpointIterations = MaxRounds;
-    MixyAnalysis Analysis(*P, Ctx, Diags, Opts);
+    MixyAnalysis Analysis(*P, Ctx, Diags);
     Warnings = Analysis.run(MixyAnalysis::StartMode::Typed);
     Iterations = Analysis.stats().FixpointIterations;
     Reruns = Analysis.stats().SymbolicBlockRuns;
@@ -78,13 +74,11 @@ void BM_Fixpoint(benchmark::State &State) {
   runFixpoint(State, fixpointChain((unsigned)State.range(0)));
 }
 
-/// The deep call chain (corpus::deepCallChain). The taint needs
-/// depth + 1 rounds to cross the chain, so the rounds budget scales with
-/// depth: with the default cap the run would stop early and report only
-/// the MIX303 budget warning.
+/// The deep call chain (corpus::deepCallChain) at the fixed round cap.
+/// The taint needs depth + 1 rounds to cross the chain, so from depth 16
+/// up the run stops at the cap and reports the MIX303 budget warning.
 void BM_DeepChainSchedule(benchmark::State &State) {
-  unsigned Depth = (unsigned)State.range(0);
-  runFixpoint(State, corpus::deepCallChain(Depth), 2 * Depth + 8);
+  runFixpoint(State, corpus::deepCallChain((unsigned)State.range(0)));
 }
 
 } // namespace

@@ -661,7 +661,7 @@ void CSymExecutor::dispatchCall(const CCall *Call, const CFuncDecl *Callee,
   // MIXY's frontier: MIX(typed) functions are modeled by the type system.
   if (Hook && Callee->mixAnnot() == MixAnnot::Typed) {
     CSymValue Ret;
-    if (Hook->callTypedFunction(*this, State, Call, Callee, Args, Ret)) {
+    if (Hook->callTypedFunction(State, Call, Callee, Args, Ret)) {
       Out.push_back({std::move(State), Ret});
       return;
     }

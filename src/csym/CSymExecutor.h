@@ -46,8 +46,6 @@
 
 namespace mix::c {
 
-class CSymExecutor;
-
 /// A solver model, shared by the paths that fork from the state holding
 /// it.
 using SharedModel = std::shared_ptr<const smt::SmtModel>;
@@ -155,8 +153,8 @@ public:
   /// seed null constraints), must set \p RetOut, and may modify
   /// \p State (typically havocking the store). Returns false to fall back
   /// to the executor's conservative extern modelling.
-  virtual bool callTypedFunction(CSymExecutor &Exec, CSymState &State,
-                                 const CCall *Call, const CFuncDecl *Callee,
+  virtual bool callTypedFunction(CSymState &State, const CCall *Call,
+                                 const CFuncDecl *Callee,
                                  const std::vector<CSymValue> &Args,
                                  CSymValue &RetOut) = 0;
 };

@@ -18,7 +18,8 @@
 ///  - the block stack with recursion cut-off and assumption iteration
 ///    (Section 4.4): a re-entered block returns the current assumption,
 ///    and the enclosing evaluation re-runs with the actual result as the
-///    updated assumption until the two agree,
+///    updated assumption until the two agree, at most
+///    MaxRecursionIterations times,
 ///  - hooks for persist replay, provenance stamping, tracing, and
 ///    per-domain metrics, so cross-cutting subsystems attach once here
 ///    instead of once per instantiation.
@@ -36,10 +37,9 @@
 /// the domain passes an Eval callback per run (the executor invocation
 /// for symbolic blocks, the checker invocation for typed blocks). That
 /// keeps the boundary translations, which are the interesting per-domain
-/// code, in the instantiations where the paper puts them.
-///
-/// The fixpoint driver that re-runs blocks lives next door in
-/// engine/Fixpoint.h.
+/// code, in the instantiations where the paper puts them. So is MIXY's
+/// fixpoint (Section 4.1), the loop that re-runs blocks whose calling
+/// context changed: MixyAnalysis::run owns it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -102,7 +102,7 @@ struct BlockCacheStats {
 ///   Replay()      -> cache insert, return                (persist hit)
 ///   push(Init())  -> OnEvalBegin()
 ///   iterate       -> OnIteration(i); Eval()              (Section 4.4)
-///   pop           -> OnEvalEnd(value)  [stack is the caller's again]
+///   pop           -> OnEvalEnd(value)  [stack() is the caller's again]
 ///   cache insert when ShouldCache(value)
 template <typename V> struct RunHooks {
   /// One evaluation of the block against the current assumption.
@@ -120,7 +120,7 @@ template <typename V> struct RunHooks {
   std::function<void(unsigned)> OnIteration;
   /// The block was pushed; runs before the first iteration.
   std::function<void()> OnEvalBegin;
-  /// The block was popped; runs before the cache insert, with the stack
+  /// The block was popped; runs before the cache insert, with stack()
   /// restored to the caller's view (so provenance can stamp it).
   std::function<void(const V &)> OnEvalEnd;
   /// Whether the final value may be cached (defaults to yes). Domains
@@ -143,11 +143,15 @@ struct EngineCounters {
   obs::Counter CacheHits;
 };
 
+/// Assumption-iteration bound (Section 4.4): how many times a block
+/// that re-entered itself is evaluated before its last result stands.
+inline constexpr unsigned MaxRecursionIterations = 8;
+
 /// The generic mix engine: block cache + block stack + assumption
 /// iteration, parameterized over an AnalysisDomain.
 ///
 /// Thread model: one engine analyzes blocks on one thread, so its caches
-/// take no lock. The block stack is the *caller's* (passed per call).
+/// and its block stack take no lock.
 template <typename Domain> class MixEngine {
 public:
   using Key = typename Domain::Key;
@@ -164,13 +168,10 @@ public:
     SymOutcome Sym{};
     TypedOutcome Typed{};
   };
-  using BlockStack = std::vector<StackEntry>;
 
   struct Config {
     /// Cache block results per calling context (Section 4.3).
     bool EnableCache = true;
-    /// Assumption-iteration bound (Section 4.4).
-    unsigned MaxRecursionIterations = 8;
     obs::MetricsRegistry *Metrics = nullptr;
     /// Counter prefixes of the two caches ("<prefix>hits", "misses",
     /// "inserts"). MIXY keeps its historical "mixy.cache.sym." /
@@ -200,19 +201,20 @@ public:
     }
   }
 
-  /// Runs (or reuses) the symbolic-side analysis of \p K on \p Stack.
-  SymOutcome runSymbolic(const Key &K, BlockStack &Stack,
-                         const RunHooks<SymOutcome> &H) {
-    return runImpl<SymOutcome>(K, Stack, H, SymCache, &StackEntry::Sym,
+  /// Runs (or reuses) the symbolic-side analysis of \p K.
+  SymOutcome runSymbolic(const Key &K, const RunHooks<SymOutcome> &H) {
+    return runImpl<SymOutcome>(K, H, SymCache, &StackEntry::Sym,
                                /*Symbolic=*/true);
   }
 
-  /// Runs (or reuses) the typed-side analysis of \p K on \p Stack.
-  TypedOutcome runTyped(const Key &K, BlockStack &Stack,
-                        const RunHooks<TypedOutcome> &H) {
-    return runImpl<TypedOutcome>(K, Stack, H, TypedCache, &StackEntry::Typed,
+  /// Runs (or reuses) the typed-side analysis of \p K.
+  TypedOutcome runTyped(const Key &K, const RunHooks<TypedOutcome> &H) {
+    return runImpl<TypedOutcome>(K, H, TypedCache, &StackEntry::Typed,
                                  /*Symbolic=*/false);
   }
+
+  /// The block analyses in flight, outermost first (Section 4.4).
+  const std::vector<StackEntry> &stack() const { return Stack; }
 
   BlockCacheStats symCacheStats() const { return SymCache.stats(); }
   BlockCacheStats typedCacheStats() const { return TypedCache.stats(); }
@@ -239,8 +241,8 @@ private:
   };
 
   template <typename V>
-  V runImpl(const Key &K, BlockStack &Stack, const RunHooks<V> &H,
-            Cache<V> &C, V StackEntry::*Slot, bool Symbolic) {
+  V runImpl(const Key &K, const RunHooks<V> &H, Cache<V> &C,
+            V StackEntry::*Slot, bool Symbolic) {
     if (Cfg.EnableCache) {
       auto It = C.Map.find(K);
       if (It != C.Map.end()) {
@@ -291,7 +293,7 @@ private:
     // the result; otherwise, we re-analyze the block using the actual
     // result as the updated assumption." (Section 4.4)
     V Out{};
-    for (unsigned Iter = 0; Iter != Cfg.MaxRecursionIterations; ++Iter) {
+    for (unsigned Iter = 0; Iter != MaxRecursionIterations; ++Iter) {
       Stack.back().Recursive = false;
       if (H.OnIteration)
         H.OnIteration(Iter);
@@ -315,6 +317,7 @@ private:
   std::unique_ptr<obs::MetricsRegistry> OwnedMetrics;
   Cache<SymOutcome> SymCache;
   Cache<TypedOutcome> TypedCache;
+  std::vector<StackEntry> Stack;
   EngineCounters Counters;
 };
 

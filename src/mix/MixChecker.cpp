@@ -97,7 +97,7 @@ const Type *MixChecker::typeOfSymbolicBlock(const BlockExpr *Block,
   // silently replaying null.
   H.ShouldCache = [](const Type *T) { return T != nullptr; };
   H.KeepIterating = [](const Type *T) { return T != nullptr; };
-  return Eng.runSymbolic(K, BlockStack, H);
+  return Eng.runSymbolic(K, H);
 }
 
 const Type *MixChecker::typeOfTypedBlock(const BlockExpr *Block,
@@ -126,7 +126,7 @@ const Type *MixChecker::typeOfTypedBlock(const BlockExpr *Block,
   H.Eval = [&] { return Checker.check(Block->body(), Gamma); };
   H.ShouldCache = [](const Type *T) { return T != nullptr; };
   H.KeepIterating = [](const Type *T) { return T != nullptr; };
-  return Eng.runTyped(K, BlockStack, H);
+  return Eng.runTyped(K, H);
 }
 
 bool MixChecker::verifyClosure(const SymExpr *Closure, SourceLoc Loc) {
@@ -153,7 +153,7 @@ bool MixChecker::verifyClosure(const SymExpr *Closure, SourceLoc Loc) {
   };
   // A failed check cannot improve by re-running with a weaker assumption.
   H.KeepIterating = [](const Type *T) { return T != nullptr; };
-  return Eng.runTyped(K, BlockStack, H) != nullptr;
+  return Eng.runTyped(K, H) != nullptr;
 }
 
 bool MixChecker::verifyEscapingClosures(const SymExpr *Value,

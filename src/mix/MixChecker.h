@@ -209,10 +209,8 @@ private:
   obs::Counter CSymBlocks, CTypedBlocks, CPaths, CInfeasible, CExhaustive;
 
   // The shared engine layer: block caches plus the Section 4.4 block
-  // stack. Block analysis is serial per checker instance, so one stack
-  // suffices.
+  // stack.
   Engine Eng;
-  Engine::BlockStack BlockStack;
 };
 
 } // namespace mix

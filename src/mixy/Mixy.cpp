@@ -7,7 +7,6 @@
 
 #include "mixy/Mixy.h"
 
-#include "engine/Fixpoint.h"
 #include "persist/AstHash.h"
 #include "persist/PersistSession.h"
 #include "persist/RecordFile.h"
@@ -15,7 +14,6 @@
 #include "support/StringExtras.h"
 
 #include <algorithm>
-#include <set>
 
 using namespace mix::c;
 
@@ -36,8 +34,8 @@ static MixyOptions normalizedOptions(MixyOptions O) {
 uint64_t mix::c::mixyPersistFingerprint(const MixyOptions &Opts) {
   StableHasher H;
   H.boolean(Opts.RestoreAliasing);
-  H.u32(Opts.MaxFixpointIterations);
-  H.u32(Opts.MaxRecursionIterations);
+  H.u32(MixyAnalysis::MaxFixpointRounds);
+  H.u32(engine::MaxRecursionIterations);
   H.u32(Opts.Sym.LoopBound);
   H.u32(Opts.Sym.MaxCallDepth);
   H.u32(Opts.Sym.MaxPaths);
@@ -65,7 +63,6 @@ uint64_t mix::c::mixyPersistFingerprint(const MixyOptions &Opts) {
 MixyAnalysis::Engine::Config MixyAnalysis::engineConfig(const MixyOptions &O) {
   Engine::Config C;
   C.EnableCache = O.EnableCache;
-  C.MaxRecursionIterations = O.MaxRecursionIterations;
   C.Metrics = O.Metrics;
   // Historical counter names predate the shared engine; keep them.
   C.SymCachePrefix = "mixy.cache.sym.";
@@ -93,13 +90,10 @@ void MixyAnalysis::publishStats() {
   obs::MetricsRegistry *M = Opts.Metrics;
   if (!M)
     return;
-  // Counters are monotone; raise each one to the stat's current value so
-  // repeated run() calls against one analysis stay consistent.
+  // Added, not raised to: a registry that counted an earlier analysis
+  // must count this one's work too.
   auto Publish = [&](const char *Name, uint64_t V) {
-    obs::Counter C = M->counter(Name);
-    uint64_t Cur = C.value();
-    if (V > Cur)
-      C.add(V - Cur);
+    M->counter(Name).add(V);
   };
   Publish("mixy.sym_block_runs", Statistics.SymbolicBlockRuns);
   Publish("mixy.sym_cache_hits", Statistics.SymbolicCacheHits);
@@ -344,77 +338,6 @@ bool MixyAnalysis::decodeBlockSummary(
     Switches.push_back(std::move(S));
   }
   return R.ok() && R.atEnd();
-}
-
-void MixyAnalysis::storeBlockSummary(
-    uint64_t PKey, const SymOutcome &Outcome,
-    const std::vector<Diagnostic> &Slice,
-    const std::vector<TypedSwitch> &Switches) {
-  // Read-merge-write: a run without the block cache can evaluate the
-  // same calling context twice against different states of the shared
-  // qualifier graph, and each evaluation's outcome is a valid
-  // under-approximation of what the fixpoint ultimately applied. The
-  // qualifier graph received the union of the seedings, so the summary a
-  // warm run replays must be the union too — every fact here is a
-  // monotone may-be-null bit, so merging is an OR and reaches the same
-  // least fixpoint.
-  SymOutcome MergedOutcome = Outcome;
-  std::vector<Diagnostic> MergedSlice = Slice;
-  std::vector<TypedSwitch> MergedSwitches = Switches;
-  if (auto Payload = Opts.Persist->blocks().lookup(PKey)) {
-    SymOutcome Old;
-    std::vector<Diagnostic> OldSlice;
-    std::vector<TypedSwitch> OldSwitches;
-    if (decodeBlockSummary(*Payload, Old, OldSlice, OldSwitches)) {
-      MergedOutcome.RetMayBeNull |= Old.RetMayBeNull;
-      if (MergedOutcome.ParamPointeeMayBeNull.size() <
-          Old.ParamPointeeMayBeNull.size())
-        MergedOutcome.ParamPointeeMayBeNull.resize(
-            Old.ParamPointeeMayBeNull.size(), false);
-      for (size_t I = 0; I != Old.ParamPointeeMayBeNull.size(); ++I)
-        if (Old.ParamPointeeMayBeNull[I])
-          MergedOutcome.ParamPointeeMayBeNull[I] = true;
-      for (const auto &[Name, MayNull] : Old.GlobalMayBeNull)
-        if (MayNull)
-          MergedOutcome.GlobalMayBeNull[Name] = true;
-      // Union the switch logs: replaying a switch re-seeds constraints
-      // the solver already has, so repeats are idempotent — but a switch
-      // only one evaluation recorded must survive.
-      auto SameSwitch = [](const TypedSwitch &A, const TypedSwitch &B) {
-        return A.Callee == B.Callee && A.Params == B.Params &&
-               A.Globals == B.Globals && A.Loc.Line == B.Loc.Line &&
-               A.Loc.Column == B.Loc.Column;
-      };
-      for (const TypedSwitch &S : OldSwitches) {
-        bool Seen = false;
-        for (const TypedSwitch &N : MergedSwitches)
-          Seen = Seen || SameSwitch(N, S);
-        if (!Seen)
-          MergedSwitches.push_back(S);
-      }
-      // Union the diagnostic slices, keeping each warning's trailing
-      // notes attached to it. Replay dedups repeated warnings anyway;
-      // deduping here keeps the payload from growing on every re-store.
-      auto GroupKey = [](const Diagnostic &D) {
-        return std::to_string((int)D.Kind) + "|" +
-               std::to_string((int)D.ID) + "|" + std::to_string(D.Loc.Line) +
-               ":" + std::to_string(D.Loc.Column) + "|" + D.Message;
-      };
-      std::set<std::string> Have;
-      for (const Diagnostic &D : MergedSlice)
-        if (D.Kind != DiagKind::Note)
-          Have.insert(GroupKey(D));
-      bool CopyGroup = false;
-      for (const Diagnostic &D : OldSlice) {
-        if (D.Kind != DiagKind::Note)
-          CopyGroup = Have.insert(GroupKey(D)).second;
-        if (CopyGroup)
-          MergedSlice.push_back(D);
-      }
-    }
-  }
-  Opts.Persist->blocks().store(
-      PKey, encodeBlockSummary(MergedOutcome, MergedSlice, MergedSwitches));
 }
 
 bool MixyAnalysis::switchesResolvable(
@@ -666,7 +589,11 @@ MixyAnalysis::translateResult(const CFuncDecl *F, const CSymResult &Result) {
 
 MixyAnalysis::SymOutcome
 MixyAnalysis::computeSymOutcome(const BlockKey &Key) {
-  bool Persistable = PersistBlocks && FuncClosure.count(Key.F) != 0;
+  // Only a run with the block cache stores a stable key at most once (a
+  // repeat hits the cache, re-enters the stack or replays), so only such
+  // a run reads or writes block summaries.
+  bool Persistable =
+      PersistBlocks && Opts.EnableCache && FuncClosure.count(Key.F) != 0;
   uint64_t PKey = Persistable ? stableBlockKey(Key) : 0;
 
   // Run state the engine hooks share: the trace span lives here so it
@@ -763,11 +690,11 @@ MixyAnalysis::computeSymOutcome(const BlockKey &Key) {
     if (Opts.Prov) {
       // Stamp every diagnostic this run emitted with the block stack that
       // was live while it ran (the engine has already popped this block,
-      // so BlockStack is the enclosing context). Nested block runs already
+      // so its stack is the enclosing context). Nested block runs already
       // stamped their own (deeper) stack and are left alone; notes
       // inherit their parent's context implicitly.
       std::vector<std::string> StackNames;
-      for (const Engine::StackEntry &E : BlockStack)
+      for (const Engine::StackEntry &E : Eng.stack())
         StackNames.push_back(E.K.F->name() +
                              (E.Symbolic ? " [symbolic]" : " [typed]"));
       StackNames.push_back(Key.F->name() + " [symbolic]");
@@ -791,11 +718,12 @@ MixyAnalysis::computeSymOutcome(const BlockKey &Key) {
       const std::vector<Diagnostic> &All = Diags.diagnostics();
       std::vector<Diagnostic> Slice(All.begin() + (long)DiagsBefore,
                                     All.end());
-      storeBlockSummary(PKey, Outcome, Slice, SwitchLog);
+      Opts.Persist->blocks().store(
+          PKey, encodeBlockSummary(Outcome, Slice, SwitchLog));
     }
   };
 
-  return Eng.runSymbolic(Key, BlockStack, H);
+  return Eng.runSymbolic(Key, H);
 }
 
 void MixyAnalysis::restoreAliasing(const CFuncDecl *Callee) {
@@ -854,14 +782,12 @@ void MixyAnalysis::applySymOutcome(const SymOutcome &Outcome,
   restoreAliasing(Callee);
 }
 
-bool MixyAnalysis::handleSymbolicCall(QualInference &Inference,
-                                      const CCall *Call,
+bool MixyAnalysis::handleSymbolicCall(const CCall *Call,
                                       const CFuncDecl *Callee,
                                       const std::vector<QualVec> &ArgQuals,
                                       QualVec &RetQuals) {
   if (!Callee->isDefined())
     return false;
-  (void)Inference;
 
   ++Statistics.SymbolicCallsFromTyped;
 
@@ -929,11 +855,10 @@ bool MixyAnalysis::computeTypedRet(const BlockKey &Key, SourceLoc CallLoc) {
     return !RQ.empty() && Qual.mayBeNull(RQ[0]);
   };
 
-  return Eng.runTyped(Key, BlockStack, H);
+  return Eng.runTyped(Key, H);
 }
 
-bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
-                                     const CCall *Call,
+bool MixyAnalysis::callTypedFunction(CSymState &State, const CCall *Call,
                                      const CFuncDecl *Callee,
                                      const std::vector<CSymValue> &Args,
                                      CSymValue &RetOut) {
@@ -946,18 +871,18 @@ bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
   // argument and per pointer global present in the store.
   for (size_t I = 0; I != Callee->params().size(); ++I) {
     bool MayNull = I < Args.size() && Args[I].isPtr() &&
-                   Exec2.mayBeNull(State.Path, Args[I]);
+                   Exec.mayBeNull(State.Path, Args[I]);
     Key.Params.push_back(MayNull ? NullSeed::MayBeNull : NullSeed::Nonnull);
   }
   for (const CGlobalDecl *G : Program.globals()) {
     if (!G->type()->isPointer())
       continue;
-    auto Cell = State.Store.get({Exec2.globalLoc(G)});
+    auto Cell = State.Store.get({Exec.globalLoc(G)});
     if (!Cell || !Cell->isPtr())
       continue;
-    Key.Globals[G->name()] = Exec2.mayBeNull(State.Path, *Cell)
-                                 ? NullSeed::MayBeNull
-                                 : NullSeed::Nonnull;
+    Key.Globals[G->name()] = Exec.mayBeNull(State.Path, *Cell)
+                                ? NullSeed::MayBeNull
+                                : NullSeed::Nonnull;
   }
 
   // Record the switch for the enclosing block's persistent summary (null
@@ -973,7 +898,7 @@ bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
   // are forced to start with a fresh memory when switching from typed
   // blocks", Section 4.6), then pointer globals are re-seeded from the
   // current qualifier solution.
-  Exec2.havocStore(State);
+  Exec.havocStore(State);
   Qual.solve();
   for (const CGlobalDecl *G : Program.globals()) {
     if (!G->type()->isPointer())
@@ -982,18 +907,18 @@ bool MixyAnalysis::callTypedFunction(CSymExecutor &Exec2, CSymState &State,
     NullSeed Seed = (!Q.empty() && Qual.mayBeNull(Q[0]))
                         ? NullSeed::MayBeNull
                         : NullSeed::Nonnull;
-    State.Store.set({Exec2.globalLoc(G)},
-                    Exec2.seededPointer(G->type(), Seed, G->name()));
+    State.Store.set({Exec.globalLoc(G)},
+                    Exec.seededPointer(G->type(), Seed, G->name()));
   }
 
   if (Callee->returnType()->isPointer())
-    RetOut = Exec2.seededPointer(Callee->returnType(),
-                                 RetMayBeNull ? NullSeed::MayBeNull
-                                              : NullSeed::Nonnull,
-                                 Callee->name() + "()");
+    RetOut = Exec.seededPointer(Callee->returnType(),
+                                RetMayBeNull ? NullSeed::MayBeNull
+                                             : NullSeed::Nonnull,
+                                Callee->name() + "()");
   else
-    RetOut = CSymValue::scalar(
-        Exec2.terms().freshIntVar(Callee->name() + "()"));
+    RetOut =
+        CSymValue::scalar(Exec.terms().freshIntVar(Callee->name() + "()"));
   return true;
 }
 
@@ -1037,40 +962,69 @@ unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
     Qual.analyzeFunction(F);
 
   // Fixpoint (Section 4.1): re-run symbolic blocks whose calling context
-  // changed as constraints accumulated, until nothing changes. The
-  // engine driver's Gauss-Seidel loop lets each site's evaluation see
+  // changed as constraints accumulated, until a round changes nothing.
+  // Gauss-Seidel: each round refreshes the sites in index order and
+  // evaluates each changed one on the spot, so every evaluation sees
   // every earlier one's effects.
-  engine::FixpointConfig FC;
-  FC.MaxRounds = Opts.MaxFixpointIterations;
-  FC.Trace = Opts.Trace;
-  FC.RoundSpanName = "mixy.round";
-  FC.SpanCategory = "mixy";
-  FC.Metrics = Opts.Metrics;
-  FC.Telemetry = Opts.Telemetry;
-  engine::FixpointDriver Driver(FC);
-
-  engine::FixpointCallbacks CB;
-  CB.NumSites = [&] { return SymCallSites.size(); };
-  CB.OnRoundBegin = [&](unsigned) { Qual.solve(); };
-  CB.Refresh = [&](size_t I) { return refreshSite(I); };
-  CB.Evaluate = [&](size_t I) {
-    // Copy the key before evaluating: a nested frontier call can grow
-    // SymCallSites and invalidate references into it.
-    BlockKey Key = SymCallSites[I].LastKey;
-    SymOutcome Outcome = computeSymOutcome(Key);
-    SymCallSite &Site = SymCallSites[I];
-    applySymOutcome(Outcome, Site.Call, Site.Callee, Site.ArgQuals,
-                    Site.RetQuals);
-  };
-  engine::FixpointResult Fix = Driver.run(CB);
-  Statistics.FixpointIterations += Fix.Rounds;
+  obs::Counter CRounds, CReruns, CCut;
+  if (Opts.Metrics) {
+    CRounds = Opts.Metrics->counter("engine.fixpoint.rounds");
+    CReruns = Opts.Metrics->counter("engine.worklist.reruns");
+    CCut = Opts.Metrics->counter("engine.fixpoint.cut");
+  }
+  bool Converged = true;
+  {
+    obs::PhaseTimer Timer(Opts.Telemetry, obs::Phase::Fixpoint);
+    std::vector<bool> Evaluated;
+    unsigned Round = 0;
+    for (; Round != MaxFixpointRounds; ++Round) {
+      obs::TraceSpan Span(Opts.Trace, "mixy.round", "mixy");
+      if (Opts.Trace)
+        Span.setArgs("{\"round\": " + std::to_string(Round) + "}");
+      Qual.solve();
+      bool Changed = false;
+      // Take the count once: a nested frontier call may append a site
+      // while the round runs, and that site waits for the next round.
+      size_t N = SymCallSites.size();
+      Evaluated.resize(N, false);
+      for (size_t I = 0; I != N; ++I) {
+        if (!refreshSite(I))
+          continue;
+        Changed = true;
+        if (Evaluated[I])
+          CReruns.inc();
+        Evaluated[I] = true;
+        // Copy the key: a nested frontier call can grow SymCallSites and
+        // invalidate references into it.
+        BlockKey Key = SymCallSites[I].LastKey;
+        SymOutcome Outcome = computeSymOutcome(Key);
+        SymCallSite &Site = SymCallSites[I];
+        applySymOutcome(Outcome, Site.Call, Site.Callee, Site.ArgQuals,
+                        Site.RetQuals);
+      }
+      if (!Changed)
+        break;
+      ++Statistics.FixpointIterations;
+      CRounds.inc();
+    }
+    // Every allowed round changed something. The last one may still have
+    // reached the fixpoint, so refresh (without evaluating) once more: a
+    // context that still changes means the cap cut the run off.
+    if (Round == MaxFixpointRounds) {
+      Qual.solve();
+      for (size_t I = 0, N = SymCallSites.size(); I != N && Converged; ++I)
+        Converged = !refreshSite(I);
+      if (!Converged)
+        CCut.inc();
+    }
+  }
   // A fixpoint cut off by the round cap can miss null flows that had not
   // yet reached their sink, so a truncated run must not pass as clean.
-  if (!Fix.Converged)
+  if (!Converged)
     Diags.warning(EntryFunc->loc(),
                   "fixpoint budget exhausted: calling contexts still "
                   "changed after " +
-                      std::to_string(Opts.MaxFixpointIterations) +
+                      std::to_string(MaxFixpointRounds) +
                       " rounds, so warnings may be missing",
                   DiagID::ExecBudget);
 

@@ -24,13 +24,13 @@
 ///    whether g and (s = 0) is satisfiable and add null constraints.
 ///  - Optimism makes a fixpoint necessary: symbolic blocks re-run when
 ///    later-discovered constraints change their calling context
-///    (Section 4.1's two-symbolic-block example). The loop visits the
+///    (Section 4.1's two-symbolic-block example). run() loops over the
 ///    frontier call sites in a fixed order, each evaluation seeing every
-///    earlier one's effects, for at most MaxFixpointIterations rounds; a
-///    run that reaches the cap with a context still changing says so
-///    with an ExecBudget (MIX303) warning instead of reporting a
-///    truncated result as clean. So does a symbolic block run that the
-///    executor's loop, path or call-depth bound cut short.
+///    earlier one's effects, for at most MaxFixpointRounds rounds; a run
+///    that reaches the cap with a context still changing says so with an
+///    ExecBudget (MIX303) warning instead of reporting a truncated
+///    result as clean. So does a symbolic block run that the executor's
+///    loop, path or call-depth bound cut short.
 ///  - Aliasing is restored at symbolic-to-typed transitions using the
 ///    may-points-to pre-pass (Section 4.2).
 ///  - Block results are cached per compatible calling context
@@ -72,8 +72,6 @@ struct MixyOptions {
   /// Restore aliasing relationships via the points-to pre-pass at
   /// symbolic-to-typed transitions (Section 4.2).
   bool RestoreAliasing = true;
-  unsigned MaxFixpointIterations = 16;
-  unsigned MaxRecursionIterations = 8;
   CSymOptions Sym;
   QualOptions Qual;
   smt::SmtOptions Smt;
@@ -82,19 +80,18 @@ struct MixyOptions {
 
   /// Observability sinks (see src/observe/). The analysis copies these
   /// into Smt (solver counters/latency) and the block caches
-  /// ("mixy.cache.sym.*" / "mixy.cache.typed.*" counters); the fixpoint
-  /// driver adds
-  /// "mixy.round" / "mixy.block.sym" / "mixy.block.typed" spans and
-  /// publishes the MixyStats fields as "mixy.*" counters when the run
-  /// finishes. Null (the default) disables all of it at one branch per
-  /// site.
+  /// ("mixy.cache.sym.*" / "mixy.cache.typed.*" counters); it adds
+  /// "mixy.round" / "mixy.block.sym" / "mixy.block.typed" spans and the
+  /// "engine.fixpoint.*" counters, and adds the MixyStats fields to the
+  /// "mixy.*" counters when the run finishes. Null (the default)
+  /// disables all of it at one branch per site.
   obs::MetricsRegistry *Metrics = nullptr;
   obs::TraceSink *Trace = nullptr;
 
   /// Per-request telemetry context (see src/observe/Phase.h). Copied into
-  /// Smt and the fixpoint config, so solver queries, fixpoint rounds, and
-  /// block boundaries attribute wall time to the request's phase
-  /// breakdown. Null — the default — costs one branch per site.
+  /// Smt, so solver queries, the fixpoint loop, and block boundaries
+  /// attribute wall time to the request's phase breakdown. Null — the
+  /// default — costs one branch per site.
   obs::RequestTelemetry *Telemetry = nullptr;
 
   /// Provenance recording (see src/provenance/). When attached — the
@@ -138,6 +135,9 @@ class MixyAnalysis : public QualSymHook, public TypedCallHook {
 public:
   enum class StartMode { Typed, Symbolic };
 
+  /// Fixpoint round cap (Section 4.1).
+  static constexpr unsigned MaxFixpointRounds = 16;
+
   MixyAnalysis(const CProgram &Program, CAstContext &Ctx,
                DiagnosticEngine &Diags, MixyOptions Opts = MixyOptions());
   ~MixyAnalysis();
@@ -147,14 +147,13 @@ public:
   unsigned run(StartMode Mode, const std::string &Entry = "main");
 
   // --- QualSymHook: typed-to-symbolic switching (Section 4.1) -----------
-  bool handleSymbolicCall(QualInference &Inference, const CCall *Call,
-                          const CFuncDecl *Callee,
+  bool handleSymbolicCall(const CCall *Call, const CFuncDecl *Callee,
                           const std::vector<QualVec> &ArgQuals,
                           QualVec &RetQuals) override;
 
   // --- TypedCallHook: symbolic-to-typed switching ------------------------
-  bool callTypedFunction(CSymExecutor &Exec, CSymState &State,
-                         const CCall *Call, const CFuncDecl *Callee,
+  bool callTypedFunction(CSymState &State, const CCall *Call,
+                         const CFuncDecl *Callee,
                          const std::vector<CSymValue> &Args,
                          CSymValue &RetOut) override;
 
@@ -292,17 +291,6 @@ private:
   bool decodeBlockSummary(const std::string &Payload, SymOutcome &Outcome,
                           std::vector<Diagnostic> &Slice,
                           std::vector<TypedSwitch> &Switches) const;
-  /// Writes a block summary, merging with whatever is already stored
-  /// under \p PKey. With the block cache off (--no-cache), a cold run
-  /// evaluates one calling context again each time a site re-runs under
-  /// it, and its nested typed blocks may see a richer qualifier graph the
-  /// second time, so the outcomes can differ; the qualifier graph saw the
-  /// *union* of those seedings, so the persisted summary must carry the
-  /// union too (the facts are monotone may-be-null bits, so the merge is
-  /// an OR). A last-write-wins store here loses warnings on warm replay.
-  void storeBlockSummary(uint64_t PKey, const SymOutcome &Outcome,
-                         const std::vector<Diagnostic> &Slice,
-                         const std::vector<TypedSwitch> &Switches);
   /// Does every recorded callee still resolve? (Always true when the
   /// closure hash matched; a summary that fails this is stale and the
   /// block re-runs cold.)
@@ -316,7 +304,7 @@ private:
   QualVec freshQuals(const CType *Ty, const std::string &Description,
                      SourceLoc Loc);
 
-  /// Builds the engine configuration (recursion budget, metrics
+  /// Builds the engine configuration (block cache switch, metrics
   /// prefixes) from the analysis options.
   static Engine::Config engineConfig(const MixyOptions &O);
   /// Recomputes site I's calling context from the current qualifier
@@ -329,9 +317,9 @@ private:
   /// all-to-all reachability in linear size.
   std::map<const CFuncDecl *, std::vector<const CFuncDecl *>>
   dependencyEdges();
-  /// Mirrors the final MixyStats and the executor's work counters into
-  /// the metrics registry (no-op without one) so --stats / --metrics
-  /// render from the same source.
+  /// Adds this run's MixyStats and the executor's, points-to and
+  /// qualifier work counters into the metrics registry (no-op without
+  /// one) so --stats / --metrics render from the same source.
   void publishStats();
   /// Emits one MIX303 warning at \p F when its run was cut short by the
   /// loop bound, the path budget or the call depth: a truncated block
@@ -349,12 +337,9 @@ private:
   QualInference Qual;
   CSymExecutor Exec;
 
-  /// The shared mix engine: block caches, recursion stack discipline,
-  /// and assumption iteration (Sections 4.3 / 4.4).
+  /// The shared mix engine: block caches, the block stack, and
+  /// assumption iteration (Sections 4.3 / 4.4).
   Engine Eng;
-
-  /// The recursion stack (Section 4.4).
-  Engine::BlockStack BlockStack;
 
   std::vector<SymCallSite> SymCallSites;
 

@@ -68,7 +68,6 @@ public:
   unsigned numEdges() const { return NumEdges; }
   const std::string &description(Node N) const { return Descriptions[N]; }
   SourceLoc location(Node N) const { return Locations[N]; }
-  bool isNonnullBound(Node N) const { return NonnullBound[N]; }
 
   /// Recomputes null-reachability. Call after the graph changes and
   /// before querying mayBeNull / violations.

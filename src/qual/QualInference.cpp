@@ -292,7 +292,7 @@ QualVec QualInference::analyzeCall(const CCall *Call, const CFuncDecl *Func) {
     // analyses through the hook.
     if (Hook && Callee->mixAnnot() == MixAnnot::Symbolic) {
       QualVec Ret;
-      if (Hook->handleSymbolicCall(*this, Call, Callee, ArgQuals, Ret))
+      if (Hook->handleSymbolicCall(Call, Callee, ArgQuals, Ret))
         return Ret;
     }
     for (unsigned I = 0;

@@ -43,8 +43,6 @@ namespace mix::c {
 /// type (outermost first). Scalars have an empty vector.
 using QualVec = std::vector<QualGraph::Node>;
 
-class QualInference;
-
 /// MIXY's entry point into typed regions: called when inference reaches a
 /// call to a MIX(symbolic) function.
 class QualSymHook {
@@ -52,11 +50,11 @@ public:
   virtual ~QualSymHook() = default;
 
   /// Analyzes the call to \p Callee symbolically and adds the resulting
-  /// constraints to \p Inference. \p ArgQuals are the qualifier variables
-  /// of the actual arguments; \p RetQuals receives the result qualifiers.
-  /// Returns false to fall back to ordinary monomorphic binding.
-  virtual bool handleSymbolicCall(QualInference &Inference,
-                                  const CCall *Call, const CFuncDecl *Callee,
+  /// constraints to the inference that called. \p ArgQuals are the
+  /// qualifier variables of the actual arguments; \p RetQuals receives
+  /// the result qualifiers. Returns false to fall back to ordinary
+  /// monomorphic binding.
+  virtual bool handleSymbolicCall(const CCall *Call, const CFuncDecl *Callee,
                                   const std::vector<QualVec> &ArgQuals,
                                   QualVec &RetQuals) = 0;
 };

@@ -257,9 +257,6 @@ public:
   /// before the first request.
   void enableRequestTelemetry() { Config.RequestTelemetry = true; }
 
-  /// Whether requests get telemetry contexts.
-  bool requestTelemetryEnabled() const { return Config.RequestTelemetry; }
-
   /// The slowest requests seen so far, slowest first (bounded by
   /// ServiceConfig::SlowLogCap).
   std::vector<SlowRequest> slowRequests() const;

@@ -106,7 +106,7 @@ bool SignMixChecker::verifyClosure(const SymExpr *Closure, SourceLoc Loc) {
   };
   // A failed check cannot improve by re-running.
   H.KeepIterating = [](const SType *S) { return S != nullptr; };
-  return Eng.runTyped(K, BlockStack, H) != nullptr;
+  return Eng.runTyped(K, H) != nullptr;
 }
 
 bool SignMixChecker::verifyEscapingClosures(const SymExpr *Value,
@@ -267,7 +267,7 @@ const SType *SignMixChecker::stypeOfSymbolicBlock(const BlockExpr *Block,
   // Failures reported diagnostics; re-diagnose instead of replaying null.
   H.ShouldCache = [](const SType *S) { return S != nullptr; };
   H.KeepIterating = [](const SType *S) { return S != nullptr; };
-  return Eng.runSymbolic(K, BlockStack, H);
+  return Eng.runSymbolic(K, H);
 }
 
 const Type *SignMixChecker::typeOfTypedBlock(const BlockExpr *Block,
@@ -300,7 +300,7 @@ const Type *SignMixChecker::typeOfTypedBlock(const BlockExpr *Block,
   H.Eval = [&] { return Checker.check(Block->body(), Gamma); };
   H.ShouldCache = [](const SType *S) { return S != nullptr; };
   H.KeepIterating = [](const SType *S) { return S != nullptr; };
-  const SType *S = Eng.runTyped(K, BlockStack, H);
+  const SType *S = Eng.runTyped(K, H);
   if (!S)
     return nullptr;
   TypedBlockResults[Block] = S;

@@ -139,9 +139,8 @@ private:
   std::map<const BlockExpr *, const SType *> TypedBlockResults;
 
   // The shared engine layer: block caches plus the Section 4.4 block
-  // stack (the sign mix analyzes blocks serially, so one stack).
+  // stack.
   Engine Eng;
-  Engine::BlockStack BlockStack;
 
   /// Guards asserted by refineTypedBlockResult during the current
   /// symbolic run. They are *justified assumptions* (the sign checker

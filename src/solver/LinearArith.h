@@ -51,7 +51,6 @@ struct LinConstraint {
   LinRel Rel = LinRel::Le;
   long long Rhs = 0;
 
-  bool isConstant() const { return Coeffs.empty(); }
   std::string str() const;
 };
 

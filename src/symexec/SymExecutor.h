@@ -186,14 +186,6 @@ struct SymExecResult {
   /// Set when MaxPaths/MaxSteps tripped; the result is then incomplete
   /// and must not be used to justify exhaustiveness.
   bool ResourceLimitHit = false;
-
-  /// Convenience: true when no path ended in a type error.
-  bool allPathsSucceeded() const {
-    for (const PathResult &P : Paths)
-      if (P.IsError)
-        return false;
-    return true;
-  }
 };
 
 /// The symbolic executor.
@@ -266,10 +258,6 @@ private:
   /// inconsistent writes whose addresses are provably distinct from
   /// \p Addr under the path condition.
   bool derefMemoryOk(const SymState &S, const SymExpr *Addr);
-
-  bool budgetExceeded() const {
-    return Steps > Opts.MaxSteps || LivePaths > Opts.MaxPaths;
-  }
 
   SymArena &Arena;
   DiagnosticEngine &Diags;

@@ -332,8 +332,9 @@ namespace {
 /// A hook that models every MIX(typed) call as "returns fresh nonnull".
 class CountingHook : public TypedCallHook {
 public:
-  bool callTypedFunction(CSymExecutor &Exec, CSymState &State,
-                         const CCall *, const CFuncDecl *Callee,
+  explicit CountingHook(CSymExecutor &Exec) : Exec(Exec) {}
+  bool callTypedFunction(CSymState &State, const CCall *,
+                         const CFuncDecl *Callee,
                          const std::vector<CSymValue> &,
                          CSymValue &RetOut) override {
     ++Calls;
@@ -346,6 +347,7 @@ public:
       RetOut = CSymValue::scalar(Exec.terms().freshIntVar("typed-result"));
     return true;
   }
+  CSymExecutor &Exec;
   unsigned Calls = 0;
   const CFuncDecl *LastCallee = nullptr;
 };
@@ -360,7 +362,7 @@ TEST_F(CSymTest, TypedCallHookIntercepts) {
                              Ctx, Diags);
   ASSERT_NE(P, nullptr) << Diags.str();
   CSymExecutor Exec2(*P, Ctx, Diags, Terms, Solver);
-  CountingHook Hook;
+  CountingHook Hook(Exec2);
   Exec2.setTypedCallHook(&Hook);
   CSymResult R = Exec2.runFunction(P->findFunc("f"));
   EXPECT_EQ(Hook.Calls, 1u);

@@ -66,7 +66,7 @@ struct RunResult {
 
 RunResult runMixy(const std::string &Source, const std::string &Dir,
                   bool Explain = false, bool WarnDerefs = false,
-                  const std::string &Entry = "main") {
+                  const std::string &Entry = "main", bool EnableCache = true) {
   RunResult R;
   CAstContext Ctx;
   DiagnosticEngine Diags;
@@ -78,6 +78,7 @@ RunResult runMixy(const std::string &Source, const std::string &Dir,
   obs::MetricsRegistry Reg;
   MixyOptions Opts;
   Opts.Metrics = &Reg;
+  Opts.EnableCache = EnableCache;
   if (WarnDerefs) {
     Opts.Qual.WarnAllDereferences = true;
     Opts.Sym.CheckDereferences = true;
@@ -430,6 +431,59 @@ int main(void) {
   EXPECT_EQ(Warm.FuncsChanged, 1u); // helper's content
   EXPECT_EQ(Warm.FuncsDirty, 3u);   // helper, middle, main
   EXPECT_EQ(Warm.BlockHits, 0u);    // middle's old summary must not match
+}
+
+//===----------------------------------------------------------------------===//
+// Runs without the block cache persist no block summaries
+//===----------------------------------------------------------------------===//
+
+// f and g have one arity and one calling context, and the indirect call
+// puts every function in one dependency cone, so their persisted block
+// keys collide (ROADMAP's first open item): a run that stores f's
+// summary and replays it for g reports a null g never returns.
+const char *SharedKeySource = R"(
+void sink(int * nonnull p) MIX(typed);
+void (*s_hook)(void);
+int obj;
+int *f(void) MIX(symbolic) { return NULL; }
+int *g(void) MIX(symbolic) { return &obj; }
+int main(void) {
+  int *a; int *b;
+  a = f(); b = g(); sink(b);
+  if (s_hook != NULL) { (*s_hook)(); }
+  return 0;
+}
+)";
+
+TEST(MixyPersistTest, NoCacheRunNeitherStoresNorReplaysBlockSummaries) {
+  // Only a run with the block cache stores each stable key at most once,
+  // so only such a run persists block summaries. A --no-cache run against
+  // an incremental session, cold or warm, answers as a run without one.
+  struct Case {
+    const char *Name;
+    std::string Source;
+    const char *Entry;
+    unsigned Warnings;
+  };
+  for (const Case &C :
+       {Case{"scaled", corpus::vsftpdScaled(true, 24, 8), "filler_main", 1},
+        Case{"shared_key", SharedKeySource, "main", 0}}) {
+    SCOPED_TRACE(C.Name);
+    TempDir D(std::string("nocache_") + C.Name);
+    RunResult Reference = runMixy(C.Source, "", false, false, C.Entry,
+                                  /*EnableCache=*/false);
+    EXPECT_EQ(Reference.Warnings, C.Warnings) << Reference.Diags;
+    for (const char *Phase : {"cold", "warm"}) {
+      SCOPED_TRACE(Phase);
+      RunResult R = runMixy(C.Source, D.Path, false, false, C.Entry,
+                            /*EnableCache=*/false);
+      EXPECT_EQ(R.Diags, Reference.Diags);
+      EXPECT_EQ(R.Warnings, Reference.Warnings);
+      EXPECT_EQ(R.BlockStores, 0u);
+      EXPECT_EQ(R.BlockHits, 0u);
+      EXPECT_EQ(R.BlockMisses, 0u);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -262,6 +262,46 @@ int main(void) {
   EXPECT_GE(Stats.FixpointIterations, 1u);
 }
 
+TEST_F(MixyTest, SiteFoundMidRoundRunsInTheNextRound) {
+  // Each round takes the site count once, so a frontier call site that a
+  // block run registers in the middle of a round waits for the next one.
+  // With the guard, blk reaches the typed t only once src has made g
+  // may-be-null, in round 0; t's region calls the symbolic s, whose site
+  // is registered then and first refreshed in round 1, which therefore
+  // changes something. Without the guard all three sites are registered
+  // before the loop, and round 1 re-runs s.
+  struct Case {
+    const char *Blk;
+    unsigned TypedToSym, SymRuns, TypedRuns, Rounds, Reruns;
+  };
+  for (Case C :
+       {Case{"if (g == NULL) { r = t(g); sysutil_free((void*)r); }", 3, 6, 2,
+             2, 0},
+        Case{"r = t(g); sysutil_free((void*)r);", 3, 7, 4, 2, 1}}) {
+    SCOPED_TRACE(C.Blk);
+    const std::string Source =
+        "int *g;\n"
+        "void sysutil_free(void * nonnull p) MIX(typed);\n"
+        "int *s(int *a) MIX(symbolic) { return a; }\n"
+        "int *t(int *a) MIX(typed) { return s(a); }\n"
+        "void blk(void) MIX(symbolic) { int *r; " +
+        std::string(C.Blk) +
+        " }\n"
+        "void src(void) MIX(symbolic) { g = NULL; }\n"
+        "int main(void) { blk(); src(); return 0; }\n";
+    mix::obs::MetricsRegistry Reg;
+    MixyOptions Opts;
+    Opts.Metrics = &Reg;
+    MixyStats Stats;
+    mixyWarnings(Source, Opts, &Stats);
+    EXPECT_EQ(Stats.SymbolicCallsFromTyped, C.TypedToSym);
+    EXPECT_EQ(Stats.SymbolicBlockRuns, C.SymRuns);
+    EXPECT_EQ(Stats.TypedBlockRuns, C.TypedRuns);
+    EXPECT_EQ(Stats.FixpointIterations, C.Rounds);
+    EXPECT_EQ(Reg.counterValue("engine.worklist.reruns"), C.Reruns);
+  }
+}
+
 TEST_F(MixyTest, RepeatedRunsDoTheSameWork) {
   // One answer per program, and one amount of work: the typed region is
   // analyzed in declaration order, so frontier call sites register (and
@@ -313,21 +353,13 @@ TEST_F(MixyTest, RepeatedRunsDoTheSameWork) {
 // --- the fixpoint's round cap -----------------------------------------------
 
 TEST_F(MixyTest, DeepChainThatConvergesGetsNoBudgetWarning) {
-  // Depth 15 changes some context in all 16 allowed rounds, yet its last
-  // round reaches the fixpoint: the refresh pass after it sees nothing
-  // change. Depth 16 under a raised cap converges with rounds to spare.
-  // Either way only the one true warning is reported.
-  struct Case {
-    unsigned Depth, MaxRounds, Rounds;
-  };
-  for (Case C : {Case{15, 16, 16}, Case{16, 40, 17}}) {
-    SCOPED_TRACE("depth " + std::to_string(C.Depth));
-    MixyOptions Opts;
-    Opts.MaxFixpointIterations = C.MaxRounds;
-    MixyStats Stats;
-    EXPECT_EQ(mixyWarnings(corpus::deepCallChain(C.Depth), Opts, &Stats), 1u)
-        << LastDiags;
-    EXPECT_EQ(Stats.FixpointIterations, C.Rounds);
+  // Depths 5 and 15 converge within the cap. Depth 15 changes some
+  // context in all 16 allowed rounds, yet its last round reaches the
+  // fixpoint: the refresh pass after it sees nothing change. Both report
+  // only the one true warning.
+  for (unsigned Depth : {5u, 15u}) {
+    SCOPED_TRACE("depth " + std::to_string(Depth));
+    EXPECT_EQ(mixyWarnings(corpus::deepCallChain(Depth)), 1u) << LastDiags;
     EXPECT_EQ(lastCount(DiagID::NullWarning), 1u) << LastDiags;
     EXPECT_EQ(lastCount(DiagID::ExecBudget), 0u) << LastDiags;
   }
@@ -339,15 +371,86 @@ TEST_F(MixyTest, DeepChainCutByTheRoundCapWarns) {
   // the cut instead (MIX303), so the program never passes as clean.
   for (unsigned Depth : {16u, 32u}) {
     SCOPED_TRACE("depth " + std::to_string(Depth));
+    mix::obs::MetricsRegistry Reg;
+    MixyOptions Opts;
+    Opts.Metrics = &Reg;
     MixyStats Stats;
-    EXPECT_EQ(
-        mixyWarnings(corpus::deepCallChain(Depth), MixyOptions(), &Stats), 1u)
+    EXPECT_EQ(mixyWarnings(corpus::deepCallChain(Depth), Opts, &Stats), 1u)
         << LastDiags;
-    EXPECT_EQ(Stats.FixpointIterations, 16u);
+    EXPECT_EQ(Stats.FixpointIterations, MixyAnalysis::MaxFixpointRounds);
+    EXPECT_EQ(Reg.counterValue("engine.fixpoint.cut"), 1u);
     EXPECT_EQ(lastCount(DiagID::ExecBudget), 1u) << LastDiags;
     EXPECT_NE(LastDiags.find("fixpoint budget exhausted"), std::string::npos)
         << LastDiags;
   }
+}
+
+// --- MIXY's fixpoint loop ----------------------------------------------------
+//
+// MixyAnalysis::run drives the fixpoint itself: Gauss-Seidel rounds over
+// the frontier call sites, at most MaxFixpointRounds of them, then one
+// refresh-only pass that tells a converged run from a cut one.
+
+namespace {
+class FixpointDriverTest : public MixyTest {};
+} // namespace
+
+TEST_F(FixpointDriverTest, AllSchedulesReachTheSameFixpoint) {
+  // The null moves one link per round, so depth D needs D + 1 rounds
+  // that change something. Every site's context holds every pointer
+  // global's seed, so the re-runs grow as D * (D + 1). With the block
+  // cache off each re-run executes its block again instead of replaying
+  // a cached result; the rounds, the re-runs and the answer stay the
+  // same.
+  struct Case {
+    unsigned Depth, Rounds, Reruns;
+  };
+  for (Case C : {Case{5, 6, 30}, Case{15, 16, 240}}) {
+    for (bool Cache : {true, false}) {
+      SCOPED_TRACE("depth " + std::to_string(C.Depth) +
+                   (Cache ? ", cache on" : ", cache off"));
+      mix::obs::MetricsRegistry Reg;
+      MixyOptions Opts;
+      Opts.EnableCache = Cache;
+      Opts.Metrics = &Reg;
+      MixyStats Stats;
+      EXPECT_EQ(mixyWarnings(corpus::deepCallChain(C.Depth), Opts, &Stats),
+                1u)
+          << LastDiags;
+      EXPECT_EQ(Stats.FixpointIterations, C.Rounds);
+      EXPECT_EQ(Reg.counterValue("engine.fixpoint.rounds"), C.Rounds);
+      EXPECT_EQ(Reg.counterValue("engine.worklist.reruns"), C.Reruns);
+      EXPECT_EQ(Reg.counterValue("engine.fixpoint.cut"), 0u);
+      EXPECT_EQ(lastCount(DiagID::NullWarning), 1u) << LastDiags;
+    }
+  }
+}
+
+TEST_F(FixpointDriverTest, RoundCapCutIsReported) {
+  // Depth 15 needs exactly the 16 rounds the cap allows, and its last
+  // round converges, which the refresh-only pass confirms. Depth 16
+  // needs one round more: the refresh-only pass after round 16 still
+  // sees a context change, so the run counts engine.fixpoint.cut and
+  // reports the cut (MIX303) at the site whose context still changes.
+  struct Case {
+    unsigned Depth, Cut;
+  };
+  for (Case C : {Case{15, 0}, Case{16, 1}}) {
+    SCOPED_TRACE("depth " + std::to_string(C.Depth));
+    mix::obs::MetricsRegistry Reg;
+    MixyOptions Opts;
+    Opts.Metrics = &Reg;
+    MixyStats Stats;
+    mixyWarnings(corpus::deepCallChain(C.Depth), Opts, &Stats);
+    EXPECT_EQ(Stats.FixpointIterations, MixyAnalysis::MaxFixpointRounds);
+    EXPECT_EQ(Reg.counterValue("engine.fixpoint.rounds"),
+              MixyAnalysis::MaxFixpointRounds);
+    EXPECT_EQ(Reg.counterValue("engine.fixpoint.cut"), C.Cut);
+    EXPECT_EQ(lastCount(DiagID::ExecBudget), C.Cut) << LastDiags;
+  }
+  EXPECT_NE(LastDiags.find("73:9"), std::string::npos) << LastDiags;
+  EXPECT_NE(LastDiags.find("fixpoint budget exhausted"), std::string::npos)
+      << LastDiags;
 }
 
 // --- block runs cut short by the executor's bounds ---------------------------

@@ -673,6 +673,24 @@ uint64_t metricValue(const service::AnalysisResponse &Resp,
   return 0;
 }
 
+TEST(ServiceTest, RepeatedRunsAddTheirEngineCounters) {
+  // The CLI configuration: every run() records into the one service
+  // registry. Each analysis adds its counters there, so an identical
+  // second run reports the same deltas as the first, and the registry
+  // holds both runs' work.
+  service::AnalysisService Svc;
+  service::AnalysisRequest Req;
+  Req.ToolKind = service::Tool::Mixy;
+  Req.Corpus = "vsftpd";
+  service::AnalysisResponse First = Svc.run(Req);
+  service::AnalysisResponse Second = Svc.run(Req);
+  EXPECT_EQ(metricValue(First, "mixy.sym_block_runs"), 5u);
+  EXPECT_EQ(metricValue(First, "csym.paths"), 13u);
+  EXPECT_EQ(Second.Metrics, First.Metrics);
+  EXPECT_EQ(Svc.metrics().counterValue("mixy.sym_block_runs"),
+            2 * metricValue(First, "mixy.sym_block_runs"));
+}
+
 TEST(ServiceServeTest, SecondIdenticalRequestAnswersFromCache) {
   service::AnalysisService Svc(daemonConfig());
   service::AnalysisRequest Req;
