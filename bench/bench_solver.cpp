@@ -170,6 +170,65 @@ void BM_Solver_BackendPathCondition(benchmark::State &State) {
   }
 }
 
+/// The path conditions of a five-`if` cascade (`5 < x0`, `x0 < x1`, ...,
+/// `x3 < x4`), each condition in either polarity: 62 prefixes of depth 1
+/// to 5, the shape of mixy-symbolic's branch probes.
+std::vector<const Term *> cascadePrefixes(TermArena &A) {
+  std::vector<const Term *> Xs;
+  for (unsigned I = 0; I != 5; ++I)
+    Xs.push_back(A.freshIntVar());
+  std::vector<const Term *> Conds = {A.lt(A.intConst(5), Xs[0])};
+  for (unsigned I = 1; I != 5; ++I)
+    Conds.push_back(A.lt(Xs[I - 1], Xs[I]));
+  std::vector<const Term *> Out, Level = {A.trueTerm()};
+  for (const Term *Cond : Conds) {
+    std::vector<const Term *> Next;
+    for (const Term *Path : Level) {
+      Next.push_back(A.andTerm(Path, Cond));
+      Next.push_back(A.andTerm(Path, A.notTerm(Cond)));
+    }
+    Out.insert(Out.end(), Next.begin(), Next.end());
+    Level = std::move(Next);
+  }
+  return Out;
+}
+
+/// One decision with a model per cascade prefix, 62 per iteration, each
+/// iteration on a fresh arena and solver: the per-decision cost of a
+/// symbolic branch probe (one Fourier–Motzkin check of at most five
+/// chained constraints) plus building the prefixes' terms.
+void BM_Solver_CascadeProbe(benchmark::State &State) {
+  for (auto _ : State) {
+    TermArena A;
+    SmtSolver S(A);
+    for (const Term *Path : cascadePrefixes(A)) {
+      SmtModel M;
+      benchmark::DoNotOptimize(S.checkSat(Path, &M));
+    }
+  }
+  State.SetItemsProcessed(State.iterations() * 62);
+}
+
+/// Hash-consing hits: rebuilding 1,000 `lt`/`notTerm`/`andTerm` terms
+/// that already exist. A lookup changes nothing in the arena, so every
+/// iteration does the same work on the arena built before the loop.
+void BM_Term_ExistingLookup(benchmark::State &State) {
+  TermArena A;
+  std::vector<const Term *> Xs;
+  for (unsigned I = 0; I != 335; ++I)
+    Xs.push_back(A.freshIntVar());
+  auto Build = [&] {
+    const Term *Path = A.trueTerm();
+    for (unsigned I = 0; I + 1 != Xs.size(); ++I)
+      Path = A.andTerm(Path, A.notTerm(A.lt(Xs[I], Xs[I + 1])));
+    return Path;
+  };
+  Build();
+  for (auto _ : State)
+    benchmark::DoNotOptimize(Build());
+  State.SetItemsProcessed(State.iterations() * 1002);
+}
+
 } // namespace
 
 BENCHMARK(BM_Solver_PathCondition)
@@ -203,5 +262,7 @@ BENCHMARK(BM_Solver_BackendPathCondition)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Solver_CascadeProbe)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Term_ExistingLookup)->Unit(benchmark::kMicrosecond);
 
 MIX_BENCH_MAIN(solver)

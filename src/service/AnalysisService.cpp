@@ -201,7 +201,20 @@ void AnalysisService::fillStructured(const DiagnosticEngine &Diags,
 // Sessions
 //===----------------------------------------------------------------------===//
 
-AnalysisService::AnalysisService(ServiceConfig C) : Config(C) {}
+AnalysisService::AnalysisService(ServiceConfig C) : Config(C) {
+  if (Config.RequestTelemetry)
+    attachTelemetryHistograms();
+}
+
+void AnalysisService::attachTelemetryHistograms() {
+  if (RequestUsHistogram)
+    return;
+  RequestUsHistogram = Registry.histogram("service.request.us");
+  for (unsigned I = 0; I != obs::NumPhases; ++I)
+    PhaseHistograms[I] = Registry.histogram(
+        std::string("phase.") + obs::phaseName((obs::Phase)I) + ".us");
+}
+
 AnalysisService::~AnalysisService() = default;
 
 prov::ProvenanceSink *AnalysisService::provenanceSink() {
@@ -577,14 +590,10 @@ AnalysisResponse AnalysisService::execute(const AnalysisRequest &Req,
       Resp.PhaseUs[I] = Telemetry->phaseUs((obs::Phase)I);
     // One sample per request into the global histograms — exact even
     // under concurrency (the request total is accumulated privately and
-    // recorded once, at this barrier).
-    Registry.histogram("service.request.us").record(Resp.TotalUs);
+    // recorded once, at this barrier). Every phase records, 0 included.
+    RequestUsHistogram.record(Resp.TotalUs);
     for (unsigned I = 0; I != obs::NumPhases; ++I)
-      if (Resp.PhaseUs[I])
-        Registry
-            .histogram(std::string("phase.") +
-                       obs::phaseName((obs::Phase)I) + ".us")
-            .record(Resp.PhaseUs[I]);
+      PhaseHistograms[I].record(Resp.PhaseUs[I]);
     if (obs::TraceSink *RS = Telemetry->sink()) {
       Resp.Spans = RS->snapshotEvents();
       Sink.import(Resp.Spans);

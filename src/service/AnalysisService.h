@@ -255,7 +255,10 @@ public:
   /// Turns on per-request telemetry after construction (the driver does
   /// this when --stats or --profile asks for a phase breakdown). Call
   /// before the first request.
-  void enableRequestTelemetry() { Config.RequestTelemetry = true; }
+  void enableRequestTelemetry() {
+    Config.RequestTelemetry = true;
+    attachTelemetryHistograms();
+  }
 
   /// The slowest requests seen so far, slowest first (bounded by
   /// ServiceConfig::SlowLogCap).
@@ -353,8 +356,17 @@ private:
 
   void fillStructured(const DiagnosticEngine &Diags, AnalysisResponse &Resp);
 
+  /// Looks up the request-latency and per-phase histograms, once.
+  void attachTelemetryHistograms();
+
   ServiceConfig Config;
   obs::MetricsRegistry Registry;
+  /// "service.request.us" and "phase.<name>.us" by obs::Phase: every
+  /// executed request records one sample into each (0 included), so the
+  /// set of histograms does not depend on timings. Detached until request
+  /// telemetry is on.
+  obs::Histogram RequestUsHistogram;
+  std::array<obs::Histogram, obs::NumPhases> PhaseHistograms;
   obs::TraceSink Sink;
   prov::ProvenanceSink Prov;
   bool ProvAttached = false;

@@ -25,14 +25,24 @@
 /// Unsat results carry an unsat core (indices of contributing input
 /// constraints), which SmtSolver turns into small blocking clauses.
 ///
+/// Representation (DESIGN.md §14, "Sorted sparse rows"): a constraint's
+/// coefficients are a list sorted by variable id, and one check works in
+/// a few flat buffers it owns. Working rows are spans of one coefficient
+/// pool over dense check-local variable indices, their sources are
+/// bitsets over the input indices, and the elimination history refers to
+/// rows by index. Memory is proportional to the nonzero coefficients the
+/// check derives; there is no rows-by-variables matrix.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MIX_SOLVER_LINEARARITH_H
 #define MIX_SOLVER_LINEARARITH_H
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mix::smt {
@@ -44,10 +54,40 @@ enum class LinRel {
   Ne, ///< not equal
 };
 
+/// The coefficients of a linear constraint: (variable id, coefficient)
+/// pairs sorted by variable id, one per variable. Up to two pairs (every
+/// comparison of a branch cascade) are stored inline; a longer list moves
+/// to the heap.
+class LinCoeffs {
+public:
+  using value_type = std::pair<unsigned, long long>;
+
+  const value_type *begin() const { return data(); }
+  const value_type *end() const { return data() + size(); }
+  size_t size() const { return Spill.empty() ? NumInline : Spill.size(); }
+  bool empty() const { return size() == 0; }
+
+  /// The coefficient of \p Var; a zero one is inserted at its sorted
+  /// place when \p Var has none. A zero coefficient counts as absent.
+  long long &operator[](unsigned Var);
+
+private:
+  static constexpr unsigned InlineCapacity = 2;
+
+  value_type *data() { return Spill.empty() ? Inline : Spill.data(); }
+  const value_type *data() const {
+    return Spill.empty() ? Inline : Spill.data();
+  }
+
+  value_type Inline[InlineCapacity] = {};
+  unsigned NumInline = 0;
+  /// Every pair, once there are more than InlineCapacity.
+  std::vector<value_type> Spill;
+};
+
 /// A linear constraint over integer variables.
 struct LinConstraint {
-  /// Variable id -> coefficient. Zero coefficients are never stored.
-  std::map<unsigned, long long> Coeffs;
+  LinCoeffs Coeffs;
   LinRel Rel = LinRel::Le;
   long long Rhs = 0;
 

@@ -109,62 +109,35 @@ private:
   std::vector<const Term *> Defs;
 };
 
-/// A linear view of an integer term: Coeffs * vars + Const.
-struct LinSum {
-  std::map<unsigned, long long> Coeffs;
-  long long Const = 0;
-};
-
-/// Converts a lowered (IteInt-free) integer term to a LinSum.
-inline LinSum linearize(const Term *T) {
+/// Adds \p Scale times the lowered (IteInt-free) integer term \p T to the
+/// linear row `Coeffs * vars + Const`, in place: both sides of an atom
+/// accumulate into one row, with no intermediate sum per subterm.
+inline void accumulate(const Term *T, long long Scale, LinCoeffs &Coeffs,
+                       long long &Const) {
   switch (T->kind()) {
-  case TermKind::IntConst: {
-    LinSum S;
-    S.Const = T->value();
-    return S;
-  }
-  case TermKind::IntVar: {
-    LinSum S;
-    S.Coeffs[T->varId()] = 1;
-    return S;
-  }
-  case TermKind::Add: {
-    LinSum L = linearize(T->operand(0));
-    LinSum R = linearize(T->operand(1));
-    for (const auto &[V, C] : R.Coeffs)
-      L.Coeffs[V] += C;
-    L.Const += R.Const;
-    return L;
-  }
-  case TermKind::Sub: {
-    LinSum L = linearize(T->operand(0));
-    LinSum R = linearize(T->operand(1));
-    for (const auto &[V, C] : R.Coeffs)
-      L.Coeffs[V] -= C;
-    L.Const -= R.Const;
-    return L;
-  }
-  case TermKind::Neg: {
-    LinSum S = linearize(T->operand(0));
-    for (auto &[V, C] : S.Coeffs) {
-      (void)V;
-      C = -C;
-    }
-    S.Const = -S.Const;
-    return S;
-  }
-  case TermKind::MulConst: {
-    LinSum S = linearize(T->operand(0));
-    for (auto &[V, C] : S.Coeffs) {
-      (void)V;
-      C *= T->value();
-    }
-    S.Const *= T->value();
-    return S;
-  }
+  case TermKind::IntConst:
+    Const += Scale * T->value();
+    return;
+  case TermKind::IntVar:
+    Coeffs[T->varId()] += Scale;
+    return;
+  case TermKind::Add:
+    accumulate(T->operand(0), Scale, Coeffs, Const);
+    accumulate(T->operand(1), Scale, Coeffs, Const);
+    return;
+  case TermKind::Sub:
+    accumulate(T->operand(0), Scale, Coeffs, Const);
+    accumulate(T->operand(1), -Scale, Coeffs, Const);
+    return;
+  case TermKind::Neg:
+    accumulate(T->operand(0), -Scale, Coeffs, Const);
+    return;
+  case TermKind::MulConst:
+    accumulate(T->operand(0), Scale * T->value(), Coeffs, Const);
+    return;
   default:
     assert(false && "non-linear integer term after lowering");
-    return LinSum();
+    return;
   }
 }
 
@@ -290,58 +263,30 @@ private:
 
 /// Converts a polarity-assigned integer atom to a LinConstraint.
 inline LinConstraint atomToConstraint(const Term *Atom, bool Positive) {
-  LinSum L = linearize(Atom->operand(0));
-  LinSum R = linearize(Atom->operand(1));
-  // Combine as lhs - rhs: Coeffs * x + K  REL  0, i.e. Coeffs * x REL -K.
+  bool Eq = Atom->kind() == TermKind::EqInt;
+  assert((Eq || Atom->kind() == TermKind::Lt ||
+          Atom->kind() == TermKind::Le) &&
+         "not an integer atom");
+  // Accumulate Sign * (lhs - rhs) as Coeffs * x + K. A negated < or <= is
+  // the complementary inequality over -(lhs - rhs), so Sign is -1 there:
+  // !(lhs < rhs) is -(lhs - rhs) <= 0 and !(lhs <= rhs) is
+  // -(lhs - rhs) < 0.
+  long long Sign = Eq || Positive ? 1 : -1;
   LinConstraint C;
-  C.Coeffs = std::move(L.Coeffs);
-  for (const auto &[V, Coeff] : R.Coeffs)
-    C.Coeffs[V] -= Coeff;
-  long long K = L.Const - R.Const;
-
-  switch (Atom->kind()) {
-  case TermKind::EqInt:
-    if (Positive) {
-      C.Rel = LinRel::Eq;
-      C.Rhs = -K;
-    } else {
-      C.Rel = LinRel::Ne;
-      C.Rhs = -K;
-    }
-    return C;
-  case TermKind::Lt:
-    if (Positive) {
-      // lhs - rhs < 0  ==>  Coeffs <= -K - 1
-      C.Rel = LinRel::Le;
-      C.Rhs = -K - 1;
-    } else {
-      // lhs >= rhs  ==>  -(Coeffs) <= K
-      for (auto &[V, Coeff] : C.Coeffs) {
-        (void)V;
-        Coeff = -Coeff;
-      }
-      C.Rel = LinRel::Le;
-      C.Rhs = K;
-    }
-    return C;
-  case TermKind::Le:
-    if (Positive) {
-      C.Rel = LinRel::Le;
-      C.Rhs = -K;
-    } else {
-      // lhs > rhs  ==>  -(Coeffs) <= K - 1
-      for (auto &[V, Coeff] : C.Coeffs) {
-        (void)V;
-        Coeff = -Coeff;
-      }
-      C.Rel = LinRel::Le;
-      C.Rhs = K - 1;
-    }
-    return C;
-  default:
-    assert(false && "not an integer atom");
+  long long K = 0;
+  accumulate(Atom->operand(0), Sign, C.Coeffs, K);
+  accumulate(Atom->operand(1), -Sign, C.Coeffs, K);
+  // Coeffs * x + K  REL  0, i.e. Coeffs * x REL -K; over the integers
+  // a strict < 0 is <= -1.
+  if (Eq) {
+    C.Rel = Positive ? LinRel::Eq : LinRel::Ne;
+    C.Rhs = -K;
     return C;
   }
+  bool Strict = (Atom->kind() == TermKind::Lt) == Positive;
+  C.Rel = LinRel::Le;
+  C.Rhs = Strict ? -K - 1 : -K;
+  return C;
 }
 
 /// A literal of a conjunction: an atom (EqInt/Lt/Le or BoolVar) with a
@@ -364,6 +309,7 @@ inline SolveResult decideCube(const Cube &C, const LiaOptions &Opts,
                               SmtModel *ModelOut) {
   std::map<unsigned, bool> BoolAssign;
   std::vector<LinConstraint> Constraints;
+  Constraints.reserve(C.size());
   for (const CubeLit &L : C) {
     switch (L.Atom->kind()) {
     case TermKind::BoolVar: {

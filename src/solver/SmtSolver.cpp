@@ -149,6 +149,7 @@ SolveResult SmtSolver::decide(const Term *Formula, SmtModel *ModelOut) {
   // with no lowering, encoding or SAT search. Path conditions have this
   // shape; exhaustiveness checks (disjunctions) take the loop.
   Cube Lits;
+  Lits.reserve(8); // a branch cascade's path condition fits
   bool Conflict = false;
   if (collectLiterals(Formula, true, Lits, Conflict)) {
     if (Opts.MaxTheoryIterations == 0)

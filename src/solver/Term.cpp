@@ -7,6 +7,14 @@
 
 #include "solver/Term.h"
 
+#include "support/Hash.h"
+
+#include <algorithm>
+#include <functional>
+#include <new>
+#include <type_traits>
+#include <unordered_map>
+
 using namespace mix::smt;
 
 namespace {
@@ -98,17 +106,63 @@ std::string mix::smt::normalizedStr(const Term *T) {
   return strImpl(T, &Renumber);
 }
 
+// The arena never runs a term's destructor.
+static_assert(std::is_trivially_destructible_v<Term>);
+
+namespace {
+
+size_t hashOf(TermKind Kind, long long Value, const Term *const *Ops,
+              size_t NumOps) {
+  size_t H = mix::hashCombine((size_t)Kind, (size_t)Value);
+  for (size_t I = 0; I != NumOps; ++I)
+    H = mix::hashCombine(H, std::hash<const void *>()(Ops[I]));
+  return H;
+}
+
+} // namespace
+
 const Term *TermArena::make(TermKind Kind, Sort S, long long Value,
-                            std::vector<const Term *> Ops) {
-  Key K{Kind, Value, Ops};
-  auto It = Interned.find(K);
-  if (It != Interned.end())
-    return It->second;
-  Owned.push_back(
-      std::unique_ptr<Term>(new Term(Kind, S, Value, std::move(Ops))));
-  const Term *T = Owned.back().get();
-  Interned.emplace(std::move(K), T);
+                            std::initializer_list<const Term *> Ops) {
+  if (Table.empty())
+    Table.assign(FirstTableSize, nullptr);
+  size_t Mask = Table.size() - 1;
+  size_t Slot = hashOf(Kind, Value, Ops.begin(), Ops.size()) & Mask;
+  for (; Table[Slot]; Slot = (Slot + 1) & Mask) {
+    const Term *T = Table[Slot];
+    if (T->Kind == Kind && T->Value == Value && T->NumOps == Ops.size() &&
+        std::equal(Ops.begin(), Ops.end(), T->Ops))
+      return T;
+  }
+  const Term *T = new (allocateTerm()) Term(Kind, S, Value, Ops);
+  Table[Slot] = T;
+  if (2 * ++NumTerms > Table.size())
+    growTable();
   return T;
+}
+
+void *TermArena::allocateTerm() {
+  if (ChunkUsed == ChunkCapacity) {
+    ChunkCapacity = Chunks.empty()
+                        ? FirstChunkTerms
+                        : std::min(2 * ChunkCapacity, MaxChunkTerms);
+    Chunks.emplace_back(new std::byte[ChunkCapacity * sizeof(Term)]);
+    ChunkUsed = 0;
+  }
+  return Chunks.back().get() + ChunkUsed++ * sizeof(Term);
+}
+
+void TermArena::growTable() {
+  std::vector<const Term *> Old(2 * Table.size(), nullptr);
+  Old.swap(Table);
+  size_t Mask = Table.size() - 1;
+  for (const Term *T : Old) {
+    if (!T)
+      continue;
+    size_t Slot = hashOf(T->Kind, T->Value, T->Ops, T->NumOps) & Mask;
+    while (Table[Slot])
+      Slot = (Slot + 1) & Mask;
+    Table[Slot] = T;
+  }
 }
 
 const Term *TermArena::freshIntVar(std::string Name) {

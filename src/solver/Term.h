@@ -16,18 +16,23 @@
 /// pointer-equal, so clients can use pointer identity for the syntactic
 /// equivalence tests the paper's Overwrite-Ok rule needs.
 ///
+/// A term keeps its at most three operands inline and lives in one of the
+/// arena's chunks, whose addresses never move. The arena's intern table
+/// is open-addressed over term pointers and is probed with (kind, value,
+/// operands) before anything is built, so finding a term that already
+/// exists allocates nothing (DESIGN.md §14).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MIX_SOLVER_TERM_H
 #define MIX_SOLVER_TERM_H
 
-#include "support/Hash.h"
-
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace mix::smt {
@@ -76,9 +81,9 @@ public:
     return static_cast<unsigned>(Value);
   }
 
-  unsigned numOperands() const { return static_cast<unsigned>(Ops.size()); }
+  unsigned numOperands() const { return NumOps; }
   const Term *operand(unsigned I) const {
-    assert(I < Ops.size() && "operand index out of range");
+    assert(I < NumOps && "operand index out of range");
     return Ops[I];
   }
 
@@ -91,14 +96,25 @@ public:
 
 private:
   friend class TermArena;
+
+  /// The most operands a term has (if-then-else).
+  static constexpr unsigned MaxOperands = 3;
+
   Term(TermKind Kind, Sort TermSort, long long Value,
-       std::vector<const Term *> Ops)
-      : Kind(Kind), TermSort(TermSort), Value(Value), Ops(std::move(Ops)) {}
+       std::initializer_list<const Term *> Operands)
+      : Kind(Kind), TermSort(TermSort),
+        NumOps(static_cast<unsigned>(Operands.size())), Value(Value) {
+    assert(Operands.size() <= MaxOperands && "too many operands");
+    unsigned I = 0;
+    for (const Term *Op : Operands)
+      Ops[I++] = Op;
+  }
 
   TermKind Kind;
   Sort TermSort;
+  unsigned NumOps;
   long long Value;
-  std::vector<const Term *> Ops;
+  const Term *Ops[MaxOperands] = {};
 };
 
 /// Renders \p T like Term::str() but with variable indices renumbered in
@@ -169,28 +185,28 @@ public:
   const Term *orList(const std::vector<const Term *> &Ts);
 
 private:
+  /// The term (kind, value, operands), found or else built.
   const Term *make(TermKind Kind, Sort S, long long Value,
-                   std::vector<const Term *> Ops);
+                   std::initializer_list<const Term *> Ops);
+  /// Storage for one more term, from the current chunk or a new one.
+  void *allocateTerm();
+  /// Doubles the intern table and re-inserts every term.
+  void growTable();
 
-  struct Key {
-    TermKind Kind;
-    long long Value;
-    std::vector<const Term *> Ops;
-    bool operator==(const Key &O) const {
-      return Kind == O.Kind && Value == O.Value && Ops == O.Ops;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
-      size_t H = hashCombine((size_t)K.Kind, (size_t)K.Value);
-      for (const Term *T : K.Ops)
-        H = hashCombine(H, std::hash<const void *>()(T));
-      return H;
-    }
-  };
+  /// Chunks of raw term storage; each is twice the size of the one before
+  /// (from FirstChunkTerms up to MaxChunkTerms terms), and none moves.
+  static constexpr size_t FirstChunkTerms = 32;
+  static constexpr size_t MaxChunkTerms = 4096;
+  std::vector<std::unique_ptr<std::byte[]>> Chunks;
+  size_t ChunkUsed = 0;
+  size_t ChunkCapacity = 0;
 
-  std::vector<std::unique_ptr<Term>> Owned;
-  std::unordered_map<Key, const Term *, KeyHash> Interned;
+  /// Open-addressed intern table: a power-of-two array of term pointers
+  /// (null is empty), probed linearly, at most half full.
+  static constexpr size_t FirstTableSize = 64;
+  std::vector<const Term *> Table;
+  size_t NumTerms = 0;
+
   std::vector<std::string> IntVarNames;
   std::vector<std::string> BoolVarNames;
 };

@@ -1,4 +1,4 @@
-//===--- CSymAllocTest.cpp - Heap allocations of the mini-C executor ------===//
+//===--- CSymAllocTest.cpp - Heap allocations of executor and solver ------===//
 //
 // Part of the Mix reproduction of "Mixing Type Checking and Symbolic
 // Execution" (PLDI 2010).
@@ -8,7 +8,9 @@
 // usable under ASan, which intercepts malloc). The counts are exact and
 // deterministic: they gate the flat path state of DESIGN.md "Flat path
 // state", where a fork copies two arrays and straight-line code allocates
-// nothing per statement.
+// nothing per statement, and the solver's "Sorted sparse rows" (§14),
+// where a branch probe's decision works in a few flat buffers and finding
+// an existing term allocates nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -199,4 +201,93 @@ TEST(CSymAllocTest, StraightLineCodeAllocatesTheSameAtAnyLength) {
   Short = allocationsOfRun(straightLine(Prologue, "*q = a; b = *q;", 10));
   Long = allocationsOfRun(straightLine(Prologue, "*q = a; b = *q;", 40));
   EXPECT_EQ(Short, Long);
+}
+
+namespace {
+
+using mix::smt::SmtModel;
+using mix::smt::SmtSolver;
+using mix::smt::SolveResult;
+using mix::smt::Term;
+using mix::smt::TermArena;
+
+/// The path conditions of a five-`if` cascade (`5 < x0`, then
+/// `x0 < x1`, ..., `x3 < x4`), each condition in either polarity: the 62
+/// prefixes of depth 1 to 5, built the way the mini-C executor extends a
+/// path (`andTerm(path, cond)` or `andTerm(path, notTerm(cond))`).
+std::vector<const Term *> cascadePrefixes(TermArena &A) {
+  std::vector<const Term *> Xs;
+  for (unsigned I = 0; I != 5; ++I)
+    Xs.push_back(A.freshIntVar("x" + std::to_string(I)));
+  std::vector<const Term *> Conds = {A.lt(A.intConst(5), Xs[0])};
+  for (unsigned I = 1; I != 5; ++I)
+    Conds.push_back(A.lt(Xs[I - 1], Xs[I]));
+  std::vector<const Term *> Out, Level = {A.trueTerm()};
+  for (const Term *Cond : Conds) {
+    std::vector<const Term *> Next;
+    for (const Term *Path : Level) {
+      Next.push_back(A.andTerm(Path, Cond));
+      Next.push_back(A.andTerm(Path, A.notTerm(Cond)));
+    }
+    Out.insert(Out.end(), Next.begin(), Next.end());
+    Level = std::move(Next);
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(SolverAllocTest, CascadeDecisionAllocatesLittle) {
+  // One decision of a symbolic branch probe: the literals, the
+  // constraint rows and the check's few flat buffers, plus one map node
+  // per variable of the model handed back.
+  TermArena A;
+  std::vector<const Term *> Prefixes = cascadePrefixes(A);
+  ASSERT_EQ(Prefixes.size(), 62u);
+  size_t Total = 0, Deepest = 0;
+  for (size_t I = 0; I != Prefixes.size(); ++I) {
+    const Term *Path = Prefixes[I];
+    SmtSolver S(A);
+    SmtModel M;
+    SolveResult R = SolveResult::Unknown;
+    size_t N = allocationsOf([&] { R = S.checkSat(Path, &M); });
+    EXPECT_EQ(R, SolveResult::Sat) << Path->str();
+    EXPECT_TRUE(M.Complete) << Path->str();
+    EXPECT_LE(N, 20u) << Path->str();
+    Total += N;
+    if (I >= 30) // the 32 prefixes of depth 5
+      Deepest += N;
+  }
+  RecordProperty("allocations_per_decision",
+                 std::to_string((double)Total / Prefixes.size()));
+  RecordProperty("allocations_per_depth5_decision",
+                 std::to_string((double)Deepest / 32));
+}
+
+TEST(SolverAllocTest, ExistingTermsAllocateNothing) {
+  // Hash-consing looks a term up by (kind, value, operands) before it
+  // builds anything, so asking for 1,000 terms that already exist
+  // allocates nothing and returns the same pointers.
+  TermArena A;
+  std::vector<const Term *> Xs;
+  for (unsigned I = 0; I != 335; ++I)
+    Xs.push_back(A.freshIntVar());
+  auto Build = [&](std::vector<const Term *> &Out) {
+    const Term *Path = A.trueTerm();
+    for (unsigned I = 0; I + 1 != Xs.size(); ++I) {
+      const Term *Lt = A.lt(Xs[I], Xs[I + 1]);
+      const Term *Not = A.notTerm(Lt);
+      Path = A.andTerm(Path, Not);
+      Out.push_back(Lt);
+      Out.push_back(Not);
+      Out.push_back(Path);
+    }
+  };
+  std::vector<const Term *> First, Again;
+  Build(First);
+  ASSERT_GE(First.size(), 1000u);
+  Again.reserve(First.size());
+  size_t N = allocationsOf([&] { Build(Again); });
+  EXPECT_EQ(N, 0u);
+  EXPECT_EQ(Again, First);
 }

@@ -691,6 +691,38 @@ TEST(ServiceTest, RepeatedRunsAddTheirEngineCounters) {
             2 * metricValue(First, "mixy.sym_block_runs"));
 }
 
+TEST(ServiceTest, EveryRequestRecordsEveryPhaseHistogram) {
+  // With request telemetry on, each executed request records one sample
+  // into every phase histogram, a phase that took under a microsecond
+  // included, so the histograms a run leaves depend on the input alone,
+  // never on timings.
+  auto Check = [](const service::AnalysisRequest &Req) {
+    service::AnalysisService Svc;
+    Svc.enableRequestTelemetry();
+    for (int Run = 0; Run != 2; ++Run)
+      ASSERT_NE(Svc.run(Req).Exit, 2);
+    EXPECT_EQ(Svc.metrics().histogramSnapshot("service.request.us").Count,
+              2u);
+    for (unsigned I = 0; I != obs::NumPhases; ++I) {
+      std::string Name =
+          std::string("phase.") + obs::phaseName((obs::Phase)I) + ".us";
+      EXPECT_EQ(Svc.metrics().histogramSnapshot(Name).Count, 2u) << Name;
+    }
+  };
+
+  service::AnalysisRequest Mixy;
+  Mixy.ToolKind = service::Tool::Mixy;
+  Mixy.Corpus = "case1";
+  Check(Mixy);
+
+  service::AnalysisRequest MixCheck;
+  MixCheck.ToolKind = service::Tool::MixCheck;
+  MixCheck.Source = "{s if b then {t 1 t} else {t 2 t} s}";
+  MixCheck.HasSource = true;
+  MixCheck.Vars.emplace_back("b", "bool");
+  Check(MixCheck);
+}
+
 TEST(ServiceServeTest, SecondIdenticalRequestAnswersFromCache) {
   service::AnalysisService Svc(daemonConfig());
   service::AnalysisRequest Req;
