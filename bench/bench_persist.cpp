@@ -5,10 +5,10 @@
 //
 // Measures the persistent analysis cache (src/persist/): a cold run
 // pays full symbolic execution and solver cost and fills the cache; a
-// warm run on the unchanged program answers block summaries and solver
-// queries from disk. The gap between BM_Mixy_Cold and BM_Mixy_Warm is
-// what --cache-dir buys a re-run; BM_Mixy_NoCache is the baseline
-// without any persistence plumbing at all.
+// warm run on the unchanged program replays symbolic block summaries
+// from disk instead of re-running the blocks. The gap between BM_Mixy_Cold and BM_Mixy_Warm is what
+// --cache-dir --incremental buys a re-run; BM_Mixy_NoCache is the
+// baseline without any persistence plumbing at all.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +48,6 @@ unsigned analyzeOnce(const std::string &Source, const std::string &Dir,
   if (!Dir.empty()) {
     persist::PersistOptions PO;
     PO.Dir = Dir;
-    PO.Incremental = true;
     PO.BlockFingerprint = mixyPersistFingerprint(Opts);
     PO.Metrics = Reg;
     Session = std::make_unique<persist::PersistSession>(std::move(PO));

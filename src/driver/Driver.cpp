@@ -78,6 +78,7 @@ void DriverContext::registerOptions(OptionParser &P) {
       },
       "print analysis statistics after the run");
   P.endGroup();
+  P.beginGroup("cache-dir");
   P.value(
       "--cache-dir",
       [this](const std::string &V) {
@@ -87,8 +88,10 @@ void DriverContext::registerOptions(OptionParser &P) {
         return true;
       },
       "DIR",
-      "persist solver results (and, with --incremental, block summaries)\n"
-      "under DIR and reuse them on later runs");
+      "with --incremental (in mixyd, a request's \"incremental\"), persist\n"
+      "MIXY's block summaries under DIR and reuse them on later runs;\n"
+      "without it nothing persists");
+  P.endGroup();
   P.value(
       "--solver",
       [this](const std::string &V) {
@@ -159,16 +162,11 @@ mix::prov::ProvenanceSink *DriverContext::provenanceSink() {
 
 std::string
 mix::driver::renderPhaseBreakdown(const service::AnalysisResponse &Resp) {
-  bool Any = false;
-  for (uint64_t V : Resp.PhaseUs)
-    Any |= V != 0;
-  if (!Any && !Resp.TotalUs)
-    return std::string();
+  if (Resp.RequestId.empty())
+    return std::string(); // telemetry off: no attribution to show
   std::string Out = "phase breakdown (inclusive, total " +
                     std::to_string(Resp.TotalUs) + " us):\n";
   for (unsigned I = 0; I != obs::NumPhases; ++I) {
-    if (!Resp.PhaseUs[I])
-      continue;
     double Pct = Resp.TotalUs
                      ? 100.0 * (double)Resp.PhaseUs[I] / (double)Resp.TotalUs
                      : 0.0;

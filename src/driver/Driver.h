@@ -64,9 +64,10 @@ public:
   /// Registers --trace, --metrics, --format, --explain, --stats,
   /// --cache-dir, and --solver on \p P. The CLI-output trio (--format,
   /// --explain, --stats) registers under the option group "cli-output",
-  /// so a front end with per-request output (mixyd) can
-  /// excludeGroup("cli-output") and still reuse this registrar without
-  /// inheriting flags that make no sense for it.
+  /// and --cache-dir under "cache-dir", so a front end can exclude a
+  /// group and still reuse this registrar without inheriting flags that
+  /// make no sense for it: mixyd has per-request output and excludes
+  /// "cli-output"; mixcheck persists nothing and excludes "cache-dir".
   void registerOptions(OptionParser &P);
 
   /// The service this context runs requests against (CLI configuration:
@@ -143,11 +144,12 @@ private:
 bool writeFile(const std::string &Tool, const std::string &Path,
                const std::string &Content);
 
-/// The --stats "phase breakdown" table: one line per phase the response
-/// attributes time to, with its share of the request's wall time. Phases
-/// nest (typecheck contains fixpoint contains block-exec contains
-/// solver), so the percentages are inclusive and do not sum to 100.
-/// Empty when the response carries no attribution (telemetry off).
+/// The --stats "phase breakdown" table: one line for each of the six
+/// phases, 0 us included, with its share of the request's wall time, so
+/// two runs of one input print the same lines. Phases nest (typecheck
+/// contains fixpoint contains block-exec contains solver), so the
+/// percentages are inclusive and do not sum to 100. Empty when the
+/// response carries no attribution (telemetry off, so no request id).
 std::string renderPhaseBreakdown(const service::AnalysisResponse &Resp);
 
 } // namespace mix::driver

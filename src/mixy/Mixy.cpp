@@ -18,16 +18,13 @@
 using namespace mix::c;
 
 /// Pushes the analysis-level observability sinks down into the nested
-/// option structs so the solver reports into the same registry/trace,
-/// and attaches the persistent query store (if any) the same way.
+/// option structs so the solver reports into the same registry/trace.
 static MixyOptions normalizedOptions(MixyOptions O) {
   O.Smt.Metrics = O.Metrics;
   O.Smt.Trace = O.Trace;
   O.Smt.Telemetry = O.Telemetry;
   O.Sym.Prov = O.Prov;
   O.Qual.Prov = O.Prov;
-  if (O.Persist)
-    O.Smt.Cache = &O.Persist->solverCache();
   return O;
 }
 
@@ -186,7 +183,6 @@ void MixyAnalysis::initPersist() {
   if (!Session || PersistReady)
     return;
   PersistReady = true;
-  PersistBlocks = Session->incremental();
 
   // Content hash per defined function, from the printed AST (stable
   // across runs; see persist/AstHash.h).
@@ -198,14 +194,14 @@ void MixyAnalysis::initPersist() {
 
   FuncClosure = persist::closureHashes(Content, dependencyEdges(), Env);
 
-  // Manifest bookkeeping: record this run's hashes and, in incremental
-  // mode, diff against the previous run's to report how much of the
-  // program actually needs re-analysis ("persist.funcs.*" metrics).
+  // Manifest bookkeeping: record this run's hashes and diff against the
+  // previous run's to report how much of the program actually needs
+  // re-analysis ("persist.funcs.*" metrics).
   persist::Manifest M;
   for (const auto &[F, Hash] : Content)
     M.Funcs[F->name()] = {Hash, FuncClosure.at(F)};
   const persist::Manifest &Prev = Session->previousManifest();
-  if (Opts.Metrics && PersistBlocks) {
+  if (Opts.Metrics) {
     unsigned Changed = 0, Dirty = 0;
     for (const auto &[Name, Rec] : M.Funcs) {
       auto It = Prev.Funcs.find(Name);
@@ -593,7 +589,7 @@ MixyAnalysis::computeSymOutcome(const BlockKey &Key) {
   // repeat hits the cache, re-enters the stack or replays), so only such
   // a run reads or writes block summaries.
   bool Persistable =
-      PersistBlocks && Opts.EnableCache && FuncClosure.count(Key.F) != 0;
+      Opts.Persist && Opts.EnableCache && FuncClosure.count(Key.F) != 0;
   uint64_t PKey = Persistable ? stableBlockKey(Key) : 0;
 
   // Run state the engine hooks share: the trace span lives here so it

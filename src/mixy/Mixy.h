@@ -103,12 +103,11 @@ struct MixyOptions {
   /// runs replay the same explanations. Null records nothing.
   prov::ProvenanceSink *Prov = nullptr;
 
-  /// The persistent cache session behind --cache-dir (see src/persist/).
-  /// When set, solver queries are answered from / recorded into the
-  /// session's query store; when the session is incremental, symbolic
-  /// block summaries (and the diagnostics their runs emitted, replayed
-  /// verbatim on a hit) persist across runs too. Null (the default)
-  /// keeps every run cold.
+  /// The persistent cache session behind --cache-dir --incremental (see
+  /// src/persist/). When set, symbolic block summaries (and the
+  /// diagnostics their runs emitted, replayed verbatim on a hit) persist
+  /// across runs, and the run's per-function manifest is diffed against
+  /// the previous one. Null (the default) keeps every run cold.
   persist::PersistSession *Persist = nullptr;
 };
 
@@ -358,7 +357,6 @@ private:
 
   // Persistent-cache state (read-only after initPersist).
   bool PersistReady = false;
-  bool PersistBlocks = false;
   std::map<const CFuncDecl *, uint64_t> FuncClosure;
 
   MixyStats Statistics;

@@ -13,73 +13,6 @@
 #include <filesystem>
 
 using namespace mix::persist;
-using mix::smt::SolveResult;
-
-// === SolverQueryStore ========================================================
-
-SolverQueryStore::SolverQueryStore(obs::MetricsRegistry *Metrics) {
-  if (Metrics) {
-    CHits = Metrics->counter("persist.solver.hits");
-    CMisses = Metrics->counter("persist.solver.misses");
-    CStores = Metrics->counter("persist.solver.stores");
-  }
-}
-
-bool SolverQueryStore::lookup(uint64_t Key, SolveResult &Out) {
-  std::unique_lock<std::mutex> Lock(M);
-  auto It = Map.find(Key);
-  if (It == Map.end()) {
-    Lock.unlock();
-    CMisses.inc();
-    return false;
-  }
-  Out = It->second == 0 ? SolveResult::Sat : SolveResult::Unsat;
-  Lock.unlock();
-  CHits.inc();
-  return true;
-}
-
-void SolverQueryStore::store(uint64_t Key, SolveResult Result) {
-  if (Result == SolveResult::Unknown)
-    return; // resource-cap artifact, never a persistent fact
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    Map[Key] = Result == SolveResult::Sat ? 0 : 1;
-  }
-  CStores.inc();
-}
-
-size_t SolverQueryStore::size() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Map.size();
-}
-
-std::vector<std::string> SolverQueryStore::encode() const {
-  std::lock_guard<std::mutex> Lock(M);
-  std::vector<std::string> Records;
-  Records.reserve(Map.size());
-  for (const auto &[Key, Verdict] : Map) {
-    ByteWriter W;
-    W.u64(Key).u8(Verdict);
-    Records.push_back(W.take());
-  }
-  return Records;
-}
-
-bool SolverQueryStore::decode(const std::vector<std::string> &Records) {
-  std::lock_guard<std::mutex> Lock(M);
-  for (const std::string &Payload : Records) {
-    ByteReader R(Payload);
-    uint64_t Key = R.u64();
-    uint8_t Verdict = R.u8();
-    if (!R.ok() || !R.atEnd() || Verdict > 1) {
-      Map.clear();
-      return false;
-    }
-    Map[Key] = Verdict;
-  }
-  return true;
-}
 
 // === BlockSummaryStore =======================================================
 
@@ -192,11 +125,6 @@ bool Manifest::decode(const std::vector<std::string> &Records) {
 
 namespace {
 
-/// Solver verdicts depend only on the formula (caps can only produce
-/// Unknown, which is never stored), so the solver store's fingerprint is
-/// a constant and both tools can share one file.
-constexpr uint64_t SolverFingerprint = 0;
-
 uint64_t nowUs() {
   return (uint64_t)std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -222,7 +150,7 @@ uint64_t readGeneration(const std::string &Dir) {
 } // namespace
 
 PersistSession::PersistSession(PersistOptions O)
-    : Opts(std::move(O)), Solver(Opts.Metrics), Blocks(Opts.Metrics) {
+    : Opts(std::move(O)), Blocks(Opts.Metrics) {
   if (Opts.InMemory)
     return; // stores start empty and live purely in memory
 
@@ -240,13 +168,12 @@ PersistSession::PersistSession(PersistOptions O)
 
   // Each store loads independently; one corrupt file costs only that
   // store, but the degradation note mentions whichever failed first.
-  auto LoadInto = [&](const std::string &File, uint64_t Fingerprint,
-                      auto &&Decode) {
+  auto LoadInto = [&](const std::string &File, auto &Store) {
     std::vector<std::string> Records;
     std::string Error;
-    LoadStatus S =
-        loadRecordFile(Opts.Dir + "/" + File, Fingerprint, Records, Error);
-    if (S == LoadStatus::Ok && !Decode(Records))
+    LoadStatus S = loadRecordFile(Opts.Dir + "/" + File,
+                                  Opts.BlockFingerprint, Records, Error);
+    if (S == LoadStatus::Ok && !Store.decode(Records))
       S = LoadStatus::Corrupt, Error = "malformed record";
     if (S == LoadStatus::Corrupt) {
       if (DegradedReason.empty())
@@ -258,18 +185,8 @@ PersistSession::PersistSession(PersistOptions O)
 
   Gen = readGeneration(Opts.Dir);
 
-  LoadInto("solver.mixcache", SolverFingerprint,
-           [&](const std::vector<std::string> &R) { return Solver.decode(R); });
-  if (Opts.Incremental) {
-    LoadInto("blocks.mixcache", Opts.BlockFingerprint,
-             [&](const std::vector<std::string> &R) {
-               return Blocks.decode(R);
-             });
-    LoadInto("manifest.mixcache", Opts.BlockFingerprint,
-             [&](const std::vector<std::string> &R) {
-               return Previous.decode(R);
-             });
-  }
+  LoadInto("blocks.mixcache", Blocks);
+  LoadInto("manifest.mixcache", Previous);
 
   if (Opts.Metrics)
     Opts.Metrics->histogram("persist.load_us").record(nowUs() - Start);
@@ -286,15 +203,10 @@ bool PersistSession::save(std::string *Error) {
   }
   uint64_t Start = nowUs();
 
-  bool Ok = saveRecordFile(Opts.Dir + "/solver.mixcache", SolverFingerprint,
-                           Solver.encode(), Err);
-  if (Ok && Opts.Incremental) {
-    Ok = saveRecordFile(Opts.Dir + "/blocks.mixcache", Opts.BlockFingerprint,
-                        Blocks.encode(), Err);
-    if (Ok)
-      Ok = saveRecordFile(Opts.Dir + "/manifest.mixcache",
-                          Opts.BlockFingerprint, Current.encode(), Err);
-  }
+  bool Ok = saveRecordFile(Opts.Dir + "/blocks.mixcache",
+                           Opts.BlockFingerprint, Blocks.encode(), Err) &&
+            saveRecordFile(Opts.Dir + "/manifest.mixcache",
+                           Opts.BlockFingerprint, Current.encode(), Err);
 
   // The generation stamp publishes last, after every data file is in
   // place, so a concurrent reader that observes the new generation also

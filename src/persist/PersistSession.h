@@ -6,29 +6,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The on-disk analysis cache behind --cache-dir (and --incremental), the
-/// cross-run counterpart of the in-memory BlockCache of Section 4.3.
-/// One PersistSession wraps one cache directory and owns three stores,
+/// The on-disk analysis cache behind `mixyc --cache-dir --incremental`,
+/// the cross-run counterpart of the in-memory BlockCache of Section 4.3.
+/// One PersistSession wraps one cache directory and owns two stores,
 /// each a RecordFile on disk:
 ///
-///  - SolverQueryStore ("solver.mixcache"): Sat/Unsat verdicts keyed by
-///    canonicalQueryHash. Plugged into every SmtSolver through
-///    SmtOptions::Cache.
 ///  - BlockSummaryStore ("blocks.mixcache"): opaque block-summary
 ///    payloads keyed by a stable block key (MIXY encodes its SymOutcome
 ///    plus the diagnostics the block run emitted — replaying them on a
 ///    hit keeps warm diagnostics byte-identical to a cold run).
 ///  - Manifest ("manifest.mixcache"): per-function content and
-///    dependency-closure hashes from the previous run, which is what
-///    --incremental diffs to report how much of the program actually
-///    needed re-analysis.
+///    dependency-closure hashes from the previous run, which the next
+///    run diffs to report how much of the program actually needed
+///    re-analysis.
+///
+/// Both stores are written under the block fingerprint (the analysis
+/// options that shape a summary), so a directory written under other
+/// options loads as empty. mixyd also keeps sessions in memory only
+/// (PersistOptions::InMemory), so summaries stay warm across requests.
 ///
 /// Failure contract: everything here is a cache of deterministic
 /// recomputations, so every failure mode (missing file, corruption,
 /// version skew, unwritable directory) degrades to a cold run — the
 /// session records one human-readable reason, the driver surfaces it as
-/// a single MIX502 note, and the analysis result is unchanged. Loads and
-/// stores are mutex-guarded; saves publish via atomic rename, so two
+/// a single MIX502 note, and the analysis result is unchanged. The block
+/// store is mutex-guarded; saves publish via atomic rename, so two
 /// processes sharing a --cache-dir race benignly (last rename wins,
 /// readers never see a torn file).
 ///
@@ -38,7 +40,6 @@
 #define MIX_PERSIST_PERSISTSESSION_H
 
 #include "observe/Metrics.h"
-#include "solver/SmtSolver.h"
 
 #include <cstdint>
 #include <map>
@@ -54,8 +55,6 @@ namespace mix::persist {
 struct PersistOptions {
   /// The cache directory (created if absent).
   std::string Dir;
-  /// Load/store block summaries and diff the manifest (--incremental).
-  bool Incremental = false;
   /// Digest of the analysis options that affect block summaries; stores
   /// written under different options load as empty, not as corrupt.
   uint64_t BlockFingerprint = 0;
@@ -65,27 +64,6 @@ struct PersistOptions {
   /// I/O, save() succeeds as a no-op, never degraded. This is how mixyd
   /// keeps summaries warm across requests when no --cache-dir is given.
   bool InMemory = false;
-};
-
-/// The persistent Sat/Unsat memo (thread-safe; see smt::QueryCache).
-class SolverQueryStore final : public smt::QueryCache {
-public:
-  explicit SolverQueryStore(obs::MetricsRegistry *Metrics);
-
-  bool lookup(uint64_t Key, smt::SolveResult &Out) override;
-  void store(uint64_t Key, smt::SolveResult Result) override;
-
-  size_t size() const;
-
-  /// RecordFile payloads (one per entry) / their inverse. decode returns
-  /// false on a malformed payload.
-  std::vector<std::string> encode() const;
-  bool decode(const std::vector<std::string> &Records);
-
-private:
-  mutable std::mutex M;
-  std::unordered_map<uint64_t, uint8_t> Map; ///< 0 = Sat, 1 = Unsat
-  obs::Counter CHits, CMisses, CStores;
 };
 
 /// The persistent block-summary store. Payloads are opaque byte strings:
@@ -125,7 +103,7 @@ private:
   obs::Counter CHits, CMisses, CStores;
 };
 
-/// Per-function hashes from one run, diffed across runs by --incremental.
+/// Per-function hashes from one run, diffed against the next run's.
 struct Manifest {
   struct Func {
     uint64_t ContentHash = 0;
@@ -147,9 +125,6 @@ public:
   /// reports. The session still works — it just started cold.
   const std::string &degradedReason() const { return DegradedReason; }
 
-  bool incremental() const { return Opts.Incremental; }
-
-  SolverQueryStore &solverCache() { return Solver; }
   BlockSummaryStore &blocks() { return Blocks; }
 
   /// The manifest loaded from the previous run (empty on a cold start).
@@ -157,7 +132,7 @@ public:
   /// Sets this run's manifest, written back by save().
   void setCurrentManifest(Manifest M) { Current = std::move(M); }
 
-  /// Writes all stores back to the cache directory (bumping the on-disk
+  /// Writes both stores back to the cache directory (bumping the on-disk
   /// generation stamp). Returns false with \p Error set on the first file
   /// that could not be written (the run's findings are unaffected either
   /// way). In-memory sessions succeed without touching disk.
@@ -176,15 +151,12 @@ public:
   /// for in-memory and unusable-directory sessions.
   bool externallyModified() const;
 
-  /// Drops the loaded manifest and every block summary (the solver store
-  /// survives: verdicts are keyed by the formula alone, so they can never
-  /// go stale when source files change). Used by the daemon when a client
-  /// reports a file changed.
+  /// Drops the loaded manifest and every block summary. Used by the
+  /// daemon when a client reports a file changed.
   void invalidateSummaries();
 
 private:
   PersistOptions Opts;
-  SolverQueryStore Solver;
   BlockSummaryStore Blocks;
   Manifest Previous, Current;
   std::string DegradedReason;

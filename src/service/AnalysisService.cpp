@@ -227,21 +227,15 @@ prov::ProvenanceSink *AnalysisService::provenanceSink() {
 }
 
 std::shared_ptr<mix::persist::PersistSession>
-AnalysisService::openSession(const AnalysisRequest &Req, bool Incremental,
-                             uint64_t Fingerprint, DiagnosticEngine &Diags,
+AnalysisService::openSession(const AnalysisRequest &Req, uint64_t Fingerprint,
+                             DiagnosticEngine &Diags,
                              std::unique_lock<std::mutex> &SessionLock) {
   bool InMemory = Req.CacheDir.empty();
-  // CLI parity: without --cache-dir (and without a warm daemon) there is
-  // no session at all.
-  if (InMemory && !Config.KeepWarm)
-    return nullptr;
-
   std::string Key = (InMemory ? std::string("<memory>") : Req.CacheDir) + "|" +
-                    (Incremental ? "1" : "0") + "|" +
                     std::to_string(Fingerprint);
 
   std::shared_ptr<persist::PersistSession> Session;
-  std::mutex *SharedLock = nullptr;
+  std::mutex *SessionMutex = nullptr;
   {
     std::lock_guard<std::mutex> Lock(M);
     SessionEntry &Entry = Sessions[Key];
@@ -257,24 +251,15 @@ AnalysisService::openSession(const AnalysisRequest &Req, bool Incremental,
     if (!Entry.Session) {
       persist::PersistOptions PO;
       PO.Dir = Req.CacheDir;
-      PO.Incremental = Incremental;
       PO.BlockFingerprint = Fingerprint;
       PO.Metrics = &Registry;
       PO.InMemory = InMemory;
       Entry.Session = std::make_shared<persist::PersistSession>(std::move(PO));
-      Entry.Path = Req.CacheDir;
-      // Sessions shared by concurrent requests serialize when they carry
-      // state without internal synchronization (the mixy manifest); the
-      // per-entry solver/block stores are already thread-safe, so
-      // mixcheck sessions stay lock-free.
-      if (Config.KeepWarm && Incremental && !Entry.Lock)
-        Entry.Lock = std::make_unique<std::mutex>();
     }
     Session = Entry.Session;
-    SharedLock = Entry.Lock.get();
+    SessionMutex = &Entry.Lock;
   }
-  if (SharedLock)
-    SessionLock = std::unique_lock<std::mutex>(*SharedLock);
+  SessionLock = std::unique_lock<std::mutex>(*SessionMutex);
   // The degradation note is per-run, matching a CLI that reopens the
   // directory every time.
   if (!Session->degradedReason().empty())
@@ -320,15 +305,12 @@ void AnalysisService::fileChanged(const std::string &Path) {
         std::remove_if(ResponseOrder.begin(), ResponseOrder.end(),
                        [&](uint64_t K) { return Dropped.count(K) != 0; }),
         ResponseOrder.end());
-  // Warm sessions forget their summaries and manifests; solver verdicts
-  // are formula-keyed and survive.
+  // Warm sessions forget their summaries and manifests.
   for (auto &[Key, Entry] : Sessions) {
     (void)Key;
     if (!Entry.Session)
       continue;
-    std::unique_lock<std::mutex> SL;
-    if (Entry.Lock)
-      SL = std::unique_lock<std::mutex>(*Entry.Lock);
+    std::lock_guard<std::mutex> SL(Entry.Lock);
     Entry.Session->invalidateSummaries();
   }
 }
@@ -362,15 +344,6 @@ void AnalysisService::runMixCheck(const AnalysisRequest &Req,
   Opts.Solver = Req.Solver;
 
   AstContext Ctx;
-
-  // The session (solver verdicts only for this tool) opens before the
-  // parse, so a degradation note precedes any parse diagnostics — the
-  // byte order the CLI always had.
-  std::unique_lock<std::mutex> SessionLock;
-  std::shared_ptr<persist::PersistSession> Session = openSession(
-      Req, /*Incremental=*/false, /*Fingerprint=*/0, Diags, SessionLock);
-  if (Session)
-    Opts.Smt.Cache = &Session->solverCache();
 
   auto finish = [&](int Exit) {
     {
@@ -457,19 +430,20 @@ void AnalysisService::runMixy(const AnalysisRequest &Req,
 
   c::CAstContext Ctx;
 
-  // With a cache directory the request's Incremental flag decides whether
-  // block summaries persist (mixyc --incremental); warm in-memory daemon
-  // sessions always keep summaries — that is their whole point.
-  bool Incremental = Req.CacheDir.empty() ? true : Req.Incremental;
+  // A session holds block summaries. With a cache directory it is on
+  // disk and opt-in: `mixyc --cache-dir` without --incremental replays
+  // nothing and writes nothing. Without one, a warm daemon keeps a session
+  // in memory, except for a --no-cache request: `mixyc --no-cache` has no
+  // session, and the warm one would replay block summaries, its own run's
+  // included, so the request would do less work than the same one in
+  // mixyc.
+  bool WantsSession = Req.CacheDir.empty() ? Config.KeepWarm && !Req.NoCache
+                                           : Req.Incremental;
   std::unique_lock<std::mutex> SessionLock;
   std::shared_ptr<persist::PersistSession> Session;
-  // CLI parity: `mixyc --no-cache` without --cache-dir has no session, so
-  // such a request opens none on a warm daemon either. The warm session
-  // would replay block summaries, its own run's included, and the request
-  // would do less work than the same one in mixyc.
-  if (!Req.NoCache || !Req.CacheDir.empty())
-    Session = openSession(Req, Incremental, c::mixyPersistFingerprint(Opts),
-                          Diags, SessionLock);
+  if (WantsSession)
+    Session = openSession(Req, c::mixyPersistFingerprint(Opts), Diags,
+                          SessionLock);
   Opts.Persist = Session.get();
 
   auto finish = [&](int Exit) {

@@ -93,9 +93,11 @@ struct AnalysisRequest {
   smt::SolverSpec Solver;
   /// Record a trace of this request into the service's trace sink.
   bool Trace = false;
-  /// Persistent cache directory; empty uses no on-disk cache (the daemon
-  /// may still attach a warm in-memory session, which cannot change
-  /// output — see DESIGN.md section 15).
+  /// Persistent cache directory of a MIXY request; block summaries persist
+  /// there only with Incremental, and without it the request opens no
+  /// session at all. Empty uses no on-disk cache (the daemon may still
+  /// attach a warm in-memory session, which cannot change output — see
+  /// DESIGN.md section 15). MixCheck requests ignore both fields.
   std::string CacheDir;
   bool Incremental = false;
 
@@ -196,8 +198,9 @@ struct AnalysisResponse {
 struct ServiceConfig {
   /// Keep persist sessions warm across requests (daemon mode): on-disk
   /// sessions stay open (reopened when another writer bumps the cache
-  /// generation), and requests without a CacheDir share in-memory
-  /// sessions so summaries and solver verdicts survive between requests.
+  /// generation), and MIXY requests without a CacheDir share in-memory
+  /// sessions so block summaries survive between requests. MixCheck
+  /// requests never open a session.
   bool KeepWarm = false;
   /// Run each request against a private metrics registry so its response
   /// carries exact engine/solver deltas even under concurrency (daemon
@@ -276,10 +279,9 @@ public:
 
   /// A client reports that \p Path changed: cached responses that were
   /// computed from that path are dropped and every warm session forgets
-  /// its block summaries and manifest (solver verdicts survive — they
-  /// are keyed by the formula, not the file). Correctness does not
-  /// depend on this call: path inputs are re-read and content-hashed per
-  /// request; this reclaims warm state eagerly.
+  /// its block summaries and manifest. Correctness does not depend on
+  /// this call: path inputs are re-read and content-hashed per request;
+  /// this reclaims warm state eagerly.
   void fileChanged(const std::string &Path);
 
   /// Saves every open persist session (no-op for in-memory ones).
@@ -314,11 +316,9 @@ private:
     /// Shared so a request keeps its session alive even if a concurrent
     /// reopen (externallyModified) swaps the map entry underneath it.
     std::shared_ptr<persist::PersistSession> Session;
-    /// Present when concurrent requests may share the session and it has
-    /// state that is not internally synchronized (the mixy manifest);
-    /// such requests serialize on it.
-    std::unique_ptr<std::mutex> Lock;
-    std::string Path; ///< cache directory ("" for in-memory)
+    /// Requests that share the session serialize on it: its manifest is
+    /// not internally synchronized.
+    std::mutex Lock;
   };
   struct Pending {
     std::mutex M;
@@ -345,13 +345,13 @@ private:
   /// Records a finished request into the bounded slow-request log.
   void noteSlowRequest(const AnalysisResponse &Resp, uint64_t Key);
 
-  /// Finds or opens the persist session for this request (null when the
-  /// request gets none), emitting the MIX502 degradation note exactly as
-  /// the CLI driver did. When the session is shared and lockable, \p
-  /// SessionLock is locked before return.
+  /// Finds or opens the persist session for this MIXY request: on disk
+  /// under Req.CacheDir, or in memory when that is empty. Emits the
+  /// MIX502 degradation note exactly as the CLI driver did, and returns
+  /// with \p SessionLock holding the session's lock.
   std::shared_ptr<persist::PersistSession>
-  openSession(const AnalysisRequest &Req, bool Incremental,
-              uint64_t Fingerprint, DiagnosticEngine &Diags,
+  openSession(const AnalysisRequest &Req, uint64_t Fingerprint,
+              DiagnosticEngine &Diags,
               std::unique_lock<std::mutex> &SessionLock);
 
   void fillStructured(const DiagnosticEngine &Diags, AnalysisResponse &Resp);

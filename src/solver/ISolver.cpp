@@ -7,8 +7,6 @@
 
 #include "solver/ISolver.h"
 
-#include "solver/QueryHash.h"
-
 #include <algorithm>
 #include <cassert>
 #include <chrono>
@@ -26,8 +24,6 @@ const char *mix::smt::solveResultName(SolveResult R) {
   }
   return "unknown";
 }
-
-QueryCache::~QueryCache() = default;
 
 std::vector<std::pair<std::string, std::string>>
 mix::smt::modelBindings(const TermArena &Arena, const SmtModel &Model) {
@@ -69,22 +65,6 @@ void ISolver::bumpVerdict(SolveResult R) {
 }
 
 SolveResult ISolver::checkSat(const Term *Formula, SmtModel *ModelOut) {
-  // Persistent memo (src/persist/): only verdicts are stored, so a model
-  // request must run the real solver; Unknown is a resource-cap artifact
-  // and is neither served nor recorded. A hit still counts as a query so
-  // hit-rate arithmetic against "solver.queries" stays meaningful.
-  uint64_t CacheKey = 0;
-  bool UseCache = Opts.Cache && !ModelOut;
-  if (UseCache) {
-    CacheKey = canonicalQueryHash(Formula);
-    SolveResult R;
-    if (Opts.Cache->lookup(CacheKey, R)) {
-      CQueries.inc();
-      (R == SolveResult::Sat ? CSat : CUnsat).inc();
-      return R;
-    }
-  }
-
   // The uninstrumented run is the common case: every sink null, so the
   // whole observability layer costs three branches per query and no
   // clock reads.
@@ -93,8 +73,6 @@ SolveResult ISolver::checkSat(const Term *Formula, SmtModel *ModelOut) {
     ++QueryCount;
     CQueries.inc();
     bumpVerdict(R);
-    if (UseCache && R != SolveResult::Unknown)
-      Opts.Cache->store(CacheKey, R);
     return R;
   }
 
@@ -115,7 +93,5 @@ SolveResult ISolver::checkSat(const Term *Formula, SmtModel *ModelOut) {
     Opts.Trace->complete("solver.query", "solver", Start, DurUs,
                          std::string("{\"result\": \"") + solveResultName(R) +
                              "\"}");
-  if (UseCache && R != SolveResult::Unknown)
-    Opts.Cache->store(CacheKey, R);
   return R;
 }

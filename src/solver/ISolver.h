@@ -18,7 +18,9 @@
 /// (possible path is explored, exhaustiveness is rejected, a warning is
 /// kept).
 ///
-/// Every checkSat is a fresh decision of the whole formula. Path
+/// Every checkSat is a fresh decision of the whole formula: no verdict is
+/// remembered, within a run or across runs (the persistent cache,
+/// src/persist/, keeps MIXY's block summaries, not solver verdicts). Path
 /// exploration avoids decisions one level up: the mini-C executor keeps a
 /// witness model per path and evaluates each branch condition under it
 /// (TermEval.h) before asking a backend.
@@ -76,24 +78,6 @@ struct SmtModel {
 std::vector<std::pair<std::string, std::string>>
 modelBindings(const TermArena &Arena, const SmtModel &Model);
 
-/// A persistent memo of query verdicts, keyed by canonicalQueryHash (see
-/// solver/QueryHash.h). The canonical hash is backend-independent — it
-/// digests the formula's structure alone — so any backend may serve or
-/// record a verdict. Implemented by src/persist/ over an on-disk store;
-/// solvers consult it only for model-free queries and never store Unknown
-/// (a resource-cap artifact, not a property of the formula).
-/// Implementations must be thread-safe: the solvers of concurrent daemon
-/// requests that share a persist session share its cache.
-class QueryCache {
-public:
-  virtual ~QueryCache();
-  /// True (with \p Out set to Sat or Unsat) when \p Key has a recorded
-  /// verdict.
-  virtual bool lookup(uint64_t Key, SolveResult &Out) = 0;
-  /// Records a Sat/Unsat verdict for \p Key.
-  virtual void store(uint64_t Key, SolveResult Result) = 0;
-};
-
 /// Configuration shared by every solver backend.
 struct SmtOptions {
   LiaOptions Lia;
@@ -116,16 +100,12 @@ struct SmtOptions {
   /// attached, each query's wall time is added to the request's solver
   /// phase. Null keeps the no-histogram fast path clock-free.
   obs::RequestTelemetry *Telemetry = nullptr;
-
-  /// Optional persistent query memo (see QueryCache above). Null — the
-  /// default — keeps checkSat untouched.
-  QueryCache *Cache = nullptr;
 };
 
-/// A solver backend: the metrics/trace instrumentation and the
-/// persistent-cache protocol around a virtual decision procedure.
-/// SmtSolver (smtlite) and DnfSolver implement it. One instance serves
-/// one term arena on one thread; each analysis builds its own.
+/// A solver backend: the metrics/trace instrumentation around a virtual
+/// decision procedure. SmtSolver (smtlite) and DnfSolver implement it.
+/// One instance serves one term arena on one thread; each analysis
+/// builds its own.
 class ISolver {
 public:
   ISolver(TermArena &Arena, SmtOptions Opts);
@@ -146,8 +126,8 @@ public:
   /// The configuration this backend was constructed with.
   const SmtOptions &options() const { return Opts; }
 
-  /// Number of queries actually decided by this backend (persistent
-  /// cache hits excluded), cumulative over its lifetime.
+  /// Number of queries decided by this backend, cumulative over its
+  /// lifetime.
   uint64_t queries() const { return QueryCount; }
 
   // --- Convenience verdict helpers (shared by every backend) -------------

@@ -31,8 +31,8 @@
 /// and asks the backend only about the branch side that model does not
 /// satisfy. DESIGN.md §14 has the numbers.
 ///
-/// The shared solver surface (SolveResult, SmtModel, SmtOptions,
-/// QueryCache, the convenience verdict helpers) lives in ISolver.h.
+/// The shared solver surface (SolveResult, SmtModel, SmtOptions, the
+/// convenience verdict helpers) lives in ISolver.h.
 ///
 //===----------------------------------------------------------------------===//
 

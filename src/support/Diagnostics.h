@@ -151,7 +151,7 @@ public:
   /// free-standing notes — everything except notes with a parent),
   /// stably sorted by (line, column, id). The shared result order of the
   /// sorted JSON and SARIF renderers, which makes machine output
-  /// byte-identical across --jobs values.
+  /// independent of the order the analysis reported diagnostics in.
   std::vector<size_t> sortedTopLevelIndices() const;
 
   unsigned errorCount() const { return NumErrors; }

@@ -12,9 +12,9 @@
 ///  - StableHasher / stableHash64: 64-bit FNV-1a over an explicit
 ///    little-endian byte encoding. The result is part of the on-disk
 ///    cache contract (src/persist/): it must be identical across runs,
-///    platforms, build modes, and --jobs values, so nothing
-///    address-dependent (pointers, iteration order of unordered
-///    containers, std::hash) may ever feed it.
+///    processes, platforms and build modes, so nothing address-dependent
+///    (pointers, iteration order of unordered containers, std::hash) may
+///    ever feed it.
 ///
 ///  - hashCombine / avalanche64: in-process hash-table mixing. These may
 ///    change freely between builds; they are never persisted.

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -338,6 +339,46 @@ TEST(DriverContextTest, MetricsRegistryIsLive) {
   driver::DriverContext Driver;
   Driver.metrics().counter("x").add(3);
   EXPECT_EQ(Driver.metrics().counterValue("x"), 3u);
+}
+
+TEST(DriverContextTest, ExcludingTheCacheDirGroupDropsTheFlag) {
+  // mixcheck persists nothing, so it excludes the "cache-dir" group:
+  // --cache-dir is then an unknown option, neither in --help nor offered
+  // as a suggestion.
+  driver::DriverContext Driver;
+  driver::OptionParser P("mixcheck");
+  P.excludeGroup("cache-dir");
+  Driver.registerOptions(P);
+  EXPECT_EQ(P.renderHelp().find("--cache-dir"), std::string::npos);
+  EXPECT_FALSE(parseArgs(P, {"--cache-dir=d", "-"}));
+  EXPECT_FALSE(Driver.cacheDirRequested());
+}
+
+TEST(PhaseBreakdownTest, ListsAllSixPhasesZeroIncluded) {
+  // Two runs of one input must print the same lines, so a phase that
+  // took under a microsecond still gets its row.
+  service::AnalysisResponse Resp;
+  Resp.RequestId = "r-1";
+  Resp.TotalUs = 200;
+  Resp.PhaseUs[(unsigned)obs::Phase::Parse] = 50;
+  Resp.PhaseUs[(unsigned)obs::Phase::Typecheck] = 100;
+  std::string Table = driver::renderPhaseBreakdown(Resp);
+  EXPECT_EQ(Table, "phase breakdown (inclusive, total 200 us):\n"
+                   "  parse      :         50 us ( 25.0%)\n"
+                   "  typecheck  :        100 us ( 50.0%)\n"
+                   "  fixpoint   :          0 us (  0.0%)\n"
+                   "  block-exec :          0 us (  0.0%)\n"
+                   "  solver     :          0 us (  0.0%)\n"
+                   "  render     :          0 us (  0.0%)\n");
+
+  // A request that took under a microsecond in all still lists them.
+  service::AnalysisResponse Instant;
+  Instant.RequestId = "r-2";
+  std::string Zero = driver::renderPhaseBreakdown(Instant);
+  EXPECT_EQ(std::count(Zero.begin(), Zero.end(), '\n'), 7);
+
+  // Without telemetry there is no attribution, so no table.
+  EXPECT_EQ(driver::renderPhaseBreakdown(service::AnalysisResponse()), "");
 }
 
 //===----------------------------------------------------------------------===//

@@ -57,7 +57,6 @@ struct RunResult {
   std::string Diags;
   std::string Degraded;
   uint64_t BlockHits = 0, BlockMisses = 0, BlockStores = 0;
-  uint64_t SolverHits = 0;
   uint64_t FuncsTotal = 0, FuncsChanged = 0, FuncsDirty = 0;
   uint64_t SymBlockRuns = 0;
   std::string Explain; ///< renderExplainText output (Explain runs only)
@@ -93,7 +92,6 @@ RunResult runMixy(const std::string &Source, const std::string &Dir,
   if (!Dir.empty()) {
     persist::PersistOptions PO;
     PO.Dir = Dir;
-    PO.Incremental = true;
     PO.BlockFingerprint = mixyPersistFingerprint(Opts);
     PO.Metrics = &Reg;
     Session = std::make_unique<persist::PersistSession>(std::move(PO));
@@ -113,7 +111,6 @@ RunResult runMixy(const std::string &Source, const std::string &Dir,
   R.BlockHits = Reg.counterValue("persist.block.hits");
   R.BlockMisses = Reg.counterValue("persist.block.misses");
   R.BlockStores = Reg.counterValue("persist.block.stores");
-  R.SolverHits = Reg.counterValue("persist.solver.hits");
   R.FuncsTotal = Reg.counterValue("persist.funcs.total");
   R.FuncsChanged = Reg.counterValue("persist.funcs.changed");
   R.FuncsDirty = Reg.counterValue("persist.funcs.dirty");
@@ -305,23 +302,24 @@ TEST(MixyPersistTest, CorruptBlockStoreFallsBackCold) {
   RunResult Warm = runMixy(Source, D.Path);
   EXPECT_FALSE(Warm.Degraded.empty());
   EXPECT_EQ(Warm.Diags, Cold.Diags);
-  // The block store came up empty, so the symbolic blocks re-execute —
-  // against the intact solver store, which answers their queries warm.
+  // The block store came up empty, so the symbolic blocks re-execute.
   EXPECT_GT(Warm.SymBlockRuns, 0u);
-  EXPECT_GT(Warm.SolverHits, 0u);
 }
 
 TEST(MixyPersistTest, TruncatedSolverStoreFallsBackCold) {
+  // A truncated manifest degrades the run, which then diffs against an
+  // empty previous run: every function counts as changed, while the
+  // intact block store still replays.
   TempDir D("truncated");
   const std::string Source = corpus::vsftpdFull(true);
   RunResult Cold = runMixy(Source, D.Path);
 
-  std::ifstream In(D.file("solver.mixcache"), std::ios::binary);
+  std::ifstream In(D.file("manifest.mixcache"), std::ios::binary);
   std::string Bytes((std::istreambuf_iterator<char>(In)),
                     std::istreambuf_iterator<char>());
   In.close();
   ASSERT_GT(Bytes.size(), 6u);
-  std::ofstream Out(D.file("solver.mixcache"),
+  std::ofstream Out(D.file("manifest.mixcache"),
                     std::ios::binary | std::ios::trunc);
   Out << Bytes.substr(0, Bytes.size() - 5);
   Out.close();
@@ -329,11 +327,15 @@ TEST(MixyPersistTest, TruncatedSolverStoreFallsBackCold) {
   RunResult Warm = runMixy(Source, D.Path);
   EXPECT_FALSE(Warm.Degraded.empty());
   EXPECT_EQ(Warm.Diags, Cold.Diags);
-  EXPECT_EQ(Warm.SolverHits, 0u);
+  EXPECT_GT(Warm.FuncsTotal, 0u);
+  EXPECT_EQ(Warm.FuncsChanged, Warm.FuncsTotal);
+  EXPECT_EQ(Warm.FuncsDirty, Warm.FuncsTotal);
+  EXPECT_GT(Warm.BlockHits, 0u);
   // The degraded run rewrites the directory; the next run is warm again.
   RunResult Healed = runMixy(Source, D.Path);
   EXPECT_TRUE(Healed.Degraded.empty());
   EXPECT_EQ(Healed.Diags, Cold.Diags);
+  EXPECT_EQ(Healed.FuncsChanged, 0u);
 }
 
 //===----------------------------------------------------------------------===//

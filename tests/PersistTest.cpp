@@ -4,8 +4,8 @@
 // Execution" (PLDI 2010).
 //
 // Covers src/persist/: the checksummed record-file container (round-trip
-// plus every corruption mode in the failure contract), the three stores
-// (including the block store's retention horizon), PersistSession's
+// plus every corruption mode in the failure contract), the block store
+// (including its retention horizon) and the manifest, PersistSession's
 // cold/warm/degraded lifecycle including concurrent writers sharing a
 // cache directory, and the dependency-closure hashes against a
 // per-function graph walk.
@@ -227,33 +227,6 @@ TEST(RecordFileTest, ConcurrentWritersNeverTearTheFile) {
 // Stores
 //===----------------------------------------------------------------------===//
 
-TEST(SolverQueryStoreTest, StoreLookupEncodeDecode) {
-  SolverQueryStore S(nullptr);
-  S.store(1, smt::SolveResult::Sat);
-  S.store(2, smt::SolveResult::Unsat);
-  S.store(3, smt::SolveResult::Unknown); // never persisted: not a verdict
-  EXPECT_EQ(S.size(), 2u);
-
-  smt::SolveResult R;
-  ASSERT_TRUE(S.lookup(1, R));
-  EXPECT_EQ(R, smt::SolveResult::Sat);
-  ASSERT_TRUE(S.lookup(2, R));
-  EXPECT_EQ(R, smt::SolveResult::Unsat);
-  EXPECT_FALSE(S.lookup(3, R));
-
-  SolverQueryStore S2(nullptr);
-  ASSERT_TRUE(S2.decode(S.encode()));
-  EXPECT_EQ(S2.size(), 2u);
-  ASSERT_TRUE(S2.lookup(1, R));
-  EXPECT_EQ(R, smt::SolveResult::Sat);
-}
-
-TEST(SolverQueryStoreTest, MalformedRecordRejected) {
-  SolverQueryStore S(nullptr);
-  EXPECT_FALSE(S.decode({std::string("zz")}));
-  EXPECT_EQ(S.size(), 0u);
-}
-
 TEST(BlockSummaryStoreTest, OpaquePayloadRoundTrip) {
   BlockSummaryStore B(nullptr);
   EXPECT_FALSE(B.lookup(9).has_value());
@@ -349,12 +322,17 @@ TEST(ManifestTest, RoundTrip) {
 // PersistSession lifecycle
 //===----------------------------------------------------------------------===//
 
-PersistOptions sessionOpts(const std::string &Dir, bool Incremental = true) {
+PersistOptions sessionOpts(const std::string &Dir) {
   PersistOptions PO;
   PO.Dir = Dir;
-  PO.Incremental = Incremental;
   PO.BlockFingerprint = 42;
   return PO;
+}
+
+Manifest oneFunc(const std::string &Name, uint64_t Content, uint64_t Closure) {
+  Manifest M;
+  M.Funcs[Name] = {Content, Closure};
+  return M;
 }
 
 TEST(PersistSessionTest, ColdThenWarm) {
@@ -363,20 +341,26 @@ TEST(PersistSessionTest, ColdThenWarm) {
     PersistSession S(sessionOpts(D.Path));
     EXPECT_TRUE(S.degradedReason().empty());
     EXPECT_TRUE(S.previousManifest().Funcs.empty());
-    S.solverCache().store(5, smt::SolveResult::Unsat);
+    EXPECT_FALSE(S.blocks().lookup(7).has_value());
     S.blocks().store(7, "summary");
-    Manifest M;
-    M.Funcs["main"] = {1, 2};
-    S.setCurrentManifest(std::move(M));
+    S.setCurrentManifest(oneFunc("main", 1, 2));
     std::string Error;
     ASSERT_TRUE(S.save(&Error)) << Error;
   }
+  // Exactly the two stores and the generation stamp are published.
+  std::set<std::string> Files;
+  for (const auto &E : std::filesystem::directory_iterator(D.Path))
+    Files.insert(E.path().filename().string());
+  EXPECT_EQ(Files, (std::set<std::string>{"blocks.mixcache",
+                                          "generation.mixcache",
+                                          "manifest.mixcache"}));
+
   PersistSession Warm(sessionOpts(D.Path));
   EXPECT_TRUE(Warm.degradedReason().empty());
-  smt::SolveResult R;
-  ASSERT_TRUE(Warm.solverCache().lookup(5, R));
-  EXPECT_EQ(R, smt::SolveResult::Unsat);
-  EXPECT_TRUE(Warm.blocks().lookup(7).has_value());
+  auto Hit = Warm.blocks().lookup(7);
+  ASSERT_TRUE(Hit.has_value());
+  EXPECT_EQ(*Hit, "summary");
+  EXPECT_EQ(Warm.previousManifest().Funcs.at("main").ContentHash, 1u);
   EXPECT_EQ(Warm.previousManifest().Funcs.at("main").ClosureHash, 2u);
 }
 
@@ -395,30 +379,37 @@ TEST(PersistSessionTest, BlockFingerprintChangeLoadsColdSilently) {
 }
 
 TEST(PersistSessionTest, CorruptStoreDegradesButSessionWorks) {
+  // One corrupt store costs only that store: a flipped byte in the block
+  // store empties it and degrades the session, the manifest still loads,
+  // and a save repairs the directory.
   TempDir D("degraded");
   {
     PersistSession S(sessionOpts(D.Path));
-    S.solverCache().store(5, smt::SolveResult::Sat);
+    S.blocks().store(5, "five");
+    S.setCurrentManifest(oneFunc("main", 1, 2));
     ASSERT_TRUE(S.save());
   }
-  std::string Bytes = slurp(D.file("solver.mixcache"));
+  std::string Bytes = slurp(D.file("blocks.mixcache"));
   Bytes.back() ^= 0x01;
-  spit(D.file("solver.mixcache"), Bytes);
+  spit(D.file("blocks.mixcache"), Bytes);
 
   obs::MetricsRegistry Reg;
   PersistOptions PO = sessionOpts(D.Path);
   PO.Metrics = &Reg;
   PersistSession S(PO);
-  EXPECT_FALSE(S.degradedReason().empty());
+  EXPECT_NE(S.degradedReason().find("blocks.mixcache"), std::string::npos)
+      << S.degradedReason();
   EXPECT_EQ(Reg.counterValue("persist.degraded"), 1u);
+  EXPECT_EQ(S.previousManifest().Funcs.count("main"), 1u);
   // Cold but functional: stores work and a save repairs the directory.
-  smt::SolveResult R;
-  EXPECT_FALSE(S.solverCache().lookup(5, R));
-  S.solverCache().store(6, smt::SolveResult::Sat);
+  EXPECT_FALSE(S.blocks().lookup(5).has_value());
+  S.blocks().store(6, "six");
+  S.setCurrentManifest(oneFunc("main", 1, 2));
   ASSERT_TRUE(S.save());
   PersistSession S2(sessionOpts(D.Path));
   EXPECT_TRUE(S2.degradedReason().empty());
-  EXPECT_TRUE(S2.solverCache().lookup(6, R));
+  EXPECT_TRUE(S2.blocks().lookup(6).has_value());
+  EXPECT_EQ(S2.previousManifest().Funcs.count("main"), 1u);
 }
 
 TEST(PersistSessionTest, UnusableDirectoryDegrades) {
@@ -427,22 +418,6 @@ TEST(PersistSessionTest, UnusableDirectoryDegrades) {
   PersistSession S(sessionOpts(D.file("not_a_dir") + "/cache"));
   EXPECT_FALSE(S.degradedReason().empty());
   EXPECT_FALSE(S.save()); // nothing to write into
-}
-
-TEST(PersistSessionTest, SolverStoreSharedAcrossFingerprints) {
-  // Sat/Unsat verdicts are option-independent, so the solver store loads
-  // under any block fingerprint.
-  TempDir D("solvershared");
-  {
-    PersistSession S(sessionOpts(D.Path));
-    S.solverCache().store(5, smt::SolveResult::Sat);
-    ASSERT_TRUE(S.save());
-  }
-  PersistOptions PO = sessionOpts(D.Path);
-  PO.BlockFingerprint = 99;
-  PersistSession S(PO);
-  smt::SolveResult R;
-  EXPECT_TRUE(S.solverCache().lookup(5, R));
 }
 
 TEST(PersistSessionTest, GenerationStampLifecycle) {
@@ -515,26 +490,34 @@ TEST(PersistSessionTest, StampIsWrittenLast) {
 }
 
 TEST(PersistSessionTest, InvalidateSummariesClearsButKeepsSolver) {
+  // Invalidation drops every block summary and both manifests, but keeps
+  // the session: it still stores, and its next save publishes only what
+  // came after the invalidation.
   obs::MetricsRegistry Reg;
   TempDir D("invalidate");
   PersistOptions PO = sessionOpts(D.Path);
   PO.Metrics = &Reg;
+  {
+    PersistSession S(sessionOpts(D.Path));
+    S.setCurrentManifest(oneFunc("old", 1, 1));
+    ASSERT_TRUE(S.save());
+  }
   PersistSession S(PO);
-  S.solverCache().store(5, smt::SolveResult::Unsat);
+  ASSERT_EQ(S.previousManifest().Funcs.count("old"), 1u);
   S.blocks().store(7, "summary");
-  Manifest M;
-  M.Funcs["main"] = {1, 2};
-  S.setCurrentManifest(std::move(M));
+  S.setCurrentManifest(oneFunc("main", 1, 2));
 
   S.invalidateSummaries();
   EXPECT_EQ(Reg.counterValue("persist.invalidations"), 1u);
   EXPECT_FALSE(S.blocks().lookup(7).has_value());
   EXPECT_TRUE(S.previousManifest().Funcs.empty());
-  // Solver verdicts are formula-keyed: they can never go stale when a
-  // source file changes, so they survive the invalidation.
-  smt::SolveResult R;
-  EXPECT_TRUE(S.solverCache().lookup(5, R));
-  EXPECT_EQ(R, smt::SolveResult::Unsat);
+
+  S.blocks().store(8, "after");
+  ASSERT_TRUE(S.save());
+  PersistSession Reopened(sessionOpts(D.Path));
+  EXPECT_FALSE(Reopened.blocks().lookup(7).has_value());
+  EXPECT_TRUE(Reopened.blocks().lookup(8).has_value());
+  EXPECT_TRUE(Reopened.previousManifest().Funcs.empty());
 }
 
 TEST(PersistSessionTest, InMemorySessionNeverTouchesDisk) {
@@ -544,7 +527,7 @@ TEST(PersistSessionTest, InMemorySessionNeverTouchesDisk) {
   PersistSession S(PO);
   EXPECT_TRUE(S.degradedReason().empty());
   S.blocks().store(7, "summary");
-  S.solverCache().store(5, smt::SolveResult::Sat);
+  S.setCurrentManifest(oneFunc("main", 1, 2));
   ASSERT_TRUE(S.save()); // a successful no-op
   EXPECT_FALSE(S.externallyModified());
   // The warm state *is* the store; nothing was published to disk.
@@ -557,20 +540,25 @@ TEST(PersistSessionTest, MetricsCounters) {
   TempDir D("metrics");
   PersistOptions PO = sessionOpts(D.Path);
   PO.Metrics = &Reg;
-  PersistSession S(PO);
-  smt::SolveResult R;
-  S.solverCache().lookup(1, R);
-  S.solverCache().store(1, smt::SolveResult::Sat);
-  S.solverCache().lookup(1, R);
-  S.blocks().lookup(2);
-  S.blocks().store(2, "p");
-  S.blocks().lookup(2);
-  EXPECT_EQ(Reg.counterValue("persist.solver.misses"), 1u);
-  EXPECT_EQ(Reg.counterValue("persist.solver.hits"), 1u);
-  EXPECT_EQ(Reg.counterValue("persist.solver.stores"), 1u);
-  EXPECT_EQ(Reg.counterValue("persist.block.misses"), 1u);
-  EXPECT_EQ(Reg.counterValue("persist.block.hits"), 1u);
-  EXPECT_EQ(Reg.counterValue("persist.block.stores"), 1u);
+  {
+    PersistSession S(PO);
+    S.blocks().lookup(2);
+    S.blocks().store(2, "p");
+    S.blocks().lookup(2);
+    EXPECT_EQ(Reg.counterValue("persist.block.misses"), 1u);
+    EXPECT_EQ(Reg.counterValue("persist.block.hits"), 1u);
+    EXPECT_EQ(Reg.counterValue("persist.block.stores"), 1u);
+    ASSERT_TRUE(S.save());
+  }
+  PersistSession Warm(PO);
+  EXPECT_TRUE(Warm.blocks().lookup(2).has_value());
+  EXPECT_EQ(Reg.counterValue("persist.block.hits"), 2u);
+  // One load and one save per on-disk session that saved; nothing else
+  // under persist.* is registered.
+  EXPECT_EQ(Reg.histogramSnapshot("persist.load_us").Count, 2u);
+  EXPECT_EQ(Reg.histogramSnapshot("persist.save_us").Count, 1u);
+  for (const auto &[Name, Value] : Reg.counters())
+    EXPECT_EQ(Name.rfind("persist.block.", 0), 0u) << Name << " = " << Value;
 }
 
 //===----------------------------------------------------------------------===//

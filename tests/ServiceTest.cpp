@@ -981,6 +981,95 @@ TEST(ServiceServeTest, WarmInMemorySessionForgetsSummariesPastTheHorizon) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Which requests open a persist session
+//===----------------------------------------------------------------------===//
+
+/// Every persist.* counter (with its value) and histogram in \p Reg.
+std::vector<std::string> persistMetrics(const obs::MetricsRegistry &Reg) {
+  std::vector<std::string> Names;
+  for (const auto &[Name, Value] : Reg.counters("persist."))
+    Names.push_back(Name + " = " + std::to_string(Value));
+  for (const std::string &Name : Reg.histogramNames())
+    if (Name.rfind("persist.", 0) == 0)
+      Names.push_back(Name);
+  return Names;
+}
+
+/// The persist.* deltas a response carries.
+std::vector<std::string> persistDeltas(const service::AnalysisResponse &Resp) {
+  std::vector<std::string> Names;
+  for (const auto &[Name, Value] : Resp.Metrics)
+    if (Name.rfind("persist.", 0) == 0)
+      Names.push_back(Name + " = " + std::to_string(Value));
+  return Names;
+}
+
+TEST(ServiceTest, WarmServiceOpensNoSessionForMixCheck) {
+  // The persistent cache holds MIXY's block summaries only, so a warm
+  // daemon answering mixcheck requests opens no session, in memory or
+  // on disk, even when a request names a cache directory.
+  std::string Dir = ::testing::TempDir() + "mix_service_mixcheck_cache";
+  std::filesystem::remove_all(Dir);
+  service::AnalysisService Svc(daemonConfig());
+  service::AnalysisRequest Req;
+  Req.ToolKind = service::Tool::MixCheck;
+  Req.Source = "{s if 0 < x then 1 else 2 s}";
+  Req.HasSource = true;
+  Req.Vars.emplace_back("x", "int");
+  service::AnalysisRequest WithDir = Req;
+  WithDir.CacheDir = Dir;
+  WithDir.Incremental = true;
+  for (const service::AnalysisRequest &R : {Req, WithDir}) {
+    service::AnalysisResponse Resp = Svc.serve(R);
+    EXPECT_EQ(Resp.Exit, 0) << Resp.Payload;
+    EXPECT_GT(metricValue(Resp, "solver.queries"), 0u);
+    EXPECT_EQ(persistDeltas(Resp), std::vector<std::string>());
+  }
+  EXPECT_EQ(persistMetrics(Svc.metrics()), std::vector<std::string>());
+  EXPECT_FALSE(std::filesystem::exists(Dir));
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(ServiceTest, CacheDirWithoutIncrementalOpensNoSession) {
+  // A MIXY request that names a cache directory but not Incremental
+  // replays nothing and persists nothing: it does not create the
+  // directory, and it answers exactly as the same request without one.
+  // A warm daemon runs it cold too, rather than from its in-memory
+  // session.
+  std::string Dir = ::testing::TempDir() + "mix_service_no_incremental";
+  std::filesystem::remove_all(Dir);
+  service::AnalysisRequest Without;
+  Without.ToolKind = service::Tool::Mixy;
+  Without.Source = c::corpus::vsftpdScaled(true, 6, 3);
+  Without.HasSource = true;
+  Without.Entry = "filler_main";
+  Without.Explain = true;
+  service::AnalysisRequest With = Without;
+  With.CacheDir = Dir;
+
+  service::AnalysisService Cli;
+  service::AnalysisResponse A = Cli.run(With);
+  service::AnalysisResponse B = Cli.run(Without);
+  EXPECT_FALSE(std::filesystem::exists(Dir));
+  EXPECT_EQ(A.Payload, B.Payload);
+  EXPECT_EQ(A.Exit, B.Exit);
+  EXPECT_EQ(A.Warnings, B.Warnings);
+  EXPECT_GT(metricValue(A, "mixy.sym_block_runs"), 0u);
+  EXPECT_EQ(metricValue(A, "mixy.sym_block_runs"),
+            metricValue(B, "mixy.sym_block_runs"));
+  EXPECT_EQ(persistDeltas(A), std::vector<std::string>());
+
+  service::AnalysisService Warm(daemonConfig());
+  service::AnalysisResponse W = Warm.serve(With);
+  EXPECT_FALSE(std::filesystem::exists(Dir));
+  EXPECT_EQ(W.Payload, A.Payload);
+  EXPECT_EQ(metricValue(W, "mixy.sym_block_runs"),
+            metricValue(A, "mixy.sym_block_runs"));
+  EXPECT_EQ(persistDeltas(W), std::vector<std::string>());
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(ServiceServeTest, MultiClientStressKeepsAccountingAndBytesExact) {
   // N threads x M requests over a handful of keys. Whatever mix of
   // executions, cache hits, and dedup coalescing the timing produces,

@@ -120,6 +120,9 @@ int main(int Argc, char **Argv) {
       "may be repeated");
   Parser.flag("--print-program", &Req.PrintProgram,
               "echo the (possibly auto-annotated) program");
+  // The persistent cache holds MIXY's block summaries only, so mixcheck
+  // has nothing to persist: --cache-dir is as unknown as a misspelling.
+  Parser.excludeGroup("cache-dir");
   Driver.registerOptions(Parser);
   Parser.flag("--help", &Help, "this text");
 
@@ -151,9 +154,8 @@ int main(int Argc, char **Argv) {
     Driver.setInputName(Parser.positionals()[0]);
 
   // The request carries the resolved source plus every cross-cutting flag;
-  // run() attaches observability (metrics always; trace under --trace,
-  // provenance when the output renders evidence) and the persist session
-  // (--cache-dir) on the service side.
+  // run() attaches observability on the service side (metrics always;
+  // trace under --trace, provenance when the output renders evidence).
   Req.Source = std::move(Source);
   Req.HasSource = true;
   Driver.applyCommonRequest(Req);

@@ -129,8 +129,8 @@ int main(int Argc, char **Argv) {
 
   // The request carries the resolved source plus every cross-cutting flag;
   // run() attaches observability (metrics always; trace under --trace,
-  // provenance when the output renders evidence) and the persist session
-  // (--cache-dir, honoring --incremental) on the service side.
+  // provenance when the output renders evidence) and, under --cache-dir
+  // --incremental, the persist session on the service side.
   Req.Source = std::move(Source);
   Req.HasSource = true;
   Driver.applyCommonRequest(Req);

@@ -5,7 +5,7 @@
 //
 // Long-lived server over the AnalysisService: speaks newline-delimited
 // JSON-RPC 2.0 on stdio (default) or a Unix socket (--listen=PATH), keeps
-// the engines, persist sessions, and solver stores warm across requests,
+// the engines and persist sessions (block summaries) warm across requests,
 // deduplicates identical in-flight requests by dependency-closure hash,
 // and runs analyses on a thread pool behind admission control
 // (--max-inflight) with an optional per-request deadline (--deadline-ms).
