@@ -6,9 +6,13 @@
 // Measures the persistent analysis cache (src/persist/): a cold run
 // pays full symbolic execution and solver cost and fills the cache; a
 // warm run on the unchanged program replays symbolic block summaries
-// from disk instead of re-running the blocks. The gap between BM_Mixy_Cold and BM_Mixy_Warm is what
-// --cache-dir --incremental buys a re-run; BM_Mixy_NoCache is the
-// baseline without any persistence plumbing at all.
+// from disk instead of re-running the blocks. The gap between
+// BM_Mixy_Cold and BM_Mixy_Warm is what --cache-dir buys a re-run;
+// BM_Mixy_NoCache is the baseline without any persistence plumbing at
+// all. A cold run runs every block a run without a cache directory runs
+// (block keys name their function, so no block replays another's
+// summary), so BM_Mixy_Cold costs BM_Mixy_NoCache plus the hashing,
+// encoding and save.
 //
 //===----------------------------------------------------------------------===//
 

@@ -155,11 +155,9 @@ CSymValue CSymExecutor::lazyInit(const CType *Ty, const std::string &Name) {
   if (!Ty)
     return CSymValue::scalar(Terms.freshIntVar(Name));
   if (Ty->isPointer()) {
-    NullSeed Seed = NullSeed::MayBeNull;
-    if (Ty->qualifier() == QualAnnot::Nonnull)
-      Seed = NullSeed::Nonnull;
-    else if (Ty->qualifier() == QualAnnot::None && !Opts.ParamsMayBeNull)
-      Seed = NullSeed::Nonnull;
+    NullSeed Seed = Ty->qualifier() == QualAnnot::Nonnull
+                        ? NullSeed::Nonnull
+                        : NullSeed::MayBeNull;
     return seededPointer(Ty, Seed, Name);
   }
   // Scalars (and, degenerately, whole structs read as values).
@@ -238,13 +236,11 @@ bool CSymExecutor::derefSurvives(SourceLoc Loc, CSymState &State,
                                  const CSymValue &Ptr) {
   // Null-dereference check (the executor "reports an error if 0 is ever
   // dereferenced").
-  if (Opts.CheckDereferences) {
-    ++Statistics.NullChecks;
-    const Term *NullG = Ptr.nullGuard(Terms);
-    if (feasibleWith(State, NullG))
-      warn(Loc, "possible null dereference", &State,
-           Terms.andTerm(State.Path, NullG));
-  }
+  ++Statistics.NullChecks;
+  const Term *NullG = Ptr.nullGuard(Terms);
+  if (feasibleWith(State, NullG))
+    warn(Loc, "possible null dereference", &State,
+         Terms.andTerm(State.Path, NullG));
   // Continue under the assumption the dereference survived.
   return assume(State, Ptr.nonNullGuard(Terms));
 }
@@ -669,23 +665,20 @@ void CSymExecutor::dispatchCall(const CCall *Call, const CFuncDecl *Callee,
 
   // Nonnull annotations on parameters are checked at the call even when
   // the body is not executed (the sysutil_free(nonnull) pattern).
-  if (Opts.CheckNonnullArguments) {
-    for (size_t I = 0; I != Args.size() && I != Callee->params().size();
-         ++I) {
-      const CType *ParamTy = Callee->params()[I].Ty;
-      if (!ParamTy->isPointer() ||
-          ParamTy->qualifier() != QualAnnot::Nonnull || !Args[I].isPtr())
-        continue;
-      ++Statistics.NullChecks;
-      const Term *NullG = Args[I].nullGuard(Terms);
-      const Term *NullPath = Terms.andTerm(State.Path, NullG);
-      if (feasibleWith(State, NullG))
-        warn(Call->loc(),
-             "possibly-null argument passed to nonnull "
-             "parameter '" +
-                 Callee->params()[I].Name + "' of " + Callee->name(),
-             &State, NullPath);
-    }
+  for (size_t I = 0; I != Args.size() && I != Callee->params().size(); ++I) {
+    const CType *ParamTy = Callee->params()[I].Ty;
+    if (!ParamTy->isPointer() || ParamTy->qualifier() != QualAnnot::Nonnull ||
+        !Args[I].isPtr())
+      continue;
+    ++Statistics.NullChecks;
+    const Term *NullG = Args[I].nullGuard(Terms);
+    const Term *NullPath = Terms.andTerm(State.Path, NullG);
+    if (feasibleWith(State, NullG))
+      warn(Call->loc(),
+           "possibly-null argument passed to nonnull "
+           "parameter '" +
+               Callee->params()[I].Name + "' of " + Callee->name(),
+           &State, NullPath);
   }
 
   if (!Callee->isDefined() || Frame.Depth >= Opts.MaxCallDepth) {
@@ -961,8 +954,7 @@ CSymExecutor::runFunction(const CFuncDecl *F,
       else if (P.Ty->qualifier() == QualAnnot::Nonnull)
         Seed = NullSeed::Nonnull;
       else
-        Seed = Opts.ParamsMayBeNull ? NullSeed::MayBeNull
-                                    : NullSeed::Nonnull;
+        Seed = NullSeed::MayBeNull;
       CSymValue V = seededPointer(P.Ty, Seed, F->name() + "::" + P.Name);
       LocId Pointee = NoLoc;
       for (const PtrCase &C : V.cases())

@@ -164,12 +164,6 @@ struct CSymOptions {
   unsigned LoopBound = 8;
   unsigned MaxCallDepth = 24;
   unsigned MaxPaths = 4096;
-  /// Seed pointer parameters as possibly-null unless told otherwise.
-  bool ParamsMayBeNull = true;
-  /// Check nonnull annotations on the parameters of called functions.
-  bool CheckNonnullArguments = true;
-  /// Warn on dereferences whose null case is feasible.
-  bool CheckDereferences = true;
 
   /// Provenance recording (see src/provenance/). When attached, states
   /// carry branch trails and every warning emitted with a state in hand
@@ -222,8 +216,8 @@ public:
   /// Executes \p F with symbolic arguments. \p ParamSeeds gives the
   /// nullability of pointer parameters and \p GlobalSeeds that of
   /// pointer-typed globals (both from the typed calling context,
-  /// Section 4.1); missing entries default to declared annotations and
-  /// the ParamsMayBeNull option.
+  /// Section 4.1); missing entries default to declared annotations, and
+  /// unannotated pointers may be null.
   CSymResult
   runFunction(const CFuncDecl *F, const std::vector<NullSeed> &ParamSeeds = {},
               const std::map<std::string, NullSeed> &GlobalSeeds = {});

@@ -88,9 +88,8 @@ void DriverContext::registerOptions(OptionParser &P) {
         return true;
       },
       "DIR",
-      "with --incremental (in mixyd, a request's \"incremental\"), persist\n"
-      "MIXY's block summaries under DIR and reuse them on later runs;\n"
-      "without it nothing persists");
+      "persist MIXY's block summaries under DIR and replay them on later\n"
+      "runs (output is the same as without it)");
   P.endGroup();
   P.value(
       "--solver",

@@ -116,8 +116,7 @@ public:
   /// artifact URI ("input" when never set, e.g. stdin).
   void setInputName(const std::string &Name) { InputName = Name; }
 
-  /// Did the user pass --cache-dir?
-  bool cacheDirRequested() const { return !CacheDir.empty(); }
+  /// The --cache-dir value, empty when the user passed none.
   const std::string &cacheDir() const { return CacheDir; }
 
   /// Writes the --trace and --metrics artifacts, if requested, and saves

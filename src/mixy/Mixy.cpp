@@ -36,11 +36,7 @@ uint64_t mix::c::mixyPersistFingerprint(const MixyOptions &Opts) {
   H.u32(Opts.Sym.LoopBound);
   H.u32(Opts.Sym.MaxCallDepth);
   H.u32(Opts.Sym.MaxPaths);
-  H.boolean(Opts.Sym.ParamsMayBeNull);
-  H.boolean(Opts.Sym.CheckNonnullArguments);
-  H.boolean(Opts.Sym.CheckDereferences);
   H.boolean(Opts.Qual.WarnAllDereferences);
-  H.u32(Opts.Smt.MaxTheoryIterations);
   // Recording changes the persisted payload (summaries carry the
   // provenance of their diagnostics), so explain-on and explain-off runs
   // must not share a block store.
@@ -48,12 +44,12 @@ uint64_t mix::c::mixyPersistFingerprint(const MixyOptions &Opts) {
   // Backend choice changes the DecidedBy provenance persisted inside
   // block summaries (verdicts themselves are backend-independent).
   H.str(Opts.Solver.Backend);
-  // Slot of a retired solver option; hashing its old value keeps caches warm.
-  H.boolean(false);
   // Summary revision, bumped when the same options give a summary new
-  // diagnostics. 1: a block run cut short by its loop, path or call-depth
-  // bound carries a MIX303 warning, which older summaries lack.
-  H.u32(1);
+  // diagnostics or a key new meaning. 1: a block run cut short by its
+  // loop, path or call-depth bound carries a MIX303 warning, which older
+  // summaries lack. 2: block keys name their function, so a summary
+  // stored under an older key may belong to another function.
+  H.u32(2);
   return H.digest();
 }
 
@@ -127,60 +123,53 @@ void MixyAnalysis::warnIfTruncated(const CFuncDecl *F,
 
 std::map<const CFuncDecl *, std::vector<const CFuncDecl *>>
 MixyAnalysis::dependencyEdges() {
-  // A block's result depends on its callees (direct call graph; indirect
-  // calls conservatively reach every defined function, mirroring
-  // typedRegionFrom) and on its qualifier-alias neighbors:
-  // restoreAliasing unifies qualifiers of variables sharing a points-to
-  // class, so an edit to one such function can shift another's calling
-  // context.
+  // A block's result depends on its callees and on its qualifier-alias
+  // neighbors: restoreAliasing unifies qualifiers of variables sharing a
+  // points-to class, so an edit to one such function can shift another's
+  // calling context.
   summarizeCalls();
   std::map<const CFuncDecl *, std::vector<const CFuncDecl *>> Deps;
   std::vector<const CFuncDecl *> Defined;
-  bool SawIndirect = false;
   for (const CFuncDecl *F : Program.funcs()) {
     if (!F->isDefined())
       continue;
     const CallSummary &S = Calls[F->index()];
     Deps[F] = S.Callees;
+    // A call through a pointer may reach any defined function (as in
+    // typedRegionFrom). Route that through one hub node, the null key,
+    // whose edges go to every defined function: the same reachability as
+    // an edge to each, in linear size.
+    if (S.Indirect)
+      Deps[F].push_back(nullptr);
     Defined.push_back(F);
-    SawIndirect = SawIndirect || S.Indirect;
   }
-  if (SawIndirect) {
-    // Every function may reach every defined function. Route that through
-    // one hub node, the null key (F -> hub -> every defined function): the
-    // same reachability as all-to-all edges, in linear size.
-    for (const CFuncDecl *F : Defined)
-      Deps[F] = {nullptr};
-    Deps[nullptr] = std::move(Defined);
-  } else {
-    std::vector<const CFuncDecl *> Owners;
-    for (PointsToAnalysis::CellId Cell = 1; Cell <= PtrAnal.numCells();
-         ++Cell) {
-      if (PtrAnal.find(Cell) != Cell)
-        continue;
-      // A class lists each function's locals together, functions in
-      // declaration order.
-      Owners.clear();
-      for (CVarRef V : PtrAnal.variablesInClass(Cell))
-        if (V.Func && V.Func->isDefined() &&
-            (Owners.empty() || Owners.back() != V.Func))
-          Owners.push_back(V.Func);
-      if (Owners.size() < 2)
-        continue;
-      for (const CFuncDecl *A : Owners)
-        for (const CFuncDecl *B : Owners)
-          if (A != B)
-            Deps[A].push_back(B);
-    }
+  Deps[nullptr] = std::move(Defined);
+
+  std::vector<const CFuncDecl *> Owners;
+  for (PointsToAnalysis::CellId Cell = 1; Cell <= PtrAnal.numCells(); ++Cell) {
+    if (PtrAnal.find(Cell) != Cell)
+      continue;
+    // A class lists each function's locals together, functions in
+    // declaration order.
+    Owners.clear();
+    for (CVarRef V : PtrAnal.variablesInClass(Cell))
+      if (V.Func && V.Func->isDefined() &&
+          (Owners.empty() || Owners.back() != V.Func))
+        Owners.push_back(V.Func);
+    if (Owners.size() < 2)
+      continue;
+    for (const CFuncDecl *A : Owners)
+      for (const CFuncDecl *B : Owners)
+        if (A != B)
+          Deps[A].push_back(B);
   }
   return Deps;
 }
 
-// === persistent cache / incremental engine (src/persist/) ====================
+// === persistent cache (src/persist/) =========================================
 
 void MixyAnalysis::initPersist() {
-  persist::PersistSession *Session = Opts.Persist;
-  if (!Session || PersistReady)
+  if (!Opts.Persist || PersistReady)
     return;
   PersistReady = true;
 
@@ -190,35 +179,13 @@ void MixyAnalysis::initPersist() {
   for (const CFuncDecl *F : Program.funcs())
     if (F->isDefined())
       Content[F] = persist::functionContentHash(*F);
-  uint64_t Env = persist::environmentHash(Program);
-
-  FuncClosure = persist::closureHashes(Content, dependencyEdges(), Env);
-
-  // Manifest bookkeeping: record this run's hashes and diff against the
-  // previous run's to report how much of the program actually needs
-  // re-analysis ("persist.funcs.*" metrics).
-  persist::Manifest M;
-  for (const auto &[F, Hash] : Content)
-    M.Funcs[F->name()] = {Hash, FuncClosure.at(F)};
-  const persist::Manifest &Prev = Session->previousManifest();
-  if (Opts.Metrics) {
-    unsigned Changed = 0, Dirty = 0;
-    for (const auto &[Name, Rec] : M.Funcs) {
-      auto It = Prev.Funcs.find(Name);
-      if (It == Prev.Funcs.end() || It->second.ContentHash != Rec.ContentHash)
-        ++Changed;
-      if (It == Prev.Funcs.end() || It->second.ClosureHash != Rec.ClosureHash)
-        ++Dirty;
-    }
-    Opts.Metrics->counter("persist.funcs.total").add(M.Funcs.size());
-    Opts.Metrics->counter("persist.funcs.changed").add(Changed);
-    Opts.Metrics->counter("persist.funcs.dirty").add(Dirty);
-  }
-  Session->setCurrentManifest(std::move(M));
+  FuncClosure = persist::closureHashes(Content, dependencyEdges(),
+                                       persist::environmentHash(Program));
 }
 
 uint64_t MixyAnalysis::stableBlockKey(const BlockKey &Key) const {
   StableHasher H;
+  H.str(Key.F->name());
   H.u64(FuncClosure.at(Key.F));
   H.boolean(Key.Symbolic);
   H.u32((uint32_t)Key.Params.size());
@@ -612,7 +579,7 @@ MixyAnalysis::computeSymOutcome(const BlockKey &Key) {
   // edit anywhere in this block's dependency cone can never match.
   if (Persistable)
     H.Replay = [&]() -> std::optional<SymOutcome> {
-      auto Payload = Opts.Persist->blocks().lookup(PKey);
+      auto Payload = Opts.Persist->lookup(PKey);
       if (!Payload)
         return std::nullopt;
       SymOutcome Outcome;
@@ -714,8 +681,8 @@ MixyAnalysis::computeSymOutcome(const BlockKey &Key) {
       const std::vector<Diagnostic> &All = Diags.diagnostics();
       std::vector<Diagnostic> Slice(All.begin() + (long)DiagsBefore,
                                     All.end());
-      Opts.Persist->blocks().store(
-          PKey, encodeBlockSummary(Outcome, Slice, SwitchLog));
+      Opts.Persist->store(PKey,
+                          encodeBlockSummary(Outcome, Slice, SwitchLog));
     }
   };
 

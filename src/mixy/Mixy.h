@@ -103,11 +103,10 @@ struct MixyOptions {
   /// runs replay the same explanations. Null records nothing.
   prov::ProvenanceSink *Prov = nullptr;
 
-  /// The persistent cache session behind --cache-dir --incremental (see
-  /// src/persist/). When set, symbolic block summaries (and the
+  /// The persistent cache session behind --cache-dir and a warm daemon
+  /// (see src/persist/). When set, symbolic block summaries (and the
   /// diagnostics their runs emitted, replayed verbatim on a hit) persist
-  /// across runs, and the run's per-function manifest is diffed against
-  /// the previous one. Null (the default) keeps every run cold.
+  /// across runs. Null (the default) keeps every run cold.
   persist::PersistSession *Persist = nullptr;
 };
 
@@ -272,13 +271,12 @@ private:
   // recorded switch is replayed).
   bool computeTypedRet(const BlockKey &Key, SourceLoc CallLoc);
 
-  // --- persistent cache / incremental engine (src/persist/) --------------
-  /// Computes per-function content and dependency-closure hashes, primes
-  /// the session manifest, and publishes the incremental dirty-set
-  /// metrics. Runs once per analysis, after the points-to pre-pass.
+  // --- persistent cache (src/persist/) -----------------------------------
+  /// Computes the per-function dependency-closure hashes. Runs once per
+  /// analysis, after the points-to pre-pass.
   void initPersist();
-  /// The cross-run identity of a block analysis: closure hash of the
-  /// function (so any edit in its dependency cone misses by
+  /// The cross-run identity of a block analysis: the function's name and
+  /// closure hash (so any edit in its dependency cone misses by
   /// construction) plus the calling context.
   uint64_t stableBlockKey(const BlockKey &Key) const;
   /// Serializes a summary plus the diagnostics and typed switches its
@@ -309,11 +307,11 @@ private:
   /// Recomputes site I's calling context from the current qualifier
   /// solution. Returns true (and updates LastKey) when it changed.
   bool refreshSite(size_t I);
-  /// Direct call-graph edges between defined functions, for the
-  /// persistent-cache closure hashes. When an indirect call makes the
-  /// callee set unknowable, every function's only edge goes to a hub
-  /// node, the null key, whose edges go to every defined function:
-  /// all-to-all reachability in linear size.
+  /// Dependency edges between defined functions, for the persistent-cache
+  /// closure hashes: each function's direct callees and qualifier-alias
+  /// neighbors. A function that calls through a pointer also gets an
+  /// edge to a hub node, the null key, whose edges go to every defined
+  /// function: reachability of every function in linear size.
   std::map<const CFuncDecl *, std::vector<const CFuncDecl *>>
   dependencyEdges();
   /// Adds this run's MixyStats and the executor's, points-to and

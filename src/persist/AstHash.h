@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The key-derivation half of the incremental engine: stable 64-bit
+/// The key-derivation half of the persistent cache: stable 64-bit
 /// content hashes over mini-C declarations, built from the CPrinter
 /// rendering (which round-trips through the parser, so it captures
 /// exactly the syntax the analyses consume — and nothing

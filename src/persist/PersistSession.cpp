@@ -14,113 +14,6 @@
 
 using namespace mix::persist;
 
-// === BlockSummaryStore =======================================================
-
-BlockSummaryStore::BlockSummaryStore(obs::MetricsRegistry *Metrics) {
-  if (Metrics) {
-    CHits = Metrics->counter("persist.block.hits");
-    CMisses = Metrics->counter("persist.block.misses");
-    CStores = Metrics->counter("persist.block.stores");
-  }
-}
-
-std::optional<std::string> BlockSummaryStore::lookup(uint64_t Key) {
-  std::unique_lock<std::mutex> Lock(M);
-  auto It = Map.find(Key);
-  if (It == Map.end()) {
-    Lock.unlock();
-    CMisses.inc();
-    return std::nullopt;
-  }
-  It->second.LastUse = Run;
-  std::string Out = It->second.Payload;
-  Lock.unlock();
-  CHits.inc();
-  return Out;
-}
-
-void BlockSummaryStore::store(uint64_t Key, std::string Payload) {
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    Map[Key] = {std::move(Payload), Run};
-  }
-  CStores.inc();
-}
-
-size_t BlockSummaryStore::size() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Map.size();
-}
-
-void BlockSummaryStore::clear() {
-  std::lock_guard<std::mutex> Lock(M);
-  Map.clear();
-}
-
-void BlockSummaryStore::retireUnused(size_t Horizon) {
-  std::lock_guard<std::mutex> Lock(M);
-  std::erase_if(Map, [&](const auto &KV) {
-    return Run - KV.second.LastUse >= Horizon;
-  });
-  ++Run;
-}
-
-std::vector<std::string> BlockSummaryStore::encode() const {
-  std::lock_guard<std::mutex> Lock(M);
-  std::vector<std::string> Records;
-  Records.reserve(Map.size());
-  for (const auto &[Key, E] : Map) {
-    ByteWriter W;
-    W.u64(Key).str(E.Payload);
-    Records.push_back(W.take());
-  }
-  return Records;
-}
-
-bool BlockSummaryStore::decode(const std::vector<std::string> &Records) {
-  std::lock_guard<std::mutex> Lock(M);
-  for (const std::string &Rec : Records) {
-    ByteReader R(Rec);
-    uint64_t Key = R.u64();
-    std::string Payload = R.str();
-    if (!R.ok() || !R.atEnd()) {
-      Map.clear();
-      return false;
-    }
-    Map[Key] = {std::move(Payload), Run};
-  }
-  return true;
-}
-
-// === Manifest ================================================================
-
-std::vector<std::string> Manifest::encode() const {
-  std::vector<std::string> Records;
-  Records.reserve(Funcs.size());
-  for (const auto &[Name, F] : Funcs) {
-    ByteWriter W;
-    W.str(Name).u64(F.ContentHash).u64(F.ClosureHash);
-    Records.push_back(W.take());
-  }
-  return Records;
-}
-
-bool Manifest::decode(const std::vector<std::string> &Records) {
-  for (const std::string &Rec : Records) {
-    ByteReader R(Rec);
-    std::string Name = R.str();
-    Func F;
-    F.ContentHash = R.u64();
-    F.ClosureHash = R.u64();
-    if (!R.ok() || !R.atEnd()) {
-      Funcs.clear();
-      return false;
-    }
-    Funcs[Name] = F;
-  }
-  return true;
-}
-
 // === PersistSession ==========================================================
 
 namespace {
@@ -134,7 +27,7 @@ uint64_t nowUs() {
 /// Reads the generation stamp from \p Dir; a missing or malformed stamp
 /// reads as 0 (the pre-stamp world had exactly one writer per process
 /// lifetime, which generation 0 models). Never degrades the session —
-/// the stamp guards manifest replay, it is not itself cached data.
+/// the stamp guards summary replay, it is not itself cached data.
 uint64_t readGeneration(const std::string &Dir) {
   std::vector<std::string> Records;
   std::string Error;
@@ -149,10 +42,14 @@ uint64_t readGeneration(const std::string &Dir) {
 
 } // namespace
 
-PersistSession::PersistSession(PersistOptions O)
-    : Opts(std::move(O)), Blocks(Opts.Metrics) {
+PersistSession::PersistSession(PersistOptions O) : Opts(std::move(O)) {
+  if (Opts.Metrics) {
+    CHits = Opts.Metrics->counter("persist.block.hits");
+    CMisses = Opts.Metrics->counter("persist.block.misses");
+    CStores = Opts.Metrics->counter("persist.block.stores");
+  }
   if (Opts.InMemory)
-    return; // stores start empty and live purely in memory
+    return; // the store starts empty and lives purely in memory
 
   uint64_t Start = nowUs();
 
@@ -166,30 +63,85 @@ PersistSession::PersistSession(PersistOptions O)
     return;
   }
 
-  // Each store loads independently; one corrupt file costs only that
-  // store, but the degradation note mentions whichever failed first.
-  auto LoadInto = [&](const std::string &File, auto &Store) {
-    std::vector<std::string> Records;
-    std::string Error;
-    LoadStatus S = loadRecordFile(Opts.Dir + "/" + File,
-                                  Opts.BlockFingerprint, Records, Error);
-    if (S == LoadStatus::Ok && !Store.decode(Records))
-      S = LoadStatus::Corrupt, Error = "malformed record";
-    if (S == LoadStatus::Corrupt) {
-      if (DegradedReason.empty())
-        DegradedReason = File + ": " + Error;
-      if (Opts.Metrics)
-        Opts.Metrics->counter("persist.degraded").inc();
-    }
-  };
-
   Gen = readGeneration(Opts.Dir);
 
-  LoadInto("blocks.mixcache", Blocks);
-  LoadInto("manifest.mixcache", Previous);
+  std::vector<std::string> Records;
+  std::string Error;
+  LoadStatus S = loadRecordFile(Opts.Dir + "/blocks.mixcache",
+                                Opts.BlockFingerprint, Records, Error);
+  if (S == LoadStatus::Ok && !decode(Records))
+    S = LoadStatus::Corrupt, Error = "malformed record";
+  if (S == LoadStatus::Corrupt) {
+    DegradedReason = "blocks.mixcache: " + Error;
+    if (Opts.Metrics)
+      Opts.Metrics->counter("persist.degraded").inc();
+  }
 
   if (Opts.Metrics)
     Opts.Metrics->histogram("persist.load_us").record(nowUs() - Start);
+}
+
+std::optional<std::string> PersistSession::lookup(uint64_t Key) {
+  std::unique_lock<std::mutex> Lock(M);
+  auto It = Blocks.find(Key);
+  if (It == Blocks.end()) {
+    Lock.unlock();
+    CMisses.inc();
+    return std::nullopt;
+  }
+  It->second.LastUse = Run;
+  std::string Out = It->second.Payload;
+  Lock.unlock();
+  CHits.inc();
+  return Out;
+}
+
+void PersistSession::store(uint64_t Key, std::string Payload) {
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    Blocks[Key] = {std::move(Payload), Run};
+  }
+  CStores.inc();
+}
+
+size_t PersistSession::size() const {
+  std::lock_guard<std::mutex> Lock(M);
+  return Blocks.size();
+}
+
+void PersistSession::retireUnused(size_t Horizon) {
+  std::lock_guard<std::mutex> Lock(M);
+  std::erase_if(Blocks, [&](const auto &KV) {
+    return Run - KV.second.LastUse >= Horizon;
+  });
+  ++Run;
+}
+
+std::vector<std::string> PersistSession::encode() const {
+  std::lock_guard<std::mutex> Lock(M);
+  std::vector<std::string> Records;
+  Records.reserve(Blocks.size());
+  for (const auto &[Key, E] : Blocks) {
+    ByteWriter W;
+    W.u64(Key).str(E.Payload);
+    Records.push_back(W.take());
+  }
+  return Records;
+}
+
+bool PersistSession::decode(const std::vector<std::string> &Records) {
+  std::lock_guard<std::mutex> Lock(M);
+  for (const std::string &Rec : Records) {
+    ByteReader R(Rec);
+    uint64_t Key = R.u64();
+    std::string Payload = R.str();
+    if (!R.ok() || !R.atEnd()) {
+      Blocks.clear();
+      return false;
+    }
+    Blocks[Key] = {std::move(Payload), Run};
+  }
+  return true;
 }
 
 bool PersistSession::save(std::string *Error) {
@@ -204,11 +156,9 @@ bool PersistSession::save(std::string *Error) {
   uint64_t Start = nowUs();
 
   bool Ok = saveRecordFile(Opts.Dir + "/blocks.mixcache",
-                           Opts.BlockFingerprint, Blocks.encode(), Err) &&
-            saveRecordFile(Opts.Dir + "/manifest.mixcache",
-                           Opts.BlockFingerprint, Current.encode(), Err);
+                           Opts.BlockFingerprint, encode(), Err);
 
-  // The generation stamp publishes last, after every data file is in
+  // The generation stamp publishes last, after the data file is in
   // place, so a concurrent reader that observes the new generation also
   // observes the new data. Writing it claims the directory for this
   // session: any other open session now reports externallyModified().
@@ -233,9 +183,10 @@ bool PersistSession::externallyModified() const {
 }
 
 void PersistSession::invalidateSummaries() {
-  Blocks.clear();
-  Previous.Funcs.clear();
-  Current.Funcs.clear();
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    Blocks.clear();
+  }
   if (Opts.Metrics)
     Opts.Metrics->counter("persist.invalidations").inc();
 }

@@ -138,7 +138,6 @@ uint64_t AnalysisService::requestKey(const AnalysisRequest &Req,
   H.boolean(Req.Trace);
   H.str(Req.Solver.Backend);
   H.str(Req.CacheDir);
-  H.boolean(Req.Incremental);
   H.boolean(Req.Symbolic).boolean(Req.AutoPlace).boolean(Req.PrintProgram);
   H.u8((uint8_t)Req.Strategy).u8((uint8_t)Req.Havoc);
   H.boolean(Req.PreciseDeref).boolean(Req.AssumeComplete);
@@ -242,7 +241,7 @@ AnalysisService::openSession(const AnalysisRequest &Req, uint64_t Fingerprint,
     // A warm on-disk session is only reusable while this process is still
     // the directory's latest writer; when some other process published
     // into it (generation moved), drop the loaded state and reload rather
-    // than replaying a stale manifest. Requests already running against
+    // than replaying stale summaries. Requests already running against
     // the old session keep it alive through their shared_ptr.
     if (Entry.Session && !InMemory && Entry.Session->externallyModified()) {
       Entry.Session.reset();
@@ -305,7 +304,7 @@ void AnalysisService::fileChanged(const std::string &Path) {
         std::remove_if(ResponseOrder.begin(), ResponseOrder.end(),
                        [&](uint64_t K) { return Dropped.count(K) != 0; }),
         ResponseOrder.end());
-  // Warm sessions forget their summaries and manifests.
+  // Warm sessions forget their summaries.
   for (auto &[Key, Entry] : Sessions) {
     (void)Key;
     if (!Entry.Session)
@@ -414,10 +413,7 @@ void AnalysisService::runMixy(const AnalysisRequest &Req,
   c::MixyOptions Opts;
   Opts.EnableCache = !Req.NoCache;
   Opts.RestoreAliasing = !Req.NoAliasRestore;
-  if (Req.WarnDerefs) {
-    Opts.Qual.WarnAllDereferences = true;
-    Opts.Sym.CheckDereferences = true;
-  }
+  Opts.Qual.WarnAllDereferences = Req.WarnDerefs;
   Opts.Metrics = &Reg;
   Opts.Trace = Req.Trace ? (T && T->sink() ? T->sink() : &Sink) : nullptr;
   Opts.Telemetry = T;
@@ -430,15 +426,12 @@ void AnalysisService::runMixy(const AnalysisRequest &Req,
 
   c::CAstContext Ctx;
 
-  // A session holds block summaries. With a cache directory it is on
-  // disk and opt-in: `mixyc --cache-dir` without --incremental replays
-  // nothing and writes nothing. Without one, a warm daemon keeps a session
-  // in memory, except for a --no-cache request: `mixyc --no-cache` has no
-  // session, and the warm one would replay block summaries, its own run's
-  // included, so the request would do less work than the same one in
-  // mixyc.
-  bool WantsSession = Req.CacheDir.empty() ? Config.KeepWarm && !Req.NoCache
-                                           : Req.Incremental;
+  // A session holds block summaries: on disk under a cache directory,
+  // otherwise in memory on a warm daemon. A --no-cache request opens none:
+  // it stores no summary, and replaying one, its own run's included,
+  // would do less work than the same request in `mixyc --no-cache`.
+  bool WantsSession =
+      !Req.NoCache && (!Req.CacheDir.empty() || Config.KeepWarm);
   std::unique_lock<std::mutex> SessionLock;
   std::shared_ptr<persist::PersistSession> Session;
   if (WantsSession)
@@ -495,7 +488,7 @@ void AnalysisService::runMixy(const AnalysisRequest &Req,
       // dead summaries behind, which would otherwise pile up for the
       // daemon's lifetime. The session lock is still held.
       if (Session && Req.CacheDir.empty())
-        Session->blocks().retireUnused(
+        Session->retireUnused(
             std::max<size_t>(Config.ResponseCacheCap, 1));
     }
   }

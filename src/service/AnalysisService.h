@@ -93,13 +93,12 @@ struct AnalysisRequest {
   smt::SolverSpec Solver;
   /// Record a trace of this request into the service's trace sink.
   bool Trace = false;
-  /// Persistent cache directory of a MIXY request; block summaries persist
-  /// there only with Incremental, and without it the request opens no
-  /// session at all. Empty uses no on-disk cache (the daemon may still
-  /// attach a warm in-memory session, which cannot change output — see
-  /// DESIGN.md section 15). MixCheck requests ignore both fields.
+  /// Persistent cache directory of a MIXY request: its block summaries
+  /// are replayed from and stored there. Empty uses no on-disk cache (the
+  /// daemon may still attach a warm in-memory session). Neither changes
+  /// output (DESIGN.md section 15), and a --no-cache request opens no
+  /// session. MixCheck requests ignore the field.
   std::string CacheDir;
-  bool Incremental = false;
 
   // --- mixcheck knobs ---
   bool Symbolic = false;
@@ -279,7 +278,7 @@ public:
 
   /// A client reports that \p Path changed: cached responses that were
   /// computed from that path are dropped and every warm session forgets
-  /// its block summaries and manifest. Correctness does not depend on
+  /// its block summaries. Correctness does not depend on
   /// this call: path inputs are re-read and content-hashed per request;
   /// this reclaims warm state eagerly.
   void fileChanged(const std::string &Path);
@@ -316,8 +315,9 @@ private:
     /// Shared so a request keeps its session alive even if a concurrent
     /// reopen (externallyModified) swaps the map entry underneath it.
     std::shared_ptr<persist::PersistSession> Session;
-    /// Requests that share the session serialize on it: its manifest is
-    /// not internally synchronized.
+    /// Requests that share the session serialize on it, so a run's
+    /// replays and stores are not interleaved with another's and its
+    /// retireUnused() ends only its own run.
     std::mutex Lock;
   };
   struct Pending {

@@ -91,8 +91,6 @@ std::string mix::service::encodeRequest(const AnalysisRequest &Req) {
     W.boolean("trace", true);
   if (!Req.CacheDir.empty())
     W.str("cache_dir", Req.CacheDir);
-  if (Req.Incremental)
-    W.boolean("incremental", true);
 
   // mixcheck knobs (wire values mirror the CLI flag values).
   if (Req.Symbolic)
@@ -402,7 +400,6 @@ bool mix::service::decodeRequest(const json::Value &V, AnalysisRequest &Out,
   D.str("solver", Out.Solver.Backend);
   D.boolean("trace", Out.Trace);
   D.str("cache_dir", Out.CacheDir);
-  D.boolean("incremental", Out.Incremental);
 
   D.keyword("mode", {{"typed", [&] { Out.Symbolic = false; }},
                      {"symbolic", [&] { Out.Symbolic = true; }}});

@@ -16,15 +16,16 @@ using namespace mix::smt::detail;
 
 namespace {
 
-bool expandDnf(const Term *T, bool Negated, unsigned MaxCubes,
-               std::vector<Cube> &Out);
+/// Bound on the number of DNF cubes expanded before answering Unknown.
+constexpr unsigned MaxCubes = 4096;
+
+bool expandDnf(const Term *T, bool Negated, std::vector<Cube> &Out);
 
 /// Appends the cubes of (X under NegX) /\ (Y under NegY) to \p Out.
 bool dnfProduct(const Term *X, bool NegX, const Term *Y, bool NegY,
-                unsigned MaxCubes, std::vector<Cube> &Out) {
+                std::vector<Cube> &Out) {
   std::vector<Cube> Left, Right;
-  if (!expandDnf(X, NegX, MaxCubes, Left) ||
-      !expandDnf(Y, NegY, MaxCubes, Right))
+  if (!expandDnf(X, NegX, Left) || !expandDnf(Y, NegY, Right))
     return false;
   if (Out.size() + Left.size() * Right.size() > MaxCubes)
     return false;
@@ -39,9 +40,8 @@ bool dnfProduct(const Term *X, bool NegX, const Term *Y, bool NegY,
 
 /// Expands the NNF of \p T (computed on the fly via \p Negated) into DNF
 /// cubes, appending to \p Out. Returns false when the expansion exceeds
-/// \p MaxCubes — the resource cap that bounds the worst-case exponential.
-bool expandDnf(const Term *T, bool Negated, unsigned MaxCubes,
-               std::vector<Cube> &Out) {
+/// MaxCubes — the resource cap that bounds the worst-case exponential.
+bool expandDnf(const Term *T, bool Negated, std::vector<Cube> &Out) {
   switch (T->kind()) {
   case TermKind::BoolConst: {
     bool Value = (T->value() != 0) != Negated;
@@ -57,43 +57,43 @@ bool expandDnf(const Term *T, bool Negated, unsigned MaxCubes,
     Out.push_back({{T, !Negated}});
     return Out.size() <= MaxCubes;
   case TermKind::Not:
-    return expandDnf(T->operand(0), !Negated, MaxCubes, Out);
+    return expandDnf(T->operand(0), !Negated, Out);
   case TermKind::And:
   case TermKind::Or: {
     const Term *A = T->operand(0);
     const Term *B = T->operand(1);
     if ((T->kind() == TermKind::And) != Negated)
-      return dnfProduct(A, Negated, B, Negated, MaxCubes, Out);
+      return dnfProduct(A, Negated, B, Negated, Out);
     // Disjunction: concatenate both operands' cubes.
-    return expandDnf(A, Negated, MaxCubes, Out) &&
-           expandDnf(B, Negated, MaxCubes, Out) && Out.size() <= MaxCubes;
+    return expandDnf(A, Negated, Out) &&
+           expandDnf(B, Negated, Out) && Out.size() <= MaxCubes;
   }
   case TermKind::Implies: {
     const Term *A = T->operand(0);
     const Term *B = T->operand(1);
     if (!Negated) // a => b  ==  ~a \/ b
-      return expandDnf(A, true, MaxCubes, Out) &&
-             expandDnf(B, false, MaxCubes, Out) && Out.size() <= MaxCubes;
+      return expandDnf(A, true, Out) &&
+             expandDnf(B, false, Out) && Out.size() <= MaxCubes;
     // ~(a => b)  ==  a /\ ~b
-    return dnfProduct(A, false, B, true, MaxCubes, Out);
+    return dnfProduct(A, false, B, true, Out);
   }
   case TermKind::EqBool: {
     // a <=> b  ==  (a /\ b) \/ (~a /\ ~b); negated: (a /\ ~b) \/ (~a /\ b).
     const Term *A = T->operand(0);
     const Term *B = T->operand(1);
     if (!Negated)
-      return dnfProduct(A, false, B, false, MaxCubes, Out) &&
-             dnfProduct(A, true, B, true, MaxCubes, Out);
-    return dnfProduct(A, false, B, true, MaxCubes, Out) &&
-           dnfProduct(A, true, B, false, MaxCubes, Out);
+      return dnfProduct(A, false, B, false, Out) &&
+             dnfProduct(A, true, B, true, Out);
+    return dnfProduct(A, false, B, true, Out) &&
+           dnfProduct(A, true, B, false, Out);
   }
   case TermKind::IteBool: {
     // ite(c, a, b) == (c /\ a) \/ (~c /\ b); negation pushes into a and b.
     const Term *C = T->operand(0);
     const Term *A = T->operand(1);
     const Term *B = T->operand(2);
-    return dnfProduct(C, false, A, Negated, MaxCubes, Out) &&
-           dnfProduct(C, true, B, Negated, MaxCubes, Out);
+    return dnfProduct(C, false, A, Negated, Out) &&
+           dnfProduct(C, true, B, Negated, Out);
   }
   default:
     assert(false && "non-boolean term in DNF expansion");
@@ -119,7 +119,7 @@ SolveResult DnfSolver::decide(const Term *Formula, SmtModel *ModelOut) {
   }
 
   std::vector<Cube> Cubes;
-  if (!expandDnf(F, /*Negated=*/false, Opts.DnfMaxCubes, Cubes))
+  if (!expandDnf(F, /*Negated=*/false, Cubes))
     return SolveResult::Unknown; // cube cap exceeded: resource cap
 
   bool AnyUnknown = false;

@@ -81,11 +81,6 @@ modelBindings(const TermArena &Arena, const SmtModel &Model);
 /// Configuration shared by every solver backend.
 struct SmtOptions {
   LiaOptions Lia;
-  /// Bound on SAT-model / theory-check round trips per query (smtlite).
-  unsigned MaxTheoryIterations = 50000;
-  /// Bound on the number of DNF cubes the dnf backend expands before
-  /// answering Unknown.
-  unsigned DnfMaxCubes = 4096;
 
   /// Observability sinks (see src/observe/). When attached, every query
   /// bumps the "solver.queries" / "solver.sat" / "solver.unsat" /

@@ -16,13 +16,17 @@ using namespace mix::smt::detail;
 
 namespace {
 
+/// Bound on SAT-model / theory-check round trips per query: a query that
+/// needs more answers Unknown.
+constexpr unsigned MaxTheoryIterations = 50000;
+
 /// The lazy DPLL(T) loop: alternate CDCL SAT search with theory checks of
 /// the integer atoms each propositional model assigns, blocking
 /// theory-conflicting polarity combinations.
 SolveResult runTheoryLoop(SatSolver &Sat, TseitinEncoder &Encoder,
                           const SmtOptions &Opts, SmtSolver::Stats &Stats,
                           SmtModel *ModelOut) {
-  for (unsigned Iter = 0; Iter != Opts.MaxTheoryIterations; ++Iter) {
+  for (unsigned Iter = 0; Iter != MaxTheoryIterations; ++Iter) {
     ++Stats.SatCalls;
     SatResult SR = Sat.solve();
     if (SR == SatResult::Unsat)
@@ -152,8 +156,6 @@ SolveResult SmtSolver::decide(const Term *Formula, SmtModel *ModelOut) {
   Lits.reserve(8); // a branch cascade's path condition fits
   bool Conflict = false;
   if (collectLiterals(Formula, true, Lits, Conflict)) {
-    if (Opts.MaxTheoryIterations == 0)
-      return SolveResult::Unknown;
     if (Conflict)
       return SolveResult::Unsat;
     for (const CubeLit &L : Lits)

@@ -351,7 +351,7 @@ TEST(DriverContextTest, ExcludingTheCacheDirGroupDropsTheFlag) {
   Driver.registerOptions(P);
   EXPECT_EQ(P.renderHelp().find("--cache-dir"), std::string::npos);
   EXPECT_FALSE(parseArgs(P, {"--cache-dir=d", "-"}));
-  EXPECT_FALSE(Driver.cacheDirRequested());
+  EXPECT_TRUE(Driver.cacheDir().empty());
 }
 
 TEST(PhaseBreakdownTest, ListsAllSixPhasesZeroIncluded) {

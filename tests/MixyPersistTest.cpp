@@ -4,24 +4,28 @@
 // Execution" (PLDI 2010).
 //
 // End-to-end coverage of the persistent cache through MixyAnalysis: a
-// warm run must produce byte-identical diagnostics while answering block
-// lookups from disk; a corrupted cache must degrade to a cold run with
-// the same findings; and an incremental re-run after editing one function
-// must re-analyze only that function's dependency cone.
+// cold run into an empty cache directory must do the work of a run
+// without one; a warm run must produce byte-identical diagnostics while
+// answering block lookups from disk; a corrupted cache must degrade to a
+// cold run with the same findings; and a re-run after editing one
+// function must re-run only the blocks whose dependency cone holds it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cfront/CParser.h"
 #include "mixy/Mixy.h"
 #include "mixy/VsftpdMini.h"
+#include "observe/Trace.h"
 #include "persist/PersistSession.h"
 #include "provenance/Provenance.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 using namespace mix;
 using namespace mix::c;
@@ -57,8 +61,9 @@ struct RunResult {
   std::string Diags;
   std::string Degraded;
   uint64_t BlockHits = 0, BlockMisses = 0, BlockStores = 0;
-  uint64_t FuncsTotal = 0, FuncsChanged = 0, FuncsDirty = 0;
   uint64_t SymBlockRuns = 0;
+  /// The function of each symbolic block run, sorted.
+  std::vector<std::string> SymBlocks;
   std::string Explain; ///< renderExplainText output (Explain runs only)
   uint64_t ProvWitnesses = 0, ProvFlows = 0, ProvBlocks = 0, ProvReplayed = 0;
 };
@@ -75,13 +80,12 @@ RunResult runMixy(const std::string &Source, const std::string &Dir,
     return R;
 
   obs::MetricsRegistry Reg;
+  obs::TraceSink Trace;
   MixyOptions Opts;
   Opts.Metrics = &Reg;
+  Opts.Trace = &Trace;
   Opts.EnableCache = EnableCache;
-  if (WarnDerefs) {
-    Opts.Qual.WarnAllDereferences = true;
-    Opts.Sym.CheckDereferences = true;
-  }
+  Opts.Qual.WarnAllDereferences = WarnDerefs;
   prov::ProvenanceSink ProvSink;
   if (Explain) {
     ProvSink.attachMetrics(Reg);
@@ -111,10 +115,14 @@ RunResult runMixy(const std::string &Source, const std::string &Dir,
   R.BlockHits = Reg.counterValue("persist.block.hits");
   R.BlockMisses = Reg.counterValue("persist.block.misses");
   R.BlockStores = Reg.counterValue("persist.block.stores");
-  R.FuncsTotal = Reg.counterValue("persist.funcs.total");
-  R.FuncsChanged = Reg.counterValue("persist.funcs.changed");
-  R.FuncsDirty = Reg.counterValue("persist.funcs.dirty");
   R.SymBlockRuns = Reg.counterValue("mixy.sym_block_runs");
+  for (const obs::TraceEvent &E : Trace.snapshotEvents())
+    if (E.Name == "mixy.block.sym") {
+      // Args is {"function": "<name>"}.
+      size_t Open = E.Args.find(": \"") + 3;
+      R.SymBlocks.push_back(E.Args.substr(Open, E.Args.rfind('"') - Open));
+    }
+  std::sort(R.SymBlocks.begin(), R.SymBlocks.end());
   R.ProvWitnesses = Reg.counterValue("provenance.witnesses");
   R.ProvFlows = Reg.counterValue("provenance.flows");
   R.ProvBlocks = Reg.counterValue("provenance.blocks");
@@ -146,10 +154,6 @@ TEST(MixyPersistTest, WarmRunIsByteIdenticalAndHitsTheBlockStore) {
   // the solver at all.
   EXPECT_EQ(Warm.BlockMisses, 0u);
   EXPECT_EQ(Warm.SymBlockRuns, 0u);
-  // Nothing changed, so nothing is dirty.
-  EXPECT_GT(Warm.FuncsTotal, 0u);
-  EXPECT_EQ(Warm.FuncsChanged, 0u);
-  EXPECT_EQ(Warm.FuncsDirty, 0u);
 }
 
 TEST(MixyPersistTest, ProgramWithoutFunctionsRunsIncrementally) {
@@ -160,7 +164,8 @@ TEST(MixyPersistTest, ProgramWithoutFunctionsRunsIncrementally) {
   EXPECT_NE(R.Diags.find("entry function 'main' not found"),
             std::string::npos)
       << R.Diags;
-  EXPECT_EQ(R.FuncsTotal, 0u);
+  EXPECT_TRUE(R.Degraded.empty());
+  EXPECT_EQ(R.BlockStores, 0u);
 }
 
 TEST(MixyPersistTest, RoundCapWarningIsIdenticalColdAndWarm) {
@@ -307,19 +312,19 @@ TEST(MixyPersistTest, CorruptBlockStoreFallsBackCold) {
 }
 
 TEST(MixyPersistTest, TruncatedSolverStoreFallsBackCold) {
-  // A truncated manifest degrades the run, which then diffs against an
-  // empty previous run: every function counts as changed, while the
-  // intact block store still replays.
+  // A truncated block store (the one store a cache directory holds)
+  // degrades the run, which re-runs every block cold with the same
+  // findings and rewrites the directory: the next run is warm again.
   TempDir D("truncated");
   const std::string Source = corpus::vsftpdFull(true);
   RunResult Cold = runMixy(Source, D.Path);
 
-  std::ifstream In(D.file("manifest.mixcache"), std::ios::binary);
+  std::ifstream In(D.file("blocks.mixcache"), std::ios::binary);
   std::string Bytes((std::istreambuf_iterator<char>(In)),
                     std::istreambuf_iterator<char>());
   In.close();
   ASSERT_GT(Bytes.size(), 6u);
-  std::ofstream Out(D.file("manifest.mixcache"),
+  std::ofstream Out(D.file("blocks.mixcache"),
                     std::ios::binary | std::ios::trunc);
   Out << Bytes.substr(0, Bytes.size() - 5);
   Out.close();
@@ -327,15 +332,13 @@ TEST(MixyPersistTest, TruncatedSolverStoreFallsBackCold) {
   RunResult Warm = runMixy(Source, D.Path);
   EXPECT_FALSE(Warm.Degraded.empty());
   EXPECT_EQ(Warm.Diags, Cold.Diags);
-  EXPECT_GT(Warm.FuncsTotal, 0u);
-  EXPECT_EQ(Warm.FuncsChanged, Warm.FuncsTotal);
-  EXPECT_EQ(Warm.FuncsDirty, Warm.FuncsTotal);
-  EXPECT_GT(Warm.BlockHits, 0u);
-  // The degraded run rewrites the directory; the next run is warm again.
+  EXPECT_EQ(Warm.BlockHits, 0u);
+  EXPECT_EQ(Warm.SymBlockRuns, Cold.SymBlockRuns);
   RunResult Healed = runMixy(Source, D.Path);
   EXPECT_TRUE(Healed.Degraded.empty());
   EXPECT_EQ(Healed.Diags, Cold.Diags);
-  EXPECT_EQ(Healed.FuncsChanged, 0u);
+  EXPECT_EQ(Healed.BlockMisses, 0u);
+  EXPECT_EQ(Healed.SymBlockRuns, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -373,21 +376,17 @@ TEST(MixyPersistTest, EditReanalyzesOnlyTheDependentCone) {
   const std::string V2 = incrementalCorpus("  return x + 3;");
 
   RunResult Cold = runMixy(V1, D.Path);
-  EXPECT_EQ(Cold.FuncsTotal, 4u); // helper, middle, island, main
-  EXPECT_EQ(Cold.FuncsChanged, 4u); // everything is new on a cold start
-  EXPECT_GT(Cold.BlockStores, 0u);
+  EXPECT_EQ(Cold.SymBlocks, (std::vector<std::string>{"island", "middle"}));
+  EXPECT_EQ(Cold.BlockStores, 2u);
 
   RunResult Warm = runMixy(V2, D.Path);
-  // Only island's content changed; the dirty cone is island plus its
-  // caller main. helper and middle are untouched.
-  EXPECT_EQ(Warm.FuncsTotal, 4u);
-  EXPECT_EQ(Warm.FuncsChanged, 1u);
-  EXPECT_EQ(Warm.FuncsDirty, 2u);
-  // middle's block summary replays from disk; island's re-runs.
-  EXPECT_GT(Warm.BlockHits, 0u);
-  EXPECT_GT(Warm.BlockMisses, 0u);
+  // Only island's content changed: middle's block summary (its cone is
+  // middle and helper) replays from disk, and island's block re-runs.
+  EXPECT_EQ(Warm.BlockHits, 1u);
+  EXPECT_EQ(Warm.BlockMisses, 1u);
+  EXPECT_EQ(Warm.SymBlocks, std::vector<std::string>{"island"});
 
-  // The incremental run's diagnostics match a full cold run of V2.
+  // The warm run's diagnostics match a run of V2 without a cache.
   RunResult Reference = runMixy(V2, "");
   EXPECT_EQ(Warm.Diags, Reference.Diags);
   EXPECT_EQ(Warm.Warnings, Reference.Warnings);
@@ -428,21 +427,45 @@ int main(void) {
 }
 )";
   RunResult Cold = runMixy(V1, D.Path);
-  EXPECT_GT(Cold.BlockStores, 0u);
+  EXPECT_EQ(Cold.BlockStores, 1u);
   RunResult Warm = runMixy(V2, D.Path);
-  EXPECT_EQ(Warm.FuncsChanged, 1u); // helper's content
-  EXPECT_EQ(Warm.FuncsDirty, 3u);   // helper, middle, main
-  EXPECT_EQ(Warm.BlockHits, 0u);    // middle's old summary must not match
+  EXPECT_EQ(Warm.BlockHits, 0u); // middle's old summary must not match
+  EXPECT_EQ(Warm.BlockMisses, 1u);
+  EXPECT_EQ(Warm.SymBlocks, std::vector<std::string>{"middle"});
+  EXPECT_EQ(Warm.Diags, runMixy(V2, "").Diags);
+}
+
+TEST(MixyPersistTest, EditingOneFillerReRunsOnlyTheBlocksThatReachIt) {
+  // vsftpdScaled(true, 24, 8) has ten symbolic blocks: main_BLOCK,
+  // sysutil_exit and fillers 0-7. Editing one increment of filler 3
+  // re-runs that filler and the two corpus blocks, whose cones reach
+  // sysutil_exit_BLOCK's call through s_exit_func and so every function;
+  // the other seven fillers replay.
+  TempDir D("filler_edit");
+  const std::string V1 = corpus::vsftpdScaled(true, 24, 8);
+  std::string V2 = V1;
+  size_t At = V2.find("acc = acc + 3;", V2.find("void filler_use_3("));
+  ASSERT_NE(At, std::string::npos);
+  V2.replace(At, 14, "acc = acc + 7;");
+
+  RunResult Cold = runMixy(V1, D.Path, false, false, "filler_main");
+  EXPECT_EQ(Cold.SymBlockRuns, 13u);
+  RunResult Warm = runMixy(V2, D.Path, false, false, "filler_main");
+  EXPECT_EQ(Warm.SymBlocks, (std::vector<std::string>{
+                                "filler_use_3", "main_BLOCK", "sysutil_exit"}));
+  EXPECT_EQ(Warm.SymBlockRuns, 3u);
+  EXPECT_EQ(Warm.Diags,
+            runMixy(V2, "", false, false, "filler_main").Diags);
 }
 
 //===----------------------------------------------------------------------===//
-// Runs without the block cache persist no block summaries
+// A cache directory never changes what a run does
 //===----------------------------------------------------------------------===//
 
-// f and g have one arity and one calling context, and the indirect call
-// puts every function in one dependency cone, so their persisted block
-// keys collide (ROADMAP's first open item): a run that stores f's
-// summary and replays it for g reports a null g never returns.
+// f and g have one arity, one calling context and, through the indirect
+// call, one dependency cone: only their names tell their block keys
+// apart. A run that stored f's summary and replayed it for g would
+// report a null g never returns.
 const char *SharedKeySource = R"(
 void sink(int * nonnull p) MIX(typed);
 void (*s_hook)(void);
@@ -457,10 +480,43 @@ int main(void) {
 }
 )";
 
+TEST(MixyPersistTest, CacheDirRunDoesTheWorkOfAPlainRun) {
+  // A cold run into an empty directory runs every block a run without
+  // one runs and answers the same; the warm rerun replays every block.
+  struct Case {
+    std::string Name;
+    std::string Source;
+    const char *Entry;
+  };
+  std::vector<Case> Cases;
+  for (int N = 1; N <= 4; ++N)
+    Cases.push_back({"case" + std::to_string(N), corpus::vsftpdCase(N, true),
+                     "main"});
+  Cases.push_back({"vsftpd", corpus::vsftpdFull(true), "main"});
+  Cases.push_back({"shared_key", SharedKeySource, "main"});
+  Cases.push_back(
+      {"scaled", corpus::vsftpdScaled(true, 24, 8), "filler_main"});
+  Cases.push_back({"deep16", corpus::deepCallChain(16), "main"});
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    TempDir D("plain_" + C.Name);
+    RunResult Plain = runMixy(C.Source, "", false, false, C.Entry);
+    RunResult Cold = runMixy(C.Source, D.Path, false, false, C.Entry);
+    RunResult Warm = runMixy(C.Source, D.Path, false, false, C.Entry);
+    EXPECT_EQ(Cold.Diags, Plain.Diags);
+    EXPECT_EQ(Cold.Warnings, Plain.Warnings);
+    EXPECT_EQ(Cold.SymBlockRuns, Plain.SymBlockRuns);
+    EXPECT_EQ(Cold.BlockHits, 0u);
+    EXPECT_EQ(Warm.Diags, Plain.Diags);
+    EXPECT_EQ(Warm.BlockMisses, 0u);
+    EXPECT_EQ(Warm.SymBlockRuns, 0u);
+  }
+}
+
 TEST(MixyPersistTest, NoCacheRunNeitherStoresNorReplaysBlockSummaries) {
   // Only a run with the block cache stores each stable key at most once,
   // so only such a run persists block summaries. A --no-cache run against
-  // an incremental session, cold or warm, answers as a run without one.
+  // a session, cold or warm, answers as a run without one.
   struct Case {
     const char *Name;
     std::string Source;
@@ -493,20 +549,20 @@ TEST(MixyPersistTest, NoCacheRunNeitherStoresNorReplaysBlockSummaries) {
 //===----------------------------------------------------------------------===//
 
 TEST(MixyPersistTest, LargeProgramWithAnIndirectCallStaysFast) {
-  // The corpus's call through s_exit_func may reach any function, so
-  // every closure hash covers the whole program. Hashing it with one
-  // graph walk per function is cubic: ~30 s per run at this size, past
-  // the 15 s ctest timeout this test carries.
+  // The corpus's call through s_exit_func may reach any function, so the
+  // closure hash of every function that reaches it (filler_main among
+  // them) covers the whole program, and the filler's alias classes add
+  // their edges too. Hashing it with one graph walk per function is
+  // cubic: ~30 s per run at this size, past the 15 s ctest timeout this
+  // test carries.
   TempDir D("large");
   const std::string Source = corpus::vsftpdScaled(true, 400, 0);
   RunResult Cold = runMixy(Source, D.Path, false, false, "filler_main");
   RunResult Warm = runMixy(Source, D.Path, false, false, "filler_main");
-  EXPECT_EQ(Cold.FuncsTotal, 1213u);
   EXPECT_GT(Cold.BlockStores, 0u);
   // Not vacuous: the warm run really answers from the store, every time.
   EXPECT_GT(Warm.BlockHits, 0u);
   EXPECT_EQ(Warm.BlockMisses, 0u);
-  EXPECT_EQ(Warm.FuncsDirty, 0u);
   EXPECT_EQ(Warm.Diags, Cold.Diags);
 }
 

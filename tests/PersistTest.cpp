@@ -5,10 +5,9 @@
 //
 // Covers src/persist/: the checksummed record-file container (round-trip
 // plus every corruption mode in the failure contract), the block store
-// (including its retention horizon) and the manifest, PersistSession's
-// cold/warm/degraded lifecycle including concurrent writers sharing a
-// cache directory, and the dependency-closure hashes against a
-// per-function graph walk.
+// (including its retention horizon), PersistSession's cold/warm/degraded
+// lifecycle including concurrent writers sharing a cache directory, and
+// the dependency-closure hashes against a per-function graph walk.
 //
 //===----------------------------------------------------------------------===//
 
@@ -224,25 +223,39 @@ TEST(RecordFileTest, ConcurrentWritersNeverTearTheFile) {
 }
 
 //===----------------------------------------------------------------------===//
-// Stores
+// The block store, in an in-memory session
 //===----------------------------------------------------------------------===//
 
+PersistSession inMemorySession() {
+  PersistOptions PO;
+  PO.InMemory = true;
+  return PersistSession(PO);
+}
+
 TEST(BlockSummaryStoreTest, OpaquePayloadRoundTrip) {
-  BlockSummaryStore B(nullptr);
+  PersistSession B = inMemorySession();
   EXPECT_FALSE(B.lookup(9).has_value());
   B.store(9, std::string("\x01payload\x00", 9));
   auto Hit = B.lookup(9);
   ASSERT_TRUE(Hit.has_value());
   EXPECT_EQ(*Hit, std::string("\x01payload\x00", 9));
 
-  BlockSummaryStore B2(nullptr);
-  ASSERT_TRUE(B2.decode(B.encode()));
-  EXPECT_EQ(B2.size(), 1u);
-  EXPECT_TRUE(B2.lookup(9).has_value());
+  // Through a cache directory, the payload survives byte for byte.
+  TempDir D("payload");
+  PersistOptions PO;
+  PO.Dir = D.Path;
+  {
+    PersistSession Disk(PO);
+    Disk.store(9, *Hit);
+    ASSERT_TRUE(Disk.save());
+  }
+  PersistSession Reloaded(PO);
+  EXPECT_EQ(Reloaded.size(), 1u);
+  EXPECT_EQ(Reloaded.lookup(9), Hit);
 }
 
 TEST(BlockSummaryStoreTest, RetireUnusedKeepsOnlyTheHorizon) {
-  BlockSummaryStore B(nullptr);
+  PersistSession B = inMemorySession();
   constexpr size_t Horizon = 3;
   B.store(1, "one");
   B.store(2, "two");
@@ -264,7 +277,7 @@ TEST(BlockSummaryStoreTest, RetireUnusedMatchesALastUseModel) {
   // key's last use: after every run the store holds exactly the keys used
   // within the horizon, and a replayed summary keeps its payload.
   for (size_t Horizon : {1u, 2u, 5u}) {
-    BlockSummaryStore B(nullptr);
+    PersistSession B = inMemorySession();
     std::map<uint64_t, uint64_t> LastUse; // key -> run
     std::mt19937_64 Rng(Horizon);
     for (uint64_t Run = 0; Run != 200; ++Run) {
@@ -290,32 +303,21 @@ TEST(BlockSummaryStoreTest, RetireUnusedMatchesALastUseModel) {
 }
 
 TEST(BlockSummaryStoreTest, ClearEmptiesTheStore) {
-  BlockSummaryStore B(nullptr);
+  PersistSession B = inMemorySession();
   B.store(1, "one");
   B.store(2, "two");
   B.retireUnused(2);
-  B.clear();
+  B.invalidateSummaries();
   EXPECT_EQ(B.size(), 0u);
   EXPECT_FALSE(B.lookup(1).has_value());
   EXPECT_FALSE(B.lookup(2).has_value());
-  // A summary stored after clear() lives out the full horizon.
+  // A summary stored after the invalidation lives out the full horizon.
   B.store(3, "three");
   B.retireUnused(2);
   B.retireUnused(2);
   EXPECT_EQ(B.size(), 1u);
   B.retireUnused(2);
   EXPECT_EQ(B.size(), 0u);
-}
-
-TEST(ManifestTest, RoundTrip) {
-  Manifest M;
-  M.Funcs["f"] = {11, 21};
-  M.Funcs["g"] = {12, 22};
-  Manifest M2;
-  ASSERT_TRUE(M2.decode(M.encode()));
-  ASSERT_EQ(M2.Funcs.size(), 2u);
-  EXPECT_EQ(M2.Funcs["f"].ContentHash, 11u);
-  EXPECT_EQ(M2.Funcs["g"].ClosureHash, 22u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -329,64 +331,53 @@ PersistOptions sessionOpts(const std::string &Dir) {
   return PO;
 }
 
-Manifest oneFunc(const std::string &Name, uint64_t Content, uint64_t Closure) {
-  Manifest M;
-  M.Funcs[Name] = {Content, Closure};
-  return M;
-}
-
 TEST(PersistSessionTest, ColdThenWarm) {
   TempDir D("session");
   {
     PersistSession S(sessionOpts(D.Path));
     EXPECT_TRUE(S.degradedReason().empty());
-    EXPECT_TRUE(S.previousManifest().Funcs.empty());
-    EXPECT_FALSE(S.blocks().lookup(7).has_value());
-    S.blocks().store(7, "summary");
-    S.setCurrentManifest(oneFunc("main", 1, 2));
+    EXPECT_EQ(S.size(), 0u);
+    EXPECT_FALSE(S.lookup(7).has_value());
+    S.store(7, "summary");
     std::string Error;
     ASSERT_TRUE(S.save(&Error)) << Error;
   }
-  // Exactly the two stores and the generation stamp are published.
+  // Exactly the block store and the generation stamp are published.
   std::set<std::string> Files;
   for (const auto &E : std::filesystem::directory_iterator(D.Path))
     Files.insert(E.path().filename().string());
   EXPECT_EQ(Files, (std::set<std::string>{"blocks.mixcache",
-                                          "generation.mixcache",
-                                          "manifest.mixcache"}));
+                                          "generation.mixcache"}));
 
   PersistSession Warm(sessionOpts(D.Path));
   EXPECT_TRUE(Warm.degradedReason().empty());
-  auto Hit = Warm.blocks().lookup(7);
+  EXPECT_EQ(Warm.size(), 1u);
+  auto Hit = Warm.lookup(7);
   ASSERT_TRUE(Hit.has_value());
   EXPECT_EQ(*Hit, "summary");
-  EXPECT_EQ(Warm.previousManifest().Funcs.at("main").ContentHash, 1u);
-  EXPECT_EQ(Warm.previousManifest().Funcs.at("main").ClosureHash, 2u);
 }
 
 TEST(PersistSessionTest, BlockFingerprintChangeLoadsColdSilently) {
   TempDir D("refp");
   {
     PersistSession S(sessionOpts(D.Path));
-    S.blocks().store(7, "summary");
+    S.store(7, "summary");
     ASSERT_TRUE(S.save());
   }
   PersistOptions PO = sessionOpts(D.Path);
   PO.BlockFingerprint = 43; // analysis options changed
   PersistSession S(PO);
   EXPECT_TRUE(S.degradedReason().empty()); // not an anomaly
-  EXPECT_FALSE(S.blocks().lookup(7).has_value());
+  EXPECT_FALSE(S.lookup(7).has_value());
 }
 
 TEST(PersistSessionTest, CorruptStoreDegradesButSessionWorks) {
-  // One corrupt store costs only that store: a flipped byte in the block
-  // store empties it and degrades the session, the manifest still loads,
-  // and a save repairs the directory.
+  // A flipped byte in the block store empties it and degrades the
+  // session, which still works, and a save repairs the directory.
   TempDir D("degraded");
   {
     PersistSession S(sessionOpts(D.Path));
-    S.blocks().store(5, "five");
-    S.setCurrentManifest(oneFunc("main", 1, 2));
+    S.store(5, "five");
     ASSERT_TRUE(S.save());
   }
   std::string Bytes = slurp(D.file("blocks.mixcache"));
@@ -400,16 +391,14 @@ TEST(PersistSessionTest, CorruptStoreDegradesButSessionWorks) {
   EXPECT_NE(S.degradedReason().find("blocks.mixcache"), std::string::npos)
       << S.degradedReason();
   EXPECT_EQ(Reg.counterValue("persist.degraded"), 1u);
-  EXPECT_EQ(S.previousManifest().Funcs.count("main"), 1u);
   // Cold but functional: stores work and a save repairs the directory.
-  EXPECT_FALSE(S.blocks().lookup(5).has_value());
-  S.blocks().store(6, "six");
-  S.setCurrentManifest(oneFunc("main", 1, 2));
+  EXPECT_FALSE(S.lookup(5).has_value());
+  S.store(6, "six");
   ASSERT_TRUE(S.save());
   PersistSession S2(sessionOpts(D.Path));
   EXPECT_TRUE(S2.degradedReason().empty());
-  EXPECT_TRUE(S2.blocks().lookup(6).has_value());
-  EXPECT_EQ(S2.previousManifest().Funcs.count("main"), 1u);
+  EXPECT_TRUE(S2.lookup(6).has_value());
+  EXPECT_FALSE(S2.lookup(5).has_value());
 }
 
 TEST(PersistSessionTest, UnusableDirectoryDegrades) {
@@ -441,23 +430,20 @@ TEST(PersistSessionTest, ReopenInProcessAfterExternalWriter) {
   // The daemon scenario: a long-lived session must notice that another
   // writer published into its cache directory, and a reopened session
   // (what AnalysisService does on externallyModified) sees the new data
-  // instead of replaying the stale manifest.
+  // instead of replaying the stale summaries.
   TempDir D("reopen");
   PersistSession A(sessionOpts(D.Path));
-  A.blocks().store(7, "from A");
-  Manifest MA;
-  MA.Funcs["f"] = {1, 1};
-  A.setCurrentManifest(std::move(MA));
+  A.store(7, "from A");
   ASSERT_TRUE(A.save());
   EXPECT_FALSE(A.externallyModified());
 
   {
-    // A second writer (another process, modeled in-process) publishes.
+    // A second writer (another process, modeled in-process) loads A's
+    // summary, replaces it with its own and publishes.
     PersistSession B(sessionOpts(D.Path));
-    B.blocks().store(8, "from B");
-    Manifest MB;
-    MB.Funcs["g"] = {2, 2};
-    B.setCurrentManifest(std::move(MB));
+    ASSERT_TRUE(B.lookup(7).has_value());
+    B.invalidateSummaries();
+    B.store(8, "from B");
     ASSERT_TRUE(B.save());
   }
 
@@ -468,8 +454,8 @@ TEST(PersistSessionTest, ReopenInProcessAfterExternalWriter) {
   PersistSession C(sessionOpts(D.Path));
   EXPECT_EQ(C.generation(), 2u);
   EXPECT_FALSE(C.externallyModified());
-  EXPECT_TRUE(C.blocks().lookup(8).has_value());
-  EXPECT_EQ(C.previousManifest().Funcs.count("g"), 1u);
+  EXPECT_TRUE(C.lookup(8).has_value());
+  EXPECT_FALSE(C.lookup(7).has_value());
 }
 
 TEST(PersistSessionTest, StampIsWrittenLast) {
@@ -479,45 +465,45 @@ TEST(PersistSessionTest, StampIsWrittenLast) {
   // generation and every data file is in place.
   TempDir D("stamplast");
   PersistSession S(sessionOpts(D.Path));
-  S.blocks().store(1, "payload");
+  S.store(1, "payload");
   ASSERT_TRUE(S.save());
   EXPECT_TRUE(std::filesystem::exists(D.file("generation.mixcache")));
   EXPECT_TRUE(std::filesystem::exists(D.file("blocks.mixcache")));
   // A fresh reader agrees on the generation and finds the data.
   PersistSession R(sessionOpts(D.Path));
   EXPECT_EQ(R.generation(), S.generation());
-  EXPECT_TRUE(R.blocks().lookup(1).has_value());
+  EXPECT_TRUE(R.lookup(1).has_value());
 }
 
-TEST(PersistSessionTest, InvalidateSummariesClearsButKeepsSolver) {
-  // Invalidation drops every block summary and both manifests, but keeps
-  // the session: it still stores, and its next save publishes only what
-  // came after the invalidation.
+TEST(PersistSessionTest, InvalidateSummariesDropsLoadedAndStoredSummaries) {
+  // Invalidation drops every block summary, the loaded ones and this
+  // session's own, but keeps the session: it still stores, and its next
+  // save publishes only what came after the invalidation.
   obs::MetricsRegistry Reg;
   TempDir D("invalidate");
   PersistOptions PO = sessionOpts(D.Path);
   PO.Metrics = &Reg;
   {
     PersistSession S(sessionOpts(D.Path));
-    S.setCurrentManifest(oneFunc("old", 1, 1));
+    S.store(6, "old");
     ASSERT_TRUE(S.save());
   }
   PersistSession S(PO);
-  ASSERT_EQ(S.previousManifest().Funcs.count("old"), 1u);
-  S.blocks().store(7, "summary");
-  S.setCurrentManifest(oneFunc("main", 1, 2));
+  ASSERT_EQ(S.size(), 1u);
+  S.store(7, "summary");
 
   S.invalidateSummaries();
   EXPECT_EQ(Reg.counterValue("persist.invalidations"), 1u);
-  EXPECT_FALSE(S.blocks().lookup(7).has_value());
-  EXPECT_TRUE(S.previousManifest().Funcs.empty());
+  EXPECT_EQ(S.size(), 0u);
+  EXPECT_FALSE(S.lookup(6).has_value());
+  EXPECT_FALSE(S.lookup(7).has_value());
 
-  S.blocks().store(8, "after");
+  S.store(8, "after");
   ASSERT_TRUE(S.save());
   PersistSession Reopened(sessionOpts(D.Path));
-  EXPECT_FALSE(Reopened.blocks().lookup(7).has_value());
-  EXPECT_TRUE(Reopened.blocks().lookup(8).has_value());
-  EXPECT_TRUE(Reopened.previousManifest().Funcs.empty());
+  EXPECT_FALSE(Reopened.lookup(6).has_value());
+  EXPECT_FALSE(Reopened.lookup(7).has_value());
+  EXPECT_TRUE(Reopened.lookup(8).has_value());
 }
 
 TEST(PersistSessionTest, InMemorySessionNeverTouchesDisk) {
@@ -526,13 +512,12 @@ TEST(PersistSessionTest, InMemorySessionNeverTouchesDisk) {
   PO.InMemory = true;
   PersistSession S(PO);
   EXPECT_TRUE(S.degradedReason().empty());
-  S.blocks().store(7, "summary");
-  S.setCurrentManifest(oneFunc("main", 1, 2));
+  S.store(7, "summary");
   ASSERT_TRUE(S.save()); // a successful no-op
   EXPECT_FALSE(S.externallyModified());
   // The warm state *is* the store; nothing was published to disk.
   EXPECT_TRUE(std::filesystem::is_empty(D.Path));
-  EXPECT_TRUE(S.blocks().lookup(7).has_value());
+  EXPECT_TRUE(S.lookup(7).has_value());
 }
 
 TEST(PersistSessionTest, MetricsCounters) {
@@ -542,16 +527,16 @@ TEST(PersistSessionTest, MetricsCounters) {
   PO.Metrics = &Reg;
   {
     PersistSession S(PO);
-    S.blocks().lookup(2);
-    S.blocks().store(2, "p");
-    S.blocks().lookup(2);
+    S.lookup(2);
+    S.store(2, "p");
+    S.lookup(2);
     EXPECT_EQ(Reg.counterValue("persist.block.misses"), 1u);
     EXPECT_EQ(Reg.counterValue("persist.block.hits"), 1u);
     EXPECT_EQ(Reg.counterValue("persist.block.stores"), 1u);
     ASSERT_TRUE(S.save());
   }
   PersistSession Warm(PO);
-  EXPECT_TRUE(Warm.blocks().lookup(2).has_value());
+  EXPECT_TRUE(Warm.lookup(2).has_value());
   EXPECT_EQ(Reg.counterValue("persist.block.hits"), 2u);
   // One load and one save per on-disk session that saved; nothing else
   // under persist.* is registered.

@@ -68,7 +68,6 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
   Req.Solver.Backend = "dnf";
   Req.Trace = true;
   Req.CacheDir = "/tmp/mixcache";
-  Req.Incremental = true;
   Req.Symbolic = true;
   Req.AutoPlace = true;
   Req.PrintProgram = true;
@@ -84,7 +83,6 @@ TEST(ProtocolTest, FullMixCheckRequestGoldenRoundTrip) {
       "\"input_name\": \"demo.mix\", \"format\": \"sarif\", "
       "\"explain\": true, \"solver\": \"dnf\", "
       "\"trace\": true, \"cache_dir\": \"/tmp/mixcache\", "
-      "\"incremental\": true, "
       "\"mode\": \"symbolic\", \"auto_place\": true, "
       "\"print_program\": true, \"strategy\": \"defer\", "
       "\"havoc\": \"effects\", \"precise_deref\": true, "
@@ -179,11 +177,11 @@ TEST(ProtocolTest, RequestDecodeIsStrict) {
 }
 
 TEST(ProtocolTest, RequestWithRetiredKeysIsRejected) {
-  // There is no engine selector, no solver racing and no per-request
-  // worker count on the wire: a request carrying "exec",
-  // "solver_portfolio" or "jobs" fails strict decoding like any other
-  // unknown field, while the protocol version stays 1 for every client
-  // that never sent them.
+  // There is no engine selector, no solver racing, no per-request worker
+  // count and no opt-in to block replay on the wire: a request carrying
+  // "exec", "solver_portfolio", "jobs" or "incremental" fails strict
+  // decoding like any other unknown field, while the protocol version
+  // stays 1 for every client that never sent them.
   service::AnalysisRequest Out;
   std::string Error;
   EXPECT_FALSE(service::decodeRequest(
@@ -198,6 +196,11 @@ TEST(ProtocolTest, RequestWithRetiredKeysIsRejected) {
   EXPECT_FALSE(service::decodeRequest(
       "{\"version\": 1, \"tool\": \"mixcheck\", \"jobs\": 4}", Out, Error));
   EXPECT_EQ(Error, "unknown request field 'jobs'");
+  EXPECT_FALSE(service::decodeRequest(
+      "{\"version\": 1, \"tool\": \"mixy\", \"cache_dir\": \"c\", "
+      "\"incremental\": true}",
+      Out, Error));
+  EXPECT_EQ(Error, "unknown request field 'incremental'");
   EXPECT_TRUE(service::decodeRequest(
       "{\"version\": 1, \"tool\": \"mixcheck\"}", Out, Error))
       << Error;
@@ -909,6 +912,40 @@ TEST(ServiceServeTest, WarmInMemorySessionServesBlockSummaries) {
   EXPECT_EQ(metricValue(WarmRun, "persist.block.misses"), 0u);
 }
 
+TEST(ServiceServeTest, WarmSessionKeepsSameShapedBlocksApart) {
+  // f and g have one arity, one calling context and, through the
+  // indirect call, one dependency cone; only their names tell their
+  // persisted block keys apart. A fresh warm daemon must answer as a
+  // service without sessions does: g never returns null, so no warning.
+  const std::string Source =
+      "void sink(int * nonnull p) MIX(typed);\n"
+      "void (*s_hook)(void);\n"
+      "int obj;\n"
+      "int *f(void) MIX(symbolic) { return NULL; }\n"
+      "int *g(void) MIX(symbolic) { return &obj; }\n"
+      "int main(void) {\n"
+      "  int *a; int *b;\n"
+      "  a = f(); b = g(); sink(b);\n"
+      "  if (s_hook != NULL) { (*s_hook)(); }\n"
+      "  return 0;\n"
+      "}\n";
+  service::AnalysisRequest Req;
+  Req.ToolKind = service::Tool::Mixy;
+  Req.Source = Source;
+  Req.HasSource = true;
+
+  service::AnalysisService Plain;
+  service::AnalysisResponse Reference = Plain.run(Req);
+  EXPECT_EQ(Reference.Warnings, 0u) << Reference.Payload;
+
+  service::AnalysisService Warm(daemonConfig());
+  service::AnalysisResponse Resp = Warm.serve(Req);
+  EXPECT_EQ(metricValue(Resp, "persist.block.stores"), 2u);
+  EXPECT_EQ(Resp.Warnings, 0u) << Resp.Payload;
+  EXPECT_EQ(Resp.Exit, 0);
+  EXPECT_EQ(Resp.Payload, Reference.Payload);
+}
+
 TEST(ServiceServeTest, WarmInMemorySessionForgetsSummariesPastTheHorizon) {
   // The warm session keeps a summary only while one of its last
   // ResponseCacheCap MIXY runs stored or replayed it. A has no indirect
@@ -1019,7 +1056,6 @@ TEST(ServiceTest, WarmServiceOpensNoSessionForMixCheck) {
   Req.Vars.emplace_back("x", "int");
   service::AnalysisRequest WithDir = Req;
   WithDir.CacheDir = Dir;
-  WithDir.Incremental = true;
   for (const service::AnalysisRequest &R : {Req, WithDir}) {
     service::AnalysisResponse Resp = Svc.serve(R);
     EXPECT_EQ(Resp.Exit, 0) << Resp.Payload;
@@ -1031,13 +1067,12 @@ TEST(ServiceTest, WarmServiceOpensNoSessionForMixCheck) {
   std::filesystem::remove_all(Dir);
 }
 
-TEST(ServiceTest, CacheDirWithoutIncrementalOpensNoSession) {
-  // A MIXY request that names a cache directory but not Incremental
-  // replays nothing and persists nothing: it does not create the
-  // directory, and it answers exactly as the same request without one.
-  // A warm daemon runs it cold too, rather than from its in-memory
-  // session.
-  std::string Dir = ::testing::TempDir() + "mix_service_no_incremental";
+TEST(ServiceTest, CacheDirRequestCreatesTheDirectoryAndRerunsFromIt) {
+  // A MIXY request that names a cache directory creates it, runs the
+  // blocks a request without one runs and answers the same. Once saved,
+  // a rerun, in a fresh CLI service or on a warm daemon, answers every
+  // block lookup from the directory with the same bytes.
+  std::string Dir = ::testing::TempDir() + "mix_service_cache_dir";
   std::filesystem::remove_all(Dir);
   service::AnalysisRequest Without;
   Without.ToolKind = service::Tool::Mixy;
@@ -1048,25 +1083,38 @@ TEST(ServiceTest, CacheDirWithoutIncrementalOpensNoSession) {
   service::AnalysisRequest With = Without;
   With.CacheDir = Dir;
 
-  service::AnalysisService Cli;
-  service::AnalysisResponse A = Cli.run(With);
-  service::AnalysisResponse B = Cli.run(Without);
-  EXPECT_FALSE(std::filesystem::exists(Dir));
-  EXPECT_EQ(A.Payload, B.Payload);
-  EXPECT_EQ(A.Exit, B.Exit);
-  EXPECT_EQ(A.Warnings, B.Warnings);
-  EXPECT_GT(metricValue(A, "mixy.sym_block_runs"), 0u);
-  EXPECT_EQ(metricValue(A, "mixy.sym_block_runs"),
-            metricValue(B, "mixy.sym_block_runs"));
-  EXPECT_EQ(persistDeltas(A), std::vector<std::string>());
+  {
+    service::AnalysisService Cli;
+    service::AnalysisResponse A = Cli.run(With);
+    service::AnalysisResponse B = Cli.run(Without);
+    EXPECT_TRUE(std::filesystem::is_directory(Dir));
+    EXPECT_EQ(A.Payload, B.Payload);
+    EXPECT_EQ(A.Exit, B.Exit);
+    EXPECT_GT(metricValue(A, "mixy.sym_block_runs"), 0u);
+    EXPECT_EQ(metricValue(A, "mixy.sym_block_runs"),
+              metricValue(B, "mixy.sym_block_runs"));
+    EXPECT_EQ(metricValue(A, "persist.block.hits"), 0u);
+    EXPECT_EQ(metricValue(A, "persist.block.stores"),
+              metricValue(A, "mixy.sym_block_runs"));
+    EXPECT_EQ(persistDeltas(B), std::vector<std::string>());
+    std::string Error;
+    ASSERT_TRUE(Cli.save(&Error)) << Error;
+    EXPECT_TRUE(std::filesystem::exists(Dir + "/blocks.mixcache"));
 
-  service::AnalysisService Warm(daemonConfig());
-  service::AnalysisResponse W = Warm.serve(With);
-  EXPECT_FALSE(std::filesystem::exists(Dir));
-  EXPECT_EQ(W.Payload, A.Payload);
-  EXPECT_EQ(metricValue(W, "mixy.sym_block_runs"),
-            metricValue(A, "mixy.sym_block_runs"));
-  EXPECT_EQ(persistDeltas(W), std::vector<std::string>());
+    service::AnalysisService Rerun;
+    service::AnalysisResponse R = Rerun.run(With);
+    EXPECT_EQ(R.Payload, A.Payload);
+    EXPECT_GT(metricValue(R, "persist.block.hits"), 0u);
+    EXPECT_EQ(metricValue(R, "persist.block.misses"), 0u);
+    EXPECT_EQ(metricValue(R, "mixy.sym_block_runs"), 0u);
+
+    service::AnalysisService Warm(daemonConfig());
+    service::AnalysisResponse W = Warm.serve(With);
+    EXPECT_EQ(W.Payload, A.Payload);
+    EXPECT_GT(metricValue(W, "persist.block.hits"), 0u);
+    EXPECT_EQ(metricValue(W, "persist.block.misses"), 0u);
+    EXPECT_EQ(metricValue(W, "mixy.sym_block_runs"), 0u);
+  }
   std::filesystem::remove_all(Dir);
 }
 

@@ -90,10 +90,6 @@ int main(int Argc, char **Argv) {
   Parser.flag("--warn-derefs", &Req.WarnDerefs,
               "treat every dereference as a nonnull requirement");
   Driver.registerOptions(Parser);
-  Parser.flag("--incremental", &Req.Incremental,
-              "with --cache-dir: reuse per-block summaries across runs,\n"
-              "re-analyzing only functions whose code or dependencies "
-              "changed");
   Parser.flag("--help", &Help, "this text");
 
   if (!Parser.parse(Argc, Argv))
@@ -101,10 +97,6 @@ int main(int Argc, char **Argv) {
   if (Help) {
     printUsage(Parser);
     return driver::ExitClean;
-  }
-  if (Req.Incremental && !Driver.cacheDirRequested()) {
-    std::cerr << "mixyc: --incremental requires --cache-dir\n";
-    return driver::ExitUsage;
   }
   if (Parser.positionals().size() > 1) {
     std::cerr << "mixyc: extra argument '" << Parser.positionals()[1] << "'\n";
@@ -129,8 +121,8 @@ int main(int Argc, char **Argv) {
 
   // The request carries the resolved source plus every cross-cutting flag;
   // run() attaches observability (metrics always; trace under --trace,
-  // provenance when the output renders evidence) and, under --cache-dir
-  // --incremental, the persist session on the service side.
+  // provenance when the output renders evidence) and, under --cache-dir,
+  // the persist session on the service side.
   Req.Source = std::move(Source);
   Req.HasSource = true;
   Driver.applyCommonRequest(Req);
