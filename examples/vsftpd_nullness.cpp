@@ -89,7 +89,8 @@ int main() {
   std::string DiagText;
   CAstContext Ctx;
   DiagnosticEngine Diags;
-  const CProgram *P = parseC(corpus::vsftpdFull(true), Ctx, Diags);
+  const std::string Source = corpus::vsftpdFull(true);
+  const CProgram *P = parseC(Source, Ctx, Diags);
   if (!P) {
     std::cerr << Diags.str();
     return 1;

@@ -433,6 +433,16 @@ private:
 
 // === Declarations ============================================================
 
+/// Where a top-level declaration is written: its first position and its
+/// exact text, from its first token through its closing `;` or `}`.
+/// The text views the buffer parseC read, which must outlive the
+/// declaration, as it must outlive the tokens. Persisted block keys hash
+/// it (persist/AstHash.h).
+struct CSourceSpan {
+  SourceLoc Begin;
+  std::string_view Text;
+};
+
 /// A struct definition.
 class CStructDecl {
 public:
@@ -446,10 +456,13 @@ public:
 
   SourceLoc loc() const { return Loc; }
   const std::string &name() const { return Name; }
+  /// The definition's text; empty for a struct that is only named.
+  const CSourceSpan &span() const { return Span; }
   const std::vector<Field> &fields() const { return Fields; }
   void addField(std::string FieldName, const CType *Ty) {
     Fields.push_back({std::move(FieldName), Ty});
   }
+  void setSpan(CSourceSpan S) { Span = S; }
   /// Returns the field with \p FieldName, or null.
   const Field *findField(std::string_view FieldName) const {
     for (const Field &F : Fields)
@@ -461,6 +474,7 @@ public:
 private:
   SourceLoc Loc;
   std::string Name;
+  CSourceSpan Span;
   std::vector<Field> Fields;
 };
 
@@ -475,12 +489,14 @@ public:
     unsigned Slot = 0; ///< Its local slot (set by the binder).
   };
 
-  CFuncDecl(SourceLoc Loc, std::string Name, const CType *Ret,
-            std::vector<Param> Params, MixAnnot Annot, const CStmt *Body)
-      : Loc(Loc), Name(std::move(Name)), Ret(Ret), Params(std::move(Params)),
-        Annot(Annot), Body(Body) {}
+  CFuncDecl(SourceLoc Loc, CSourceSpan Span, std::string Name,
+            const CType *Ret, std::vector<Param> Params, MixAnnot Annot,
+            const CStmt *Body)
+      : Loc(Loc), Span(Span), Name(std::move(Name)), Ret(Ret),
+        Params(std::move(Params)), Annot(Annot), Body(Body) {}
 
   SourceLoc loc() const { return Loc; }
+  const CSourceSpan &span() const { return Span; }
   const std::string &name() const { return Name; }
   const CType *returnType() const { return Ret; }
   const std::vector<Param> &params() const { return Params; }
@@ -509,6 +525,7 @@ private:
   friend class CBinder;
 
   SourceLoc Loc;
+  CSourceSpan Span;
   std::string Name;
   const CType *Ret;
   std::vector<Param> Params;
@@ -527,10 +544,11 @@ private:
 /// A global variable.
 class CGlobalDecl {
 public:
-  CGlobalDecl(SourceLoc Loc, std::string Name, const CType *Ty,
-              const CExpr *Init)
-      : Loc(Loc), Name(std::move(Name)), Ty(Ty), Init(Init) {}
+  CGlobalDecl(SourceLoc Loc, CSourceSpan Span, std::string Name,
+              const CType *Ty, const CExpr *Init)
+      : Loc(Loc), Span(Span), Name(std::move(Name)), Ty(Ty), Init(Init) {}
   SourceLoc loc() const { return Loc; }
+  const CSourceSpan &span() const { return Span; }
   const std::string &name() const { return Name; }
   const CType *type() const { return Ty; }
   const CExpr *init() const { return Init; } ///< May be null.
@@ -542,6 +560,7 @@ private:
   friend class CBinder;
 
   SourceLoc Loc;
+  CSourceSpan Span;
   std::string Name;
   const CType *Ty;
   const CExpr *Init;

@@ -246,6 +246,15 @@ private:
     if (C == '"')
       return lexString(Start);
 
+    size_t Begin = Pos;
+    CTok T = lexPunctuator(C, Start);
+    if (!T.is(CTokKind::Error))
+      T.Text = Source.substr(Begin, Pos - Begin);
+    return T;
+  }
+
+  /// The punctuator that starts with \p C, not yet viewing its spelling.
+  CTok lexPunctuator(char C, SourceLoc Start) {
     ++Pos; // not a newline
     switch (C) {
     case '{':

@@ -82,10 +82,10 @@ const char *cTokKindName(CTokKind Kind);
 struct CTok {
   CTokKind Kind = CTokKind::Eof;
   SourceLoc Loc;
-  /// The spelling of a name, keyword or integer literal, or a string
-  /// literal's contents as written: a backslash escapes the character
-  /// after it, and the parser drops it. Empty for punctuation, Eof and
-  /// Error.
+  /// The spelling of a name, keyword, integer literal or punctuator, or
+  /// a string literal's contents as written (without the quotes): a
+  /// backslash escapes the character after it, and the parser drops it.
+  /// Empty for Eof and Error.
   std::string_view Text;
 
   bool is(CTokKind K) const { return Kind == K; }

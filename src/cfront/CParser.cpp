@@ -248,12 +248,23 @@ private:
 
   // --- top level -------------------------------------------------------------
 
+  /// The declaration that started at \p First and ended with the last
+  /// token consumed.
+  CSourceSpan spanFrom(const CTok &First) const {
+    const CTok &Last = Toks[Pos - 1];
+    const char *End = Last.Text.data() + Last.Text.size();
+    return {First.Loc,
+            std::string_view(First.Text.data(),
+                             size_t(End - First.Text.data()))};
+  }
+
   bool parseTopLevel(CProgram &Program) {
     // struct definition?
     if (tok().is(CTokKind::KwStruct) && tok(1).is(CTokKind::Ident) &&
         tok(2).is(CTokKind::LBrace))
       return parseStructDef(Program);
 
+    const CTok First = tok();
     const CType *Spec = parseDeclSpec(Program);
     if (!Spec)
       return false;
@@ -291,8 +302,9 @@ private:
       } else if (!expect(CTokKind::Semi)) {
         return false;
       }
-      Program.addFunc(Ctx.make<CFuncDecl>(
-          Loc, std::string(D.Name), D.Ty, std::move(Params), Annot, Body));
+      Program.addFunc(Ctx.make<CFuncDecl>(Loc, spanFrom(First),
+                                          std::string(D.Name), D.Ty,
+                                          std::move(Params), Annot, Body));
       return true;
     }
 
@@ -307,12 +319,13 @@ private:
     }
     if (!expect(CTokKind::Semi))
       return false;
-    Program.addGlobal(
-        Ctx.make<CGlobalDecl>(Loc, std::string(D.Name), D.Ty, Init));
+    Program.addGlobal(Ctx.make<CGlobalDecl>(Loc, spanFrom(First),
+                                            std::string(D.Name), D.Ty, Init));
     return true;
   }
 
   bool parseStructDef(CProgram &Program) {
+    const CTok First = tok();
     consume(); // struct
     std::string Name(tok().Text);
     SourceLoc Loc = tok().Loc;
@@ -342,7 +355,10 @@ private:
       S->addField(std::string(D.Name), D.Ty);
     }
     consume(); // }
-    return expect(CTokKind::Semi);
+    if (!expect(CTokKind::Semi))
+      return false;
+    S->setSpan(spanFrom(First));
+    return true;
   }
 
   // --- statements -----------------------------------------------------------

@@ -27,7 +27,8 @@
 namespace mix::c {
 
 /// Parses a mini-C translation unit and binds its names (see CBind.h).
-/// Returns null (with diagnostics) on failure.
+/// Returns null (with diagnostics) on failure. Each top-level declaration
+/// records its span (CSourceSpan), which views \p Source.
 const CProgram *parseC(std::string_view Source, CAstContext &Ctx,
                        DiagnosticEngine &Diags);
 

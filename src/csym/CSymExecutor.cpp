@@ -916,8 +916,9 @@ CSymExecutor::runFunction(const CFuncDecl *F,
   assert(F->isDefined() && "runFunction() on an extern declaration");
   // MIXY re-enters this executor when a typed call inside a symbolic block
   // reaches another symbolic function. The nested run gets its own path
-  // budget and reports only its own cut and warnings; the outer run's
-  // resume when it returns.
+  // budget and reports only its own cut and warnings, each of them once
+  // however many paths find it; the outer run's resume when it returns.
+  std::set<std::string> OuterEmitted = std::exchange(EmittedWarnings, {});
   unsigned OuterWarnings = std::exchange(WarningsThisRun, 0);
   bool OuterIncomplete = std::exchange(IncompleteThisRun, false);
   unsigned OuterPaths = std::exchange(PathsThisRun, 0);
@@ -983,6 +984,7 @@ CSymExecutor::runFunction(const CFuncDecl *F,
   }
   Result.Incomplete = IncompleteThisRun;
   Result.WarningCount = WarningsThisRun;
+  EmittedWarnings = std::move(OuterEmitted);
   WarningsThisRun = OuterWarnings;
   IncompleteThisRun = OuterIncomplete;
   PathsThisRun = OuterPaths;

@@ -185,7 +185,7 @@ struct CSymResult {
   /// not exhaustive.
   bool Incomplete = false;
   /// Warnings found on feasible paths (also reported to the diagnostic
-  /// engine, deduplicated).
+  /// engine, each once per run).
   unsigned WarningCount = 0;
 
   /// The memory object each pointer parameter was seeded to reference
@@ -204,7 +204,7 @@ enum class NullSeed {
 };
 
 /// The executor. One instance per analysis run; warnings deduplicate
-/// across runFunction calls.
+/// within one runFunction call, so each call reports everything it found.
 class CSymExecutor {
 public:
   CSymExecutor(const CProgram &Program, CAstContext &Ctx,
@@ -267,15 +267,6 @@ public:
   smt::ISolver &solver() { return Solver; }
   DiagnosticEngine &diags() { return Diags; }
   const CProgram &program() const { return Program; }
-
-  /// Seeds the cross-run warning dedup set without reporting anything.
-  /// Returns true when the warning was not yet recorded. MIXY uses this
-  /// when replaying persisted block diagnostics, so a replayed warning
-  /// and a freshly executed one deduplicate against each other exactly
-  /// as two fresh runs would.
-  bool tryMarkWarningEmitted(SourceLoc Loc, const std::string &Message) {
-    return EmittedWarnings.insert(Loc.str() + "|" + Message).second;
-  }
 
   /// Cumulative statistics.
   struct Stats {

@@ -48,8 +48,10 @@ uint64_t mix::c::mixyPersistFingerprint(const MixyOptions &Opts) {
   // diagnostics or a key new meaning. 1: a block run cut short by its
   // loop, path or call-depth bound carries a MIX303 warning, which older
   // summaries lack. 2: block keys name their function, so a summary
-  // stored under an older key may belong to another function.
-  H.u32(2);
+  // stored under an older key may belong to another function. 3: keys
+  // hash source text and positions, and a summary holds every warning
+  // its run found, not only those no earlier block had reported.
+  H.u32(3);
   return H.digest();
 }
 
@@ -110,13 +112,12 @@ void MixyAnalysis::publishStats() {
 
 void MixyAnalysis::warnIfTruncated(const CFuncDecl *F,
                                    const CSymResult &Result) {
-  if (!Result.Incomplete)
-    return;
-  std::string Message = "symbolic execution of '" + F->name() +
-                        "' was cut short by its loop, path or call-depth "
-                        "bound, so warnings may be missing";
-  if (Exec.tryMarkWarningEmitted(F->loc(), Message))
-    Diags.warning(F->loc(), Message, DiagID::ExecBudget);
+  if (Result.Incomplete)
+    Diags.warning(F->loc(),
+                  "symbolic execution of '" + F->name() +
+                      "' was cut short by its loop, path or call-depth "
+                      "bound, so warnings may be missing",
+                  DiagID::ExecBudget);
 }
 
 // === dependency edges (persist closures) =====================================
@@ -173,8 +174,8 @@ void MixyAnalysis::initPersist() {
     return;
   PersistReady = true;
 
-  // Content hash per defined function, from the printed AST (stable
-  // across runs; see persist/AstHash.h).
+  // Content hash per defined function, from its source text and position
+  // (stable across runs; see persist/AstHash.h).
   std::map<const CFuncDecl *, uint64_t> Content;
   for (const CFuncDecl *F : Program.funcs())
     if (F->isDefined())
@@ -591,24 +592,12 @@ MixyAnalysis::computeSymOutcome(const BlockKey &Key) {
       if (!decodeBlockSummary(*Payload, Outcome, Slice, Switches) ||
           !switchesResolvable(Switches))
         return std::nullopt;
-      // Replay the stored run's diagnostics through the executor's
-      // warning dedup: a warning this run already saw is dropped along
-      // with its notes, so warm output matches cold output byte for
-      // byte. The slice replays first (it carries the cold emission
-      // order, including nested blocks' warnings); the typed switches
-      // after it re-seed the qualifier graph, and any diagnostics their
-      // nested replays surface deduplicate against the slice.
-      bool DropNotes = false;
+      // Replay every diagnostic the stored run reported, as a fresh run
+      // would; run() drops the repeats at the end. The slice replays
+      // first (it carries the cold emission order, including nested
+      // blocks' warnings); the typed switches after it re-seed the
+      // qualifier graph.
       for (const Diagnostic &D : Slice) {
-        if (D.Kind == DiagKind::Warning) {
-          DropNotes = !Exec.tryMarkWarningEmitted(D.Loc, D.Message);
-          if (DropNotes)
-            continue;
-        } else if (D.Kind == DiagKind::Note && DropNotes) {
-          continue;
-        } else {
-          DropNotes = false;
-        }
         size_t Idx = Diags.report(D.Kind, D.Loc, D.Message, D.ID);
         // Re-attach the recorded explanation verbatim — including the
         // disposition the cold run stamped — so --explain output is
@@ -890,6 +879,9 @@ bool MixyAnalysis::callTypedFunction(CSymState &State, const CCall *Call,
 unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
   PtrAnal.run();
   initPersist();
+  // Block runs and replays report everything they found; the repeats go
+  // once every block has finished, before the qualifier warnings.
+  const size_t FirstDiag = Diags.size();
 
   const CFuncDecl *EntryFunc = Program.findFunc(Entry);
   if (!EntryFunc || !EntryFunc->isDefined()) {
@@ -913,6 +905,7 @@ unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
       warnIfTruncated(EntryFunc, Exec.runFunction(EntryFunc));
     }
     Qual.solve();
+    Diags.dropRepeatedWarnings(FirstDiag);
     Qual.reportWarnings();
     publishStats();
     return Diags.warningCount();
@@ -929,10 +922,9 @@ unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
   // Gauss-Seidel: each round refreshes the sites in index order and
   // evaluates each changed one on the spot, so every evaluation sees
   // every earlier one's effects.
-  obs::Counter CRounds, CReruns, CCut;
+  obs::Counter CReruns, CCut;
   if (Opts.Metrics) {
-    CRounds = Opts.Metrics->counter("engine.fixpoint.rounds");
-    CReruns = Opts.Metrics->counter("engine.worklist.reruns");
+    CReruns = Opts.Metrics->counter("engine.fixpoint.reruns");
     CCut = Opts.Metrics->counter("engine.fixpoint.cut");
   }
   bool Converged = true;
@@ -968,7 +960,6 @@ unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
       if (!Changed)
         break;
       ++Statistics.FixpointIterations;
-      CRounds.inc();
     }
     // Every allowed round changed something. The last one may still have
     // reached the fixpoint, so refresh (without evaluating) once more: a
@@ -992,6 +983,7 @@ unsigned MixyAnalysis::run(StartMode Mode, const std::string &Entry) {
                   DiagID::ExecBudget);
 
   Qual.solve();
+  Diags.dropRepeatedWarnings(FirstDiag);
   Qual.reportWarnings();
   publishStats();
   return Diags.warningCount();

@@ -141,7 +141,8 @@ public:
   ~MixyAnalysis();
 
   /// Runs the full analysis from \p Entry. Returns the number of
-  /// warnings (qualifier violations plus symbolic-execution warnings).
+  /// warnings (qualifier violations plus symbolic-execution warnings,
+  /// the latter once per location and message).
   unsigned run(StartMode Mode, const std::string &Entry = "main");
 
   // --- QualSymHook: typed-to-symbolic switching (Section 4.1) -----------

@@ -7,7 +7,6 @@
 
 #include "persist/AstHash.h"
 
-#include "cfront/CPrinter.h"
 #include "support/Hash.h"
 #include "support/Scc.h"
 
@@ -18,19 +17,18 @@
 using namespace mix::persist;
 using namespace mix::c;
 
+/// A declaration's text and where it starts: the diagnostics a summary
+/// holds carry positions, so a declaration that moves must change the
+/// key as surely as one whose text changes.
+static void hashSpan(mix::StableHasher &H, const CSourceSpan &S) {
+  H.u32(S.Begin.Line);
+  H.u32(S.Begin.Column);
+  H.str(S.Text);
+}
+
 uint64_t mix::persist::functionContentHash(const CFuncDecl &F) {
   StableHasher H;
-  H.str(F.name());
-  H.u8((uint8_t)F.mixAnnot());
-  H.str(printDecl(F.returnType(), ""));
-  H.u32((uint32_t)F.params().size());
-  for (const CFuncDecl::Param &P : F.params()) {
-    H.str(P.Name);
-    H.str(printDecl(P.Ty, ""));
-  }
-  H.boolean(F.isDefined());
-  if (F.isDefined())
-    H.str(printStmt(F.body()));
+  hashSpan(H, F.span());
   return H.digest();
 }
 
@@ -38,21 +36,13 @@ uint64_t mix::persist::environmentHash(const CProgram &P) {
   StableHasher H;
   H.u32((uint32_t)P.structs().size());
   for (const CStructDecl *S : P.structs()) {
+    // A struct that is only named has no text of its own.
     H.str(S->name());
-    H.u32((uint32_t)S->fields().size());
-    for (const CStructDecl::Field &F : S->fields()) {
-      H.str(F.Name);
-      H.str(printDecl(F.Ty, ""));
-    }
+    hashSpan(H, S->span());
   }
   H.u32((uint32_t)P.globals().size());
-  for (const CGlobalDecl *G : P.globals()) {
-    H.str(G->name());
-    H.str(printDecl(G->type(), ""));
-    H.boolean(G->init() != nullptr);
-    if (G->init())
-      H.str(printExpr(G->init()));
-  }
+  for (const CGlobalDecl *G : P.globals())
+    hashSpan(H, G->span());
   // Extern signatures are part of every block's environment; defined
   // bodies are covered per-function by the closure hashes.
   for (const CFuncDecl *F : P.funcs())

@@ -7,17 +7,19 @@
 ///
 /// \file
 /// The key-derivation half of the persistent cache: stable 64-bit
-/// content hashes over mini-C declarations, built from the CPrinter
-/// rendering (which round-trips through the parser, so it captures
-/// exactly the syntax the analyses consume — and nothing
-/// address-dependent).
+/// content hashes over mini-C declarations, built from each
+/// declaration's source text and start position (CSourceSpan). The
+/// positions matter: a block summary holds diagnostics, and those carry
+/// positions, so a summary is a function of its key only if moving a
+/// declaration changes the key.
 ///
-///  - functionContentHash: one function's identity (name, MIX annotation,
-///    signature, body). Editing a function changes its hash; editing an
-///    unrelated function does not.
+///  - functionContentHash: one function's identity (its text, which holds
+///    its name, annotation, signature and body, and where it starts).
+///    Editing or moving a function changes its hash; an edit elsewhere
+///    that leaves its text and start in place does not.
 ///  - environmentHash: the shared declarations every block can see
-///    (struct layouts, globals with initializers, and extern function
-///    signatures).
+///    (struct definitions, globals with initializers, and extern function
+///    declarations), text and position alike.
 ///  - closureHashes: each function's *dependency-closure* hash — the
 ///    digest of the sorted content hashes of everything reachable over
 ///    the dependency edges (call graph plus qualifier-alias neighbors),
@@ -39,13 +41,14 @@
 
 namespace mix::persist {
 
-/// Stable digest of one function definition (its name, annotation,
-/// rendered signature, and rendered body).
+/// Stable digest of one function declaration: its source text and the
+/// line and column it starts at.
 uint64_t functionContentHash(const c::CFuncDecl &F);
 
 /// Stable digest of the program-wide declarations outside any function:
-/// struct layouts, global variables (with initializers), and the
-/// signatures of undefined (extern) functions.
+/// struct definitions, global variables (with initializers), and the
+/// declarations of undefined (extern) functions, each by its text and
+/// start position.
 uint64_t environmentHash(const c::CProgram &P);
 
 /// Dependency-closure hashes: for every function F in \p Content, the

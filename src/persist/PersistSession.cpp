@@ -24,22 +24,6 @@ uint64_t nowUs() {
       .count();
 }
 
-/// Reads the generation stamp from \p Dir; a missing or malformed stamp
-/// reads as 0 (the pre-stamp world had exactly one writer per process
-/// lifetime, which generation 0 models). Never degrades the session —
-/// the stamp guards summary replay, it is not itself cached data.
-uint64_t readGeneration(const std::string &Dir) {
-  std::vector<std::string> Records;
-  std::string Error;
-  if (loadRecordFile(Dir + "/generation.mixcache", /*Fingerprint=*/0, Records,
-                     Error) != LoadStatus::Ok ||
-      Records.size() != 1)
-    return 0;
-  ByteReader R(Records[0]);
-  uint64_t Gen = R.u64();
-  return R.ok() && R.atEnd() ? Gen : 0;
-}
-
 } // namespace
 
 PersistSession::PersistSession(PersistOptions O) : Opts(std::move(O)) {
@@ -62,8 +46,6 @@ PersistSession::PersistSession(PersistOptions O) : Opts(std::move(O)) {
       Opts.Metrics->counter("persist.degraded").inc();
     return;
   }
-
-  Gen = readGeneration(Opts.Dir);
 
   std::vector<std::string> Records;
   std::string Error;
@@ -157,29 +139,9 @@ bool PersistSession::save(std::string *Error) {
 
   bool Ok = saveRecordFile(Opts.Dir + "/blocks.mixcache",
                            Opts.BlockFingerprint, encode(), Err);
-
-  // The generation stamp publishes last, after the data file is in
-  // place, so a concurrent reader that observes the new generation also
-  // observes the new data. Writing it claims the directory for this
-  // session: any other open session now reports externallyModified().
-  if (Ok) {
-    ByteWriter W;
-    W.u64(Gen + 1);
-    Ok = saveRecordFile(Opts.Dir + "/generation.mixcache", /*Fingerprint=*/0,
-                        {W.take()}, Err);
-    if (Ok)
-      ++Gen;
-  }
-
   if (Opts.Metrics)
     Opts.Metrics->histogram("persist.save_us").record(nowUs() - Start);
   return Ok;
-}
-
-bool PersistSession::externallyModified() const {
-  if (Opts.InMemory || !DirUsable)
-    return false;
-  return readGeneration(Opts.Dir) != Gen;
 }
 
 void PersistSession::invalidateSummaries() {

@@ -25,7 +25,10 @@
 /// a single MIX502 note, and the analysis result is unchanged. The store
 /// is mutex-guarded; saves publish via atomic rename, so two processes
 /// sharing a --cache-dir race benignly (last rename wins, readers never
-/// see a torn file).
+/// see a torn file). Every summary is a function of its key (the key
+/// hashes the source text and positions the summary depends on), so a
+/// summary another writer stored is as valid as one of this session's
+/// own: a long-lived session needs no staleness check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,24 +92,11 @@ public:
   /// everything.
   void retireUnused(size_t Horizon);
 
-  /// Writes the store back to the cache directory (bumping the on-disk
-  /// generation stamp). Returns false with \p Error set on the first file
-  /// that could not be written (the run's findings are unaffected either
-  /// way). In-memory sessions succeed without touching disk.
+  /// Writes the store back to the cache directory. Returns false with
+  /// \p Error set when the file could not be written (the run's findings
+  /// are unaffected either way). In-memory sessions succeed without
+  /// touching disk.
   bool save(std::string *Error = nullptr);
-
-  /// The generation this session loaded (0 on a cold start); each save()
-  /// publishes generation + 1. Sessions opened before the stamp existed
-  /// observe generation 0, matching the historical single-writer world.
-  uint64_t generation() const { return Gen; }
-
-  /// True when another writer has published into this cache directory
-  /// since this session loaded it — i.e. the on-disk generation no longer
-  /// matches generation(). A long-lived process must not keep replaying
-  /// its loaded summaries past this point: reopen the directory (fresh
-  /// PersistSession) or call invalidateSummaries(). Always false for
-  /// in-memory and unusable-directory sessions.
-  bool externallyModified() const;
 
   /// Drops every block summary. Used by the daemon when a client reports
   /// a file changed.
@@ -131,7 +121,6 @@ private:
 
   std::string DegradedReason;
   bool DirUsable = false;
-  uint64_t Gen = 0;
 };
 
 } // namespace mix::persist

@@ -225,7 +225,7 @@ prov::ProvenanceSink *AnalysisService::provenanceSink() {
   return &Prov;
 }
 
-std::shared_ptr<mix::persist::PersistSession>
+mix::persist::PersistSession *
 AnalysisService::openSession(const AnalysisRequest &Req, uint64_t Fingerprint,
                              DiagnosticEngine &Diags,
                              std::unique_lock<std::mutex> &SessionLock) {
@@ -233,29 +233,21 @@ AnalysisService::openSession(const AnalysisRequest &Req, uint64_t Fingerprint,
   std::string Key = (InMemory ? std::string("<memory>") : Req.CacheDir) + "|" +
                     std::to_string(Fingerprint);
 
-  std::shared_ptr<persist::PersistSession> Session;
-  std::mutex *SessionMutex = nullptr;
+  persist::PersistSession *Session;
+  std::mutex *SessionMutex;
   {
     std::lock_guard<std::mutex> Lock(M);
+    // Entries are never erased, so the session and its mutex stay put.
     SessionEntry &Entry = Sessions[Key];
-    // A warm on-disk session is only reusable while this process is still
-    // the directory's latest writer; when some other process published
-    // into it (generation moved), drop the loaded state and reload rather
-    // than replaying stale summaries. Requests already running against
-    // the old session keep it alive through their shared_ptr.
-    if (Entry.Session && !InMemory && Entry.Session->externallyModified()) {
-      Entry.Session.reset();
-      Registry.counter("service.session.reopened").inc();
-    }
     if (!Entry.Session) {
       persist::PersistOptions PO;
       PO.Dir = Req.CacheDir;
       PO.BlockFingerprint = Fingerprint;
       PO.Metrics = &Registry;
       PO.InMemory = InMemory;
-      Entry.Session = std::make_shared<persist::PersistSession>(std::move(PO));
+      Entry.Session.emplace(std::move(PO));
     }
-    Session = Entry.Session;
+    Session = &*Entry.Session;
     SessionMutex = &Entry.Lock;
   }
   SessionLock = std::unique_lock<std::mutex>(*SessionMutex);
@@ -433,11 +425,11 @@ void AnalysisService::runMixy(const AnalysisRequest &Req,
   bool WantsSession =
       !Req.NoCache && (!Req.CacheDir.empty() || Config.KeepWarm);
   std::unique_lock<std::mutex> SessionLock;
-  std::shared_ptr<persist::PersistSession> Session;
+  persist::PersistSession *Session = nullptr;
   if (WantsSession)
     Session = openSession(Req, c::mixyPersistFingerprint(Opts), Diags,
                           SessionLock);
-  Opts.Persist = Session.get();
+  Opts.Persist = Session;
 
   auto finish = [&](int Exit) {
     {
@@ -570,10 +562,11 @@ AnalysisResponse AnalysisService::execute(const AnalysisRequest &Req,
   return Resp;
 }
 
+/// How many of the slowest requests the slow-request log keeps.
+static constexpr size_t SlowLogCap = 32;
+
 void AnalysisService::noteSlowRequest(const AnalysisResponse &Resp,
                                       uint64_t Key) {
-  if (Config.SlowLogCap == 0)
-    return;
   SlowRequest S;
   S.Id = Resp.RequestId;
   S.Key = Key;
@@ -590,7 +583,7 @@ void AnalysisService::noteSlowRequest(const AnalysisResponse &Resp,
                                return V > E.TotalUs;
                              });
   SlowLog.insert(It, std::move(S));
-  if (SlowLog.size() > Config.SlowLogCap)
+  if (SlowLog.size() > SlowLogCap)
     SlowLog.pop_back();
 }
 

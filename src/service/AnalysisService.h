@@ -55,6 +55,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -196,10 +197,9 @@ struct AnalysisResponse {
 /// Service-level behavior switches.
 struct ServiceConfig {
   /// Keep persist sessions warm across requests (daemon mode): on-disk
-  /// sessions stay open (reopened when another writer bumps the cache
-  /// generation), and MIXY requests without a CacheDir share in-memory
-  /// sessions so block summaries survive between requests. MixCheck
-  /// requests never open a session.
+  /// sessions stay open, and MIXY requests without a CacheDir share
+  /// in-memory sessions so block summaries survive between requests.
+  /// MixCheck requests never open a session.
   bool KeepWarm = false;
   /// Run each request against a private metrics registry so its response
   /// carries exact engine/solver deltas even under concurrency (daemon
@@ -217,9 +217,6 @@ struct ServiceConfig {
   /// when the request also sets Trace — a request-scoped span tree.
   /// Costs nothing on engine hot paths when off (null-handle discipline).
   bool RequestTelemetry = false;
-  /// Capacity of the slow-request log (the slowest requests by wall
-  /// time); 0 disables it.
-  size_t SlowLogCap = 32;
 };
 
 /// One slow-request log entry: enough to answer "which request was slow,
@@ -262,8 +259,7 @@ public:
     attachTelemetryHistograms();
   }
 
-  /// The slowest requests seen so far, slowest first (bounded by
-  /// ServiceConfig::SlowLogCap).
+  /// The slowest requests seen so far, slowest first (at most 32).
   std::vector<SlowRequest> slowRequests() const;
 
   /// Executes the request unconditionally (no dedup, no response cache;
@@ -312,9 +308,8 @@ public:
 
 private:
   struct SessionEntry {
-    /// Shared so a request keeps its session alive even if a concurrent
-    /// reopen (externallyModified) swaps the map entry underneath it.
-    std::shared_ptr<persist::PersistSession> Session;
+    /// Opened by the first request that asks for it, never replaced.
+    std::optional<persist::PersistSession> Session;
     /// Requests that share the session serialize on it, so a run's
     /// replays and stores are not interleaved with another's and its
     /// retireUnused() ends only its own run.
@@ -349,7 +344,7 @@ private:
   /// under Req.CacheDir, or in memory when that is empty. Emits the
   /// MIX502 degradation note exactly as the CLI driver did, and returns
   /// with \p SessionLock holding the session's lock.
-  std::shared_ptr<persist::PersistSession>
+  persist::PersistSession *
   openSession(const AnalysisRequest &Req, uint64_t Fingerprint,
               DiagnosticEngine &Diags,
               std::unique_lock<std::mutex> &SessionLock);

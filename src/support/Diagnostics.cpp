@@ -10,6 +10,8 @@
 #include "support/StringExtras.h"
 
 #include <algorithm>
+#include <set>
+#include <tuple>
 
 using namespace mix;
 
@@ -88,6 +90,33 @@ std::vector<size_t> DiagnosticEngine::notesFor(size_t Parent) const {
     if (Diags[I].Kind == DiagKind::Note && Diags[I].Parent == Parent)
       Out.push_back(I);
   return Out;
+}
+
+void DiagnosticEngine::dropRepeatedWarnings(size_t From) {
+  std::set<std::tuple<uint32_t, uint32_t, std::string>> Seen;
+  // Where each kept diagnostic moves; NoParent for a dropped one.
+  std::vector<size_t> NewIndex(Diags.size());
+  for (size_t I = 0; I != From; ++I)
+    NewIndex[I] = I;
+  size_t Out = From;
+  for (size_t I = From; I != Diags.size(); ++I) {
+    Diagnostic &D = Diags[I];
+    NewIndex[I] = Diagnostic::NoParent;
+    if (D.Kind == DiagKind::Note && D.Parent != Diagnostic::NoParent) {
+      D.Parent = NewIndex[D.Parent];
+      if (D.Parent == Diagnostic::NoParent)
+        continue; // its warning was dropped
+    } else if (D.Kind == DiagKind::Warning &&
+               !Seen.emplace(D.Loc.Line, D.Loc.Column, D.Message).second) {
+      --NumWarnings;
+      continue;
+    }
+    NewIndex[I] = Out;
+    if (Out != I)
+      Diags[Out] = std::move(D);
+    ++Out;
+  }
+  Diags.resize(Out);
 }
 
 void DiagnosticEngine::clear() {

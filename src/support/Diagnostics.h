@@ -113,8 +113,10 @@ struct Diagnostic {
 /// Collects diagnostics emitted during an analysis run.
 ///
 /// Analyses append diagnostics as they go; clients query counts afterwards
-/// or render the full list. The engine is deliberately append-only so a
-/// caller can snapshot size() before a sub-analysis and diff afterwards.
+/// or render the full list. A caller can snapshot size() before a
+/// sub-analysis and diff afterwards: the only removal,
+/// dropRepeatedWarnings(), is for an analysis to call once its
+/// sub-analyses have ended.
 class DiagnosticEngine {
 public:
   void error(SourceLoc Loc, std::string Message, DiagID ID = DiagID::None) {
@@ -157,6 +159,12 @@ public:
   unsigned errorCount() const { return NumErrors; }
   unsigned warningCount() const { return NumWarnings; }
   bool hasErrors() const { return NumErrors != 0; }
+
+  /// Drops every warning from index \p From on whose location and message
+  /// an earlier warning from \p From on has, together with its notes.
+  /// The first occurrence stays where it is, with its notes and
+  /// provenance; later indices shift down.
+  void dropRepeatedWarnings(size_t From);
 
   /// Discards all recorded diagnostics.
   void clear();

@@ -6,7 +6,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "cfront/CParser.h"
-#include "cfront/CPrinter.h"
 #include "cfront/CSema.h"
 
 #include <gtest/gtest.h>
@@ -275,7 +274,7 @@ std::vector<std::string> describe(const std::vector<CTok> &Toks) {
 
 TEST_F(CFrontTest, StringLiteralEscapesReachTheParser) {
   // The token views the literal as written; the parser's value drops each
-  // escaping backslash, and the printer puts it back.
+  // escaping backslash, and the declaration's span keeps it.
   const std::string Source = R"(char *s(void) { return "a\"b\\c"; })";
   std::vector<CTok> Toks = lexC(Source, Diags);
   auto Str = std::find_if(Toks.begin(), Toks.end(), [](const CTok &T) {
@@ -290,12 +289,7 @@ TEST_F(CFrontTest, StringLiteralEscapesReachTheParser) {
   const auto *Ret = cast<CReturnStmt>(
       cast<CBlockStmt>(P->funcs()[0]->body())->stmts()[0]);
   EXPECT_EQ(cast<CStrLit>(Ret->value())->value(), "a\"b\\c");
-  std::string Printed = printProgram(*P);
-  EXPECT_NE(Printed.find(R"(return "a\"b\\c";)"), std::string::npos)
-      << Printed;
-  const CProgram *Again = parse(Printed);
-  ASSERT_NE(Again, nullptr) << Diags.str();
-  EXPECT_EQ(printProgram(*Again), Printed);
+  EXPECT_EQ(P->funcs()[0]->span().Text, Source);
 }
 
 TEST_F(CFrontTest, LongIdentifiersAreViewedWhole) {
@@ -639,66 +633,40 @@ TEST_F(CFrontTest, BinderIndicesAreDenseAndInDeclarationOrder) {
   EXPECT_EQ(P->numLocalSlots(), 6u);
 }
 
-// --- pretty printer -----------------------------------------------------------
+// --- declaration spans ---------------------------------------------------------
 
-TEST_F(CFrontTest, PrinterRoundTripsFixesPoint) {
-  // print(parse(print(parse(S)))) == print(parse(S)) for representative
-  // programs covering every construct.
-  const char *Programs[] = {
-      "int x; int *p; int y = 42;",
-      "int * nonnull p; int * null q;",
-      "struct foo { int bar; struct foo *next; };\n"
-      "struct foo *head;",
-      "void (*s_exit_func)(void);",
-      "int f(int a, int b) { return a + b; }",
-      "void g(void) MIX(typed) { }",
-      "void h(int *p) MIX(symbolic) { if (p != NULL) { *p = 1; } }",
-      "int loop(int n) {\n"
-      "  int acc = 0;\n"
-      "  while (n > 0) { acc = acc + n; n = n - 1; }\n"
-      "  return acc;\n"
-      "}",
-      "struct foo { int bar; };\n"
-      "struct foo *mk(void) {\n"
-      "  struct foo *x = (struct foo *) malloc(sizeof(struct foo));\n"
-      "  x->bar = sizeof(int) - 1;\n"
-      "  return x;\n"
-      "}",
-      "char *s(void) { return \"hi\"; }",
-      "int neg(int a) { return -a + !a; }",
-  };
-  for (const char *Source : Programs) {
-    Diags.clear();
-    const CProgram *P1 = parseC(Source, Ctx, Diags);
-    ASSERT_NE(P1, nullptr) << Source << "\n" << Diags.str();
-    std::string Once = printProgram(*P1);
-    const CProgram *P2 = parseC(Once, Ctx, Diags);
-    ASSERT_NE(P2, nullptr) << "reparse failed for:\n"
-                           << Once << "\n"
-                           << Diags.str();
-    EXPECT_EQ(printProgram(*P2), Once) << Source;
-  }
-}
-
-TEST_F(CFrontTest, PrinterRoundTripsTheCorpusConstructs) {
-  const CProgram *P = parse(
-      "struct sockaddr { int sa_family; };\n"
-      "void sysutil_free(void * nonnull p_ptr) MIX(typed);\n"
-      "void sockaddr_clear(struct sockaddr ** nonnull p_sock) "
-      "MIX(symbolic) {\n"
-      "  if (*p_sock != NULL) {\n"
-      "    sysutil_free((void *)*p_sock);\n"
-      "    *p_sock = NULL;\n"
-      "  }\n"
-      "}");
+TEST_F(CFrontTest, DeclarationSpansAreTheirExactText) {
+  // Each top-level declaration views its text in the source, from its
+  // first token through its closing ';' or '}', and records where it
+  // starts. Comments and blank lines between declarations belong to none.
+  const std::string Source = "// a comment\n"
+                             "struct node { int v; struct node *next; };\n"
+                             "\n"
+                             "int *g = NULL; /* trailing */\n"
+                             "  void f(struct node *n) MIX(symbolic) {\n"
+                             "    n->v = 1;\n"
+                             "  }\n"
+                             "struct opaque *h;\n"
+                             "void ext(int x);";
+  const CProgram *P = parse(Source);
   ASSERT_NE(P, nullptr) << Diags.str();
-  std::string Printed = printProgram(*P);
-  const CProgram *P2 = parseC(Printed, Ctx, Diags);
-  ASSERT_NE(P2, nullptr) << Printed << "\n" << Diags.str();
-  EXPECT_EQ(printProgram(*P2), Printed);
-  // Annotations survive.
-  EXPECT_NE(Printed.find("MIX(symbolic)"), std::string::npos);
-  EXPECT_NE(Printed.find("nonnull"), std::string::npos);
+  auto Where = [](const CSourceSpan &S) {
+    return S.Begin.str() + " " + std::string(S.Text);
+  };
+  EXPECT_EQ(Where(P->findStruct("node")->span()),
+            "2:1 struct node { int v; struct node *next; };");
+  EXPECT_EQ(P->findStruct("node")->span().Text.data(),
+            Source.data() + Source.find("struct node {"));
+  EXPECT_EQ(Where(P->findGlobal("g")->span()), "4:1 int *g = NULL;");
+  EXPECT_EQ(Where(P->findFunc("f")->span()),
+            "5:3 void f(struct node *n) MIX(symbolic) {\n"
+            "    n->v = 1;\n"
+            "  }");
+  EXPECT_EQ(Where(P->findGlobal("h")->span()), "8:1 struct opaque *h;");
+  EXPECT_EQ(Where(P->findFunc("ext")->span()), "9:1 void ext(int x);");
+  // A struct that is only named has no text of its own.
+  EXPECT_TRUE(P->findStruct("opaque")->span().Text.empty());
+  EXPECT_FALSE(P->findStruct("opaque")->span().Begin.isValid());
 }
 
 TEST_F(CFrontTest, SemaDirectCallee) {
@@ -766,7 +734,21 @@ TEST_F(CFrontTest, ContextFreesNodesThatOwnHeapMemory) {
       "  a_function_with_a_long_name(b, a_parameter_with_a_long_name);\n"
       "  return a_local_with_a_long_name;\n"
       "}\n";
-  std::string FirstPrinted;
+  // Every top-level declaration's start and text.
+  auto Spans = [](const CProgram &P) {
+    std::string Out;
+    auto Add = [&](const CSourceSpan &S) {
+      Out += S.Begin.str() + " " + std::string(S.Text) + "\n";
+    };
+    for (const CStructDecl *S : P.structs())
+      Add(S->span());
+    for (const CGlobalDecl *G : P.globals())
+      Add(G->span());
+    for (const CFuncDecl *F : P.funcs())
+      Add(F->span());
+    return Out;
+  };
+  std::string FirstSpans;
   size_t FirstNodes = 0, FirstBytes = 0;
   for (int Round = 0; Round != 2; ++Round) {
     CAstContext Local;
@@ -779,18 +761,21 @@ TEST_F(CFrontTest, ContextFreesNodesThatOwnHeapMemory) {
     ASSERT_NE(Second, nullptr) << LocalDiags.str();
     // The second parse shares the context's void, int and char types.
     EXPECT_EQ(Local.numNodes(), 2 * Nodes - 3);
-    EXPECT_EQ(printProgram(*Second), printProgram(*P));
+    EXPECT_EQ(Spans(*Second), Spans(*P));
     if (Round == 0) {
-      FirstPrinted = printProgram(*P);
+      FirstSpans = Spans(*P);
       FirstNodes = Nodes;
       FirstBytes = Bytes;
       continue;
     }
-    EXPECT_EQ(printProgram(*P), FirstPrinted);
+    EXPECT_EQ(Spans(*P), FirstSpans);
     EXPECT_EQ(Nodes, FirstNodes);
     EXPECT_EQ(Bytes, FirstBytes);
   }
-  EXPECT_NE(FirstPrinted.find("a string literal past fifteen"),
+  EXPECT_NE(FirstSpans.find("a string literal past fifteen"),
             std::string::npos)
-      << FirstPrinted;
+      << FirstSpans;
+  // The struct, the global and the function, each after its "L:C "
+  // start and before its newline: together, the whole source.
+  EXPECT_EQ(FirstSpans.size(), Source.size() + 3 * std::string("1:1 ").size());
 }

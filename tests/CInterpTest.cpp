@@ -11,7 +11,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "cfront/CParser.h"
-#include "cfront/CPrinter.h"
 #include "csym/CSymExecutor.h"
 #include "solver/SmtSolver.h"
 

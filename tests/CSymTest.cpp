@@ -703,7 +703,8 @@ TEST(CSymWitnessTest, SurvivingPathsAreExactlyTheSatisfiableBranchCombinations) 
     DiagnosticEngine Diags;
     mix::smt::TermArena Terms;
     mix::smt::SmtSolver Solver{Terms};
-    const CProgram *P = parseC(L.source(), Ctx, Diags);
+    const std::string Source = L.source();
+    const CProgram *P = parseC(Source, Ctx, Diags);
     ASSERT_NE(P, nullptr) << Diags.str();
     CSymExecutor Exec(*P, Ctx, Diags, Terms, Solver);
     CSymResult R = Exec.runFunction(P->findFunc("f"));

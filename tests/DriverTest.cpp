@@ -407,8 +407,8 @@ void roundTripCase(int CaseNo, bool Annotated) {
                (Annotated ? "" : ":baseline"));
   c::CAstContext Ctx;
   DiagnosticEngine Diags;
-  const c::CProgram *P =
-      c::parseC(c::corpus::vsftpdCase(CaseNo, Annotated), Ctx, Diags);
+  const std::string Source = c::corpus::vsftpdCase(CaseNo, Annotated);
+  const c::CProgram *P = c::parseC(Source, Ctx, Diags);
   ASSERT_NE(P, nullptr);
   c::MixyAnalysis Analysis(*P, Ctx, Diags);
   Analysis.run(c::MixyAnalysis::StartMode::Typed);

@@ -12,12 +12,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EditScenarios.h"
+
 #include "cfront/CParser.h"
 #include "mixy/Mixy.h"
 #include "mixy/VsftpdMini.h"
 #include "observe/Trace.h"
 #include "persist/PersistSession.h"
 #include "provenance/Provenance.h"
+#include "provenance/Sarif.h"
 
 #include <gtest/gtest.h>
 
@@ -65,6 +68,7 @@ struct RunResult {
   /// The function of each symbolic block run, sorted.
   std::vector<std::string> SymBlocks;
   std::string Explain; ///< renderExplainText output (Explain runs only)
+  std::string Sarif;   ///< renderSarif output (Explain runs only)
   uint64_t ProvWitnesses = 0, ProvFlows = 0, ProvBlocks = 0, ProvReplayed = 0;
 };
 
@@ -106,8 +110,10 @@ RunResult runMixy(const std::string &Source, const std::string &Dir,
   MixyAnalysis Mixy(*P, Ctx, Diags, Opts);
   R.Warnings = Mixy.run(MixyAnalysis::StartMode::Typed, Entry);
   R.Diags = Diags.str();
-  if (Explain)
+  if (Explain) {
     R.Explain = prov::renderExplainText(Diags);
+    R.Sarif = prov::renderSarif(Diags, {"mixyc", "input.c"});
+  }
   if (Session) {
     std::string Error;
     EXPECT_TRUE(Session->save(&Error)) << Error;
@@ -456,6 +462,48 @@ TEST(MixyPersistTest, EditingOneFillerReRunsOnlyTheBlocksThatReachIt) {
   EXPECT_EQ(Warm.SymBlockRuns, 3u);
   EXPECT_EQ(Warm.Diags,
             runMixy(V2, "", false, false, "filler_main").Diags);
+}
+
+TEST(MixyPersistTest, EditedProgramsAnswerAsAPlainRunDoes) {
+  // A summary is a function of its key: after each edit, a cold run into
+  // an empty directory and a warm run over the original's summaries both
+  // print what a run without a cache prints, and so do their
+  // explanations and SARIF (both recorded with provenance on).
+  for (const testgen::EditScenario &S : testgen::editScenarios()) {
+    for (bool Explain : {false, true}) {
+      SCOPED_TRACE(std::string(S.Name) + (Explain ? ", explain" : ""));
+      TempDir Empty(std::string("edit_cold_") + S.Name);
+      TempDir Edited(std::string("edit_warm_") + S.Name);
+      RunResult Plain = runMixy(S.After, "", Explain);
+      EXPECT_GT(Plain.Warnings, 0u);
+      RunResult Cold = runMixy(S.After, Empty.Path, Explain);
+      RunResult Before = runMixy(S.Before, Edited.Path, Explain);
+      EXPECT_GT(Before.BlockStores, 0u);
+      RunResult Warm = runMixy(S.After, Edited.Path, Explain);
+      for (const RunResult *R : {&Cold, &Warm}) {
+        EXPECT_EQ(R->Diags, Plain.Diags);
+        EXPECT_EQ(R->Warnings, Plain.Warnings);
+        EXPECT_EQ(R->Explain, Plain.Explain);
+        EXPECT_EQ(R->Sarif, Plain.Sarif);
+      }
+    }
+  }
+}
+
+TEST(MixyPersistTest, SharedCalleeWarningReplaysFromTheBlockThatKeepsIt) {
+  // Not vacuous: in the shared-callee edit, b's summary replays, and
+  // the warning it holds is the only report of h's dereference.
+  const testgen::EditScenario S = testgen::editScenarios().back();
+  ASSERT_EQ(std::string(S.Name), "shared_callee");
+  TempDir D("shared_callee");
+  runMixy(S.Before, D.Path);
+  RunResult Warm = runMixy(S.After, D.Path);
+  EXPECT_EQ(Warm.BlockHits, 1u);
+  EXPECT_EQ(Warm.SymBlocks, std::vector<std::string>{"a"});
+  EXPECT_EQ(Warm.Warnings, 1u);
+  EXPECT_NE(Warm.Diags.find("2:3: warning: possible null dereference"),
+            std::string::npos)
+      << Warm.Diags;
 }
 
 //===----------------------------------------------------------------------===//

@@ -298,7 +298,7 @@ TEST_F(MixyTest, SiteFoundMidRoundRunsInTheNextRound) {
     EXPECT_EQ(Stats.SymbolicBlockRuns, C.SymRuns);
     EXPECT_EQ(Stats.TypedBlockRuns, C.TypedRuns);
     EXPECT_EQ(Stats.FixpointIterations, C.Rounds);
-    EXPECT_EQ(Reg.counterValue("engine.worklist.reruns"), C.Reruns);
+    EXPECT_EQ(Reg.counterValue("engine.fixpoint.reruns"), C.Reruns);
   }
 }
 
@@ -418,8 +418,8 @@ TEST_F(FixpointDriverTest, AllSchedulesReachTheSameFixpoint) {
                 1u)
           << LastDiags;
       EXPECT_EQ(Stats.FixpointIterations, C.Rounds);
-      EXPECT_EQ(Reg.counterValue("engine.fixpoint.rounds"), C.Rounds);
-      EXPECT_EQ(Reg.counterValue("engine.worklist.reruns"), C.Reruns);
+      EXPECT_EQ(Reg.counterValue("mixy.fixpoint_rounds"), C.Rounds);
+      EXPECT_EQ(Reg.counterValue("engine.fixpoint.reruns"), C.Reruns);
       EXPECT_EQ(Reg.counterValue("engine.fixpoint.cut"), 0u);
       EXPECT_EQ(lastCount(DiagID::NullWarning), 1u) << LastDiags;
     }
@@ -443,7 +443,7 @@ TEST_F(FixpointDriverTest, RoundCapCutIsReported) {
     MixyStats Stats;
     mixyWarnings(corpus::deepCallChain(C.Depth), Opts, &Stats);
     EXPECT_EQ(Stats.FixpointIterations, MixyAnalysis::MaxFixpointRounds);
-    EXPECT_EQ(Reg.counterValue("engine.fixpoint.rounds"),
+    EXPECT_EQ(Reg.counterValue("mixy.fixpoint_rounds"),
               MixyAnalysis::MaxFixpointRounds);
     EXPECT_EQ(Reg.counterValue("engine.fixpoint.cut"), C.Cut);
     EXPECT_EQ(lastCount(DiagID::ExecBudget), C.Cut) << LastDiags;
@@ -477,7 +477,8 @@ TEST_F(MixyTest, TruncatedSymbolicEntryRunWarns) {
   // The --start=symbolic entry run reports its own cut the same way.
   CAstContext Ctx;
   DiagnosticEngine Diags;
-  const CProgram *P = parseC(corpus::countedLoopBlock(20), Ctx, Diags);
+  const std::string Source = corpus::countedLoopBlock(20);
+  const CProgram *P = parseC(Source, Ctx, Diags);
   ASSERT_NE(P, nullptr) << Diags.str();
   MixyAnalysis Mixy(*P, Ctx, Diags);
   EXPECT_EQ(Mixy.run(MixyAnalysis::StartMode::Symbolic, "blk"), 1u)
@@ -566,7 +567,8 @@ int main(void) {
 TEST_F(MixyTest, SymbolicStartMode) {
   CAstContext Ctx;
   DiagnosticEngine Diags;
-  const CProgram *P = parseC(corpus::vsftpdCase(1, true), Ctx, Diags);
+  const std::string Source = corpus::vsftpdCase(1, true);
+  const CProgram *P = parseC(Source, Ctx, Diags);
   ASSERT_NE(P, nullptr) << Diags.str();
   MixyAnalysis Mixy(*P, Ctx, Diags);
   // Start symbolically at sockaddr_clear itself.
@@ -616,7 +618,8 @@ TEST_F(MixyTest, SymbolicStartOnCase3Block) {
   // sysutil_free) runs from symbolic mode.
   CAstContext Ctx;
   DiagnosticEngine Diags;
-  const CProgram *P = parseC(corpus::vsftpdCase(3, true), Ctx, Diags);
+  const std::string Source = corpus::vsftpdCase(3, true);
+  const CProgram *P = parseC(Source, Ctx, Diags);
   ASSERT_NE(P, nullptr) << Diags.str();
   MixyAnalysis Mixy(*P, Ctx, Diags);
   EXPECT_EQ(Mixy.run(MixyAnalysis::StartMode::Symbolic, "main_BLOCK"), 0u)

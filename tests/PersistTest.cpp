@@ -342,12 +342,11 @@ TEST(PersistSessionTest, ColdThenWarm) {
     std::string Error;
     ASSERT_TRUE(S.save(&Error)) << Error;
   }
-  // Exactly the block store and the generation stamp are published.
+  // Exactly the block store is published.
   std::set<std::string> Files;
   for (const auto &E : std::filesystem::directory_iterator(D.Path))
     Files.insert(E.path().filename().string());
-  EXPECT_EQ(Files, (std::set<std::string>{"blocks.mixcache",
-                                          "generation.mixcache"}));
+  EXPECT_EQ(Files, (std::set<std::string>{"blocks.mixcache"}));
 
   PersistSession Warm(sessionOpts(D.Path));
   EXPECT_TRUE(Warm.degradedReason().empty());
@@ -409,72 +408,6 @@ TEST(PersistSessionTest, UnusableDirectoryDegrades) {
   EXPECT_FALSE(S.save()); // nothing to write into
 }
 
-TEST(PersistSessionTest, GenerationStampLifecycle) {
-  TempDir D("generation");
-  PersistSession A(sessionOpts(D.Path));
-  EXPECT_EQ(A.generation(), 0u); // cold start: no stamp on disk
-  EXPECT_FALSE(A.externallyModified());
-
-  ASSERT_TRUE(A.save());
-  EXPECT_EQ(A.generation(), 1u);
-  // Our own save is not an external modification.
-  EXPECT_FALSE(A.externallyModified());
-
-  PersistSession B(sessionOpts(D.Path));
-  EXPECT_EQ(B.generation(), 1u); // loads what A published
-  ASSERT_TRUE(B.save());
-  EXPECT_EQ(B.generation(), 2u);
-}
-
-TEST(PersistSessionTest, ReopenInProcessAfterExternalWriter) {
-  // The daemon scenario: a long-lived session must notice that another
-  // writer published into its cache directory, and a reopened session
-  // (what AnalysisService does on externallyModified) sees the new data
-  // instead of replaying the stale summaries.
-  TempDir D("reopen");
-  PersistSession A(sessionOpts(D.Path));
-  A.store(7, "from A");
-  ASSERT_TRUE(A.save());
-  EXPECT_FALSE(A.externallyModified());
-
-  {
-    // A second writer (another process, modeled in-process) loads A's
-    // summary, replaces it with its own and publishes.
-    PersistSession B(sessionOpts(D.Path));
-    ASSERT_TRUE(B.lookup(7).has_value());
-    B.invalidateSummaries();
-    B.store(8, "from B");
-    ASSERT_TRUE(B.save());
-  }
-
-  // A's loaded state is now stale and it must say so.
-  EXPECT_TRUE(A.externallyModified());
-
-  // Reopening the directory observes the latest generation and data.
-  PersistSession C(sessionOpts(D.Path));
-  EXPECT_EQ(C.generation(), 2u);
-  EXPECT_FALSE(C.externallyModified());
-  EXPECT_TRUE(C.lookup(8).has_value());
-  EXPECT_FALSE(C.lookup(7).has_value());
-}
-
-TEST(PersistSessionTest, StampIsWrittenLast) {
-  // The generation stamp publishes after the data files, so a reader
-  // that observes the new generation also observes the new data: after
-  // any successful save, the stamp on disk equals the session's
-  // generation and every data file is in place.
-  TempDir D("stamplast");
-  PersistSession S(sessionOpts(D.Path));
-  S.store(1, "payload");
-  ASSERT_TRUE(S.save());
-  EXPECT_TRUE(std::filesystem::exists(D.file("generation.mixcache")));
-  EXPECT_TRUE(std::filesystem::exists(D.file("blocks.mixcache")));
-  // A fresh reader agrees on the generation and finds the data.
-  PersistSession R(sessionOpts(D.Path));
-  EXPECT_EQ(R.generation(), S.generation());
-  EXPECT_TRUE(R.lookup(1).has_value());
-}
-
 TEST(PersistSessionTest, InvalidateSummariesDropsLoadedAndStoredSummaries) {
   // Invalidation drops every block summary, the loaded ones and this
   // session's own, but keeps the session: it still stores, and its next
@@ -514,7 +447,6 @@ TEST(PersistSessionTest, InMemorySessionNeverTouchesDisk) {
   EXPECT_TRUE(S.degradedReason().empty());
   S.store(7, "summary");
   ASSERT_TRUE(S.save()); // a successful no-op
-  EXPECT_FALSE(S.externallyModified());
   // The warm state *is* the store; nothing was published to disk.
   EXPECT_TRUE(std::filesystem::is_empty(D.Path));
   EXPECT_TRUE(S.lookup(7).has_value());
@@ -594,7 +526,7 @@ std::vector<std::unique_ptr<c::CFuncDecl>> makeFuncs(size_t N) {
   std::vector<std::unique_ptr<c::CFuncDecl>> Out;
   for (size_t I = 0; I != N; ++I)
     Out.push_back(std::make_unique<c::CFuncDecl>(
-        SourceLoc(), "f" + std::to_string(I), nullptr,
+        SourceLoc(), c::CSourceSpan(), "f" + std::to_string(I), nullptr,
         std::vector<c::CFuncDecl::Param>(), c::MixAnnot::None, nullptr));
   return Out;
 }

@@ -262,8 +262,8 @@ TEST(SarifExportTest, SymbolicWitnessBecomesCodeFlow) {
 
 std::string mixyFlowSarif(DiagnosticEngine &Diags) {
   c::CAstContext Ctx;
-  const c::CProgram *P =
-      c::parseC(c::corpus::vsftpdFull(/*Annotated=*/true), Ctx, Diags);
+  const std::string Source = c::corpus::vsftpdFull(/*Annotated=*/true);
+  const c::CProgram *P = c::parseC(Source, Ctx, Diags);
   EXPECT_NE(P, nullptr);
 
   obs::MetricsRegistry Reg;

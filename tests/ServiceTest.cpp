@@ -16,6 +16,8 @@
 #include "service/AnalysisService.h"
 #include "service/Protocol.h"
 
+#include "EditScenarios.h"
+
 #include "cfront/CParser.h"
 #include "driver/OptionParser.h"
 #include "lang/Parser.h"
@@ -944,6 +946,45 @@ TEST(ServiceServeTest, WarmSessionKeepsSameShapedBlocksApart) {
   EXPECT_EQ(Resp.Warnings, 0u) << Resp.Payload;
   EXPECT_EQ(Resp.Exit, 0);
   EXPECT_EQ(Resp.Payload, Reference.Payload);
+}
+
+TEST(ServiceServeTest, WarmSessionAnswersAnEditAsAPlainServiceDoes) {
+  // A warm daemon serves a program, then its edit: the edit's answer
+  // must be what a service without sessions answers, in text, with
+  // --explain and as SARIF, whatever the first program left behind.
+  struct Mode {
+    const char *Name;
+    service::Format Format;
+    bool Explain;
+  };
+  for (const testgen::EditScenario &S : testgen::editScenarios()) {
+    for (Mode M : {Mode{"text", service::Format::Text, false},
+                   Mode{"explain", service::Format::Text, true},
+                   Mode{"sarif", service::Format::Sarif, false}}) {
+      SCOPED_TRACE(std::string(S.Name) + ", " + M.Name);
+      auto Request = [&](const std::string &Source) {
+        service::AnalysisRequest Req;
+        Req.ToolKind = service::Tool::Mixy;
+        Req.Source = Source;
+        Req.HasSource = true;
+        Req.OutputFormat = M.Format;
+        Req.Explain = M.Explain;
+        return Req;
+      };
+      service::AnalysisService Plain;
+      service::AnalysisResponse Reference = Plain.run(Request(S.After));
+      EXPECT_GT(Reference.Warnings, 0u) << Reference.Payload;
+
+      service::AnalysisService Warm(daemonConfig());
+      service::AnalysisResponse First = Warm.serve(Request(S.Before));
+      EXPECT_GT(metricValue(First, "persist.block.stores"), 0u);
+      service::AnalysisResponse Edit = Warm.serve(Request(S.After));
+      EXPECT_FALSE(Edit.FromCache);
+      EXPECT_EQ(Edit.Payload, Reference.Payload);
+      EXPECT_EQ(Edit.Warnings, Reference.Warnings);
+      EXPECT_EQ(Edit.Exit, Reference.Exit);
+    }
+  }
 }
 
 TEST(ServiceServeTest, WarmInMemorySessionForgetsSummariesPastTheHorizon) {

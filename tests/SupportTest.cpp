@@ -56,6 +56,33 @@ TEST(DiagnosticsTest, ClearResetsCounts) {
   EXPECT_FALSE(Diags.hasErrors());
 }
 
+TEST(DiagnosticsTest, DropRepeatedWarningsKeepsTheFirstWithItsNotes) {
+  DiagnosticEngine Diags;
+  Diags.warning({9, 9}, "before"); // ahead of From: never dropped
+  Diags.warning({9, 9}, "before");
+  Diags.warning({1, 2}, "w");
+  Diags.note({3, 4}, "first note");
+  Diags.error({5, 6}, "e");
+  Diags.warning({1, 2}, "w"); // a repeat, with its note
+  Diags.note({7, 8}, "repeat note");
+  Diags.warning({1, 2}, "other message");
+  Diags.note({9, 1}, "kept note");
+  Diags.warning({9, 9}, "before");
+  Diags.dropRepeatedWarnings(1);
+  EXPECT_EQ(Diags.str(), "9:9: warning: before\n"
+                         "9:9: warning: before\n"
+                         "1:2: warning: w\n"
+                         "3:4: note: first note\n"
+                         "5:6: error: e\n"
+                         "1:2: warning: other message\n"
+                         "9:1: note: kept note\n");
+  EXPECT_EQ(Diags.warningCount(), 4u);
+  EXPECT_EQ(Diags.errorCount(), 1u);
+  // Notes still point at their warnings after the shift.
+  EXPECT_EQ(Diags.notesFor(2), std::vector<size_t>{3});
+  EXPECT_EQ(Diags.notesFor(5), std::vector<size_t>{6});
+}
+
 TEST(StringExtrasTest, Join) {
   EXPECT_EQ(join({}, ", "), "");
   EXPECT_EQ(join({"a"}, ", "), "a");

@@ -12,6 +12,8 @@ Speaks newline-delimited JSON-RPC 2.0 to one daemon process and asserts:
   * protocol errors (bad JSON, bad version, unknown field, unknown method)
     come back as the right structured JSON-RPC error codes,
   * an unknown solver backend is a usage error (exit 2), not a crash,
+  * a program and then its edit, served warm, get the answer the CLI
+    gives on the edit (when a mixyc binary is given),
   * executed responses carry request telemetry (request_id, total_us,
     phases) and cache hits carry a fresh id but no phase work,
   * status counters account for every request and expose request-latency
@@ -86,8 +88,31 @@ def analyze_params(**kw):
     return params
 
 
-def run_cli(mixyc, args):
-    return subprocess.run([mixyc, *args], capture_output=True, text=True)
+def run_cli(mixyc, args, stdin=None):
+    return subprocess.run([mixyc, *args], capture_output=True, text=True,
+                          input=stdin)
+
+
+# a and b both pass a null to h, which dereferences it; the edit takes h
+# out of a, so only b's warm summary can still report the dereference.
+SHARED_CALLEE = """void h(int *p) {
+  *p = 1;
+}
+void a(int *p) MIX(symbolic) {
+  h(p);
+}
+void b(int *p) MIX(symbolic) {
+  h(p);
+}
+int main(void) {
+  a(NULL);
+  b(NULL);
+  return 0;
+}
+"""
+SHARED_CALLEE_EDIT = SHARED_CALLEE.replace(
+    "void a(int *p) MIX(symbolic) {\n  h(p);",
+    "void a(int *p) MIX(symbolic) {\n  p = p;")
 
 
 def main():
@@ -236,12 +261,26 @@ def main():
                                       format="json"))["result"]
     assert nxt["exit"] == 0, nxt
 
-    # 11. Clean shutdown.
-    assert client.request(14, "shutdown")["result"]["ok"]
+    # 11. A program, then its edit: the edit's answer replays b's warm
+    #     block summary and must be what the CLI prints on the edit.
+    first = client.request(
+        14, "analyze", analyze_params(source=SHARED_CALLEE))["result"]
+    assert first["exit"] == 1, first
+    edit = client.request(
+        15, "analyze", analyze_params(source=SHARED_CALLEE_EDIT))["result"]
+    assert edit["exit"] == 1 and edit["warnings"] == 1, edit
+    if mixyc:
+        cli = run_cli(mixyc, ["-"], stdin=SHARED_CALLEE_EDIT)
+        assert cli.returncode == edit["exit"]
+        assert cli.stderr == edit.get("payload", ""), \
+            "warm daemon answer on the edit != mixyc on the edit"
+
+    # 12. Clean shutdown.
+    assert client.request(16, "shutdown")["result"]["ok"]
     code = client.close()
     assert code == 0, f"daemon exited {code}"
 
-    # 12. Deadline mode: a request that finishes before --deadline-ms gets
+    # 13. Deadline mode: a request that finishes before --deadline-ms gets
     #     exactly one reply. The watcher sweeps at the deadline even when
     #     the worker already answered; it must retire the ticket silently,
     #     not append a second bogus timeout error for the same id.

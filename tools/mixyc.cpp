@@ -161,16 +161,14 @@ int main(int Argc, char **Argv) {
            << "recursions detected      : "
            << Reg.counterValue("mixy.recursions") << "\n"
            // The shared engine layer's view of the same run: blocks it
-           // scheduled, cache hits it served, and how the fixpoint driver
-           // got there (site re-evaluations and rounds).
+           // scheduled, cache hits it served, and how the fixpoint got
+           // there (site re-evaluations, and whether the cap cut it).
            << "engine blocks scheduled  : "
            << Reg.counterValue("engine.mixy.blocks") << "\n"
            << "engine cache hits        : "
            << Reg.counterValue("engine.cache.mixy.hits") << "\n"
            << "fixpoint re-runs         : "
-           << Reg.counterValue("engine.worklist.reruns") << "\n"
-           << "fixpoint rounds          : "
-           << Reg.counterValue("engine.fixpoint.rounds") << "\n"
+           << Reg.counterValue("engine.fixpoint.reruns") << "\n"
            << "fixpoint cut by cap      : "
            << Reg.counterValue("engine.fixpoint.cut") << "\n";
     }
